@@ -148,34 +148,12 @@ def records_from_csv(text: str) -> list[BenchRecord]:
     return out
 
 
-def run_method(formula, method: str, budget: Optional[int] = None,
-               extractor_cmd: Optional[str] = None):
-    """Dispatch one extraction method; returns a CoreReport."""
-    from .cores import (ExtractorConfig, lemma_lift_core, self_extractor_command,
-                        smt_assumption_core, smt_proof_core)
-
-    if method == "lift-proof":
-        return lemma_lift_core(formula, ExtractorConfig("internal-proof"),
-                               verify=True, conflict_budget=budget)
-    if method == "lift-selectors":
-        return lemma_lift_core(formula, ExtractorConfig("internal-selectors"),
-                               verify=True, conflict_budget=budget)
-    if method == "lift-external":
-        cmd = extractor_cmd or self_extractor_command()
-        return lemma_lift_core(formula, ExtractorConfig("external", command=cmd),
-                               verify=True, conflict_budget=budget)
-    if method == "smt-proof":
-        return smt_proof_core(formula, verify=True, conflict_budget=budget)
-    if method == "smt-selectors":
-        return smt_assumption_core(formula, verify=True, conflict_budget=budget)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def run_bench(paths: list[Path], methods: list[str], budget: Optional[int] = None,
               extractor_cmd: Optional[str] = None) -> list[BenchRecord]:
     """Run every method on every instance; per-instance failures are recorded
     and never abort the run.  Records come back in instance order."""
     from .cnf import cnf_convert
+    from .cores import extract_core
     from .parser import parse_file
 
     records = []
@@ -192,7 +170,8 @@ def run_bench(paths: list[Path], methods: list[str], budget: Optional[int] = Non
         for method in methods:
             start = time.perf_counter()
             try:
-                report = run_method(formula, method, budget, extractor_cmd)
+                report = extract_core(formula, method, verify=True, budget=budget,
+                                      extractor_cmd=extractor_cmd)
                 elapsed = (time.perf_counter() - start) * 1000.0
                 if report.verdict == "sat":
                     records.append(BenchRecord(name, nclauses, method, None,

@@ -1,9 +1,10 @@
 """Command-line surface: solve, core, allmus, verify, bench, boolean-core.
 
 Exit codes follow the solving convention: 10 for sat, 20 for unsat, 1 for
-errors, 2 for capped (incomplete) enumeration.  `boolean-core` is the
-plug-in Boolean extractor surface (DIMACS in, core out) and exits 0 on
-success so it can serve as an external extractor command.
+errors (usage errors included), 2 for capped (incomplete) enumeration.
+`boolean-core` is the plug-in Boolean extractor surface (DIMACS in, core
+out) and exits 0 on success so it can serve as an external extractor
+command.
 """
 from __future__ import annotations
 
@@ -15,24 +16,35 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import dimacs
 from .cnf import cnf_convert
-from .cores import (ExtractorConfig, ExtractionError, check_core,
-                    lemma_lift_core, self_extractor_command,
-                    smt_assumption_core, smt_proof_core)
+from .cores import (METHODS, ExtractorConfig, ExtractionError, boolean_core,
+                    check_core, extract_core)
 from .mus import all_minimal_cores
 from .parser import parse_file, render_instance
-from .smt import smt_solve
+from .smt import SmtSolver
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_ERROR = 1
 EXIT_INCOMPLETE = 2
 
-METHODS = ("lift-proof", "lift-selectors", "lift-external", "smt-proof", "smt-selectors")
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_ERROR: argparse's own 2 would read as a
+    capped enumeration."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _default_budget() -> int | None:
     raw = os.environ.get("SMTCORE_BUDGET")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SMTCORE_BUDGET must be an integer, not {raw!r}") from None
 
 
 def _load(path: str):
@@ -41,17 +53,11 @@ def _load(path: str):
 
 def cmd_solve(args) -> int:
     formula = _load(args.file)
-    if args.proof_out:
-        from .smt import SmtSolver
-        engine = SmtSolver(formula, conflict_budget=args.budget, log_proof=True,
-                           seed=args.seed)
-        verdict = engine.solve()
-        if verdict.status == "unsat":
-            Path(args.proof_out).write_text(engine.sat.proof.to_trace(),
-                                            encoding="utf-8")
-    else:
-        verdict, _store = smt_solve(formula, conflict_budget=args.budget,
-                                    seed=args.seed)
+    engine = SmtSolver(formula, conflict_budget=args.budget,
+                       log_proof=bool(args.proof_out), seed=args.seed)
+    verdict = engine.solve()
+    if args.proof_out and verdict.status == "unsat":
+        Path(args.proof_out).write_text(engine.sat.proof.to_trace(), encoding="utf-8")
     print(verdict.status if verdict.status in ("sat", "unsat") else "unknown")
     if verdict.status == "sat":
         return EXIT_SAT
@@ -62,37 +68,10 @@ def cmd_solve(args) -> int:
 
 def cmd_core(args) -> int:
     formula = _load(args.file)
-    budget = args.budget
-    if args.method == "lift-proof":
-        report = lemma_lift_core(formula, ExtractorConfig(
-            "internal-proof", fixpoint=args.fixpoint, minimize=args.minimize),
-            verify=args.verify, conflict_budget=budget)
-    elif args.method == "lift-selectors":
-        report = lemma_lift_core(formula, ExtractorConfig(
-            "internal-selectors", fixpoint=args.fixpoint, minimize=args.minimize),
-            verify=args.verify, conflict_budget=budget)
-    elif args.method == "lift-external":
-        cmd = args.extractor_cmd or self_extractor_command()
-        report = lemma_lift_core(formula, ExtractorConfig(
-            "external", command=cmd, output_mode=args.extractor_mode,
-            fixpoint=args.fixpoint, minimize=args.minimize),
-            verify=args.verify, conflict_budget=budget)
-    elif args.method == "smt-proof":
-        report = smt_proof_core(formula, verify=args.verify, conflict_budget=budget)
-        if args.minimize:
-            from .cores import minimize_core
-            core = minimize_core(formula, report.core)
-            report = type(report)("unsat", tuple(core), report.method,
-                                  report.input_size, len(core), report.verification,
-                                  formula.assertion_ids(core))
-    else:  # smt-selectors
-        report = smt_assumption_core(formula, verify=args.verify, conflict_budget=budget)
-        if args.minimize:
-            from .cores import minimize_core
-            core = minimize_core(formula, report.core)
-            report = type(report)("unsat", tuple(core), report.method,
-                                  report.input_size, len(core), report.verification,
-                                  formula.assertion_ids(core))
+    report = extract_core(formula, args.method, minimize=args.minimize,
+                          fixpoint=args.fixpoint, verify=args.verify, budget=args.budget,
+                          extractor_cmd=args.extractor_cmd,
+                          extractor_mode=args.extractor_mode)
     if report.verdict == "sat":
         print("sat")
         return EXIT_SAT
@@ -169,9 +148,7 @@ def cmd_bench(args) -> int:
 
 def cmd_boolean_core(args) -> int:
     doc = dimacs.parse_dimacs(Path(args.infile).read_text(encoding="utf-8"))
-    from .cores import boolean_core
-    config = ExtractorConfig("internal-selectors" if args.method == "selectors"
-                             else "internal-proof", fixpoint=args.fixpoint)
+    config = ExtractorConfig(f"internal-{args.method}", fixpoint=args.fixpoint)
     core = boolean_core(doc.clauses, config, nvars=doc.nvars)
     if args.mode == "index-list":
         Path(args.out).write_text(dimacs.render_core_indices(core), encoding="utf-8")
@@ -182,13 +159,13 @@ def cmd_boolean_core(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="smtcore",
-                                description="Small unsatisfiable cores for SMT")
+    p = _ArgumentParser(prog="smtcore",
+                        description="Small unsatisfiable cores for SMT")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="decide satisfiability")
     ps.add_argument("file")
-    ps.add_argument("--budget", type=int, default=_default_budget())
+    ps.add_argument("--budget", type=int, default=None)
     ps.add_argument("--seed", type=int, default=None,
                     help="randomize branching tie-breaks, reproducibly")
     ps.add_argument("--proof-out", default=None,
@@ -206,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--extractor-mode", choices=("index-list", "dimacs-subset"),
                     default="index-list")
     pc.add_argument("--out", default=None, help="write the core as a new input file")
-    pc.add_argument("--budget", type=int, default=_default_budget())
+    pc.add_argument("--budget", type=int, default=None)
     pc.set_defaults(fn=cmd_core)
 
     pa = sub.add_parser("allmus", help="enumerate all MCSes and minimal cores")
@@ -223,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("dir")
     pb.add_argument("--methods", default="lift-proof,lift-selectors,smt-proof,smt-selectors")
     pb.add_argument("--baseline", default="lift-proof")
-    pb.add_argument("--budget", type=int, default=_default_budget())
+    pb.add_argument("--budget", type=int, default=None)
     pb.add_argument("--extractor-cmd", default=None)
     pb.add_argument("--csv", default=None)
     pb.set_defaults(fn=cmd_bench)
@@ -244,6 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "budget" in vars(args) and args.budget is None:
+            args.budget = _default_budget()
         return args.fn(args)
     except (OSError, ValueError, ExtractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

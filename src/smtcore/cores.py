@@ -6,8 +6,9 @@ proof-based, internal selector-based, or an external command exchanging
 DIMACS files), then discards lemma clauses from the returned core: what
 survives is a theory-unsatisfiable subset of the inputs.  The two baseline
 routes extract cores directly from the SMT run (proof leaves, or selector
-variables).  Deletion-based minimization and an independent checker round
-things out.
+variables).  `extract_core` dispatches over all of them through the one
+method table `METHODS`.  Deletion-based minimization and an independent
+checker round things out.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from typing import Iterable, Optional
 
 from . import dimacs
 from .sat import proof_core, sat_solve, solve_with_selectors
-from .smt import SmtSolver, smt_solve
-from .terms import AtomTable, Clause, Formula, Literal, Original, PropAtom
+from .smt import SmtSolver, lifted_clauses, smt_solve
+from .terms import Formula, formula_from_clauses, selector_guarded
 
 
 class ExtractionError(RuntimeError):
@@ -62,22 +63,6 @@ class CoreReport:
     core_size: int
     verification: str                 # "verified" | "unchecked"
     assertions: tuple[int, ...]       # assertion-level view
-
-
-def _report(formula: Formula, core: Iterable[int], method: str,
-            verify: bool) -> CoreReport:
-    core = tuple(sorted(set(core)))
-    if verify:
-        problem = check_core(formula, core)
-        if problem is not None:
-            raise ExtractionError(f"{method}: core failed verification: {problem}")
-    return CoreReport("unsat", core, method, len(formula.clauses), len(core),
-                      "verified" if verify else "unchecked",
-                      formula.assertion_ids(core))
-
-
-def _sat_report(formula: Formula, method: str) -> CoreReport:
-    return CoreReport("sat", (), method, len(formula.clauses), 0, "verified", ())
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +161,99 @@ def self_extractor_command(method: str = "proof") -> str:
 # ---------------------------------------------------------------------------
 # SMT-level extraction
 # ---------------------------------------------------------------------------
+#
+# A route computes the raw core of one method: its clause indices, or None
+# when the formula is satisfiable.  `_run` then minimizes and verifies that
+# core once, the same way for every method.
+
+def _refuted(verdict) -> bool:
+    if verdict.status == "unknown":
+        raise ExtractionError("conflict budget exceeded before a verdict")
+    return verdict.status != "sat"
+
+
+def _lift_route(formula: Formula, config: ExtractorConfig, **solve) -> Optional[list[int]]:
+    verdict, store = smt_solve(formula, **solve)
+    if not _refuted(verdict):
+        return None
+    n = len(formula.clauses)
+    idxs = boolean_core(lifted_clauses(formula, store), config, nvars=len(formula.atoms))
+    surviving = [i for i in idxs if i < n]
+    assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
+    return surviving
+
+
+def _proof_route(formula: Formula, _config, **solve) -> Optional[set[int]]:
+    engine = SmtSolver(formula, log_proof=True, **solve)
+    if not _refuted(engine.solve()):
+        return None
+    origins = (engine.origin(cid) for cid in proof_core(engine.sat.proof))
+    return {origin[1] for origin in origins if origin[0] == "input"}
+
+
+def _selector_route(formula: Formula, _config, **solve) -> Optional[list[int]]:
+    table, selectors, guarded = selector_guarded(formula, "sel")
+    engine = SmtSolver(formula_from_clauses(guarded, table, formula.declarations,
+                                            formula.logic), **solve)
+    verdict = engine.solve(tuple(selectors))
+    if not _refuted(verdict):
+        return None
+    assert verdict.status == "unsat-assumptions", \
+        "guarded clauses cannot refute without their selectors"
+    negated = set(verdict.conflict)
+    return [i for i, sel in enumerate(selectors) if -sel in negated]
+
+
+# core method -> (route, Boolean extractor kind of a lifted route).  The
+# lifted routes run the named extractor on inputs plus stored lemmas; the
+# two baselines read the core off the SMT run itself.
+METHODS = {
+    "lift-proof": (_lift_route, "internal-proof"),
+    "lift-selectors": (_lift_route, "internal-selectors"),
+    "lift-external": (_lift_route, "external"),
+    "smt-proof": (_proof_route, None),
+    "smt-selectors": (_selector_route, None),
+}
+
+
+def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
+         minimize: bool, verify: bool, **solve) -> CoreReport:
+    route, _kind = METHODS[method]
+    core = route(formula, config, **solve)
+    n = len(formula.clauses)
+    if core is None:
+        return CoreReport("sat", (), method, n, 0, "verified", ())
+    if minimize:
+        core = minimize_core(formula, core)
+    core = tuple(sorted(set(core)))
+    if verify:
+        problem = check_core(formula, core)
+        if problem is not None:
+            raise ExtractionError(f"{method}: core failed verification: {problem}")
+    return CoreReport("unsat", core, method, n, len(core),
+                      "verified" if verify else "unchecked",
+                      formula.assertion_ids(core))
+
+
+def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool = False,
+                 fixpoint: bool = False, verify: bool = False,
+                 budget: Optional[int] = None, extractor_cmd: Optional[str] = None,
+                 extractor_mode: str = "index-list") -> CoreReport:
+    """Core of `formula` by one of the METHODS.  `fixpoint`, `extractor_cmd`
+    (default: the self-bridge) and `extractor_mode` only concern the lifted
+    methods.  With `minimize` the core is made one-deletion minimal, and
+    with `verify` the final core is checked independently."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    kind = METHODS[method][1]
+    config = None
+    if kind is not None:
+        command = (extractor_cmd or self_extractor_command()) if kind == "external" else None
+        config = ExtractorConfig(kind, command=command, output_mode=extractor_mode,
+                                 fixpoint=fixpoint)
+    return _run(formula, method, config, minimize=minimize, verify=verify,
+                conflict_budget=budget)
+
 
 def lemma_lift_core(formula: Formula, config: ExtractorConfig,
                     *, verify: bool = False, early_pruning: bool = True,
@@ -183,25 +261,10 @@ def lemma_lift_core(formula: Formula, config: ExtractorConfig,
                     conflict_budget: Optional[int] = None) -> CoreReport:
     """Core via the lifted-lemma route: solve, abstract inputs plus stored
     lemmas, run the Boolean extractor, drop lemma clauses."""
-    method = {"internal-proof": "lift-proof",
-              "internal-selectors": "lift-selectors",
-              "external": "lift-external"}[config.kind]
-    verdict, store = smt_solve(formula, early_pruning=early_pruning,
-                               theory_propagation=theory_propagation,
-                               conflict_budget=conflict_budget)
-    if verdict.status == "sat":
-        return _sat_report(formula, method)
-    if verdict.status == "unknown":
-        raise ExtractionError("conflict budget exceeded before a verdict")
-    lifted = [formula.atoms.t2p(c) for c in formula.clauses]
-    lifted += [formula.atoms.t2p(lemma.clause) for lemma in store]
-    n = len(formula.clauses)
-    idxs = boolean_core(lifted, config, nvars=len(formula.atoms))
-    surviving = [i for i in idxs if i < n]
-    assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
-    if config.minimize:
-        surviving = minimize_core(formula, surviving)
-    return _report(formula, surviving, method, verify)
+    method = next(m for m, (_route, kind) in METHODS.items() if kind == config.kind)
+    return _run(formula, method, config, minimize=config.minimize, verify=verify,
+                early_pruning=early_pruning, theory_propagation=theory_propagation,
+                conflict_budget=conflict_budget)
 
 
 def smt_proof_core(formula: Formula, *, verify: bool = False,
@@ -209,20 +272,9 @@ def smt_proof_core(formula: Formula, *, verify: bool = False,
                    conflict_budget: Optional[int] = None) -> CoreReport:
     """Proof-based baseline: leaves of the refutation built during the SMT
     run itself; lemma leaves are theory-valid and excluded."""
-    engine = SmtSolver(formula, early_pruning=early_pruning,
-                       theory_propagation=theory_propagation,
-                       conflict_budget=conflict_budget, log_proof=True)
-    verdict = engine.solve()
-    if verdict.status == "sat":
-        return _sat_report(formula, "smt-proof")
-    if verdict.status == "unknown":
-        raise ExtractionError("conflict budget exceeded before a verdict")
-    core = set()
-    for cid in proof_core(engine.sat.proof):
-        origin = engine.origin(cid)
-        if origin[0] == "input":
-            core.add(origin[1])
-    return _report(formula, core, "smt-proof", verify)
+    return _run(formula, "smt-proof", None, minimize=False, verify=verify,
+                early_pruning=early_pruning, theory_propagation=theory_propagation,
+                conflict_budget=conflict_budget)
 
 
 def smt_assumption_core(formula: Formula, *, verify: bool = False,
@@ -230,36 +282,9 @@ def smt_assumption_core(formula: Formula, *, verify: bool = False,
                         conflict_budget: Optional[int] = None) -> CoreReport:
     """Selector-based baseline: guard every clause with a fresh selector at
     the SMT level; the core is read off the final conflict clause."""
-    # fresh table (same ids for existing atoms) so the caller's table does
-    # not grow selector atoms
-    table = AtomTable()
-    for _id, atom in formula.atoms.items():
-        table.intern(atom)
-    selectors = []
-    guarded = []
-    for i, clause in enumerate(formula.clauses):
-        sel = table.intern(PropAtom(f"@sel!{i}"))
-        selectors.append(sel)
-        lits = (Literal(sel, False),) + clause.lits
-        guarded.append(Clause(lits, Original(i, _assertion_id(clause))))
-    sub = Formula(guarded, table, formula.declarations, formula.logic)
-    engine = SmtSolver(sub, early_pruning=early_pruning,
-                       theory_propagation=theory_propagation,
-                       conflict_budget=conflict_budget)
-    verdict = engine.solve(tuple(selectors))
-    if verdict.status == "sat":
-        return _sat_report(formula, "smt-selectors")
-    if verdict.status == "unknown":
-        raise ExtractionError("conflict budget exceeded before a verdict")
-    assert verdict.status == "unsat-assumptions", \
-        "guarded clauses cannot refute without their selectors"
-    negated = set(verdict.conflict)
-    core = [i for i, sel in enumerate(selectors) if -sel in negated]
-    return _report(formula, core, "smt-selectors", verify)
-
-
-def _assertion_id(clause: Clause) -> int:
-    return clause.origin.assertion_id if isinstance(clause.origin, Original) else -1
+    return _run(formula, "smt-selectors", None, minimize=False, verify=verify,
+                early_pruning=early_pruning, theory_propagation=theory_propagation,
+                conflict_budget=conflict_budget)
 
 
 # ---------------------------------------------------------------------------

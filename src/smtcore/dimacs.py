@@ -68,7 +68,10 @@ def parse_dimacs(text: str) -> DimacsDocument:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"malformed problem line: {line!r}")
-            nvars, declared = int(parts[2]), int(parts[3])
+            try:
+                nvars, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError(f"malformed problem line: {line!r}") from None
             continue
         if nvars is None:
             raise DimacsError("clause before the 'p cnf' header")

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .smt import smt_solve
-from .terms import AtomTable, Formula, Literal, PropAtom, formula_from_clauses
+from .terms import (AtomTable, Formula, Literal, PropAtom, formula_from_clauses,
+                    selector_guarded)
 
 DEFAULT_CAP = 10_000
 
@@ -70,13 +71,9 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
     if base.status == "sat":
         return McsSet([], complete=True, satisfiable=True)
     n = len(formula.clauses)
-    # fresh table so selector/register atoms do not leak into the input
-    table = AtomTable()
-    for _id, atom in formula.atoms.items():
-        table.intern(atom)
-    selectors = [table.intern(PropAtom(f"@mcs!{i}")) for i in range(n)]
-    guarded = [(Literal(selectors[i], False),) + clause.lits
-               for i, clause in enumerate(formula.clauses)]
+    # the copied table also takes the counter registers, so nothing leaks
+    # into the input's table
+    table, selectors, guarded = selector_guarded(formula, "mcs")
     blocking: list[tuple[Literal, ...]] = []
     found: list[frozenset[int]] = []
 

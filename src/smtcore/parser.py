@@ -123,11 +123,18 @@ class _SExpr:
         return self.items is None
 
 
+# Deeper input is rejected up front: later stages recurse once or more per
+# level and would otherwise exhaust the interpreter stack.
+MAX_NESTING = 200
+
+
 def _read_sexprs(toks: list[_Tok]) -> list[_SExpr]:
     out: list[_SExpr] = []
     stack: list[_SExpr] = []
     for t in toks:
         if t.kind == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
             node = _SExpr([], None, t.line, t.col)
             if stack:
                 stack[-1].items.append(node)

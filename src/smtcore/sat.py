@@ -137,15 +137,17 @@ class SatVerdict:
 # Solver
 # ---------------------------------------------------------------------------
 
-class SatSolver:
-    """CDCL with two-watched literals, activity branching (decay 0.95, ties
-    to the lowest variable index), 1st-UIP learning and optional geometric
-    restarts (off by default while logging proofs)."""
+ACTIVITY_DECAY = 0.95
 
-    def __init__(self, log_proof: bool = False, decay: float = 0.95,
+
+class SatSolver:
+    """CDCL with two-watched literals, activity branching (decay
+    ACTIVITY_DECAY, ties to the lowest variable index), 1st-UIP learning and
+    optional geometric restarts (off by default while logging proofs)."""
+
+    def __init__(self, log_proof: bool = False,
                  conflict_budget: Optional[int] = None,
                  enable_restarts: Optional[bool] = None,
-                 minimize_learned: bool = False,
                  seed: Optional[int] = None):
         self.clauses: list[list[int]] = []
         self.origins: list[tuple] = []
@@ -163,11 +165,9 @@ class SatSolver:
         self.qhead = 0
         self.activity: dict[int, float] = {}
         self.phase: dict[int, bool] = {}
-        self.decay = decay
         self.var_inc = 1.0
         self.conflict_budget = conflict_budget
         self.conflicts = 0
-        self.minimize_learned = minimize_learned
         if enable_restarts is None:
             enable_restarts = not log_proof
         self.enable_restarts = enable_restarts
@@ -178,7 +178,6 @@ class SatSolver:
         self.theory_hook = None
         self.empty_clause: Optional[int] = None
         self.pending_conflict: Optional[int] = None
-        self._learned: list[int] = []
 
     # -- basic state ---------------------------------------------------------
 
@@ -239,8 +238,6 @@ class SatSolver:
         self.origins.append(origin)
         if existing is None:
             self._by_key[key] = cid
-        if origin[0] == "learned":
-            self._learned.append(cid)
         for l in norm:
             self.ensure_vars(abs(l))
         if not norm:
@@ -340,7 +337,7 @@ class SatSolver:
         self.activity[v] += self.var_inc
 
     def _decay_activity(self):
-        self.var_inc /= self.decay
+        self.var_inc /= ACTIVITY_DECAY
         if self.var_inc > 1e100:
             for v in self.activity:
                 self.activity[v] *= 1e-100
@@ -408,9 +405,6 @@ class SatSolver:
             reason_lits = set(self.clauses[rid])
             cur = (cur - {target}) | (reason_lits - {-target})
             self._bump(v)
-        if self.minimize_learned:
-            cur, node = self._minimize(cur, node, lvl)
-            at_level = [l for l in cur if self.level[abs(l)] == lvl]
         assert len(at_level) == 1
         assert_lit = at_level[0]
         rest = sorted((l for l in cur if l != assert_lit),
@@ -418,28 +412,6 @@ class SatSolver:
         backjump = self.level[abs(rest[0])] if rest else 0
         self._decay_activity()
         return [assert_lit] + rest, backjump, node
-
-    def _minimize(self, cur: set[int], node, lvl: int):
-        """Local clause minimization: drop a literal whose reason clause is
-        fully contained in the learned clause (one logged resolution each)."""
-        changed = True
-        while changed:
-            changed = False
-            for l in sorted(cur, key=lambda l: self.trail_pos[abs(l)]):
-                v = abs(l)
-                if self.level[v] == lvl or self.level[v] == 0:
-                    continue
-                rid = self.reason.get(v)
-                if rid is None:
-                    continue
-                others = set(self.clauses[rid]) - {-l}
-                if others <= (cur - {l}):
-                    if self.proof:
-                        node = self.proof.resolve(v, node, self._node(rid))
-                    cur = cur - {l}
-                    changed = True
-                    break
-        return cur, node
 
     def _learn(self, learned: list[int], backjump: int, node) -> None:
         self._backjump(backjump)
@@ -540,27 +512,14 @@ class SatSolver:
                     if hr == "added":
                         continue
                     if hr is not None:
-                        confl = hr
-                        self.pending_conflict = None
-                        self.conflicts += 1
-                        conflicts_here += 1
-                        if (self.conflict_budget is not None
-                                and self.conflicts > self.conflict_budget):
-                            return SatVerdict("unknown")
-                        res = self._analyze(confl)
-                        if res is None:
-                            return SatVerdict("unsat", proof=self.proof)
-                        learned, backjump, node = res
-                        self._learn(learned, backjump, node)
+                        # re-enter the conflict path above through _propagate
+                        self.pending_conflict = hr
                         continue
                 model = dict(self.assign)
                 return SatVerdict("sat", model=model)
             lit = v if self.phase[v] else -v
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
-
-    def learned_clauses(self) -> list[list[int]]:
-        return [list(self.clauses[cid]) for cid in self._learned]
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,11 @@ def smt_solve(formula: Formula, *, early_pruning: bool = True,
     return verdict, engine.store
 
 
-def stored_lemmas(store: TLemmaStore) -> list[TLemma]:
-    """The lemmas passed to the SAT engine during a run, in order."""
-    return list(store.lemmas)
+def lifted_clauses(formula: Formula, store: TLemmaStore) -> list[list[int]]:
+    """Boolean abstraction of the input clauses followed by the stored
+    lemmas: positions below len(formula.clauses) are inputs."""
+    return [formula.atoms.t2p(c) for c in formula.clauses] + \
+        [formula.atoms.t2p(lemma.clause) for lemma in store]
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +227,7 @@ def lemma_store_violations(formula: Formula, store: TLemmaStore,
         if not ok:
             problems.append(f"lemma {lemma.seq} is not theory-valid: {counter}")
     if unsat:
-        clauses = [formula.atoms.t2p(c) for c in formula.clauses]
-        clauses += [formula.atoms.t2p(lemma.clause) for lemma in store]
-        check = sat_solve(clauses, nvars=len(formula.atoms))
+        check = sat_solve(lifted_clauses(formula, store), nvars=len(formula.atoms))
         if check.status != "unsat":
             problems.append("abstraction plus stored lemmas is not propositionally unsat")
     return problems

@@ -430,6 +430,21 @@ def formula_from_clauses(lit_clauses: list[tuple[Literal, ...]], atoms: AtomTabl
     return Formula(clauses, atoms, declarations, logic)
 
 
+def selector_guarded(formula: Formula, tag: str
+                     ) -> tuple[AtomTable, list[int], list[tuple[Literal, ...]]]:
+    """Guard every clause with a fresh selector atom `@<tag>!<i>`.  Returns
+    a copy of the atom table (existing atoms keep their ids, so the
+    formula's own table does not grow) holding the selectors, the selector
+    ids in clause order, and the guarded clauses (not sel_i) or clause_i."""
+    table = AtomTable()
+    for _id, atom in formula.atoms.items():
+        table.intern(atom)
+    selectors = [table.intern(PropAtom(f"@{tag}!{i}")) for i in range(len(formula.clauses))]
+    guarded = [(Literal(sel, False),) + clause.lits
+               for sel, clause in zip(selectors, formula.clauses)]
+    return table, selectors, guarded
+
+
 def infer_logic(clauses: Iterable[Clause], atoms: AtomTable) -> str:
     theories = set()
     for c in clauses:

@@ -2,7 +2,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from smtcore.cli import main
+from smtcore.cnf import cnf_convert
+from smtcore.cores import METHODS
+from smtcore.parser import parse_file
+from smtcore.smt import smt_solve
 
 NINE_CLAUSES = "nine_clauses.smt2"
 
@@ -79,6 +85,43 @@ class TestCore:
                                    "--verify", capsys=capsys)
             assert code == 20, method
             assert out.splitlines()[0] == "unsat"
+
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_minimize_verify_gives_a_minimal_core(self, data_dir, capsys, method):
+        path = str(data_dir / NINE_CLAUSES)
+        code, out, _ = run_cli("core", path, "--method", method, "--minimize", "--verify",
+                               capsys=capsys)
+        assert code == 20
+        core = [int(i) - 1 for i in out.splitlines()[1].split(":")[1].split()]
+        formula = cnf_convert(parse_file(path))
+        assert smt_solve(formula.restrict(core))[0].status == "unsat"
+        for i in core:
+            rest = [j for j in core if j != i]
+            assert smt_solve(formula.restrict(rest))[0].status == "sat", (method, i)
+
+
+class TestMalformedInput:
+    def test_non_integer_budget_variable(self, data_dir, capsys, monkeypatch):
+        monkeypatch.setenv("SMTCORE_BUDGET", "abc")
+        code, _, err = run_cli("solve", str(data_dir / NINE_CLAUSES), capsys=capsys)
+        assert code == 1 and "SMTCORE_BUDGET" in err
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        deep = tmp_path / "deep.smt2"
+        depth = 3000
+        deep.write_text("(declare-fun p () Bool)(assert " + "(not " * depth + "p"
+                        + ")" * depth + ")", encoding="utf-8")
+        code, _, err = run_cli("solve", str(deep), capsys=capsys)
+        assert code == 1 and "nesting" in err
+
+    @pytest.mark.parametrize("argv", [[], ["core"], ["core", "f.smt2", "--method", "magic"],
+                                      ["solve", "f.smt2", "--budget", "many"]])
+    def test_usage_errors_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage" in capsys.readouterr().err
 
 
 class TestAllmus:

@@ -4,9 +4,9 @@ from gen import labeled_corpus
 from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
-    BridgeError, ExtractorConfig, ExtractionError, boolean_core, check_core,
-    external_bridge, lemma_lift_core, minimize_core, self_extractor_command,
-    smt_assumption_core, smt_proof_core,
+    METHODS, BridgeError, ExtractorConfig, ExtractionError, boolean_core, check_core,
+    external_bridge, extract_core, lemma_lift_core, minimize_core,
+    self_extractor_command, smt_assumption_core, smt_proof_core,
 )
 from smtcore.parser import parse
 from smtcore.smt import smt_solve
@@ -169,6 +169,25 @@ class TestCheckCore:
         assert "out of range" in check_core(nine_clauses, [99])
 
 
+class TestExtractCore:
+    DIRECT = {
+        "lift-proof": lambda f: lemma_lift_core(f, ExtractorConfig("internal-proof")),
+        "lift-selectors": lambda f: lemma_lift_core(f, ExtractorConfig("internal-selectors")),
+        "lift-external": lambda f: lemma_lift_core(
+            f, ExtractorConfig("external", command=self_extractor_command())),
+        "smt-proof": smt_proof_core,
+        "smt-selectors": smt_assumption_core,
+    }
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_equals_the_direct_route(self, nine_clauses, method):
+        assert extract_core(nine_clauses, method) == self.DIRECT[method](nine_clauses)
+
+    def test_unknown_method_rejected(self, nine_clauses):
+        with pytest.raises(ValueError, match="unknown method"):
+            extract_core(nine_clauses, "magic")
+
+
 class TestBridge:
     def test_self_bridge_round_trip(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
@@ -196,6 +215,11 @@ class TestBridge:
         cmd = f"{_python()} -c \"import sys; open(sys.argv[2],'w').write('9\\n')\" {{in}} {{out}}"
         with pytest.raises(BridgeError, match="interpret"):
             external_bridge([[1], [-1]], cmd)
+
+    def test_malformed_subset_header_keeps_files(self):
+        cmd = f"{_python()} -c \"import sys; open(sys.argv[2],'w').write('p cnf x 2\\n')\" {{in}} {{out}}"
+        with pytest.raises(BridgeError, match="files kept in"):
+            external_bridge([[1], [-1]], cmd, mode="dimacs-subset")
 
     def test_nonzero_exit_reported(self):
         cmd = f"{_python()} -c \"import sys; sys.exit(3)\" {{in}} {{out}}"

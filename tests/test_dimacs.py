@@ -102,3 +102,28 @@ def test_round_trip_choose_then_read(data):
     got = read_core(render(sub), original, "dimacs-subset")
     assert sorted(tuple(sorted(original.clauses[i])) for i in got) == \
         sorted(tuple(sorted(original.clauses[i])) for i in chosen)
+
+
+@pytest.mark.parametrize("header", ["p cnf x 2", "p cnf 2 y", "p cnf 2.5 1"])
+def test_non_integer_header_rejected(header):
+    with pytest.raises(DimacsError, match="malformed problem line"):
+        parse_dimacs(header + "\n1 0\n")
+
+
+# Mostly DIMACS-shaped text, so that the fuzzing reaches the header counts
+# and the clause body.
+_TOKEN = st.text(alphabet="0123456789-x. ", min_size=1, max_size=4)
+DIMACS_ISH = st.builds("p cnf {} {}\n{}".format, _TOKEN, _TOKEN,
+                       st.text(alphabet="0123456789- x\nc", max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=80), DIMACS_ISH),
+       st.sampled_from(["index-list", "dimacs-subset"]))
+def test_arbitrary_text_raises_only_dimacs_errors(text, mode):
+    original = document_for([[1, -2], [2], [-1, 3]])
+    for read in (lambda: parse_dimacs(text), lambda: read_core(text, original, mode)):
+        try:
+            read()
+        except DimacsError:
+            pass

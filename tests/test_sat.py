@@ -170,7 +170,9 @@ class TestLearnedClauseEntailment:
             for i, cl in enumerate(clauses):
                 solver.add_clause(cl, ("input", i))
             solver.solve()
-            for learned in solver.learned_clauses()[:5]:
+            learned_clauses = [cl for cl, origin in zip(solver.clauses, solver.origins)
+                               if origin[0] == "learned"]
+            for learned in learned_clauses[:5]:
                 negated = clauses + [[-l] for l in learned]
                 assert not cnf_truth_table_sat(negated, nvars)
                 checked += 1
@@ -187,14 +189,3 @@ class TestAssumptions:
         v = sat_solve([[1]], assumptions=[-1])
         assert v.status == "unsat-assumptions"
         assert 1 in v.conflict
-
-    def test_minimize_flag_keeps_proofs_valid(self):
-        rng = random.Random(9)
-        for _ in range(60):
-            clauses, nvars = random_cnf(rng, max_vars=8)
-            solver = SatSolver(log_proof=True, minimize_learned=True)
-            for i, cl in enumerate(clauses):
-                solver.add_clause(cl, ("input", i))
-            v = solver.solve()
-            if v.status == "unsat":
-                assert check_proof(v.proof, clauses) is None

@@ -7,7 +7,7 @@ from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.smt import (
-    SmtSolver, evaluate_clause, lemma_store_violations, smt_solve, stored_lemmas,
+    SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
 )
 from smtcore.theory import is_valid_lemma
 
@@ -46,7 +46,7 @@ def test_contradictory_units_store_the_pairwise_lemma():
 
 def test_stored_lemmas_accessor_order(nine_clauses):
     _, store = smt_solve(nine_clauses)
-    lemmas = stored_lemmas(store)
+    lemmas = list(store)
     assert [l.seq for l in lemmas] == list(range(len(lemmas)))
     for lem in lemmas:
         assert is_valid_lemma(lem.clause, nine_clauses.atoms)[0]
