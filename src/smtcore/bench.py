@@ -153,7 +153,7 @@ def run_bench(paths: list[Path], methods: list[str], budget: Optional[int] = Non
     """Run every method on every instance; per-instance failures are recorded
     and never abort the run.  Records come back in instance order."""
     from .cnf import cnf_convert
-    from .cores import extract_core
+    from .cores import METHODS, extract_core
     from .parser import parse_file
 
     records = []
@@ -170,8 +170,9 @@ def run_bench(paths: list[Path], methods: list[str], budget: Optional[int] = Non
         for method in methods:
             start = time.perf_counter()
             try:
+                external = METHODS[method][1] == "external"
                 report = extract_core(formula, method, verify=True, budget=budget,
-                                      extractor_cmd=extractor_cmd)
+                                      extractor_cmd=extractor_cmd if external else None)
                 elapsed = (time.perf_counter() - start) * 1000.0
                 if report.verdict == "sat":
                     records.append(BenchRecord(name, nclauses, method, None,

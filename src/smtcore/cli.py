@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--methods", default="lift-proof,lift-selectors,smt-proof,smt-selectors")
     pb.add_argument("--baseline", default="lift-proof")
     pb.add_argument("--budget", type=int, default=None)
-    pb.add_argument("--extractor-cmd", default=None)
+    pb.add_argument("--extractor-cmd", default=None,
+                    help="external extractor template for lift-external")
     pb.add_argument("--csv", default=None)
     pb.set_defaults(fn=cmd_bench)
 

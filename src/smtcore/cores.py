@@ -239,13 +239,19 @@ def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool
                  fixpoint: bool = False, verify: bool = False,
                  budget: Optional[int] = None, extractor_cmd: Optional[str] = None,
                  extractor_mode: str = "index-list") -> CoreReport:
-    """Core of `formula` by one of the METHODS.  `fixpoint`, `extractor_cmd`
-    (default: the self-bridge) and `extractor_mode` only concern the lifted
-    methods.  With `minimize` the core is made one-deletion minimal, and
-    with `verify` the final core is checked independently."""
+    """Core of `formula` by one of the METHODS.  `fixpoint` only concerns
+    the lifted methods, `extractor_cmd` (default: the self-bridge) and
+    `extractor_mode` only lift-external; an option the method would ignore
+    is a ValueError.  With `minimize` the core is made one-deletion
+    minimal, and with `verify` the final core is checked independently."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     kind = METHODS[method][1]
+    if fixpoint and kind is None:
+        raise ValueError(f"fixpoint applies only to the lift-* methods, not {method!r}")
+    if kind != "external" and (extractor_cmd is not None or extractor_mode != "index-list"):
+        raise ValueError(f"extractor command and mode apply only to lift-external, "
+                         f"not {method!r}")
     config = None
     if kind is not None:
         command = (extractor_cmd or self_extractor_command()) if kind == "external" else None

@@ -72,6 +72,8 @@ def parse_dimacs(text: str) -> DimacsDocument:
                 nvars, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsError(f"malformed problem line: {line!r}") from None
+            if nvars < 0 or declared < 0:
+                raise DimacsError(f"negative count in problem line: {line!r}")
             continue
         if nvars is None:
             raise DimacsError("clause before the 'p cnf' header")

@@ -162,7 +162,7 @@ class SmtSolver:
         verdict = self.theory.check_full()
         if verdict.status == "conflict":
             return self._conflict_lemma(verdict.conflict)
-        self._theory_model = verdict.witness
+        self._theory_model = self.theory.witness()
         return None
 
     def hook_backjump(self, trail_len: int):

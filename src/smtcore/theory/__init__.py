@@ -57,4 +57,4 @@ def is_valid_lemma(clause: Clause, table: AtomTable):
     verdict = solver.check_full()
     if verdict.status == "conflict":
         return True, None
-    return False, verdict.witness
+    return False, solver.witness()

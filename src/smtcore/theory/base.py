@@ -24,7 +24,6 @@ class Deduction:
 class TheoryVerdict:
     status: str  # "sat" | "conflict"
     conflict: Optional[list[Literal]] = None
-    witness: object = None
 
 
 class TheorySolver:
@@ -79,6 +78,12 @@ class TheorySolver:
         raise NotImplementedError
 
     def check_full(self) -> TheoryVerdict:
+        raise NotImplementedError
+
+    def witness(self):
+        """Theory model of the asserted literals; valid only right after
+        check_full answered "sat".  Built on demand, since only a consumed
+        model (a final check, a lemma's countermodel) needs one."""
         raise NotImplementedError
 
     def deductions(self) -> list[Deduction]:

@@ -180,8 +180,10 @@ class EufSolver(TheorySolver):
         conflict = self._violated_diseq()
         if conflict is not None:
             return TheoryVerdict("conflict", conflict=conflict)
-        witness = {t: self._find(i) for t, i in self.ids.items()}
-        return TheoryVerdict("sat", witness=witness)
+        return TheoryVerdict("sat")
+
+    def witness(self):
+        return {t: self._find(i) for t, i in self.ids.items()}
 
     def deductions(self) -> list[Deduction]:
         out = []

@@ -11,11 +11,26 @@ certificate; they are sound but not necessarily minimal.
 Negated equalities are held aside as disequalities and settled inside
 check_full by probing both strict sides; when both sides fail the conflict
 is the union of the two certificates plus the disequality literal.
+check_full returns the verdict only; `witness` turns the delta-valued
+assignment into a rational model on demand.
+
+Theory propagation (`deductions`) reads the bounds and never pivots, after
+Dutertre & de Moura, "A Fast Linear-Arithmetic Solver for DPLL(T)" (CAV
+2006).  Every atom's linear form is lam * b for a base form b (content 1,
+first coefficient positive), so `x - y` and `y - x`, or `x` and `2x`,
+share one.  Unate propagation bounds b by the tightest asserted bound of
+any slack over it; one round of interval propagation then bounds
+multi-variable bases by their variables' bounds, and a variable by a
+two-variable base plus its other variable.  Every unasserted atom whose
+threshold the bounds cross is deduced, explained by the literals that set
+the bounds used.  This finds fewer atoms than a simplex probe per atom
+would, at a small fraction of the cost.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from ..terms import LinAtom, Literal, Var, eval_lin_atom
@@ -54,8 +69,8 @@ class DeltaRational:
 
 
 class _Probe:
-    """Sentinel bound reason used during disequality splits and deduction
-    probes; never escapes into a reported conflict."""
+    """Sentinel bound reason used during disequality splits; never escapes
+    into a reported conflict."""
 
     __slots__ = ("literal",)
 
@@ -84,6 +99,7 @@ class LraSolver(TheorySolver):
         self.ops: list[tuple] = []
         self._assert_marks: list[int] = []
         self.diseqs: list[tuple[int, Fraction, Literal]] = []
+        self._tests = None  # deduction plan, built on first use (_build_propagation)
 
     def owns_atom(self, atom) -> bool:
         return isinstance(atom, LinAtom)
@@ -354,14 +370,16 @@ class LraSolver(TheorySolver):
         conf = self._check()
         if conf is None:
             conf = self._settle_diseqs(frozenset())
-        if conf is not None:
-            self._undo_ops(start)
-            return TheoryVerdict("conflict", conflict=self._sanitize(conf))
-        witness = self._concrete_witness()
         self._undo_ops(start)
-        return TheoryVerdict("sat", witness=witness)
+        if conf is not None:
+            return TheoryVerdict("conflict", conflict=self._sanitize(conf))
+        return TheoryVerdict("sat")
 
-    def _concrete_witness(self) -> dict[Var, Fraction]:
+    def witness(self) -> dict[Var, Fraction]:
+        """The simplex assignment with the infinitesimal made concrete:
+        halve a rational epsilon until every asserted literal holds.  The
+        disequality probes of check_full are undone but the values they
+        moved stay, so this is a model right after a "sat" check_full."""
         eps = Fraction(1)
         atoms = [(self.table.atom(l.atom), l.positive) for l in self._asserted]
         for _ in range(220):
@@ -374,59 +392,131 @@ class LraSolver(TheorySolver):
 
     # -- deductions ------------------------------------------------------------------
 
-    def _probe_bounds(self, sid: int, bounds: list[tuple[str, DeltaRational]]):
-        """Temporarily assert bounds; returns the certificate literals (probe
-        excluded) when infeasible, else None."""
-        mark = len(self.ops)
-        probe = _Probe(None)
-        conf = None
-        for which, value in bounds:
-            conf = self._assert_bound(sid, which, value, probe)
-            if conf is not None:
-                break
-        if conf is None:
-            conf = self._check()
-        self._undo_ops(mark)
-        if conf is None:
-            return None
-        return self._sanitize(r for r in conf if r is not probe)
-
-    def deductions(self) -> list[Deduction]:
-        if self._check() is not None:
-            return []
-        out = []
+    def _build_propagation(self):
+        """Group the atoms by base form, in table order.  An atom `s rel c`
+        over its slack s = lam * b, b its base form, holds exactly when
+        least <= b <= most, with thresholds in base units (c / lam; None
+        when unbounded, a nonzero infinitesimal when strict)."""
+        bases: dict[tuple, int] = {}
+        groups: dict[tuple, tuple[int, Fraction]] = {}
+        constants = []
+        tests = []
         for atom_id, atom in self.table.items():
-            if not isinstance(atom, LinAtom) or atom_id in self._asserted_atoms:
+            if not isinstance(atom, LinAtom):
                 continue
             if not atom.coeffs:
-                holds = eval_lin_atom(atom, {})
-                out.append(Deduction(Literal(atom_id, holds), ()))
+                constants.append(Literal(atom_id, eval_lin_atom(atom, {})))
                 continue
-            sid = self._slack(atom.coeffs)
-            c = -atom.offset
-            if atom.rel == "<=":
-                pos_probe = [("lower", DeltaRational(c, Fraction(1)))]   # s > c
-                neg_probe = [("upper", DeltaRational(c))]                # s <= c
-            elif atom.rel == "<":
-                pos_probe = [("lower", DeltaRational(c))]                # s >= c
-                neg_probe = [("upper", DeltaRational(c, Fraction(-1)))]  # s < c
-            else:
-                pos_probe = None
-                neg_probe = [("lower", DeltaRational(c)), ("upper", DeltaRational(c))]
+            form, lam = _base_form(atom.coeffs)
+            bid = bases.setdefault(form, len(bases))
+            groups.setdefault(tuple((v.index, c) for v, c in atom.coeffs), (bid, lam))
+            k = -atom.offset / lam
+            strict = Fraction(atom.rel == "<")
             if atom.rel == "=":
-                low = self._probe_bounds(sid, [("upper", DeltaRational(c, Fraction(-1)))])
-                if low is not None:
-                    high = self._probe_bounds(sid, [("lower", DeltaRational(c, Fraction(1)))])
-                    if high is not None:
-                        expl = self._sanitize(low + high)
-                        out.append(Deduction(Literal(atom_id, True), tuple(expl)))
-                        continue
+                least = most = DeltaRational(k)
+            elif lam > 0:
+                least, most = None, DeltaRational(k, -strict)
             else:
-                conf = self._probe_bounds(sid, pos_probe)
-                if conf is not None:
-                    out.append(Deduction(Literal(atom_id, True), tuple(conf)))
-                    continue
-            conf = self._probe_bounds(sid, neg_probe)
-            if conf is not None:
-                out.append(Deduction(Literal(atom_id, False), tuple(conf)))
+                least, most = DeltaRational(k, strict), None
+            tests.append((atom_id, bid, least, most))
+        # one interval rule per derivable base: target <- sum(coeff * source)
+        single = {form[0][0]: bid for form, bid in bases.items() if len(form) == 1}
+        rules = []
+        for form, bid in bases.items():
+            if len(form) < 2:
+                continue
+            if all(v in single for v, _ in form):
+                rules.append((bid, tuple((single[v], c) for v, c in form)))
+            if len(form) == 2:
+                for (vi, ci), (vj, cj) in ((form[0], form[1]), (form[1], form[0])):
+                    if vi in single and vj in single:
+                        rules.append((single[vj], ((bid, 1 / cj), (single[vi], -ci / cj))))
+        self._groups = groups
+        self._rules = rules
+        self._constants = constants
+        self._tests = tests
+        self._live = []
+
+    def _live_groups(self) -> list[tuple[int, int, Fraction]]:
+        """(slack id, base id, 1/lam) for every atom slack the tableau has,
+        in table order; slacks are never dropped, so this is cached until
+        the next one is made."""
+        if len(self._live) != len(self.slack_of):
+            self._live = [(self.slack_of[key], bid, 1 / lam)
+                          for key, (bid, lam) in self._groups.items()
+                          if key in self.slack_of]
+        return self._live
+
+    def deductions(self) -> list[Deduction]:
+        """Unate and interval propagation over the current bounds; reads the
+        tableau state and never changes it."""
+        if self._tests is None:
+            self._build_propagation()
+        lo: dict[int, tuple[DeltaRational, tuple[Literal, ...]]] = {}
+        hi: dict[int, tuple[DeltaRational, tuple[Literal, ...]]] = {}
+        for sid, bid, inv in self._live_groups():
+            for bound, is_lower in ((self.lower.get(sid), inv > 0),
+                                    (self.upper.get(sid), inv < 0)):
+                if bound is not None:
+                    value = bound.value if inv == 1 else _strictness(bound.value.scale(inv))
+                    _tighten(lo if is_lower else hi, bid, is_lower, value, (bound.reason,))
+        derived_lo: dict[int, tuple] = {}
+        derived_hi: dict[int, tuple] = {}
+        for target, terms in self._rules:
+            for is_lower, out in ((True, derived_lo), (False, derived_hi)):
+                total = DeltaRational(Fraction(0))
+                expl: list[Literal] = []
+                for src, coeff in terms:
+                    entry = (lo if (coeff > 0) == is_lower else hi).get(src)
+                    if entry is None:
+                        break
+                    total = total + (entry[0] if coeff == 1 else entry[0].scale(coeff))
+                    expl.extend(entry[1])
+                else:
+                    _tighten(out, target, is_lower, _strictness(total),
+                             tuple(dict.fromkeys(expl)))
+        for derived, side, is_lower in ((derived_lo, lo, True), (derived_hi, hi, False)):
+            for bid, (value, expl) in derived.items():
+                _tighten(side, bid, is_lower, value, expl)
+        out = [Deduction(lit, ()) for lit in self._constants
+               if lit.atom not in self._asserted_atoms]
+        for atom_id, bid, least, most in self._tests:
+            if atom_id in self._asserted_atoms:
+                continue
+            low, up = lo.get(bid), hi.get(bid)
+            low_in = least is None or (low is not None and low[0] >= least)
+            up_in = most is None or (up is not None and up[0] <= most)
+            if low_in and up_in:
+                expl = (low[1] if least is not None else ()) + (up[1] if most is not None else ())
+                out.append(Deduction(Literal(atom_id, True), tuple(dict.fromkeys(expl))))
+            elif low is not None and most is not None and low[0] > most:
+                out.append(Deduction(Literal(atom_id, False), low[1]))
+            elif up is not None and least is not None and up[0] < least:
+                out.append(Deduction(Literal(atom_id, False), up[1]))
         return out
+
+
+def _base_form(coeffs) -> tuple[tuple, Fraction]:
+    """(base form, lam) with coeffs = lam * base: the base is the vector over
+    variable indices divided by its content, first coefficient positive."""
+    num, den = 0, 1
+    for _, c in coeffs:
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    lam = Fraction(num, den)
+    if coeffs[0][1] < 0:
+        lam = -lam
+    return tuple((v.index, c / lam) for v, c in coeffs), lam
+
+
+def _strictness(value: DeltaRational) -> DeltaRational:
+    """Keep only the sign of the infinitesimal: a bound is strict or not,
+    and the size of delta carries no meaning once rows are combined."""
+    d = value.delta
+    return DeltaRational(value.real, Fraction((d > 0) - (d < 0)))
+
+
+def _tighten(side: dict, bid: int, is_lower: bool, value: DeltaRational, expl: tuple):
+    cur = side.get(bid)
+    if cur is None or (value > cur[0] if is_lower else value < cur[0]):
+        side[bid] = (value, expl)

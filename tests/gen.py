@@ -82,6 +82,30 @@ def random_formula(rng: random.Random, theory: str, max_atoms: int = 6,
                                 "LRA" if theory == "LRA" else "EUF")
 
 
+def random_difference_formula(rng: random.Random, n_reals: int = 6,
+                              n_clauses: int = 24, width: int = 3) -> Formula:
+    """Random clauses over difference constraints ``x_i - x_j <= c`` or
+    ``< c`` between `n_reals` reals, c in [-4, 1], with a bound
+    ``+-x_i <= c`` for about one literal in four.  Each clause has
+    2..`width` distinct atoms, four in five of them positive."""
+    reals = [Var(f"r{i}", REAL, i) for i in range(n_reals)]
+    table = AtomTable()
+    clauses = []
+    for _ in range(n_clauses):
+        lits: dict[int, bool] = {}
+        for _ in range(rng.randint(2, width)):
+            if rng.random() < 0.25:
+                coeffs = {rng.choice(reals): Fraction(rng.choice([-1, 1]))}
+            else:
+                i, j = rng.sample(reals, 2)
+                coeffs = {i: Fraction(1), j: Fraction(-1)}
+            comb = LinComb.build(coeffs, Fraction(-rng.randint(-4, 1)))
+            atom_id = table.intern(canonical_lin_atom(comb, rng.choice(["<=", "<"])))
+            lits.setdefault(atom_id, rng.random() < 0.8)
+        clauses.append(tuple(Literal(a, pos) for a, pos in lits.items()))
+    return formula_from_clauses(clauses, table, None, "LRA")
+
+
 def random_cnf(rng: random.Random, max_vars: int = 16, min_width: int = 1,
                max_width: int = 3, density: int = 3):
     """Raw random CNF as signed-int clauses (may contain duplicate literals

@@ -62,6 +62,18 @@ class TestCore:
         code, out, _ = run_cli("core", str(data_dir / "sat_unit.smt2"), capsys=capsys)
         assert code == 10 and out.strip() == "sat"
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--method", "smt-proof", "--fixpoint"], "fixpoint applies only"),
+        (["--method", "lift-proof", "--extractor-cmd", "extract {in} {out}"],
+         "only to lift-external"),
+        (["--method", "smt-selectors", "--extractor-mode", "dimacs-subset"],
+         "only to lift-external"),
+    ])
+    def test_option_the_method_ignores_exits_1(self, data_dir, capsys, extra, message):
+        code, out, err = run_cli("core", str(data_dir / NINE_CLAUSES), *extra, capsys=capsys)
+        assert code == 1 and out == ""
+        assert message in err
+
     def test_lift_external_defaults_to_self(self, data_dir, capsys):
         code, out, _ = run_cli("core", str(data_dir / NINE_CLAUSES),
                                "--method", "lift-external", "--verify", capsys=capsys)

@@ -1,3 +1,5 @@
+import tempfile
+
 import pytest
 
 from gen import labeled_corpus
@@ -189,6 +191,12 @@ class TestExtractCore:
 
 
 class TestBridge:
+    @pytest.fixture(autouse=True)
+    def _private_tempdir(self, tmp_path, monkeypatch):
+        # failing runs keep their smtcore-bridge-* directory on purpose;
+        # keep them under tmp_path rather than the system temp dir
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
     def test_self_bridge_round_trip(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
         direct = boolean_core(rows, ExtractorConfig("internal-proof"),
@@ -216,10 +224,12 @@ class TestBridge:
         with pytest.raises(BridgeError, match="interpret"):
             external_bridge([[1], [-1]], cmd)
 
-    def test_malformed_subset_header_keeps_files(self):
+    def test_malformed_subset_header_keeps_files(self, tmp_path):
         cmd = f"{_python()} -c \"import sys; open(sys.argv[2],'w').write('p cnf x 2\\n')\" {{in}} {{out}}"
         with pytest.raises(BridgeError, match="files kept in"):
             external_bridge([[1], [-1]], cmd, mode="dimacs-subset")
+        kept, = tmp_path.glob("smtcore-bridge-*")
+        assert (kept / "problem.cnf").exists()
 
     def test_nonzero_exit_reported(self):
         cmd = f"{_python()} -c \"import sys; sys.exit(3)\" {{in}} {{out}}"

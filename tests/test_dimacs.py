@@ -110,6 +110,16 @@ def test_non_integer_header_rejected(header):
         parse_dimacs(header + "\n1 0\n")
 
 
+def test_negative_variable_count_rejected():
+    with pytest.raises(DimacsError, match="negative count"):
+        parse_dimacs("p cnf -3 0\n")
+
+
+def test_negative_clause_count_rejected():
+    with pytest.raises(DimacsError, match="negative count"):
+        parse_dimacs("p cnf 2 -1\n")
+
+
 # Mostly DIMACS-shaped text, so that the fuzzing reaches the header counts
 # and the clause body.
 _TOKEN = st.text(alphabet="0123456789-x. ", min_size=1, max_size=4)

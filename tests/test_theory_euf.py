@@ -56,8 +56,9 @@ def test_witness_is_a_partition():
     s.assert_literal(Literal(iac, False))
     v = s.check_full()
     assert v.status == "sat"
-    assert v.witness[a] == v.witness[b]
-    assert v.witness[a] != v.witness[c]
+    witness = s.witness()
+    assert witness[a] == witness[b]
+    assert witness[a] != witness[c]
 
 
 def test_deduction_by_congruence():
@@ -93,12 +94,13 @@ def test_backtrack_replay_equivalence():
     s.assert_literal(Literal(iab, True))
     mark = s.mark()
     before = s.check_full()
+    before_witness = s.witness()
     s.assert_literal(Literal(iac, False))
     s.assert_literal(Literal(ibc, True))
     s.backtrack(mark)
     after = s.check_full()
     assert before.status == after.status == "sat"
-    assert before.witness == after.witness
+    assert before_witness == s.witness()
     assert s.asserted() == [Literal(iab, True)]
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -76,7 +77,7 @@ class TestAssertAndConflict:
         v = s.check_full()
         assert v.status == "sat"
         for lit in lits:
-            assert eval_lin_atom(table.atom(lit.atom), v.witness) == lit.positive
+            assert eval_lin_atom(table.atom(lit.atom), s.witness()) == lit.positive
 
     def test_strict_chain_needs_infinitesimal(self):
         # x < 1 and x >= 1 - delta impossible; x < 1 and x > 0 fine
@@ -86,7 +87,7 @@ class TestAssertAndConflict:
         assert s.assert_literal(Literal(igt, True)) is None
         v = s.check_full()
         assert v.status == "sat"
-        assert 0 < v.witness[X] < 1
+        assert 0 < s.witness()[X] < 1
 
     def test_equality_negation_splits(self):
         # x >= 0, x <= 0, x != 0 must conflict with all three cited
@@ -154,6 +155,57 @@ class TestDeductions:
         assert ieq0 in deds
         assert not deds[ieq0].literal.positive
         assert {(l.atom, l.positive) for l in deds[ieq0].explanation} == {(ieq1, True)}
+
+    def test_deductions_leave_the_tableau_unchanged(self):
+        table, ids = table_with(
+            lin({X: 1, Y: -1}, -1, "<="), lin({Y: 1}, 0, "<"), lin({X: 1}, -3, "<="),
+            lin({X: 1, Y: 1}, -2, "<="), lin({X: 2, Y: -1}, 0, "="))
+        s = LraSolver(table)
+        for i in ids[:2]:
+            assert s.assert_literal(Literal(i, True)) is None
+        assert s.check_full().status == "sat"
+        state = copy.deepcopy((s.rows, s.values, s.lower, s.upper, s.slack_of))
+        assert s.deductions()
+        assert (s.rows, s.values, s.lower, s.upper, s.slack_of) == state
+
+    def test_cross_sign_unate(self):
+        # x - y <= 1 refutes y - x < -1, which shares its base with opposite sign
+        table, (ile, ilt) = table_with(lin({X: 1, Y: -1}, -1, "<="),
+                                       lin({X: -1, Y: 1}, 1, "<"))
+        s = LraSolver(table)
+        s.assert_literal(Literal(ile, True))
+        assert [(d.literal, d.explanation) for d in s.deductions()] == \
+            [(Literal(ilt, False), (Literal(ile, True),))]
+
+    def test_scaled_unate(self):
+        # 2x <= 3 entails x <= 2: the same base x at scales 2 and 1
+        table, (i2x, ix) = table_with(lin({X: 2}, -3, "<="), lin({X: 1}, -2, "<="))
+        s = LraSolver(table)
+        s.assert_literal(Literal(i2x, True))
+        assert [(d.literal, d.explanation) for d in s.deductions()] == \
+            [(Literal(ix, True), (Literal(i2x, True),))]
+
+    def test_interval_sum(self):
+        # x <= 1 and y <= 1 entail x + y <= 2
+        table, (ix, iy, isum) = table_with(lin({X: 1}, -1, "<="), lin({Y: 1}, -1, "<="),
+                                           lin({X: 1, Y: 1}, -2, "<="))
+        s = LraSolver(table)
+        s.assert_literal(Literal(ix, True))
+        s.assert_literal(Literal(iy, True))
+        deds = s.deductions()
+        assert [d.literal for d in deds] == [Literal(isum, True)]
+        assert set(deds[0].explanation) == {Literal(ix, True), Literal(iy, True)}
+
+    def test_interval_difference_bounds_a_variable(self):
+        # x - y <= 1 and y < 0 entail x < 1, hence not (x >= 1)
+        table, (idiff, iy, ix) = table_with(lin({X: 1, Y: -1}, -1, "<="),
+                                            lin({Y: 1}, 0, "<"), lin({X: -1}, 1, "<="))
+        s = LraSolver(table)
+        s.assert_literal(Literal(idiff, True))
+        s.assert_literal(Literal(iy, True))
+        deds = s.deductions()
+        assert [d.literal for d in deds] == [Literal(ix, False)]
+        assert set(deds[0].explanation) == {Literal(idiff, True), Literal(iy, True)}
 
     def test_no_deductions_on_empty_state(self):
         table, _ = table_with(lin({X: 1}, 0, "="))
