@@ -85,6 +85,9 @@ class SmtSolver:
             cid, _ = self.sat.add_clause(self.table.t2p(clause), ("input", i))
             self._input_cid[i] = cid
         self._lemma_cid: dict[int, int] = {}
+        # no atom is interned during a solve, so the flags stay exact
+        self._theory_var = [False] + [atom_theory(atom) is not None
+                                      for _, atom in self.table.items()]
         self._scan_pos = 0                      # sat trail position scanned so far
         self._synced_positions: list[int] = []  # trail position of each theory assert
         self._theory_model = None
@@ -92,9 +95,6 @@ class SmtSolver:
             self.sat.theory_hook = self
 
     # -- lemma plumbing ----------------------------------------------------------
-
-    def _is_theory_var(self, var: int) -> bool:
-        return atom_theory(self.table.atom(var)) is not None
 
     def _add_lemma(self, lits: tuple[Literal, ...], kind: str) -> tuple[int, str]:
         idx, is_new = self.store.add(lits, kind)
@@ -119,12 +119,13 @@ class SmtSolver:
         conflict, store the lemma and hand its clause id back as the
         conflicting clause."""
         trail = self.sat.trail
+        theory_var = self._theory_var
         while self._scan_pos < len(trail):
             pos = self._scan_pos
             lit = trail[pos]
             self._scan_pos += 1
             var = abs(lit)
-            if var <= len(self.table) and self._is_theory_var(var):
+            if var <= len(self.table) and theory_var[var]:
                 conflict = self.theory.assert_literal(Literal(var, lit > 0))
                 self._synced_positions.append(pos)
                 if conflict is not None:

@@ -106,6 +106,26 @@ def random_difference_formula(rng: random.Random, n_reals: int = 6,
     return formula_from_clauses(clauses, table, None, "LRA")
 
 
+def random_uf_formula(rng: random.Random, n_consts: int = 10,
+                      n_clauses: int = 40, width: int = 2) -> Formula:
+    """Random clauses over equalities between `n_consts` constants of one
+    sort and their images under one unary function ``h``.  Each clause
+    draws 2..`width` term pairs (a pair drawn twice counts once), and each
+    literal is positive with probability one half."""
+    consts = [Var(f"c{i}", _U, i) for i in range(n_consts)]
+    h = FunSymbol("h", (_U,), _U)
+    pool = consts + [FunApp(h, (c,)) for c in consts]
+    table = AtomTable()
+    clauses = []
+    for _ in range(n_clauses):
+        lits: dict[int, bool] = {}
+        for _ in range(rng.randint(2, width)):
+            s, t = rng.sample(pool, 2)
+            lits.setdefault(table.intern(euf_atom(s, t)), rng.random() < 0.5)
+        clauses.append(tuple(Literal(a, pos) for a, pos in lits.items()))
+    return formula_from_clauses(clauses, table, None, "EUF")
+
+
 def random_cnf(rng: random.Random, max_vars: int = 16, min_width: int = 1,
                max_width: int = 3, density: int = 3):
     """Raw random CNF as signed-int clauses (may contain duplicate literals

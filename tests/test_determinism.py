@@ -51,16 +51,19 @@ print(report.core)
 
 def test_pipeline_is_identical_across_interpreter_hash_seeds():
     import os
-    outs = set()
-    for hash_seed in ("0", "12345", "999"):
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = hash_seed
-        proc = subprocess.run(
-            [sys.executable, "-c", _HASH_SEED_PROG, str(DATA / "nine_clauses.smt2")],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs.add(proc.stdout)
-    assert len(outs) == 1
+    # one LRA and one EUF instance: lemma order must not follow set or dict
+    # iteration over hashed terms in either theory solver
+    for name in ("nine_clauses.smt2", "diamond_chain.smt2"):
+        outs = set()
+        for hash_seed in ("0", "12345", "999"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROG, str(DATA / name)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1, name
 
 
 def test_seed_option_keeps_verdicts_and_varies_reproducibly():

@@ -1,22 +1,21 @@
-"""Scaled differential test: difference-constraint instances four times the
-size of the property suites' (6 reals, 24 binary clauses), about half of
-them unsat, checked across theory propagation on and off."""
+"""Scaled differential tests: instances several times the size of the
+property suites' (at most 6 atoms and 8 clauses), checked across the
+solver's pruning and propagation settings.
+
+- difference constraints: 6 reals, 24 binary clauses, about half unsat;
+- EUF: 8 to 15 constants and their images under one unary function,
+  five clauses of at most two literals per constant, three of the eight
+  unsat."""
 import random
 
 import pytest
 
-from gen import random_difference_formula
+from gen import random_difference_formula, random_uf_formula
 from smtcore.cores import check_core, extract_core
 from smtcore.smt import evaluate_clause, lemma_store_violations, smt_solve
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_difference_constraints(seed):
-    formula = random_difference_formula(random.Random(seed), n_reals=6,
-                                        n_clauses=24, width=2)
-    verdict, store = smt_solve(formula)
-    plain, _ = smt_solve(formula, theory_propagation=False)
-    assert verdict.status == plain.status
+def _check_facts(formula, verdict, store):
     unsat = verdict.status == "unsat"
     # every stored lemma is theory-valid; after unsat, inputs plus lemmas
     # are propositionally unsat
@@ -28,3 +27,26 @@ def test_difference_constraints(seed):
         report = extract_core(formula, method)
         assert report.verdict == "unsat"
         assert check_core(formula, report.core) is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_difference_constraints(seed):
+    formula = random_difference_formula(random.Random(seed), n_reals=6,
+                                        n_clauses=24, width=2)
+    verdict, store = smt_solve(formula)
+    plain, _ = smt_solve(formula, theory_propagation=False)
+    assert verdict.status == plain.status
+    _check_facts(formula, verdict, store)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_uninterpreted_functions(seed):
+    n_consts = 8 + seed
+    formula = random_uf_formula(random.Random(seed), n_consts=n_consts,
+                                n_clauses=5 * n_consts, width=2)
+    verdict, store = smt_solve(formula)
+    # propagation only runs under early pruning, so three settings cover it
+    for options in ({"theory_propagation": False}, {"early_pruning": False}):
+        other, _ = smt_solve(formula, **options)
+        assert other.status == verdict.status
+    _check_facts(formula, verdict, store)

@@ -10,6 +10,11 @@ from smtcore.terms import (
 from smtcore.theory import EufSolver, is_valid_lemma
 
 U = "U"
+
+# deductions that the replaying solver, which the undo trail replaced, found
+# on the seeded corpus of test_deductions_are_sound_and_complete_for_equalities
+DEDUCTION_FLOOR = 45
+
 a = Var("a", U, 0)
 b = Var("b", U, 1)
 c = Var("c", U, 2)
@@ -189,3 +194,84 @@ class TestAgainstNaiveClosure:
             if got_sat != want_sat:
                 disagreements += 1
         assert disagreements == 0
+
+
+def _partition(solver):
+    """The classes of the atom terms, independent of class ids."""
+    witness = solver.witness()
+    classes: dict = {}
+    for _, atom in solver.table.items():
+        for term in (atom.lhs, atom.rhs):
+            classes.setdefault(witness[term], set()).add(term)
+    return {frozenset(members) for members in classes.values()}
+
+
+def _observed(solver):
+    return (solver.check_full().status, _partition(solver),
+            {d.literal for d in solver.deductions()})
+
+
+class TestUndoTrail:
+    def test_backtrack_matches_a_fresh_solver_on_the_prefix(self):
+        rng = random.Random(29)
+        backtracks = 0
+        for _ in range(300):
+            atoms = random_euf_atoms(rng, rng.randint(3, 9))
+            table = AtomTable()
+            ids = [table.intern(x) for x in atoms]
+            s = EufSolver(table)
+            marks = []
+            for _ in range(rng.randint(4, 20)):
+                op = rng.random()
+                taken = {l.atom for l in s.asserted()}
+                free = [i for i in ids if i not in taken]
+                if op < 0.55 and free:
+                    s.assert_literal(Literal(rng.choice(free), rng.random() < 0.6))
+                elif op < 0.8:
+                    marks.append(s.mark())
+                elif marks:
+                    # backtracking drops the marks above its target, so
+                    # every kept mark stays live
+                    mark = rng.choice(marks)
+                    marks = [m for m in marks if m <= mark]
+                    s.backtrack(mark)
+                    backtracks += 1
+                    fresh = EufSolver(table)
+                    for lit in s.asserted():
+                        fresh.assert_literal(lit)
+                    assert _observed(s) == _observed(fresh)
+        assert backtracks > 200
+
+
+class TestDeductions:
+    def test_deductions_are_sound_and_complete_for_equalities(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(500):
+            atoms = random_euf_atoms(rng, rng.randint(2, 7))
+            table = AtomTable()
+            ids = [table.intern(x) for x in atoms]
+            s = EufSolver(table)
+            picked = rng.sample(ids, rng.randint(1, len(ids)))
+            if any(s.assert_literal(Literal(i, rng.random() < 0.7)) is not None
+                   for i in picked):
+                continue
+            if s.check_full().status != "sat":
+                continue
+            asserted = s.asserted()
+            facts = [(table.atom(l.atom), l.positive) for l in asserted]
+            deduced = {}
+            for d in s.deductions():
+                assert set(d.explanation) <= set(asserted)
+                # explanation plus the negated literal must be oracle-unsat
+                lits = [(table.atom(l.atom), l.positive) for l in d.explanation]
+                lits.append((table.atom(d.literal.atom), not d.literal.positive))
+                assert not euf_literals_sat(lits)
+                deduced[d.literal.atom] = d.literal.positive
+                checked += 1
+            for i in ids:
+                if i in picked:
+                    continue
+                if not euf_literals_sat(facts + [(table.atom(i), False)]):
+                    assert deduced.get(i) is True
+        assert checked >= DEDUCTION_FLOOR
