@@ -10,10 +10,18 @@ analysis materializes every resolution step, so the proof log is purely
 resolution-shaped.  Level-zero-false literals are kept in learned clauses
 instead of being elided, which keeps the log honest at a negligible size
 cost at this scale.
+
+The search state is array-based, after Eén & Sörensson, "An Extensible
+SAT-solver" (SAT 2003): values, watch lists, levels, reasons, trail
+positions, activities and phases live in plain lists indexed by literal or
+variable (see `SatSolver`), propagation reads them inline, conflict
+analysis walks the trail backwards with a seen-set, and branching reads a
+lazy binary heap.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 
@@ -138,12 +146,29 @@ class SatVerdict:
 # ---------------------------------------------------------------------------
 
 ACTIVITY_DECAY = 0.95
+# The branching heap is rebuilt once it holds more than this many entries
+# per variable, which bounds the stale entries that lazy deletion leaves.
+HEAP_SLACK = 4
 
 
 class SatSolver:
     """CDCL with two-watched literals, activity branching (decay
     ACTIVITY_DECAY, ties to the lowest variable index), 1st-UIP learning and
-    optional geometric restarts (off by default while logging proofs)."""
+    optional geometric restarts (off by default while logging proofs).
+
+    All search state is held in plain lists.  `_vals` and `_watches` are
+    indexed by the signed literal itself: for a capacity of `cap` variables
+    they have 2·cap+1 entries, literal v at index v and literal -v at
+    Python's negative index -v (that is, 2·cap+1-v).  `_vals[lit]` is True,
+    False or None.  `_level`, `_reason`, `_trail_pos`, `_activity` and
+    `_phase` are indexed by variable; the first three hold meaningful values
+    only while the variable is assigned.  `ensure_vars` grows every array by
+    doubling.  Branching reads `_heap`, a lazy binary heap of
+    (-activity, var) entries: a variable is pushed when it is added and
+    whenever it is unassigned, and an entry is dropped when it reaches the
+    top while its variable is assigned.  Only assigned variables are bumped
+    and a rescale rebuilds the heap, so the newest entry of an unassigned
+    variable carries its current activity and outranks its older ones."""
 
     def __init__(self, log_proof: bool = False,
                  conflict_budget: Optional[int] = None,
@@ -155,16 +180,18 @@ class SatSolver:
         self._node_of: dict[int, int] = {}
         self._by_key: dict[frozenset[int], int] = {}
         self.nvars = 0
-        self.watches: dict[int, list[int]] = {}
-        self.assign: dict[int, bool] = {}
-        self.level: dict[int, int] = {}
-        self.reason: dict[int, Optional[int]] = {}
+        self._cap = 0
+        self._vals: list[Optional[bool]] = [None]
+        self._watches: list[list[int]] = [[]]
+        self._level: list[int] = [0]
+        self._reason: list[Optional[int]] = [None]
+        self._trail_pos: list[int] = [0]
+        self._activity: list[float] = [0.0]
+        self._phase: list[bool] = [False]
+        self._heap: list[tuple[float, int]] = []
         self.trail: list[int] = []
-        self.trail_pos: dict[int, int] = {}
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity: dict[int, float] = {}
-        self.phase: dict[int, bool] = {}
         self.var_inc = 1.0
         self.conflict_budget = conflict_budget
         self.conflicts = 0
@@ -186,26 +213,45 @@ class SatSolver:
         return len(self.trail_lim)
 
     def ensure_vars(self, n: int):
-        while self.nvars < n:
-            self.nvars += 1
-            v = self.nvars
-            self.watches[v] = []
-            self.watches[-v] = []
-            self.activity[v] = self._rng.random() * 1e-6 if self._rng else 0.0
-            self.phase[v] = bool(self._rng.getrandbits(1)) if self._rng else False
+        if n <= self.nvars:
+            return
+        if n > self._cap:
+            self._grow(max(n, 2 * self._cap))
+        rng = self._rng
+        for v in range(self.nvars + 1, n + 1):
+            if rng:
+                self._activity[v] = rng.random() * 1e-6
+                self._phase[v] = bool(rng.getrandbits(1))
+            heappush(self._heap, (-self._activity[v], v))
+        self.nvars = n
+
+    def _grow(self, cap: int):
+        """Resize every array to `cap` variables.  A negative literal keeps
+        its distance from the end of the literal-indexed lists."""
+        old, extra = self._cap, cap - self._cap
+        self._vals = self._vals[:old + 1] + [None] * (2 * extra) + self._vals[old + 1:]
+        self._watches = (self._watches[:old + 1] + [[] for _ in range(2 * extra)]
+                         + self._watches[old + 1:])
+        self._level += [0] * extra
+        self._reason += [None] * extra
+        self._trail_pos += [0] * extra
+        self._activity += [0.0] * extra
+        self._phase += [False] * extra
+        self._cap = cap
 
     def value(self, lit: int) -> Optional[bool]:
-        a = self.assign.get(abs(lit))
-        if a is None:
+        """True, False, or None when unassigned or not yet a variable."""
+        if abs(lit) > self.nvars:
             return None
-        return a if lit > 0 else not a
+        return self._vals[lit]
 
     def _enqueue(self, lit: int, reason: Optional[int]):
         v = abs(lit)
-        self.assign[v] = lit > 0
-        self.level[v] = self.decision_level
-        self.reason[v] = reason
-        self.trail_pos[v] = len(self.trail)
+        self._vals[lit] = True
+        self._vals[-lit] = False
+        self._level[v] = len(self.trail_lim)
+        self._reason[v] = reason
+        self._trail_pos[v] = len(self.trail)
         self.trail.append(lit)
 
     # -- clauses ------------------------------------------------------------
@@ -216,19 +262,10 @@ class SatSolver:
         clauses that are canonically equal to an existing clause are ignored
         and the existing id is returned.  Status describes the clause under
         the current assignment; a unit clause is enqueued immediately."""
-        seen = {}
-        norm = []
-        for l in lits:
-            if l == 0:
-                raise ValueError("literal 0 is not allowed")
-            if -l in seen:
-                norm = None  # tautology: keep but it can never propagate
-                break
-            if l not in seen:
-                seen[l] = True
-                norm.append(l)
-        if norm is None:
-            norm = list(dict.fromkeys(lits))
+        # duplicates go; a tautology is kept but can never propagate
+        norm = list(dict.fromkeys(lits))
+        if 0 in norm:
+            raise ValueError("literal 0 is not allowed")
         key = frozenset(norm)
         existing = self._by_key.get(key)
         if existing is not None and origin[0] != "input":
@@ -238,13 +275,13 @@ class SatSolver:
         self.origins.append(origin)
         if existing is None:
             self._by_key[key] = cid
-        for l in norm:
-            self.ensure_vars(abs(l))
         if not norm:
             self.empty_clause = cid
             return cid, "conflict"
+        self.ensure_vars(max(map(abs, norm)))
+        vals = self._vals
         if len(norm) == 1:
-            val = self.value(norm[0])
+            val = vals[norm[0]]
             if val is None:
                 self._enqueue(norm[0], cid)
                 return cid, "unit"
@@ -252,36 +289,49 @@ class SatSolver:
                 return cid, "satisfied"
             self.pending_conflict = cid
             return cid, "conflict"
-        self._install_watches(cid)
-        vals = [self.value(l) for l in norm]
-        if any(v is True for v in vals):
+        # One pass over the literals gives the status and the two watches:
+        # the first two literals that are not false, else the false ones of
+        # the highest level (lowest position on ties).
+        level = self._level
+        free1 = free2 = false1 = false2 = -1
+        lvl1 = lvl2 = -1
+        satisfied = False
+        unassigned = 0
+        unit = 0
+        for i, l in enumerate(norm):
+            val = vals[l]
+            if val is False:
+                lv = level[abs(l)]
+                if lv > lvl1:
+                    false2, lvl2, false1, lvl1 = false1, lvl1, i, lv
+                elif lv > lvl2:
+                    false2, lvl2 = i, lv
+                continue
+            if free1 < 0:
+                free1 = i
+            elif free2 < 0:
+                free2 = i
+            if val is None:
+                unassigned += 1
+                unit = l
+            else:
+                satisfied = True
+        a, b = [i for i in (free1, free2, false1, false2) if i >= 0][:2]
+        norm[0], norm[a] = norm[a], norm[0]
+        if b == 0:
+            b = a
+        norm[1], norm[b] = norm[b], norm[1]
+        self._watches[norm[0]].append(cid)
+        self._watches[norm[1]].append(cid)
+        if satisfied:
             return cid, "satisfied"
-        unassigned = [l for l, v in zip(norm, vals) if v is None]
         if not unassigned:
             self.pending_conflict = cid
             return cid, "conflict"
-        if len(unassigned) == 1:
-            self._enqueue(unassigned[0], cid)
+        if unassigned == 1:
+            self._enqueue(unit, cid)
             return cid, "unit"
         return cid, "ok"
-
-    def _install_watches(self, cid: int):
-        cl = self.clauses[cid]
-
-        def rank(i):
-            v = self.value(cl[i])
-            if v is None or v is True:
-                return (0, i)
-            return (1, -self.level[abs(cl[i])], i)
-
-        order = sorted(range(len(cl)), key=rank)
-        a, b = order[0], order[1]
-        cl[0], cl[a] = cl[a], cl[0]
-        if b == 0:
-            b = a
-        cl[1], cl[b] = cl[b], cl[1]
-        self.watches[cl[0]].append(cid)
-        self.watches[cl[1]].append(cid)
 
     def _node(self, cid: int) -> int:
         node = self._node_of.get(cid)
@@ -299,119 +349,165 @@ class SatSolver:
             c = self.pending_conflict
             self.pending_conflict = None
             return c
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -p
-            ws = self.watches[neg]
+        vals, watches, clauses = self._vals, self._watches, self.clauses
+        level, reason, trail_pos = self._level, self._reason, self._trail_pos
+        trail = self.trail
+        dl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            ws = watches[neg]
             keep = []
             for pos, cid in enumerate(ws):
-                cl = self.clauses[cid]
+                cl = clauses[cid]
                 if cl[0] == neg:
                     cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
-                if self.value(first) is True:
+                val = vals[first]
+                if val is True:
                     keep.append(cid)
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self.value(cl[k]) is not False:
+                    if vals[cl[k]] is not False:
                         cl[1], cl[k] = cl[k], cl[1]
-                        self.watches[cl[1]].append(cid)
-                        moved = True
+                        watches[cl[1]].append(cid)
                         break
-                if moved:
-                    continue
-                keep.append(cid)
-                if self.value(first) is False:
-                    keep.extend(ws[pos + 1:])
-                    self.watches[neg] = keep
-                    return cid
-                self._enqueue(first, cid)
-            self.watches[neg] = keep
+                else:
+                    keep.append(cid)
+                    if val is False:
+                        keep.extend(ws[pos + 1:])
+                        watches[neg] = keep
+                        self.qhead = qhead
+                        return cid
+                    vals[first] = True
+                    vals[-first] = False
+                    v = abs(first)
+                    level[v] = dl
+                    reason[v] = cid
+                    trail_pos[v] = len(trail)
+                    trail.append(first)
+            watches[neg] = keep
+        self.qhead = qhead
         return None
 
     # -- conflict analysis ----------------------------------------------------
 
-    def _bump(self, v: int):
-        self.activity[v] += self.var_inc
-
     def _decay_activity(self):
         self.var_inc /= ACTIVITY_DECAY
         if self.var_inc > 1e100:
-            for v in self.activity:
-                self.activity[v] *= 1e-100
+            self._activity = [a * 1e-100 for a in self._activity]
             self.var_inc *= 1e-100
+            self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        vals, act = self._vals, self._activity
+        self._heap = [(-act[v], v) for v in range(1, self.nvars + 1) if vals[v] is None]
+        heapify(self._heap)
 
     def _backjump(self, target_level: int):
-        if self.decision_level <= target_level:
+        if len(self.trail_lim) <= target_level:
             return
         cut = self.trail_lim[target_level]
+        vals, phase, act, heap = self._vals, self._phase, self._activity, self._heap
         for lit in self.trail[cut:]:
             v = abs(lit)
-            self.phase[v] = self.assign[v]
-            del self.assign[v]
-            del self.level[v]
-            del self.reason[v]
-            del self.trail_pos[v]
+            phase[v] = lit > 0
+            vals[lit] = vals[-lit] = None
+            heappush(heap, (-act[v], v))
         del self.trail[cut:]
         del self.trail_lim[target_level:]
         self.qhead = min(self.qhead, len(self.trail))
+        if len(heap) > HEAP_SLACK * self.nvars:
+            self._rebuild_heap()
         if self.theory_hook is not None:
             self.theory_hook.hook_backjump(len(self.trail))
 
     def _derive_empty(self, confl: int):
         """Level-0 conflict: resolve against reasons in reverse trail order
         down to the empty clause; record it as the proof's final node."""
-        cur = set(self.clauses[confl])
-        node = self._node(confl) if self.proof else None
-        while cur:
-            lit = max(cur, key=lambda l: self.trail_pos[abs(l)])
-            v = abs(lit)
-            rid = self.reason[v]
+        clauses, reason, trail, proof = self.clauses, self._reason, self.trail, self.proof
+        seen = {abs(l) for l in clauses[confl]}
+        pending = len(seen)
+        node = self._node(confl) if proof else None
+        i = len(trail)
+        while pending:
+            i -= 1
+            v = abs(trail[i])
+            if v not in seen:
+                continue
+            pending -= 1
+            rid = reason[v]
             assert rid is not None, "unassigned or decision literal in a level-0 conflict"
-            if self.proof:
-                node = self.proof.resolve(v, node, self._node(rid))
-            cur = (cur - {lit}) | (set(self.clauses[rid]) - {-lit})
-        if self.proof:
-            self.proof.final = node
+            if proof:
+                node = proof.resolve(v, node, self._node(rid))
+            for q in clauses[rid]:
+                u = abs(q)
+                if u not in seen:
+                    seen.add(u)
+                    pending += 1
+        if proof:
+            proof.final = node
 
     def _analyze(self, confl: int):
         """1st-UIP analysis.  Returns (learned literal list with the
         asserting literal first, backjump level, proof node or None) or None
-        when the conflict proves global unsatisfiability."""
-        clause = self.clauses[confl]
-        max_lvl = max((self.level[abs(l)] for l in clause), default=0)
+        when the conflict proves global unsatisfiability.
+
+        Walks the trail backwards from its end, resolving every marked
+        current-level literal against its reason until one such literal is
+        left open: the resolution order is decreasing trail position."""
+        clauses, level = self.clauses, self._level
+        clause = clauses[confl]
+        max_lvl = max((level[abs(l)] for l in clause), default=0)
         if max_lvl == 0:
             self._derive_empty(confl)
             return None
-        if max_lvl < self.decision_level:
-            self._backjump(max_lvl)
-        lvl = self.decision_level
-        cur = set(clause)
-        node = self._node(confl) if self.proof else None
+        self._backjump(max_lvl)
+        lvl = max_lvl
+        act, inc, reason, trail_pos = self._activity, self.var_inc, self._reason, self._trail_pos
+        proof = self.proof
+        node = self._node(confl) if proof else None
+        seen = set()
+        rest = []   # literals below the conflict level
+        open_ = 0   # marked current-level literals not yet resolved away
         for l in clause:
-            self._bump(abs(l))
+            v = abs(l)
+            act[v] += inc
+            seen.add(v)
+            if level[v] == lvl:
+                open_ += 1
+            else:
+                rest.append(l)
+        trail = self.trail
+        i = len(trail)
         while True:
-            at_level = [l for l in cur if self.level[abs(l)] == lvl]
-            if len(at_level) <= 1:
+            i -= 1
+            v = abs(trail[i])
+            if v not in seen:
+                continue
+            if open_ == 1:
                 break
-            target = max(at_level, key=lambda l: self.trail_pos[abs(l)])
-            v = abs(target)
-            rid = self.reason[v]
+            open_ -= 1
+            rid = reason[v]
             assert rid is not None, "multiple decision literals at one level"
-            if self.proof:
-                node = self.proof.resolve(v, node, self._node(rid))
-            reason_lits = set(self.clauses[rid])
-            cur = (cur - {target}) | (reason_lits - {-target})
-            self._bump(v)
-        assert len(at_level) == 1
-        assert_lit = at_level[0]
-        rest = sorted((l for l in cur if l != assert_lit),
-                      key=lambda l: (-self.level[abs(l)], -self.trail_pos[abs(l)]))
-        backjump = self.level[abs(rest[0])] if rest else 0
+            if proof:
+                node = proof.resolve(v, node, self._node(rid))
+            for q in clauses[rid]:
+                u = abs(q)
+                if u not in seen:
+                    seen.add(u)
+                    if level[u] == lvl:
+                        open_ += 1
+                    else:
+                        rest.append(q)
+            act[v] += inc
+        # levels never decrease along the trail, so this is the order by
+        # decreasing (level, trail position)
+        rest.sort(key=lambda l: -trail_pos[abs(l)])
+        backjump = level[abs(rest[0])] if rest else 0
         self._decay_activity()
-        return [assert_lit] + rest, backjump, node
+        return [-trail[i]] + rest, backjump, node
 
     def _learn(self, learned: list[int], backjump: int, node) -> None:
         self._backjump(backjump)
@@ -420,7 +516,7 @@ class SatSolver:
             if self.proof and cid not in self._node_of:
                 self._node_of[cid] = node
             # re-derived clause: it must re-propagate its asserting literal
-            if self.value(learned[0]) is None:
+            if self._vals[learned[0]] is None:
                 self._enqueue(learned[0], cid)
         elif self.proof:
             self._node_of[cid] = node
@@ -430,33 +526,35 @@ class SatSolver:
     def _analyze_final(self, failed: int) -> tuple[int, ...]:
         """Conflict clause over assumption negations for a failed assumption
         (an assumption literal that is already false)."""
+        level, reason = self._level, self._reason
         out = {-failed}
         seen = {abs(failed)}
         for idx in range(len(self.trail) - 1, -1, -1):
             t = self.trail[idx]
             v = abs(t)
-            if v not in seen or self.level[v] == 0:
+            if v not in seen or level[v] == 0:
                 continue
-            rid = self.reason[v]
+            rid = reason[v]
             if rid is None:
                 out.add(-t)
             else:
                 for q in self.clauses[rid]:
-                    if abs(q) != v and self.level[abs(q)] > 0:
+                    if abs(q) != v and level[abs(q)] > 0:
                         seen.add(abs(q))
         return tuple(sorted(out, key=abs))
 
     # -- search ----------------------------------------------------------------
 
     def _pick_var(self) -> Optional[int]:
-        best = None
-        best_act = -1.0
-        for v in range(1, self.nvars + 1):
-            if v not in self.assign:
-                act = self.activity[v]
-                if act > best_act:
-                    best, best_act = v, act
-        return best
+        """The unassigned variable of highest activity, ties to the lowest
+        index; None when every variable is assigned."""
+        heap, vals = self._heap, self._vals
+        while heap:
+            v = heap[0][1]
+            if vals[v] is None:
+                return v
+            heappop(heap)
+        return None
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatVerdict:
         assumptions = list(assumptions)
@@ -495,7 +593,7 @@ class SatSolver:
             dl = self.decision_level
             if dl < len(assumptions):
                 a = assumptions[dl]
-                val = self.value(a)
+                val = self._vals[a]
                 if val is True:
                     self.trail_lim.append(len(self.trail))
                     continue
@@ -515,9 +613,9 @@ class SatSolver:
                         # re-enter the conflict path above through _propagate
                         self.pending_conflict = hr
                         continue
-                model = dict(self.assign)
-                return SatVerdict("sat", model=model)
-            lit = v if self.phase[v] else -v
+                vals = self._vals
+                return SatVerdict("sat", model={u: vals[u] for u in range(1, self.nvars + 1)})
+            lit = v if self._phase[v] else -v
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
 

@@ -140,6 +140,35 @@ def random_cnf(rng: random.Random, max_vars: int = 16, min_width: int = 1,
     return clauses, nvars
 
 
+def pigeonhole_cnf(rng: random.Random, holes: int, noise_vars: int,
+                   noise_clauses: int) -> tuple[list[list[int]], set[int]]:
+    """Pigeonhole CNF with holes + 1 pigeons, shuffled among satisfiable
+    3-literal noise clauses over fresh variables (each satisfied by one
+    planted assignment).  Returns (clauses, positions of the pigeonhole
+    clauses); the pigeonhole clauses are minimally unsatisfiable and the
+    noise is satisfiable on its own, so they are the only minimal
+    unsatisfiable subset."""
+    pigeons = holes + 1
+
+    def p(i, h):
+        return i * holes + h + 1
+
+    php = [[p(i, h) for h in range(holes)] for i in range(pigeons)]
+    php += [[-p(i, h), -p(j, h)] for h in range(holes)
+            for i in range(pigeons) for j in range(i + 1, pigeons)]
+    base = pigeons * holes
+    planted = [rng.random() < 0.5 for _ in range(noise_vars)]
+    noise = []
+    for _ in range(noise_clauses):
+        picked = rng.sample(range(noise_vars), 3)
+        signs = [rng.random() < 0.5 for _ in picked]
+        signs[0] = planted[picked[0]]
+        noise.append([base + 1 + v if s else -(base + 1 + v) for v, s in zip(picked, signs)])
+    tagged = [(cl, True) for cl in php] + [(cl, False) for cl in noise]
+    rng.shuffle(tagged)
+    return [cl for cl, _ in tagged], {i for i, (_, is_php) in enumerate(tagged) if is_php}
+
+
 def labeled_corpus(theory: str, want_unsat: int, want_sat: int,
                    oracle, seed: int = 0,
                    max_atoms: int = 6, max_clauses: int = 8):

@@ -1,9 +1,10 @@
 import random
 
-from gen import random_cnf
+from gen import pigeonhole_cnf, random_cnf
 from oracles import cnf_truth_table_sat
 from smtcore.sat import (
-    ProofLog, SatSolver, check_proof, proof_core, sat_solve, solve_with_selectors,
+    ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, check_proof, proof_core, sat_solve,
+    solve_with_selectors,
 )
 
 
@@ -37,6 +38,14 @@ class TestBasics:
         v = sat_solve([[1], []], log_proof=True)
         assert v.status == "unsat"
         assert proof_core(v.proof) == {1}
+
+    def test_tautology_from_one_shot_iterable_keeps_every_literal(self):
+        s = SatSolver()
+        s.add_clause(iter([1, -1, 2]), ("input", 0))
+        assert s.clauses[0] == [1, -1, 2]
+        s.add_clause([-2], ("input", 1))
+        v = s.solve()
+        assert v.status == "sat" and v.model[2] is False
 
     def test_budget_gives_unknown(self):
         rng = random.Random(5)
@@ -189,3 +198,74 @@ class TestAssumptions:
         v = sat_solve([[1]], assumptions=[-1])
         assert v.status == "unsat-assumptions"
         assert 1 in v.conflict
+
+
+class CheckedSolver(SatSolver):
+    """Checks every branching choice against a scan of all variables and,
+    after every backjump, the value array against the trail."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.picks = self.backjumps = self.rescales = 0
+
+    def _pick_var(self):
+        picked = super()._pick_var()
+        best, best_act = None, -1.0
+        for v in range(1, self.nvars + 1):
+            if self.value(v) is None and self._activity[v] > best_act:
+                best, best_act = v, self._activity[v]
+        assert picked == best
+        self.picks += 1
+        return picked
+
+    def _decay_activity(self):
+        before = self.var_inc
+        super()._decay_activity()
+        self.rescales += self.var_inc < before
+
+    def _backjump(self, target_level):
+        super()._backjump(target_level)
+        self.backjumps += 1
+        signed = set(self.trail)
+        assert len({abs(l) for l in signed}) == len(self.trail)
+        for v in range(1, self.nvars + 1):
+            want = True if v in signed else False if -v in signed else None
+            assert self.value(v) is want
+            assert self.value(-v) is (None if want is None else not want)
+        assert len(self._heap) <= HEAP_SLACK * self.nvars
+
+
+class TestBranching:
+    def _run(self, clauses, nvars=0, var_inc=1.0, **kwargs):
+        s = CheckedSolver(**kwargs)
+        s.ensure_vars(nvars)
+        s.var_inc = var_inc
+        for i, cl in enumerate(clauses):
+            s.add_clause(cl, ("input", i))
+        return s, s.solve()
+
+    def test_heap_choice_equals_scan(self):
+        rng = random.Random(13)
+        picks = backjumps = rescales = 0
+        for k in range(200):
+            clauses, nvars = random_cnf(rng, max_vars=16, min_width=3, density=4 + k % 2)
+            # seeded solvers start from random activities and phases; every
+            # second run reaches the rescale threshold within three conflicts
+            var_inc = 0.99e100 * ACTIVITY_DECAY ** (k % 3) if k % 2 == 0 else 1.0
+            s, v = self._run(clauses, nvars, var_inc=var_inc, seed=k if k % 3 else None)
+            assert (v.status == "sat") == cnf_truth_table_sat(clauses, nvars)
+            picks, backjumps = picks + s.picks, backjumps + s.backjumps
+            rescales += s.rescales
+        assert picks > 1000 and backjumps > 80 and rescales >= 5
+
+    def test_heap_choice_on_deep_refutations(self):
+        clauses, _ = pigeonhole_cnf(random.Random(1), holes=5, noise_vars=10,
+                                    noise_clauses=20)
+        for seed in (None, 3):
+            for log_proof in (False, True):
+                # the second run rescales activities after 60 conflicts
+                for var_inc in (1.0, 0.99e100 * ACTIVITY_DECAY ** 60):
+                    s, v = self._run(clauses, var_inc=var_inc, log_proof=log_proof, seed=seed)
+                    assert v.status == "unsat"
+                    assert s.picks > 100 and s.backjumps > 100
+                    assert s.rescales == (var_inc > 1.0)

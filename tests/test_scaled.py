@@ -5,13 +5,16 @@ solver's pruning and propagation settings.
 - difference constraints: 6 reals, 24 binary clauses, about half unsat;
 - EUF: 8 to 15 constants and their images under one unary function,
   five clauses of at most two literals per constant, three of the eight
-  unsat."""
+  unsat;
+- pigeonhole 7/6 among satisfiable noise clauses, whose refutation takes
+  close to a thousand conflicts and backjumps over many levels."""
 import random
 
 import pytest
 
-from gen import random_difference_formula, random_uf_formula
+from gen import pigeonhole_cnf, random_difference_formula, random_uf_formula
 from smtcore.cores import check_core, extract_core
+from smtcore.sat import check_proof, proof_core, sat_solve, solve_with_selectors
 from smtcore.smt import evaluate_clause, lemma_store_violations, smt_solve
 
 
@@ -50,3 +53,15 @@ def test_uninterpreted_functions(seed):
         other, _ = smt_solve(formula, **options)
         assert other.status == verdict.status
     _check_facts(formula, verdict, store)
+
+
+def test_pigeonhole_cores():
+    clauses, php = pigeonhole_cnf(random.Random(0), holes=6, noise_vars=16,
+                                  noise_clauses=40)
+    verdict = sat_solve(clauses, log_proof=True)
+    assert verdict.status == "unsat"
+    assert check_proof(verdict.proof, clauses) is None
+    assert proof_core(verdict.proof) == php
+    verdict, core = solve_with_selectors(clauses)
+    assert verdict.status == "unsat-assumptions"
+    assert set(core) == php
