@@ -10,9 +10,9 @@ via minimal correction subsets.
 from .cnf import CnfError, cnf_convert
 from .cores import (METHODS, BridgeError, CoreReport, ExtractionError, ExtractorConfig,
                     boolean_core, check_core, external_bridge, extract_core,
-                    lemma_lift_core, minimize_core, smt_assumption_core, smt_proof_core)
+                    lemma_lift_core, minimize_core)
 from .dimacs import DimacsDocument, DimacsError, parse_dimacs, read_core, write_dimacs
-from .mus import McsSet, MusSet, all_minimal_cores, enumerate_mcs, minimal_hitting_sets, single_mus
+from .mus import McsSet, MusSet, all_minimal_cores, enumerate_mcs, minimal_hitting_sets
 from .parser import AssertionSet, ParseError, parse, parse_file, render_instance
 from .sat import ProofLog, SatSolver, SatVerdict, check_proof, proof_core, sat_solve, solve_with_selectors
 from .smt import (SmtSolver, SmtVerdict, TLemma, TLemmaStore, evaluate_clause,

@@ -8,7 +8,9 @@ survives is a theory-unsatisfiable subset of the inputs.  The two baseline
 routes extract cores directly from the SMT run (proof leaves, or selector
 variables).  `extract_core` dispatches over all of them through the one
 method table `METHODS`.  Deletion-based minimization and an independent
-checker round things out.
+checker round things out.  The selector route and minimization each run
+on one incremental `SelectorEngine`; the checker builds a fresh engine, so
+it shares no state with the run it checks.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ from typing import Iterable, Optional
 
 from . import dimacs
 from .sat import proof_core, sat_solve, solve_with_selectors
-from .smt import SmtSolver, lifted_clauses, smt_solve
-from .terms import Formula, formula_from_clauses, selector_guarded
+from .smt import SelectorEngine, SmtSolver, lifted_clauses, smt_solve
+from .terms import Formula, Literal
 
 
 class ExtractionError(RuntimeError):
@@ -192,16 +194,13 @@ def _proof_route(formula: Formula, _config, **solve) -> Optional[set[int]]:
 
 
 def _selector_route(formula: Formula, _config, **solve) -> Optional[list[int]]:
-    table, selectors, guarded = selector_guarded(formula, "sel")
-    engine = SmtSolver(formula_from_clauses(guarded, table, formula.declarations,
-                                            formula.logic), **solve)
-    verdict = engine.solve(tuple(selectors))
+    engine = SelectorEngine(formula, **solve)
+    verdict = engine.solve(range(len(formula.clauses)))
     if not _refuted(verdict):
         return None
     assert verdict.status == "unsat-assumptions", \
         "guarded clauses cannot refute without their selectors"
-    negated = set(verdict.conflict)
-    return [i for i, sel in enumerate(selectors) if -sel in negated]
+    return engine.conflict_clauses(verdict)
 
 
 # core method -> (route, Boolean extractor kind of a lifted route).  The
@@ -273,49 +272,33 @@ def lemma_lift_core(formula: Formula, config: ExtractorConfig,
                 conflict_budget=conflict_budget)
 
 
-def smt_proof_core(formula: Formula, *, verify: bool = False,
-                   early_pruning: bool = True, theory_propagation: bool = True,
-                   conflict_budget: Optional[int] = None) -> CoreReport:
-    """Proof-based baseline: leaves of the refutation built during the SMT
-    run itself; lemma leaves are theory-valid and excluded."""
-    return _run(formula, "smt-proof", None, minimize=False, verify=verify,
-                early_pruning=early_pruning, theory_propagation=theory_propagation,
-                conflict_budget=conflict_budget)
-
-
-def smt_assumption_core(formula: Formula, *, verify: bool = False,
-                        early_pruning: bool = True, theory_propagation: bool = True,
-                        conflict_budget: Optional[int] = None) -> CoreReport:
-    """Selector-based baseline: guard every clause with a fresh selector at
-    the SMT level; the core is read off the final conflict clause."""
-    return _run(formula, "smt-selectors", None, minimize=False, verify=verify,
-                early_pruning=early_pruning, theory_propagation=theory_propagation,
-                conflict_budget=conflict_budget)
-
-
 # ---------------------------------------------------------------------------
 # Minimization and checking
 # ---------------------------------------------------------------------------
 
-def _is_unsat(formula: Formula, indices: Iterable[int]) -> bool:
-    verdict, _ = smt_solve(formula.restrict(indices))
-    return verdict.status == "unsat"
-
-
 def minimize_core(formula: Formula, core: Iterable[int]) -> list[int]:
     """Deletion-based minimization: drop clauses one at a time (descending
     index) while the rest stays theory-unsatisfiable.  The result is
-    one-deletion minimal."""
+    one-deletion minimal.  Every trial is a solve of one selector engine."""
     current = sorted(set(core))
     for i in current:
         if not 0 <= i < len(formula.clauses):
             raise ValueError(f"core index {i} out of range")
-    if not _is_unsat(formula, current):
+    engine = SelectorEngine(formula)
+    if engine.solve(current).status == "sat":
         raise ValueError("minimize_core requires a theory-unsatisfiable core")
+
+    def retire(i: int):
+        # a clause outside the working set never returns to it
+        engine.solver.add_clause((Literal(engine.selectors[i], False),))
+
+    for i in sorted(set(range(len(formula.clauses))) - set(current)):
+        retire(i)
     for candidate in sorted(current, reverse=True):
         trial = [i for i in current if i != candidate]
-        if _is_unsat(formula, trial):
+        if engine.solve(trial).status != "sat":
             current = trial
+            retire(candidate)
     return current
 
 

@@ -1,21 +1,22 @@
 """Two-phase enumeration of minimal unsatisfiable cores.
 
-Phase one enumerates every minimal correction subset (MCS): selector
-variables guard the clauses, and for growing sizes k we enumerate
+Phase one enumerates every minimal correction subset (MCS) on one
+incremental selector engine, after Liffiton & Sakallah, "Algorithms for
+computing minimal unsatisfiable subsets of constraints" (JAR 2008):
+selector atoms guard the clauses, and for growing sizes k we enumerate
 theory-consistent models whose false selectors form a correction set,
-blocking each one found.  Phase two computes all minimal unsatisfiable
-cores as the minimal hitting sets of the MCS set.  Both sets can be
-exponentially large, so hard caps guard each phase and flag incomplete
-results loudly.
+adding a clause that blocks each one found.  Phase two computes all
+minimal unsatisfiable cores as the minimal hitting sets of the MCS set.
+Both sets can be exponentially large, so hard caps guard each phase and
+flag incomplete results loudly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .smt import smt_solve
-from .terms import (AtomTable, Formula, Literal, PropAtom, formula_from_clauses,
-                    selector_guarded)
+from .smt import SelectorEngine
+from .terms import AtomTable, Formula, Literal, PropAtom
 
 DEFAULT_CAP = 10_000
 
@@ -67,38 +68,32 @@ def _sequential_counter_atmost(lits: list[Literal], k: int, table: AtomTable,
 
 def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
     """All minimal correction subsets of a theory-unsatisfiable formula."""
-    base, _ = smt_solve(formula)
-    if base.status == "sat":
-        return McsSet([], complete=True, satisfiable=True)
     n = len(formula.clauses)
-    # the copied table also takes the counter registers, so nothing leaks
-    # into the input's table
-    table, selectors, guarded = selector_guarded(formula, "mcs")
-    blocking: list[tuple[Literal, ...]] = []
+    engine = SelectorEngine(formula)
+    if engine.solve(range(n)).status == "sat":
+        return McsSet([], complete=True, satisfiable=True)
+    selectors, add = engine.selectors, engine.solver.add_clause
     found: list[frozenset[int]] = []
-
-    def solve_with(extra: list[tuple[Literal, ...]]):
-        clauses = guarded + blocking + extra
-        return smt_solve(formula_from_clauses(clauses, table,
-                                              formula.declarations, formula.logic))
-
     for k in range(1, n + 1):
-        neg_selectors = [Literal(s, True) for s in selectors]
-        counter = _sequential_counter_atmost(
-            [l.negated() for l in neg_selectors], k, table, f"k{k}")
+        # the at-most-k counter binds only while its activation atom is
+        # assumed; the unit clause after the k loop retires it for good
+        act = engine.table.intern(PropAtom(f"@amk!k{k}"))
+        for clause in _sequential_counter_atmost([Literal(s, False) for s in selectors],
+                                                 k, engine.table, f"k{k}"):
+            add((Literal(act, False),) + clause)
         while True:
-            verdict, _ = solve_with(counter)
+            verdict = engine.solve((), act)
             if verdict.status != "sat":
                 break
             mcs = frozenset(i for i, s in enumerate(selectors)
                             if not verdict.bool_model[s])
             assert mcs and len(mcs) <= k
             found.append(mcs)
-            blocking.append(tuple(Literal(selectors[i], True) for i in sorted(mcs)))
+            add(tuple(Literal(selectors[i], True) for i in sorted(mcs)))
             if len(found) >= cap:
                 return McsSet(found, complete=False)
-        relaxed, _ = solve_with([])
-        if relaxed.status != "sat":
+        add((Literal(act, False),))
+        if engine.solve(()).status != "sat":
             return McsSet(found, complete=True)
     return McsSet(found, complete=True)
 
@@ -135,29 +130,6 @@ def minimal_hitting_sets(mcses: Iterable[frozenset[int]],
     minimal = [r for r in results if not any(o < r for o in results)]
     minimal.sort(key=sorted)
     return MusSet(minimal, complete=not capped)
-
-
-def single_mus(mcses: Iterable[frozenset[int]]) -> frozenset[int]:
-    """One minimal hitting set: grow greedily (hit the most unhit sets, ties
-    to the smallest element), then shrink to minimality."""
-    sets = [frozenset(m) for m in mcses]
-    if not sets:
-        return frozenset()
-    chosen: set[int] = set()
-    unhit = [s for s in sets]
-    while unhit:
-        counts: dict[int, int] = {}
-        for s in unhit:
-            for e in s:
-                counts[e] = counts.get(e, 0) + 1
-        best = max(sorted(counts), key=lambda e: counts[e])
-        chosen.add(best)
-        unhit = [s for s in unhit if best not in s]
-    for e in sorted(chosen):
-        trial = chosen - {e}
-        if all(s & trial for s in sets):
-            chosen = trial
-    return frozenset(chosen)
 
 
 def all_minimal_cores(formula: Formula, cap: int = DEFAULT_CAP) -> tuple[McsSet, MusSet]:

@@ -203,7 +203,9 @@ class SatSolver:
         import random as _random
         self._rng = _random.Random(seed) if seed is not None else None
         self.theory_hook = None
-        self.empty_clause: Optional[int] = None
+        # set once the clauses are refuted without assumptions: every later
+        # solve answers unsat, whatever it assumes
+        self.refuted = False
         self.pending_conflict: Optional[int] = None
 
     # -- basic state ---------------------------------------------------------
@@ -276,7 +278,9 @@ class SatSolver:
         if existing is None:
             self._by_key[key] = cid
         if not norm:
-            self.empty_clause = cid
+            self.refuted = True
+            if self.proof:
+                self.proof.final = self._node(cid)
             return cid, "conflict"
         self.ensure_vars(max(map(abs, norm)))
         vals = self._vals
@@ -557,12 +561,16 @@ class SatSolver:
         return None
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatVerdict:
+        """Search under `assumptions`.  A solver can be solved again, under
+        other assumptions and after more clauses were added at level 0;
+        learned clauses carry over, since they follow from the clauses."""
         assumptions = list(assumptions)
         for a in assumptions:
             self.ensure_vars(abs(a))
-        if self.empty_clause is not None:
-            if self.proof:
-                self.proof.final = self._node(self.empty_clause)
+        # the previous call left its decisions on the trail; assumptions are
+        # taken one per decision level from level 1
+        self._backjump(0)
+        if self.refuted:
             return SatVerdict("unsat", proof=self.proof)
         restart_limit = 100
         conflicts_here = 0
@@ -581,6 +589,7 @@ class SatSolver:
                     return SatVerdict("unknown")
                 res = self._analyze(confl)
                 if res is None:
+                    self.refuted = True
                     return SatVerdict("unsat", proof=self.proof)
                 learned, backjump, node = res
                 self._learn(learned, backjump, node)

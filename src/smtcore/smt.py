@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .sat import SatSolver, sat_solve
 from .terms import (
-    AtomTable, Clause, Formula, Literal, TLemmaOrigin, atom_theory,
+    AtomTable, Clause, Formula, Literal, PropAtom, TLemmaOrigin, atom_theory,
+    formula_from_clauses,
 )
 from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 
@@ -80,12 +81,11 @@ class SmtSolver:
         self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget,
                              enable_restarts=False, seed=seed)
         self.sat.ensure_vars(len(self.table))
-        self._input_cid: dict[int, int] = {}
         for i, clause in enumerate(formula.clauses):
-            cid, _ = self.sat.add_clause(self.table.t2p(clause), ("input", i))
-            self._input_cid[i] = cid
+            self.sat.add_clause(self.table.t2p(clause), ("input", i))
         self._lemma_cid: dict[int, int] = {}
-        # no atom is interned during a solve, so the flags stay exact
+        # theory flags of the atoms the theory solver was built with; atoms
+        # interned later are propositional (see add_clause)
         self._theory_var = [False] + [atom_theory(atom) is not None
                                       for _, atom in self.table.items()]
         self._scan_pos = 0                      # sat trail position scanned so far
@@ -125,7 +125,7 @@ class SmtSolver:
             lit = trail[pos]
             self._scan_pos += 1
             var = abs(lit)
-            if var <= len(self.table) and theory_var[var]:
+            if var < len(theory_var) and theory_var[var]:
                 conflict = self.theory.assert_literal(Literal(var, lit > 0))
                 self._synced_positions.append(pos)
                 if conflict is not None:
@@ -175,7 +175,23 @@ class SmtSolver:
 
     # -- solving ----------------------------------------------------------------
 
+    def add_clause(self, lits: Iterable[Literal]) -> None:
+        """Add a clause between solves.  Its atoms must be known to the
+        engine or propositional atoms interned into its table since: the
+        theory solver registers its atoms once, when it is built, so a new
+        theory atom is a ValueError."""
+        clause = Clause(tuple(lits))
+        for lit in clause.lits:
+            if lit.atom >= len(self._theory_var) and \
+                    atom_theory(self.table.atom(lit.atom)) is not None:
+                raise ValueError(f"atom {lit.atom} is a theory atom the engine was "
+                                 f"not built with")
+        self.sat._backjump(0)
+        self.sat.add_clause(self.table.t2p(clause), ("added",))
+
     def solve(self, assumptions: tuple[int, ...] = ()) -> SmtVerdict:
+        """Solve under `assumptions` (signed atom ids).  Learned clauses and
+        the lemma store carry over to the next call."""
         verdict = self.sat.solve(assumptions)
         if verdict.status == "sat":
             model = {v: verdict.model[v] for v in range(1, len(self.table) + 1)
@@ -204,6 +220,40 @@ def smt_solve(formula: Formula, *, early_pruning: bool = True,
                        seed=seed)
     verdict = engine.solve()
     return verdict, engine.store
+
+
+class SelectorEngine:
+    """One incremental SmtSolver that decides subsets of a formula's
+    clauses.  Over a copy of the formula's atom table (the formula's own
+    table does not grow), clause i becomes (not sel_i) or clause_i for a
+    fresh selector atom `@sel!i`; a subset is solved under the assumption
+    of its selectors.  Learned clauses and stored lemmas follow from the
+    guarded clauses alone, so they carry over from one subset to the next.
+    Clauses added through `solver.add_clause` stay for every later solve."""
+
+    def __init__(self, formula: Formula, **options):
+        self.table = AtomTable()
+        for _id, atom in formula.atoms.items():
+            self.table.intern(atom)
+        self.selectors = [self.table.intern(PropAtom(f"@sel!{i}"))
+                          for i in range(len(formula.clauses))]
+        guarded = [(Literal(sel, False),) + clause.lits
+                   for sel, clause in zip(self.selectors, formula.clauses)]
+        self.solver = SmtSolver(formula_from_clauses(guarded, self.table,
+                                                     formula.declarations, formula.logic),
+                                **options)
+
+    def solve(self, subset: Iterable[int], *extra: int) -> SmtVerdict:
+        """Solve the clauses of `subset` plus every added clause, assuming
+        their selectors in the given order and then the signed atom ids
+        `extra`."""
+        return self.solver.solve(tuple(self.selectors[i] for i in subset) + extra)
+
+    def conflict_clauses(self, verdict: SmtVerdict) -> list[int]:
+        """Ascending indices of the clauses whose selectors an
+        unsat-assumptions verdict blames."""
+        negated = set(verdict.conflict)
+        return [i for i, sel in enumerate(self.selectors) if -sel in negated]
 
 
 def lifted_clauses(formula: Formula, store: TLemmaStore) -> list[list[int]]:

@@ -278,9 +278,6 @@ class Clause:
             out.append(lit)
         object.__setattr__(self, "lits", tuple(out))
 
-    def key(self) -> frozenset[tuple[int, bool]]:
-        return frozenset((l.atom, l.positive) for l in self.lits)
-
     def __len__(self) -> int:
         return len(self.lits)
 
@@ -307,9 +304,6 @@ class AtomTable:
         self._atoms.append(atom)
         self._ids[atom] = idx
         return idx
-
-    def lookup(self, atom: Atom) -> Optional[int]:
-        return self._ids.get(atom)
 
     def atom(self, idx: int) -> Atom:
         if not 1 <= idx <= len(self._atoms):
@@ -423,26 +417,11 @@ def formula_from_clauses(lit_clauses: list[tuple[Literal, ...]], atoms: AtomTabl
                          declarations: Optional[Declarations] = None,
                          logic: Optional[str] = None) -> Formula:
     """Build an internal Formula from bare literal tuples (assertion id ==
-    clause index).  Used by enumeration and test harnesses."""
+    clause index).  Used by the selector engine and test harnesses."""
     clauses = [Clause(lits, Original(i, i)) for i, lits in enumerate(lit_clauses)]
     if logic is None:
         logic = infer_logic(clauses, atoms)
     return Formula(clauses, atoms, declarations, logic)
-
-
-def selector_guarded(formula: Formula, tag: str
-                     ) -> tuple[AtomTable, list[int], list[tuple[Literal, ...]]]:
-    """Guard every clause with a fresh selector atom `@<tag>!<i>`.  Returns
-    a copy of the atom table (existing atoms keep their ids, so the
-    formula's own table does not grow) holding the selectors, the selector
-    ids in clause order, and the guarded clauses (not sel_i) or clause_i."""
-    table = AtomTable()
-    for _id, atom in formula.atoms.items():
-        table.intern(atom)
-    selectors = [table.intern(PropAtom(f"@{tag}!{i}")) for i in range(len(formula.clauses))]
-    guarded = [(Literal(sel, False),) + clause.lits
-               for sel, clause in zip(selectors, formula.clauses)]
-    return table, selectors, guarded
 
 
 def infer_logic(clauses: Iterable[Clause], atoms: AtomTable) -> str:

@@ -20,8 +20,8 @@ from smtcore.bench import BenchRecord, ratio_stats, stats_for_pair
 from smtcore.cli import main as cli_main
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
-    ExtractorConfig, boolean_core, check_core, external_bridge, lemma_lift_core,
-    minimize_core, self_extractor_command, smt_assumption_core, smt_proof_core,
+    ExtractorConfig, boolean_core, check_core, external_bridge, extract_core,
+    lemma_lift_core, minimize_core, self_extractor_command,
 )
 from smtcore.parser import parse_file
 from smtcore.smt import lemma_store_violations, smt_solve
@@ -171,8 +171,8 @@ def test_criterion_core_soundness_across_methods(method_corpus, capsys):
             "lift-proof": lemma_lift_core(formula, ExtractorConfig("internal-proof")),
             "lift-selectors": lemma_lift_core(formula, ExtractorConfig("internal-selectors")),
             "lift-external": lemma_lift_core(formula, external_cfg),
-            "smt-proof": smt_proof_core(formula),
-            "smt-selectors": smt_assumption_core(formula),
+            "smt-proof": extract_core(formula, "smt-proof"),
+            "smt-selectors": extract_core(formula, "smt-selectors"),
         }
         for method, report in reports.items():
             assert report.verdict == "unsat", method

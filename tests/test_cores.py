@@ -7,9 +7,10 @@ from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
     METHODS, BridgeError, ExtractorConfig, ExtractionError, boolean_core, check_core,
-    external_bridge, extract_core, lemma_lift_core, minimize_core,
-    self_extractor_command, smt_assumption_core, smt_proof_core,
+    _run, external_bridge, extract_core, lemma_lift_core, minimize_core,
+    self_extractor_command,
 )
+from smtcore.mus import enumerate_mcs
 from smtcore.parser import parse
 from smtcore.smt import smt_solve
 from smtcore.terms import TLemmaOrigin
@@ -111,30 +112,33 @@ class TestLemmaLifting:
 
 class TestBaselines:
     def test_smt_proof_core_verifies(self, nine_clauses):
-        report = smt_proof_core(nine_clauses, verify=True)
+        report = extract_core(nine_clauses, "smt-proof", verify=True)
         assert report.verdict == "unsat"
         assert check_core(nine_clauses, report.core) is None
 
     def test_smt_assumption_core_verifies(self, nine_clauses):
-        report = smt_assumption_core(nine_clauses, verify=True)
+        report = extract_core(nine_clauses, "smt-selectors", verify=True)
         assert report.verdict == "unsat"
         assert check_core(nine_clauses, report.core) is None
 
     def test_assumption_core_does_not_grow_the_input_table(self, nine_clauses):
         before = len(nine_clauses.atoms)
-        smt_assumption_core(nine_clauses)
+        extract_core(nine_clauses, "smt-selectors")
+        # minimization and enumeration intern into their engine's own table
+        minimize_core(nine_clauses, range(9))
+        enumerate_mcs(nine_clauses)
         assert len(nine_clauses.atoms) == before
 
     def test_both_baselines_on_contradictory_units(self):
         f = cnf_convert(parse(
             "(declare-fun x () Real)(assert (= x 1))(assert (= x 0))"))
-        assert smt_proof_core(f, verify=True).core == (0, 1)
-        assert smt_assumption_core(f, verify=True).core == (0, 1)
+        assert extract_core(f, "smt-proof", verify=True).core == (0, 1)
+        assert extract_core(f, "smt-selectors", verify=True).core == (0, 1)
 
     def test_baselines_sat_path(self):
         f = cnf_convert(parse("(declare-fun y () Real)(assert (< y 0))"))
-        assert smt_proof_core(f).verdict == "sat"
-        assert smt_assumption_core(f).verdict == "sat"
+        assert extract_core(f, "smt-proof").verdict == "sat"
+        assert extract_core(f, "smt-selectors").verdict == "sat"
 
 
 class TestMinimize:
@@ -177,8 +181,9 @@ class TestExtractCore:
         "lift-selectors": lambda f: lemma_lift_core(f, ExtractorConfig("internal-selectors")),
         "lift-external": lambda f: lemma_lift_core(
             f, ExtractorConfig("external", command=self_extractor_command())),
-        "smt-proof": smt_proof_core,
-        "smt-selectors": smt_assumption_core,
+        "smt-proof": lambda f: _run(f, "smt-proof", None, minimize=False, verify=False),
+        "smt-selectors": lambda f: _run(f, "smt-selectors", None, minimize=False,
+                                        verify=False),
     }
 
     @pytest.mark.parametrize("method", sorted(METHODS))
@@ -265,8 +270,8 @@ class TestSoundnessOnRandomCorpus:
             reports = [
                 lemma_lift_core(formula, ExtractorConfig("internal-proof"), verify=True),
                 lemma_lift_core(formula, ExtractorConfig("internal-selectors"), verify=True),
-                smt_proof_core(formula, verify=True),
-                smt_assumption_core(formula, verify=True),
+                extract_core(formula, "smt-proof", verify=True),
+                extract_core(formula, "smt-selectors", verify=True),
             ]
             for report in reports:
                 assert report.verdict == "unsat"

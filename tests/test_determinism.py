@@ -36,6 +36,7 @@ import sys
 from smtcore.cnf import cnf_convert
 from smtcore.cores import ExtractorConfig, lemma_lift_core
 from smtcore.dimacs import render, write_dimacs
+from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse_file
 from smtcore.smt import smt_solve
 
@@ -46,6 +47,7 @@ rows += [formula.atoms.t2p(l.clause) for l in store]
 print(render(write_dimacs(rows, formula.atoms)))
 report = lemma_lift_core(formula, ExtractorConfig("internal-proof", minimize=True))
 print(report.core)
+print([sorted(m) for m in all_minimal_cores(formula)[1].muses])
 """
 
 

@@ -8,8 +8,7 @@ from oracles import brute_force_smt_sat, cnf_truth_table_sat
 from smtcore.cnf import cnf_convert
 from smtcore.cores import check_core
 from smtcore.mus import (
-    _sequential_counter_atmost, all_minimal_cores, enumerate_mcs,
-    minimal_hitting_sets, single_mus,
+    _sequential_counter_atmost, all_minimal_cores, enumerate_mcs, minimal_hitting_sets,
 )
 from smtcore.parser import parse
 from smtcore.smt import smt_solve
@@ -115,26 +114,6 @@ class TestHittingSets:
             minimal = {h for h in hitting
                        if not any(o < h for o in hitting)}
             assert got == minimal
-
-
-class TestSingleMus:
-    def test_expected_family_gives_one_minimal_core(self):
-        got = single_mus([frozenset(m) for m in MCS_FAMILY])
-        assert got in (CORE_A, CORE_B)
-
-    def test_singleton(self):
-        assert single_mus([frozenset({0})]) == frozenset({0})
-
-    def test_one_deletion_hitting_test(self):
-        rng = random.Random(23)
-        for _ in range(80):
-            universe = list(range(rng.randint(2, 6)))
-            fam = [frozenset(rng.sample(universe, rng.randint(1, len(universe))))
-                   for _ in range(rng.randint(1, 5))]
-            got = single_mus(fam)
-            assert all(f & got for f in fam)
-            for e in got:
-                assert any(not (f & (got - {e})) for f in fam)
 
 
 class TestDuality:

@@ -199,6 +199,50 @@ class TestAssumptions:
         assert v.status == "unsat-assumptions"
         assert 1 in v.conflict
 
+    def test_each_solve_takes_its_own_assumptions(self):
+        s = SatSolver()
+        s.add_clause([1, 2], ("input", 0))
+        assert s.solve([1]).status == "sat"
+        v = s.solve([-1])
+        assert v.status == "sat" and v.model[1] is False and v.model[2] is True
+        s = SatSolver()
+        s.add_clause([1, 2], ("input", 0))
+        assert s.solve([-1, -2]).status == "unsat-assumptions"
+        v = s.solve([1])
+        assert v.status == "sat" and v.model[1] is True
+
+    def test_a_level_zero_refutation_holds_for_every_later_solve(self):
+        clauses = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
+        s = SatSolver(log_proof=True)
+        for i, cl in enumerate(clauses):
+            s.add_clause(cl, ("input", i))
+        for assumptions in ((), (), (1,), (-2, 1), ()):
+            v = s.solve(assumptions)
+            assert v.status == "unsat"
+            assert check_proof(v.proof, clauses) is None
+
+    def test_repeated_solves_against_truth_tables(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            clauses, nvars = random_cnf(rng, max_vars=6)
+            s = SatSolver()
+            for i, cl in enumerate(clauses):
+                s.add_clause(cl, ("input", i))
+            for _ in range(6):
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, nvars + 1),
+                                                   rng.randint(0, nvars))]
+                v = s.solve(assumptions)
+                expected = cnf_truth_table_sat(clauses + [[a] for a in assumptions], nvars)
+                assert (v.status == "sat") == expected
+                if v.status == "sat":
+                    assert_model_satisfies(v.model, clauses + [[a] for a in assumptions])
+                elif v.status == "unsat-assumptions":
+                    assert set(v.conflict) <= {-a for a in assumptions}
+                    assert not cnf_truth_table_sat(clauses + [[-l] for l in v.conflict], nvars)
+                else:
+                    assert not cnf_truth_table_sat(clauses, nvars)
+
 
 class CheckedSolver(SatSolver):
     """Checks every branching choice against a scan of all variables and,

@@ -7,7 +7,11 @@ from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.smt import (
-    SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
+    SelectorEngine, SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
+)
+from smtcore.terms import (
+    REAL, Clause, LinComb, Literal, PropAtom, Var, canonical_lin_atom, euf_atom,
+    formula_from_clauses,
 )
 from smtcore.theory import is_valid_lemma
 
@@ -101,3 +105,47 @@ def test_facts_hold_on_labeled_unsat_corpus(theory):
         verdict, store = smt_solve(formula)
         assert verdict.status == "unsat"
         assert lemma_store_violations(formula, store, unsat=True) == []
+
+
+@pytest.mark.parametrize("theory", ["LRA", "EUF"])
+def test_selector_engine_matches_fresh_solves(theory):
+    """Random subset solves on one engine, interleaved with added clauses
+    over the formula's atoms and new propositional atoms: every verdict is
+    that of a fresh solve of the subset plus the added clauses."""
+    rng = random.Random(61)
+    for k in range(60):
+        formula = random_formula(rng, theory, max_atoms=6, max_clauses=12)
+        engine = SelectorEngine(formula)
+        n = len(formula.clauses)
+        added = []
+        for step in range(8):
+            if rng.random() < 0.3:
+                pool = list(range(1, len(formula.atoms) + 1))
+                pool.append(engine.table.intern(PropAtom(f"fresh{step % 3}")))
+                lits = tuple(Literal(a, rng.random() < 0.5)
+                             for a in rng.sample(pool, rng.randint(1, 2)))
+                engine.solver.add_clause(lits)
+                added.append(lits)
+            subset = rng.sample(range(n), rng.randint(n // 2, n))
+            verdict = engine.solve(subset)
+            fresh, _ = smt_solve(formula_from_clauses(
+                [formula.clauses[i].lits for i in sorted(subset)] + added,
+                engine.table, None, formula.logic))
+            assert (verdict.status == "sat") == (fresh.status == "sat"), (k, step)
+            if verdict.status == "sat":
+                assert all(evaluate_clause(c, engine.table, verdict)
+                           for c in [formula.clauses[i] for i in subset]
+                           + [Clause(lits) for lits in added])
+            elif verdict.status == "unsat-assumptions":
+                blamed = engine.conflict_clauses(verdict)
+                assert set(blamed) <= set(subset)
+                again, _ = smt_solve(formula_from_clauses(
+                    [formula.clauses[i].lits for i in blamed] + added,
+                    engine.table, None, formula.logic))
+                assert again.status == "unsat"
+        if theory == "LRA":
+            new_atom = canonical_lin_atom(LinComb.build({Var("fresh", REAL, 90): 1}, 0), "<=")
+        else:
+            new_atom = euf_atom(Var("fresh_a", "U", 90), Var("fresh_b", "U", 91))
+        with pytest.raises(ValueError, match="theory atom"):
+            engine.solver.add_clause((Literal(engine.table.intern(new_atom), True),))
