@@ -4,12 +4,14 @@ Supported commands: set-logic (QF_UF, QF_LRA, QF_RDL, QF_LIA), declare-sort,
 declare-fun, declare-const, assert, check-sat.  set-info/set-option/exit are
 accepted and ignored.  Connectives: and/or/not/=>/ite over Bool; relations
 =, <=, <, >=, >; arithmetic +, -, unary -, and multiplication by numeric
-constants only.  Comments start with ';'.
+constants only.  Comments start with ';'.  An integer numeral is read as
+an `int`; a decimal numeral or a `/` gives an exact `fractions.Fraction`.
 
 QF_LIA inputs are interpreted over the rationals; a loud warning is issued.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +19,8 @@ from typing import Optional, Union
 
 from .terms import (
     BOOL, REAL, Atom, Declarations, EufAtom, FunApp, LinAtom, LinComb,
-    PropAtom, RatConst, SortError, Term, Var, canonical_lin_atom, euf_atom, term_sort,
+    PropAtom, RatConst, Rational, SortError, Term, Var, canonical_lin_atom, euf_atom,
+    term_sort,
 )
 
 
@@ -72,49 +75,35 @@ class AssertionSet:
 # Lexer / s-expression reader
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Tok:
-    kind: str  # "(", ")", "sym"
-    text: str
-    line: int
-    col: int
+# One token per match: a newline (counted for line numbers), a comment up
+# to the end of its line, a parenthesis, or a symbol, which runs to the next
+# space, tab, carriage return, newline, parenthesis or ';'.  Spaces, tabs and
+# carriage returns match nothing and are skipped.  A comment always ends at
+# a newline or at the end of the input, so the column of every token is its
+# offset from the start of its line.
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """The tokens of `text` as (text, line, column), both 1-based; a token
+    is "(", ")" or a symbol."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        first = tok[0]
+        if first == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-        else:
-            start = i
-            startcol = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok("sym", text[start:i], line, startcol))
+            line_start = m.end()
+        elif first != ";":
+            toks.append((tok, line, m.start() - line_start + 1))
     return toks
 
 
 @dataclass
 class _SExpr:
     items: Optional[list["_SExpr"]]  # None for an atom token
-    tok: Optional[_Tok]
+    text: Optional[str]  # the token of an atom
     line: int
     col: int
 
@@ -128,25 +117,25 @@ class _SExpr:
 MAX_NESTING = 200
 
 
-def _read_sexprs(toks: list[_Tok]) -> list[_SExpr]:
+def _read_sexprs(toks: list[tuple[str, int, int]]) -> list[_SExpr]:
     out: list[_SExpr] = []
     stack: list[_SExpr] = []
-    for t in toks:
-        if t.kind == "(":
+    for text, line, col in toks:
+        if text == "(":
             if len(stack) == MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
-            node = _SExpr([], None, t.line, t.col)
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
+            node = _SExpr([], None, line, col)
             if stack:
                 stack[-1].items.append(node)
             stack.append(node)
-        elif t.kind == ")":
+        elif text == ")":
             if not stack:
-                raise ParseError("unbalanced ')'", t.line, t.col)
+                raise ParseError("unbalanced ')'", line, col)
             node = stack.pop()
             if not stack:
                 out.append(node)
         else:
-            node = _SExpr(None, t, t.line, t.col)
+            node = _SExpr(None, text, line, col)
             if stack:
                 stack[-1].items.append(node)
             else:
@@ -156,14 +145,7 @@ def _read_sexprs(toks: list[_Tok]) -> list[_SExpr]:
     return out
 
 
-def _is_numeral(text: str) -> bool:
-    body = text[1:] if text[:1] == "-" and len(text) > 1 else text
-    if not body:
-        return False
-    parts = body.split(".")
-    if len(parts) > 2:
-        return False
-    return all(p.isdigit() for p in parts) and parts[0] != ""
+_NUMERAL = re.compile(r"-?\d+(\.\d+)?")
 
 
 _LOGICS = ("QF_UF", "QF_LRA", "QF_RDL", "QF_LIA")
@@ -190,7 +172,7 @@ class _Parser:
         head = sx.items[0]
         if head.is_atom is False:
             raise ParseError("command name must be a symbol", head.line, head.col)
-        name = head.tok.text
+        name = head.text
         args = sx.items[1:]
         if name == "set-logic":
             self._set_logic(args, sx)
@@ -212,7 +194,7 @@ class _Parser:
     def _set_logic(self, args, sx):
         if len(args) != 1 or not args[0].is_atom:
             raise ParseError("set-logic takes one symbol", sx.line, sx.col)
-        logic = args[0].tok.text
+        logic = args[0].text
         if logic not in _LOGICS:
             raise ParseError(f"unsupported logic {logic!r} (supported: {', '.join(_LOGICS)})",
                              args[0].line, args[0].col)
@@ -223,17 +205,17 @@ class _Parser:
             raise ParseError(f"declare-sort is not available in {self.logic}", sx.line, sx.col)
         if len(args) not in (1, 2) or not args[0].is_atom:
             raise ParseError("expected (declare-sort <name> 0)", sx.line, sx.col)
-        if len(args) == 2 and (not args[1].is_atom or args[1].tok.text != "0"):
+        if len(args) == 2 and (not args[1].is_atom or args[1].text != "0"):
             raise ParseError("only zero-arity sorts are supported", args[1].line, args[1].col)
         try:
-            self.decls.declare_sort(args[0].tok.text)
+            self.decls.declare_sort(args[0].text)
         except ValueError as exc:
             raise ParseError(str(exc), args[0].line, args[0].col)
 
     def _sort_name(self, sx: _SExpr) -> str:
         if not sx.is_atom:
             raise ParseError("expected a sort name", sx.line, sx.col)
-        name = sx.tok.text
+        name = sx.text
         if name == "Int":
             if self.logic == "QF_UF":
                 raise ParseError("sort Int is not available in QF_UF", sx.line, sx.col)
@@ -252,7 +234,7 @@ class _Parser:
         raise ParseError(f"unknown sort {name!r}", sx.line, sx.col)
 
     def _declare_common(self, name_sx: _SExpr, arg_sorts: tuple[str, ...], ret: str):
-        name = name_sx.tok.text
+        name = name_sx.text
         try:
             if arg_sorts:
                 if ret in (REAL, BOOL) or any(s in (REAL, BOOL) for s in arg_sorts):
@@ -284,9 +266,15 @@ class _Parser:
 
     def _term(self, sx: _SExpr) -> Term:
         if sx.is_atom:
-            text = sx.tok.text
-            if _is_numeral(text):
-                return RatConst(Fraction(text))
+            text = sx.text
+            numeral = _NUMERAL.fullmatch(text)
+            if numeral:
+                try:
+                    value = Fraction(text) if numeral.group(1) else int(text)
+                except ValueError:  # beyond the interpreter's digit limit
+                    raise ParseError(f"numeral of {len(text)} characters is too long",
+                                     sx.line, sx.col) from None
+                return RatConst(value)
             if text in self.decls.vars:
                 return self.decls.vars[text]
             if text in self.decls.funs:
@@ -296,7 +284,7 @@ class _Parser:
         items = sx.items
         if not items or not items[0].is_atom:
             raise ParseError("expected a term", sx.line, sx.col)
-        op = items[0].tok.text
+        op = items[0].text
         args = items[1:]
         if op in ("+", "-", "*", "/"):
             return self._arith(op, args, sx)
@@ -314,7 +302,7 @@ class _Parser:
         if isinstance(t, RatConst):
             return LinComb((), t.value)
         if isinstance(t, Var) and t.sort == REAL:
-            return LinComb(((t, Fraction(1)),), Fraction(0))
+            return LinComb(((t, 1),), 0)
         raise ParseError("uninterpreted terms cannot appear in arithmetic", sx.line, sx.col)
 
     def _arith(self, op: str, args, sx) -> Term:
@@ -338,7 +326,7 @@ class _Parser:
         if op == "*":
             if len(terms) < 2:
                 raise ParseError("* needs at least two arguments", sx.line, sx.col)
-            const = Fraction(1)
+            const = 1
             other: Optional[LinComb] = None
             for t, a in zip(terms, args):
                 lc = self._to_lincomb(t, sx)
@@ -357,7 +345,7 @@ class _Parser:
         den = self._to_lincomb(terms[1], sx)
         if den.terms or den.offset == 0:
             raise ParseError("division only by a nonzero numeric constant", sx.line, sx.col)
-        return num.scale(Fraction(1) / den.offset)
+        return num.scale(Fraction(1, den.offset))
 
     # -- atoms and formulas --------------------------------------------------
 
@@ -385,7 +373,7 @@ class _Parser:
 
     def _bool(self, sx: _SExpr) -> BoolExpr:
         if sx.is_atom:
-            text = sx.tok.text
+            text = sx.text
             if text == "true":
                 return BConst(True)
             if text == "false":
@@ -398,7 +386,7 @@ class _Parser:
         items = sx.items
         if not items or not items[0].is_atom:
             raise ParseError("expected a formula", sx.line, sx.col)
-        op = items[0].tok.text
+        op = items[0].text
         args = items[1:]
         if op == "not":
             if len(args) != 1:
@@ -430,7 +418,7 @@ class _Parser:
                 # Boolean equality is out of the supported grammar; detect it
                 # early for a clear message.
                 for a in args:
-                    if a.is_atom and a.tok and a.tok.text in self.decls.props:
+                    if a.is_atom and a.text in self.decls.props:
                         raise ParseError("equality between Boolean terms is unsupported",
                                          sx.line, sx.col)
             return BAtom(self._relation(op, args, sx))
@@ -451,7 +439,7 @@ def parse_file(path: str) -> AssertionSet:
 # Rendering (used by `core --out` to write a core as a new input file)
 # ---------------------------------------------------------------------------
 
-def _frac_sexpr(value: Fraction) -> str:
+def _frac_sexpr(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator) if value >= 0 else f"(- {-value.numerator})"
     if value >= 0:

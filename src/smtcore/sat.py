@@ -563,7 +563,9 @@ class SatSolver:
     def solve(self, assumptions: Iterable[int] = ()) -> SatVerdict:
         """Search under `assumptions`.  A solver can be solved again, under
         other assumptions and after more clauses were added at level 0;
-        learned clauses carry over, since they follow from the clauses."""
+        learned clauses carry over, since they follow from the clauses.
+        `conflict_budget` bounds the conflicts of each call, while
+        `conflicts` counts them over the solver's life."""
         assumptions = list(assumptions)
         for a in assumptions:
             self.ensure_vars(abs(a))
@@ -574,6 +576,7 @@ class SatSolver:
             return SatVerdict("unsat", proof=self.proof)
         restart_limit = 100
         conflicts_here = 0
+        budget_end = None if self.conflict_budget is None else self.conflicts + self.conflict_budget
         while True:
             confl = self._propagate()
             if confl is None and self.theory_hook is not None:
@@ -585,7 +588,7 @@ class SatSolver:
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if self.conflict_budget is not None and self.conflicts > self.conflict_budget:
+                if budget_end is not None and self.conflicts > budget_end:
                     return SatVerdict("unknown")
                 res = self._analyze(confl)
                 if res is None:

@@ -61,7 +61,7 @@ class TLemmaStore:
 class SmtVerdict:
     status: str  # "sat" | "unsat" | "unsat-assumptions" | "unknown"
     bool_model: Optional[dict[int, bool]] = None      # atom id -> value
-    theory_model: object = None                       # LRA: {Var: Fraction}; EUF: {Term: class}
+    theory_model: object = None                       # LRA: {Var: int or Fraction}; EUF: {Term: class}
     conflict: Optional[tuple[int, ...]] = None        # assumption-core clause (signed atom ids)
 
 

@@ -1,10 +1,14 @@
 """Core symbolic objects: terms, atoms, literals, clauses and formulas.
 
 Everything is immutable and hashable once constructed, and all arithmetic
-is exact rational (`fractions.Fraction`); floats never appear in theory
-reasoning.  Linear atoms are normalized to a canonical "lhs <rel> 0" form
-so that syntactically different spellings of one constraint intern to the
-same Boolean variable, which is what makes lifted lemma clauses share
+is exact: a value is a plain `int` while it is integral and a
+`fractions.Fraction` only when it is not; floats never appear in theory
+reasoning.  Both kinds go through the same operators, and `Fraction(n)`
+equals and hashes like `n`, so the kind never changes a comparison, a
+dict key or an interned id.  Linear atoms are normalized to a canonical
+"lhs <rel> 0" form with integer coefficients and offset, so that
+syntactically different spellings of one constraint intern to the same
+Boolean variable, which is what makes lifted lemma clauses share
 variables with the input.
 """
 from __future__ import annotations
@@ -13,6 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
+
+# An exact number: an int when integral, a Fraction otherwise.
+Rational = Union[int, Fraction]
 
 REAL = "Real"
 BOOL = "Bool"
@@ -41,7 +48,7 @@ class Var:
 
 @dataclass(frozen=True)
 class RatConst:
-    value: Fraction
+    value: Rational
 
 
 @dataclass(frozen=True)
@@ -73,31 +80,31 @@ class LinComb:
     `terms` is sorted by variable declaration index and contains no zero
     coefficients.
     """
-    terms: tuple[tuple[Var, Fraction], ...]
-    offset: Fraction
+    terms: tuple[tuple[Var, Rational], ...]
+    offset: Rational
 
     @staticmethod
-    def build(coeffs: dict[Var, Fraction], offset: Fraction) -> "LinComb":
-        items = tuple(sorted(((v, Fraction(c)) for v, c in coeffs.items() if c != 0),
+    def build(coeffs: dict[Var, Rational], offset: Rational) -> "LinComb":
+        items = tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0),
                              key=lambda it: it[0].index))
-        return LinComb(items, Fraction(offset))
+        return LinComb(items, offset)
 
     def add(self, other: "LinComb") -> "LinComb":
-        coeffs: dict[Var, Fraction] = dict(self.terms)
+        coeffs: dict[Var, Rational] = dict(self.terms)
         for v, c in other.terms:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
+            coeffs[v] = coeffs.get(v, 0) + c
         return LinComb.build(coeffs, self.offset + other.offset)
 
-    def scale(self, k: Fraction) -> "LinComb":
+    def scale(self, k: Rational) -> "LinComb":
         return LinComb.build({v: c * k for v, c in self.terms}, self.offset * k)
 
     def negate(self) -> "LinComb":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
-    def evaluate(self, values: dict[Var, Fraction]) -> Fraction:
+    def evaluate(self, values: dict[Var, Rational]) -> Rational:
         total = self.offset
         for v, c in self.terms:
-            total += c * values.get(v, Fraction(0))
+            total += c * values.get(v, 0)
         return total
 
 
@@ -143,8 +150,8 @@ class LinAtom:
     Use :func:`canonical_lin_atom` to construct; the raw constructor does
     not normalize.
     """
-    coeffs: tuple[tuple[Var, Fraction], ...]
-    offset: Fraction
+    coeffs: tuple[tuple[Var, int], ...]
+    offset: int
     rel: str  # "<=", "<" or "="
 
     def lincomb(self) -> LinComb:
@@ -171,28 +178,23 @@ def canonical_lin_atom(comb: LinComb, rel: str) -> LinAtom:
     (in declaration order) positive.  Inequalities keep their orientation:
     ``>=``/``>`` must already have been rewritten to ``<=``/``<`` by
     negating sides.  Constant constraints reduce their offset to its sign.
+    The coefficients and offset of the result are `int`s.
     """
     if rel not in _REL_OK:
         raise ValueError(f"unsupported relation {rel!r}")
     coeffs = comb.terms
     offset = comb.offset
     if not coeffs:
-        sign = (offset > 0) - (offset < 0)
-        return LinAtom((), Fraction(sign), rel)
-    denom = 1
+        return LinAtom((), (offset > 0) - (offset < 0), rel)
+    denom = offset.denominator
     for _, c in coeffs:
         denom = lcm(denom, c.denominator)
-    denom = lcm(denom, offset.denominator)
-    ints = [c * denom for _, c in coeffs]
-    off = offset * denom
-    g = 0
-    for value in ints:
-        g = gcd(g, abs(value.numerator))
-    g = gcd(g, abs(off.numerator))
-    scale = Fraction(denom, g)
-    if rel == "=" and coeffs[0][1] * scale < 0:
-        scale = -scale
-    return LinAtom(tuple((v, c * scale) for v, c in coeffs), offset * scale, rel)
+    ints = [c.numerator * (denom // c.denominator) for _, c in coeffs]
+    off = offset.numerator * (denom // offset.denominator)
+    g = gcd(off, *ints)
+    if rel == "=" and ints[0] < 0:
+        g = -g
+    return LinAtom(tuple((v, n // g) for (v, _), n in zip(coeffs, ints)), off // g, rel)
 
 
 def euf_atom(lhs: Term, rhs: Term) -> EufAtom:
@@ -206,7 +208,7 @@ def euf_atom(lhs: Term, rhs: Term) -> EufAtom:
     return EufAtom(lhs, rhs)
 
 
-def eval_lin_atom(atom: LinAtom, values: dict[Var, Fraction]) -> bool:
+def eval_lin_atom(atom: LinAtom, values: dict[Var, Rational]) -> bool:
     total = atom.lincomb().evaluate(values)
     if atom.rel == "<=":
         return total <= 0

@@ -1,5 +1,11 @@
 """General simplex over the rationals for linear arithmetic.
 
+Every number is exact: a plain `int` while it is integral and a
+`fractions.Fraction` only when a quotient is not (`_div`); no float is
+ever used.  Canonical atoms have integer coefficients, so on difference
+constraints every pivot divides by +-1 and the tableau stays integral,
+the small-integer fast path of Dutertre & de Moura (CAV 2006).
+
 Variables (original theory variables plus one slack per distinct
 coefficient vector) carry optional lower/upper bounds valued in
 delta-rationals, so strict inequalities are exact.  Pivoting uses Bland's
@@ -30,18 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
-from ..terms import LinAtom, Literal, Var, eval_lin_atom
+from ..terms import LinAtom, Literal, Rational, Var, eval_lin_atom
 from .base import Deduction, TheorySolver, TheoryVerdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DeltaRational:
     """Rational plus an infinitesimal coefficient, ordered lexicographically."""
-    real: Fraction
-    delta: Fraction = Fraction(0)
+    real: Rational
+    delta: Rational = 0
 
     def __add__(self, other: "DeltaRational") -> "DeltaRational":
         return DeltaRational(self.real + other.real, self.delta + other.delta)
@@ -49,23 +55,11 @@ class DeltaRational:
     def __sub__(self, other: "DeltaRational") -> "DeltaRational":
         return DeltaRational(self.real - other.real, self.delta - other.delta)
 
-    def scale(self, k: Fraction) -> "DeltaRational":
+    def scale(self, k: Rational) -> "DeltaRational":
         return DeltaRational(self.real * k, self.delta * k)
 
-    def _key(self):
-        return (self.real, self.delta)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
+    def divide(self, k: Rational) -> "DeltaRational":
+        return DeltaRational(_div(self.real, k), _div(self.delta, k))
 
 
 class _Probe:
@@ -92,13 +86,13 @@ class LraSolver(TheorySolver):
         self.columns: dict[Var, int] = {}
         self.slack_of: dict[tuple, int] = {}
         self.nvars = 0
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, Rational]] = {}
         self.values: dict[int, DeltaRational] = {}
         self.lower: dict[int, _Bound] = {}
         self.upper: dict[int, _Bound] = {}
         self.ops: list[tuple] = []
         self._assert_marks: list[int] = []
-        self.diseqs: list[tuple[int, Fraction, Literal]] = []
+        self.diseqs: list[tuple[int, Rational, Literal]] = []
         self._tests = None  # deduction plan, built on first use (_build_propagation)
 
     def owns_atom(self, atom) -> bool:
@@ -109,7 +103,7 @@ class LraSolver(TheorySolver):
     def _new_id(self) -> int:
         vid = self.nvars
         self.nvars += 1
-        self.values[vid] = DeltaRational(Fraction(0))
+        self.values[vid] = DeltaRational(0)
         return vid
 
     def _column(self, v: Var) -> int:
@@ -119,25 +113,25 @@ class LraSolver(TheorySolver):
             self.columns[v] = vid
         return vid
 
-    def _slack(self, coeffs: tuple[tuple[Var, Fraction], ...]) -> int:
+    def _slack(self, coeffs: tuple[tuple[Var, int], ...]) -> int:
         key = tuple((v.index, c) for v, c in coeffs)
         sid = self.slack_of.get(key)
         if sid is not None:
             return sid
-        row: dict[int, Fraction] = {}
+        row: dict[int, Rational] = {}
         for v, c in coeffs:
             col = self._column(v)
             if col in self.rows:  # substitute an already-basic variable
                 for k, ck in self.rows[col].items():
-                    row[k] = row.get(k, Fraction(0)) + c * ck
+                    row[k] = row.get(k, 0) + c * ck
             else:
-                row[col] = row.get(col, Fraction(0)) + c
+                row[col] = row.get(col, 0) + c
         row = {k: ck for k, ck in row.items() if ck != 0}
         assert row, "a nonzero linear form cannot reduce to the empty row"
         sid = self._new_id()
         self.slack_of[key] = sid
         self.rows[sid] = row
-        val = DeltaRational(Fraction(0))
+        val = DeltaRational(0)
         for k, ck in row.items():
             val = val + self.values[k].scale(ck)
         self.values[sid] = val
@@ -154,7 +148,7 @@ class LraSolver(TheorySolver):
     def _pivot_and_update(self, xi: int, xj: int, v: DeltaRational):
         row = self.rows[xi]
         aij = row[xj]
-        theta = (v - self.values[xi]).scale(Fraction(1) / aij)
+        theta = (v - self.values[xi]).divide(aij)
         self.values[xi] = v
         self.values[xj] = self.values[xj] + theta
         for xk, rk in self.rows.items():
@@ -164,10 +158,10 @@ class LraSolver(TheorySolver):
                     self.values[xk] = self.values[xk] + theta.scale(a)
         # pivot: xj leaves the nonbasic set, xi enters it
         del self.rows[xi]
-        new_row = {xi: Fraction(1) / aij}
+        new_row = {xi: _div(1, aij)}
         for k, ck in row.items():
             if k != xj:
-                new_row[k] = -ck / aij
+                new_row[k] = _div(-ck, aij)
         self.rows[xj] = new_row
         for xk, rk in list(self.rows.items()):
             if xk == xj:
@@ -175,7 +169,7 @@ class LraSolver(TheorySolver):
             a = rk.pop(xj, None)
             if a:
                 for k, ck in new_row.items():
-                    nv = rk.get(k, Fraction(0)) + a * ck
+                    nv = rk.get(k, 0) + a * ck
                     if nv:
                         rk[k] = nv
                     else:
@@ -234,10 +228,10 @@ class LraSolver(TheorySolver):
             if pos:
                 conf = self._assert_bound(sid, "upper", DeltaRational(c), lit)
             else:
-                conf = self._assert_bound(sid, "lower", DeltaRational(c, Fraction(1)), lit)
+                conf = self._assert_bound(sid, "lower", DeltaRational(c, 1), lit)
         elif rel == "<":
             if pos:
-                conf = self._assert_bound(sid, "upper", DeltaRational(c, Fraction(-1)), lit)
+                conf = self._assert_bound(sid, "upper", DeltaRational(c, -1), lit)
             else:
                 conf = self._assert_bound(sid, "lower", DeltaRational(c), lit)
         else:  # "="
@@ -345,8 +339,8 @@ class LraSolver(TheorySolver):
             return None
         sid, c, dlit = self.diseqs[i]
         collected = []
-        for which, value in (("upper", DeltaRational(c, Fraction(-1))),
-                             ("lower", DeltaRational(c, Fraction(1)))):
+        for which, value in (("upper", DeltaRational(c, -1)),
+                             ("lower", DeltaRational(c, 1))):
             mark = len(self.ops)
             probe = _Probe(dlit)
             conf = self._assert_bound(sid, which, value, probe)
@@ -375,19 +369,19 @@ class LraSolver(TheorySolver):
             return TheoryVerdict("conflict", conflict=self._sanitize(conf))
         return TheoryVerdict("sat")
 
-    def witness(self) -> dict[Var, Fraction]:
+    def witness(self) -> dict[Var, Rational]:
         """The simplex assignment with the infinitesimal made concrete:
         halve a rational epsilon until every asserted literal holds.  The
         disequality probes of check_full are undone but the values they
         moved stay, so this is a model right after a "sat" check_full."""
-        eps = Fraction(1)
+        eps = 1
         atoms = [(self.table.atom(l.atom), l.positive) for l in self._asserted]
         for _ in range(220):
             vals = {v: self.values[vid].real + self.values[vid].delta * eps
                     for v, vid in self.columns.items()}
             if all(eval_lin_atom(a, vals) == pos for a, pos in atoms):
                 return vals
-            eps /= 2
+            eps = _div(eps, 2)
         raise RuntimeError("could not concretize the infinitesimal")
 
     # -- deductions ------------------------------------------------------------------
@@ -398,7 +392,7 @@ class LraSolver(TheorySolver):
         least <= b <= most, with thresholds in base units (c / lam; None
         when unbounded, a nonzero infinitesimal when strict)."""
         bases: dict[tuple, int] = {}
-        groups: dict[tuple, tuple[int, Fraction]] = {}
+        groups: dict[tuple, tuple[int, Rational]] = {}
         constants = []
         tests = []
         for atom_id, atom in self.table.items():
@@ -410,8 +404,8 @@ class LraSolver(TheorySolver):
             form, lam = _base_form(atom.coeffs)
             bid = bases.setdefault(form, len(bases))
             groups.setdefault(tuple((v.index, c) for v, c in atom.coeffs), (bid, lam))
-            k = -atom.offset / lam
-            strict = Fraction(atom.rel == "<")
+            k = _div(-atom.offset, lam)
+            strict = int(atom.rel == "<")
             if atom.rel == "=":
                 least = most = DeltaRational(k)
             elif lam > 0:
@@ -430,19 +424,19 @@ class LraSolver(TheorySolver):
             if len(form) == 2:
                 for (vi, ci), (vj, cj) in ((form[0], form[1]), (form[1], form[0])):
                     if vi in single and vj in single:
-                        rules.append((single[vj], ((bid, 1 / cj), (single[vi], -ci / cj))))
+                        rules.append((single[vj], ((bid, _div(1, cj)), (single[vi], _div(-ci, cj)))))
         self._groups = groups
         self._rules = rules
         self._constants = constants
         self._tests = tests
         self._live = []
 
-    def _live_groups(self) -> list[tuple[int, int, Fraction]]:
+    def _live_groups(self) -> list[tuple[int, int, Rational]]:
         """(slack id, base id, 1/lam) for every atom slack the tableau has,
         in table order; slacks are never dropped, so this is cached until
         the next one is made."""
         if len(self._live) != len(self.slack_of):
-            self._live = [(self.slack_of[key], bid, 1 / lam)
+            self._live = [(self.slack_of[key], bid, _div(1, lam))
                           for key, (bid, lam) in self._groups.items()
                           if key in self.slack_of]
         return self._live
@@ -464,7 +458,7 @@ class LraSolver(TheorySolver):
         derived_hi: dict[int, tuple] = {}
         for target, terms in self._rules:
             for is_lower, out in ((True, derived_lo), (False, derived_hi)):
-                total = DeltaRational(Fraction(0))
+                total = DeltaRational(0)
                 expl: list[Literal] = []
                 for src, coeff in terms:
                     entry = (lo if (coeff > 0) == is_lower else hi).get(src)
@@ -496,24 +490,30 @@ class LraSolver(TheorySolver):
         return out
 
 
-def _base_form(coeffs) -> tuple[tuple, Fraction]:
+def _div(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b: an int when it is integral, a Fraction
+    otherwise."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _base_form(coeffs) -> tuple[tuple, Rational]:
     """(base form, lam) with coeffs = lam * base: the base is the vector over
     variable indices divided by its content, first coefficient positive."""
-    num, den = 0, 1
-    for _, c in coeffs:
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    lam = Fraction(num, den)
+    lam = gcd(*(c for _, c in coeffs))
     if coeffs[0][1] < 0:
         lam = -lam
-    return tuple((v.index, c / lam) for v, c in coeffs), lam
+    return tuple((v.index, c // lam) for v, c in coeffs), lam
 
 
 def _strictness(value: DeltaRational) -> DeltaRational:
     """Keep only the sign of the infinitesimal: a bound is strict or not,
     and the size of delta carries no meaning once rows are combined."""
     d = value.delta
-    return DeltaRational(value.real, Fraction((d > 0) - (d < 0)))
+    return DeltaRational(value.real, (d > 0) - (d < 0))
 
 
 def _tighten(side: dict, bid: int, is_lower: bool, value: DeltaRational, expl: tuple):

@@ -1,10 +1,13 @@
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smtcore.cnf import cnf_convert
-from smtcore.parser import ParseError, parse, render_instance
-from smtcore.terms import LinAtom
+from smtcore.parser import ParseError, _tokenize, parse, render_instance
+from smtcore.terms import REAL, AtomTable, LinAtom, LinComb, Var, canonical_lin_atom
 
 NINE_CLAUSES = """
 (set-logic QF_LRA)
@@ -139,3 +142,142 @@ def test_render_subset_is_parsable(nine_clauses):
     text = render_instance(nine_clauses, [0, 1, 5])
     sub = cnf_convert(parse(text))
     assert len(sub.clauses) == 3
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer: pinned to the character loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_tokenize(text):
+    """The character-at-a-time tokenizer, kept as the reference: tokens as
+    (kind, text, line, column)."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+            col += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            toks.append((ch, ch, line, col))
+            i += 1
+            col += 1
+        else:
+            start = i
+            startcol = col
+            while i < n and text[i] not in " \t\r\n();":
+                i += 1
+                col += 1
+            toks.append(("sym", text[start:i], line, startcol))
+    return toks
+
+
+def tokens(text):
+    return [(t if t in "()" else "sym", t, line, col) for t, line, col in _tokenize(text)]
+
+
+@pytest.mark.parametrize("text", [
+    "(assert p) ; comment at the end of input",
+    "(assert p);",
+    ";",
+    "\t(declare-fun\tx () Real)\t\t(assert\t(< x 1))",
+    "(assert p)\r\n(assert q)\r\n",
+    "\r\r\n\r(a)",
+    ")(()(x)(",
+    "a;b\nc;d\n;e",
+    "x\x0by\x0cz é ²",  # only space, tab, CR and LF separate symbols
+    "",
+])
+def test_tokenizer_matches_the_character_loop(text):
+    assert tokens(text) == reference_tokenize(text)
+
+
+# Parser-shaped text, so that the fuzzing reaches past the reader into the
+# commands, terms and atoms.
+_WORD = st.sampled_from([
+    "(", ")", "(", ")", "assert", "declare-fun", "declare-const", "declare-sort",
+    "set-logic", "check-sat", "Real", "Bool", "U", "QF_LRA", "QF_UF", "x", "y", "p",
+    "f", "not", "and", "or", "=>", "ite", "=", "<=", "<", ">=", ">", "+", "-", "*",
+    "/", "0", "1", "-2", "0.5", "1.", "true", "false", ";", "\n", "\r\n", "\t",
+])
+PARSER_ISH = st.lists(_WORD, max_size=40).map(" ".join)
+ALPHABET = "();-./0123456789abcdefghijklmnopqrstuvwxyz \t\r\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.text(alphabet=ALPHABET, max_size=80), PARSER_ISH))
+def test_arbitrary_text_raises_only_parse_errors(text):
+    assert tokens(text) == reference_tokenize(text)
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("(assert p)\r\n\t)", 2, 2),
+    ("(declare-fun x () Real) ; c\r\n\t(assert (< x q))", 2, 15),
+    ("(declare-fun p () Bool)(assert p)(", 1, 34),
+    ("(declare-fun p () Bool)\n(assert p ; no close", 2, 1),
+    ("(declare-fun p () Bool)\n\n  (assert p))(assert p)", 3, 13),
+    ("(declare-fun x () Real)\t(assert (<= x 1.5.2))", 1, 39),
+    ("(declare-fun x () Real)(assert\t(<=\tx\t(/ 1 0)))", 1, 38),
+    ("(declare-fun x () Real)\r(assert (< x -))", 1, 38),
+    ("(declare-fun p () Bool)(assert p)\n;(assert q)\n(assert q)", 3, 9),
+])
+def test_error_positions_are_unchanged(text, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("numeral", ["9" * 5000, "1." + "5" * 5000, "²"])
+def test_numerals_the_interpreter_cannot_convert_are_parse_errors(numeral):
+    with pytest.raises(ParseError) as info:
+        parse(f"(declare-fun x () Real)\n(assert (< x {numeral}))")
+    assert (info.value.line, info.value.col) == (2, 14)
+
+
+# ---------------------------------------------------------------------------
+# Integer arithmetic: canonical atoms hold ints
+# ---------------------------------------------------------------------------
+
+def test_parsed_linear_atoms_hold_ints(nine_clauses):
+    text = """(declare-fun x () Real)(declare-fun y () Real)
+    (assert (< (* 0.5 x) 0.25))
+    (assert (>= (/ (- x y) 3) (/ 1 2)))
+    (assert (= (* 2.5 y) (- 1.5)))
+    (assert (<= (* 3 x) (+ (* 6 y) 1.2)))
+    (assert (< 1 (/ 3 2)))"""
+    for formula in (cnf_convert(parse(text)), nine_clauses):
+        lin_atoms = [a for _, a in formula.atoms.items() if isinstance(a, LinAtom)]
+        assert lin_atoms
+        for atom in lin_atoms:
+            assert type(atom.offset) is int
+            assert all(type(c) is int for _, c in atom.coeffs)
+
+
+def test_spellings_of_one_bound_intern_to_one_atom():
+    spellings = ["2", "2.0", "(/ 4 2)", "(* 2 1)", "(+ 1 1.0)", "(- 3 (/ 2 2))"]
+    text = "(declare-fun x () Real)" + "".join(f"(assert (<= x {s}))" for s in spellings)
+    formula = cnf_convert(parse(text))
+    assert {c.lits[0].atom for c in formula.clauses} == {1}
+    x = formula.declarations.vars["x"]
+    built = [canonical_lin_atom(LinComb.build({x: Fraction(1)}, Fraction(-2)), "<="),
+             canonical_lin_atom(LinComb.build({x: Fraction(1, 2)}, Fraction(-1)), "<="),
+             canonical_lin_atom(LinComb.build({x: 3}, -6), "<=")]
+    assert all(formula.atoms.intern(a) == 1 for a in built)
+    assert len(formula.atoms) == 1
+    table = AtomTable()
+    y = Var("y", REAL, 1)
+    assert table.intern(canonical_lin_atom(LinComb.build({y: Fraction(-4)}, Fraction(2)), "=")) \
+        == table.intern(canonical_lin_atom(LinComb.build({y: 2}, -1), "="))

@@ -55,6 +55,18 @@ class TestBasics:
         v = sat_solve(clauses, conflict_budget=0)
         assert v.status == "unknown"
 
+    def test_budget_bounds_each_solve_not_the_solver_life(self):
+        clauses, _ = pigeonhole_cnf(random.Random(0), 4, 0, 0)  # PHP 5/4, 20 variables
+        s = SatSolver(conflict_budget=3)
+        for i, cl in enumerate(clauses + [[21, 22]]):
+            s.add_clause(cl, ("input", i))
+        for assumptions in ([21], [-21], []):
+            before = s.conflicts
+            assert s.solve(assumptions).status == "unknown"
+            assert s.conflicts - before == 4  # the conflict past the budget stops it
+        s.conflict_budget = None
+        assert s.solve([-21]).status == "unsat"
+
 
 class TestProofCore:
     def test_irrelevant_clause_not_in_core(self):

@@ -272,9 +272,25 @@ class TestValidity:
             is_valid_lemma(Clause((Literal(i1, True), Literal(i2, True))), table)
 
 
+class PivotWatch(LraSolver):
+    """Counts the pivots that leave a non-integral tableau coefficient, that
+    is, the pivots that take the Fraction fallback of the integer path."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.fractional_pivots = 0
+
+    def _pivot_and_update(self, xi, xj, v):
+        super()._pivot_and_update(xi, xj, v)
+        if any(type(c) is Fraction and c.denominator != 1
+               for row in self.rows.values() for c in row.values()):
+            self.fractional_pivots += 1
+
+
 class TestCompletenessAgainstFourierMotzkin:
     def test_thousand_seeds(self):
         rng = random.Random(2025)
+        fractional_pivots = 0
         for trial in range(1000):
             n_atoms = rng.randint(1, 6)
             atoms = random_lra_atoms(rng, n_atoms)
@@ -290,7 +306,7 @@ class TestCompletenessAgainstFourierMotzkin:
                     continue
                 seen[l.atom] = l.positive
                 filtered.append(l)
-            s = LraSolver(table)
+            s = PivotWatch(table)
             conflict = None
             for lit in filtered:
                 conflict = s.assert_literal(lit)
@@ -303,6 +319,7 @@ class TestCompletenessAgainstFourierMotzkin:
                     conflict = verdict.conflict
             else:
                 got_sat = False
+            fractional_pivots += s.fractional_pivots
             want_sat = lra_literals_sat(
                 [(table.atom(l.atom), l.positive) for l in filtered])
             assert got_sat == want_sat, f"trial {trial}"
@@ -311,3 +328,6 @@ class TestCompletenessAgainstFourierMotzkin:
                 assert not lra_literals_sat(sub), f"trial {trial}: unsound conflict"
                 asserted_keys = {(l.atom, l.positive) for l in filtered}
                 assert all((l.atom, l.positive) in asserted_keys for l in conflict)
+        # coefficients up to 3 make pivots divide by 2 or 3, so the verdicts
+        # above include tableaux with Fraction coefficients
+        assert fractional_pivots > 0
