@@ -1,9 +1,12 @@
 """CNF conversion of parsed assertion sets.
 
-Assertions already in clause form pass through verbatim.  Everything else
-is distributed when the result stays small (at most `max_distribute`
-clauses per assertion), and otherwise converted definitionally with fresh
-auxiliary propositional variables.  Every emitted clause carries the id of
+Assertions already in clause form pass through verbatim: a literal or an
+`or` of literals becomes its clause directly, with a repeated literal kept
+once (its first occurrence) and a literal beside its complement rejected as
+a tautology.  Everything else goes through negation normal form and
+constant folding, and is then distributed when the result stays small (at
+most `max_distribute` clauses per assertion), and otherwise converted
+definitionally with fresh auxiliary propositional variables.  Every emitted clause carries the id of
 the assertion it came from.
 """
 from __future__ import annotations
@@ -191,6 +194,26 @@ class _Definitions:
         return defs + [link]
 
 
+def _literals(tree: BoolExpr) -> Optional[list[_Lit]]:
+    """The literals of an assertion that is a literal or an `or` of
+    literals, in order; None for any other shape."""
+    out = []
+    for arg in tree.args if type(tree) is BOr else (tree,):
+        positive = True
+        while type(arg) is BNot:
+            arg = arg.arg
+            positive = not positive
+        if type(arg) is not BAtom:
+            return None
+        out.append((arg.atom, positive))
+    return out
+
+
+def _valid(aid: int) -> CnfError:
+    return CnfError(f"assertion {aid} is propositionally valid (tautological); "
+                    "it would contribute no clauses")
+
+
 def _is_clause_shaped(node) -> bool:
     if node[0] == "lit":
         return True
@@ -213,12 +236,19 @@ def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
         clauses.append(Clause(lit_objs, Original(len(clauses), aid)))
 
     for aid, tree in assertions.assertions:
+        lits = _literals(tree)
+        if lits is not None:
+            # Clause drops repeated literals, keeping the first, and rejects
+            # a literal beside its complement, as _simplify would
+            try:
+                emit(lits, aid)
+            except ValueError:
+                raise _valid(aid) from None
+            continue
         node = _simplify(_nnf(tree, True))
         if node[0] == "const":
             if node[1]:
-                raise CnfError(
-                    f"assertion {aid} is propositionally valid (tautological); "
-                    "it would contribute no clauses")
+                raise _valid(aid)
             emit([], aid)
             continue
         if _is_clause_shaped(node):
@@ -228,9 +258,7 @@ def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
             continue
         dist = _try_distribute(node)
         if dist is not None and not dist:
-            raise CnfError(
-                f"assertion {aid} is propositionally valid (tautological); "
-                "it would contribute no clauses")
+            raise _valid(aid)
         if dist is not None and len(dist) <= max_distribute:
             for cl in dist:
                 emit(cl, aid)

@@ -7,6 +7,13 @@ accepted and ignored.  Connectives: and/or/not/=>/ite over Bool; relations
 constants only.  Comments start with ';'.  An integer numeral is read as
 an `int`; a decimal numeral or a `/` gives an exact `fractions.Fraction`.
 
+The text is read in one pass: each token of one regular expression goes
+straight into the s-expression tree, with its line and column.  Both sides
+of a relation are then read into one accumulator, a map from variable to
+coefficient plus a constant, which gives the canonical atom in one step;
+no term in between is built.  `(=> a1 ... an c)` becomes the flat
+`(or (not a1) ... (not an) c)`.
+
 QF_LIA inputs are interpreted over the rationals; a loud warning is issued.
 """
 from __future__ import annotations
@@ -72,7 +79,7 @@ class AssertionSet:
 
 
 # ---------------------------------------------------------------------------
-# Lexer / s-expression reader
+# Reader: text to s-expression tree in one pass
 # ---------------------------------------------------------------------------
 
 # One token per match: a newline (counted for line numbers), a comment up
@@ -84,32 +91,18 @@ class AssertionSet:
 _TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    """The tokens of `text` as (text, line, column), both 1-based; a token
-    is "(", ")" or a symbol."""
-    toks = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        first = tok[0]
-        if first == "\n":
-            line += 1
-            line_start = m.end()
-        elif first != ";":
-            toks.append((tok, line, m.start() - line_start + 1))
-    return toks
-
-
-@dataclass
 class _SExpr:
-    items: Optional[list["_SExpr"]]  # None for an atom token
-    text: Optional[str]  # the token of an atom
-    line: int
-    col: int
+    """A node of the s-expression tree: a list (`items`, with `text` None)
+    or a symbol (`text`, with `items` None), and the 1-based line and
+    column of its first character."""
+    __slots__ = ("items", "text", "line", "col")
 
-    @property
-    def is_atom(self) -> bool:
-        return self.items is None
+    def __init__(self, items: Optional[list["_SExpr"]], text: Optional[str],
+                 line: int, col: int):
+        self.items = items
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 # Deeper input is rejected up front: later stages recurse once or more per
@@ -117,35 +110,45 @@ class _SExpr:
 MAX_NESTING = 200
 
 
-def _read_sexprs(toks: list[tuple[str, int, int]]) -> list[_SExpr]:
+def _read_sexprs(text: str) -> list[_SExpr]:
+    """The top-level s-expressions of `text`, built as its tokens are
+    matched."""
+    Node = _SExpr
     out: list[_SExpr] = []
-    stack: list[_SExpr] = []
-    for text, line, col in toks:
-        if text == "(":
+    items = out  # the list the next node joins
+    stack: list[list[_SExpr]] = []  # the enclosing lists of `items`
+    push, pop = stack.append, stack.pop
+    line, line_start = 1, -1  # line_start: offset of the newline before the line
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == "(":
+            col = m.start() - line_start
             if len(stack) == MAX_NESTING:
                 raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
-            node = _SExpr([], None, line, col)
-            if stack:
-                stack[-1].items.append(node)
-            stack.append(node)
-        elif text == ")":
+            node = Node([], None, line, col)
+            items.append(node)
+            push(items)
+            items = node.items
+        elif tok == ")":
             if not stack:
-                raise ParseError("unbalanced ')'", line, col)
-            node = stack.pop()
-            if not stack:
-                out.append(node)
-        else:
-            node = _SExpr(None, text, line, col)
-            if stack:
-                stack[-1].items.append(node)
-            else:
-                out.append(node)
+                raise ParseError("unbalanced ')'", line, m.start() - line_start)
+            items = pop()
+        elif tok == "\n":
+            line += 1
+            line_start = m.start()
+        elif tok[0] != ";":
+            items.append(Node(None, tok, line, m.start() - line_start))
     if stack:
-        raise ParseError("unbalanced '(' at end of input", stack[-1].line, stack[-1].col)
+        unclosed = stack[-1][-1]
+        raise ParseError("unbalanced '(' at end of input", unclosed.line, unclosed.col)
     return out
 
 
 _NUMERAL = re.compile(r"-?\d+(\.\d+)?")
+_ARITH_OPS = ("+", "-", "*", "/")
+# What a term outside arithmetic is: an uninterpreted constant or application.
+_NON_ARITH = (Var, FunApp)
+_CANONICAL_REL = {"<=": "<=", "<": "<", "=": "=", ">=": "<=", ">": "<"}
 
 
 _LOGICS = ("QF_UF", "QF_LRA", "QF_RDL", "QF_LIA")
@@ -162,15 +165,15 @@ class _Parser:
     # -- commands ----------------------------------------------------------
 
     def run(self, text: str) -> AssertionSet:
-        for sx in _read_sexprs(_tokenize(text)):
+        for sx in _read_sexprs(text):
             self._command(sx)
         return AssertionSet(self.assertions, self.decls, self.logic)
 
     def _command(self, sx: _SExpr):
-        if sx.is_atom or not sx.items:
+        if not sx.items:
             raise ParseError("expected a command", sx.line, sx.col)
         head = sx.items[0]
-        if head.is_atom is False:
+        if head.items is not None:
             raise ParseError("command name must be a symbol", head.line, head.col)
         name = head.text
         args = sx.items[1:]
@@ -192,7 +195,7 @@ class _Parser:
             raise ParseError(f"unsupported command {name!r}", sx.line, sx.col)
 
     def _set_logic(self, args, sx):
-        if len(args) != 1 or not args[0].is_atom:
+        if len(args) != 1 or args[0].items is not None:
             raise ParseError("set-logic takes one symbol", sx.line, sx.col)
         logic = args[0].text
         if logic not in _LOGICS:
@@ -203,9 +206,9 @@ class _Parser:
     def _declare_sort(self, args, sx):
         if self.logic in _ARITH_LOGICS:
             raise ParseError(f"declare-sort is not available in {self.logic}", sx.line, sx.col)
-        if len(args) not in (1, 2) or not args[0].is_atom:
+        if len(args) not in (1, 2) or args[0].items is not None:
             raise ParseError("expected (declare-sort <name> 0)", sx.line, sx.col)
-        if len(args) == 2 and (not args[1].is_atom or args[1].text != "0"):
+        if len(args) == 2 and (args[1].items is not None or args[1].text != "0"):
             raise ParseError("only zero-arity sorts are supported", args[1].line, args[1].col)
         try:
             self.decls.declare_sort(args[0].text)
@@ -213,7 +216,7 @@ class _Parser:
             raise ParseError(str(exc), args[0].line, args[0].col)
 
     def _sort_name(self, sx: _SExpr) -> str:
-        if not sx.is_atom:
+        if sx.items is not None:
             raise ParseError("expected a sort name", sx.line, sx.col)
         name = sx.text
         if name == "Int":
@@ -252,28 +255,36 @@ class _Parser:
             raise ParseError(str(exc), name_sx.line, name_sx.col)
 
     def _declare_fun(self, args, sx):
-        if len(args) != 3 or not args[0].is_atom or args[1].is_atom:
+        if len(args) != 3 or args[0].items is not None or args[1].items is None:
             raise ParseError("expected (declare-fun <name> (<sorts>) <sort>)", sx.line, sx.col)
         arg_sorts = tuple(self._sort_name(a) for a in args[1].items)
         self._declare_common(args[0], arg_sorts, self._sort_name(args[2]))
 
     def _declare_const(self, args, sx):
-        if len(args) != 2 or not args[0].is_atom:
+        if len(args) != 2 or args[0].items is not None:
             raise ParseError("expected (declare-const <name> <sort>)", sx.line, sx.col)
         self._declare_common(args[0], (), self._sort_name(args[1]))
 
     # -- terms -------------------------------------------------------------
 
+    def _numeral(self, sx: _SExpr) -> Optional[Rational]:
+        """The value of a numeral token, or None for any other symbol."""
+        text = sx.text
+        numeral = _NUMERAL.fullmatch(text)
+        if not numeral:
+            return None
+        try:
+            return Fraction(text) if numeral.group(1) else int(text)
+        except ValueError:  # beyond the interpreter's digit limit
+            raise ParseError(f"numeral of {len(text)} characters is too long",
+                             sx.line, sx.col) from None
+
     def _term(self, sx: _SExpr) -> Term:
-        if sx.is_atom:
+        items = sx.items
+        if items is None:
             text = sx.text
-            numeral = _NUMERAL.fullmatch(text)
-            if numeral:
-                try:
-                    value = Fraction(text) if numeral.group(1) else int(text)
-                except ValueError:  # beyond the interpreter's digit limit
-                    raise ParseError(f"numeral of {len(text)} characters is too long",
-                                     sx.line, sx.col) from None
+            value = self._numeral(sx)
+            if value is not None:
                 return RatConst(value)
             if text in self.decls.vars:
                 return self.decls.vars[text]
@@ -281,98 +292,125 @@ class _Parser:
                 f = self.decls.funs[text]
                 raise ParseError(f"{text!r} expects {len(f.arg_sorts)} arguments", sx.line, sx.col)
             raise ParseError(f"undeclared symbol {text!r}", sx.line, sx.col)
-        items = sx.items
-        if not items or not items[0].is_atom:
+        if not items or items[0].items is not None:
             raise ParseError("expected a term", sx.line, sx.col)
         op = items[0].text
-        args = items[1:]
-        if op in ("+", "-", "*", "/"):
-            return self._arith(op, args, sx)
+        if op in _ARITH_OPS:
+            coeffs: dict[Var, Rational] = {}
+            return LinComb.build(coeffs, self._linear(sx, 1, coeffs))
         if op in self.decls.funs:
             f = self.decls.funs[op]
             try:
-                return FunApp(f, tuple(self._term(a) for a in args))
+                return FunApp(f, tuple(self._term(a) for a in items[1:]))
             except SortError as exc:
                 raise ParseError(str(exc), sx.line, sx.col)
         raise ParseError(f"unknown function {op!r}", sx.line, sx.col)
 
-    def _to_lincomb(self, t: Term, sx: _SExpr) -> LinComb:
-        if isinstance(t, LinComb):
-            return t
-        if isinstance(t, RatConst):
-            return LinComb((), t.value)
-        if isinstance(t, Var) and t.sort == REAL:
-            return LinComb(((t, 1),), 0)
-        raise ParseError("uninterpreted terms cannot appear in arithmetic", sx.line, sx.col)
+    def _linear(self, sx: _SExpr, k: Rational,
+                coeffs: dict[Var, Rational]) -> Union[Rational, Var, FunApp]:
+        """Add `k` times the term `sx` into `coeffs` (variable -> coefficient)
+        and return `k` times its constant part.  A term outside arithmetic, an
+        uninterpreted constant or application, adds nothing and is returned
+        as the Term it is.
 
-    def _arith(self, op: str, args, sx) -> Term:
-        terms = [self._term(a) for a in args]
-        if op == "+":
-            if not terms:
-                raise ParseError("+ needs arguments", sx.line, sx.col)
-            acc = self._to_lincomb(terms[0], sx)
-            for t in terms[1:]:
-                acc = acc.add(self._to_lincomb(t, sx))
-            return acc
-        if op == "-":
-            if not terms:
-                raise ParseError("- needs arguments", sx.line, sx.col)
-            if len(terms) == 1:
-                return self._to_lincomb(terms[0], sx).negate()
-            acc = self._to_lincomb(terms[0], sx)
-            for t in terms[1:]:
-                acc = acc.add(self._to_lincomb(t, sx).negate())
-            return acc
-        if op == "*":
-            if len(terms) < 2:
+        Every argument of an arithmetic operator is read, with its own
+        errors, before the operator's own errors are raised, so the first
+        error reported is the one a term-by-term evaluation would meet."""
+        items = sx.items
+        if items is None:
+            first = sx.text[0]
+            if first == "-" or first.isdecimal():  # else _NUMERAL cannot match
+                value = self._numeral(sx)
+                if value is not None:
+                    return k * value
+            v = self.decls.vars.get(sx.text)
+            if v is None:
+                return self._term(sx)  # raises: undeclared, or a function name
+            if v.sort != REAL:
+                return v
+            coeffs[v] = coeffs.get(v, 0) + k
+            return 0
+        if not items or items[0].items is not None or items[0].text not in _ARITH_OPS:
+            return self._term(sx)
+        op = items[0].text
+        args = items[1:]
+        if op == "+" or op == "-":
+            if not args:
+                raise ParseError(f"{op} needs arguments", sx.line, sx.col)
+            const = 0
+            pure = True
+            sign = k if op == "+" or len(args) > 1 else -k
+            for a in args:
+                part = self._linear(a, sign, coeffs)
+                if isinstance(part, _NON_ARITH):
+                    pure = False
+                else:
+                    const += part
+                if op == "-":
+                    sign = -k
+            if not pure:
+                raise ParseError("uninterpreted terms cannot appear in arithmetic", sx.line, sx.col)
+            return const
+        # "*" and "/" need the value of each argument before they can scale
+        # the non-constant one, so every argument gets an accumulator of its own
+        parts = []
+        for a in args:
+            sub: dict[Var, Rational] = {}
+            parts.append((self._linear(a, 1, sub), sub, a))
+        if op == "/":
+            if len(parts) != 2:
+                raise ParseError("/ takes two arguments", sx.line, sx.col)
+            (num, own, _), (den, den_coeffs, _) = parts
+            if isinstance(num, _NON_ARITH) or isinstance(den, _NON_ARITH):
+                raise ParseError("uninterpreted terms cannot appear in arithmetic", sx.line, sx.col)
+            if any(den_coeffs.values()) or den == 0:
+                raise ParseError("division only by a nonzero numeric constant", sx.line, sx.col)
+            scale = k * Fraction(1, den)
+        else:
+            if len(parts) < 2:
                 raise ParseError("* needs at least two arguments", sx.line, sx.col)
-            const = 1
-            other: Optional[LinComb] = None
-            for t, a in zip(terms, args):
-                lc = self._to_lincomb(t, sx)
-                if not lc.terms:
-                    const *= lc.offset
-                elif other is None:
-                    other = lc
+            scale = k
+            num, own = 1, None  # the one factor that is not a constant
+            for const, part, a in parts:
+                if isinstance(const, _NON_ARITH):
+                    raise ParseError("uninterpreted terms cannot appear in arithmetic",
+                                     sx.line, sx.col)
+                if not any(part.values()):
+                    scale *= const
+                elif own is None:
+                    num, own = const, part
                 else:
                     raise ParseError("multiplication must be by a numeric constant",
                                      a.line, a.col)
-            return other.scale(const) if other is not None else LinComb((), const)
-        # op == "/"
-        if len(terms) != 2:
-            raise ParseError("/ takes two arguments", sx.line, sx.col)
-        num = self._to_lincomb(terms[0], sx)
-        den = self._to_lincomb(terms[1], sx)
-        if den.terms or den.offset == 0:
-            raise ParseError("division only by a nonzero numeric constant", sx.line, sx.col)
-        return num.scale(Fraction(1, den.offset))
+            if own is None:
+                return scale
+        for v, c in own.items():
+            coeffs[v] = coeffs.get(v, 0) + c * scale
+        return num * scale
 
     # -- atoms and formulas --------------------------------------------------
 
     def _relation(self, op: str, args, sx) -> Atom:
+        """One atom from both sides of a relation, read into one
+        accumulator, with `>=` and `>` rewritten by negating sides."""
         if len(args) != 2:
             raise ParseError(f"{op} takes two arguments", sx.line, sx.col)
-        lhs = self._term(args[0])
-        rhs = self._term(args[1])
-        ls, rs = term_sort(lhs), term_sort(rhs)
-        if op == "=" and ls == rs and ls != REAL:
-            try:
+        coeffs: dict[Var, Rational] = {}
+        k = -1 if op in (">=", ">") else 1
+        lhs = self._linear(args[0], k, coeffs)
+        rhs = self._linear(args[1], -k, coeffs)
+        lterm, rterm = isinstance(lhs, _NON_ARITH), isinstance(rhs, _NON_ARITH)
+        if lterm or rterm:
+            ls = term_sort(lhs) if lterm else REAL
+            rs = term_sort(rhs) if rterm else REAL
+            if op == "=" and ls == rs:
                 return euf_atom(lhs, rhs)
-            except SortError as exc:
-                raise ParseError(str(exc), sx.line, sx.col)
-        if ls != REAL or rs != REAL:
             raise ParseError(f"relation {op} needs arithmetic operands "
                              f"(got sorts {ls}, {rs})", sx.line, sx.col)
-        lc = self._to_lincomb(lhs, args[0])
-        rc = self._to_lincomb(rhs, args[1])
-        if op in ("<=", "<", "="):
-            return canonical_lin_atom(lc.add(rc.negate()), op)
-        if op == ">=":
-            return canonical_lin_atom(rc.add(lc.negate()), "<=")
-        return canonical_lin_atom(rc.add(lc.negate()), "<")  # op == ">"
+        return canonical_lin_atom(LinComb.build(coeffs, lhs + rhs), _CANONICAL_REL[op])
 
     def _bool(self, sx: _SExpr) -> BoolExpr:
-        if sx.is_atom:
+        if sx.items is None:
             text = sx.text
             if text == "true":
                 return BConst(True)
@@ -384,7 +422,7 @@ class _Parser:
                 raise ParseError(f"{text!r} is not Boolean", sx.line, sx.col)
             raise ParseError(f"undeclared symbol {text!r}", sx.line, sx.col)
         items = sx.items
-        if not items or not items[0].is_atom:
+        if not items or items[0].items is not None:
             raise ParseError("expected a formula", sx.line, sx.col)
         op = items[0].text
         args = items[1:]
@@ -404,10 +442,7 @@ class _Parser:
             if len(args) < 2:
                 raise ParseError("=> needs at least two arguments", sx.line, sx.col)
             parts = [self._bool(a) for a in args]
-            acc = parts[-1]
-            for p in reversed(parts[:-1]):
-                acc = BOr((BNot(p), acc))
-            return acc
+            return BOr(tuple(BNot(p) for p in parts[:-1]) + (parts[-1],))
         if op == "ite":
             if len(args) != 3:
                 raise ParseError("ite takes three arguments", sx.line, sx.col)
@@ -418,7 +453,7 @@ class _Parser:
                 # Boolean equality is out of the supported grammar; detect it
                 # early for a clear message.
                 for a in args:
-                    if a.is_atom and a.text in self.decls.props:
+                    if a.items is None and a.text in self.decls.props:
                         raise ParseError("equality between Boolean terms is unsupported",
                                          sx.line, sx.col)
             return BAtom(self._relation(op, args, sx))
@@ -439,12 +474,39 @@ def parse_file(path: str) -> AssertionSet:
 # Rendering (used by `core --out` to write a core as a new input file)
 # ---------------------------------------------------------------------------
 
+# A numeral of more digits than the interpreter converts (4,300 by default)
+# is written as constant arithmetic over numerals of at most this many.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10 ** _CHUNK_DIGITS
+_CHUNK_TEXT = str(_CHUNK)
+
+
+def _nat_sexpr(n: int) -> str:
+    """A natural number as text the reader turns back into `n`.  Past
+    `_CHUNK_DIGITS` digits, its base-10**_CHUNK_DIGITS digits are split in
+    halves, as (+ (* high B ... B) low), so the nesting grows with the log of
+    the length."""
+    if n < _CHUNK:
+        return str(n)
+    digits = []  # least significant first
+    while n:
+        n, d = divmod(n, _CHUNK)
+        digits.append(d)
+
+    def poly(ds: list[int]) -> str:
+        if len(ds) == 1:
+            return str(ds[0])
+        half = len(ds) // 2
+        shift = f" {_CHUNK_TEXT}" * half
+        return f"(+ (* {poly(ds[half:])}{shift}) {poly(ds[:half])})"
+
+    return poly(digits)
+
+
 def _frac_sexpr(value: Rational) -> str:
-    if value.denominator == 1:
-        return str(value.numerator) if value >= 0 else f"(- {-value.numerator})"
-    if value >= 0:
-        return f"(/ {value.numerator} {value.denominator})"
-    return f"(- (/ {-value.numerator} {value.denominator}))"
+    num, den = abs(value.numerator), value.denominator
+    text = _nat_sexpr(num) if den == 1 else f"(/ {_nat_sexpr(num)} {_nat_sexpr(den)})"
+    return text if value >= 0 else f"(- {text})"
 
 
 def term_sexpr(t: Term) -> str:

@@ -90,6 +90,20 @@ class TestCore:
         code2, out2, _ = run_cli("solve", str(dest), capsys=capsys)
         assert code2 == 20 and out2.strip() == "unsat"
 
+    def test_out_writes_coefficients_past_the_digit_limit(self, tmp_path, capsys):
+        big = "7" * 3000  # its square has 6,000 digits, past the interpreter's 4,300
+        src = tmp_path / "big.smt2"
+        src.write_text(f"(declare-fun x () Real)(assert (< (* {big} {big} x) 1))"
+                       "(assert (> x 1))", encoding="utf-8")
+        dest = tmp_path / "core.smt2"
+        code, out, err = run_cli("core", str(src), "--out", str(dest), capsys=capsys)
+        assert (code, out.splitlines()[0], err) == (20, "unsat", "")
+        written = cnf_convert(parse_file(str(dest)))
+        original = cnf_convert(parse_file(str(src)))
+        assert list(written.atoms.items()) == list(original.atoms.items())
+        code2, out2, _ = run_cli("solve", str(dest), capsys=capsys)
+        assert code2 == 20 and out2.strip() == "unsat"
+
     def test_all_methods_give_verified_cores(self, data_dir, capsys):
         for method in ("lift-proof", "lift-selectors", "lift-external",
                        "smt-proof", "smt-selectors"):
@@ -126,6 +140,23 @@ class TestMalformedInput:
                         + ")" * depth + ")", encoding="utf-8")
         code, _, err = run_cli("solve", str(deep), capsys=capsys)
         assert code == 1 and "nesting" in err
+
+    def test_flat_implication_gives_a_verdict(self, tmp_path, capsys):
+        n = 1200
+        valid = tmp_path / "valid.smt2"
+        valid.write_text("(declare-fun p () Bool)(assert (=>" + " p" * n + "))", encoding="utf-8")
+        code, out, err = run_cli("core", str(valid), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "tautological" in err
+        props = [f"p{i}" for i in range(n)]
+        chain = tmp_path / "chain.smt2"
+        chain.write_text("".join(f"(declare-fun {p} () Bool)" for p in props)
+                         + f"(assert (=> {' '.join(props)}))"
+                         + f"(assert (and {' '.join(props[:-1])}))"
+                         + f"(assert (not {props[-1]}))", encoding="utf-8")
+        code, out, _ = run_cli("core", str(chain), capsys=capsys)
+        assert code == 20
+        assert out.splitlines()[2] == "core-assertions: 1 2 3"
 
     @pytest.mark.parametrize("argv", [[], ["core"], ["core", "f.smt2", "--method", "magic"],
                                       ["solve", "f.smt2", "--budget", "many"]])

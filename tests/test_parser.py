@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smtcore.cnf import cnf_convert
-from smtcore.parser import ParseError, _tokenize, parse, render_instance
+from smtcore.parser import MAX_NESTING, ParseError, _read_sexprs, parse, render_instance
 from smtcore.terms import REAL, AtomTable, LinAtom, LinComb, Var, canonical_lin_atom
 
 NINE_CLAUSES = """
@@ -144,8 +145,23 @@ def test_render_subset_is_parsable(nine_clauses):
     assert len(sub.clauses) == 3
 
 
+@pytest.mark.parametrize("digits", [4000, 4001, 6000, 50_000])
+def test_render_writes_numbers_past_the_digit_limit(digits):
+    """A number longer than the interpreter converts is written as constant
+    arithmetic over shorter numerals, and reads back to the same atoms."""
+    big = "(* " + " ".join(["9" * 1000] * (digits // 1000)) + ")"
+    text = (f"(declare-fun x () Real)(declare-fun y () Real)"
+            f"(assert (< (+ (* {big} x) y) (/ 1 {big})))(assert (= (* 3 {big}) (* 7 y)))")
+    formula = cnf_convert(parse(text))
+    assert max(abs(a.offset) for _, a in formula.atoms.items()) >= 10 ** (digits - 10)
+    rendered = render_instance(formula)
+    assert max(len(numeral) for numeral in re.findall(r"\d+", rendered)) <= 4001
+    reparsed = cnf_convert(parse(rendered))
+    assert list(reparsed.atoms.items()) == list(formula.atoms.items())
+
+
 # ---------------------------------------------------------------------------
-# Tokenizer: pinned to the character loop it replaced
+# Reader: pinned to the character loop and the token-list reader it replaced
 # ---------------------------------------------------------------------------
 
 def reference_tokenize(text):
@@ -181,8 +197,40 @@ def reference_tokenize(text):
     return toks
 
 
-def tokens(text):
-    return [(t if t in "()" else "sym", t, line, col) for t, line, col in _tokenize(text)]
+def reference_read(text):
+    """The reader that ran over `reference_tokenize`, kept as the reference:
+    the tree as nested tuples, symbols as ("sym", text, line, column) and
+    lists as ("list", line, column, children), or the error it raised as
+    ("error", message, line, column)."""
+    out, stack = [], []
+    for kind, tok, line, col in reference_tokenize(text):
+        if kind == "(":
+            if len(stack) == MAX_NESTING:
+                return ("error", f"nesting deeper than {MAX_NESTING} levels", line, col)
+            node = ("list", line, col, [])
+            (stack[-1][3] if stack else out).append(node)
+            stack.append(node)
+        elif kind == ")":
+            if not stack:
+                return ("error", "unbalanced ')'", line, col)
+            stack.pop()
+        else:
+            (stack[-1][3] if stack else out).append(("sym", tok, line, col))
+    if stack:
+        return ("error", "unbalanced '(' at end of input", stack[-1][1], stack[-1][2])
+    return out
+
+
+def read(text):
+    """`_read_sexprs` in the form of `reference_read`."""
+    def tree(sx):
+        if sx.items is None:
+            return ("sym", sx.text, sx.line, sx.col)
+        return ("list", sx.line, sx.col, [tree(c) for c in sx.items])
+    try:
+        return [tree(sx) for sx in _read_sexprs(text)]
+    except ParseError as exc:
+        return ("error", str(exc).split(": ", 1)[1], exc.line, exc.col)
 
 
 @pytest.mark.parametrize("text", [
@@ -196,9 +244,13 @@ def tokens(text):
     "a;b\nc;d\n;e",
     "x\x0by\x0cz é ²",  # only space, tab, CR and LF separate symbols
     "",
+    "(a (b (c d) e)\n  f) g (h)",
+    pytest.param("(" * MAX_NESTING + ")" * MAX_NESTING, id="nesting-at-the-limit"),
+    pytest.param("x " + "(" * (MAX_NESTING + 1) + ")" * (MAX_NESTING + 1),
+                 id="nesting-past-the-limit"),
 ])
 def test_tokenizer_matches_the_character_loop(text):
-    assert tokens(text) == reference_tokenize(text)
+    assert read(text) == reference_read(text)
 
 
 # Parser-shaped text, so that the fuzzing reaches past the reader into the
@@ -216,7 +268,7 @@ ALPHABET = "();-./0123456789abcdefghijklmnopqrstuvwxyz \t\r\n"
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.one_of(st.text(alphabet=ALPHABET, max_size=80), PARSER_ISH))
 def test_arbitrary_text_raises_only_parse_errors(text):
-    assert tokens(text) == reference_tokenize(text)
+    assert read(text) == reference_read(text)
     try:
         parse(text)
     except ParseError:
@@ -238,6 +290,28 @@ def test_error_positions_are_unchanged(text, line, col):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert (info.value.line, info.value.col) == (line, col)
+
+
+_TERMS = ("(declare-sort U 0)(declare-fun a () U)(declare-fun f (U) U)"
+          "(declare-fun x () Real)(declare-fun y () Real)\n")
+
+
+@pytest.mark.parametrize("text, col, message", [
+    ("(assert (< (* x y (f a)) 1))", 17, "multiplication must be by a numeric constant"),
+    ("(assert (< (* x (f a) y) 1))", 12, "uninterpreted terms cannot appear in arithmetic"),
+    ("(assert (< (+ (f a) w) 1))", 21, "undeclared symbol 'w'"),
+    ("(assert (< (/ x (f a)) (* 2)))", 12, "uninterpreted terms cannot appear in arithmetic"),
+    ("(assert (= (+ x 1) (f q)))", 23, "undeclared symbol 'q'"),
+    ("(assert (= a (+ (f x) 1)))", 17, "argument of f has sort Real, expected U"),
+    ("(assert (>= (- (* x 0.5) (f a)) (/ y 0)))", 13,
+     "uninterpreted terms cannot appear in arithmetic"),
+])
+def test_the_first_error_met_is_the_one_reported(text, col, message):
+    """Every argument is read, with its errors, before its operator's own
+    errors are raised: pinned to term-by-term evaluation."""
+    with pytest.raises(ParseError) as info:
+        parse(_TERMS + text)
+    assert (info.value.line, info.value.col, str(info.value)) == (2, col, f"2:{col}: {message}")
 
 
 @pytest.mark.parametrize("numeral", ["9" * 5000, "1." + "5" * 5000, "²"])
