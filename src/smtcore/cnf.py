@@ -84,26 +84,39 @@ def _simplify(node):
     return (kind, out)
 
 
-def _merge_lits(left: tuple[_Lit, ...], right: tuple[_Lit, ...]) -> Optional[tuple[_Lit, ...]]:
-    """Ordered union of two literal tuples; None when tautological."""
-    have = dict(left)
-    out = list(left)
-    for a, p in right:
+def _extend(partial: tuple[list[_Lit], dict[Atom, bool]], lits) -> bool:
+    """Append `lits` to a partial clause (its literals and their polarity
+    by atom) in place, skipping repeats; False when that makes it
+    tautological."""
+    out, have = partial
+    for a, p in lits:
         prev = have.get(a)
         if prev is None:
             have[a] = p
             out.append((a, p))
         elif prev != p:
-            return None
-    return tuple(out)
+            return False
+    return True
 
 
-def _try_distribute(node, guard: int = 4096) -> Optional[list[tuple[_Lit, ...]]]:
+def _distinct(clauses):
+    """The first clause of each literal set, in order."""
+    seen = set()
+    out = []
+    for cl in clauses:
+        key = frozenset(cl[0])
+        if key not in seen:
+            seen.add(key)
+            out.append(cl)
+    return out
+
+
+def _try_distribute(node, guard: int = 4096) -> Optional[list[list[_Lit]]]:
     """Full distribution into an ordered clause list, or None past the safety
     guard.  Tautological and duplicate clauses are dropped; literal order
     follows the source tree so the result is deterministic."""
     if node[0] == "lit":
-        return [((node[1], node[2]),)]
+        return [[(node[1], node[2])]]
     kind, children = node
     parts = []
     for c in children:
@@ -123,24 +136,31 @@ def _try_distribute(node, guard: int = 4096) -> Optional[list[tuple[_Lit, ...]]]
             if len(out) > guard:
                 return None
         return out
-    # or: pairwise products
-    acc: list[tuple[_Lit, ...]] = [()]
+    # or: pairwise products.  A one-clause child extends every partial
+    # clause in place, so an `or` of n literals costs O(n).  Two partials
+    # that are equal stay equal under every later extension, so dropping
+    # duplicates only before a product and at the end keeps the same first
+    # copies, in the same order, as dropping them after every child.
+    acc: list[tuple[list[_Lit], dict[Atom, bool]]] = [([], {})]
     for sub in parts:
+        if len(sub) == 1:
+            acc = [part for part in acc if _extend(part, sub[0])]
+            continue
         nxt = []
         seen = set()
-        for left in acc:
+        for lits, have in _distinct(acc):
             for right in sub:
-                merged = _merge_lits(left, right)
-                if merged is None:
+                merged = (list(lits), dict(have))
+                if not _extend(merged, right):
                     continue  # tautology: drop
-                key = frozenset(merged)
+                key = frozenset(merged[0])
                 if key not in seen:
                     seen.add(key)
                     nxt.append(merged)
             if len(nxt) > guard:
                 return None
         acc = nxt
-    return acc
+    return [lits for lits, _ in _distinct(acc)]
 
 
 class _Definitions:
@@ -214,12 +234,6 @@ def _valid(aid: int) -> CnfError:
                     "it would contribute no clauses")
 
 
-def _is_clause_shaped(node) -> bool:
-    if node[0] == "lit":
-        return True
-    return node[0] == "or" and all(c[0] == "lit" for c in node[1])
-
-
 def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
     """Convert a parsed assertion set into an indexed CNF formula.
 
@@ -250,11 +264,6 @@ def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
             if node[1]:
                 raise _valid(aid)
             emit([], aid)
-            continue
-        if _is_clause_shaped(node):
-            lits = [(node[1], node[2])] if node[0] == "lit" else [
-                (c[1], c[2]) for c in node[1]]
-            emit(lits, aid)
             continue
         dist = _try_distribute(node)
         if dist is not None and not dist:

@@ -29,6 +29,10 @@ from .smt import SelectorEngine, SmtSolver, lifted_clauses, smt_solve
 from .terms import Formula, Literal
 
 
+# Wall-clock seconds an external extractor may run before it is stopped.
+BRIDGE_TIMEOUT_S = 60.0
+
+
 class ExtractionError(RuntimeError):
     pass
 
@@ -44,7 +48,6 @@ class ExtractorConfig:
     output_mode: str = "index-list"  # index-list | dimacs-subset
     fixpoint: bool = False
     minimize: bool = False
-    timeout: Optional[float] = 60.0
 
     def __post_init__(self):
         if self.kind not in ("internal-proof", "internal-selectors", "external"):
@@ -84,8 +87,7 @@ def _extract_once(clauses: list[list[int]], config: ExtractorConfig,
         if verdict.status == "sat":
             raise ExtractionError("input is satisfiable; there is no core to extract")
         return core
-    return external_bridge(clauses, config.command, config.output_mode,
-                           timeout=config.timeout, nvars=nvars)
+    return external_bridge(clauses, config.command, config.output_mode, nvars=nvars)
 
 
 def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
@@ -113,13 +115,14 @@ def boolean_core(clauses: list[list[int]], config: ExtractorConfig,
 
 
 def external_bridge(clauses: list[list[int]], command_template: str,
-                    mode: str = "index-list", timeout: Optional[float] = 60.0,
+                    mode: str = "index-list",
                     nvars: Optional[int] = None) -> list[int]:
     """Run an external propositional core extractor over DIMACS files.
 
     The returned set is validated: it must be a subset of the emitted
     clauses (by index or by multiset match) and unsatisfiable.  Temp files
-    are kept on error for debugging and removed on success.
+    are kept on error for debugging and removed on success.  A run longer
+    than BRIDGE_TIMEOUT_S seconds is stopped and reported as a failure.
     """
     doc = dimacs.document_for(clauses, nvars)
     workdir = Path(tempfile.mkdtemp(prefix="smtcore-bridge-"))
@@ -129,9 +132,10 @@ def external_bridge(clauses: list[list[int]], command_template: str,
     argv = [tok.replace("{in}", str(in_path)).replace("{out}", str(out_path))
             for tok in shlex.split(command_template)]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=BRIDGE_TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        raise BridgeError(f"extractor timed out after {timeout}s (files kept in {workdir})")
+        raise BridgeError(f"extractor timed out after {BRIDGE_TIMEOUT_S}s "
+                          f"(files kept in {workdir})")
     except OSError as exc:
         raise BridgeError(f"could not run extractor {argv[0]!r}: {exc} "
                           f"(files kept in {workdir})")

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .terms import AtomTable
-
 
 class DimacsError(ValueError):
     pass
@@ -40,12 +38,6 @@ def document_for(clauses: Iterable[Iterable[int]], nvars: int | None = None) -> 
     if nvars is None:
         nvars = max((abs(l) for cl in rows for l in cl), default=0)
     return DimacsDocument(nvars, rows)
-
-
-def write_dimacs(bool_clauses: list[list[int]], table: AtomTable) -> DimacsDocument:
-    """Document for abstraction clauses; variable count = atom-table size."""
-    doc = document_for(bool_clauses, nvars=len(table))
-    return doc
 
 
 def render(doc: DimacsDocument) -> str:

@@ -17,6 +17,12 @@ positions, activities and phases live in plain lists indexed by literal or
 variable (see `SatSolver`), propagation reads them inline, conflict
 analysis walks the trail backwards with a seen-set, and branching reads a
 lazy binary heap.
+
+There is one search for every caller.  It never restarts: the trail is
+cut back only by conflict analysis and by a new `solve` call.  Proof
+logging only records: with `log_proof` on or off, the solver makes the same
+decisions, counts the same conflicts, learns the same clauses and returns
+the same verdict and model.
 """
 from __future__ import annotations
 
@@ -37,18 +43,13 @@ class ProofLog:
     def __init__(self):
         self.nodes: list[tuple] = []
         self.final: Optional[int] = None
-        self._leaf_of: dict[int, int] = {}
 
     def lits(self, node: int) -> frozenset[int]:
         return self.nodes[node][-1]
 
     def leaf(self, clause_id: int, lits: Iterable[int]) -> int:
-        cached = self._leaf_of.get(clause_id)
-        if cached is not None:
-            return cached
         node = len(self.nodes)
         self.nodes.append(("leaf", clause_id, frozenset(lits)))
-        self._leaf_of[clause_id] = node
         return node
 
     def resolve(self, pivot: int, left: int, right: int) -> int:
@@ -153,8 +154,9 @@ HEAP_SLACK = 4
 
 class SatSolver:
     """CDCL with two-watched literals, activity branching (decay
-    ACTIVITY_DECAY, ties to the lowest variable index), 1st-UIP learning and
-    optional geometric restarts (off by default while logging proofs).
+    ACTIVITY_DECAY, ties to the lowest variable index) and 1st-UIP
+    learning, without restarts.  `log_proof` records a resolution
+    derivation of every learned clause and never changes the search.
 
     All search state is held in plain lists.  `_vals` and `_watches` are
     indexed by the signed literal itself: for a capacity of `cap` variables
@@ -172,7 +174,6 @@ class SatSolver:
 
     def __init__(self, log_proof: bool = False,
                  conflict_budget: Optional[int] = None,
-                 enable_restarts: Optional[bool] = None,
                  seed: Optional[int] = None):
         self.clauses: list[list[int]] = []
         self.origins: list[tuple] = []
@@ -195,9 +196,6 @@ class SatSolver:
         self.var_inc = 1.0
         self.conflict_budget = conflict_budget
         self.conflicts = 0
-        if enable_restarts is None:
-            enable_restarts = not log_proof
-        self.enable_restarts = enable_restarts
         # a seed perturbs initial activities, varying branching tie-breaks
         # while staying reproducible per seed
         import random as _random
@@ -574,8 +572,6 @@ class SatSolver:
         self._backjump(0)
         if self.refuted:
             return SatVerdict("unsat", proof=self.proof)
-        restart_limit = 100
-        conflicts_here = 0
         budget_end = None if self.conflict_budget is None else self.conflicts + self.conflict_budget
         while True:
             confl = self._propagate()
@@ -587,7 +583,6 @@ class SatSolver:
                 self.pending_conflict = None
             if confl is not None:
                 self.conflicts += 1
-                conflicts_here += 1
                 if budget_end is not None and self.conflicts > budget_end:
                     return SatVerdict("unknown")
                 res = self._analyze(confl)
@@ -596,11 +591,6 @@ class SatSolver:
                     return SatVerdict("unsat", proof=self.proof)
                 learned, backjump, node = res
                 self._learn(learned, backjump, node)
-                continue
-            if self.enable_restarts and conflicts_here >= restart_limit:
-                restart_limit = int(restart_limit * 1.5)
-                conflicts_here = 0
-                self._backjump(0)
                 continue
             dl = self.decision_level
             if dl < len(assumptions):

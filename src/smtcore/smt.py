@@ -78,8 +78,7 @@ class SmtSolver:
         self.early_pruning = early_pruning
         self.theory_propagation = theory_propagation
         self.store = TLemmaStore()
-        self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget,
-                             enable_restarts=False, seed=seed)
+        self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget, seed=seed)
         self.sat.ensure_vars(len(self.table))
         for i, clause in enumerate(formula.clauses):
             self.sat.add_clause(self.table.t2p(clause), ("input", i))

@@ -89,18 +89,6 @@ class LinComb:
                              key=lambda it: it[0].index))
         return LinComb(items, offset)
 
-    def add(self, other: "LinComb") -> "LinComb":
-        coeffs: dict[Var, Rational] = dict(self.terms)
-        for v, c in other.terms:
-            coeffs[v] = coeffs.get(v, 0) + c
-        return LinComb.build(coeffs, self.offset + other.offset)
-
-    def scale(self, k: Rational) -> "LinComb":
-        return LinComb.build({v: c * k for v, c in self.terms}, self.offset * k)
-
-    def negate(self) -> "LinComb":
-        return self.scale(-1)
-
     def evaluate(self, values: dict[Var, Rational]) -> Rational:
         total = self.offset
         for v, c in self.terms:
@@ -323,15 +311,6 @@ class AtomTable:
                 raise LookupError(f"literal references unknown atom id {lit.atom}")
             out.append(lit.signed())
         return out
-
-    def p2t(self, lits: Iterable[int], origin: Origin = LEARNED) -> Clause:
-        """Refine a Boolean clause back to an atom-level clause."""
-        back = []
-        for s in lits:
-            if s == 0 or not 1 <= abs(s) <= len(self._atoms):
-                raise LookupError(f"Boolean literal {s} does not refine to a known atom")
-            back.append(Literal(abs(s), s > 0))
-        return Clause(tuple(back), origin)
 
 
 # ---------------------------------------------------------------------------

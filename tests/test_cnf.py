@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,19 @@ def test_clause_shaped_assertions_pass_through_verbatim():
     f = convert("(assert (or a (not b) c))")
     assert len(f.clauses) == 1
     assert [l.positive for l in f.clauses[0].lits] == [True, False, True]
+
+
+def test_long_or_with_a_composite_argument_converts_in_linear_time():
+    # (and q0 q1) distributes into the literal part: one clause of n literals
+    n = 20_000
+    text = "".join(f"(declare-fun q{i} () Bool)" for i in range(n))
+    text += "(assert (or " + " ".join(f"q{i}" for i in range(n)) + " (and q0 q1)))"
+    assertions = parse(text)
+    start = time.process_time()
+    f = cnf_convert(assertions)
+    assert time.process_time() - start < 2.0
+    assert len(f.clauses) == 1
+    assert [l.atom for l in f.clauses[0].lits] == list(range(1, n + 1))
 
 
 def test_single_atom_assertion_is_a_unit_clause():

@@ -4,6 +4,7 @@ import pytest
 
 from gen import labeled_corpus
 from oracles import brute_force_smt_sat
+from smtcore import cores
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
     METHODS, BridgeError, ExtractorConfig, ExtractionError, boolean_core, check_core,
@@ -234,6 +235,15 @@ class TestBridge:
         with pytest.raises(BridgeError, match="files kept in"):
             external_bridge([[1], [-1]], cmd, mode="dimacs-subset")
         kept, = tmp_path.glob("smtcore-bridge-*")
+        assert (kept / "problem.cnf").exists()
+
+    def test_timeout_stops_the_extractor_and_keeps_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cores, "BRIDGE_TIMEOUT_S", 0.5)
+        cmd = f"{_python()} -c \"import time; time.sleep(30)\" {{in}} {{out}}"
+        with pytest.raises(BridgeError, match="timed out after 0.5s") as err:
+            external_bridge([[1], [-1]], cmd)
+        kept, = tmp_path.glob("smtcore-bridge-*")
+        assert f"files kept in {kept}" in str(err.value)
         assert (kept / "problem.cnf").exists()
 
     def test_nonzero_exit_reported(self):

@@ -8,7 +8,7 @@ from gen import random_formula
 from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
 from smtcore.cores import ExtractorConfig, lemma_lift_core
-from smtcore.dimacs import render, write_dimacs
+from smtcore.dimacs import document_for, render
 from smtcore.parser import parse_file
 from smtcore.smt import smt_solve
 
@@ -20,7 +20,7 @@ def _pipeline(path):
     verdict, store = smt_solve(formula)
     rows = [formula.atoms.t2p(c) for c in formula.clauses]
     rows += [formula.atoms.t2p(l.clause) for l in store]
-    dim = render(write_dimacs(rows, formula.atoms))
+    dim = render(document_for(rows, len(formula.atoms)))
     report = lemma_lift_core(formula, ExtractorConfig("internal-proof", minimize=True))
     return dim, report.core
 
@@ -35,7 +35,7 @@ _HASH_SEED_PROG = """
 import sys
 from smtcore.cnf import cnf_convert
 from smtcore.cores import ExtractorConfig, lemma_lift_core
-from smtcore.dimacs import render, write_dimacs
+from smtcore.dimacs import document_for, render
 from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse_file
 from smtcore.smt import smt_solve
@@ -44,7 +44,7 @@ formula = cnf_convert(parse_file(sys.argv[1]))
 verdict, store = smt_solve(formula)
 rows = [formula.atoms.t2p(c) for c in formula.clauses]
 rows += [formula.atoms.t2p(l.clause) for l in store]
-print(render(write_dimacs(rows, formula.atoms)))
+print(render(document_for(rows, len(formula.atoms))))
 report = lemma_lift_core(formula, ExtractorConfig("internal-proof", minimize=True))
 print(report.core)
 print([sorted(m) for m in all_minimal_cores(formula)[1].muses])

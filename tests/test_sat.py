@@ -325,3 +325,41 @@ class TestBranching:
                     assert v.status == "unsat"
                     assert s.picks > 100 and s.backjumps > 100
                     assert s.rescales == (var_inc > 1.0)
+
+
+class TestProofLoggingOnlyObserves:
+    """A proof-logging solver searches exactly as a plain one: the same
+    conflicts, verdict, model and learned clauses."""
+
+    @staticmethod
+    def _solve(clauses, log_proof):
+        s = SatSolver(log_proof=log_proof)
+        for i, cl in enumerate(clauses):
+            s.add_clause(cl, ("input", i))
+        v = s.solve()
+        learned = [cl for cl, origin in zip(s.clauses, s.origins) if origin == ("learned",)]
+        return s.conflicts, v.status, v.model, learned
+
+    def _assert_same_search(self, clauses):
+        plain = self._solve(clauses, log_proof=False)
+        logged = self._solve(clauses, log_proof=True)
+        assert plain == logged
+        return plain
+
+    def test_random_three_cnf(self):
+        statuses = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            # 90 variables near the satisfiability threshold: long searches,
+            # some satisfiable and some not
+            clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 91), 3)]
+                       for _ in range(384)]
+            conflicts, status, _, _ = self._assert_same_search(clauses)
+            assert conflicts > 100
+            statuses.add(status)
+        assert statuses == {"sat", "unsat"}
+
+    def test_pigeonhole_with_noise(self):
+        clauses, _ = pigeonhole_cnf(random.Random(1), 6, 20, 40)
+        conflicts, status, _, _ = self._assert_same_search(clauses)
+        assert status == "unsat" and conflicts > 100

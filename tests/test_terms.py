@@ -50,7 +50,7 @@ class TestCanonicalization:
         assert lin({}, 5, "<=") == lin({}, 1, "<=")
         assert lin({}, 0, "=").offset == 0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6),
            st.integers(1, 5), st.integers(1, 5),
            st.sampled_from(["<=", "<", "="]))
@@ -133,17 +133,6 @@ class TestAtomTable:
     def test_t2p_empty_clause(self):
         table, *_ = self._table()
         assert table.t2p(Clause(())) == []
-
-    def test_p2t_round_trip(self):
-        table, i1, i2, ip = self._table()
-        clause = Clause((Literal(i2, False), Literal(ip, True)))
-        back = table.p2t(table.t2p(clause))
-        assert back.lits == clause.lits
-
-    def test_p2t_unknown_index_is_an_error(self):
-        table, *_ = self._table()
-        with pytest.raises(LookupError):
-            table.p2t([99])
 
     def test_round_trip_on_every_live_index(self):
         table, i1, i2, ip = self._table()
