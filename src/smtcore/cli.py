@@ -37,14 +37,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+    return integer
+
+
 def _default_budget() -> int | None:
     raw = os.environ.get("SMTCORE_BUDGET")
     if not raw:
         return None
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SMTCORE_BUDGET must be an integer, not {raw!r}") from None
+        return _at_least(0)(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"SMTCORE_BUDGET must be a non-negative integer, "
+                         f"not {raw!r}") from None
 
 
 def _load(path: str):
@@ -149,7 +160,7 @@ def cmd_bench(args) -> int:
 def cmd_boolean_core(args) -> int:
     doc = dimacs.parse_dimacs(Path(args.infile).read_text(encoding="utf-8"))
     config = ExtractorConfig(f"internal-{args.method}", fixpoint=args.fixpoint)
-    core = boolean_core(doc.clauses, config, nvars=doc.nvars)
+    core = boolean_core(doc.clauses, config)
     if args.mode == "index-list":
         Path(args.out).write_text(dimacs.render_core_indices(core), encoding="utf-8")
     else:
@@ -165,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="decide satisfiability")
     ps.add_argument("file")
-    ps.add_argument("--budget", type=int, default=None)
+    ps.add_argument("--budget", type=_at_least(0), default=None)
     ps.add_argument("--seed", type=int, default=None,
                     help="randomize branching tie-breaks, reproducibly")
     ps.add_argument("--proof-out", default=None,
@@ -183,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--extractor-mode", choices=("index-list", "dimacs-subset"),
                     default="index-list")
     pc.add_argument("--out", default=None, help="write the core as a new input file")
-    pc.add_argument("--budget", type=int, default=None)
+    pc.add_argument("--budget", type=_at_least(0), default=None)
     pc.set_defaults(fn=cmd_core)
 
     pa = sub.add_parser("allmus", help="enumerate all MCSes and minimal cores")
     pa.add_argument("file")
-    pa.add_argument("--cap", type=int, default=10_000)
+    pa.add_argument("--cap", type=_at_least(1), default=10_000)
     pa.set_defaults(fn=cmd_allmus)
 
     pv = sub.add_parser("verify", help="check a 1-based core index file")
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("dir")
     pb.add_argument("--methods", default="lift-proof,lift-selectors,smt-proof,smt-selectors")
     pb.add_argument("--baseline", default="lift-proof")
-    pb.add_argument("--budget", type=int, default=None)
+    pb.add_argument("--budget", type=_at_least(0), default=None)
     pb.add_argument("--extractor-cmd", default=None,
                     help="external extractor template for lift-external")
     pb.add_argument("--csv", default=None)

@@ -74,20 +74,19 @@ class CoreReport:
 # Boolean-level extraction
 # ---------------------------------------------------------------------------
 
-def _extract_once(clauses: list[list[int]], config: ExtractorConfig,
-                  nvars: Optional[int]) -> list[int]:
+def _extract_once(clauses: list[list[int]], config: ExtractorConfig) -> list[int]:
     if config.kind == "internal-proof":
-        verdict = sat_solve(clauses, log_proof=True, nvars=nvars)
+        verdict = sat_solve(clauses, log_proof=True)
         if verdict.status == "sat":
             raise ExtractionError("input is satisfiable; there is no core to extract")
         ids = proof_core(verdict.proof)
         return sorted(_leaf_indices(clauses, ids))
     if config.kind == "internal-selectors":
-        verdict, core = solve_with_selectors(clauses, nvars=nvars)
+        verdict, core = solve_with_selectors(clauses)
         if verdict.status == "sat":
             raise ExtractionError("input is satisfiable; there is no core to extract")
         return core
-    return external_bridge(clauses, config.command, config.output_mode, nvars=nvars)
+    return external_bridge(clauses, config.command, config.output_mode)
 
 
 def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
@@ -100,14 +99,13 @@ def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
     return {first[frozenset(clauses[i])] for i in leaf_ids}
 
 
-def boolean_core(clauses: list[list[int]], config: ExtractorConfig,
-                 nvars: Optional[int] = None) -> list[int]:
+def boolean_core(clauses: list[list[int]], config: ExtractorConfig) -> list[int]:
     """Indices of an unsatisfiable subset.  With the fixpoint flag the
     extractor is re-run on its own output until the size stabilizes."""
     current = list(range(len(clauses)))
     while True:
         sub = [clauses[i] for i in current]
-        rel = _extract_once(sub, config, nvars)
+        rel = _extract_once(sub, config)
         new = sorted(current[j] for j in rel)
         if not config.fixpoint or len(new) == len(current):
             return new
@@ -115,8 +113,7 @@ def boolean_core(clauses: list[list[int]], config: ExtractorConfig,
 
 
 def external_bridge(clauses: list[list[int]], command_template: str,
-                    mode: str = "index-list",
-                    nvars: Optional[int] = None) -> list[int]:
+                    mode: str = "index-list") -> list[int]:
     """Run an external propositional core extractor over DIMACS files.
 
     The returned set is validated: it must be a subset of the emitted
@@ -124,7 +121,7 @@ def external_bridge(clauses: list[list[int]], command_template: str,
     are kept on error for debugging and removed on success.  A run longer
     than BRIDGE_TIMEOUT_S seconds is stopped and reported as a failure.
     """
-    doc = dimacs.document_for(clauses, nvars)
+    doc = dimacs.document_for(clauses)
     workdir = Path(tempfile.mkdtemp(prefix="smtcore-bridge-"))
     in_path = workdir / "problem.cnf"
     out_path = workdir / "core.out"
@@ -150,7 +147,7 @@ def external_bridge(clauses: list[list[int]], command_template: str,
         raise BridgeError(f"could not interpret extractor output "
                           f"(files kept in {workdir}): {exc}")
     core = sorted(indices)
-    verdict = sat_solve([clauses[i] for i in core], nvars=nvars)
+    verdict = sat_solve([clauses[i] for i in core])
     if verdict.status != "unsat":
         raise BridgeError(f"extractor returned a satisfiable clause set "
                           f"(files kept in {workdir})")
@@ -183,7 +180,7 @@ def _lift_route(formula: Formula, config: ExtractorConfig, **solve) -> Optional[
     if not _refuted(verdict):
         return None
     n = len(formula.clauses)
-    idxs = boolean_core(lifted_clauses(formula, store), config, nvars=len(formula.atoms))
+    idxs = boolean_core(lifted_clauses(formula, store), config)
     surviving = [i for i in idxs if i < n]
     assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
     return surviving

@@ -200,10 +200,14 @@ class SatSolver:
         # while staying reproducible per seed
         import random as _random
         self._rng = _random.Random(seed) if seed is not None else None
+        # hook_fixpoint(solver) and hook_final(solver) each return whether
+        # they added a clause, and leave a conflict they find in
+        # pending_conflict; hook_backjump(trail_len) follows every backjump
         self.theory_hook = None
         # set once the clauses are refuted without assumptions: every later
         # solve answers unsat, whatever it assumes
         self.refuted = False
+        # a false clause, taken by the next propagation before it propagates
         self.pending_conflict: Optional[int] = None
 
     # -- basic state ---------------------------------------------------------
@@ -575,12 +579,9 @@ class SatSolver:
         budget_end = None if self.conflict_budget is None else self.conflicts + self.conflict_budget
         while True:
             confl = self._propagate()
-            if confl is None and self.theory_hook is not None:
-                hr = self.theory_hook.hook_fixpoint(self)
-                if hr == "added":
-                    continue
-                confl = hr
-                self.pending_conflict = None
+            if confl is None and self.theory_hook is not None \
+                    and self.theory_hook.hook_fixpoint(self):
+                continue
             if confl is not None:
                 self.conflicts += 1
                 if budget_end is not None and self.conflicts > budget_end:
@@ -607,14 +608,8 @@ class SatSolver:
                 continue
             v = self._pick_var()
             if v is None:
-                if self.theory_hook is not None:
-                    hr = self.theory_hook.hook_final(self)
-                    if hr == "added":
-                        continue
-                    if hr is not None:
-                        # re-enter the conflict path above through _propagate
-                        self.pending_conflict = hr
-                        continue
+                if self.theory_hook is not None and self.theory_hook.hook_final(self):
+                    continue
                 vals = self._vals
                 return SatVerdict("sat", model={u: vals[u] for u in range(1, self.nvars + 1)})
             lit = v if self._phase[v] else -v
@@ -627,27 +622,24 @@ class SatSolver:
 # ---------------------------------------------------------------------------
 
 def sat_solve(clauses: list[list[int]], assumptions: Iterable[int] = (),
-              log_proof: bool = False, conflict_budget: Optional[int] = None,
-              nvars: Optional[int] = None) -> SatVerdict:
-    """One-shot solve.  With proof logging, an unsat verdict carries a
-    resolution proof whose leaves are input clauses."""
+              log_proof: bool = False, conflict_budget: Optional[int] = None) -> SatVerdict:
+    """One-shot solve over the variables the clauses and assumptions
+    mention.  With proof logging, an unsat verdict carries a resolution
+    proof whose leaves are input clauses."""
     s = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget)
-    if nvars:
-        s.ensure_vars(nvars)
     for i, cl in enumerate(clauses):
         s.add_clause(cl, ("input", i))
     return s.solve(assumptions)
 
 
 def solve_with_selectors(clauses: list[list[int]],
-                         conflict_budget: Optional[int] = None,
-                         nvars: Optional[int] = None):
+                         conflict_budget: Optional[int] = None):
     """Guard every clause with a fresh selector variable assumed true; on
     unsat the core is the set of clauses whose selectors appear negated in
     the final conflict clause.  Returns (verdict, core indices or None)."""
     if not clauses:
         return SatVerdict("sat", model={}), None
-    base = nvars if nvars else max((abs(l) for cl in clauses for l in cl), default=0)
+    base = max((abs(l) for cl in clauses for l in cl), default=0)
     s = SatSolver(conflict_budget=conflict_budget)
     s.ensure_vars(base + len(clauses))
     selector = {}

@@ -5,10 +5,13 @@ Every theory literal is asserted incrementally as it gets assigned (early
 pruning runs a full theory check at each propagation fixpoint), entailed
 literals are unit-propagated through their deduction clauses (theory
 propagation), and every theory-conflict and theory-deduction clause is
-recorded in an append-only store before use.  The store is the raw
-material for core extraction: the abstraction of the inputs plus the
-stored lemmas is propositionally unsatisfiable whenever the run answers
-unsat.
+appended to the engine's lemma list before it is added to the SAT
+database.  The list needs no index: a stored lemma is a clause of that
+database, so by the time a hook runs, propagation has already used it if
+it is unit and reported it if it is false, and the theory never hands the
+same clause back.  The lemmas are the raw material for core extraction:
+the abstraction of the inputs plus the stored lemmas is propositionally
+unsatisfiable whenever the run answers unsat.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from typing import Iterable, Optional
 
 from .sat import SatSolver, sat_solve
 from .terms import (
-    AtomTable, Clause, Formula, Literal, PropAtom, TLemmaOrigin, atom_theory,
-    formula_from_clauses,
+    AtomTable, Clause, Formula, Literal, PropAtom, atom_theory, formula_from_clauses,
 )
 from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 
@@ -29,32 +31,6 @@ class TLemma:
     clause: Clause
     kind: str  # "theory-conflict" | "theory-deduction"
     seq: int
-
-
-class TLemmaStore:
-    """Append-only, deduplicated store of every lemma produced in a run."""
-
-    def __init__(self):
-        self.lemmas: list[TLemma] = []
-        self._index: dict[frozenset, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.lemmas)
-
-    def __iter__(self):
-        return iter(self.lemmas)
-
-    def add(self, lits: tuple[Literal, ...], kind: str) -> tuple[int, bool]:
-        """Returns (lemma index, is_new)."""
-        key = frozenset((l.atom, l.positive) for l in lits)
-        hit = self._index.get(key)
-        if hit is not None:
-            return hit, False
-        idx = len(self.lemmas)
-        clause = Clause(lits, TLemmaOrigin(idx))
-        self.lemmas.append(TLemma(clause, kind, idx))
-        self._index[key] = idx
-        return idx, True
 
 
 @dataclass
@@ -77,12 +53,11 @@ class SmtSolver:
         self.theory: Optional[TheorySolver] = solver_for_logic(formula.logic, self.table)
         self.early_pruning = early_pruning
         self.theory_propagation = theory_propagation
-        self.store = TLemmaStore()
+        self.store: list[TLemma] = []
         self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget, seed=seed)
         self.sat.ensure_vars(len(self.table))
         for i, clause in enumerate(formula.clauses):
             self.sat.add_clause(self.table.t2p(clause), ("input", i))
-        self._lemma_cid: dict[int, int] = {}
         # theory flags of the atoms the theory solver was built with; atoms
         # interned later are propositional (see add_clause)
         self._theory_var = [False] + [atom_theory(atom) is not None
@@ -96,27 +71,26 @@ class SmtSolver:
     # -- lemma plumbing ----------------------------------------------------------
 
     def _add_lemma(self, lits: tuple[Literal, ...], kind: str) -> tuple[int, str]:
-        idx, is_new = self.store.add(lits, kind)
-        cid = self._lemma_cid.get(idx)
-        if cid is None:
-            cid, status = self.sat.add_clause(
-                [l.signed() for l in lits], ("tlemma", idx))
-            self._lemma_cid[idx] = cid
-        else:
-            status = "known"
-        return cid, status
+        """Store a lemma and add its clause: (clause id, status)."""
+        idx = len(self.store)
+        self.store.append(TLemma(Clause(lits), kind, idx))
+        return self.sat.add_clause([l.signed() for l in lits], ("tlemma", idx))
 
-    def _conflict_lemma(self, conflict: list[Literal]) -> int:
-        lits = tuple(l.negated() for l in conflict)
-        cid, _ = self._add_lemma(lits, "theory-conflict")
-        return cid
+    def _conflict_lemma(self, conflict: list[Literal]) -> bool:
+        """Store the lemma of a theory conflict and make its clause the SAT
+        engine's pending conflict."""
+        cid, _ = self._add_lemma(tuple(l.negated() for l in conflict), "theory-conflict")
+        self.sat.pending_conflict = cid
+        return True
 
     # -- theory hook (called by the SAT engine) -----------------------------------
+    #
+    # Each hook returns whether it added a clause; a conflict it found is
+    # already the SAT engine's pending conflict.
 
-    def _sync(self) -> Optional[int]:
+    def _sync(self) -> bool:
         """Assert newly assigned theory literals in trail order; on a theory
-        conflict, store the lemma and hand its clause id back as the
-        conflicting clause."""
+        conflict, store its lemma and stop."""
         trail = self.sat.trail
         theory_var = self._theory_var
         while self._scan_pos < len(trail):
@@ -129,41 +103,39 @@ class SmtSolver:
                 self._synced_positions.append(pos)
                 if conflict is not None:
                     return self._conflict_lemma(conflict)
-        return None
+        return False
 
-    def hook_fixpoint(self, solver: SatSolver):
-        if not self.early_pruning:
-            return None
-        confl = self._sync()
-        if confl is not None:
-            return confl
+    def _check(self) -> bool:
+        """Sync, then check the asserted literals; True on a theory
+        conflict, whose lemma is stored."""
+        if self._sync():
+            return True
         verdict = self.theory.check_full()
-        if verdict.status == "conflict":
-            return self._conflict_lemma(verdict.conflict)
+        return verdict.status == "conflict" and self._conflict_lemma(verdict.conflict)
+
+    def hook_fixpoint(self, solver: SatSolver) -> bool:
+        if not self.early_pruning:
+            return False
+        if self._check():
+            return True
+        added = False
         if self.theory_propagation:
-            added = False
             for ded in self.theory.deductions():
                 if solver.value(ded.literal.signed()) is not None:
                     continue
                 lits = tuple(l.negated() for l in ded.explanation) + (ded.literal,)
-                cid, status = self._add_lemma(lits, "theory-deduction")
-                if status in ("unit", "conflict", "ok"):
-                    added = True
+                _cid, status = self._add_lemma(lits, "theory-deduction")
                 if status == "conflict":
-                    return cid
-            if added:
-                return "added"
-        return None
+                    return True
+                if status in ("unit", "ok"):
+                    added = True
+        return added
 
-    def hook_final(self, solver: SatSolver):
-        confl = self._sync()
-        if confl is not None:
-            return confl
-        verdict = self.theory.check_full()
-        if verdict.status == "conflict":
-            return self._conflict_lemma(verdict.conflict)
+    def hook_final(self, solver: SatSolver) -> bool:
+        if self._check():
+            return True
         self._theory_model = self.theory.witness()
-        return None
+        return False
 
     def hook_backjump(self, trail_len: int):
         self._scan_pos = min(self._scan_pos, trail_len)
@@ -210,9 +182,12 @@ def smt_solve(formula: Formula, *, early_pruning: bool = True,
               theory_propagation: bool = True,
               conflict_budget: Optional[int] = None,
               log_proof: bool = False,
-              seed: Optional[int] = None) -> tuple[SmtVerdict, TLemmaStore]:
+              seed: Optional[int] = None) -> tuple[SmtVerdict, list[TLemma]]:
     """Solve a formula; returns the verdict together with every theory lemma
-    stored during the run (in discovery order, deduplicated)."""
+    stored during the run, in discovery order.  No lemma repeats and none
+    equals an input clause: each is a clause the current assignment
+    falsifies or makes unit, which no clause already in the SAT database
+    can be once propagation has reached its fixpoint."""
     engine = SmtSolver(formula, early_pruning=early_pruning,
                        theory_propagation=theory_propagation,
                        conflict_budget=conflict_budget, log_proof=log_proof,
@@ -255,7 +230,7 @@ class SelectorEngine:
         return [i for i, sel in enumerate(self.selectors) if -sel in negated]
 
 
-def lifted_clauses(formula: Formula, store: TLemmaStore) -> list[list[int]]:
+def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[list[int]]:
     """Boolean abstraction of the input clauses followed by the stored
     lemmas: positions below len(formula.clauses) are inputs."""
     return [formula.atoms.t2p(c) for c in formula.clauses] + \
@@ -266,7 +241,7 @@ def lifted_clauses(formula: Formula, store: TLemmaStore) -> list[list[int]]:
 # Post-run verification helpers (the checked facts about lemma stores)
 # ---------------------------------------------------------------------------
 
-def lemma_store_violations(formula: Formula, store: TLemmaStore,
+def lemma_store_violations(formula: Formula, store: list[TLemma],
                            unsat: bool) -> list[str]:
     """Check the two lemma-store facts: every stored lemma is theory-valid,
     and (after an unsat run) the abstraction of the inputs plus the lemmas
@@ -277,7 +252,7 @@ def lemma_store_violations(formula: Formula, store: TLemmaStore,
         if not ok:
             problems.append(f"lemma {lemma.seq} is not theory-valid: {counter}")
     if unsat:
-        check = sat_solve(lifted_clauses(formula, store), nvars=len(formula.atoms))
+        check = sat_solve(lifted_clauses(formula, store))
         if check.status != "unsat":
             problems.append("abstraction plus stored lemmas is not propositionally unsat")
     return problems

@@ -237,24 +237,9 @@ class Original:
 
 
 @dataclass(frozen=True)
-class TLemmaOrigin:
-    index: int
-
-
-@dataclass(frozen=True)
-class LearnedOrigin:
-    pass
-
-
-Origin = Union[Original, TLemmaOrigin, LearnedOrigin]
-
-LEARNED = LearnedOrigin()
-
-
-@dataclass(frozen=True)
 class Clause:
     lits: tuple[Literal, ...]
-    origin: Origin = LEARNED
+    origin: Optional[Original] = None  # set on the clauses of a Formula
 
     def __post_init__(self):
         seen: dict[int, bool] = {}
@@ -381,17 +366,11 @@ class Formula:
         sub = []
         for new_i, old_i in enumerate(picked):
             old = self.clauses[old_i]
-            aid = old.origin.assertion_id if isinstance(old.origin, Original) else -1
-            sub.append(Clause(old.lits, Original(new_i, aid)))
+            sub.append(Clause(old.lits, Original(new_i, old.origin.assertion_id)))
         return Formula(sub, self.atoms, self.declarations, self.logic)
 
     def assertion_ids(self, indices: Iterable[int]) -> tuple[int, ...]:
-        ids = set()
-        for i in indices:
-            origin = self.clauses[i].origin
-            if isinstance(origin, Original):
-                ids.add(origin.assertion_id)
-        return tuple(sorted(ids))
+        return tuple(sorted({self.clauses[i].origin.assertion_id for i in indices}))
 
 
 def formula_from_clauses(lit_clauses: list[tuple[Literal, ...]], atoms: AtomTable,

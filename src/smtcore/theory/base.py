@@ -5,6 +5,13 @@ A solver owns the atoms of exactly one theory.  Asserting a literal either
 extends the state or returns a conflict: a subset of the currently asserted
 literals whose conjunction is theory-unsatisfiable.  Marks count asserted
 literals; backtracking restores the state at a mark exactly.
+
+Every change a solver makes to its state is pushed on one undo trail,
+`_trail`, whose entries only the concrete solver reads.  The base class
+records the trail's length before each asserted literal in `_marks`, and
+`backtrack` hands the length at the mark to the solver's `_undo_to`, which
+pops entries until the trail is that long again.  A solver may also undo
+to a length it took itself, as a check that probes the state does.
 """
 from __future__ import annotations
 
@@ -35,6 +42,8 @@ class TheorySolver:
         self.table = table
         self._asserted: list[Literal] = []
         self._asserted_atoms: dict[int, bool] = {}
+        self._trail: list[tuple] = []   # undo entries, read by the subclass
+        self._marks: list[int] = []     # trail length before each asserted literal
 
     # -- mark/backtrack -----------------------------------------------------
 
@@ -50,7 +59,9 @@ class TheorySolver:
         del self._asserted[mark:]
         for lit in dropped:
             del self._asserted_atoms[lit.atom]
-        self._undo_to(mark)
+        length = self._marks[mark]
+        del self._marks[mark:]
+        self._undo_to(length)
 
     def assert_literal(self, lit: Literal) -> Optional[list[Literal]]:
         atom = self.table.atom(lit.atom)
@@ -58,10 +69,8 @@ class TheorySolver:
             raise ValueError(f"literal over {type(atom).__name__} does not belong to {self.theory}")
         self._asserted.append(lit)
         self._asserted_atoms[lit.atom] = lit.positive
-        conflict = self._assert(lit, atom)
-        if conflict is not None:
-            return conflict
-        return None
+        self._marks.append(len(self._trail))
+        return self._assert(lit, atom)
 
     def asserted(self) -> list[Literal]:
         return list(self._asserted)
@@ -74,7 +83,8 @@ class TheorySolver:
     def _assert(self, lit: Literal, atom) -> Optional[list[Literal]]:
         raise NotImplementedError
 
-    def _undo_to(self, mark: int):
+    def _undo_to(self, length: int):
+        """Pop undo entries until `_trail` has `length` entries."""
         raise NotImplementedError
 
     def check_full(self) -> TheoryVerdict:

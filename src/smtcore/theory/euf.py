@@ -19,9 +19,9 @@ term ids and never hashes a `Term`:
   disequalities, and a deduction finds the disequality separating an
   atom's two classes with one lookup.
 
-Every change to these structures is pushed on an undo trail, and
-backtracking pops the trail back to the position recorded when the mark's
-literal was asserted; nothing is rebuilt from the asserted prefix.
+Every change to these structures is pushed on the base class's undo
+trail, and backtracking pops the trail back to the length it had when the
+mark's literal was asserted; nothing is rebuilt from the asserted prefix.
 """
 from __future__ import annotations
 
@@ -58,8 +58,6 @@ class EufSolver(TheorySolver):
         self._dq_of: list[list[int]] = []        # representative -> incident disequalities
         self._dq_pair: dict[tuple[int, int], int] = {}  # sorted class pair -> disequality
         self._conflict: Optional[int] = None     # a disequality whose sides are merged
-        self._trail: list[tuple] = []
-        self._trail_marks: list[int] = []        # trail length before each assert
         # the table's EUF atoms when the solver is built; none is added later
         self._atoms: list[tuple[int, int, int]] = []   # (atom id, lhs, rhs), table order
         self._ends: dict[int, tuple[int, int]] = {}    # atom id -> (lhs, rhs)
@@ -205,7 +203,6 @@ class EufSolver(TheorySolver):
 
     def _assert(self, lit: Literal, atom: EufAtom) -> Optional[list[Literal]]:
         a, b = self._ends[lit.atom]
-        self._trail_marks.append(len(self._trail))
         if lit.positive:
             self._merge(a, b, lit)
         else:
@@ -225,12 +222,10 @@ class EufSolver(TheorySolver):
         a, b, lit = self._diseqs[self._conflict]
         return list(self._explain([(a, b)], {lit}))
 
-    def _undo_to(self, mark: int):
-        pos = self._trail_marks[mark]
-        del self._trail_marks[mark:]
+    def _undo_to(self, length: int):
         trail = self._trail
         rep, members, uses, dq_of = self.rep, self._members, self._uses, self._dq_of
-        while len(trail) > pos:
+        while len(trail) > length:
             entry = trail.pop()
             tag = entry[0]
             if tag == _MERGE:

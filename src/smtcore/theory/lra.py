@@ -90,8 +90,6 @@ class LraSolver(TheorySolver):
         self.values: dict[int, DeltaRational] = {}
         self.lower: dict[int, _Bound] = {}
         self.upper: dict[int, _Bound] = {}
-        self.ops: list[tuple] = []
-        self._assert_marks: list[int] = []
         self.diseqs: list[tuple[int, Rational, Literal]] = []
         self._tests = None  # deduction plan, built on first use (_build_propagation)
 
@@ -183,9 +181,8 @@ class LraSolver(TheorySolver):
         cur = store.get(var)
         better = cur is None or (value > cur.value if which == "lower" else value < cur.value)
         if not better:
-            self.ops.append(("noop",))
             return None
-        self.ops.append(("bound", var, which, cur))
+        self._trail.append(("bound", var, which, cur))
         store[var] = _Bound(value, reason)
         opp = (self.upper if which == "lower" else self.lower).get(var)
         if opp is not None:
@@ -199,23 +196,9 @@ class LraSolver(TheorySolver):
                 self._update_nonbasic(var, value)
         return None
 
-    def _undo_ops(self, target: int):
-        while len(self.ops) > target:
-            op = self.ops.pop()
-            if op[0] == "bound":
-                _, var, which, old = op
-                store = self.lower if which == "lower" else self.upper
-                if old is None:
-                    del store[var]
-                else:
-                    store[var] = old
-            elif op[0] == "diseq":
-                self.diseqs.pop()
-
     # -- assert / undo ------------------------------------------------------------
 
     def _assert(self, lit: Literal, atom: LinAtom) -> Optional[list[Literal]]:
-        self._assert_marks.append(len(self.ops))
         if not atom.coeffs:
             holds = eval_lin_atom(atom, {})
             if holds != lit.positive:
@@ -240,7 +223,7 @@ class LraSolver(TheorySolver):
                 if conf is None:
                     conf = self._assert_bound(sid, "upper", DeltaRational(c), lit)
             else:
-                self.ops.append(("diseq",))
+                self._trail.append(("diseq",))
                 self.diseqs.append((sid, c, lit))
                 conf = None
                 low, up = self.lower.get(sid), self.upper.get(sid)
@@ -263,10 +246,19 @@ class LraSolver(TheorySolver):
                 out.append(lit)
         return out
 
-    def _undo_to(self, mark: int):
-        target = self._assert_marks[mark] if mark < len(self._assert_marks) else len(self.ops)
-        self._undo_ops(target)
-        del self._assert_marks[mark:]
+    def _undo_to(self, length: int):
+        trail = self._trail
+        while len(trail) > length:
+            entry = trail.pop()
+            if entry[0] == "bound":
+                _, var, which, old = entry
+                store = self.lower if which == "lower" else self.upper
+                if old is None:
+                    del store[var]
+                else:
+                    store[var] = old
+            else:  # "diseq"
+                self.diseqs.pop()
 
     # -- feasibility --------------------------------------------------------------
 
@@ -341,7 +333,7 @@ class LraSolver(TheorySolver):
         collected = []
         for which, value in (("upper", DeltaRational(c, -1)),
                              ("lower", DeltaRational(c, 1))):
-            mark = len(self.ops)
+            length = len(self._trail)
             probe = _Probe(dlit)
             conf = self._assert_bound(sid, which, value, probe)
             if conf is None:
@@ -350,7 +342,7 @@ class LraSolver(TheorySolver):
                 conf = self._settle_diseqs(pinned | {i})
             if conf is None:
                 return None  # this side works; probes stay until check_full unwinds
-            self._undo_ops(mark)
+            self._undo_to(length)
             if probe not in conf:
                 return conf  # conflict independent of the split
             collected.append([r for r in conf if r is not probe])
@@ -360,11 +352,11 @@ class LraSolver(TheorySolver):
     # -- public checks -----------------------------------------------------------------
 
     def check_full(self) -> TheoryVerdict:
-        start = len(self.ops)
+        start = len(self._trail)
         conf = self._check()
         if conf is None:
             conf = self._settle_diseqs(frozenset())
-        self._undo_ops(start)
+        self._undo_to(start)
         if conf is not None:
             return TheoryVerdict("conflict", conflict=self._sanitize(conf))
         return TheoryVerdict("sat")

@@ -24,7 +24,7 @@ from smtcore.cores import (
     lemma_lift_core, minimize_core, self_extractor_command,
 )
 from smtcore.parser import parse_file
-from smtcore.smt import lemma_store_violations, smt_solve
+from smtcore.smt import lemma_store_violations, lifted_clauses, smt_solve
 from smtcore.sat import sat_solve
 
 DATA = Path(__file__).parent / "data"
@@ -105,8 +105,7 @@ def test_criterion_abstraction_gap_discriminator(capsys):
     theory-valid fourth: lifted cores need not be theory-minimal."""
     formula = _load("abstraction_gap.smt2")
     abstraction = [formula.atoms.t2p(c) for c in formula.clauses]
-    bool_core = boolean_core(abstraction, ExtractorConfig("internal-proof"),
-                             nvars=len(formula.atoms))
+    bool_core = boolean_core(abstraction, ExtractorConfig("internal-proof"))
     assert bool_core == [0, 1, 2, 3]
     # and it is Boolean-minimal: every proper subset is satisfiable
     for drop in range(4):
@@ -199,12 +198,9 @@ def test_criterion_bridge_fidelity(method_corpus, capsys):
     for formula in method_corpus:
         verdict, store = smt_solve(formula)
         assert verdict.status == "unsat"
-        rows = [formula.atoms.t2p(c) for c in formula.clauses]
-        rows += [formula.atoms.t2p(l.clause) for l in store]
-        direct = boolean_core(rows, ExtractorConfig("internal-proof"),
-                              nvars=len(formula.atoms))
-        bridged = external_bridge(rows, self_extractor_command(),
-                                  nvars=len(formula.atoms))
+        rows = lifted_clauses(formula, store)
+        direct = boolean_core(rows, ExtractorConfig("internal-proof"))
+        bridged = external_bridge(rows, self_extractor_command())
         assert render_core_indices(bridged) == render_core_indices(direct)
         compared += 1
     with capsys.disabled():

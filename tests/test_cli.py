@@ -133,6 +133,12 @@ class TestMalformedInput:
         code, _, err = run_cli("solve", str(data_dir / NINE_CLAUSES), capsys=capsys)
         assert code == 1 and "SMTCORE_BUDGET" in err
 
+    def test_negative_budget_variable(self, data_dir, capsys, monkeypatch):
+        monkeypatch.setenv("SMTCORE_BUDGET", "-1")
+        code, out, err = run_cli("core", str(data_dir / NINE_CLAUSES), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "SMTCORE_BUDGET" in err
+
     def test_deep_nesting(self, tmp_path, capsys):
         deep = tmp_path / "deep.smt2"
         depth = 3000
@@ -159,7 +165,12 @@ class TestMalformedInput:
         assert out.splitlines()[2] == "core-assertions: 1 2 3"
 
     @pytest.mark.parametrize("argv", [[], ["core"], ["core", "f.smt2", "--method", "magic"],
-                                      ["solve", "f.smt2", "--budget", "many"]])
+                                      ["solve", "f.smt2", "--budget", "many"],
+                                      ["solve", "f.smt2", "--budget", "-1"],
+                                      ["core", "f.smt2", "--budget", "-1"],
+                                      ["bench", "d", "--budget", "-1"],
+                                      ["allmus", "f.smt2", "--cap", "0"],
+                                      ["allmus", "f.smt2", "--cap", "-3"]])
     def test_usage_errors_exit_1(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

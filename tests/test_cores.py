@@ -4,7 +4,7 @@ import pytest
 
 from gen import labeled_corpus
 from oracles import brute_force_smt_sat
-from smtcore import cores
+from smtcore import cores, smt
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
     METHODS, BridgeError, ExtractorConfig, ExtractionError, boolean_core, check_core,
@@ -14,7 +14,7 @@ from smtcore.cores import (
 from smtcore.mus import enumerate_mcs
 from smtcore.parser import parse
 from smtcore.smt import smt_solve
-from smtcore.terms import TLemmaOrigin
+from smtcore.terms import Original
 
 CORE_A = (0, 1, 2, 3, 4, 5)
 CORE_B = (0, 1, 2, 3, 5, 7)
@@ -22,9 +22,7 @@ CORE_B = (0, 1, 2, 3, 5, 7)
 
 def lifted_clauses(formula):
     _, store = smt_solve(formula)
-    rows = [formula.atoms.t2p(c) for c in formula.clauses]
-    rows += [formula.atoms.t2p(l.clause) for l in store]
-    return rows
+    return smt.lifted_clauses(formula, store)
 
 
 class TestExtractorConfig:
@@ -55,18 +53,14 @@ class TestBooleanCore:
     def test_fixpoint_stabilizes(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
         cfg = ExtractorConfig("internal-proof", fixpoint=True)
-        core = boolean_core(rows, cfg, nvars=len(nine_clauses.atoms))
-        again = boolean_core([rows[i] for i in core],
-                             ExtractorConfig("internal-proof"),
-                             nvars=len(nine_clauses.atoms))
+        core = boolean_core(rows, cfg)
+        again = boolean_core([rows[i] for i in core], ExtractorConfig("internal-proof"))
         assert [core[j] for j in again] == core  # already a fixpoint
 
     def test_fixpoint_sizes_never_increase(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
-        plain = boolean_core(rows, ExtractorConfig("internal-proof"),
-                             nvars=len(nine_clauses.atoms))
-        fixed = boolean_core(rows, ExtractorConfig("internal-proof", fixpoint=True),
-                             nvars=len(nine_clauses.atoms))
+        plain = boolean_core(rows, ExtractorConfig("internal-proof"))
+        fixed = boolean_core(rows, ExtractorConfig("internal-proof", fixpoint=True))
         assert len(fixed) <= len(plain)
 
 
@@ -102,7 +96,7 @@ class TestLemmaLifting:
         for kind in ("internal-proof", "internal-selectors"):
             report = lemma_lift_core(nine_clauses, ExtractorConfig(kind), verify=True)
             for i in report.core:
-                assert not isinstance(nine_clauses.clauses[i].origin, TLemmaOrigin)
+                assert isinstance(nine_clauses.clauses[i].origin, Original)
                 assert i < len(nine_clauses.clauses)
 
     def test_assertion_level_view(self, nine_clauses):
@@ -205,19 +199,15 @@ class TestBridge:
 
     def test_self_bridge_round_trip(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
-        direct = boolean_core(rows, ExtractorConfig("internal-proof"),
-                              nvars=len(nine_clauses.atoms))
-        via = external_bridge(rows, self_extractor_command(),
-                              nvars=len(nine_clauses.atoms))
+        direct = boolean_core(rows, ExtractorConfig("internal-proof"))
+        via = external_bridge(rows, self_extractor_command())
         assert via == direct
 
     def test_dimacs_subset_mode(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
         cmd = self_extractor_command() + " --mode dimacs-subset"
-        via = external_bridge(rows, cmd, mode="dimacs-subset",
-                              nvars=len(nine_clauses.atoms))
-        direct = boolean_core(rows, ExtractorConfig("internal-proof"),
-                              nvars=len(nine_clauses.atoms))
+        via = external_bridge(rows, cmd, mode="dimacs-subset")
+        direct = boolean_core(rows, ExtractorConfig("internal-proof"))
         assert via == direct
 
     def test_full_clause_list_is_accepted(self):

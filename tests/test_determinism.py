@@ -10,7 +10,7 @@ from smtcore.cnf import cnf_convert
 from smtcore.cores import ExtractorConfig, lemma_lift_core
 from smtcore.dimacs import document_for, render
 from smtcore.parser import parse_file
-from smtcore.smt import smt_solve
+from smtcore.smt import lifted_clauses, smt_solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -18,9 +18,7 @@ DATA = Path(__file__).parent / "data"
 def _pipeline(path):
     formula = cnf_convert(parse_file(str(path)))
     verdict, store = smt_solve(formula)
-    rows = [formula.atoms.t2p(c) for c in formula.clauses]
-    rows += [formula.atoms.t2p(l.clause) for l in store]
-    dim = render(document_for(rows, len(formula.atoms)))
+    dim = render(document_for(lifted_clauses(formula, store), len(formula.atoms)))
     report = lemma_lift_core(formula, ExtractorConfig("internal-proof", minimize=True))
     return dim, report.core
 
@@ -38,13 +36,11 @@ from smtcore.cores import ExtractorConfig, lemma_lift_core
 from smtcore.dimacs import document_for, render
 from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse_file
-from smtcore.smt import smt_solve
+from smtcore.smt import lifted_clauses, smt_solve
 
 formula = cnf_convert(parse_file(sys.argv[1]))
 verdict, store = smt_solve(formula)
-rows = [formula.atoms.t2p(c) for c in formula.clauses]
-rows += [formula.atoms.t2p(l.clause) for l in store]
-print(render(document_for(rows, len(formula.atoms))))
+print(render(document_for(lifted_clauses(formula, store), len(formula.atoms))))
 report = lemma_lift_core(formula, ExtractorConfig("internal-proof", minimize=True))
 print(report.core)
 print([sorted(m) for m in all_minimal_cores(formula)[1].muses])

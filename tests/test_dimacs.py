@@ -9,12 +9,10 @@ from smtcore.dimacs import (
 
 
 def test_lifted_document_header_counts(nine_clauses):
-    from smtcore.smt import smt_solve
+    from smtcore.smt import lifted_clauses, smt_solve
     verdict, store = smt_solve(nine_clauses)
     assert verdict.status == "unsat"
-    clauses = [nine_clauses.atoms.t2p(c) for c in nine_clauses.clauses]
-    clauses += [nine_clauses.atoms.t2p(l.clause) for l in store]
-    doc = document_for(clauses, len(nine_clauses.atoms))
+    doc = document_for(lifted_clauses(nine_clauses, store), len(nine_clauses.atoms))
     text = render(doc)
     assert text.splitlines()[0] == f"p cnf 10 {9 + len(store)}"
     # the canonical run stores exactly the three pairwise-conflict lemmas

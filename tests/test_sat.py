@@ -75,10 +75,9 @@ class TestProofCore:
         assert proof_core(v.proof) == {0, 1}
 
     def test_core_is_unsat_subset(self, nine_clauses):
-        from smtcore.smt import smt_solve
+        from smtcore.smt import lifted_clauses, smt_solve
         _, store = smt_solve(nine_clauses)
-        clauses = [nine_clauses.atoms.t2p(c) for c in nine_clauses.clauses]
-        clauses += [nine_clauses.atoms.t2p(l.clause) for l in store]
+        clauses = lifted_clauses(nine_clauses, store)
         v = sat_solve(clauses, log_proof=True)
         core = sorted(proof_core(v.proof))
         assert set(core) <= set(range(len(clauses)))
@@ -86,11 +85,11 @@ class TestProofCore:
 
     def test_nine_clause_boolean_subset_passes_the_checker(self, nine_clauses):
         # a hand-verified nine-clause Boolean subset must pass the checker
-        from smtcore.smt import smt_solve
+        from smtcore.smt import lifted_clauses, smt_solve
         _, store = smt_solve(nine_clauses)
-        clauses = [nine_clauses.atoms.t2p(c) for c in nine_clauses.clauses]
-        lemma_rows = [nine_clauses.atoms.t2p(l.clause) for l in store]
-        picked = [clauses[i] for i in (0, 1, 2, 3, 5, 7)] + lemma_rows
+        rows = lifted_clauses(nine_clauses, store)
+        n = len(nine_clauses.clauses)
+        picked = [rows[i] for i in (0, 1, 2, 3, 5, 7)] + rows[n:]
         assert sat_solve(picked).status == "unsat"
 
 
@@ -109,11 +108,10 @@ class TestSelectors:
         assert v.status == "sat" and core is None
 
     def test_conflict_clause_contains_only_negated_selectors(self, nine_clauses):
-        from smtcore.smt import smt_solve
+        from smtcore.smt import lifted_clauses, smt_solve
         _, store = smt_solve(nine_clauses)
-        clauses = [nine_clauses.atoms.t2p(c) for c in nine_clauses.clauses]
-        clauses += [nine_clauses.atoms.t2p(l.clause) for l in store]
-        v, core = solve_with_selectors(clauses, nvars=len(nine_clauses.atoms))
+        clauses = lifted_clauses(nine_clauses, store)
+        v, core = solve_with_selectors(clauses)
         assert v.status == "unsat-assumptions"
         assert all(l < 0 for l in v.conflict)
         assert all(abs(l) > len(nine_clauses.atoms) for l in v.conflict)
@@ -169,7 +167,7 @@ class TestSoundnessAgainstTruthTables:
         for _ in range(1000):
             clauses, nvars = random_cnf(rng, max_vars=16)
             expected = cnf_truth_table_sat(clauses, nvars)
-            v = sat_solve(clauses, log_proof=not expected, nvars=nvars)
+            v = sat_solve(clauses, log_proof=not expected)
             assert (v.status == "sat") == expected
             if v.status == "sat":
                 assert_model_satisfies(v.model, clauses)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gen import labeled_corpus, random_formula
+from gen import labeled_corpus, random_difference_formula, random_formula, random_uf_formula
 from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
@@ -149,3 +149,69 @@ def test_selector_engine_matches_fresh_solves(theory):
             new_atom = euf_atom(Var("fresh_a", "U", 90), Var("fresh_b", "U", 91))
         with pytest.raises(ValueError, match="theory atom"):
             engine.solver.add_clause((Literal(engine.table.intern(new_atom), True),))
+
+
+def _lemma_key(lits):
+    return frozenset((l.atom, l.positive) for l in lits)
+
+
+def _check_lemma_list(engine, inputs):
+    """The lemma list holds no index, so nothing but the search keeps it
+    free of repeats: no two stored lemmas share a literal set, none equals
+    an input clause, and the SAT database holds lemma i as its i-th
+    ("tlemma", i) clause."""
+    keys = [_lemma_key(lemma.clause.lits) for lemma in engine.store]
+    assert len(set(keys)) == len(keys)
+    assert not set(keys) & {_lemma_key(lits) for lits in inputs}
+    tlemma = [origin[1] for origin in engine.sat.origins if origin[0] == "tlemma"]
+    assert tlemma == list(range(len(engine.store)))
+
+
+def _lemma_list_formulas(rng, theory):
+    """Small random formulas, then larger ones whose searches store
+    hundreds of lemmas each."""
+    for _ in range(120):
+        yield random_formula(rng, theory)
+    for _ in range(20):
+        if theory == "LRA":
+            yield random_difference_formula(rng, 6, 24, 3)
+        else:
+            yield random_uf_formula(rng, 8, 30, 2)
+
+
+@pytest.mark.parametrize("theory", ["LRA", "EUF"])
+@pytest.mark.parametrize("options", [
+    dict(),
+    dict(theory_propagation=False),
+    dict(early_pruning=False),
+])
+def test_lemma_list_has_no_repeats(theory, options):
+    rng = random.Random(4242)
+    stored = 0
+    for formula in _lemma_list_formulas(rng, theory):
+        engine = SmtSolver(formula, **options)
+        engine.solve()
+        _check_lemma_list(engine, [c.lits for c in formula.clauses])
+        stored += len(engine.store)
+    assert stored > 300
+
+
+@pytest.mark.parametrize("theory", ["LRA", "EUF"])
+def test_lemma_list_has_no_repeats_across_subset_solves(theory):
+    """One selector engine, many subsets, some clauses retired between
+    solves: a lemma of one solve never comes back in a later one."""
+    rng = random.Random(4243)
+    stored = 0
+    for formula in _lemma_list_formulas(rng, theory):
+        engine = SelectorEngine(formula)
+        n = len(formula.clauses)
+        inputs = [c.lits for c in engine.solver.formula.clauses]
+        for _step in range(6):
+            if rng.random() < 0.3:
+                retired = (Literal(engine.selectors[rng.randrange(n)], False),)
+                engine.solver.add_clause(retired)
+                inputs.append(retired)
+            engine.solve(rng.sample(range(n), rng.randint(n // 2, n)))
+            _check_lemma_list(engine.solver, inputs)
+        stored += len(engine.solver.store)
+    assert stored > 300
