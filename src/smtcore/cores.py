@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 from . import dimacs
 from .sat import proof_core, sat_solve, solve_with_selectors
 from .smt import SelectorEngine, SmtSolver, lifted_clauses, smt_solve
-from .terms import Formula, Literal
+from .terms import Formula
 
 
 # Wall-clock seconds an external extractor may run before it is stopped.
@@ -155,10 +155,12 @@ def external_bridge(clauses: list[list[int]], command_template: str,
     return core
 
 
-def self_extractor_command(method: str = "proof") -> str:
-    """Command template invoking this package's own Boolean extractor as a
-    subprocess (the self-bridge)."""
-    return f"{shlex.quote(sys.executable)} -m smtcore boolean-core {{in}} {{out}} --method {method}"
+def self_extractor_command(mode: str = "index-list") -> str:
+    """Command template invoking this package's own proof-based Boolean
+    extractor as a subprocess (the self-bridge), writing its core in
+    `mode`."""
+    return (f"{shlex.quote(sys.executable)} -m smtcore boolean-core {{in}} {{out}} "
+            f"--method proof --mode {mode}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,8 @@ def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool
                          f"not {method!r}")
     config = None
     if kind is not None:
-        command = (extractor_cmd or self_extractor_command()) if kind == "external" else None
+        command = (extractor_cmd or self_extractor_command(extractor_mode)) \
+            if kind == "external" else None
         config = ExtractorConfig(kind, command=command, output_mode=extractor_mode,
                                  fixpoint=fixpoint)
     return _run(formula, method, config, minimize=minimize, verify=verify,
@@ -291,7 +294,7 @@ def minimize_core(formula: Formula, core: Iterable[int]) -> list[int]:
 
     def retire(i: int):
         # a clause outside the working set never returns to it
-        engine.solver.add_clause((Literal(engine.selectors[i], False),))
+        engine.solver.add_clause((-engine.selectors[i],))
 
     for i in sorted(set(range(len(formula.clauses))) - set(current)):
         retire(i)

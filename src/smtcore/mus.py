@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .smt import SelectorEngine
-from .terms import AtomTable, Formula, Literal, PropAtom
+from .terms import AtomTable, Formula, PropAtom
 
 DEFAULT_CAP = 10_000
 
@@ -34,35 +34,35 @@ class MusSet:
     complete: bool
 
 
-def _sequential_counter_atmost(lits: list[Literal], k: int, table: AtomTable,
-                               tag: str) -> list[tuple[Literal, ...]]:
-    """Sinz sequential-counter encoding of at-most-k over `lits`; auxiliary
-    registers are fresh propositional atoms."""
+def _sequential_counter_atmost(lits: list[int], k: int, table: AtomTable,
+                               tag: str) -> list[tuple[int, ...]]:
+    """Sinz sequential-counter encoding of at-most-k over `lits` (signed
+    atom ids); auxiliary registers are fresh propositional atoms."""
     n = len(lits)
     if k >= n:
         return []
     if k == 0:
-        return [(l.negated(),) for l in lits]
+        return [(-l,) for l in lits]
     reg = {}
 
-    def r(i: int, j: int) -> Literal:
+    def r(i: int, j: int) -> int:
         key = (i, j)
         if key not in reg:
-            reg[key] = Literal(table.intern(PropAtom(f"@amk!{tag}!{i}!{j}")), True)
+            reg[key] = table.intern(PropAtom(f"@amk!{tag}!{i}!{j}"))
         return reg[key]
 
-    out: list[tuple[Literal, ...]] = []
-    out.append((lits[0].negated(), r(0, 0)))
+    out: list[tuple[int, ...]] = []
+    out.append((-lits[0], r(0, 0)))
     for j in range(1, k):
-        out.append((r(0, j).negated(),))
+        out.append((-r(0, j),))
     for i in range(1, n - 1):
-        out.append((lits[i].negated(), r(i, 0)))
-        out.append((r(i - 1, 0).negated(), r(i, 0)))
+        out.append((-lits[i], r(i, 0)))
+        out.append((-r(i - 1, 0), r(i, 0)))
         for j in range(1, k):
-            out.append((lits[i].negated(), r(i - 1, j - 1).negated(), r(i, j)))
-            out.append((r(i - 1, j).negated(), r(i, j)))
-        out.append((lits[i].negated(), r(i - 1, k - 1).negated()))
-    out.append((lits[n - 1].negated(), r(n - 2, k - 1).negated()))
+            out.append((-lits[i], -r(i - 1, j - 1), r(i, j)))
+            out.append((-r(i - 1, j), r(i, j)))
+        out.append((-lits[i], -r(i - 1, k - 1)))
+    out.append((-lits[n - 1], -r(n - 2, k - 1)))
     return out
 
 
@@ -78,9 +78,9 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
         # the at-most-k counter binds only while its activation atom is
         # assumed; the unit clause after the k loop retires it for good
         act = engine.table.intern(PropAtom(f"@amk!k{k}"))
-        for clause in _sequential_counter_atmost([Literal(s, False) for s in selectors],
+        for clause in _sequential_counter_atmost([-s for s in selectors],
                                                  k, engine.table, f"k{k}"):
-            add((Literal(act, False),) + clause)
+            add((-act,) + clause)
         while True:
             verdict = engine.solve((), act)
             if verdict.status != "sat":
@@ -89,10 +89,10 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
                             if not verdict.bool_model[s])
             assert mcs and len(mcs) <= k
             found.append(mcs)
-            add(tuple(Literal(selectors[i], True) for i in sorted(mcs)))
+            add(tuple(selectors[i] for i in sorted(mcs)))
             if len(found) >= cap:
                 return McsSet(found, complete=False)
-        add((Literal(act, False),))
+        add((-act,))
         if engine.solve(()).status != "sat":
             return McsSet(found, complete=True)
     return McsSet(found, complete=True)

@@ -1,12 +1,15 @@
 """Lazy online DPLL(T): the CDCL engine drives the search and a theory
 solver prunes it.
 
-Every theory literal is asserted incrementally as it gets assigned (early
-pruning runs a full theory check at each propagation fixpoint), entailed
-literals are unit-propagated through their deduction clauses (theory
-propagation), and every theory-conflict and theory-deduction clause is
-appended to the engine's lemma list before it is added to the SAT
-database.  The list needs no index: a stored lemma is a clause of that
+Below the input formula every literal is the SAT solver's signed atom id:
+the formula's clauses are converted once, when the engine loads them, and
+the theory solver, the lemma list and the SAT database all read the same
+ints.  Every theory literal is asserted incrementally as it gets assigned
+(early pruning runs a full theory check at each propagation fixpoint),
+entailed literals are unit-propagated through their deduction clauses
+(theory propagation), and every theory-conflict and theory-deduction
+clause is appended to the engine's lemma list before it is added to the
+SAT database.  The list needs no index: a stored lemma is a clause of that
 database, so by the time a hook runs, propagation has already used it if
 it is unit and reported it if it is false, and the theory never hands the
 same clause back.  The lemmas are the raw material for core extraction:
@@ -28,9 +31,8 @@ from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 
 @dataclass
 class TLemma:
-    clause: Clause
-    kind: str  # "theory-conflict" | "theory-deduction"
-    seq: int
+    clause: tuple[int, ...]  # signed atom ids; SAT clause origin ("tlemma", list position)
+    kind: str                # "theory-conflict" | "theory-deduction"
 
 
 @dataclass
@@ -70,16 +72,15 @@ class SmtSolver:
 
     # -- lemma plumbing ----------------------------------------------------------
 
-    def _add_lemma(self, lits: tuple[Literal, ...], kind: str) -> tuple[int, str]:
+    def _add_lemma(self, clause: tuple[int, ...], kind: str) -> tuple[int, str]:
         """Store a lemma and add its clause: (clause id, status)."""
-        idx = len(self.store)
-        self.store.append(TLemma(Clause(lits), kind, idx))
-        return self.sat.add_clause([l.signed() for l in lits], ("tlemma", idx))
+        self.store.append(TLemma(clause, kind))
+        return self.sat.add_clause(clause, ("tlemma", len(self.store) - 1))
 
-    def _conflict_lemma(self, conflict: list[Literal]) -> bool:
+    def _conflict_lemma(self, conflict: list[int]) -> bool:
         """Store the lemma of a theory conflict and make its clause the SAT
         engine's pending conflict."""
-        cid, _ = self._add_lemma(tuple(l.negated() for l in conflict), "theory-conflict")
+        cid, _ = self._add_lemma(tuple(-lit for lit in conflict), "theory-conflict")
         self.sat.pending_conflict = cid
         return True
 
@@ -99,7 +100,7 @@ class SmtSolver:
             self._scan_pos += 1
             var = abs(lit)
             if var < len(theory_var) and theory_var[var]:
-                conflict = self.theory.assert_literal(Literal(var, lit > 0))
+                conflict = self.theory.assert_literal(lit)
                 self._synced_positions.append(pos)
                 if conflict is not None:
                     return self._conflict_lemma(conflict)
@@ -118,17 +119,14 @@ class SmtSolver:
             return False
         if self._check():
             return True
+        # _check has asserted every assigned theory atom, so a deduced
+        # literal is unassigned and its clause is unit, unless the SAT
+        # database holds that clause already
         added = False
         if self.theory_propagation:
             for ded in self.theory.deductions():
-                if solver.value(ded.literal.signed()) is not None:
-                    continue
-                lits = tuple(l.negated() for l in ded.explanation) + (ded.literal,)
-                _cid, status = self._add_lemma(lits, "theory-deduction")
-                if status == "conflict":
-                    return True
-                if status in ("unit", "ok"):
-                    added = True
+                clause = tuple(-lit for lit in ded.explanation) + (ded.literal,)
+                added |= self._add_lemma(clause, "theory-deduction")[1] != "duplicate"
         return added
 
     def hook_final(self, solver: SatSolver) -> bool:
@@ -146,19 +144,20 @@ class SmtSolver:
 
     # -- solving ----------------------------------------------------------------
 
-    def add_clause(self, lits: Iterable[Literal]) -> None:
-        """Add a clause between solves.  Its atoms must be known to the
-        engine or propositional atoms interned into its table since: the
-        theory solver registers its atoms once, when it is built, so a new
-        theory atom is a ValueError."""
-        clause = Clause(tuple(lits))
-        for lit in clause.lits:
-            if lit.atom >= len(self._theory_var) and \
-                    atom_theory(self.table.atom(lit.atom)) is not None:
-                raise ValueError(f"atom {lit.atom} is a theory atom the engine was "
+    def add_clause(self, lits: Iterable[int]) -> None:
+        """Add a clause of signed atom ids between solves.  Its atoms must be
+        known to the engine or propositional atoms interned into its table
+        since: the theory solver registers its atoms once, when it is built,
+        so a new theory atom is a ValueError."""
+        lits = tuple(lits)
+        for lit in lits:
+            var = abs(lit)
+            if var >= len(self._theory_var) and \
+                    atom_theory(self.table.atom(var)) is not None:
+                raise ValueError(f"atom {var} is a theory atom the engine was "
                                  f"not built with")
         self.sat._backjump(0)
-        self.sat.add_clause(self.table.t2p(clause), ("added",))
+        self.sat.add_clause(lits, ("added",))
 
     def solve(self, assumptions: tuple[int, ...] = ()) -> SmtVerdict:
         """Solve under `assumptions` (signed atom ids).  Learned clauses and
@@ -180,9 +179,7 @@ class SmtSolver:
 
 def smt_solve(formula: Formula, *, early_pruning: bool = True,
               theory_propagation: bool = True,
-              conflict_budget: Optional[int] = None,
-              log_proof: bool = False,
-              seed: Optional[int] = None) -> tuple[SmtVerdict, list[TLemma]]:
+              conflict_budget: Optional[int] = None) -> tuple[SmtVerdict, list[TLemma]]:
     """Solve a formula; returns the verdict together with every theory lemma
     stored during the run, in discovery order.  No lemma repeats and none
     equals an input clause: each is a clause the current assignment
@@ -190,8 +187,7 @@ def smt_solve(formula: Formula, *, early_pruning: bool = True,
     can be once propagation has reached its fixpoint."""
     engine = SmtSolver(formula, early_pruning=early_pruning,
                        theory_propagation=theory_propagation,
-                       conflict_budget=conflict_budget, log_proof=log_proof,
-                       seed=seed)
+                       conflict_budget=conflict_budget)
     verdict = engine.solve()
     return verdict, engine.store
 
@@ -234,7 +230,7 @@ def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[list[int]]:
     """Boolean abstraction of the input clauses followed by the stored
     lemmas: positions below len(formula.clauses) are inputs."""
     return [formula.atoms.t2p(c) for c in formula.clauses] + \
-        [formula.atoms.t2p(lemma.clause) for lemma in store]
+        [list(lemma.clause) for lemma in store]
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +243,10 @@ def lemma_store_violations(formula: Formula, store: list[TLemma],
     and (after an unsat run) the abstraction of the inputs plus the lemmas
     is propositionally unsatisfiable by an independent SAT run."""
     problems = []
-    for lemma in store:
+    for i, lemma in enumerate(store):
         ok, counter = is_valid_lemma(lemma.clause, formula.atoms)
         if not ok:
-            problems.append(f"lemma {lemma.seq} is not theory-valid: {counter}")
+            problems.append(f"lemma {i} is not theory-valid: {counter}")
     if unsat:
         check = sat_solve(lifted_clauses(formula, store))
         if check.status != "unsat":

@@ -223,9 +223,6 @@ class Literal:
     atom: int          # id in the owning AtomTable
     positive: bool
 
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
     def signed(self) -> int:
         return self.atom if self.positive else -self.atom
 

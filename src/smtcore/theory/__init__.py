@@ -1,11 +1,9 @@
 """Theory solvers: congruence closure (EUF) and simplex (LRA)."""
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
-from ..terms import (
-    LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, AtomTable, Clause, EufAtom, LinAtom, Literal,
-)
+from ..terms import LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, AtomTable, EufAtom, LinAtom
 from .base import Deduction, TheorySolver, TheoryVerdict
 from .euf import EufSolver
 from .lra import LraSolver
@@ -26,18 +24,19 @@ def solver_for_logic(logic: str, table: AtomTable) -> Optional[TheorySolver]:
     raise ValueError(f"no theory solver for logic {logic!r}")
 
 
-def is_valid_lemma(clause: Clause, table: AtomTable):
-    """Decide theory validity of a clause with a fresh solver instance.
+def is_valid_lemma(clause: Iterable[int], table: AtomTable):
+    """Decide theory validity of a clause of signed atom ids with a fresh
+    solver instance.
 
     Returns (True, None) when the conjunction of the negated literals is
     theory-unsatisfiable, else (False, countermodel).  Propositional
     literals are allowed but contribute nothing: the clause is valid only
     if its theory part already is.  Mixed-theory clauses are an error.
     """
-    theory_lits: list[Literal] = []
+    theory_lits: list[int] = []
     kinds = set()
-    for lit in clause.lits:
-        atom = table.atom(lit.atom)
+    for lit in clause:
+        atom = table.atom(abs(lit))
         if isinstance(atom, LinAtom):
             kinds.add(LOGIC_LRA)
             theory_lits.append(lit)
@@ -47,11 +46,11 @@ def is_valid_lemma(clause: Clause, table: AtomTable):
     if len(kinds) > 1:
         raise ValueError("mixed-theory clause")
     if not theory_lits:
-        # all-propositional: never valid (tautologies are unconstructible)
+        # all-propositional: not a theory lemma
         return False, {"propositional": "assign every literal false"}
     solver = EufSolver(table) if LOGIC_EUF in kinds else LraSolver(table)
     for lit in theory_lits:
-        conflict = solver.assert_literal(lit.negated())
+        conflict = solver.assert_literal(-lit)
         if conflict is not None:
             return True, None
     verdict = solver.check_full()

@@ -1,10 +1,12 @@
 """Theory-solver interface shared by the congruence-closure and simplex
 backends.
 
-A solver owns the atoms of exactly one theory.  Asserting a literal either
-extends the state or returns a conflict: a subset of the currently asserted
-literals whose conjunction is theory-unsatisfiable.  Marks count asserted
-literals; backtracking restores the state at a mark exactly.
+A solver owns the atoms of exactly one theory.  A literal is the SAT
+solver's: a signed atom id of the table, positive for the atom and negative
+for its negation.  Asserting a literal either extends the state or returns a
+conflict: a subset of the currently asserted literals whose conjunction is
+theory-unsatisfiable.  Marks count asserted literals; backtracking restores
+the state at a mark exactly.
 
 Every change a solver makes to its state is pushed on one undo trail,
 `_trail`, whose entries only the concrete solver reads.  The base class
@@ -18,19 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..terms import AtomTable, Literal
+from ..terms import AtomTable
 
 
 @dataclass
 class Deduction:
-    literal: Literal
-    explanation: tuple[Literal, ...]  # asserted literals entailing `literal`
+    literal: int                      # signed atom id
+    explanation: tuple[int, ...]      # asserted literals entailing `literal`
 
 
 @dataclass
 class TheoryVerdict:
     status: str  # "sat" | "conflict"
-    conflict: Optional[list[Literal]] = None
+    conflict: Optional[list[int]] = None
 
 
 class TheorySolver:
@@ -40,8 +42,8 @@ class TheorySolver:
 
     def __init__(self, table: AtomTable):
         self.table = table
-        self._asserted: list[Literal] = []
-        self._asserted_atoms: dict[int, bool] = {}
+        self._asserted: list[int] = []
+        self._asserted_atoms: set[int] = set()
         self._trail: list[tuple] = []   # undo entries, read by the subclass
         self._marks: list[int] = []     # trail length before each asserted literal
 
@@ -55,24 +57,24 @@ class TheorySolver:
             raise ValueError(f"stale mark {mark}: only {len(self._asserted)} literals asserted")
         if mark == len(self._asserted):
             return
-        dropped = self._asserted[mark:]
+        for lit in self._asserted[mark:]:
+            self._asserted_atoms.remove(abs(lit))
         del self._asserted[mark:]
-        for lit in dropped:
-            del self._asserted_atoms[lit.atom]
         length = self._marks[mark]
         del self._marks[mark:]
         self._undo_to(length)
 
-    def assert_literal(self, lit: Literal) -> Optional[list[Literal]]:
-        atom = self.table.atom(lit.atom)
+    def assert_literal(self, lit: int) -> Optional[list[int]]:
+        var = abs(lit)
+        atom = self.table.atom(var)
         if not self.owns_atom(atom):
             raise ValueError(f"literal over {type(atom).__name__} does not belong to {self.theory}")
         self._asserted.append(lit)
-        self._asserted_atoms[lit.atom] = lit.positive
+        self._asserted_atoms.add(var)
         self._marks.append(len(self._trail))
         return self._assert(lit, atom)
 
-    def asserted(self) -> list[Literal]:
+    def asserted(self) -> list[int]:
         return list(self._asserted)
 
     # -- to implement ---------------------------------------------------------
@@ -80,7 +82,7 @@ class TheorySolver:
     def owns_atom(self, atom) -> bool:
         raise NotImplementedError
 
-    def _assert(self, lit: Literal, atom) -> Optional[list[Literal]]:
+    def _assert(self, lit: int, atom) -> Optional[list[int]]:
         raise NotImplementedError
 
     def _undo_to(self, length: int):

@@ -27,15 +27,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..terms import EufAtom, FunApp, Literal, Term
+from ..terms import EufAtom, FunApp, Term
 from .base import Deduction, TheorySolver, TheoryVerdict
 
 # undo-trail entry tags
 _MERGE, _SIG, _DISEQ, _PAIR, _LINK, _CONFLICT = range(6)
-
-
-def _lit_key(lit: Literal):
-    return (lit.atom, lit.positive)
 
 
 class EufSolver(TheorySolver):
@@ -50,11 +46,11 @@ class EufSolver(TheorySolver):
         self._members: list[list[int]] = []      # representative -> class members
         self._uses: list[list[int]] = []         # representative -> applications over the class
         self._sig: dict[tuple, int] = {}         # (symbol, argument classes) -> application
-        # proof forest: parent term (-1 at a root) and the edge's label, a
-        # Literal or a congruent application pair (p, q)
+        # proof forest: parent term (-1 at a root) and the edge's label, an
+        # asserted literal or a congruent application pair (p, q)
         self._fparent: list[int] = []
         self._flabel: list = []
-        self._diseqs: list[tuple[int, int, Literal]] = []
+        self._diseqs: list[tuple[int, int, int]] = []
         self._dq_of: list[list[int]] = []        # representative -> incident disequalities
         self._dq_pair: dict[tuple[int, int], int] = {}  # sorted class pair -> disequality
         self._conflict: Optional[int] = None     # a disequality whose sides are merged
@@ -165,9 +161,9 @@ class EufSolver(TheorySolver):
 
     # -- explanations -----------------------------------------------------------
 
-    def _explain(self, pairs: list[tuple[int, int]], out: set) -> tuple[Literal, ...]:
+    def _explain(self, pairs: list[tuple[int, int]], out: set) -> tuple[int, ...]:
         """`out` plus asserted literals whose conjunction entails a = b for
-        every pair (a, b), each of which lies in one class; sorted."""
+        every pair (a, b), each of which lies in one class; sorted by atom."""
         fparent, flabel, args = self._fparent, self._flabel, self._args
         seen = set()
         while pairs:
@@ -197,13 +193,13 @@ class EufSolver(TheorySolver):
                     else:
                         out.add(label)
                     node = fparent[node]
-        return tuple(sorted(out, key=_lit_key))
+        return tuple(sorted(out, key=abs))
 
     # -- assert / undo / check ----------------------------------------------------
 
-    def _assert(self, lit: Literal, atom: EufAtom) -> Optional[list[Literal]]:
-        a, b = self._ends[lit.atom]
-        if lit.positive:
+    def _assert(self, lit: int, atom: EufAtom) -> Optional[list[int]]:
+        a, b = self._ends[abs(lit)]
+        if lit > 0:
             self._merge(a, b, lit)
         else:
             d = len(self._diseqs)
@@ -216,7 +212,7 @@ class EufSolver(TheorySolver):
             self._index_diseq(d, ra, rb)
         return self._conflict_literals()
 
-    def _conflict_literals(self) -> Optional[list[Literal]]:
+    def _conflict_literals(self) -> Optional[list[int]]:
         if self._conflict is None:
             return None
         a, b, lit = self._diseqs[self._conflict]
@@ -273,7 +269,7 @@ class EufSolver(TheorySolver):
                 continue
             ra, rb = rep[a], rep[b]
             if ra == rb:
-                out.append(Deduction(Literal(atom_id, True), self._explain([(a, b)], set())))
+                out.append(Deduction(atom_id, self._explain([(a, b)], set())))
                 continue
             d = pairs.get((ra, rb) if ra < rb else (rb, ra))
             if d is None:
@@ -281,6 +277,5 @@ class EufSolver(TheorySolver):
             u, v, dlit = self._diseqs[d]
             if rep[u] != ra:
                 u, v = v, u
-            out.append(Deduction(Literal(atom_id, False),
-                                 self._explain([(u, a), (v, b)], {dlit})))
+            out.append(Deduction(-atom_id, self._explain([(u, a), (v, b)], {dlit})))
         return out

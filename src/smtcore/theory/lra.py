@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from ..terms import LinAtom, Literal, Rational, Var, eval_lin_atom
+from ..terms import LinAtom, Rational, Var, eval_lin_atom
 from .base import Deduction, TheorySolver, TheoryVerdict
 
 
@@ -68,14 +68,14 @@ class _Probe:
 
     __slots__ = ("literal",)
 
-    def __init__(self, literal: Optional[Literal]):
+    def __init__(self, literal: int):
         self.literal = literal
 
 
 @dataclass
 class _Bound:
     value: DeltaRational
-    reason: object  # Literal or _Probe
+    reason: object  # asserted literal or _Probe
 
 
 class LraSolver(TheorySolver):
@@ -90,7 +90,7 @@ class LraSolver(TheorySolver):
         self.values: dict[int, DeltaRational] = {}
         self.lower: dict[int, _Bound] = {}
         self.upper: dict[int, _Bound] = {}
-        self.diseqs: list[tuple[int, Rational, Literal]] = []
+        self.diseqs: list[tuple[int, Rational, int]] = []
         self._tests = None  # deduction plan, built on first use (_build_propagation)
 
     def owns_atom(self, atom) -> bool:
@@ -198,15 +198,15 @@ class LraSolver(TheorySolver):
 
     # -- assert / undo ------------------------------------------------------------
 
-    def _assert(self, lit: Literal, atom: LinAtom) -> Optional[list[Literal]]:
+    def _assert(self, lit: int, atom: LinAtom) -> Optional[list[int]]:
         if not atom.coeffs:
             holds = eval_lin_atom(atom, {})
-            if holds != lit.positive:
+            if holds != (lit > 0):
                 return [lit]
             return None
         sid = self._slack(atom.coeffs)
         c = -atom.offset
-        rel, pos = atom.rel, lit.positive
+        rel, pos = atom.rel, lit > 0
         if rel == "<=":
             if pos:
                 conf = self._assert_bound(sid, "upper", DeltaRational(c), lit)
@@ -234,17 +234,10 @@ class LraSolver(TheorySolver):
             return None
         return self._sanitize(conf)
 
-    def _sanitize(self, reasons) -> list[Literal]:
-        out = []
-        seen = set()
-        for r in reasons:
-            lit = r.literal if isinstance(r, _Probe) else r
-            assert isinstance(lit, Literal), "probe sentinel leaked into a conflict"
-            key = (lit.atom, lit.positive)
-            if key not in seen:
-                seen.add(key)
-                out.append(lit)
-        return out
+    def _sanitize(self, reasons) -> list[int]:
+        lits = [r.literal if isinstance(r, _Probe) else r for r in reasons]
+        assert all(type(lit) is int for lit in lits), "probe sentinel leaked into a conflict"
+        return list(dict.fromkeys(lits))
 
     def _undo_to(self, length: int):
         trail = self._trail
@@ -367,7 +360,7 @@ class LraSolver(TheorySolver):
         disequality probes of check_full are undone but the values they
         moved stay, so this is a model right after a "sat" check_full."""
         eps = 1
-        atoms = [(self.table.atom(l.atom), l.positive) for l in self._asserted]
+        atoms = [(self.table.atom(abs(l)), l > 0) for l in self._asserted]
         for _ in range(220):
             vals = {v: self.values[vid].real + self.values[vid].delta * eps
                     for v, vid in self.columns.items()}
@@ -391,7 +384,7 @@ class LraSolver(TheorySolver):
             if not isinstance(atom, LinAtom):
                 continue
             if not atom.coeffs:
-                constants.append(Literal(atom_id, eval_lin_atom(atom, {})))
+                constants.append(atom_id if eval_lin_atom(atom, {}) else -atom_id)
                 continue
             form, lam = _base_form(atom.coeffs)
             bid = bases.setdefault(form, len(bases))
@@ -438,8 +431,8 @@ class LraSolver(TheorySolver):
         tableau state and never changes it."""
         if self._tests is None:
             self._build_propagation()
-        lo: dict[int, tuple[DeltaRational, tuple[Literal, ...]]] = {}
-        hi: dict[int, tuple[DeltaRational, tuple[Literal, ...]]] = {}
+        lo: dict[int, tuple[DeltaRational, tuple[int, ...]]] = {}
+        hi: dict[int, tuple[DeltaRational, tuple[int, ...]]] = {}
         for sid, bid, inv in self._live_groups():
             for bound, is_lower in ((self.lower.get(sid), inv > 0),
                                     (self.upper.get(sid), inv < 0)):
@@ -451,7 +444,7 @@ class LraSolver(TheorySolver):
         for target, terms in self._rules:
             for is_lower, out in ((True, derived_lo), (False, derived_hi)):
                 total = DeltaRational(0)
-                expl: list[Literal] = []
+                expl: list[int] = []
                 for src, coeff in terms:
                     entry = (lo if (coeff > 0) == is_lower else hi).get(src)
                     if entry is None:
@@ -465,7 +458,7 @@ class LraSolver(TheorySolver):
             for bid, (value, expl) in derived.items():
                 _tighten(side, bid, is_lower, value, expl)
         out = [Deduction(lit, ()) for lit in self._constants
-               if lit.atom not in self._asserted_atoms]
+               if abs(lit) not in self._asserted_atoms]
         for atom_id, bid, least, most in self._tests:
             if atom_id in self._asserted_atoms:
                 continue
@@ -474,11 +467,11 @@ class LraSolver(TheorySolver):
             up_in = most is None or (up is not None and up[0] <= most)
             if low_in and up_in:
                 expl = (low[1] if least is not None else ()) + (up[1] if most is not None else ())
-                out.append(Deduction(Literal(atom_id, True), tuple(dict.fromkeys(expl))))
+                out.append(Deduction(atom_id, tuple(dict.fromkeys(expl))))
             elif low is not None and most is not None and low[0] > most:
-                out.append(Deduction(Literal(atom_id, False), low[1]))
+                out.append(Deduction(-atom_id, low[1]))
             elif up is not None and least is not None and up[0] < least:
-                out.append(Deduction(Literal(atom_id, False), up[1]))
+                out.append(Deduction(-atom_id, up[1]))
         return out
 
 

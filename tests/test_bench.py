@@ -1,11 +1,17 @@
+import shlex
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from smtcore.bench import (
     BenchRecord, RatioStats, format_table, quantile, ratio_stats,
-    records_from_csv, records_to_csv, stats_for_pair,
+    records_from_csv, records_to_csv, run_bench, stats_for_pair,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestQuartiles:
@@ -95,3 +101,19 @@ class TestTable:
         assert row[0] == "smt-proof/lift-proof"
         assert row[1:5] == ["1.00", "1.03", "1.09", "1.10"]
         assert any("smt-selectors/lift-proof" in l for l in lines)
+
+
+class TestRunBench:
+    def test_a_failing_extraction_is_recorded_and_the_rest_stay_ok(self, tmp_path,
+                                                                  monkeypatch):
+        # the failing bridge keeps its smtcore-bridge-* directory; keep it here
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        exits_1 = f"{shlex.quote(sys.executable)} -c \"import sys; sys.exit(1)\" {{in}} {{out}}"
+        records = run_bench([DATA / "contradictory_units.smt2"],
+                            ["lift-proof", "lift-external", "smt-proof"],
+                            extractor_cmd=exits_1)
+        assert [(r.method, r.verified) for r in records] == [
+            ("lift-proof", "ok"), ("lift-external", "error:BridgeError"),
+            ("smt-proof", "ok")]
+        assert records[0].core_size == records[2].core_size == 2
+        assert len(list(tmp_path.glob("smtcore-bridge-*"))) == 1

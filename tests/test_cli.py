@@ -1,13 +1,16 @@
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from smtcore import dimacs
 from smtcore.cli import main
 from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS
 from smtcore.parser import parse_file
+from smtcore.sat import sat_solve
 from smtcore.smt import smt_solve
 
 NINE_CLAUSES = "nine_clauses.smt2"
@@ -80,6 +83,18 @@ class TestCore:
         assert code == 20
         code2, out2, _ = run_cli("core", str(data_dir / NINE_CLAUSES),
                                  "--method", "lift-proof", capsys=capsys)
+        assert out.splitlines()[1] == out2.splitlines()[1]
+
+    def test_lift_external_default_bridge_in_dimacs_subset_mode(self, data_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        # a failing bridge keeps its smtcore-bridge-* directory; keep it here
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        path = str(data_dir / NINE_CLAUSES)
+        code, out, err = run_cli("core", path, "--method", "lift-external",
+                                 "--extractor-mode", "dimacs-subset", "--verify",
+                                 capsys=capsys)
+        assert (code, err) == (20, "")
+        code2, out2, _ = run_cli("core", path, "--method", "lift-external", capsys=capsys)
         assert out.splitlines()[1] == out2.splitlines()[1]
 
     def test_out_writes_a_loadable_instance(self, data_dir, tmp_path, capsys):
@@ -221,6 +236,21 @@ class TestVerify:
                                capsys=capsys)
         assert code == 1 and "violation" in out
 
+    def test_blank_lines_are_skipped(self, data_dir, tmp_path, capsys):
+        core = tmp_path / "core.txt"
+        core.write_text("\n1\n2\n  \n3\n4\n5\n6\n\n", encoding="utf-8")
+        code, out, _ = run_cli("verify", str(data_dir / NINE_CLAUSES), "--core", str(core),
+                               capsys=capsys)
+        assert code == 0 and out.strip() == "ok"
+
+    def test_out_of_range_index_names_its_line(self, data_dir, tmp_path, capsys):
+        core = tmp_path / "core.txt"
+        core.write_text("1\n\n10\n", encoding="utf-8")
+        code, out, _ = run_cli("verify", str(data_dir / NINE_CLAUSES), "--core", str(core),
+                               capsys=capsys)
+        assert code == 1
+        assert out.strip() == "violation: line 3: index 10 out of range"
+
 
 class TestBench:
     def test_csv_and_table(self, data_dir, tmp_path, capsys):
@@ -240,6 +270,12 @@ class TestBench:
         code, _, err = run_cli("bench", str(data_dir), "--methods", "magic",
                                capsys=capsys)
         assert code == 1 and "unknown method" in err
+
+    def test_baseline_outside_the_methods_rejected(self, data_dir, capsys):
+        code, out, err = run_cli("bench", str(data_dir), "--methods", "smt-proof",
+                                 "--baseline", "lift-proof", capsys=capsys)
+        assert code == 1 and out == ""
+        assert "baseline 'lift-proof' is not among the methods" in err
 
     def test_per_instance_failures_never_abort_the_run(self, data_dir, tmp_path, capsys):
         work = tmp_path / "corpus"
@@ -267,6 +303,19 @@ class TestBooleanCoreCommand:
         code, _, _ = run_cli("boolean-core", str(cnf), str(out_path), capsys=capsys)
         assert code == 0
         assert out_path.read_text().split() == ["1", "2"]
+
+    def test_dimacs_subset_output_reads_back_unsat(self, tmp_path, capsys):
+        text = "p cnf 2 4\n1 2 0\n-1 0\n2 -1 0\n-2 0\n"
+        cnf = tmp_path / "in.cnf"
+        cnf.write_text(text, encoding="utf-8")
+        out_path = tmp_path / "core.cnf"
+        code, _, _ = run_cli("boolean-core", str(cnf), str(out_path),
+                             "--mode", "dimacs-subset", capsys=capsys)
+        assert code == 0
+        doc = dimacs.parse_dimacs(text)
+        core = dimacs.read_core(out_path.read_text(), doc, "dimacs-subset")
+        assert core <= set(range(4))
+        assert sat_solve([doc.clauses[i] for i in sorted(core)]).status == "unsat"
 
     def test_subprocess_invocation_matches_in_process(self, tmp_path):
         cnf = tmp_path / "in.cnf"

@@ -205,10 +205,16 @@ class TestBridge:
 
     def test_dimacs_subset_mode(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
-        cmd = self_extractor_command() + " --mode dimacs-subset"
+        cmd = self_extractor_command("dimacs-subset")
         via = external_bridge(rows, cmd, mode="dimacs-subset")
         direct = boolean_core(rows, ExtractorConfig("internal-proof"))
         assert via == direct
+
+    def test_default_bridge_writes_the_mode_it_reads(self, nine_clauses, tmp_path):
+        by_index = extract_core(nine_clauses, "lift-external")
+        by_subset = extract_core(nine_clauses, "lift-external", extractor_mode="dimacs-subset")
+        assert by_subset == by_index
+        assert not list(tmp_path.glob("smtcore-bridge-*"))
 
     def test_full_clause_list_is_accepted(self):
         cmd = f"{_python()} -c \"import sys,shutil; open(sys.argv[2],'w').write('1\\n2\\n')\" {{in}} {{out}}"

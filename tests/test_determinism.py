@@ -10,7 +10,7 @@ from smtcore.cnf import cnf_convert
 from smtcore.cores import ExtractorConfig, lemma_lift_core
 from smtcore.dimacs import document_for, render
 from smtcore.parser import parse_file
-from smtcore.smt import lifted_clauses, smt_solve
+from smtcore.smt import SmtSolver, lifted_clauses, smt_solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -70,12 +70,13 @@ def test_seed_option_keeps_verdicts_and_varies_reproducibly():
         formula = random_formula(rng, "LRA")
         expected = brute_force_smt_sat(formula)
         for seed in (None, 1, 2):
-            verdict, _ = smt_solve(formula, seed=seed)
+            verdict = SmtSolver(formula, seed=seed).solve()
             assert verdict.status == ("sat" if expected else "unsat")
     # same seed, same store
     f = cnf_convert(parse_file(str(DATA / "nine_clauses.smt2")))
     runs = []
     for _ in range(2):
-        _, store = smt_solve(f, seed=7)
-        runs.append([tuple(l.signed() for l in lem.clause.lits) for lem in store])
+        engine = SmtSolver(f, seed=7)
+        engine.solve()
+        runs.append([lem.clause for lem in engine.store])
     assert runs[0] == runs[1]

@@ -12,7 +12,7 @@ from smtcore.mus import (
 )
 from smtcore.parser import parse
 from smtcore.smt import smt_solve
-from smtcore.terms import AtomTable, Literal, PropAtom
+from smtcore.terms import AtomTable, PropAtom
 
 MCS_FAMILY = [{0}, {1}, {2}, {3}, {5}, {4, 7}]
 CORE_A = frozenset({0, 1, 2, 3, 4, 5})
@@ -25,9 +25,7 @@ def test_sequential_counter_matches_brute_force():
         for k in range(1, n + 1):
             table = AtomTable()
             xs = [table.intern(PropAtom(f"x{i}")) for i in range(n)]
-            lits = [Literal(x, True) for x in xs]
-            clauses = [[l.signed() for l in c]
-                       for c in _sequential_counter_atmost(lits, k, table, "t")]
+            clauses = [list(c) for c in _sequential_counter_atmost(xs, k, table, "t")]
             nvars = len(table)
             # for every assignment of the xs, the encoding must be extendable
             # exactly when at most k are true

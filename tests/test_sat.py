@@ -31,7 +31,7 @@ class TestBasics:
         from smtcore.smt import smt_solve
         _, store = smt_solve(nine_clauses)
         clauses = [nine_clauses.atoms.t2p(c) for c in nine_clauses.clauses]
-        clauses += [nine_clauses.atoms.t2p(l.clause) for l in store]
+        clauses += [list(l.clause) for l in store]
         assert sat_solve(clauses).status == "unsat"
 
     def test_empty_input_clause(self):

@@ -42,17 +42,21 @@ def test_contradictory_units_store_the_pairwise_lemma():
         "(declare-fun x () Real)(assert (= x 1))(assert (= x 0))"))
     verdict, store = smt_solve(f)
     assert verdict.status == "unsat"
-    keys = {frozenset((l.atom, l.positive) for l in lem.clause.lits) for lem in store}
+    keys = {frozenset(lem.clause) for lem in store}
     a1 = f.clauses[0].lits[0].atom
     a0 = f.clauses[1].lits[0].atom
-    assert frozenset({(a1, False), (a0, False)}) in keys
+    assert frozenset({-a1, -a0}) in keys
 
 
 def test_stored_lemmas_accessor_order(nine_clauses):
-    _, store = smt_solve(nine_clauses)
-    lemmas = list(store)
-    assert [l.seq for l in lemmas] == list(range(len(lemmas)))
-    for lem in lemmas:
+    engine = SmtSolver(nine_clauses)
+    engine.solve()
+    # lemma i is the i-th ("tlemma", i) clause of the SAT database, whose
+    # literals the watch scheme may reorder
+    tlemma = [(origin[1], frozenset(engine.sat.clauses[cid]))
+              for cid, origin in enumerate(engine.sat.origins) if origin[0] == "tlemma"]
+    assert tlemma == [(i, frozenset(lem.clause)) for i, lem in enumerate(engine.store)]
+    for lem in engine.store:
         assert is_valid_lemma(lem.clause, nine_clauses.atoms)[0]
         assert lem.kind in ("theory-conflict", "theory-deduction")
 
@@ -122,10 +126,10 @@ def test_selector_engine_matches_fresh_solves(theory):
             if rng.random() < 0.3:
                 pool = list(range(1, len(formula.atoms) + 1))
                 pool.append(engine.table.intern(PropAtom(f"fresh{step % 3}")))
-                lits = tuple(Literal(a, rng.random() < 0.5)
+                lits = tuple(a if rng.random() < 0.5 else -a
                              for a in rng.sample(pool, rng.randint(1, 2)))
                 engine.solver.add_clause(lits)
-                added.append(lits)
+                added.append(tuple(Literal(abs(l), l > 0) for l in lits))
             subset = rng.sample(range(n), rng.randint(n // 2, n))
             verdict = engine.solve(subset)
             fresh, _ = smt_solve(formula_from_clauses(
@@ -148,21 +152,17 @@ def test_selector_engine_matches_fresh_solves(theory):
         else:
             new_atom = euf_atom(Var("fresh_a", "U", 90), Var("fresh_b", "U", 91))
         with pytest.raises(ValueError, match="theory atom"):
-            engine.solver.add_clause((Literal(engine.table.intern(new_atom), True),))
-
-
-def _lemma_key(lits):
-    return frozenset((l.atom, l.positive) for l in lits)
+            engine.solver.add_clause((engine.table.intern(new_atom),))
 
 
 def _check_lemma_list(engine, inputs):
     """The lemma list holds no index, so nothing but the search keeps it
     free of repeats: no two stored lemmas share a literal set, none equals
-    an input clause, and the SAT database holds lemma i as its i-th
-    ("tlemma", i) clause."""
-    keys = [_lemma_key(lemma.clause.lits) for lemma in engine.store]
+    an input clause (signed atom ids), and the SAT database holds lemma i
+    as its i-th ("tlemma", i) clause."""
+    keys = [frozenset(lemma.clause) for lemma in engine.store]
     assert len(set(keys)) == len(keys)
-    assert not set(keys) & {_lemma_key(lits) for lits in inputs}
+    assert not set(keys) & {frozenset(lits) for lits in inputs}
     tlemma = [origin[1] for origin in engine.sat.origins if origin[0] == "tlemma"]
     assert tlemma == list(range(len(engine.store)))
 
@@ -191,7 +191,7 @@ def test_lemma_list_has_no_repeats(theory, options):
     for formula in _lemma_list_formulas(rng, theory):
         engine = SmtSolver(formula, **options)
         engine.solve()
-        _check_lemma_list(engine, [c.lits for c in formula.clauses])
+        _check_lemma_list(engine, [formula.atoms.t2p(c) for c in formula.clauses])
         stored += len(engine.store)
     assert stored > 300
 
@@ -205,10 +205,10 @@ def test_lemma_list_has_no_repeats_across_subset_solves(theory):
     for formula in _lemma_list_formulas(rng, theory):
         engine = SelectorEngine(formula)
         n = len(formula.clauses)
-        inputs = [c.lits for c in engine.solver.formula.clauses]
+        inputs = [engine.table.t2p(c) for c in engine.solver.formula.clauses]
         for _step in range(6):
             if rng.random() < 0.3:
-                retired = (Literal(engine.selectors[rng.randrange(n)], False),)
+                retired = (-engine.selectors[rng.randrange(n)],)
                 engine.solver.add_clause(retired)
                 inputs.append(retired)
             engine.solve(rng.sample(range(n), rng.randint(n // 2, n)))

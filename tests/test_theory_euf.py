@@ -4,9 +4,7 @@ import pytest
 
 from gen import random_euf_atoms
 from oracles import euf_literals_sat
-from smtcore.terms import (
-    AtomTable, Clause, FunApp, FunSymbol, Literal, Var, euf_atom,
-)
+from smtcore.terms import AtomTable, FunApp, FunSymbol, Var, euf_atom
 from smtcore.theory import EufSolver, is_valid_lemma
 
 U = "U"
@@ -26,14 +24,19 @@ def setup_atoms(*atoms):
     return table, [table.intern(x) for x in atoms]
 
 
+def _facts(table, lits):
+    """(atom, polarity) pairs of signed atom ids, as the oracle takes them."""
+    return [(table.atom(abs(l)), l > 0) for l in lits]
+
+
 def test_transitivity_conflict():
     table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
     s = EufSolver(table)
-    assert s.assert_literal(Literal(iab, True)) is None
-    assert s.assert_literal(Literal(ibc, True)) is None
-    conflict = s.assert_literal(Literal(iac, False))
+    assert s.assert_literal(iab) is None
+    assert s.assert_literal(ibc) is None
+    conflict = s.assert_literal(-iac)
     assert conflict is not None
-    assert {(l.atom, l.positive) for l in conflict} == {(iab, True), (ibc, True), (iac, False)}
+    assert set(conflict) == {iab, ibc, -iac}
 
 
 def test_congruence_conflict():
@@ -41,24 +44,24 @@ def test_congruence_conflict():
     ffa = FunApp(f, (fa,))
     table, (i1, i2) = setup_atoms(euf_atom(fa, a), euf_atom(ffa, a))
     s = EufSolver(table)
-    assert s.assert_literal(Literal(i1, True)) is None
-    conflict = s.assert_literal(Literal(i2, False))
+    assert s.assert_literal(i1) is None
+    conflict = s.assert_literal(-i2)
     assert conflict is not None
-    assert {(l.atom, l.positive) for l in conflict} == {(i1, True), (i2, False)}
+    assert set(conflict) == {i1, -i2}
 
 
 def test_single_assert_is_fine():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
-    assert s.assert_literal(Literal(iab, True)) is None
+    assert s.assert_literal(iab) is None
     assert s.check_full().status == "sat"
 
 
 def test_witness_is_a_partition():
     table, (iab, iac) = setup_atoms(euf_atom(a, b), euf_atom(a, c))
     s = EufSolver(table)
-    s.assert_literal(Literal(iab, True))
-    s.assert_literal(Literal(iac, False))
+    s.assert_literal(iab)
+    s.assert_literal(-iac)
     v = s.check_full()
     assert v.status == "sat"
     witness = s.witness()
@@ -70,13 +73,13 @@ def test_deduction_by_congruence():
     fa, fb = FunApp(f, (a,)), FunApp(f, (b,))
     table, (iab, ifafb) = setup_atoms(euf_atom(a, b), euf_atom(fa, fb))
     s = EufSolver(table)
-    s.assert_literal(Literal(iab, True))
+    s.assert_literal(iab)
     deds = s.deductions()
-    by_atom = {d.literal.atom: d for d in deds}
+    by_atom = {abs(d.literal): d for d in deds}
     assert ifafb in by_atom
     d = by_atom[ifafb]
-    assert d.literal.positive
-    assert {(l.atom, l.positive) for l in d.explanation} == {(iab, True)}
+    assert d.literal == ifafb
+    assert d.explanation == (iab,)
 
 
 def test_no_deductions_without_assertions():
@@ -87,33 +90,33 @@ def test_no_deductions_without_assertions():
 def test_negative_deduction_through_disequality():
     table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
     s = EufSolver(table)
-    s.assert_literal(Literal(iab, True))
-    s.assert_literal(Literal(iac, False))
-    deds = {d.literal.atom: d for d in s.deductions()}
-    assert ibc in deds and not deds[ibc].literal.positive
+    s.assert_literal(iab)
+    s.assert_literal(-iac)
+    deds = {abs(d.literal): d for d in s.deductions()}
+    assert ibc in deds and deds[ibc].literal == -ibc
 
 
 def test_backtrack_replay_equivalence():
     table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
     s = EufSolver(table)
-    s.assert_literal(Literal(iab, True))
+    s.assert_literal(iab)
     mark = s.mark()
     before = s.check_full()
     before_witness = s.witness()
-    s.assert_literal(Literal(iac, False))
-    s.assert_literal(Literal(ibc, True))
+    s.assert_literal(-iac)
+    s.assert_literal(ibc)
     s.backtrack(mark)
     after = s.check_full()
     assert before.status == after.status == "sat"
     assert before_witness == s.witness()
-    assert s.asserted() == [Literal(iab, True)]
+    assert s.asserted() == [iab]
 
 
 def test_backtrack_to_initial_mark_empties_everything():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
     base = s.mark()
-    s.assert_literal(Literal(iab, True))
+    s.assert_literal(iab)
     s.backtrack(base)
     assert s.asserted() == []
     assert s.check_full().status == "sat"
@@ -126,17 +129,17 @@ def test_lifo_marks_restore_snapshots():
     marks = []
     for i in ids:
         marks.append(s.mark())
-        snapshots.append([tuple(l.signed() for l in s.asserted())])
-        s.assert_literal(Literal(i, True))
+        snapshots.append(s.asserted())
+        s.assert_literal(i)
     for mark, snap in zip(reversed(marks), reversed(snapshots)):
         s.backtrack(mark)
-        assert [tuple(l.signed() for l in s.asserted())] == snap
+        assert s.asserted() == snap
 
 
 def test_stale_mark_is_an_error():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
-    s.assert_literal(Literal(iab, True))
+    s.assert_literal(iab)
     mark = s.mark()
     s.backtrack(0)
     with pytest.raises(ValueError, match="stale"):
@@ -150,15 +153,13 @@ def test_wrong_theory_literal_rejected():
     table = AtomTable()
     ix = table.intern(canonical_lin_atom(LinComb(((x, Fraction(1)),), Fraction(0)), "<="))
     with pytest.raises(ValueError, match="does not belong"):
-        EufSolver(table).assert_literal(Literal(ix, True))
+        EufSolver(table).assert_literal(ix)
 
 
 def test_valid_lemma_examples():
     table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
-    lemma = Clause((Literal(iab, False), Literal(ibc, False), Literal(iac, True)))
-    assert is_valid_lemma(lemma, table) == (True, None)
-    not_lemma = Clause((Literal(iab, True), Literal(ibc, True)))
-    ok, counter = is_valid_lemma(not_lemma, table)
+    assert is_valid_lemma((-iab, -ibc, iac), table) == (True, None)
+    ok, counter = is_valid_lemma((iab, ibc), table)
     assert not ok and counter is not None
 
 
@@ -170,7 +171,7 @@ class TestAgainstNaiveClosure:
             atoms = random_euf_atoms(rng, rng.randint(2, 6))
             table = AtomTable()
             ids = [table.intern(x) for x in atoms]
-            lits = [Literal(i, rng.random() < 0.5) for i in ids]
+            lits = [i if rng.random() < 0.5 else -i for i in ids]
             s = EufSolver(table)
             conflict = None
             for lit in lits:
@@ -186,11 +187,9 @@ class TestAgainstNaiveClosure:
             if conflict is not None:
                 # the conflict subset must be oracle-unsat and drawn from the
                 # asserted literals
-                sub = [(table.atom(l.atom), l.positive) for l in conflict]
-                assert not euf_literals_sat(sub)
-                asserted = {(l.atom, l.positive) for l in s.asserted()}
-                assert all((l.atom, l.positive) in asserted for l in conflict)
-            want_sat = euf_literals_sat([(table.atom(l.atom), l.positive) for l in lits])
+                assert not euf_literals_sat(_facts(table, conflict))
+                assert set(conflict) <= set(s.asserted())
+            want_sat = euf_literals_sat(_facts(table, lits))
             if got_sat != want_sat:
                 disagreements += 1
         assert disagreements == 0
@@ -223,10 +222,11 @@ class TestUndoTrail:
             marks = []
             for _ in range(rng.randint(4, 20)):
                 op = rng.random()
-                taken = {l.atom for l in s.asserted()}
+                taken = {abs(l) for l in s.asserted()}
                 free = [i for i in ids if i not in taken]
                 if op < 0.55 and free:
-                    s.assert_literal(Literal(rng.choice(free), rng.random() < 0.6))
+                    i = rng.choice(free)
+                    s.assert_literal(i if rng.random() < 0.6 else -i)
                 elif op < 0.8:
                     marks.append(s.mark())
                 elif marks:
@@ -253,21 +253,19 @@ class TestDeductions:
             ids = [table.intern(x) for x in atoms]
             s = EufSolver(table)
             picked = rng.sample(ids, rng.randint(1, len(ids)))
-            if any(s.assert_literal(Literal(i, rng.random() < 0.7)) is not None
+            if any(s.assert_literal(i if rng.random() < 0.7 else -i) is not None
                    for i in picked):
                 continue
             if s.check_full().status != "sat":
                 continue
             asserted = s.asserted()
-            facts = [(table.atom(l.atom), l.positive) for l in asserted]
+            facts = _facts(table, asserted)
             deduced = {}
             for d in s.deductions():
                 assert set(d.explanation) <= set(asserted)
                 # explanation plus the negated literal must be oracle-unsat
-                lits = [(table.atom(l.atom), l.positive) for l in d.explanation]
-                lits.append((table.atom(d.literal.atom), not d.literal.positive))
-                assert not euf_literals_sat(lits)
-                deduced[d.literal.atom] = d.literal.positive
+                assert not euf_literals_sat(_facts(table, d.explanation + (-d.literal,)))
+                deduced[abs(d.literal)] = d.literal > 0
                 checked += 1
             for i in ids:
                 if i in picked:

@@ -6,9 +6,7 @@ import pytest
 
 from gen import random_lra_atoms
 from oracles import lra_literals_sat
-from smtcore.terms import (
-    REAL, AtomTable, Clause, LinComb, Literal, Var, canonical_lin_atom, eval_lin_atom,
-)
+from smtcore.terms import REAL, AtomTable, LinComb, Var, canonical_lin_atom, eval_lin_atom
 from smtcore.theory import LraSolver, is_valid_lemma
 from smtcore.theory.lra import DeltaRational
 
@@ -23,6 +21,11 @@ def lin(coeffs, offset, rel):
 def table_with(*atoms):
     table = AtomTable()
     return table, [table.intern(a) for a in atoms]
+
+
+def _facts(table, lits):
+    """(atom, polarity) pairs of signed atom ids, as the oracle takes them."""
+    return [(table.atom(abs(l)), l > 0) for l in lits]
 
 
 class TestDeltaRational:
@@ -41,15 +44,15 @@ class TestAssertAndConflict:
     def test_bound_pair_conflict(self):
         table, (ilt, ieq) = table_with(lin({Y: 1}, 0, "<"), lin({Y: 1}, -1, "="))
         s = LraSolver(table)
-        assert s.assert_literal(Literal(ilt, True)) is None
-        conflict = s.assert_literal(Literal(ieq, True))
+        assert s.assert_literal(ilt) is None
+        conflict = s.assert_literal(ieq)
         assert conflict is not None
-        assert {(l.atom, l.positive) for l in conflict} == {(ilt, True), (ieq, True)}
+        assert set(conflict) == {ilt, ieq}
 
     def test_single_bound_ok(self):
         table, (ieq,) = table_with(lin({X: 1}, 0, "="))
         s = LraSolver(table)
-        assert s.assert_literal(Literal(ieq, True)) is None
+        assert s.assert_literal(ieq) is None
         assert s.check_full().status == "sat"
 
     def test_row_conflict_found_by_check(self):
@@ -59,11 +62,10 @@ class TestAssertAndConflict:
             lin({X: -1, Y: -1}, 1, "<="))
         s = LraSolver(table)
         for i in (iux, iuy, isum):
-            assert s.assert_literal(Literal(i, True)) is None
+            assert s.assert_literal(i) is None
         v = s.check_full()
         assert v.status == "conflict"
-        assert {(l.atom, l.positive) for l in v.conflict} == \
-            {(iux, True), (iuy, True), (isum, True)}
+        assert set(v.conflict) == {iux, iuy, isum}
 
     def test_witness_satisfies_every_literal_exactly(self):
         table, ids = table_with(
@@ -71,20 +73,20 @@ class TestAssertAndConflict:
             lin({Y: 1}, 0, "<"),           # y < 0
             lin({X: 1, Y: -1}, -4, "="))   # x - y = 4 (asserted negatively)
         s = LraSolver(table)
-        lits = [Literal(ids[0], True), Literal(ids[1], True), Literal(ids[2], False)]
+        lits = [ids[0], ids[1], -ids[2]]
         for lit in lits:
             assert s.assert_literal(lit) is None
         v = s.check_full()
         assert v.status == "sat"
         for lit in lits:
-            assert eval_lin_atom(table.atom(lit.atom), s.witness()) == lit.positive
+            assert eval_lin_atom(table.atom(abs(lit)), s.witness()) == (lit > 0)
 
     def test_strict_chain_needs_infinitesimal(self):
         # x < 1 and x >= 1 - delta impossible; x < 1 and x > 0 fine
         table, (ilt, igt) = table_with(lin({X: 1}, -1, "<"), lin({X: -1}, 0, "<"))
         s = LraSolver(table)
-        assert s.assert_literal(Literal(ilt, True)) is None
-        assert s.assert_literal(Literal(igt, True)) is None
+        assert s.assert_literal(ilt) is None
+        assert s.assert_literal(igt) is None
         v = s.check_full()
         assert v.status == "sat"
         assert 0 < s.witness()[X] < 1
@@ -94,30 +96,30 @@ class TestAssertAndConflict:
         table, (ige, ile, ieq) = table_with(
             lin({X: -1}, 0, "<="), lin({X: 1}, 0, "<="), lin({X: 1}, 0, "="))
         s = LraSolver(table)
-        assert s.assert_literal(Literal(ige, True)) is None
-        assert s.assert_literal(Literal(ile, True)) is None
-        conflict = s.assert_literal(Literal(ieq, False))
+        assert s.assert_literal(ige) is None
+        assert s.assert_literal(ile) is None
+        conflict = s.assert_literal(-ieq)
         if conflict is None:
             v = s.check_full()
             assert v.status == "conflict"
             conflict = v.conflict
-        assert (ieq, False) in {(l.atom, l.positive) for l in conflict}
+        assert -ieq in conflict
 
     def test_constant_atom_conflict(self):
         table, (ic,) = table_with(lin({}, 1, "<"))  # 1 < 0: false
         s = LraSolver(table)
-        conflict = s.assert_literal(Literal(ic, True))
-        assert conflict == [Literal(ic, True)]
+        conflict = s.assert_literal(ic)
+        assert conflict == [ic]
 
 
 class TestBacktracking:
     def test_mark_restores_verdict(self):
         table, (ilt, ieq) = table_with(lin({Y: 1}, 0, "<"), lin({Y: 1}, -2, "="))
         s = LraSolver(table)
-        s.assert_literal(Literal(ilt, True))
+        s.assert_literal(ilt)
         mark = s.mark()
         before = s.check_full().status
-        s.assert_literal(Literal(ieq, True))
+        s.assert_literal(ieq)
         assert s.check_full().status == "conflict"
         s.backtrack(mark)
         assert s.check_full().status == before == "sat"
@@ -125,7 +127,7 @@ class TestBacktracking:
     def test_stale_mark(self):
         table, (ilt,) = table_with(lin({Y: 1}, 0, "<"))
         s = LraSolver(table)
-        s.assert_literal(Literal(ilt, True))
+        s.assert_literal(ilt)
         mark = s.mark()
         s.backtrack(0)
         with pytest.raises(ValueError, match="stale"):
@@ -140,7 +142,7 @@ class TestBacktracking:
         for i in ids:
             marks.append(s.mark())
             states.append(len(s.asserted()))
-            s.assert_literal(Literal(i, True))
+            s.assert_literal(i)
         for mark, n in zip(reversed(marks), reversed(states)):
             s.backtrack(mark)
             assert len(s.asserted()) == n
@@ -150,11 +152,11 @@ class TestDeductions:
     def test_bound_refutation(self):
         table, (ieq1, ieq0) = table_with(lin({X: 1}, -1, "="), lin({X: 1}, 0, "="))
         s = LraSolver(table)
-        s.assert_literal(Literal(ieq1, True))
-        deds = {d.literal.atom: d for d in s.deductions()}
+        s.assert_literal(ieq1)
+        deds = {abs(d.literal): d for d in s.deductions()}
         assert ieq0 in deds
-        assert not deds[ieq0].literal.positive
-        assert {(l.atom, l.positive) for l in deds[ieq0].explanation} == {(ieq1, True)}
+        assert deds[ieq0].literal == -ieq0
+        assert deds[ieq0].explanation == (ieq1,)
 
     def test_deductions_leave_the_tableau_unchanged(self):
         table, ids = table_with(
@@ -162,7 +164,7 @@ class TestDeductions:
             lin({X: 1, Y: 1}, -2, "<="), lin({X: 2, Y: -1}, 0, "="))
         s = LraSolver(table)
         for i in ids[:2]:
-            assert s.assert_literal(Literal(i, True)) is None
+            assert s.assert_literal(i) is None
         assert s.check_full().status == "sat"
         state = copy.deepcopy((s.rows, s.values, s.lower, s.upper, s.slack_of))
         assert s.deductions()
@@ -173,39 +175,39 @@ class TestDeductions:
         table, (ile, ilt) = table_with(lin({X: 1, Y: -1}, -1, "<="),
                                        lin({X: -1, Y: 1}, 1, "<"))
         s = LraSolver(table)
-        s.assert_literal(Literal(ile, True))
+        s.assert_literal(ile)
         assert [(d.literal, d.explanation) for d in s.deductions()] == \
-            [(Literal(ilt, False), (Literal(ile, True),))]
+            [(-ilt, (ile,))]
 
     def test_scaled_unate(self):
         # 2x <= 3 entails x <= 2: the same base x at scales 2 and 1
         table, (i2x, ix) = table_with(lin({X: 2}, -3, "<="), lin({X: 1}, -2, "<="))
         s = LraSolver(table)
-        s.assert_literal(Literal(i2x, True))
+        s.assert_literal(i2x)
         assert [(d.literal, d.explanation) for d in s.deductions()] == \
-            [(Literal(ix, True), (Literal(i2x, True),))]
+            [(ix, (i2x,))]
 
     def test_interval_sum(self):
         # x <= 1 and y <= 1 entail x + y <= 2
         table, (ix, iy, isum) = table_with(lin({X: 1}, -1, "<="), lin({Y: 1}, -1, "<="),
                                            lin({X: 1, Y: 1}, -2, "<="))
         s = LraSolver(table)
-        s.assert_literal(Literal(ix, True))
-        s.assert_literal(Literal(iy, True))
+        s.assert_literal(ix)
+        s.assert_literal(iy)
         deds = s.deductions()
-        assert [d.literal for d in deds] == [Literal(isum, True)]
-        assert set(deds[0].explanation) == {Literal(ix, True), Literal(iy, True)}
+        assert [d.literal for d in deds] == [isum]
+        assert set(deds[0].explanation) == {ix, iy}
 
     def test_interval_difference_bounds_a_variable(self):
         # x - y <= 1 and y < 0 entail x < 1, hence not (x >= 1)
         table, (idiff, iy, ix) = table_with(lin({X: 1, Y: -1}, -1, "<="),
                                             lin({Y: 1}, 0, "<"), lin({X: -1}, 1, "<="))
         s = LraSolver(table)
-        s.assert_literal(Literal(idiff, True))
-        s.assert_literal(Literal(iy, True))
+        s.assert_literal(idiff)
+        s.assert_literal(iy)
         deds = s.deductions()
-        assert [d.literal for d in deds] == [Literal(ix, False)]
-        assert set(deds[0].explanation) == {Literal(idiff, True), Literal(iy, True)}
+        assert [d.literal for d in deds] == [-ix]
+        assert set(deds[0].explanation) == {idiff, iy}
 
     def test_no_deductions_on_empty_state(self):
         table, _ = table_with(lin({X: 1}, 0, "="))
@@ -222,16 +224,14 @@ class TestDeductions:
             ok = True
             picked = rng.sample(ids, rng.randint(1, len(ids)))
             for i in picked:
-                if s.assert_literal(Literal(i, rng.random() < 0.7)) is not None:
+                if s.assert_literal(i if rng.random() < 0.7 else -i) is not None:
                     ok = False
                     break
             if not ok or s.check_full().status != "sat":
                 continue
             for d in s.deductions():
                 # explanation plus the negated literal must be oracle-unsat
-                lits = [(table.atom(l.atom), l.positive) for l in d.explanation]
-                lits.append((table.atom(d.literal.atom), not d.literal.positive))
-                assert not lra_literals_sat(lits)
+                assert not lra_literals_sat(_facts(table, d.explanation + (-d.literal,)))
                 checked += 1
         assert checked > 50
 
@@ -241,24 +241,19 @@ class TestValidity:
         table, (i10, i01, iy2, iylt, iy1) = table_with(
             lin({X: 1}, -1, "="), lin({X: 1}, 0, "="),
             lin({Y: 1}, -2, "="), lin({Y: 1}, 0, "<"), lin({Y: 1}, -1, "="))
-        lemmas = [
-            Clause((Literal(i10, False), Literal(i01, False))),
-            Clause((Literal(iy2, False), Literal(iylt, False))),
-            Clause((Literal(iy1, False), Literal(iylt, False))),
-        ]
-        for lemma in lemmas:
+        for lemma in [(-i10, -i01), (-iy2, -iylt), (-iy1, -iylt)]:
             assert is_valid_lemma(lemma, table) == (True, None)
 
     def test_trivial_tautology_shape(self):
         table, (ieq,) = table_with(lin({X: 1}, 0, "="))
-        lemma = Clause((Literal(ieq, True), Literal(ieq, True)))
-        # (x=0 or x=0) is not valid; the real tautology is unconstructible
-        ok, counter = is_valid_lemma(lemma, table)
+        # (x=0 or x=0) is not valid; (x=0 or not x=0) is
+        ok, counter = is_valid_lemma((ieq, ieq), table)
         assert not ok and counter[X] != 0
+        assert is_valid_lemma((ieq, -ieq), table) == (True, None)
 
     def test_invalid_lemma_has_countermodel(self):
         table, (i0, i1) = table_with(lin({X: 1}, 0, "="), lin({X: 1}, -1, "="))
-        ok, counter = is_valid_lemma(Clause((Literal(i0, True), Literal(i1, True))), table)
+        ok, counter = is_valid_lemma((i0, i1), table)
         assert not ok
         assert counter[X] not in (0, 1)
 
@@ -269,7 +264,7 @@ class TestValidity:
         i1 = table.intern(lin({X: 1}, 0, "="))
         i2 = table.intern(euf_atom(u, v))
         with pytest.raises(ValueError, match="mixed"):
-            is_valid_lemma(Clause((Literal(i1, True), Literal(i2, True))), table)
+            is_valid_lemma((i1, i2), table)
 
 
 class PivotWatch(LraSolver):
@@ -297,15 +292,14 @@ class TestCompletenessAgainstFourierMotzkin:
             table = AtomTable()
             ids = [table.intern(a) for a in atoms]
             n_lits = rng.randint(1, 8)
-            lits = [Literal(rng.choice(ids), rng.random() < 0.6) for _ in range(n_lits)]
-            # drop contradictory duplicates on the same atom (trail-style input)
-            seen = {}
+            lits = [(rng.choice(ids), rng.random() < 0.6) for _ in range(n_lits)]
+            # keep the first literal on each atom (trail-style input)
+            seen = set()
             filtered = []
-            for l in lits:
-                if l.atom in seen:
-                    continue
-                seen[l.atom] = l.positive
-                filtered.append(l)
+            for i, positive in lits:
+                if i not in seen:
+                    seen.add(i)
+                    filtered.append(i if positive else -i)
             s = PivotWatch(table)
             conflict = None
             for lit in filtered:
@@ -320,14 +314,12 @@ class TestCompletenessAgainstFourierMotzkin:
             else:
                 got_sat = False
             fractional_pivots += s.fractional_pivots
-            want_sat = lra_literals_sat(
-                [(table.atom(l.atom), l.positive) for l in filtered])
+            want_sat = lra_literals_sat(_facts(table, filtered))
             assert got_sat == want_sat, f"trial {trial}"
             if conflict is not None:
-                sub = [(table.atom(l.atom), l.positive) for l in conflict]
-                assert not lra_literals_sat(sub), f"trial {trial}: unsound conflict"
-                asserted_keys = {(l.atom, l.positive) for l in filtered}
-                assert all((l.atom, l.positive) in asserted_keys for l in conflict)
+                assert not lra_literals_sat(_facts(table, conflict)), \
+                    f"trial {trial}: unsound conflict"
+                assert set(conflict) <= set(filtered)
         # coefficients up to 3 make pivots divide by 2 or 3, so the verdicts
         # above include tableaux with Fraction coefficients
         assert fractional_pivots > 0
