@@ -8,11 +8,17 @@ the small-integer fast path of Dutertre & de Moura (CAV 2006).
 
 Variables (original theory variables plus one slack per distinct
 coefficient vector) carry optional lower/upper bounds valued in
-delta-rationals, so strict inequalities are exact.  Pivoting uses Bland's
-rule (first eligible by fixed variable order), which guarantees
-termination.  Conflicts are the Farkas row of the failing bound: the
-bound-introducing literals with nonzero coefficient in the infeasibility
-certificate; they are sound but not necessarily minimal.
+delta-rationals, so strict inequalities are exact.  A delta-rational is a
+plain `(real, delta)` tuple standing for real + delta * eps with eps > 0
+infinitesimal, so Python's tuple order is the order of the values.  Each
+literal's slack and bound tuples are worked out once, on its first
+assertion.  The check keeps a set holding every basic variable outside
+its bounds and repairs the smallest first, which is Bland's rule (first
+eligible by fixed variable order) and guarantees termination.  A bound
+asserted past the opposite bound is a conflict at once and stays one
+until it is undone.  Conflicts are the Farkas row of the failing bound:
+the bound-introducing literals with nonzero coefficient in the
+infeasibility certificate; they are sound but not necessarily minimal.
 
 Negated equalities are held aside as disequalities and settled inside
 check_full by probing both strict sides; when both sides fail the conflict
@@ -31,10 +37,18 @@ two-variable base plus its other variable.  Every unasserted atom whose
 threshold the bounds cross is deduced, explained by the literals that set
 the bounds used.  This finds fewer atoms than a simplex probe per atom
 would, at a small fraction of the cost.
+
+Propagation is driven by the undo trail.  The per-base bounds, unate and
+rule-derived, are solver state, and every change to them is a trail
+entry, so backtracking restores them with the asserted bounds.  A call
+reads only the slacks whose bounds moved since the state was last brought
+up to date, re-runs only the interval rules over the bases that changed,
+and tests only the atoms whose answer can differ from the previous
+call's: those over a base whose bound changed, those unasserted since,
+and those the previous call reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -42,24 +56,14 @@ from typing import Optional
 from ..terms import LinAtom, Rational, Var, eval_lin_atom
 from .base import Deduction, TheorySolver, TheoryVerdict
 
+# undo-trail entry tags
+_BOUND, _DISEQ, _CROSSED, _SLOT, _SYNCED = range(5)
 
-@dataclass(frozen=True, order=True)
-class DeltaRational:
-    """Rational plus an infinitesimal coefficient, ordered lexicographically."""
-    real: Rational
-    delta: Rational = 0
+# how a literal acts on its slack (_literal_plan)
+_CONST, _BOUNDS, _NOT_EQUAL = range(3)
 
-    def __add__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real + other.real, self.delta + other.delta)
-
-    def __sub__(self, other: "DeltaRational") -> "DeltaRational":
-        return DeltaRational(self.real - other.real, self.delta - other.delta)
-
-    def scale(self, k: Rational) -> "DeltaRational":
-        return DeltaRational(self.real * k, self.delta * k)
-
-    def divide(self, k: Rational) -> "DeltaRational":
-        return DeltaRational(_div(self.real, k), _div(self.delta, k))
+# the smallest 2**-k that witness tries for the infinitesimal is 2**-(_EPS_STEPS - 1)
+_EPS_STEPS = 220
 
 
 class _Probe:
@@ -72,10 +76,95 @@ class _Probe:
         self.literal = literal
 
 
-@dataclass
-class _Bound:
-    value: DeltaRational
-    reason: object  # asserted literal or _Probe
+class _Propagation:
+    """The deduction plan of one solver's atom table, and the per-base
+    bounds it maintains.
+
+    The plan groups the atoms by base form, in table order, and lists the
+    interval rules over those bases.  An atom `s rel c` over its slack
+    s = lam * b, b its base form, holds exactly when least <= b <= most,
+    with thresholds in base units (c / lam; None when unbounded, a nonzero
+    infinitesimal when strict).
+
+    The state is, per side (0 lower, 1 upper), a (value, explanation) or
+    None per base for its unate bound and for the tightest of that and its
+    rules' bounds (merged), and per rule for the bound it derives.  The
+    solver writes it through the undo trail (`LraSolver._set_slot`)."""
+
+    def __init__(self, table, lower: dict, upper: dict):
+        bases: dict[tuple, int] = {}
+        self.base_of_key: dict[tuple, int] = {}
+        # per side and base: (slack key, 1/lam, the slack's bound store
+        # that bounds the base on that side), in table order
+        self.slacks: tuple[list, list] = ([], [])
+        self.constants: list[int] = []
+        self.tests: list[tuple] = []           # (atom id, base, least, most)
+        self.tests_of: list[list[int]] = []    # base -> its tests
+        self.test_of_atom: dict[int, int] = {}
+        lams: dict[tuple, Rational] = {}   # slack key -> lam
+        for atom_id, atom in table.items():
+            if not isinstance(atom, LinAtom):
+                continue
+            if not atom.coeffs:
+                self.constants.append(atom_id if eval_lin_atom(atom, {}) else -atom_id)
+                continue
+            key = tuple((v.index, c) for v, c in atom.coeffs)
+            lam = lams.get(key)
+            if lam is None:
+                form, lam = _base_form(key)
+                lams[key] = lam
+                bid = bases.get(form)
+                if bid is None:
+                    bid = bases[form] = len(bases)
+                    self.slacks[0].append([])
+                    self.slacks[1].append([])
+                    self.tests_of.append([])
+                self.base_of_key[key] = bid
+                inv = _div(1, lam)
+                self.slacks[0][bid].append((key, inv, lower if inv > 0 else upper))
+                self.slacks[1][bid].append((key, inv, upper if inv > 0 else lower))
+            bid = self.base_of_key[key]
+            k = _div(-atom.offset, lam)
+            strict = int(atom.rel == "<")
+            if atom.rel == "=":
+                least = most = (k, 0)
+            elif lam > 0:
+                least, most = None, (k, -strict)
+            else:
+                least, most = (k, strict), None
+            self.test_of_atom[atom_id] = len(self.tests)
+            self.tests_of[bid].append(len(self.tests))
+            self.tests.append((atom_id, bid, least, most))
+        nbases = len(bases)
+        self.unate = ([None] * nbases, [None] * nbases)
+        self.merged = ([None] * nbases, [None] * nbases)
+        # one interval rule per derivable base: target <- sum(coeff * source)
+        single = {form[0][0]: bid for form, bid in bases.items() if len(form) == 1}
+        rules = []
+        for form, bid in bases.items():
+            if len(form) < 2:
+                continue
+            if all(v in single for v, _ in form):
+                rules.append((bid, tuple((single[v], c) for v, c in form)))
+            if len(form) == 2:
+                for (vi, ci), (vj, cj) in ((form[0], form[1]), (form[1], form[0])):
+                    if vi in single and vj in single:
+                        rules.append((single[vj], ((bid, _div(1, cj)),
+                                                   (single[vi], _div(-ci, cj)))))
+        self.rule_target = [target for target, _terms in rules]
+        # per side and rule, its terms, each reading the unate bound of its
+        # source on the side the coefficient's sign selects
+        self.rule_terms = tuple(
+            [tuple((self.unate[side if c > 0 else 1 - side], src, c) for src, c in terms)
+             for _target, terms in rules]
+            for side in (0, 1))
+        self.rule_bounds = ([None] * len(rules), [None] * len(rules))
+        self.rules_of: list[list[int]] = [[] for _ in range(nbases)]  # target -> its rules
+        self.readers: list[list[int]] = [[] for _ in range(nbases)]   # source -> rules reading it
+        for r, (target, terms) in enumerate(rules):
+            self.rules_of[target].append(r)
+            for src, _c in terms:
+                self.readers[src].append(r)
 
 
 class LraSolver(TheorySolver):
@@ -85,13 +174,20 @@ class LraSolver(TheorySolver):
         super().__init__(table)
         self.columns: dict[Var, int] = {}
         self.slack_of: dict[tuple, int] = {}
+        self._key_of: dict[int, tuple] = {}      # slack -> its coefficient key
         self.nvars = 0
         self.rows: dict[int, dict[int, Rational]] = {}
-        self.values: dict[int, DeltaRational] = {}
-        self.lower: dict[int, _Bound] = {}
-        self.upper: dict[int, _Bound] = {}
+        self.values: dict[int, tuple] = {}       # variable -> (real, delta)
+        self.lower: dict[int, tuple] = {}        # variable -> ((real, delta), reason)
+        self.upper: dict[int, tuple] = {}        # reason: an asserted literal or a _Probe
         self.diseqs: list[tuple[int, Rational, int]] = []
-        self._tests = None  # deduction plan, built on first use (_build_propagation)
+        self._out_of_bounds: set[int] = set()    # holds every basic variable outside its bounds
+        self._crossed: Optional[list] = None     # reasons of a bound asserted past its opposite
+        self._lit_plans: dict[int, tuple] = {}   # literal -> _literal_plan
+        self._prop: Optional[_Propagation] = None  # built on the first deductions call
+        self._synced = 0                     # trail length the base bounds are current at
+        self._reported: list[int] = []       # tests the last call reported
+        self._seen: set[int] = set()         # atoms asserted at the last call
 
     def owns_atom(self, atom) -> bool:
         return isinstance(atom, LinAtom)
@@ -101,7 +197,7 @@ class LraSolver(TheorySolver):
     def _new_id(self) -> int:
         vid = self.nvars
         self.nvars += 1
-        self.values[vid] = DeltaRational(0)
+        self.values[vid] = (0, 0)
         return vid
 
     def _column(self, v: Var) -> int:
@@ -128,33 +224,57 @@ class LraSolver(TheorySolver):
         assert row, "a nonzero linear form cannot reduce to the empty row"
         sid = self._new_id()
         self.slack_of[key] = sid
+        self._key_of[sid] = key
         self.rows[sid] = row
-        val = DeltaRational(0)
+        real = delta = 0
         for k, ck in row.items():
-            val = val + self.values[k].scale(ck)
-        self.values[sid] = val
+            vr, vd = self.values[k]
+            real, delta = real + vr * ck, delta + vd * ck
+        self.values[sid] = (real, delta)
         return sid
 
-    def _update_nonbasic(self, xj: int, v: DeltaRational):
-        delta = v - self.values[xj]
+    def _track(self, var: int, value: tuple):
+        """Put a basic variable whose value just changed in the
+        out-of-bounds set when its new value violates a bound."""
+        low = self.lower.get(var)
+        if low is not None and value < low[0]:
+            self._out_of_bounds.add(var)
+            return
+        up = self.upper.get(var)
+        if up is not None and value > up[0]:
+            self._out_of_bounds.add(var)
+
+    def _update_nonbasic(self, xj: int, v: tuple):
+        values = self.values
+        cur = values[xj]
+        dr, dd = v[0] - cur[0], v[1] - cur[1]
         for xi, row in self.rows.items():
             a = row.get(xj)
             if a:
-                self.values[xi] = self.values[xi] + delta.scale(a)
-        self.values[xj] = v
+                r, d = values[xi]
+                values[xi] = nv = (r + dr * a, d + dd * a)
+                self._track(xi, nv)
+        values[xj] = v
 
-    def _pivot_and_update(self, xi: int, xj: int, v: DeltaRational):
+    def _pivot_and_update(self, xi: int, xj: int, v: tuple):
+        values = self.values
         row = self.rows[xi]
         aij = row[xj]
-        theta = (v - self.values[xi]).divide(aij)
-        self.values[xi] = v
-        self.values[xj] = self.values[xj] + theta
+        r, d = values[xi]
+        tr, td = _div(v[0] - r, aij), _div(v[1] - d, aij)
+        values[xi] = v
+        r, d = values[xj]
+        values[xj] = (r + tr, d + td)
         for xk, rk in self.rows.items():
             if xk != xi:
                 a = rk.get(xj)
                 if a:
-                    self.values[xk] = self.values[xk] + theta.scale(a)
-        # pivot: xj leaves the nonbasic set, xi enters it
+                    r, d = values[xk]
+                    values[xk] = nv = (r + tr * a, d + td * a)
+                    self._track(xk, nv)
+        # pivot: xj leaves the nonbasic set, xi enters it at its bound
+        self._out_of_bounds.discard(xi)
+        self._track(xj, values[xj])
         del self.rows[xi]
         new_row = {xi: _div(1, aij)}
         for k, ck in row.items():
@@ -175,64 +295,66 @@ class LraSolver(TheorySolver):
 
     # -- bounds ------------------------------------------------------------------
 
-    def _assert_bound(self, var: int, which: str, value: DeltaRational,
+    def _assert_bound(self, var: int, is_lower: bool, value: tuple,
                       reason) -> Optional[list]:
-        store = self.lower if which == "lower" else self.upper
+        store, opposite = (self.lower, self.upper) if is_lower else (self.upper, self.lower)
         cur = store.get(var)
-        better = cur is None or (value > cur.value if which == "lower" else value < cur.value)
-        if not better:
+        if cur is not None and (value <= cur[0] if is_lower else value >= cur[0]):
             return None
-        self._trail.append(("bound", var, which, cur))
-        store[var] = _Bound(value, reason)
-        opp = (self.upper if which == "lower" else self.lower).get(var)
-        if opp is not None:
-            crossed = value > opp.value if which == "lower" else value < opp.value
-            if crossed:
-                return [reason, opp.reason]
-        if var not in self.rows:  # nonbasic: move inside the bound
-            if which == "lower" and self.values[var] < value:
-                self._update_nonbasic(var, value)
-            elif which == "upper" and self.values[var] > value:
+        self._trail.append((_BOUND, var, is_lower, cur))
+        store[var] = (value, reason)
+        opp = opposite.get(var)
+        if opp is not None and (value > opp[0] if is_lower else value < opp[0]):
+            self._trail.append((_CROSSED, self._crossed))
+            self._crossed = [reason, opp[1]]
+            return self._crossed
+        current = self.values[var]
+        if current < value if is_lower else current > value:
+            if var in self.rows:
+                self._out_of_bounds.add(var)
+            else:  # nonbasic: move inside the bound
                 self._update_nonbasic(var, value)
         return None
 
     # -- assert / undo ------------------------------------------------------------
 
-    def _assert(self, lit: int, atom: LinAtom) -> Optional[list[int]]:
+    def _literal_plan(self, lit: int, atom: LinAtom) -> tuple:
+        """(kind, slack, data) of a literal: _BOUNDS with the (is_lower,
+        value) pairs it asserts on its slack, _NOT_EQUAL with the constant
+        its slack must differ from, or _CONST (no slack) with whether it
+        holds."""
         if not atom.coeffs:
-            holds = eval_lin_atom(atom, {})
-            if holds != (lit > 0):
-                return [lit]
-            return None
+            return _CONST, None, eval_lin_atom(atom, {}) == (lit > 0)
         sid = self._slack(atom.coeffs)
         c = -atom.offset
-        rel, pos = atom.rel, lit > 0
-        if rel == "<=":
-            if pos:
-                conf = self._assert_bound(sid, "upper", DeltaRational(c), lit)
-            else:
-                conf = self._assert_bound(sid, "lower", DeltaRational(c, 1), lit)
-        elif rel == "<":
-            if pos:
-                conf = self._assert_bound(sid, "upper", DeltaRational(c, -1), lit)
-            else:
-                conf = self._assert_bound(sid, "lower", DeltaRational(c), lit)
-        else:  # "="
-            if pos:
-                conf = self._assert_bound(sid, "lower", DeltaRational(c), lit)
-                if conf is None:
-                    conf = self._assert_bound(sid, "upper", DeltaRational(c), lit)
-            else:
-                self._trail.append(("diseq",))
-                self.diseqs.append((sid, c, lit))
-                conf = None
-                low, up = self.lower.get(sid), self.upper.get(sid)
-                if (low is not None and up is not None
-                        and low.value == up.value == DeltaRational(c)):
-                    conf = [low.reason, up.reason, lit]
-        if conf is None:
+        if atom.rel == "=":
+            if lit > 0:
+                return _BOUNDS, sid, ((True, (c, 0)), (False, (c, 0)))
+            return _NOT_EQUAL, sid, c
+        strict = atom.rel == "<"
+        if lit > 0:
+            return _BOUNDS, sid, ((False, (c, -1 if strict else 0)),)
+        return _BOUNDS, sid, ((True, (c, 0 if strict else 1)),)
+
+    def _assert(self, lit: int, atom: LinAtom) -> Optional[list[int]]:
+        plan = self._lit_plans.get(lit)
+        if plan is None:
+            plan = self._lit_plans[lit] = self._literal_plan(lit, atom)
+        kind, sid, data = plan
+        if kind == _BOUNDS:
+            for is_lower, value in data:
+                conf = self._assert_bound(sid, is_lower, value, lit)
+                if conf is not None:
+                    return self._sanitize(conf)
             return None
-        return self._sanitize(conf)
+        if kind == _CONST:
+            return None if data else [lit]
+        self._trail.append((_DISEQ,))
+        self.diseqs.append((sid, data, lit))
+        low, up = self.lower.get(sid), self.upper.get(sid)
+        if low is not None and up is not None and low[0] == up[0] == (data, 0):
+            return self._sanitize([low[1], up[1], lit])
+        return None
 
     def _sanitize(self, reasons) -> list[int]:
         lits = [r.literal if isinstance(r, _Probe) else r for r in reasons]
@@ -243,70 +365,67 @@ class LraSolver(TheorySolver):
         trail = self._trail
         while len(trail) > length:
             entry = trail.pop()
-            if entry[0] == "bound":
-                _, var, which, old = entry
-                store = self.lower if which == "lower" else self.upper
+            tag = entry[0]
+            if tag == _BOUND:
+                _, var, is_lower, old = entry
+                store = self.lower if is_lower else self.upper
                 if old is None:
                     del store[var]
                 else:
                     store[var] = old
-            else:  # "diseq"
+            elif tag == _SLOT:
+                entry[1][entry[2]] = entry[3]
+            elif tag == _DISEQ:
                 self.diseqs.pop()
+            elif tag == _SYNCED:
+                self._synced = entry[1]
+            else:  # _CROSSED
+                self._crossed = entry[1]
 
     # -- feasibility --------------------------------------------------------------
 
     def _check(self) -> Optional[list]:
         """Restore feasibility or return the raw reason list of a conflict
         (may contain probe sentinels)."""
-        for var in sorted(self.lower):
-            up = self.upper.get(var)
-            if up is not None and self.lower[var].value > up.value:
-                return [self.lower[var].reason, up.reason]
-        while True:
-            victim = None
-            for xi in sorted(self.rows):
-                low = self.lower.get(xi)
-                if low is not None and self.values[xi] < low.value:
-                    victim = (xi, "low")
-                    break
-                up = self.upper.get(xi)
-                if up is not None and self.values[xi] > up.value:
-                    victim = (xi, "up")
-                    break
-            if victim is None:
-                return None
-            xi, kind = victim
-            row = self.rows[xi]
+        if self._crossed is not None:
+            return self._crossed
+        rows, values, lower, upper = self.rows, self.values, self.lower, self.upper
+        out = self._out_of_bounds
+        while out:
+            xi = min(out)
+            row = rows.get(xi)
+            low, up = lower.get(xi), upper.get(xi)
+            if row is not None and low is not None and values[xi] < low[0]:
+                kind = "low"
+            elif row is not None and up is not None and values[xi] > up[0]:
+                kind = "up"
+            else:
+                out.discard(xi)
+                continue
             pivot = None
             for xj in sorted(row):
                 a = row[xj]
                 if kind == "low":
-                    ok = (a > 0 and (xj not in self.upper
-                                     or self.values[xj] < self.upper[xj].value)) or \
-                         (a < 0 and (xj not in self.lower
-                                     or self.values[xj] > self.lower[xj].value))
+                    ok = (a > 0 and (xj not in upper or values[xj] < upper[xj][0])) or \
+                         (a < 0 and (xj not in lower or values[xj] > lower[xj][0]))
                 else:
-                    ok = (a < 0 and (xj not in self.upper
-                                     or self.values[xj] < self.upper[xj].value)) or \
-                         (a > 0 and (xj not in self.lower
-                                     or self.values[xj] > self.lower[xj].value))
+                    ok = (a < 0 and (xj not in upper or values[xj] < upper[xj][0])) or \
+                         (a > 0 and (xj not in lower or values[xj] > lower[xj][0]))
                 if ok:
                     pivot = xj
                     break
             if pivot is None:
                 if kind == "low":
-                    reasons = [self.lower[xi].reason]
+                    reasons = [low[1]]
                     for xj in sorted(row):
-                        reasons.append(self.upper[xj].reason if row[xj] > 0
-                                       else self.lower[xj].reason)
+                        reasons.append(upper[xj][1] if row[xj] > 0 else lower[xj][1])
                 else:
-                    reasons = [self.upper[xi].reason]
+                    reasons = [up[1]]
                     for xj in sorted(row):
-                        reasons.append(self.lower[xj].reason if row[xj] > 0
-                                       else self.upper[xj].reason)
+                        reasons.append(lower[xj][1] if row[xj] > 0 else upper[xj][1])
                 return reasons
-            target = self.lower[xi].value if kind == "low" else self.upper[xi].value
-            self._pivot_and_update(xi, pivot, target)
+            self._pivot_and_update(xi, pivot, low[0] if kind == "low" else up[0])
+        return None
 
     # -- disequality splitting ------------------------------------------------------
 
@@ -314,7 +433,7 @@ class LraSolver(TheorySolver):
         for i, (sid, c, _lit) in enumerate(self.diseqs):
             if i in pinned:
                 continue
-            if self.values[sid] == DeltaRational(c):
+            if self.values[sid] == (c, 0):
                 return i
         return None
 
@@ -324,11 +443,10 @@ class LraSolver(TheorySolver):
             return None
         sid, c, dlit = self.diseqs[i]
         collected = []
-        for which, value in (("upper", DeltaRational(c, -1)),
-                             ("lower", DeltaRational(c, 1))):
+        for is_lower, value in ((False, (c, -1)), (True, (c, 1))):
             length = len(self._trail)
             probe = _Probe(dlit)
-            conf = self._assert_bound(sid, which, value, probe)
+            conf = self._assert_bound(sid, is_lower, value, probe)
             if conf is None:
                 conf = self._check()
             if conf is None:
@@ -355,114 +473,138 @@ class LraSolver(TheorySolver):
         return TheoryVerdict("sat")
 
     def witness(self) -> dict[Var, Rational]:
-        """The simplex assignment with the infinitesimal made concrete:
-        halve a rational epsilon until every asserted literal holds.  The
+        """The simplex assignment with the infinitesimal made concrete: the
+        largest eps = 2**-k under which every asserted literal holds.  The
         disequality probes of check_full are undone but the values they
-        moved stay, so this is a model right after a "sat" check_full."""
-        eps = 1
-        atoms = [(self.table.atom(abs(l)), l > 0) for l in self._asserted]
-        for _ in range(220):
-            vals = {v: self.values[vid].real + self.values[vid].delta * eps
-                    for v, vid in self.columns.items()}
-            if all(eval_lin_atom(a, vals) == pos for a, pos in atoms):
+        moved stay, so this is a model right after a "sat" check_full.
+
+        A slack's value is r + d * eps, and the delta-valued assignment
+        meets each asserted bound for every small enough eps > 0.  So the
+        valid eps form an interval (0, E], or (0, E) when its tightest
+        bound is strict, less the one root of each disequality."""
+        values = self.values
+        limit, strict, roots = None, False, set()
+        for lit in self._asserted:
+            kind, sid, data = self._lit_plans[lit]
+            if kind == _CONST:
+                continue
+            r, d = values[sid]
+            if not d:
+                continue
+            if kind == _NOT_EQUAL:
+                roots.add(_div(data - r, d))
+                continue
+            for is_lower, (c, delta) in data:
+                if (d < 0) == is_lower:  # r + d * eps stays within c up to (c - r) / d
+                    bound = _div(c - r, d)
+                    if limit is None or bound < limit or (bound == limit and delta):
+                        limit, strict = bound, delta != 0
+        k = 0
+        if limit is not None:
+            if limit <= 0:
+                raise RuntimeError("could not concretize the infinitesimal")
+            p, q = limit.numerator, limit.denominator
+            # the least k with 2**-k < p/q, or <= p/q when not strict
+            k = (q // p if strict else -(-q // p) - 1).bit_length()
+        eps = 1 if k == 0 else Fraction(1, 1 << k)
+        while eps in roots:
+            k += 1
+            eps = Fraction(1, 1 << k)
+        if k < _EPS_STEPS:
+            vals = {v: values[vid][0] + values[vid][1] * eps for v, vid in self.columns.items()}
+            if all(eval_lin_atom(self.table.atom(abs(lit)), vals) == (lit > 0)
+                   for lit in self._asserted):
                 return vals
-            eps = _div(eps, 2)
         raise RuntimeError("could not concretize the infinitesimal")
 
     # -- deductions ------------------------------------------------------------------
 
-    def _build_propagation(self):
-        """Group the atoms by base form, in table order.  An atom `s rel c`
-        over its slack s = lam * b, b its base form, holds exactly when
-        least <= b <= most, with thresholds in base units (c / lam; None
-        when unbounded, a nonzero infinitesimal when strict)."""
-        bases: dict[tuple, int] = {}
-        groups: dict[tuple, tuple[int, Rational]] = {}
-        constants = []
-        tests = []
-        for atom_id, atom in self.table.items():
-            if not isinstance(atom, LinAtom):
-                continue
-            if not atom.coeffs:
-                constants.append(atom_id if eval_lin_atom(atom, {}) else -atom_id)
-                continue
-            form, lam = _base_form(atom.coeffs)
-            bid = bases.setdefault(form, len(bases))
-            groups.setdefault(tuple((v.index, c) for v, c in atom.coeffs), (bid, lam))
-            k = _div(-atom.offset, lam)
-            strict = int(atom.rel == "<")
-            if atom.rel == "=":
-                least = most = DeltaRational(k)
-            elif lam > 0:
-                least, most = None, DeltaRational(k, -strict)
-            else:
-                least, most = DeltaRational(k, strict), None
-            tests.append((atom_id, bid, least, most))
-        # one interval rule per derivable base: target <- sum(coeff * source)
-        single = {form[0][0]: bid for form, bid in bases.items() if len(form) == 1}
-        rules = []
-        for form, bid in bases.items():
-            if len(form) < 2:
-                continue
-            if all(v in single for v, _ in form):
-                rules.append((bid, tuple((single[v], c) for v, c in form)))
-            if len(form) == 2:
-                for (vi, ci), (vj, cj) in ((form[0], form[1]), (form[1], form[0])):
-                    if vi in single and vj in single:
-                        rules.append((single[vj], ((bid, _div(1, cj)), (single[vi], _div(-ci, cj)))))
-        self._groups = groups
-        self._rules = rules
-        self._constants = constants
-        self._tests = tests
-        self._live = []
+    def _set_slot(self, slots: list, bid: int, value) -> bool:
+        """Set one per-base bound through the trail; whether it changed."""
+        old = slots[bid]
+        if value == old:
+            return False
+        self._trail.append((_SLOT, slots, bid, old))
+        slots[bid] = value
+        return True
 
-    def _live_groups(self) -> list[tuple[int, int, Rational]]:
-        """(slack id, base id, 1/lam) for every atom slack the tableau has,
-        in table order; slacks are never dropped, so this is cached until
-        the next one is made."""
-        if len(self._live) != len(self.slack_of):
-            self._live = [(self.slack_of[key], bid, _div(1, lam))
-                          for key, (bid, lam) in self._groups.items()
-                          if key in self.slack_of]
-        return self._live
+    def _sync_bases(self, prop: _Propagation) -> set[int]:
+        """Bring the per-base bounds up to date with the asserted bounds,
+        reading only the slacks whose bounds moved since they last were and
+        re-running only the rules that read a base whose unate bound
+        changed; returns the bases whose merged bound changed."""
+        trail = self._trail
+        touched = set()
+        for entry in trail[self._synced:]:
+            if entry[0] == _BOUND:
+                bid = prop.base_of_key.get(self._key_of[entry[1]])
+                if bid is not None:
+                    touched.add(bid)
+        changed, rules, moved = set(), set(), set()
+        for bid in touched:
+            for side in (0, 1):
+                best = None
+                for key, inv, store in prop.slacks[side][bid]:
+                    sid = self.slack_of.get(key)
+                    bound = None if sid is None else store.get(sid)
+                    if bound is None:
+                        continue
+                    value = bound[0]
+                    if inv != 1:
+                        value = (value[0] * inv, _sign(value[1] * inv))
+                    if best is None or (value > best[0] if side == 0 else value < best[0]):
+                        best = (value, (bound[1],))
+                if self._set_slot(prop.unate[side], bid, best):
+                    changed.add(bid)
+                    rules.update(prop.readers[bid])
+        for r in rules:
+            for side in (0, 1):
+                if self._set_slot(prop.rule_bounds[side], r,
+                                  _rule_bound(prop.rule_terms[side][r])):
+                    changed.add(prop.rule_target[r])
+        # merged: the unate bound unless a rule derives a strictly tighter
+        # one, the first such rule in rule order
+        for bid in changed:
+            for side in (0, 1):
+                best = prop.unate[side][bid]
+                for r in prop.rules_of[bid]:
+                    bound = prop.rule_bounds[side][r]
+                    if bound is not None and (best is None or (
+                            bound[0] > best[0] if side == 0 else bound[0] < best[0])):
+                        best = bound
+                if self._set_slot(prop.merged[side], bid, best):
+                    moved.add(bid)
+        trail.append((_SYNCED, self._synced))
+        self._synced = len(trail)
+        return moved
 
     def deductions(self) -> list[Deduction]:
-        """Unate and interval propagation over the current bounds; reads the
-        tableau state and never changes it."""
-        if self._tests is None:
-            self._build_propagation()
-        lo: dict[int, tuple[DeltaRational, tuple[int, ...]]] = {}
-        hi: dict[int, tuple[DeltaRational, tuple[int, ...]]] = {}
-        for sid, bid, inv in self._live_groups():
-            for bound, is_lower in ((self.lower.get(sid), inv > 0),
-                                    (self.upper.get(sid), inv < 0)):
-                if bound is not None:
-                    value = bound.value if inv == 1 else _strictness(bound.value.scale(inv))
-                    _tighten(lo if is_lower else hi, bid, is_lower, value, (bound.reason,))
-        derived_lo: dict[int, tuple] = {}
-        derived_hi: dict[int, tuple] = {}
-        for target, terms in self._rules:
-            for is_lower, out in ((True, derived_lo), (False, derived_hi)):
-                total = DeltaRational(0)
-                expl: list[int] = []
-                for src, coeff in terms:
-                    entry = (lo if (coeff > 0) == is_lower else hi).get(src)
-                    if entry is None:
-                        break
-                    total = total + (entry[0] if coeff == 1 else entry[0].scale(coeff))
-                    expl.extend(entry[1])
-                else:
-                    _tighten(out, target, is_lower, _strictness(total),
-                             tuple(dict.fromkeys(expl)))
-        for derived, side, is_lower in ((derived_lo, lo, True), (derived_hi, hi, False)):
-            for bid, (value, expl) in derived.items():
-                _tighten(side, bid, is_lower, value, expl)
-        out = [Deduction(lit, ()) for lit in self._constants
-               if abs(lit) not in self._asserted_atoms]
-        for atom_id, bid, least, most in self._tests:
-            if atom_id in self._asserted_atoms:
+        """Unate and interval propagation over the current bounds; changes
+        no bound, value or row of the tableau."""
+        prop = self._prop
+        if prop is None:
+            prop = self._prop = _Propagation(self.table, self.lower, self.upper)
+        asserted = self._asserted_atoms
+        # The answer can change only for atoms over a base whose bound
+        # changed, atoms the last call reported and atoms unasserted since.
+        # A base an undo restored needs no more: its bound is that of an
+        # earlier call, so looser, and an atom it entails was entailed at
+        # the last call too, which reported it unless it was asserted then.
+        candidates = set(self._reported)
+        for bid in self._sync_bases(prop):
+            candidates.update(prop.tests_of[bid])
+        for atom_id in self._seen - asserted:
+            test = prop.test_of_atom.get(atom_id)
+            if test is not None:
+                candidates.add(test)
+        out = [Deduction(lit, ()) for lit in prop.constants if abs(lit) not in asserted]
+        lo, hi = prop.merged
+        reported = []
+        for test in sorted(candidates):
+            atom_id, bid, least, most = prop.tests[test]
+            if atom_id in asserted:
                 continue
-            low, up = lo.get(bid), hi.get(bid)
+            low, up = lo[bid], hi[bid]
             low_in = least is None or (low is not None and low[0] >= least)
             up_in = most is None or (up is not None and up[0] <= most)
             if low_in and up_in:
@@ -472,6 +614,11 @@ class LraSolver(TheorySolver):
                 out.append(Deduction(-atom_id, low[1]))
             elif up is not None and least is not None and up[0] < least:
                 out.append(Deduction(-atom_id, up[1]))
+            else:
+                continue
+            reported.append(test)
+        self._reported = reported
+        self._seen = set(asserted)
         return out
 
 
@@ -485,23 +632,32 @@ def _div(a: Rational, b: Rational) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
-def _base_form(coeffs) -> tuple[tuple, Rational]:
-    """(base form, lam) with coeffs = lam * base: the base is the vector over
-    variable indices divided by its content, first coefficient positive."""
-    lam = gcd(*(c for _, c in coeffs))
-    if coeffs[0][1] < 0:
+def _sign(x: Rational) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _base_form(key) -> tuple[tuple, Rational]:
+    """(base form, lam) with key = lam * base, key a linear form as
+    (variable index, coefficient) pairs: the base is the form divided by
+    its content, first coefficient positive."""
+    lam = gcd(*(c for _, c in key))
+    if key[0][1] < 0:
         lam = -lam
-    return tuple((v.index, c // lam) for v, c in coeffs), lam
+    return (key if lam == 1 else tuple((v, c // lam) for v, c in key)), lam
 
 
-def _strictness(value: DeltaRational) -> DeltaRational:
-    """Keep only the sign of the infinitesimal: a bound is strict or not,
-    and the size of delta carries no meaning once rows are combined."""
-    d = value.delta
-    return DeltaRational(value.real, (d > 0) - (d < 0))
-
-
-def _tighten(side: dict, bid: int, is_lower: bool, value: DeltaRational, expl: tuple):
-    cur = side.get(bid)
-    if cur is None or (value > cur[0] if is_lower else value < cur[0]):
-        side[bid] = (value, expl)
+def _rule_bound(terms) -> Optional[tuple]:
+    """The bound an interval rule derives from the unate bounds of its
+    sources, or None when one is unbounded.  Only the sign of the summed
+    infinitesimal is kept: a bound is strict or not, and the size of delta
+    carries no meaning once rows are combined."""
+    real = delta = 0
+    expl: list = []
+    for unate, src, coeff in terms:
+        entry = unate[src]
+        if entry is None:
+            return None
+        (vr, vd), reasons = entry
+        real, delta = real + vr * coeff, delta + vd * coeff
+        expl.extend(reasons)
+    return (real, _sign(delta)), tuple(dict.fromkeys(expl))

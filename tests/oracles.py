@@ -2,7 +2,8 @@
 
 These deliberately share no code with the solvers: satisfiability of
 linear-arithmetic conjunctions is decided by Fourier-Motzkin elimination
-(with case splits on disequalities), EUF conjunctions by a naive
+(with case splits on disequalities), LRA theory propagation by a full
+recompute from the bounds on every call, EUF conjunctions by a naive
 congruence-closure fixpoint over the term universe, propositional formulas
 by vectorized truth-table enumeration, and SMT formulas by enumerating all
 total truth assignments and filtering through the theory oracle.
@@ -10,6 +11,7 @@ total truth assignments and filtering through the theory oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -90,6 +92,115 @@ def lra_literals_sat(literals: list[tuple[LinAtom, bool]]) -> bool:
         return solve(less, rest) or solve(more, rest)
 
     return solve(ineqs, diseqs)
+
+
+# ---------------------------------------------------------------------------
+# Reference LRA theory propagation: a full recompute from the bounds
+# ---------------------------------------------------------------------------
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _improves(value, current, is_lower: bool) -> bool:
+    return current is None or (value > current[0] if is_lower else value < current[0])
+
+
+def reference_lra_deductions(solver) -> list[tuple[int, tuple[int, ...]]]:
+    """The (literal, explanation) pairs `LraSolver.deductions` must return,
+    recomputed from scratch out of the solver's atom table, asserted atoms,
+    slacks and bounds: unate propagation over base forms, then one round of
+    interval propagation.  Ties keep the first slack in table order, and
+    the first rule in rule order."""
+    bases: dict[tuple, int] = {}
+    groups: dict[tuple, tuple[int, int]] = {}   # slack key -> (base, lam)
+    constants, tests = [], []
+    for atom_id, atom in solver.table.items():
+        if not isinstance(atom, LinAtom):
+            continue
+        if not atom.coeffs:
+            holds = {"<=": atom.offset <= 0, "<": atom.offset < 0, "=": atom.offset == 0}
+            constants.append(atom_id if holds[atom.rel] else -atom_id)
+            continue
+        lam = gcd(*(c for _, c in atom.coeffs))
+        if atom.coeffs[0][1] < 0:
+            lam = -lam
+        form = tuple((v.index, c // lam) for v, c in atom.coeffs)
+        bid = bases.setdefault(form, len(bases))
+        groups.setdefault(tuple((v.index, c) for v, c in atom.coeffs), (bid, lam))
+        k = Fraction(-atom.offset, lam)
+        strict = int(atom.rel == "<")
+        if atom.rel == "=":
+            least = most = (k, 0)
+        elif lam > 0:
+            least, most = None, (k, -strict)
+        else:
+            least, most = (k, strict), None
+        tests.append((atom_id, bid, least, most))
+    single = {form[0][0]: bid for form, bid in bases.items() if len(form) == 1}
+    rules = []
+    for form, bid in bases.items():
+        if len(form) < 2:
+            continue
+        if all(v in single for v, _ in form):
+            rules.append((bid, tuple((single[v], c) for v, c in form)))
+        if len(form) == 2:
+            for (vi, ci), (vj, cj) in ((form[0], form[1]), (form[1], form[0])):
+                if vi in single and vj in single:
+                    rules.append((single[vj], ((bid, Fraction(1, cj)),
+                                               (single[vi], Fraction(-ci, cj)))))
+    lo: dict[int, tuple] = {}
+    hi: dict[int, tuple] = {}
+    for key, (bid, lam) in groups.items():
+        sid = solver.slack_of.get(key)
+        if sid is None:
+            continue
+        inv = Fraction(1, lam)
+        for bound, is_lower in ((solver.lower.get(sid), inv > 0),
+                                (solver.upper.get(sid), inv < 0)):
+            if bound is None:
+                continue
+            (real, delta), reason = bound
+            value = (real, delta) if inv == 1 else (real * inv, _sign(delta * inv))
+            side = lo if is_lower else hi
+            if _improves(value, side.get(bid), is_lower):
+                side[bid] = (value, (reason,))
+    derived = ({}, {})
+    for target, terms in rules:
+        for is_lower, out in ((True, derived[0]), (False, derived[1])):
+            real = delta = 0
+            expl: list[int] = []
+            for src, coeff in terms:
+                entry = (lo if (coeff > 0) == is_lower else hi).get(src)
+                if entry is None:
+                    break
+                real += entry[0][0] * coeff
+                delta += entry[0][1] * coeff
+                expl.extend(entry[1])
+            else:
+                value = (real, _sign(delta))
+                if _improves(value, out.get(target), is_lower):
+                    out[target] = (value, tuple(dict.fromkeys(expl)))
+    for out, side, is_lower in ((derived[0], lo, True), (derived[1], hi, False)):
+        for bid, (value, expl) in out.items():
+            if _improves(value, side.get(bid), is_lower):
+                side[bid] = (value, expl)
+    asserted = {abs(lit) for lit in solver.asserted()}
+    found = [(lit, ()) for lit in constants if abs(lit) not in asserted]
+    for atom_id, bid, least, most in tests:
+        if atom_id in asserted:
+            continue
+        low, up = lo.get(bid), hi.get(bid)
+        low_in = least is None or (low is not None and low[0] >= least)
+        up_in = most is None or (up is not None and up[0] <= most)
+        if low_in and up_in:
+            expl = (low[1] if least is not None else ()) + (up[1] if most is not None else ())
+            found.append((atom_id, tuple(dict.fromkeys(expl))))
+        elif low is not None and most is not None and low[0] > most:
+            found.append((-atom_id, low[1]))
+        elif up is not None and least is not None and up[0] < least:
+            found.append((-atom_id, up[1]))
+    return found
 
 
 # ---------------------------------------------------------------------------

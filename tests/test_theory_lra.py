@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from gen import random_lra_atoms
-from oracles import lra_literals_sat
+from gen import random_difference_formula, random_lra_atoms
+from oracles import lra_literals_sat, reference_lra_deductions
+from smtcore.cores import minimize_core
+from smtcore.smt import smt_solve
 from smtcore.terms import REAL, AtomTable, LinComb, Var, canonical_lin_atom, eval_lin_atom
 from smtcore.theory import LraSolver, is_valid_lemma
-from smtcore.theory.lra import DeltaRational
 
 X = Var("x", REAL, 0)
 Y = Var("y", REAL, 1)
@@ -28,16 +29,27 @@ def _facts(table, lits):
     return [(table.atom(abs(l)), l > 0) for l in lits]
 
 
-class TestDeltaRational:
-    def test_lexicographic_order(self):
-        assert DeltaRational(Fraction(1)) < DeltaRational(Fraction(1), Fraction(1))
-        assert DeltaRational(Fraction(1), Fraction(-1)) < DeltaRational(Fraction(1))
-        assert DeltaRational(Fraction(0), Fraction(5)) < DeltaRational(Fraction(1), Fraction(-5))
+class TestBoundOrder:
+    def test_strict_below_non_strict_and_real_part_dominates(self):
+        # bounds are (real, delta) tuples read real + delta * eps
+        table, (ile1, ilt1, ile0, ilt0) = table_with(
+            lin({X: 1}, -1, "<="), lin({X: 1}, -1, "<"),   # x <= 1, x < 1
+            lin({X: 1}, 0, "<="), lin({X: 1}, 0, "<"))     # x <= 0, x < 0
 
-    def test_arithmetic(self):
-        d = DeltaRational(Fraction(1), Fraction(2)) + DeltaRational(Fraction(3), Fraction(-1))
-        assert d == DeltaRational(Fraction(4), Fraction(1))
-        assert d.scale(Fraction(1, 2)) == DeltaRational(Fraction(2), Fraction(1, 2))
+        def uppers(*lits):
+            s = LraSolver(table)
+            seen = []
+            for lit in lits:
+                assert s.assert_literal(lit) is None
+                seen.append(s.upper[s.slack_of[((X.index, 1),)]])
+            assert s.check_full().status == "sat"
+            return seen
+
+        # x < 1 tightens x <= 1, and x <= 1 does not loosen x < 1
+        assert uppers(ile1, ilt1) == [((1, 0), ile1), ((1, -1), ilt1)]
+        assert uppers(ilt1, ile1) == [((1, -1), ilt1), ((1, -1), ilt1)]
+        # x <= 0 tightens x < 1 whatever the infinitesimal
+        assert uppers(ilt1, ile0, ilt0) == [((1, -1), ilt1), ((0, 0), ile0), ((0, -1), ilt0)]
 
 
 class TestAssertAndConflict:
@@ -234,6 +246,80 @@ class TestDeductions:
                 assert not lra_literals_sat(_facts(table, d.explanation + (-d.literal,)))
                 checked += 1
         assert checked > 50
+
+
+@pytest.fixture
+def checked_deductions(monkeypatch):
+    """Make every LraSolver.deductions call compare its answer, literal,
+    order and explanation, with the full recompute of the reference; the
+    list returned collects the number of deductions of each call."""
+    found = []
+    deductions = LraSolver.deductions
+
+    def checked(self):
+        want = reference_lra_deductions(self)
+        got = deductions(self)
+        assert [(d.literal, d.explanation) for d in got] == want
+        found.append(len(got))
+        return got
+
+    monkeypatch.setattr(LraSolver, "deductions", checked)
+    return found
+
+
+class TestDeductionsAgainstReference:
+    """The incremental deductions equal a full recompute, call for call."""
+
+    @pytest.mark.parametrize("shape, seeds", [((6, 24, 2), range(8)), ((6, 24, 3), range(4)),
+                                              ((12, 60, 3), (0, 1))])
+    def test_inside_smt_solve(self, checked_deductions, shape, seeds):
+        for seed in seeds:
+            smt_solve(random_difference_formula(random.Random(seed), *shape))
+        assert len(checked_deductions) > 20 * len(seeds)
+        assert sum(checked_deductions) > 0
+
+    def test_inside_minimize_core_subset_solves(self, checked_deductions):
+        for seed in (0, 3, 5, 7):
+            formula = random_difference_formula(random.Random(seed), 6, 24, 2)
+            verdict, _ = smt_solve(formula)
+            assert verdict.status == "unsat"
+            minimize_core(formula, range(len(formula.clauses)))
+        assert sum(checked_deductions) > 100
+
+    def test_random_walk(self, checked_deductions):
+        # assert, check, deduce and backtrack at random; the literals a call
+        # reports are mostly asserted before the next call, as the SMT
+        # engine does, and sometimes left for the next call to report again
+        rng = random.Random(12)
+        for _ in range(400):
+            table = AtomTable()
+            ids = sorted({table.intern(a) for a in random_lra_atoms(rng, rng.randint(3, 10), 4)})
+            s = LraSolver(table)
+
+            def undo_some():
+                s.backtrack(rng.randrange(len(s.asserted())) if s.asserted() else 0)
+
+            for _step in range(40):
+                op = rng.random()
+                asserted = {abs(lit) for lit in s.asserted()}
+                free = [i for i in ids if i not in asserted]
+                if op < 0.4 and free:
+                    if s.assert_literal(rng.choice(free) * rng.choice((1, -1))) is not None:
+                        undo_some()
+                elif op < 0.55:
+                    if s.check_full().status == "conflict":
+                        undo_some()
+                elif op < 0.85:
+                    deduced = s.deductions()
+                    if rng.random() < 0.8:
+                        for d in deduced:
+                            if s.assert_literal(d.literal) is not None:
+                                undo_some()
+                                break
+                else:
+                    undo_some()
+        assert len(checked_deductions) > 3000
+        assert sum(checked_deductions) > 600
 
 
 class TestValidity:
