@@ -188,7 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--method", choices=METHODS, default="lift-proof")
     pc.add_argument("--fixpoint", action="store_true")
     pc.add_argument("--minimize", action="store_true")
-    pc.add_argument("--verify", action="store_true")
+    pc.add_argument("--verify", action="store_true",
+                    help="check the final core: an unminimized lift-proof or smt-proof "
+                         "core against the resolution refutation its run logged, any "
+                         "other core by solving it again with a fresh engine")
     pc.add_argument("--extractor-cmd", default=None,
                     help="external extractor template with {in} and {out}")
     pc.add_argument("--extractor-mode", choices=("index-list", "dimacs-subset"),

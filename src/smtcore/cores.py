@@ -7,10 +7,20 @@ DIMACS files), then discards lemma clauses from the returned core: what
 survives is a theory-unsatisfiable subset of the inputs.  The two baseline
 routes extract cores directly from the SMT run (proof leaves, or selector
 variables).  `extract_core` dispatches over all of them through the one
-method table `METHODS`.  Deletion-based minimization and an independent
-checker round things out.  The selector route and minimization each run
-on one incremental `SelectorEngine`; the checker builds a fresh engine, so
-it shares no state with the run it checks.
+method table `METHODS`.  Deletion-based minimization and two independent
+checks round things out.  The selector route and minimization each run on
+one incremental `SelectorEngine`.
+
+A route that ends in a resolution refutation (`lift-proof`, with or
+without the fixpoint, and `smt-proof`) hands it on with its core, and an
+unminimized core of such a route is verified from it by
+`check_refutation`, with no new search: the proof must re-derive node by
+node, and every leaf it resolves on must be a core clause or a clause that
+a fresh theory solver proves theory-valid.  It trusts no part of the CDCL
+search that logged the proof.  Every other core (a selector or external
+route, or any minimized core) is verified by `check_core`, which re-solves
+the induced clause set with a fresh engine.  Neither check reads anything
+of the run it checks.
 """
 from __future__ import annotations
 
@@ -24,9 +34,10 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import dimacs
-from .sat import proof_core, sat_solve, solve_with_selectors
+from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
 from .smt import SelectorEngine, SmtSolver, lifted_clauses, smt_solve
 from .terms import Formula
+from .theory import solver_for_logic
 
 
 # Wall-clock seconds an external extractor may run before it is stopped.
@@ -74,19 +85,27 @@ class CoreReport:
 # Boolean-level extraction
 # ---------------------------------------------------------------------------
 
-def _extract_once(clauses: list[list[int]], config: ExtractorConfig) -> list[int]:
+class BooleanCore(list):
+    """Ascending clause indices of a Boolean core.  `proof` is a resolution
+    refutation of those clauses when the extractor logged one (the
+    internal proof extractor does), else None."""
+    proof: Optional[ProofLog] = None
+
+
+def _extract_once(clauses: list[list[int]],
+                  config: ExtractorConfig) -> tuple[list[int], Optional[ProofLog]]:
     if config.kind == "internal-proof":
         verdict = sat_solve(clauses, log_proof=True)
         if verdict.status == "sat":
             raise ExtractionError("input is satisfiable; there is no core to extract")
         ids = proof_core(verdict.proof)
-        return sorted(_leaf_indices(clauses, ids))
+        return sorted(_leaf_indices(clauses, ids)), verdict.proof
     if config.kind == "internal-selectors":
         verdict, core = solve_with_selectors(clauses)
         if verdict.status == "sat":
             raise ExtractionError("input is satisfiable; there is no core to extract")
-        return core
-    return external_bridge(clauses, config.command, config.output_mode)
+        return core, None
+    return external_bridge(clauses, config.command, config.output_mode), None
 
 
 def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
@@ -99,15 +118,16 @@ def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
     return {first[frozenset(clauses[i])] for i in leaf_ids}
 
 
-def boolean_core(clauses: list[list[int]], config: ExtractorConfig) -> list[int]:
+def boolean_core(clauses: list[list[int]], config: ExtractorConfig) -> BooleanCore:
     """Indices of an unsatisfiable subset.  With the fixpoint flag the
-    extractor is re-run on its own output until the size stabilizes."""
+    extractor is re-run on its own output until the size stabilizes; the
+    proof, if any, is the last run's."""
     current = list(range(len(clauses)))
     while True:
-        sub = [clauses[i] for i in current]
-        rel = _extract_once(sub, config)
-        new = sorted(current[j] for j in rel)
+        rel, proof = _extract_once([clauses[i] for i in current], config)
+        new = BooleanCore(current[j] for j in rel)
         if not config.fixpoint or len(new) == len(current):
+            new.proof = proof
             return new
         current = new
 
@@ -168,8 +188,10 @@ def self_extractor_command(mode: str = "index-list") -> str:
 # ---------------------------------------------------------------------------
 #
 # A route computes the raw core of one method: its clause indices, or None
-# when the formula is satisfiable.  `_run` then minimizes and verifies that
-# core once, the same way for every method.
+# when the formula is satisfiable, and the resolution refutation of the
+# core's clauses plus theory-valid lemmas when the method logged one, else
+# None.  `_run` then minimizes and verifies that core once, the same way
+# for every method.
 
 def _refuted(verdict) -> bool:
     if verdict.status == "unknown":
@@ -177,33 +199,34 @@ def _refuted(verdict) -> bool:
     return verdict.status != "sat"
 
 
-def _lift_route(formula: Formula, config: ExtractorConfig, **solve) -> Optional[list[int]]:
+def _lift_route(formula: Formula, config: ExtractorConfig, **solve):
     verdict, store = smt_solve(formula, **solve)
     if not _refuted(verdict):
-        return None
+        return None, None
     n = len(formula.clauses)
     idxs = boolean_core(lifted_clauses(formula, store), config)
     surviving = [i for i in idxs if i < n]
     assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
-    return surviving
+    return surviving, idxs.proof
 
 
-def _proof_route(formula: Formula, _config, **solve) -> Optional[set[int]]:
+def _proof_route(formula: Formula, _config, **solve):
     engine = SmtSolver(formula, log_proof=True, **solve)
     if not _refuted(engine.solve()):
-        return None
+        return None, None
+    # every leaf of the engine's proof is an input clause or a stored lemma
     origins = (engine.origin(cid) for cid in proof_core(engine.sat.proof))
-    return {origin[1] for origin in origins if origin[0] == "input"}
+    return {origin[1] for origin in origins if origin[0] == "input"}, engine.sat.proof
 
 
-def _selector_route(formula: Formula, _config, **solve) -> Optional[list[int]]:
+def _selector_route(formula: Formula, _config, **solve):
     engine = SelectorEngine(formula, **solve)
     verdict = engine.solve(range(len(formula.clauses)))
     if not _refuted(verdict):
-        return None
+        return None, None
     assert verdict.status == "unsat-assumptions", \
         "guarded clauses cannot refute without their selectors"
-    return engine.conflict_clauses(verdict)
+    return engine.conflict_clauses(verdict), None
 
 
 # core method -> (route, Boolean extractor kind of a lifted route).  The
@@ -221,15 +244,18 @@ METHODS = {
 def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
          minimize: bool, verify: bool, **solve) -> CoreReport:
     route, _kind = METHODS[method]
-    core = route(formula, config, **solve)
+    core, proof = route(formula, config, **solve)
     n = len(formula.clauses)
     if core is None:
         return CoreReport("sat", (), method, n, 0, "verified", ())
     if minimize:
+        # the refutation is of the raw core; drop it before the long part
+        proof = None
         core = minimize_core(formula, core)
     core = tuple(sorted(set(core)))
     if verify:
-        problem = check_core(formula, core)
+        problem = check_core(formula, core) if proof is None \
+            else check_refutation(formula, core, proof)
         if problem is not None:
             raise ExtractionError(f"{method}: core failed verification: {problem}")
     return CoreReport("unsat", core, method, n, len(core),
@@ -245,7 +271,9 @@ def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool
     the lifted methods, `extractor_cmd` (default: the self-bridge) and
     `extractor_mode` only lift-external; an option the method would ignore
     is a ValueError.  With `minimize` the core is made one-deletion
-    minimal, and with `verify` the final core is checked independently."""
+    minimal, and with `verify` the final core is checked independently:
+    from the route's refutation when it has one and was not minimized
+    (`check_refutation`), else by a fresh solve (`check_core`)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     kind = METHODS[method][1]
@@ -317,3 +345,50 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
     if verdict.status != "unsat":
         return f"induced clause set is {verdict.status}, not unsat"
     return None
+
+
+def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog) -> Optional[str]:
+    """Verification without a search: None when the indices are in range,
+    every node of `proof` re-derives, its final node is the empty clause,
+    and every leaf it resolves on is either the Boolean image of a clause
+    of `core` or theory-valid; else a description.  A leaf is theory-valid
+    when its negated theory literals, asserted to one fresh theory solver,
+    are inconsistent; the solver is backtracked to empty after each leaf.
+    Only `formula` is read besides the proof: no lemma store, clause
+    numbering or engine of the run that logged it."""
+    core = sorted(set(core))
+    for i in core:
+        if not 0 <= i < len(formula.clauses):
+            return f"index {i} out of range 0..{len(formula.clauses) - 1}"
+    problem = check_proof(proof)
+    if problem is not None:
+        return f"refutation: {problem}"
+    table = formula.atoms
+    inputs = {frozenset(table.t2p(formula.clauses[i])) for i in core}
+    theory = None
+    for _, _cid, lits in proof_leaves(proof):
+        if lits in inputs:
+            continue
+        if any(not 1 <= abs(lit) <= len(table) for lit in lits):
+            return f"refutation leaf {sorted(lits, key=abs)} names an unknown atom"
+        if theory is None:
+            theory = solver_for_logic(formula.logic, table)
+        if theory is None or not _theory_valid(theory, lits):
+            return (f"refutation leaf {sorted(lits, key=abs)} is neither a core "
+                    f"clause nor theory-valid")
+    return None
+
+
+def _theory_valid(theory, lits: frozenset[int]) -> bool:
+    """Whether the clause is a tautology or the negations of its literals
+    over the theory's atoms are inconsistent; leaves `theory` with nothing
+    asserted.  Other literals are ignored, which is sound: a clause that
+    contains a valid clause is valid."""
+    if any(-lit in lits for lit in lits):
+        return True
+    owned = [lit for lit in sorted(lits, key=abs)
+             if theory.owns_atom(theory.table.atom(abs(lit)))]
+    valid = any(theory.assert_literal(-lit) is not None for lit in owned) \
+        or theory.check_full().status == "conflict"
+    theory.backtrack(0)
+    return valid

@@ -75,14 +75,14 @@ class ProofLog:
         return "\n".join(lines) + "\n"
 
 
-def proof_core(proof: ProofLog) -> set[int]:
-    """Clause ids of all distinct leaves reachable from the final node."""
+def proof_leaves(proof: ProofLog) -> list[tuple]:
+    """The distinct leaf nodes reachable from the final node."""
     if proof.final is None:
         raise ValueError("proof does not derive the empty clause")
     if proof.lits(proof.final):
         raise ValueError("final node is not the empty clause")
     seen = set()
-    out = set()
+    out = []
     stack = [proof.final]
     while stack:
         n = stack.pop()
@@ -91,18 +91,28 @@ def proof_core(proof: ProofLog) -> set[int]:
         seen.add(n)
         node = proof.nodes[n]
         if node[0] == "leaf":
-            out.add(node[1])
+            out.append(node)
         else:
             stack.append(node[2])
             stack.append(node[3])
     return out
 
 
-def check_proof(proof: ProofLog, input_clauses: list[list[int]]) -> Optional[str]:
+def proof_core(proof: ProofLog) -> set[int]:
+    """Clause ids of all distinct leaves reachable from the final node."""
+    return {leaf[1] for leaf in proof_leaves(proof)}
+
+
+def check_proof(proof: ProofLog,
+                input_clauses: Optional[list[list[int]]] = None) -> Optional[str]:
     """Re-verify every node; None when the proof correctly derives the empty
-    clause from input clauses, else a description of the first violation."""
+    clause, else a description of the first violation.  With
+    `input_clauses`, every leaf must equal the input clause it names;
+    without, leaves are taken as given and the caller checks them."""
     for i, node in enumerate(proof.nodes):
         if node[0] == "leaf":
+            if input_clauses is None:
+                continue
             _, cid, lits = node
             if not 0 <= cid < len(input_clauses):
                 return f"node {i}: leaf references unknown clause {cid}"

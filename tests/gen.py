@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from smtcore.cnf import cnf_convert
+from smtcore.parser import parse
 from smtcore.terms import (
     REAL, AtomTable, Formula, FunApp, FunSymbol, LinComb, Literal, PropAtom, Var,
     canonical_lin_atom, euf_atom, formula_from_clauses,
@@ -124,6 +126,28 @@ def random_uf_formula(rng: random.Random, n_consts: int = 10,
             lits.setdefault(table.intern(euf_atom(s, t)), rng.random() < 0.5)
         clauses.append(tuple(Literal(a, pos) for a, pos in lits.items()))
     return formula_from_clauses(clauses, table, None, "EUF")
+
+
+def diamond_chain_formula(rng: random.Random, n: int, noise_clauses: int = 0) -> Formula:
+    """`n` diamonds ``x_i = y_i = x_(i+1)`` or ``x_i = z_i = x_(i+1)``
+    closed by ``f(x_0) != f(x_n)``, so unsat, shuffled among
+    `noise_clauses` random clauses of one or two (dis)equalities between
+    the ``x_i`` and their images under ``f``."""
+    asserts = [f"(or (and (= x{i} y{i}) (= y{i} x{i + 1})) "
+               f"(and (= x{i} z{i}) (= z{i} x{i + 1})))" for i in range(n)]
+    asserts.append(f"(not (= (f x0) (f x{n})))")
+    pool = [f"x{i}" for i in range(n + 1)] + [f"(f x{i})" for i in range(n + 1)]
+    pairs = [(s, t) for k, s in enumerate(pool) for t in pool[k + 1:]]
+    for _ in range(noise_clauses):
+        lits = []
+        for s, t in rng.sample(pairs, rng.randint(1, 2)):
+            lits.append(f"(= {s} {t})" if rng.random() < 0.5 else f"(not (= {s} {t}))")
+        asserts.append(f"(or {' '.join(lits)})")
+    rng.shuffle(asserts)
+    decls = [f"(declare-fun {c}{i} () U)" for c in "xyz" for i in range(n + 1)]
+    text = "\n".join(["(set-logic QF_UF)", "(declare-sort U 0)", "(declare-fun f (U) U)",
+                      *decls, *(f"(assert {a})" for a in asserts)])
+    return cnf_convert(parse(text))
 
 
 def random_cnf(rng: random.Random, max_vars: int = 16, min_width: int = 1,
