@@ -10,7 +10,7 @@ via minimal correction subsets.
 from .cnf import CnfError, cnf_convert
 from .cores import (METHODS, BridgeError, CoreReport, ExtractionError, ExtractorConfig,
                     boolean_core, check_core, check_refutation, external_bridge,
-                    extract_core, lemma_lift_core, minimize_core)
+                    extract_core, minimize_core)
 from .dimacs import DimacsDocument, DimacsError, parse_dimacs, read_core
 from .mus import McsSet, MusSet, all_minimal_cores, enumerate_mcs, minimal_hitting_sets
 from .parser import AssertionSet, ParseError, parse, parse_file, render_instance

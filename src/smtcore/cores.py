@@ -6,10 +6,12 @@ proof-based, internal selector-based, or an external command exchanging
 DIMACS files), then discards lemma clauses from the returned core: what
 survives is a theory-unsatisfiable subset of the inputs.  The two baseline
 routes extract cores directly from the SMT run (proof leaves, or selector
-variables).  `extract_core` dispatches over all of them through the one
-method table `METHODS`.  Deletion-based minimization and two independent
-checks round things out.  The selector route and minimization each run on
-one incremental `SelectorEngine`.
+variables).  `extract_core`, the one entry point, dispatches over all of
+them through the one method table `METHODS`, and its conflict budget bounds
+every solve of the route and of minimization (running out is an
+`ExtractionError`).  Deletion-based minimization and two independent,
+unbudgeted checks round things out.  The selector route and minimization
+each run on one incremental `SelectorEngine`.
 
 A route that ends in a resolution refutation (`lift-proof`, with or
 without the fixpoint, and `smt-proof`) hands it on with its core, and an
@@ -199,8 +201,8 @@ def _refuted(verdict) -> bool:
     return verdict.status != "sat"
 
 
-def _lift_route(formula: Formula, config: ExtractorConfig, **solve):
-    verdict, store = smt_solve(formula, **solve)
+def _lift_route(formula: Formula, config: ExtractorConfig, budget: Optional[int]):
+    verdict, store = smt_solve(formula, conflict_budget=budget)
     if not _refuted(verdict):
         return None, None
     n = len(formula.clauses)
@@ -210,17 +212,17 @@ def _lift_route(formula: Formula, config: ExtractorConfig, **solve):
     return surviving, idxs.proof
 
 
-def _proof_route(formula: Formula, _config, **solve):
-    engine = SmtSolver(formula, log_proof=True, **solve)
+def _proof_route(formula: Formula, _config, budget: Optional[int]):
+    engine = SmtSolver(formula, log_proof=True, conflict_budget=budget)
     if not _refuted(engine.solve()):
         return None, None
     # every leaf of the engine's proof is an input clause or a stored lemma
-    origins = (engine.origin(cid) for cid in proof_core(engine.sat.proof))
+    origins = (engine.sat.origins[cid] for cid in proof_core(engine.sat.proof))
     return {origin[1] for origin in origins if origin[0] == "input"}, engine.sat.proof
 
 
-def _selector_route(formula: Formula, _config, **solve):
-    engine = SelectorEngine(formula, **solve)
+def _selector_route(formula: Formula, _config, budget: Optional[int]):
+    engine = SelectorEngine(formula, conflict_budget=budget)
     verdict = engine.solve(range(len(formula.clauses)))
     if not _refuted(verdict):
         return None, None
@@ -242,16 +244,16 @@ METHODS = {
 
 
 def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
-         minimize: bool, verify: bool, **solve) -> CoreReport:
+         minimize: bool, verify: bool, budget: Optional[int]) -> CoreReport:
     route, _kind = METHODS[method]
-    core, proof = route(formula, config, **solve)
+    core, proof = route(formula, config, budget)
     n = len(formula.clauses)
     if core is None:
         return CoreReport("sat", (), method, n, 0, "verified", ())
     if minimize:
         # the refutation is of the raw core; drop it before the long part
         proof = None
-        core = minimize_core(formula, core)
+        core = minimize_core(formula, core, budget=budget)
     core = tuple(sorted(set(core)))
     if verify:
         problem = check_core(formula, core) if proof is None \
@@ -273,7 +275,8 @@ def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool
     is a ValueError.  With `minimize` the core is made one-deletion
     minimal, and with `verify` the final core is checked independently:
     from the route's refutation when it has one and was not minimized
-    (`check_refutation`), else by a fresh solve (`check_core`)."""
+    (`check_refutation`), else by a fresh solve (`check_core`).  `budget`
+    bounds each solve of the route and of minimization, not verification."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     kind = METHODS[method][1]
@@ -288,36 +291,38 @@ def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool
             if kind == "external" else None
         config = ExtractorConfig(kind, command=command, output_mode=extractor_mode,
                                  fixpoint=fixpoint)
-    return _run(formula, method, config, minimize=minimize, verify=verify,
-                conflict_budget=budget)
+    return _run(formula, method, config, minimize=minimize, verify=verify, budget=budget)
 
 
-def lemma_lift_core(formula: Formula, config: ExtractorConfig,
-                    *, verify: bool = False, early_pruning: bool = True,
-                    theory_propagation: bool = True,
+def lemma_lift_core(formula: Formula, config: ExtractorConfig, *, verify: bool = False,
                     conflict_budget: Optional[int] = None) -> CoreReport:
-    """Core via the lifted-lemma route: solve, abstract inputs plus stored
-    lemmas, run the Boolean extractor, drop lemma clauses."""
+    """`extract_core` of the lift method of `config.kind`, minimized by
+    `config.minimize`; it exists only because `perfbench/run.py` times it."""
     method = next(m for m, (_route, kind) in METHODS.items() if kind == config.kind)
     return _run(formula, method, config, minimize=config.minimize, verify=verify,
-                early_pruning=early_pruning, theory_propagation=theory_propagation,
-                conflict_budget=conflict_budget)
+                budget=conflict_budget)
 
 
 # ---------------------------------------------------------------------------
 # Minimization and checking
 # ---------------------------------------------------------------------------
 
-def minimize_core(formula: Formula, core: Iterable[int]) -> list[int]:
+def _out_of_range(formula: Formula, core: list[int]) -> Optional[str]:
+    """A description of the first index of `core` outside `formula`, or None."""
+    bad = [i for i in core if not 0 <= i < len(formula.clauses)]
+    return f"index {bad[0]} out of range 0..{len(formula.clauses) - 1}" if bad else None
+
+
+def minimize_core(formula: Formula, core: Iterable[int], budget: Optional[int] = None) -> list[int]:
     """Deletion-based minimization: drop clauses one at a time (descending
     index) while the rest stays theory-unsatisfiable.  The result is
-    one-deletion minimal.  Every trial is a solve of one selector engine."""
+    one-deletion minimal.  Every trial is a solve of one selector engine
+    that `budget` bounds; one that runs out is an ExtractionError."""
     current = sorted(set(core))
-    for i in current:
-        if not 0 <= i < len(formula.clauses):
-            raise ValueError(f"core index {i} out of range")
-    engine = SelectorEngine(formula)
-    if engine.solve(current).status == "sat":
+    if problem := _out_of_range(formula, current):
+        raise ValueError(f"core {problem}")
+    engine = SelectorEngine(formula, conflict_budget=budget)
+    if not _refuted(engine.solve(current)):
         raise ValueError("minimize_core requires a theory-unsatisfiable core")
 
     def retire(i: int):
@@ -328,7 +333,7 @@ def minimize_core(formula: Formula, core: Iterable[int]) -> list[int]:
         retire(i)
     for candidate in sorted(current, reverse=True):
         trial = [i for i in current if i != candidate]
-        if engine.solve(trial).status != "sat":
+        if _refuted(engine.solve(trial)):
             current = trial
             retire(candidate)
     return current
@@ -338,9 +343,8 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
     """Independent verification: None when the indices are in range and the
     induced clause set is theory-unsatisfiable, else a description."""
     core = sorted(set(core))
-    for i in core:
-        if not 0 <= i < len(formula.clauses):
-            return f"index {i} out of range 0..{len(formula.clauses) - 1}"
+    if problem := _out_of_range(formula, core):
+        return problem
     verdict, _ = smt_solve(formula.restrict(core))
     if verdict.status != "unsat":
         return f"induced clause set is {verdict.status}, not unsat"
@@ -357,9 +361,8 @@ def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog) -> 
     Only `formula` is read besides the proof: no lemma store, clause
     numbering or engine of the run that logged it."""
     core = sorted(set(core))
-    for i in core:
-        if not 0 <= i < len(formula.clauses):
-            return f"index {i} out of range 0..{len(formula.clauses) - 1}"
+    if problem := _out_of_range(formula, core):
+        return problem
     problem = check_proof(proof)
     if problem is not None:
         return f"refutation: {problem}"

@@ -18,6 +18,7 @@ unsatisfiable whenever the run answers unsat.
 """
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -68,7 +69,7 @@ class SmtSolver:
         self._synced_positions: list[int] = []  # trail position of each theory assert
         self._theory_model = None
         if self.theory is not None:
-            self.sat.theory_hook = self
+            self.sat.theory_hook = weakref.proxy(self)  # no reference cycle
 
     # -- lemma plumbing ----------------------------------------------------------
 
@@ -173,21 +174,15 @@ class SmtSolver:
             return SmtVerdict("unsat-assumptions", conflict=verdict.conflict)
         return SmtVerdict("unknown")
 
-    def origin(self, clause_id: int) -> tuple:
-        return self.sat.origins[clause_id]
 
-
-def smt_solve(formula: Formula, *, early_pruning: bool = True,
-              theory_propagation: bool = True,
+def smt_solve(formula: Formula, *,
               conflict_budget: Optional[int] = None) -> tuple[SmtVerdict, list[TLemma]]:
     """Solve a formula; returns the verdict together with every theory lemma
     stored during the run, in discovery order.  No lemma repeats and none
     equals an input clause: each is a clause the current assignment
     falsifies or makes unit, which no clause already in the SAT database
     can be once propagation has reached its fixpoint."""
-    engine = SmtSolver(formula, early_pruning=early_pruning,
-                       theory_propagation=theory_propagation,
-                       conflict_budget=conflict_budget)
+    engine = SmtSolver(formula, conflict_budget=conflict_budget)
     verdict = engine.solve()
     return verdict, engine.store
 
@@ -199,9 +194,10 @@ class SelectorEngine:
     fresh selector atom `@sel!i`; a subset is solved under the assumption
     of its selectors.  Learned clauses and stored lemmas follow from the
     guarded clauses alone, so they carry over from one subset to the next.
-    Clauses added through `solver.add_clause` stay for every later solve."""
+    Clauses added through `solver.add_clause` stay for every later solve.
+    `conflict_budget` bounds each solve, as it does an SmtSolver's."""
 
-    def __init__(self, formula: Formula, **options):
+    def __init__(self, formula: Formula, *, conflict_budget: Optional[int] = None):
         self.table = AtomTable()
         for _id, atom in formula.atoms.items():
             self.table.intern(atom)
@@ -211,7 +207,7 @@ class SelectorEngine:
                    for sel, clause in zip(self.selectors, formula.clauses)]
         self.solver = SmtSolver(formula_from_clauses(guarded, self.table,
                                                      formula.declarations, formula.logic),
-                                **options)
+                                conflict_budget=conflict_budget)
 
     def solve(self, subset: Iterable[int], *extra: int) -> SmtVerdict:
         """Solve the clauses of `subset` plus every added clause, assuming

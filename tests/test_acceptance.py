@@ -20,8 +20,8 @@ from smtcore.bench import BenchRecord, ratio_stats, stats_for_pair
 from smtcore.cli import main as cli_main
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
-    ExtractorConfig, boolean_core, check_core, external_bridge, extract_core,
-    lemma_lift_core, minimize_core, self_extractor_command,
+    ExtractorConfig, boolean_core, check_core, external_bridge, extract_core, minimize_core,
+    self_extractor_command,
 )
 from smtcore.parser import parse_file
 from smtcore.smt import lemma_store_violations, lifted_clauses, smt_solve
@@ -113,14 +113,11 @@ def test_criterion_abstraction_gap_discriminator(capsys):
         assert sat_solve(sub).status == "sat"
     minimized = minimize_core(formula, [0, 1, 2, 3])
     assert minimized == [0, 1, 2]
-    # the lifting route with an empty lemma store reproduces both halves
-    report = lemma_lift_core(formula, ExtractorConfig("internal-proof"),
-                             verify=True, early_pruning=False,
-                             theory_propagation=False)
+    # the run stores no lemma, so the lifting route reproduces both halves
+    assert smt_solve(formula)[1] == []
+    report = extract_core(formula, "lift-proof", verify=True)
     assert report.core == (0, 1, 2, 3)
-    report_min = lemma_lift_core(
-        formula, ExtractorConfig("internal-proof", minimize=True), verify=True,
-        early_pruning=False, theory_propagation=False)
+    report_min = extract_core(formula, "lift-proof", minimize=True, verify=True)
     assert report_min.core == (0, 1, 2)
     with capsys.disabled():
         print("\nPASS abstraction-gap discriminator: Boolean core = 4 clauses, "
@@ -162,14 +159,13 @@ def test_criterion_oracle_equivalence(corpora, capsys):
 def test_criterion_core_soundness_across_methods(method_corpus, capsys):
     """Every method returns a verified subset core on every instance of the
     method corpus; minimization passes the one-deletion test."""
-    external_cfg = ExtractorConfig("external", command=self_extractor_command())
     checked = 0
     for formula in method_corpus:
         n = len(formula.clauses)
         reports = {
-            "lift-proof": lemma_lift_core(formula, ExtractorConfig("internal-proof")),
-            "lift-selectors": lemma_lift_core(formula, ExtractorConfig("internal-selectors")),
-            "lift-external": lemma_lift_core(formula, external_cfg),
+            "lift-proof": extract_core(formula, "lift-proof"),
+            "lift-selectors": extract_core(formula, "lift-selectors"),
+            "lift-external": extract_core(formula, "lift-external"),
             "smt-proof": extract_core(formula, "smt-proof"),
             "smt-selectors": extract_core(formula, "smt-selectors"),
         }

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import tempfile
@@ -5,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from gen import random_difference_formula
 from smtcore import dimacs
 from smtcore.cli import main
 from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS
-from smtcore.parser import parse_file
+from smtcore.parser import parse_file, render_instance
 from smtcore.sat import sat_solve
 from smtcore.smt import smt_solve
 
@@ -127,6 +129,23 @@ class TestCore:
             assert code == 20, method
             assert out.splitlines()[0] == "unsat"
 
+    def test_budget_bounds_minimization_too(self, tmp_path):
+        # the lift-proof route of this formula takes 11 conflicts, one of its
+        # minimization trials more
+        formula = random_difference_formula(random.Random(0), 12, 60, 2)
+        logic, rest = render_instance(formula).split("\n", 1)
+        decls = "".join(f"(declare-fun r{i} () Real)\n" for i in range(12))
+        path = tmp_path / "difference.smt2"
+        path.write_text(f"{logic}\n{decls}{rest}", encoding="utf-8")
+
+        def core(*extra):
+            return subprocess.run([sys.executable, "-m", "smtcore", "core", str(path),
+                                   "--budget", "11", *extra], capture_output=True, text=True)
+
+        assert core().returncode == 20
+        proc = core("--minimize")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: conflict budget exceeded before a verdict\n"
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_minimize_verify_gives_a_minimal_core(self, data_dir, capsys, method):

@@ -1,8 +1,11 @@
+import gc
+import random
 import tempfile
+import weakref
 
 import pytest
 
-from gen import labeled_corpus
+from gen import labeled_corpus, random_difference_formula
 from oracles import brute_force_smt_sat
 from smtcore import cores, smt
 from smtcore.cnf import cnf_convert
@@ -13,7 +16,7 @@ from smtcore.cores import (
 )
 from smtcore.mus import enumerate_mcs
 from smtcore.parser import parse
-from smtcore.smt import smt_solve
+from smtcore.smt import SmtSolver, smt_solve
 from smtcore.terms import Original
 
 CORE_A = (0, 1, 2, 3, 4, 5)
@@ -66,41 +69,38 @@ class TestBooleanCore:
 
 class TestLemmaLifting:
     def test_nine_clause_internal_proof(self, nine_clauses):
-        report = lemma_lift_core(nine_clauses, ExtractorConfig("internal-proof"),
-                                 verify=True)
+        report = extract_core(nine_clauses, "lift-proof", verify=True)
         assert report.verdict == "unsat"
         assert set(report.core) <= set(range(9))
         assert report.verification == "verified"
 
     def test_nine_clause_minimize_reaches_a_minimal_core(self, nine_clauses):
-        report = lemma_lift_core(
-            nine_clauses, ExtractorConfig("internal-proof", minimize=True), verify=True)
+        report = extract_core(nine_clauses, "lift-proof", minimize=True, verify=True)
         assert report.core in (CORE_A, CORE_B)
 
     def test_sat_input_short_circuits(self):
         f = cnf_convert(parse("(declare-fun y () Real)(assert (< y 0))"))
-        report = lemma_lift_core(f, ExtractorConfig("internal-proof"))
+        report = extract_core(f, "lift-proof")
         assert report.verdict == "sat" and report.core == ()
 
     def test_gap_instance_with_empty_store(self, abstraction_gap):
-        report = lemma_lift_core(abstraction_gap, ExtractorConfig("internal-proof"),
-                                 verify=True, early_pruning=False,
-                                 theory_propagation=False)
+        # the premise: the run stores no lemma, so the lift sees the bare
+        # abstraction
+        assert smt_solve(abstraction_gap)[1] == []
+        report = extract_core(abstraction_gap, "lift-proof", verify=True)
         assert report.core == (0, 1, 2, 3)
-        minimized = lemma_lift_core(
-            abstraction_gap, ExtractorConfig("internal-proof", minimize=True),
-            verify=True, early_pruning=False, theory_propagation=False)
+        minimized = extract_core(abstraction_gap, "lift-proof", minimize=True, verify=True)
         assert minimized.core == (0, 1, 2)
 
     def test_no_lemma_origin_in_any_report(self, nine_clauses):
-        for kind in ("internal-proof", "internal-selectors"):
-            report = lemma_lift_core(nine_clauses, ExtractorConfig(kind), verify=True)
+        for method in ("lift-proof", "lift-selectors"):
+            report = extract_core(nine_clauses, method, verify=True)
             for i in report.core:
                 assert isinstance(nine_clauses.clauses[i].origin, Original)
                 assert i < len(nine_clauses.clauses)
 
     def test_assertion_level_view(self, nine_clauses):
-        report = lemma_lift_core(nine_clauses, ExtractorConfig("internal-proof"))
+        report = extract_core(nine_clauses, "lift-proof")
         # one clause per assertion in this instance
         assert report.assertions == report.core
 
@@ -150,6 +150,10 @@ class TestMinimize:
         with pytest.raises(ValueError, match="unsatisfiable"):
             minimize_core(nine_clauses, [0, 1])
 
+    def test_out_of_range_index_rejected(self, nine_clauses):
+        with pytest.raises(ValueError, match="index 99 out of range"):
+            minimize_core(nine_clauses, list(CORE_B) + [99])
+
     def test_one_deletion_minimality(self, nine_clauses):
         core = minimize_core(nine_clauses, list(range(9)))
         for i in core:
@@ -171,23 +175,100 @@ class TestCheckCore:
 
 
 class TestExtractCore:
-    DIRECT = {
-        "lift-proof": lambda f: lemma_lift_core(f, ExtractorConfig("internal-proof")),
-        "lift-selectors": lambda f: lemma_lift_core(f, ExtractorConfig("internal-selectors")),
-        "lift-external": lambda f: lemma_lift_core(
-            f, ExtractorConfig("external", command=self_extractor_command())),
-        "smt-proof": lambda f: _run(f, "smt-proof", None, minimize=False, verify=False),
-        "smt-selectors": lambda f: _run(f, "smt-selectors", None, minimize=False,
-                                        verify=False),
+    CONFIGS = {
+        "lift-proof": ExtractorConfig("internal-proof"),
+        "lift-selectors": ExtractorConfig("internal-selectors"),
+        "lift-external": ExtractorConfig("external", command=self_extractor_command()),
+        "smt-proof": None,
+        "smt-selectors": None,
     }
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_equals_the_direct_route(self, nine_clauses, method):
-        assert extract_core(nine_clauses, method) == self.DIRECT[method](nine_clauses)
+        direct = _run(nine_clauses, method, self.CONFIGS[method], minimize=False,
+                      verify=False, budget=None)
+        assert extract_core(nine_clauses, method) == direct
 
     def test_unknown_method_rejected(self, nine_clauses):
         with pytest.raises(ValueError, match="unknown method"):
             extract_core(nine_clauses, "magic")
+
+
+class TestLemmaLiftShim:
+    """`lemma_lift_core` is kept only for the benchmark; it must stay
+    `extract_core` under another signature."""
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    @pytest.mark.parametrize("kind, method", [("internal-proof", "lift-proof"),
+                                              ("internal-selectors", "lift-selectors"),
+                                              ("external", "lift-external")])
+    def test_equals_extract_core(self, nine_clauses, kind, method, minimize):
+        command = self_extractor_command() if kind == "external" else None
+        for budget in (None, 1000):
+            shim = lemma_lift_core(nine_clauses,
+                                   ExtractorConfig(kind, command=command, minimize=minimize),
+                                   verify=True, conflict_budget=budget)
+            assert shim == extract_core(nine_clauses, method, minimize=minimize,
+                                        verify=True, budget=budget)
+
+
+def difference_12_60():
+    """Its lift-proof route takes 11 conflicts; one of its minimization
+    trials takes more."""
+    return random_difference_formula(random.Random(0), 12, 60, 2)
+
+
+DIFFERENCE_12_60_MINIMAL = (0, 3, 10, 11, 14, 16, 18, 19, 20, 21, 24, 25, 27, 34, 36,
+                            38, 44, 51, 57)
+
+
+class TestBudget:
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_a_route_that_runs_out_raises(self, method):
+        with pytest.raises(ExtractionError, match="conflict budget exceeded"):
+            extract_core(difference_12_60(), method, budget=0)
+
+    def test_minimization_trials_are_budgeted(self):
+        formula = difference_12_60()
+        # the route alone fits in the budget
+        assert extract_core(formula, "lift-proof", budget=11).verdict == "unsat"
+        with pytest.raises(ExtractionError, match="conflict budget exceeded"):
+            extract_core(formula, "lift-proof", minimize=True, budget=11)
+        assert extract_core(formula, "lift-proof", minimize=True).core == DIFFERENCE_12_60_MINIMAL
+
+    def test_minimize_core_runs_out_on_its_own(self):
+        formula = difference_12_60()
+        core = extract_core(formula, "lift-proof").core
+        with pytest.raises(ExtractionError, match="conflict budget exceeded"):
+            minimize_core(formula, core, budget=0)
+        assert tuple(minimize_core(formula, core, budget=100)) == DIFFERENCE_12_60_MINIMAL
+
+
+class TestEngineLifetime:
+    """An engine is no reference cycle: it dies with its last reference,
+    without the cycle collector."""
+
+    @pytest.mark.parametrize("method, minimize", [("lift-proof", False),
+                                                  ("smt-proof", False),
+                                                  ("smt-selectors", True)])
+    def test_engines_are_freed_when_extraction_returns(self, nine_clauses, monkeypatch,
+                                                       method, minimize):
+        built = []
+        init = SmtSolver.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(SmtSolver, "__init__", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            extract_core(nine_clauses, method, minimize=minimize, verify=True)
+            alive = [ref() is not None for ref in built]
+        finally:
+            gc.enable()
+        assert alive and not any(alive)
 
 
 class TestBridge:
@@ -253,11 +334,8 @@ class TestBridge:
             external_bridge([[1], [-1], [2]], cmd)
 
     def test_lift_external_end_to_end(self, nine_clauses):
-        report = lemma_lift_core(
-            nine_clauses,
-            ExtractorConfig("external", command=self_extractor_command()),
-            verify=True)
-        direct = lemma_lift_core(nine_clauses, ExtractorConfig("internal-proof"))
+        report = extract_core(nine_clauses, "lift-external", verify=True)
+        direct = extract_core(nine_clauses, "lift-proof")
         assert report.core == direct.core
 
 
@@ -274,8 +352,8 @@ class TestSoundnessOnRandomCorpus:
                                   oracle=brute_force_smt_sat, seed=77)
         for formula in unsat:
             reports = [
-                lemma_lift_core(formula, ExtractorConfig("internal-proof"), verify=True),
-                lemma_lift_core(formula, ExtractorConfig("internal-selectors"), verify=True),
+                extract_core(formula, "lift-proof", verify=True),
+                extract_core(formula, "lift-selectors", verify=True),
                 extract_core(formula, "smt-proof", verify=True),
                 extract_core(formula, "smt-selectors", verify=True),
             ]

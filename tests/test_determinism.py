@@ -7,7 +7,7 @@ from pathlib import Path
 from gen import random_formula
 from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
-from smtcore.cores import ExtractorConfig, lemma_lift_core
+from smtcore.cores import extract_core
 from smtcore.dimacs import document_for, render
 from smtcore.parser import parse_file
 from smtcore.smt import SmtSolver, lifted_clauses, smt_solve
@@ -19,7 +19,7 @@ def _pipeline(path):
     formula = cnf_convert(parse_file(str(path)))
     verdict, store = smt_solve(formula)
     dim = render(document_for(lifted_clauses(formula, store), len(formula.atoms)))
-    report = lemma_lift_core(formula, ExtractorConfig("internal-proof", minimize=True))
+    report = extract_core(formula, "lift-proof", minimize=True)
     return dim, report.core
 
 
@@ -32,7 +32,7 @@ def test_pipeline_is_identical_across_runs_in_process():
 _HASH_SEED_PROG = """
 import sys
 from smtcore.cnf import cnf_convert
-from smtcore.cores import ExtractorConfig, lemma_lift_core
+from smtcore.cores import extract_core
 from smtcore.dimacs import document_for, render
 from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse_file
@@ -41,7 +41,7 @@ from smtcore.smt import lifted_clauses, smt_solve
 formula = cnf_convert(parse_file(sys.argv[1]))
 verdict, store = smt_solve(formula)
 print(render(document_for(lifted_clauses(formula, store), len(formula.atoms))))
-report = lemma_lift_core(formula, ExtractorConfig("internal-proof", minimize=True))
+report = extract_core(formula, "lift-proof", minimize=True)
 print(report.core)
 print([sorted(m) for m in all_minimal_cores(formula)[1].muses])
 """

@@ -35,7 +35,7 @@ def core_and_proof(formula, method="lift-proof", fixpoint=False):
     """The raw core of a proof route and the refutation it logged."""
     route, kind = METHODS[method]
     config = ExtractorConfig(kind, fixpoint=fixpoint) if kind else None
-    core, proof = route(formula, config)
+    core, proof = route(formula, config, None)
     assert isinstance(proof, ProofLog)
     return sorted(core), proof
 
@@ -87,8 +87,8 @@ class TestRejections:
     def test_core_missing_a_cone_input_through_extract_core(self, nine_clauses, monkeypatch):
         route, kind = METHODS["lift-proof"]
 
-        def dropping_route(formula, config, **solve):
-            core, proof = route(formula, config, **solve)
+        def dropping_route(formula, config, budget):
+            core, proof = route(formula, config, budget)
             return core[1:], proof
 
         monkeypatch.setitem(cores.METHODS, "lift-proof", (dropping_route, kind))
@@ -148,7 +148,7 @@ class TestRejections:
         formula = formula_of(text)
         lemma = TLemma(refuting(formula), "theory-conflict")
         monkeypatch.setattr(cores, "smt_solve",
-                            lambda f, **solve: (SmtVerdict("unsat"), [lemma]))
+                            lambda f, conflict_budget: (SmtVerdict("unsat"), [lemma]))
         everything = tuple(range(len(formula.clauses)))
         assert extract_core(formula, "lift-proof").core == everything
         with pytest.raises(ExtractionError, match="is neither a core clause nor theory-valid"):
@@ -163,8 +163,8 @@ class TestRejections:
         assert problem is not None and "neither a core clause nor theory-valid" in problem
         route, kind = METHODS["smt-proof"]
 
-        def dropping_route(formula, config, **solve):
-            core, proof = route(formula, config, **solve)
+        def dropping_route(formula, config, budget):
+            core, proof = route(formula, config, budget)
             return sorted(core)[:-1], proof
 
         monkeypatch.setitem(cores.METHODS, "smt-proof", (dropping_route, kind))
@@ -276,8 +276,8 @@ class TestAgreement:
         alive = []
         minimize_core = cores.minimize_core
         monkeypatch.setattr(cores, "boolean_core", recording)
-        monkeypatch.setattr(cores, "minimize_core", lambda f, core: alive.append(
-            proofs[-1]() is not None) or minimize_core(f, core))
+        monkeypatch.setattr(cores, "minimize_core", lambda f, core, budget: alive.append(
+            proofs[-1]() is not None) or minimize_core(f, core, budget))
         extract_core(nine_clauses, "lift-proof", minimize=True, verify=True)
         assert alive == [False]
         report = extract_core(nine_clauses, "lift-proof", verify=True)

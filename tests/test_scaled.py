@@ -15,7 +15,7 @@ import pytest
 from gen import pigeonhole_cnf, random_difference_formula, random_uf_formula
 from smtcore.cores import check_core, extract_core
 from smtcore.sat import check_proof, proof_core, sat_solve, solve_with_selectors
-from smtcore.smt import evaluate_clause, lemma_store_violations, smt_solve
+from smtcore.smt import SmtSolver, evaluate_clause, lemma_store_violations, smt_solve
 
 
 def _check_facts(formula, verdict, store):
@@ -37,7 +37,7 @@ def test_difference_constraints(seed):
     formula = random_difference_formula(random.Random(seed), n_reals=6,
                                         n_clauses=24, width=2)
     verdict, store = smt_solve(formula)
-    plain, _ = smt_solve(formula, theory_propagation=False)
+    plain = SmtSolver(formula, theory_propagation=False).solve()
     assert verdict.status == plain.status
     _check_facts(formula, verdict, store)
 
@@ -50,7 +50,7 @@ def test_uninterpreted_functions(seed):
     verdict, store = smt_solve(formula)
     # propagation only runs under early pruning, so three settings cover it
     for options in ({"theory_propagation": False}, {"early_pruning": False}):
-        other, _ = smt_solve(formula, **options)
+        other = SmtSolver(formula, **options).solve()
         assert other.status == verdict.status
     _check_facts(formula, verdict, store)
 

@@ -31,8 +31,7 @@ def test_unit_sat_with_witness():
 
 
 def test_gap_instance_zero_lemmas_permissible(abstraction_gap):
-    verdict, store = smt_solve(abstraction_gap, early_pruning=False,
-                               theory_propagation=False)
+    verdict, store = smt_solve(abstraction_gap)
     assert verdict.status == "unsat"
     assert len(store) == 0
 
@@ -92,7 +91,8 @@ def test_verdicts_match_brute_force(theory, options):
     for _ in range(120):
         formula = random_formula(rng, theory)
         expected = brute_force_smt_sat(formula)
-        verdict, store = smt_solve(formula, **options)
+        engine = SmtSolver(formula, **options)
+        verdict, store = engine.solve(), engine.store
         assert verdict.status == ("sat" if expected else "unsat")
         if verdict.status == "sat":
             assert all(evaluate_clause(c, formula.atoms, verdict)
