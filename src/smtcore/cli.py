@@ -116,11 +116,7 @@ def cmd_verify(args) -> int:
     formula = _load(args.file)
     text = Path(args.core).read_text(encoding="utf-8")
     indices = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        idx = int(line)
+    for ln, idx in dimacs.index_lines(text):
         if not 1 <= idx <= len(formula.clauses):
             print(f"violation: line {ln}: index {idx} out of range")
             return EXIT_ERROR

@@ -6,7 +6,8 @@ once (its first occurrence) and a literal beside its complement rejected as
 a tautology.  Everything else goes through negation normal form and
 constant folding, and is then distributed when the result stays small (at
 most `max_distribute` clauses per assertion), and otherwise converted
-definitionally with fresh auxiliary propositional variables.  Every emitted clause carries the id of
+definitionally with fresh auxiliary propositional variables.  Every emitted
+clause is a tuple of signed atom ids, and the formula records the id of
 the assertion it came from.
 """
 from __future__ import annotations
@@ -14,9 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .parser import AssertionSet, BAnd, BAtom, BConst, BNot, BOr, BoolExpr
-from .terms import (
-    Atom, AtomTable, Clause, Formula, Literal, Original, PropAtom, infer_logic,
-)
+from .terms import Atom, AtomTable, Formula, PropAtom, infer_logic
 
 
 class CnfError(ValueError):
@@ -242,22 +241,23 @@ def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
     tautological input clauses.
     """
     table = AtomTable()
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, ...]] = []
+    assertion_of: list[int] = []
     defs = _Definitions()
 
     def emit(lits, aid: int):
-        lit_objs = tuple(Literal(table.intern(a), p) for a, p in lits)
-        clauses.append(Clause(lit_objs, Original(len(clauses), aid)))
+        clauses.append(tuple(table.intern(a) if p else -table.intern(a) for a, p in lits))
+        assertion_of.append(aid)
 
     for aid, tree in assertions.assertions:
         lits = _literals(tree)
         if lits is not None:
-            # Clause drops repeated literals, keeping the first, and rejects
-            # a literal beside its complement, as _simplify would
-            try:
-                emit(lits, aid)
-            except ValueError:
-                raise _valid(aid) from None
+            # a repeated literal is kept once, the first copy, and a literal
+            # beside its complement makes the assertion valid, as in _simplify
+            clause = ([], {})
+            if not _extend(clause, lits):
+                raise _valid(aid)
+            emit(clause[0], aid)
             continue
         node = _simplify(_nnf(tree, True))
         if node[0] == "const":
@@ -276,4 +276,4 @@ def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
                 emit(cl, aid)
 
     logic = infer_logic(clauses, table)
-    return Formula(clauses, table, assertions.declarations, logic)
+    return Formula(clauses, table, assertions.declarations, logic, assertion_of)

@@ -354,8 +354,8 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
 def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog) -> Optional[str]:
     """Verification without a search: None when the indices are in range,
     every node of `proof` re-derives, its final node is the empty clause,
-    and every leaf it resolves on is either the Boolean image of a clause
-    of `core` or theory-valid; else a description.  A leaf is theory-valid
+    and every leaf it resolves on is either a clause of `core` (as a set)
+    or theory-valid; else a description.  A leaf is theory-valid
     when its negated theory literals, asserted to one fresh theory solver,
     are inconsistent; the solver is backtracked to empty after each leaf.
     Only `formula` is read besides the proof: no lemma store, clause
@@ -367,7 +367,7 @@ def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog) -> 
     if problem is not None:
         return f"refutation: {problem}"
     table = formula.atoms
-    inputs = {frozenset(table.t2p(formula.clauses[i])) for i in core}
+    inputs = {frozenset(formula.clauses[i]) for i in core}
     theory = None
     for _, _cid, lits in proof_leaves(proof):
         if lits in inputs:
@@ -391,7 +391,6 @@ def _theory_valid(theory, lits: frozenset[int]) -> bool:
         return True
     owned = [lit for lit in sorted(lits, key=abs)
              if theory.owns_atom(theory.table.atom(abs(lit)))]
-    valid = any(theory.assert_literal(-lit) is not None for lit in owned) \
-        or theory.check_full().status == "conflict"
+    valid = theory.negation_inconsistent(owned)
     theory.backtrack(0)
     return valid

@@ -8,7 +8,7 @@ matched back to the original by sorted-literal multiset equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class DimacsError(ValueError):
@@ -93,6 +93,21 @@ def render_core_indices(indices: Iterable[int]) -> str:
     return "".join(f"{i + 1}\n" for i in sorted(set(indices)))
 
 
+def index_lines(text: str) -> Iterator[tuple[int, int]]:
+    """(line number, index) for each nonblank line of a file of 1-based
+    clause indices, one a line; a line that is not an integer is a
+    DimacsError naming it.  The caller checks the range."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            idx = int(line)
+        except ValueError:
+            raise DimacsError(f"line {ln}: not a clause index: {line!r}") from None
+        yield ln, idx
+
+
 def read_core(text: str, original: DimacsDocument, mode: str) -> set[int]:
     """Interpret a returned core file against the original document.
 
@@ -100,14 +115,7 @@ def read_core(text: str, original: DimacsDocument, mode: str) -> set[int]:
     """
     if mode == "index-list":
         out = set()
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                idx = int(line)
-            except ValueError:
-                raise DimacsError(f"line {ln}: not a clause index: {line!r}")
+        for ln, idx in index_lines(text):
             if not 1 <= idx <= original.nclauses:
                 raise DimacsError(
                     f"line {ln}: index {idx} out of range 1..{original.nclauses}")

@@ -562,19 +562,18 @@ def render_instance(formula, indices=None) -> str:
     known_props = set(decls.props) if decls is not None else set()
     extra = []
     for i in picked:
-        for lit in formula.clauses[i].lits:
-            a = formula.atoms.atom(lit.atom)
+        for lit in formula.clauses[i]:
+            a = formula.atoms.atom(abs(lit))
             if isinstance(a, PropAtom) and a.name not in known_props:
                 known_props.add(a.name)
                 extra.append(a.name)
     for name in extra:  # auxiliaries introduced by CNF conversion
         lines.append(f"(declare-fun {name} () Bool)")
     for i in picked:
-        clause = formula.clauses[i]
         lits = []
-        for lit in clause.lits:
-            s = atom_sexpr(formula.atoms.atom(lit.atom))
-            lits.append(s if lit.positive else f"(not {s})")
+        for lit in formula.clauses[i]:
+            s = atom_sexpr(formula.atoms.atom(abs(lit)))
+            lits.append(s if lit > 0 else f"(not {s})")
         if not lits:
             body = "false"
         elif len(lits) == 1:

@@ -1,6 +1,6 @@
 """Conflict-driven clause-learning SAT solver with resolution-proof logging.
 
-Literals are nonzero signed integers over 1-based variables.  The solver
+A literal is a nonzero signed integer over 1-based variables.  The solver
 supports solving under assumptions (the unsatisfiable answer is then a
 conflict clause over negated assumptions), selector-variable core
 extraction, and an optional theory hook used by the lazy SMT engine.
@@ -53,12 +53,8 @@ class ProofLog:
         return node
 
     def resolve(self, pivot: int, left: int, right: int) -> int:
-        ll, rl = self.lits(left), self.lits(right)
-        if pivot in ll and -pivot in rl:
-            merged = (ll - {pivot}) | (rl - {-pivot})
-        elif -pivot in ll and pivot in rl:
-            merged = (ll - {-pivot}) | (rl - {pivot})
-        else:
+        merged = _resolvent(pivot, self.lits(left), self.lits(right))
+        if merged is None:
             raise ValueError(f"pivot {pivot} does not occur with opposite polarities")
         node = len(self.nodes)
         self.nodes.append(("res", pivot, left, right, merged))
@@ -73,6 +69,16 @@ class ProofLog:
             else:
                 lines.append(f"R {n[1]} {n[2]} {n[3]}")
         return "\n".join(lines) + "\n"
+
+
+def _resolvent(pivot: int, ll: frozenset[int], rl: frozenset[int]) -> Optional[frozenset[int]]:
+    """The resolvent of two clauses on `pivot`, or None unless the pivot
+    occurs in them with opposite polarities."""
+    if pivot in ll and -pivot in rl:
+        return (ll - {pivot}) | (rl - {-pivot})
+    if -pivot in ll and pivot in rl:
+        return (ll - {-pivot}) | (rl - {pivot})
+    return None
 
 
 def proof_leaves(proof: ProofLog) -> list[tuple]:
@@ -99,7 +105,7 @@ def proof_leaves(proof: ProofLog) -> list[tuple]:
 
 
 def proof_core(proof: ProofLog) -> set[int]:
-    """Clause ids of all distinct leaves reachable from the final node."""
+    """The clause ids of all distinct leaves reachable from the final node."""
     return {leaf[1] for leaf in proof_leaves(proof)}
 
 
@@ -122,12 +128,8 @@ def check_proof(proof: ProofLog,
             _, pivot, left, right, lits = node
             if left >= i or right >= i or left < 0 or right < 0:
                 return f"node {i}: child references a later node"
-            ll, rl = proof.lits(left), proof.lits(right)
-            if pivot in ll and -pivot in rl:
-                merged = (ll - {pivot}) | (rl - {-pivot})
-            elif -pivot in ll and pivot in rl:
-                merged = (ll - {-pivot}) | (rl - {pivot})
-            else:
+            merged = _resolvent(pivot, proof.lits(left), proof.lits(right))
+            if merged is None:
                 return f"node {i}: pivot {pivot} not opposite in the children"
             if merged != lits:
                 return f"node {i}: stored resolvent differs from the resolution result"

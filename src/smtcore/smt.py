@@ -1,10 +1,10 @@
 """Lazy online DPLL(T): the CDCL engine drives the search and a theory
 solver prunes it.
 
-Below the input formula every literal is the SAT solver's signed atom id:
-the formula's clauses are converted once, when the engine loads them, and
-the theory solver, the lemma list and the SAT database all read the same
-ints.  Every theory literal is asserted incrementally as it gets assigned
+Every literal is the SAT solver's signed atom id, from the input formula
+down: the engine loads the formula's clauses as they are, and the theory
+solver, the lemma list and the SAT database all read the same ints.
+Every theory literal is asserted incrementally as it gets assigned
 (early pruning runs a full theory check at each propagation fixpoint),
 entailed literals are unit-propagated through their deduction clauses
 (theory propagation), and every theory-conflict and theory-deduction
@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .sat import SatSolver, sat_solve
-from .terms import (
-    AtomTable, Clause, Formula, Literal, PropAtom, atom_theory, formula_from_clauses,
-)
+from .terms import AtomTable, Formula, PropAtom, atom_theory, formula_from_clauses
 from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 
 
@@ -60,7 +58,7 @@ class SmtSolver:
         self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget, seed=seed)
         self.sat.ensure_vars(len(self.table))
         for i, clause in enumerate(formula.clauses):
-            self.sat.add_clause(self.table.t2p(clause), ("input", i))
+            self.sat.add_clause(clause, ("input", i))
         # theory flags of the atoms the theory solver was built with; atoms
         # interned later are propositional (see add_clause)
         self._theory_var = [False] + [atom_theory(atom) is not None
@@ -194,7 +192,7 @@ class SelectorEngine:
     fresh selector atom `@sel!i`; a subset is solved under the assumption
     of its selectors.  Learned clauses and stored lemmas follow from the
     guarded clauses alone, so they carry over from one subset to the next.
-    Clauses added through `solver.add_clause` stay for every later solve.
+    A clause added through `solver.add_clause` stays for every later solve.
     `conflict_budget` bounds each solve, as it does an SmtSolver's."""
 
     def __init__(self, formula: Formula, *, conflict_budget: Optional[int] = None):
@@ -203,8 +201,7 @@ class SelectorEngine:
             self.table.intern(atom)
         self.selectors = [self.table.intern(PropAtom(f"@sel!{i}"))
                           for i in range(len(formula.clauses))]
-        guarded = [(Literal(sel, False),) + clause.lits
-                   for sel, clause in zip(self.selectors, formula.clauses)]
+        guarded = [(-sel,) + clause for sel, clause in zip(self.selectors, formula.clauses)]
         self.solver = SmtSolver(formula_from_clauses(guarded, self.table,
                                                      formula.declarations, formula.logic),
                                 conflict_budget=conflict_budget)
@@ -222,11 +219,10 @@ class SelectorEngine:
         return [i for i, sel in enumerate(self.selectors) if -sel in negated]
 
 
-def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[list[int]]:
+def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[tuple[int, ...]]:
     """Boolean abstraction of the input clauses followed by the stored
     lemmas: positions below len(formula.clauses) are inputs."""
-    return [formula.atoms.t2p(c) for c in formula.clauses] + \
-        [list(lemma.clause) for lemma in store]
+    return formula.clauses + [lemma.clause for lemma in store]
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +246,21 @@ def lemma_store_violations(formula: Formula, store: list[TLemma],
     return problems
 
 
-def evaluate_literal(lit: Literal, table: AtomTable, verdict: SmtVerdict) -> bool:
-    """Truth of a literal under a sat verdict's theory witness (falling back
-    to the Boolean model for propositional atoms)."""
+def evaluate_literal(lit: int, table: AtomTable, verdict: SmtVerdict) -> bool:
+    """Truth of a signed atom id under a sat verdict's theory witness
+    (falling back to the Boolean model for propositional atoms)."""
     from .terms import EufAtom, LinAtom, eval_lin_atom
 
-    atom = table.atom(lit.atom)
+    atom = table.atom(abs(lit))
     if isinstance(atom, LinAtom):
         value = eval_lin_atom(atom, verdict.theory_model or {})
     elif isinstance(atom, EufAtom):
         classes = verdict.theory_model or {}
         value = classes.get(atom.lhs) == classes.get(atom.rhs) and atom.lhs in classes
     else:
-        value = bool(verdict.bool_model.get(lit.atom))
-    return value if lit.positive else not value
+        value = bool(verdict.bool_model.get(abs(lit)))
+    return value if lit > 0 else not value
 
 
-def evaluate_clause(clause: Clause, table: AtomTable, verdict: SmtVerdict) -> bool:
-    return any(evaluate_literal(l, table, verdict) for l in clause.lits)
+def evaluate_clause(clause: tuple[int, ...], table: AtomTable, verdict: SmtVerdict) -> bool:
+    return any(evaluate_literal(lit, table, verdict) for lit in clause)

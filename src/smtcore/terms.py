@@ -1,4 +1,4 @@
-"""Core symbolic objects: terms, atoms, literals, clauses and formulas.
+"""Core symbolic objects: terms, atoms, the atom table and formulas.
 
 Everything is immutable and hashable once constructed, and all arithmetic
 is exact: a value is a plain `int` while it is integral and a
@@ -10,6 +10,11 @@ dict key or an interned id.  Linear atoms are normalized to a canonical
 syntactically different spellings of one constraint intern to the same
 Boolean variable, which is what makes lifted lemma clauses share
 variables with the input.
+
+There is no literal type: a literal is a signed atom id (`3` is atom 3 of
+the `AtomTable`, `-3` its negation), and a clause of a `Formula` is a tuple
+of them, the format that the SAT solver, the theory solvers and the lemma
+store read as well.
 """
 from __future__ import annotations
 
@@ -215,46 +220,6 @@ def atom_theory(atom: Atom) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Literals and clauses
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Literal:
-    atom: int          # id in the owning AtomTable
-    positive: bool
-
-    def signed(self) -> int:
-        return self.atom if self.positive else -self.atom
-
-
-@dataclass(frozen=True)
-class Original:
-    index: int
-    assertion_id: int
-
-
-@dataclass(frozen=True)
-class Clause:
-    lits: tuple[Literal, ...]
-    origin: Optional[Original] = None  # set on the clauses of a Formula
-
-    def __post_init__(self):
-        seen: dict[int, bool] = {}
-        out = []
-        for lit in self.lits:
-            if lit.atom in seen:
-                if seen[lit.atom] != lit.positive:
-                    raise ValueError("tautological clause (contains a literal and its negation)")
-                continue
-            seen[lit.atom] = lit.positive
-            out.append(lit)
-        object.__setattr__(self, "lits", tuple(out))
-
-    def __len__(self) -> int:
-        return len(self.lits)
-
-
-# ---------------------------------------------------------------------------
 # Atom table: the atom <-> Boolean-variable bijection
 # ---------------------------------------------------------------------------
 
@@ -284,15 +249,6 @@ class AtomTable:
 
     def items(self) -> Iterable[tuple[int, Atom]]:
         return ((i + 1, a) for i, a in enumerate(self._atoms))
-
-    def t2p(self, clause: Clause) -> list[int]:
-        """Boolean image of a clause: signed 1-based variable indices."""
-        out = []
-        for lit in clause.lits:
-            if not 1 <= lit.atom <= len(self._atoms):
-                raise LookupError(f"literal references unknown atom id {lit.atom}")
-            out.append(lit.signed())
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +295,37 @@ class Declarations:
         return f
 
 
+def _normalized(clause: Iterable[int], size: int) -> tuple[int, ...]:
+    """`clause` with each repeated literal dropped after its first copy.  A
+    literal beside its complement is a ValueError; literal 0 or an id
+    outside an atom table of `size` atoms is a LookupError."""
+    lits = dict.fromkeys(clause)
+    for lit in lits:
+        if not 1 <= abs(lit) <= size:
+            raise LookupError(f"literal {lit} names no atom of the table (size {size})")
+        if -lit in lits:
+            raise ValueError("tautological clause (contains a literal and its negation)")
+    return tuple(lits)
+
+
 @dataclass
 class Formula:
-    """A CNF problem: clauses with Original origins 0..n-1, plus the shared
-    atom table.  Immutable by convention once built."""
-    clauses: list[Clause]
+    """A CNF problem over the shared atom table: `clauses[i]` is a tuple of
+    signed atom ids and `assertion_of[i]` the assertion it came from.
+    Building a Formula normalizes every clause once (see `_normalized`).
+    Immutable by convention once built."""
+    clauses: list[tuple[int, ...]]
     atoms: AtomTable
     declarations: Optional[Declarations]
     logic: str
+    assertion_of: list[int]
 
     def __post_init__(self):
-        for i, c in enumerate(self.clauses):
-            if not isinstance(c.origin, Original) or c.origin.index != i:
-                raise ValueError(f"clause {i} has origin {c.origin!r}; expected Original(index={i})")
+        if len(self.assertion_of) != len(self.clauses):
+            raise ValueError(f"{len(self.clauses)} clauses but {len(self.assertion_of)} "
+                             f"assertion ids")
+        size = len(self.atoms)
+        self.clauses = [_normalized(c, size) for c in self.clauses]
 
     def __len__(self) -> int:
         return len(self.clauses)
@@ -360,34 +334,25 @@ class Formula:
         """Sub-formula induced by a set of clause indices (re-indexed, same
         atom table; assertion ids preserved)."""
         picked = sorted(set(indices))
-        sub = []
-        for new_i, old_i in enumerate(picked):
-            old = self.clauses[old_i]
-            sub.append(Clause(old.lits, Original(new_i, old.origin.assertion_id)))
-        return Formula(sub, self.atoms, self.declarations, self.logic)
+        return Formula([self.clauses[i] for i in picked], self.atoms, self.declarations,
+                       self.logic, [self.assertion_of[i] for i in picked])
 
     def assertion_ids(self, indices: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted({self.clauses[i].origin.assertion_id for i in indices}))
+        return tuple(sorted({self.assertion_of[i] for i in indices}))
 
 
-def formula_from_clauses(lit_clauses: list[tuple[Literal, ...]], atoms: AtomTable,
+def formula_from_clauses(clauses: list[tuple[int, ...]], atoms: AtomTable,
                          declarations: Optional[Declarations] = None,
                          logic: Optional[str] = None) -> Formula:
-    """Build an internal Formula from bare literal tuples (assertion id ==
+    """Build a Formula from bare clauses of signed atom ids (assertion id ==
     clause index).  Used by the selector engine and test harnesses."""
-    clauses = [Clause(lits, Original(i, i)) for i, lits in enumerate(lit_clauses)]
     if logic is None:
         logic = infer_logic(clauses, atoms)
-    return Formula(clauses, atoms, declarations, logic)
+    return Formula(clauses, atoms, declarations, logic, list(range(len(clauses))))
 
 
-def infer_logic(clauses: Iterable[Clause], atoms: AtomTable) -> str:
-    theories = set()
-    for c in clauses:
-        for lit in c.lits:
-            t = atom_theory(atoms.atom(lit.atom))
-            if t:
-                theories.add(t)
+def infer_logic(clauses: Iterable[tuple[int, ...]], atoms: AtomTable) -> str:
+    theories = {atom_theory(atoms.atom(abs(lit))) for c in clauses for lit in c} - {None}
     if len(theories) > 1:
         raise SortError("formula mixes EUF and LRA atoms; theory combination is unsupported")
     if LOGIC_EUF in theories:

@@ -49,11 +49,6 @@ def is_valid_lemma(clause: Iterable[int], table: AtomTable):
         # all-propositional: not a theory lemma
         return False, {"propositional": "assign every literal false"}
     solver = EufSolver(table) if LOGIC_EUF in kinds else LraSolver(table)
-    for lit in theory_lits:
-        conflict = solver.assert_literal(-lit)
-        if conflict is not None:
-            return True, None
-    verdict = solver.check_full()
-    if verdict.status == "conflict":
+    if solver.negation_inconsistent(theory_lits):
         return True, None
     return False, solver.witness()

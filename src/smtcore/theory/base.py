@@ -18,7 +18,7 @@ to a length it took itself, as a check that probes the state does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..terms import AtomTable
 
@@ -76,6 +76,13 @@ class TheorySolver:
 
     def asserted(self) -> list[int]:
         return list(self._asserted)
+
+    def negation_inconsistent(self, lits: Iterable[int]) -> bool:
+        """Assert the negation of each literal of `lits` (over this solver's
+        atoms, one literal an atom) in order, then check: whether that met a
+        conflict.  The literals stay asserted; the caller backtracks."""
+        return any(self.assert_literal(-lit) is not None for lit in lits) \
+            or self.check_full().status == "conflict"
 
     # -- to implement ---------------------------------------------------------
 

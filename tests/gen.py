@@ -7,7 +7,7 @@ from fractions import Fraction
 from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.terms import (
-    REAL, AtomTable, Formula, FunApp, FunSymbol, LinComb, Literal, PropAtom, Var,
+    REAL, AtomTable, Formula, FunApp, FunSymbol, LinComb, PropAtom, Var,
     canonical_lin_atom, euf_atom, formula_from_clauses,
 )
 
@@ -79,7 +79,7 @@ def random_formula(rng: random.Random, theory: str, max_atoms: int = 6,
     for _ in range(n_clauses):
         width = rng.randint(1, min(3, len(ids)))
         chosen = rng.sample(ids, width)
-        clauses.append(tuple(Literal(a, rng.random() < 0.5) for a in chosen))
+        clauses.append(tuple(a if rng.random() < 0.5 else -a for a in chosen))
     return formula_from_clauses(clauses, table, None,
                                 "LRA" if theory == "LRA" else "EUF")
 
@@ -104,7 +104,7 @@ def random_difference_formula(rng: random.Random, n_reals: int = 6,
             comb = LinComb.build(coeffs, Fraction(-rng.randint(-4, 1)))
             atom_id = table.intern(canonical_lin_atom(comb, rng.choice(["<=", "<"])))
             lits.setdefault(atom_id, rng.random() < 0.8)
-        clauses.append(tuple(Literal(a, pos) for a, pos in lits.items()))
+        clauses.append(tuple(a if pos else -a for a, pos in lits.items()))
     return formula_from_clauses(clauses, table, None, "LRA")
 
 
@@ -124,7 +124,7 @@ def random_uf_formula(rng: random.Random, n_consts: int = 10,
         for _ in range(rng.randint(2, width)):
             s, t = rng.sample(pool, 2)
             lits.setdefault(table.intern(euf_atom(s, t)), rng.random() < 0.5)
-        clauses.append(tuple(Literal(a, pos) for a, pos in lits.items()))
+        clauses.append(tuple(a if pos else -a for a, pos in lits.items()))
     return formula_from_clauses(clauses, table, None, "EUF")
 
 

@@ -301,8 +301,8 @@ def brute_force_smt_sat(formula: Formula) -> bool:
     """Satisfiable iff some total assignment to the formula's atoms both
     propositionally satisfies every clause and refines to a theory-consistent
     literal set."""
-    atom_ids = sorted({l.atom for c in formula.clauses for l in c.lits})
-    clauses = [[l.signed() for l in c.lits] for c in formula.clauses]
+    atom_ids = sorted({abs(l) for c in formula.clauses for l in c})
+    clauses = formula.clauses
     if any(len(c) == 0 for c in clauses):
         return False
     n = len(atom_ids)

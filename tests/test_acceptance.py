@@ -104,7 +104,7 @@ def test_criterion_abstraction_gap_discriminator(capsys):
     abstraction is all four clauses while deletion minimization drops the
     theory-valid fourth: lifted cores need not be theory-minimal."""
     formula = _load("abstraction_gap.smt2")
-    abstraction = [formula.atoms.t2p(c) for c in formula.clauses]
+    abstraction = formula.clauses
     bool_core = boolean_core(abstraction, ExtractorConfig("internal-proof"))
     assert bool_core == [0, 1, 2, 3]
     # and it is Boolean-minimal: every proper subset is satisfiable

@@ -270,6 +270,14 @@ class TestVerify:
         assert code == 1
         assert out.strip() == "violation: line 3: index 10 out of range"
 
+    def test_non_integer_line_names_its_line(self, data_dir, tmp_path, capsys):
+        core = tmp_path / "core.txt"
+        core.write_text("1\n\nx\n", encoding="utf-8")
+        code, out, err = run_cli("verify", str(data_dir / NINE_CLAUSES), "--core", str(core),
+                                 capsys=capsys)
+        assert code == 1 and out == ""
+        assert err.strip() == "error: line 3: not a clause index: 'x'"
+
 
 class TestBench:
     def test_csv_and_table(self, data_dir, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from oracles import cnf_truth_table_sat
 from smtcore.cnf import CnfError, cnf_convert
 from smtcore.parser import parse
-from smtcore.terms import Original, PropAtom
+from smtcore.terms import PropAtom
 
 PROPS = "(declare-fun a () Bool)(declare-fun b () Bool)(declare-fun c () Bool)(declare-fun d () Bool)"
 
@@ -19,7 +19,7 @@ def convert(text, **kw):
 def test_clause_shaped_assertions_pass_through_verbatim():
     f = convert("(assert (or a (not b) c))")
     assert len(f.clauses) == 1
-    assert [l.positive for l in f.clauses[0].lits] == [True, False, True]
+    assert [l > 0 for l in f.clauses[0]] == [True, False, True]
 
 
 def test_long_or_with_a_composite_argument_converts_in_linear_time():
@@ -32,7 +32,7 @@ def test_long_or_with_a_composite_argument_converts_in_linear_time():
     f = cnf_convert(assertions)
     assert time.process_time() - start < 2.0
     assert len(f.clauses) == 1
-    assert [l.atom for l in f.clauses[0].lits] == list(range(1, n + 1))
+    assert list(f.clauses[0]) == list(range(1, n + 1))
 
 
 def test_single_atom_assertion_is_a_unit_clause():
@@ -43,18 +43,17 @@ def test_single_atom_assertion_is_a_unit_clause():
 
 def test_every_clause_carries_its_assertion_id():
     f = convert("(assert (and a b))(assert (or c d))")
-    ids = [c.origin.assertion_id for c in f.clauses]
-    assert ids == [0, 0, 1]
+    assert f.assertion_of == [0, 0, 1]
 
 
 def test_definitional_translation_shape():
     # one auxiliary, three definition clauses plus one linking clause
     f = convert("(assert (or a (and b c)))", max_distribute=1)
     assert len(f.clauses) == 4
-    aux_atoms = {f.atoms.atom(l.atom).name
-                 for c in f.clauses for l in c.lits
-                 if isinstance(f.atoms.atom(l.atom), PropAtom)
-                 and f.atoms.atom(l.atom).name.startswith("@cnf!")}
+    aux_atoms = {f.atoms.atom(abs(l)).name
+                 for c in f.clauses for l in c
+                 if isinstance(f.atoms.atom(abs(l)), PropAtom)
+                 and f.atoms.atom(abs(l)).name.startswith("@cnf!")}
     assert len(aux_atoms) == 1
     assert len(f.clauses[-1]) == 2  # linking clause: a or aux
 
@@ -62,9 +61,9 @@ def test_definitional_translation_shape():
 def test_small_formulas_distribute_without_auxiliaries():
     f = convert("(assert (or a (and b c)))")
     assert len(f.clauses) == 2
-    assert all(not isinstance(f.atoms.atom(l.atom), PropAtom)
-               or not f.atoms.atom(l.atom).name.startswith("@cnf!")
-               for c in f.clauses for l in c.lits)
+    assert all(not isinstance(f.atoms.atom(abs(l)), PropAtom)
+               or not f.atoms.atom(abs(l)).name.startswith("@cnf!")
+               for c in f.clauses for l in c)
 
 
 def test_tautological_input_clause_rejected():
@@ -83,9 +82,9 @@ def test_assert_false_yields_empty_clause():
 
 
 def test_origin_indices_are_dense():
+    # one assertion id a clause, read by the clause's position
     f = convert("(assert (and a (or b c)))(assert d)")
-    for i, c in enumerate(f.clauses):
-        assert isinstance(c.origin, Original) and c.origin.index == i
+    assert f.assertion_of == [0, 0, 1]
 
 
 def _eval_tree(node, assignment):
@@ -141,13 +140,12 @@ def test_conversion_preserves_satisfiability(max_distribute):
             if all(_eval_tree(t, assignment) for _, t in trees):
                 source_sat = True
                 break
-        clauses = [[l.signed() for l in c.lits] for c in formula.clauses]
-        cnf_sat = cnf_truth_table_sat(clauses, len(formula.atoms))
+        cnf_sat = cnf_truth_table_sat(formula.clauses, len(formula.atoms))
         assert cnf_sat == source_sat
     assert checked > 150
 
 
 def test_traceability_covers_every_assertion():
     f = convert("(assert (and a b))(assert (or (and a c) (and b d)))(assert d)")
-    covered = {c.origin.assertion_id for c in f.clauses}
+    covered = set(f.assertion_of)
     assert covered == {0, 1, 2}

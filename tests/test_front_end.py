@@ -39,7 +39,8 @@ def outcome(text: str) -> str:
         return f"error {type(exc).__name__} {exc}\n"
     lines = [formula.logic]
     lines += [f"{i} {atom!r}" for i, atom in formula.atoms.items()]
-    lines += [f"{[lit.signed() for lit in c.lits]} {c.origin!r}" for c in formula.clauses]
+    lines += [f"{list(clause)} Original(index={i}, assertion_id={aid})"
+              for i, (clause, aid) in enumerate(zip(formula.clauses, formula.assertion_of))]
     return "\n".join(lines) + "\n"
 
 

@@ -96,8 +96,8 @@ def test_comments_and_extra_commands_ignored():
 def test_strict_relations_rewritten():
     aset = parse("(declare-fun x () Real)(assert (> x 1))(assert (>= x 1))")
     formula = cnf_convert(aset)
-    a0 = formula.atoms.atom(formula.clauses[0].lits[0].atom)
-    a1 = formula.atoms.atom(formula.clauses[1].lits[0].atom)
+    a0 = formula.atoms.atom(abs(formula.clauses[0][0]))
+    a1 = formula.atoms.atom(abs(formula.clauses[1][0]))
     assert a0.rel == "<" and a1.rel == "<="
 
 
@@ -133,10 +133,10 @@ def test_render_round_trip(nine_clauses):
     assert len(reparsed.clauses) == len(nine_clauses.clauses)
     # canonical atoms survive the round trip
     for c1, c2 in zip(nine_clauses.clauses, reparsed.clauses):
-        atoms1 = [nine_clauses.atoms.atom(l.atom) for l in c1.lits]
-        atoms2 = [reparsed.atoms.atom(l.atom) for l in c2.lits]
+        atoms1 = [nine_clauses.atoms.atom(abs(l)) for l in c1]
+        atoms2 = [reparsed.atoms.atom(abs(l)) for l in c2]
         assert atoms1 == atoms2
-        assert [l.positive for l in c1.lits] == [l.positive for l in c2.lits]
+        assert [l > 0 for l in c1] == [l > 0 for l in c2]
 
 
 def test_render_subset_is_parsable(nine_clauses):
@@ -344,7 +344,7 @@ def test_spellings_of_one_bound_intern_to_one_atom():
     spellings = ["2", "2.0", "(/ 4 2)", "(* 2 1)", "(+ 1 1.0)", "(- 3 (/ 2 2))"]
     text = "(declare-fun x () Real)" + "".join(f"(assert (<= x {s}))" for s in spellings)
     formula = cnf_convert(parse(text))
-    assert {c.lits[0].atom for c in formula.clauses} == {1}
+    assert {c[0] for c in formula.clauses} == {1}
     x = formula.declarations.vars["x"]
     built = [canonical_lin_atom(LinComb.build({x: Fraction(1)}, Fraction(-2)), "<="),
              canonical_lin_atom(LinComb.build({x: Fraction(1, 2)}, Fraction(-1)), "<="),

@@ -26,7 +26,7 @@ from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.sat import ProofLog, sat_solve
 from smtcore.smt import SmtVerdict, TLemma
-from smtcore.terms import AtomTable, Literal, PropAtom, formula_from_clauses
+from smtcore.terms import AtomTable, PropAtom, formula_from_clauses
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
 
@@ -49,7 +49,7 @@ def prop_formula(clauses):
     table = AtomTable()
     nvars = max(abs(lit) for cl in clauses for lit in cl)
     ids = [None] + [table.intern(PropAtom(f"p{v}")) for v in range(1, nvars + 1)]
-    return formula_from_clauses([tuple(Literal(ids[abs(l)], l > 0) for l in cl)
+    return formula_from_clauses([tuple(ids[l] if l > 0 else -ids[-l] for l in cl)
                                  for cl in clauses], table)
 
 
@@ -74,7 +74,7 @@ EUF_UNSAT = EUF_SAT.replace("(assert (= x z))", "(assert (not (= x z)))")
 
 
 def refuting(formula):
-    return tuple(-formula.atoms.t2p(c)[0] for c in formula.clauses)
+    return tuple(-c[0] for c in formula.clauses)
 
 
 class TestRejections:
@@ -132,7 +132,7 @@ class TestRejections:
     def test_flipped_lemma_leaf(self, sat, unsat):
         for text, valid in ((unsat, True), (sat, False)):
             formula = formula_of(text)
-            rows = [formula.atoms.t2p(c) for c in formula.clauses] + [list(refuting(formula))]
+            rows = formula.clauses + [refuting(formula)]
             proof = sat_solve(rows, log_proof=True).proof
             problem = check_refutation(formula, range(len(formula.clauses)), proof)
             if valid:
@@ -176,7 +176,7 @@ class TestRejections:
         negated literals would leave the solver unable to backtrack."""
         formula = formula_of("(set-logic QF_LRA) (declare-fun x () Real) "
                              "(assert (<= x 0)) (assert (not (<= x 0)))")
-        a = formula.atoms.t2p(formula.clauses[0])[0]
+        a = formula.clauses[0][0]
         proof = ProofLog()
         tautology, neg, pos = proof.leaf(7, [a, -a]), proof.leaf(1, [-a]), proof.leaf(0, [a])
         proof.final = proof.resolve(a, proof.resolve(a, tautology, neg), pos)

@@ -30,8 +30,7 @@ class TestBasics:
     def test_lifted_abstraction_is_unsat(self, nine_clauses):
         from smtcore.smt import smt_solve
         _, store = smt_solve(nine_clauses)
-        clauses = [nine_clauses.atoms.t2p(c) for c in nine_clauses.clauses]
-        clauses += [list(l.clause) for l in store]
+        clauses = nine_clauses.clauses + [l.clause for l in store]
         assert sat_solve(clauses).status == "unsat"
 
     def test_empty_input_clause(self):

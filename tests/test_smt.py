@@ -10,7 +10,7 @@ from smtcore.smt import (
     SelectorEngine, SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
 )
 from smtcore.terms import (
-    REAL, Clause, LinComb, Literal, PropAtom, Var, canonical_lin_atom, euf_atom,
+    REAL, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom,
     formula_from_clauses,
 )
 from smtcore.theory import is_valid_lemma
@@ -42,8 +42,8 @@ def test_contradictory_units_store_the_pairwise_lemma():
     verdict, store = smt_solve(f)
     assert verdict.status == "unsat"
     keys = {frozenset(lem.clause) for lem in store}
-    a1 = f.clauses[0].lits[0].atom
-    a0 = f.clauses[1].lits[0].atom
+    a1 = f.clauses[0][0]
+    a0 = f.clauses[1][0]
     assert frozenset({-a1, -a0}) in keys
 
 
@@ -129,22 +129,22 @@ def test_selector_engine_matches_fresh_solves(theory):
                 lits = tuple(a if rng.random() < 0.5 else -a
                              for a in rng.sample(pool, rng.randint(1, 2)))
                 engine.solver.add_clause(lits)
-                added.append(tuple(Literal(abs(l), l > 0) for l in lits))
+                added.append(lits)
             subset = rng.sample(range(n), rng.randint(n // 2, n))
             verdict = engine.solve(subset)
             fresh, _ = smt_solve(formula_from_clauses(
-                [formula.clauses[i].lits for i in sorted(subset)] + added,
+                [formula.clauses[i] for i in sorted(subset)] + added,
                 engine.table, None, formula.logic))
             assert (verdict.status == "sat") == (fresh.status == "sat"), (k, step)
             if verdict.status == "sat":
                 assert all(evaluate_clause(c, engine.table, verdict)
                            for c in [formula.clauses[i] for i in subset]
-                           + [Clause(lits) for lits in added])
+                           + added)
             elif verdict.status == "unsat-assumptions":
                 blamed = engine.conflict_clauses(verdict)
                 assert set(blamed) <= set(subset)
                 again, _ = smt_solve(formula_from_clauses(
-                    [formula.clauses[i].lits for i in blamed] + added,
+                    [formula.clauses[i] for i in blamed] + added,
                     engine.table, None, formula.logic))
                 assert again.status == "unsat"
         if theory == "LRA":
@@ -191,7 +191,7 @@ def test_lemma_list_has_no_repeats(theory, options):
     for formula in _lemma_list_formulas(rng, theory):
         engine = SmtSolver(formula, **options)
         engine.solve()
-        _check_lemma_list(engine, [formula.atoms.t2p(c) for c in formula.clauses])
+        _check_lemma_list(engine, formula.clauses)
         stored += len(engine.store)
     assert stored > 300
 
@@ -205,7 +205,7 @@ def test_lemma_list_has_no_repeats_across_subset_solves(theory):
     for formula in _lemma_list_formulas(rng, theory):
         engine = SelectorEngine(formula)
         n = len(formula.clauses)
-        inputs = [engine.table.t2p(c) for c in engine.solver.formula.clauses]
+        inputs = list(engine.solver.formula.clauses)
         for _step in range(6):
             if rng.random() < 0.3:
                 retired = (-engine.selectors[rng.randrange(n)],)

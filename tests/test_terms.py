@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import lra_literals_sat
 from smtcore.terms import (
-    REAL, AtomTable, Clause, FunApp, FunSymbol, LinComb, Literal,
-    PropAtom, SortError, Var, canonical_lin_atom, euf_atom,
+    LOGIC_PROP, REAL, AtomTable, Formula, FunApp, FunSymbol, LinComb, PropAtom, SortError,
+    Var, canonical_lin_atom, euf_atom, formula_from_clauses,
 )
 
 X = Var("x", REAL, 0)
@@ -105,16 +105,54 @@ class TestEufAtoms:
 
 
 class TestClause:
+    """Building a Formula normalizes its clauses of signed atom ids once."""
+
+    def _table(self, n=3):
+        table = AtomTable()
+        for i in range(n):
+            table.intern(PropAtom(f"p{i}"))
+        return table
+
     def test_duplicate_literals_collapse(self):
-        c = Clause((Literal(1, True), Literal(1, True), Literal(2, False)))
-        assert len(c.lits) == 2
+        f = formula_from_clauses([(2, 1, 2, -3, 1)], self._table())
+        assert f.clauses == [(2, 1, -3)]
 
     def test_tautology_rejected(self):
-        with pytest.raises(ValueError):
-            Clause((Literal(1, True), Literal(1, False)))
+        with pytest.raises(ValueError, match="tautological"):
+            formula_from_clauses([(1, 2), (3, 1, -1)], self._table())
 
     def test_empty_clause_allowed(self):
-        assert len(Clause(())) == 0
+        table = self._table()
+        assert formula_from_clauses([()], table).clauses == [()]
+        assert formula_from_clauses([()], AtomTable()).clauses == [()]
+
+    def test_zero_literal_rejected(self):
+        with pytest.raises(LookupError):
+            Formula([(1, 0)], self._table(), None, LOGIC_PROP, [0])
+
+    def test_atom_outside_the_table_rejected(self):
+        for lit in (4, -4, 99):
+            with pytest.raises(LookupError):
+                Formula([(1,), (2, lit)], self._table(), None, LOGIC_PROP, [0, 1])
+
+    def test_signed_ids_kept_as_given(self):
+        table = AtomTable()
+        i1 = table.intern(lin({X: Fraction(1)}, 0, "="))
+        i2 = table.intern(lin({X: Fraction(1)}, -1, "="))
+        ip = table.intern(PropAtom("A1"))
+        f = formula_from_clauses([[i1, -i2, ip], (-ip,)], table)
+        assert f.clauses == [(i1, -i2, ip), (-ip,)]
+        assert f.logic == "LRA" and f.assertion_of == [0, 1]
+
+    def test_one_assertion_id_a_clause(self):
+        with pytest.raises(ValueError, match="assertion ids"):
+            Formula([(1,), (2,)], self._table(), None, LOGIC_PROP, [0])
+
+    def test_restrict_reads_the_assertion_ids(self):
+        f = Formula([(1,), (2,), (-3,)], self._table(), None, LOGIC_PROP, [5, 5, 7])
+        sub = f.restrict([2, 0])
+        assert sub.clauses == [(1,), (-3,)] and sub.assertion_of == [5, 7]
+        assert f.assertion_ids([0, 1]) == (5,) and f.assertion_ids([1, 2]) == (5, 7)
 
 
 class TestAtomTable:
@@ -124,15 +162,6 @@ class TestAtomTable:
         a2 = lin({X: Fraction(1)}, -1, "=")
         p = PropAtom("A1")
         return table, table.intern(a1), table.intern(a2), table.intern(p)
-
-    def test_t2p_preserves_polarity(self):
-        table, i1, i2, ip = self._table()
-        clause = Clause((Literal(i1, True), Literal(i2, False), Literal(ip, True)))
-        assert table.t2p(clause) == [i1, -i2, ip]
-
-    def test_t2p_empty_clause(self):
-        table, *_ = self._table()
-        assert table.t2p(Clause(())) == []
 
     def test_round_trip_on_every_live_index(self):
         table, i1, i2, ip = self._table()
