@@ -163,6 +163,14 @@ class TestAtomTable:
         p = PropAtom("A1")
         return table, table.intern(a1), table.intern(a2), table.intern(p)
 
+    def test_t2p_empty_clause(self):
+        """An empty clause needs no translation: a Formula over a table of live
+        atoms keeps it as () beside the clauses that name them."""
+        table, i1, i2, ip = self._table()
+        f = formula_from_clauses([(), (i1, -i2), (-ip,)], table)
+        assert f.clauses == [(), (i1, -i2), (-ip,)]
+        assert f.logic == "LRA" and len(f.clauses[0]) == 0
+
     def test_round_trip_on_every_live_index(self):
         table, i1, i2, ip = self._table()
         for idx in (i1, i2, ip):
