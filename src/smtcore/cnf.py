@@ -163,13 +163,18 @@ def _try_distribute(node, guard: int = 4096) -> Optional[list[list[_Lit]]]:
 
 
 class _Definitions:
-    """Definitional (auxiliary variable) translation for one conversion run."""
+    """Definitional (auxiliary variable) translation for one conversion run.
+    Auxiliaries are named `@cnf!N`, skipping every declared proposition
+    name, so no auxiliary is an atom of the input."""
 
-    def __init__(self):
+    def __init__(self, declared):
         self.counter = 0
+        self.declared = declared
         self.clauses: list[list[_Lit]] = []
 
     def fresh(self) -> Atom:
+        while f"@cnf!{self.counter}" in self.declared:
+            self.counter += 1
         atom = PropAtom(f"@cnf!{self.counter}")
         self.counter += 1
         return atom
@@ -243,7 +248,7 @@ def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
     table = AtomTable()
     clauses: list[tuple[int, ...]] = []
     assertion_of: list[int] = []
-    defs = _Definitions()
+    defs = _Definitions(assertions.declarations.props)
 
     def emit(lits, aid: int):
         clauses.append(tuple(table.intern(a) if p else -table.intern(a) for a, p in lits))

@@ -3,20 +3,22 @@
 Phase one enumerates every minimal correction subset (MCS) on one
 incremental selector engine, after Liffiton & Sakallah, "Algorithms for
 computing minimal unsatisfiable subsets of constraints" (JAR 2008):
-selector atoms guard the clauses, and for growing sizes k we enumerate
-theory-consistent models whose false selectors form a correction set,
-adding a clause that blocks each one found.  Phase two computes all
-minimal unsatisfiable cores as the minimal hitting sets of the MCS set.
-Both sets can be exponentially large, so hard caps guard each phase and
-flag incomplete results loudly.
+selector variables guard the clauses, and for growing sizes k we
+enumerate theory-consistent models whose false selectors form a
+correction set, adding a clause that blocks each one found.  The
+selectors, the at-most-k counters' registers and their activation
+variables all come from `SmtSolver.new_var`, so none of them is an atom.
+Phase two computes all minimal unsatisfiable cores as the minimal hitting
+sets of the MCS set.  Both sets can be exponentially large, so hard caps
+guard each phase and flag incomplete results loudly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .smt import SelectorEngine
-from .terms import AtomTable, Formula, PropAtom
+from .terms import Formula
 
 DEFAULT_CAP = 10_000
 
@@ -34,10 +36,11 @@ class MusSet:
     complete: bool
 
 
-def _sequential_counter_atmost(lits: list[int], k: int, table: AtomTable,
-                               tag: str) -> list[tuple[int, ...]]:
+def _sequential_counter_atmost(lits: list[int], k: int,
+                               new_var: Callable[[], int]) -> list[tuple[int, ...]]:
     """Sinz sequential-counter encoding of at-most-k over `lits` (signed
-    atom ids); auxiliary registers are fresh propositional atoms."""
+    variables); each auxiliary register is a fresh variable from
+    `new_var`, made on first use."""
     n = len(lits)
     if k >= n:
         return []
@@ -48,7 +51,7 @@ def _sequential_counter_atmost(lits: list[int], k: int, table: AtomTable,
     def r(i: int, j: int) -> int:
         key = (i, j)
         if key not in reg:
-            reg[key] = table.intern(PropAtom(f"@amk!{tag}!{i}!{j}"))
+            reg[key] = new_var()
         return reg[key]
 
     out: list[tuple[int, ...]] = []
@@ -72,14 +75,13 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
     engine = SelectorEngine(formula)
     if engine.solve(range(n)).status == "sat":
         return McsSet([], complete=True, satisfiable=True)
-    selectors, add = engine.selectors, engine.solver.add_clause
+    selectors, new_var, add = engine.selectors, engine.solver.new_var, engine.solver.add_clause
     found: list[frozenset[int]] = []
     for k in range(1, n + 1):
-        # the at-most-k counter binds only while its activation atom is
+        # the at-most-k counter binds only while its activation variable is
         # assumed; the unit clause after the k loop retires it for good
-        act = engine.table.intern(PropAtom(f"@amk!k{k}"))
-        for clause in _sequential_counter_atmost([-s for s in selectors],
-                                                 k, engine.table, f"k{k}"):
+        act = new_var()
+        for clause in _sequential_counter_atmost([-s for s in selectors], k, new_var):
             add((-act,) + clause)
         while True:
             verdict = engine.solve((), act)

@@ -644,15 +644,12 @@ def sat_solve(clauses: list[list[int]], assumptions: Iterable[int] = (),
     return s.solve(assumptions)
 
 
-def solve_with_selectors(clauses: list[list[int]],
-                         conflict_budget: Optional[int] = None):
+def solve_with_selectors(clauses: list[list[int]]):
     """Guard every clause with a fresh selector variable assumed true; on
     unsat the core is the set of clauses whose selectors appear negated in
     the final conflict clause.  Returns (verdict, core indices or None)."""
-    if not clauses:
-        return SatVerdict("sat", model={}), None
     base = max((abs(l) for cl in clauses for l in cl), default=0)
-    s = SatSolver(conflict_budget=conflict_budget)
+    s = SatSolver()
     s.ensure_vars(base + len(clauses))
     selector = {}
     for i, cl in enumerate(clauses):
@@ -661,8 +658,6 @@ def solve_with_selectors(clauses: list[list[int]],
         s.add_clause([-sel] + list(cl), ("input", i))
     verdict = s.solve(assumptions=[base + 1 + i for i in range(len(clauses))])
     if verdict.status == "sat":
-        return verdict, None
-    if verdict.status == "unknown":
         return verdict, None
     assert verdict.status == "unsat-assumptions", \
         "selector-guarded clauses cannot conflict without assumptions"

@@ -4,17 +4,19 @@ solver prunes it.
 Every literal is the SAT solver's signed atom id, from the input formula
 down: the engine loads the formula's clauses as they are, and the theory
 solver, the lemma list and the SAT database all read the same ints.
-Every theory literal is asserted incrementally as it gets assigned
-(early pruning runs a full theory check at each propagation fixpoint),
-entailed literals are unit-propagated through their deduction clauses
-(theory propagation), and every theory-conflict and theory-deduction
-clause is appended to the engine's lemma list before it is added to the
-SAT database.  The list needs no index: a stored lemma is a clause of that
-database, so by the time a hook runs, propagation has already used it if
-it is unit and reported it if it is false, and the theory never hands the
-same clause back.  The lemmas are the raw material for core extraction:
-the abstraction of the inputs plus the stored lemmas is propositionally
-unsatisfiable whenever the run answers unsat.
+Variables numbered past the formula's atom table come from `new_var`:
+they name no atom, so no user symbol can alias them, and they stay
+propositional.  Every theory literal is asserted incrementally as it gets
+assigned, a full theory check runs at each propagation fixpoint, entailed
+literals are unit-propagated through their deduction clauses, and every
+theory-conflict and theory-deduction clause is appended to the engine's
+lemma list before it is added to the SAT database.  The list needs no
+index: a stored lemma is a clause of that database, so by the time a hook
+runs, propagation has already used it if it is unit and reported it if it
+is false, and the theory never hands the same clause back.  The lemmas are
+the raw material for core extraction: the abstraction of the inputs plus
+the stored lemmas is propositionally unsatisfiable whenever the run
+answers unsat.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .sat import SatSolver, sat_solve
-from .terms import AtomTable, Formula, PropAtom, atom_theory, formula_from_clauses
+from .terms import AtomTable, Formula, atom_theory
 from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 
 
@@ -37,35 +39,28 @@ class TLemma:
 @dataclass
 class SmtVerdict:
     status: str  # "sat" | "unsat" | "unsat-assumptions" | "unknown"
-    bool_model: Optional[dict[int, bool]] = None      # atom id -> value
+    bool_model: Optional[dict[int, bool]] = None      # variable -> value
     theory_model: object = None                       # LRA: {Var: int or Fraction}; EUF: {Term: class}
-    conflict: Optional[tuple[int, ...]] = None        # assumption-core clause (signed atom ids)
+    conflict: Optional[tuple[int, ...]] = None        # assumption-core clause (signed variables)
 
 
 class SmtSolver:
     """One solver instance per problem; single-owner while solving."""
 
-    def __init__(self, formula: Formula, *, early_pruning: bool = True,
-                 theory_propagation: bool = True,
-                 conflict_budget: Optional[int] = None,
+    def __init__(self, formula: Formula, *, conflict_budget: Optional[int] = None,
                  log_proof: bool = False, seed: Optional[int] = None):
-        self.formula = formula
         self.table = formula.atoms
         self.theory: Optional[TheorySolver] = solver_for_logic(formula.logic, self.table)
-        self.early_pruning = early_pruning
-        self.theory_propagation = theory_propagation
         self.store: list[TLemma] = []
         self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget, seed=seed)
         self.sat.ensure_vars(len(self.table))
         for i, clause in enumerate(formula.clauses):
             self.sat.add_clause(clause, ("input", i))
-        # theory flags of the atoms the theory solver was built with; atoms
-        # interned later are propositional (see add_clause)
+        # theory flags of the table's atoms; variables past it are new_var's
         self._theory_var = [False] + [atom_theory(atom) is not None
                                       for _, atom in self.table.items()]
         self._scan_pos = 0                      # sat trail position scanned so far
         self._synced_positions: list[int] = []  # trail position of each theory assert
-        self._theory_model = None
         if self.theory is not None:
             self.sat.theory_hook = weakref.proxy(self)  # no reference cycle
 
@@ -114,25 +109,19 @@ class SmtSolver:
         return verdict.status == "conflict" and self._conflict_lemma(verdict.conflict)
 
     def hook_fixpoint(self, solver: SatSolver) -> bool:
-        if not self.early_pruning:
-            return False
         if self._check():
             return True
         # _check has asserted every assigned theory atom, so a deduced
         # literal is unassigned and its clause is unit, unless the SAT
         # database holds that clause already
         added = False
-        if self.theory_propagation:
-            for ded in self.theory.deductions():
-                clause = tuple(-lit for lit in ded.explanation) + (ded.literal,)
-                added |= self._add_lemma(clause, "theory-deduction")[1] != "duplicate"
+        for ded in self.theory.deductions():
+            clause = tuple(-lit for lit in ded.explanation) + (ded.literal,)
+            added |= self._add_lemma(clause, "theory-deduction")[1] != "duplicate"
         return added
 
     def hook_final(self, solver: SatSolver) -> bool:
-        if self._check():
-            return True
-        self._theory_model = self.theory.witness()
-        return False
+        return self._check()
 
     def hook_backjump(self, trail_len: int):
         self._scan_pos = min(self._scan_pos, trail_len)
@@ -143,29 +132,30 @@ class SmtSolver:
 
     # -- solving ----------------------------------------------------------------
 
+    def new_var(self) -> int:
+        """A fresh propositional variable, numbered past the atom table and
+        every variable before it; it names no atom."""
+        var = self.sat.nvars + 1
+        self.sat.ensure_vars(var)
+        return var
+
     def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause of signed atom ids between solves.  Its atoms must be
-        known to the engine or propositional atoms interned into its table
-        since: the theory solver registers its atoms once, when it is built,
-        so a new theory atom is a ValueError."""
-        lits = tuple(lits)
-        for lit in lits:
-            var = abs(lit)
-            if var >= len(self._theory_var) and \
-                    atom_theory(self.table.atom(var)) is not None:
-                raise ValueError(f"atom {var} is a theory atom the engine was "
-                                 f"not built with")
+        """Add a clause between solves, over the table's atom ids and the
+        variables of `new_var`.  The table must not have grown since the
+        engine was built, a ValueError otherwise: an atom interned later
+        would take the number of one of the engine's variables."""
+        if len(self.table) != len(self._theory_var) - 1:
+            raise ValueError("the atom table grew after the engine was built")
         self.sat._backjump(0)
         self.sat.add_clause(lits, ("added",))
 
     def solve(self, assumptions: tuple[int, ...] = ()) -> SmtVerdict:
-        """Solve under `assumptions` (signed atom ids).  Learned clauses and
+        """Solve under `assumptions` (signed variables).  Learned clauses and
         the lemma store carry over to the next call."""
         verdict = self.sat.solve(assumptions)
         if verdict.status == "sat":
-            model = {v: verdict.model[v] for v in range(1, len(self.table) + 1)
-                     if v in verdict.model}
-            return SmtVerdict("sat", bool_model=model, theory_model=self._theory_model)
+            witness = self.theory.witness() if self.theory is not None else None
+            return SmtVerdict("sat", bool_model=verdict.model, theory_model=witness)
         if verdict.status == "unsat":
             return SmtVerdict("unsat")
         if verdict.status == "unsat-assumptions":
@@ -187,28 +177,26 @@ def smt_solve(formula: Formula, *,
 
 class SelectorEngine:
     """One incremental SmtSolver that decides subsets of a formula's
-    clauses.  Over a copy of the formula's atom table (the formula's own
-    table does not grow), clause i becomes (not sel_i) or clause_i for a
-    fresh selector atom `@sel!i`; a subset is solved under the assumption
-    of its selectors.  Learned clauses and stored lemmas follow from the
-    guarded clauses alone, so they carry over from one subset to the next.
-    A clause added through `solver.add_clause` stays for every later solve.
-    `conflict_budget` bounds each solve, as it does an SmtSolver's."""
+    clauses.  The engine starts from none of the clauses, over the
+    formula's own atom table; clause i is added as (not sel_i) or clause_i
+    for a selector variable sel_i from `new_var`, and a subset is solved
+    under the assumption of its selectors.  Learned clauses and stored
+    lemmas follow from the guarded clauses alone, so they carry over from
+    one subset to the next.  A clause added through `solver.add_clause`
+    stays for every later solve.  `conflict_budget` bounds each solve, as
+    it does an SmtSolver's."""
 
     def __init__(self, formula: Formula, *, conflict_budget: Optional[int] = None):
-        self.table = AtomTable()
-        for _id, atom in formula.atoms.items():
-            self.table.intern(atom)
-        self.selectors = [self.table.intern(PropAtom(f"@sel!{i}"))
-                          for i in range(len(formula.clauses))]
-        guarded = [(-sel,) + clause for sel, clause in zip(self.selectors, formula.clauses)]
-        self.solver = SmtSolver(formula_from_clauses(guarded, self.table,
-                                                     formula.declarations, formula.logic),
-                                conflict_budget=conflict_budget)
+        self.solver = SmtSolver(formula.restrict(()), conflict_budget=conflict_budget)
+        self.selectors = []
+        for clause in formula.clauses:
+            sel = self.solver.new_var()
+            self.solver.add_clause((-sel,) + clause)
+            self.selectors.append(sel)
 
     def solve(self, subset: Iterable[int], *extra: int) -> SmtVerdict:
         """Solve the clauses of `subset` plus every added clause, assuming
-        their selectors in the given order and then the signed atom ids
+        their selectors in the given order and then the signed literals
         `extra`."""
         return self.solver.solve(tuple(self.selectors[i] for i in subset) + extra)
 

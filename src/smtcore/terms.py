@@ -341,16 +341,6 @@ class Formula:
         return tuple(sorted({self.assertion_of[i] for i in indices}))
 
 
-def formula_from_clauses(clauses: list[tuple[int, ...]], atoms: AtomTable,
-                         declarations: Optional[Declarations] = None,
-                         logic: Optional[str] = None) -> Formula:
-    """Build a Formula from bare clauses of signed atom ids (assertion id ==
-    clause index).  Used by the selector engine and test harnesses."""
-    if logic is None:
-        logic = infer_logic(clauses, atoms)
-    return Formula(clauses, atoms, declarations, logic, list(range(len(clauses))))
-
-
 def infer_logic(clauses: Iterable[tuple[int, ...]], atoms: AtomTable) -> str:
     theories = {atom_theory(atoms.atom(abs(lit))) for c in clauses for lit in c} - {None}
     if len(theories) > 1:

@@ -3,13 +3,25 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.terms import (
-    REAL, AtomTable, Formula, FunApp, FunSymbol, LinComb, PropAtom, Var,
-    canonical_lin_atom, euf_atom, formula_from_clauses,
+    REAL, AtomTable, Declarations, Formula, FunApp, FunSymbol, LinComb, PropAtom, Var,
+    canonical_lin_atom, euf_atom, infer_logic,
 )
+
+
+def formula_from_clauses(clauses: list[tuple[int, ...]], atoms: AtomTable,
+                         declarations: Optional[Declarations] = None,
+                         logic: Optional[str] = None) -> Formula:
+    """Build a Formula from bare clauses of signed atom ids (assertion id ==
+    clause index); the logic is inferred from the atoms when not given."""
+    if logic is None:
+        logic = infer_logic(clauses, atoms)
+    return Formula(clauses, atoms, declarations, logic, list(range(len(clauses))))
+
 
 LRA_VARS = [Var("x", REAL, 0), Var("y", REAL, 1), Var("z", REAL, 2)]
 

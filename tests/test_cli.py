@@ -360,3 +360,66 @@ class TestBooleanCoreCommand:
         code, _, err = run_cli("boolean-core", str(cnf), str(tmp_path / "o"),
                                capsys=capsys)
         assert code == 1 and "satisfiable" in err
+
+
+def _seeded_template(seed):
+    """A small file over the propositions {0}..{4} and three real bounds.
+    Each assertion is a disjunction of one to four two-literal conjunctions
+    over distinct atoms; four of them would distribute to 16 clauses, more
+    than CNF conversion distributes, so they get auxiliaries."""
+    rng = random.Random(seed)
+    atoms = [f"{{{i}}}" for i in range(5)] + ["(< x y)", "(<= y 0)", "(< 0 x)"]
+
+    def assertion():
+        n = rng.randint(1, 4)
+        picked = iter(rng.sample(atoms, 2 * n))
+        conjuncts = [" ".join(a if rng.random() < 0.6 else f"(not {a})"
+                              for a in (next(picked), next(picked))) for _ in range(n)]
+        return f"(or {' '.join(f'(and {c})' for c in conjuncts)})"
+
+    decls = "".join(f"(declare-fun {{{i}}} () Bool)" for i in range(5))
+    body = "".join(f"(assert {assertion()})" for _ in range(rng.randint(3, 7)))
+    return ("(declare-fun x () Real)(declare-fun y () Real)" + decls + body
+            + "".join(f"(assert (not {{{i}}}))" for i in range(5) if rng.random() < 0.3))
+
+
+class TestPropositionNames:
+    """The verdict and the cores do not depend on what the propositions are
+    called, even when a name is one the converter or the selector engine
+    could have picked for an atom of its own."""
+    PLAIN = ("p0", "p1", "p2", "p3", "p4")
+    CLASHING = ("@cnf!0", "@sel!0", "@sel!1", "@amk!k1", "@cnf!1")
+    LETTERS = "abcdefgh"
+    TEMPLATES = {
+        # a declared selector name
+        "selector": "(declare-fun {0} () Bool)(declare-fun {1} () Bool)"
+                    "(assert {0})(assert (not {1}))",
+        # a declared auxiliary name: the disjunction of conjunctions
+        # is too wide to distribute, so it gets auxiliaries
+        "auxiliary": "(declare-fun {0} () Bool)"
+                     + "".join(f"(declare-fun {c} () Bool)" for c in LETTERS)
+                     + "(assert (or (and a b) (and c d) (and e f) (and g h)))"
+                       "(assert (not {0}))(assert a)(assert b)",
+        **{f"seed{s}": _seeded_template(s) for s in (0, 1, 6, 7, 13, 22)},
+    }
+    COMMANDS = (("solve",), ("core", "--minimize", "--verify"), ("allmus",))
+
+    def _run(self, tmp_path, capsys, text, command):
+        path = tmp_path / "names.smt2"
+        path.write_text(text, encoding="utf-8")
+        return run_cli(command[0], str(path), *command[1:], capsys=capsys)
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_renaming_changes_nothing(self, tmp_path, capsys, name):
+        template = self.TEMPLATES[name]
+        for command in self.COMMANDS:
+            plain = self._run(tmp_path, capsys, template.format(*self.PLAIN), command)
+            clashing = self._run(tmp_path, capsys, template.format(*self.CLASHING), command)
+            assert plain[0] in (10, 20), (command, plain)
+            assert clashing[:2] == plain[:2], command
+
+    def test_the_two_repro_files_are_sat(self, tmp_path, capsys):
+        selector = self.TEMPLATES["selector"].format(*self.CLASHING)
+        auxiliary = self.TEMPLATES["auxiliary"].format(*self.CLASHING)
+        assert self._run(tmp_path, capsys, selector, ("allmus",))[:2] == (10, "sat\n")
+        assert self._run(tmp_path, capsys, auxiliary, ("solve",))[:2] == (10, "sat\n")

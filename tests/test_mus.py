@@ -12,7 +12,6 @@ from smtcore.mus import (
 )
 from smtcore.parser import parse
 from smtcore.smt import smt_solve
-from smtcore.terms import AtomTable, PropAtom
 
 MCS_FAMILY = [{0}, {1}, {2}, {3}, {5}, {4, 7}]
 CORE_A = frozenset({0, 1, 2, 3, 4, 5})
@@ -23,10 +22,10 @@ def test_sequential_counter_matches_brute_force():
     rng = random.Random(3)
     for n in range(1, 6):
         for k in range(1, n + 1):
-            table = AtomTable()
-            xs = [table.intern(PropAtom(f"x{i}")) for i in range(n)]
-            clauses = [list(c) for c in _sequential_counter_atmost(xs, k, table, "t")]
-            nvars = len(table)
+            xs = list(range(1, n + 1))
+            fresh = itertools.count(n + 1)
+            clauses = [list(c) for c in _sequential_counter_atmost(xs, k, fresh.__next__)]
+            nvars = next(fresh) - 1
             # for every assignment of the xs, the encoding must be extendable
             # exactly when at most k are true
             for bits in itertools.product([False, True], repeat=n):

@@ -14,8 +14,8 @@ import weakref
 import pytest
 
 from gen import (
-    diamond_chain_formula, labeled_corpus, pigeonhole_cnf, random_difference_formula,
-    random_uf_formula,
+    diamond_chain_formula, formula_from_clauses, labeled_corpus, pigeonhole_cnf,
+    random_difference_formula, random_uf_formula,
 )
 from oracles import brute_force_smt_sat
 from smtcore import cores, smt
@@ -26,7 +26,7 @@ from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.sat import ProofLog, sat_solve
 from smtcore.smt import SmtVerdict, TLemma
-from smtcore.terms import AtomTable, PropAtom, formula_from_clauses
+from smtcore.terms import AtomTable, PropAtom
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
 

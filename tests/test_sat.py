@@ -104,7 +104,7 @@ class TestSelectors:
 
     def test_empty_clause_list_is_sat(self):
         v, core = solve_with_selectors([])
-        assert v.status == "sat" and core is None
+        assert v.status == "sat" and v.model == {} and core is None
 
     def test_conflict_clause_contains_only_negated_selectors(self, nine_clauses):
         from smtcore.smt import lifted_clauses, smt_solve

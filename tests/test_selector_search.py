@@ -1,0 +1,85 @@
+"""The selector-engine searches are pinned: on seeded LRA and EUF corpora,
+`enumerate_mcs` must find the same minimal correction subsets in the same
+order, and the `smt-selectors` core and the minimization of each
+`lift-proof` core must come out the same.  All three run on one
+incremental `SelectorEngine`, whose selector variables, counter registers
+and clause order decide each of these outcomes; `test_lra_search.py` pins
+the plain search and only the LRA minimizations.
+
+Each corpus is reduced to one SHA-256 digest.  The digests were computed
+when the selector engine still copied the formula's atom table and
+interned its selectors and counter registers as named atoms; a mismatch
+means a selector search changed.  To find the first instance that
+differs, compare `outcome(formula)` across the two versions on the corpus
+that fails.  A change to `tests/gen.py` changes the corpus rather than
+the search: recompute the digests then, on the commit before it, with
+
+    PYTHONPATH=src:tests python -c "import test_selector_search as t; \\
+        print({name: t.digest(t.corpus(name)) for name in t.CORPORA})"
+"""
+import hashlib
+import random
+
+import pytest
+
+from gen import diamond_chain_formula, labeled_corpus, random_difference_formula, random_uf_formula
+from oracles import brute_force_smt_sat
+from smtcore.cores import extract_core, minimize_core
+from smtcore.mus import enumerate_mcs
+
+
+def outcome(formula) -> str:
+    """The MCSes in the order found, the `smt-selectors` core, and the
+    `lift-proof` core with its minimization, as one string."""
+    result = enumerate_mcs(formula)
+    lines = [f"mcs complete={result.complete} satisfiable={result.satisfiable}"]
+    lines += [str(tuple(sorted(mcs))) for mcs in result.mcses]
+    for method in ("smt-selectors", "lift-proof"):
+        report = extract_core(formula, method)
+        lines.append(f"{method} {report.verdict} {report.core}")
+    if report.verdict == "unsat":
+        lines.append(f"minimized {tuple(minimize_core(formula, report.core))}")
+    return "\n".join(lines) + "\n"
+
+
+def digest(formulas) -> str:
+    h = hashlib.sha256()
+    for formula in formulas:
+        h.update(hashlib.sha256(outcome(formula).encode()).digest())
+    return h.hexdigest()
+
+
+CORPORA = {
+    # small oracle-labeled formulas, unsat then sat
+    "lra-labeled": lambda: sum(labeled_corpus("LRA", 30, 10, brute_force_smt_sat,
+                                              seed=2024), []),
+    "euf-labeled": lambda: sum(labeled_corpus("EUF", 30, 10, brute_force_smt_sat,
+                                              seed=2024), []),
+    # 6/24 difference constraints, four of the eight unsat
+    "lra-difference": lambda: [random_difference_formula(random.Random(s), 6, 24, 2)
+                               for s in range(8)],
+    # equalities over six constants and their images, three of four unsat,
+    # and one unsat 8/30 instance with 36 MCSes
+    "euf-uf": lambda: [random_uf_formula(random.Random(s), 6, 30, 2) for s in range(4)]
+                      + [random_uf_formula(random.Random(4), 8, 30, 2)],
+    # diamond chains of three to five diamonds among six noise clauses
+    "euf-diamond": lambda: [diamond_chain_formula(random.Random(n), n, 6) for n in (3, 4, 5)],
+}
+
+
+def corpus(name):
+    return CORPORA[name]()
+
+
+DIGESTS = {
+    "lra-labeled": "8e7f910cbbb0574603fe1fc3fd8e2a62208197b019eca96a4121e1307cf6dd93",
+    "euf-labeled": "329633f387125b940e7ee90570e7fa10de86743656526adba7ecf436415b3891",
+    "lra-difference": "fe2b66d81f8a10970bfecfea299811e2b8a538929f10b7539eb6bca36d2b9216",
+    "euf-uf": "e4380ab2fe480d77d35485c3561e1cec5f05300ec04d0e0fa003db36b54b3721",
+    "euf-diamond": "14bc2a828daf50702c49ce5000c12f0bfbf869700890b3e0c0fae2932cf10aa7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_selector_search_is_pinned(name):
+    assert digest(corpus(name)) == DIGESTS[name]

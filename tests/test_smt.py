@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from gen import labeled_corpus, random_difference_formula, random_formula, random_uf_formula
+from gen import (
+    formula_from_clauses, labeled_corpus, random_difference_formula, random_formula,
+    random_uf_formula,
+)
 from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.smt import (
     SelectorEngine, SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
 )
-from smtcore.terms import (
-    REAL, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom,
-    formula_from_clauses,
-)
+from smtcore.terms import REAL, AtomTable, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom
 from smtcore.theory import is_valid_lemma
 
 
@@ -80,18 +80,12 @@ def test_propositional_only_formula():
 
 
 @pytest.mark.parametrize("theory", ["LRA", "EUF"])
-@pytest.mark.parametrize("options", [
-    dict(),
-    dict(early_pruning=False),
-    dict(theory_propagation=False),
-    dict(early_pruning=False, theory_propagation=False),
-])
-def test_verdicts_match_brute_force(theory, options):
+def test_verdicts_match_brute_force(theory):
     rng = random.Random(99)
     for _ in range(120):
         formula = random_formula(rng, theory)
         expected = brute_force_smt_sat(formula)
-        engine = SmtSolver(formula, **options)
+        engine = SmtSolver(formula)
         verdict, store = engine.solve(), engine.store
         assert verdict.status == ("sat" if expected else "unsat")
         if verdict.status == "sat":
@@ -114,30 +108,37 @@ def test_facts_hold_on_labeled_unsat_corpus(theory):
 @pytest.mark.parametrize("theory", ["LRA", "EUF"])
 def test_selector_engine_matches_fresh_solves(theory):
     """Random subset solves on one engine, interleaved with added clauses
-    over the formula's atoms and new propositional atoms: every verdict is
-    that of a fresh solve of the subset plus the added clauses."""
+    over the formula's atoms and fresh engine variables: every verdict is
+    that of a fresh solve of the subset plus the added clauses, over a
+    reference table in which each engine variable is a propositional atom
+    of the same id."""
     rng = random.Random(61)
     for k in range(60):
         formula = random_formula(rng, theory, max_atoms=6, max_clauses=12)
         engine = SelectorEngine(formula)
+        fresh = [engine.solver.new_var() for _ in range(3)]
+        reference = AtomTable()
+        for _, atom in formula.atoms.items():
+            reference.intern(atom)
+        while len(reference) < fresh[-1]:
+            reference.intern(PropAtom(f"v{len(reference) + 1}"))
         n = len(formula.clauses)
         added = []
         for step in range(8):
             if rng.random() < 0.3:
-                pool = list(range(1, len(formula.atoms) + 1))
-                pool.append(engine.table.intern(PropAtom(f"fresh{step % 3}")))
+                pool = list(range(1, len(formula.atoms) + 1)) + [fresh[step % 3]]
                 lits = tuple(a if rng.random() < 0.5 else -a
                              for a in rng.sample(pool, rng.randint(1, 2)))
                 engine.solver.add_clause(lits)
                 added.append(lits)
             subset = rng.sample(range(n), rng.randint(n // 2, n))
             verdict = engine.solve(subset)
-            fresh, _ = smt_solve(formula_from_clauses(
+            again, _ = smt_solve(formula_from_clauses(
                 [formula.clauses[i] for i in sorted(subset)] + added,
-                engine.table, None, formula.logic))
-            assert (verdict.status == "sat") == (fresh.status == "sat"), (k, step)
+                reference, None, formula.logic))
+            assert (verdict.status == "sat") == (again.status == "sat"), (k, step)
             if verdict.status == "sat":
-                assert all(evaluate_clause(c, engine.table, verdict)
+                assert all(evaluate_clause(c, reference, verdict)
                            for c in [formula.clauses[i] for i in subset]
                            + added)
             elif verdict.status == "unsat-assumptions":
@@ -145,14 +146,15 @@ def test_selector_engine_matches_fresh_solves(theory):
                 assert set(blamed) <= set(subset)
                 again, _ = smt_solve(formula_from_clauses(
                     [formula.clauses[i] for i in blamed] + added,
-                    engine.table, None, formula.logic))
+                    reference, None, formula.logic))
                 assert again.status == "unsat"
         if theory == "LRA":
             new_atom = canonical_lin_atom(LinComb.build({Var("fresh", REAL, 90): 1}, 0), "<=")
         else:
             new_atom = euf_atom(Var("fresh_a", "U", 90), Var("fresh_b", "U", 91))
-        with pytest.raises(ValueError, match="theory atom"):
-            engine.solver.add_clause((engine.table.intern(new_atom),))
+        new_id = formula.atoms.intern(new_atom)
+        with pytest.raises(ValueError, match="the atom table grew after the engine was built"):
+            engine.solver.add_clause((new_id,))
 
 
 def _check_lemma_list(engine, inputs):
@@ -180,16 +182,11 @@ def _lemma_list_formulas(rng, theory):
 
 
 @pytest.mark.parametrize("theory", ["LRA", "EUF"])
-@pytest.mark.parametrize("options", [
-    dict(),
-    dict(theory_propagation=False),
-    dict(early_pruning=False),
-])
-def test_lemma_list_has_no_repeats(theory, options):
+def test_lemma_list_has_no_repeats(theory):
     rng = random.Random(4242)
     stored = 0
     for formula in _lemma_list_formulas(rng, theory):
-        engine = SmtSolver(formula, **options)
+        engine = SmtSolver(formula)
         engine.solve()
         _check_lemma_list(engine, formula.clauses)
         stored += len(engine.store)
@@ -205,7 +202,7 @@ def test_lemma_list_has_no_repeats_across_subset_solves(theory):
     for formula in _lemma_list_formulas(rng, theory):
         engine = SelectorEngine(formula)
         n = len(formula.clauses)
-        inputs = list(engine.solver.formula.clauses)
+        inputs = [(-sel,) + clause for sel, clause in zip(engine.selectors, formula.clauses)]
         for _step in range(6):
             if rng.random() < 0.3:
                 retired = (-engine.selectors[rng.randrange(n)],)

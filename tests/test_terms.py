@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import formula_from_clauses
 from oracles import lra_literals_sat
 from smtcore.terms import (
     LOGIC_PROP, REAL, AtomTable, Formula, FunApp, FunSymbol, LinComb, PropAtom, SortError,
-    Var, canonical_lin_atom, euf_atom, formula_from_clauses,
+    Var, canonical_lin_atom, euf_atom,
 )
 
 X = Var("x", REAL, 0)
