@@ -16,13 +16,13 @@ each run on one incremental `SelectorEngine`.
 A route that ends in a resolution refutation (`lift-proof`, with or
 without the fixpoint, and `smt-proof`) hands it on with its core, and an
 unminimized core of such a route is verified from it by
-`check_refutation`, with no new search: the proof must re-derive node by
-node, and every leaf it resolves on must be a core clause or a clause that
-a fresh theory solver proves theory-valid.  It trusts no part of the CDCL
-search that logged the proof.  Every other core (a selector or external
-route, or any minimized core) is verified by `check_core`, which re-solves
-the induced clause set with a fresh engine.  Neither check reads anything
-of the run it checks.
+`check_refutation`, with no new search: every chain of the proof must
+re-derive step by step, and every leaf it resolves on must be a core clause
+or a clause that a fresh theory solver proves theory-valid.  It trusts no
+part of the CDCL search that logged the proof.  Every other core (a
+selector or external route, or any minimized core) is verified by
+`check_core`, which re-solves the induced clause set with a fresh engine.
+Neither check reads anything of the run it checks.
 """
 from __future__ import annotations
 
@@ -353,11 +353,12 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
 
 def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog) -> Optional[str]:
     """Verification without a search: None when the indices are in range,
-    every node of `proof` re-derives, its final node is the empty clause,
-    and every leaf it resolves on is either a clause of `core` (as a set)
-    or theory-valid; else a description.  A leaf is theory-valid
-    when its negated theory literals, asserted to one fresh theory solver,
-    are inconsistent; the solver is backtracked to empty after each leaf.
+    every chain of `proof` re-derives step by step (`check_proof`), its
+    final node is the empty clause, and every leaf it resolves on is
+    either a clause of `core` (as a set) or theory-valid; else a
+    description.  A leaf is theory-valid when its negated theory literals,
+    asserted to one fresh theory solver, are inconsistent; the solver is
+    backtracked to empty after each leaf.
     Only `formula` is read besides the proof: no lemma store, clause
     numbering or engine of the run that logged it."""
     core = sorted(set(core))

@@ -5,11 +5,14 @@ supports solving under assumptions (the unsatisfiable answer is then a
 conflict clause over negated assumptions), selector-variable core
 extraction, and an optional theory hook used by the lazy SMT engine.
 
-Learned clauses are exact resolvents of their reason clauses: conflict
-analysis materializes every resolution step, so the proof log is purely
-resolution-shaped.  Level-zero-false literals are kept in learned clauses
-instead of being elided, which keeps the log honest at a negligible size
-cost at this scale.
+Learned clauses are exact resolvents of their reason clauses.  The proof
+log holds one node per learned clause: the chain of (pivot, reason) steps
+conflict analysis took from the conflict clause, and the clause derived,
+after Zhang & Malik, "Validating SAT solvers using an independent
+resolution-based checker" (DATE 2003).  No intermediate resolvent is built
+while searching; `check_proof` replays each chain step by step.
+Level-zero-false literals are kept in learned clauses instead of being
+elided, so every chain is plain binary resolution and needs no other rule.
 
 The search state is array-based, after Eén & Sörensson, "An Extensible
 SAT-solver" (SAT 2003): values, watch lists, levels, reasons, trail
@@ -38,7 +41,9 @@ from typing import Iterable, Optional
 class ProofLog:
     """Append-only DAG of resolution nodes ending (on unsat) in the empty
     clause.  Nodes are ("leaf", clause_id, lits) or
-    ("res", pivot, left, right, lits)."""
+    ("chain", first, steps, lits): node `first` resolved, in order, on each
+    (pivot, antecedent node) pair of `steps`, deriving `lits`.  A node names
+    only earlier nodes."""
 
     def __init__(self):
         self.nodes: list[tuple] = []
@@ -52,33 +57,22 @@ class ProofLog:
         self.nodes.append(("leaf", clause_id, frozenset(lits)))
         return node
 
-    def resolve(self, pivot: int, left: int, right: int) -> int:
-        merged = _resolvent(pivot, self.lits(left), self.lits(right))
-        if merged is None:
-            raise ValueError(f"pivot {pivot} does not occur with opposite polarities")
+    def chain(self, first: int, steps: Iterable[tuple[int, int]], lits: Iterable[int]) -> int:
+        """Record a derivation as given; `check_proof` replays it."""
         node = len(self.nodes)
-        self.nodes.append(("res", pivot, left, right, merged))
+        self.nodes.append(("chain", first, tuple(steps), frozenset(lits)))
         return node
 
     def to_trace(self) -> str:
-        """Text dump, one node per line: "L <id>" / "R <pivot> <left> <right>"."""
+        """Text dump, one node per line: "L <clause id>" for a leaf and
+        "C <first> <pivot> <node> <pivot> <node> ..." for a chain."""
         lines = []
         for n in self.nodes:
             if n[0] == "leaf":
                 lines.append(f"L {n[1]}")
             else:
-                lines.append(f"R {n[1]} {n[2]} {n[3]}")
+                lines.append(" ".join(["C", str(n[1]), *(f"{p} {a}" for p, a in n[2])]))
         return "\n".join(lines) + "\n"
-
-
-def _resolvent(pivot: int, ll: frozenset[int], rl: frozenset[int]) -> Optional[frozenset[int]]:
-    """The resolvent of two clauses on `pivot`, or None unless the pivot
-    occurs in them with opposite polarities."""
-    if pivot in ll and -pivot in rl:
-        return (ll - {pivot}) | (rl - {-pivot})
-    if -pivot in ll and pivot in rl:
-        return (ll - {-pivot}) | (rl - {pivot})
-    return None
 
 
 def proof_leaves(proof: ProofLog) -> list[tuple]:
@@ -99,8 +93,8 @@ def proof_leaves(proof: ProofLog) -> list[tuple]:
         if node[0] == "leaf":
             out.append(node)
         else:
-            stack.append(node[2])
-            stack.append(node[3])
+            stack.append(node[1])
+            stack.extend(a for _, a in node[2])
     return out
 
 
@@ -112,10 +106,15 @@ def proof_core(proof: ProofLog) -> set[int]:
 def check_proof(proof: ProofLog,
                 input_clauses: Optional[list[list[int]]] = None) -> Optional[str]:
     """Re-verify every node; None when the proof correctly derives the empty
-    clause, else a description of the first violation.  With
-    `input_clauses`, every leaf must equal the input clause it names;
-    without, leaves are taken as given and the caller checks them."""
-    for i, node in enumerate(proof.nodes):
+    clause, else a description of the first violation.  A chain is replayed
+    step by step on one clause: each step must resolve on a pivot that
+    occurs with opposite polarities in the running clause and the
+    antecedent, giving (C - {p}) | (D - {-p}), and the last clause must
+    equal the stored one.  With `input_clauses`, every leaf must equal the
+    input clause it names; without, leaves are taken as given and the
+    caller checks them."""
+    nodes = proof.nodes
+    for i, node in enumerate(nodes):
         if node[0] == "leaf":
             if input_clauses is None:
                 continue
@@ -124,18 +123,33 @@ def check_proof(proof: ProofLog,
                 return f"node {i}: leaf references unknown clause {cid}"
             if frozenset(input_clauses[cid]) != lits:
                 return f"node {i}: leaf literals differ from input clause {cid}"
-        else:
-            _, pivot, left, right, lits = node
-            if left >= i or right >= i or left < 0 or right < 0:
-                return f"node {i}: child references a later node"
-            merged = _resolvent(pivot, proof.lits(left), proof.lits(right))
-            if merged is None:
-                return f"node {i}: pivot {pivot} not opposite in the children"
-            if merged != lits:
-                return f"node {i}: stored resolvent differs from the resolution result"
+            continue
+        _, first, steps, lits = node
+        if not 0 <= first < i:
+            return f"node {i}: chain starts at a node that is not earlier"
+        clause = set(nodes[first][-1])
+        for k, (pivot, ante) in enumerate(steps):
+            if not 0 <= ante < i:
+                return f"node {i}: step {k} names a node that is not earlier"
+            other = nodes[ante][-1]
+            if pivot in clause and -pivot in other:
+                lit = pivot
+            elif -pivot in clause and pivot in other:
+                lit = -pivot
+            else:
+                return f"node {i}: step {k}: pivot {pivot} not opposite in the clauses"
+            # (C - {lit}) | (D - {-lit}) in place: -lit stays only if C held
+            # it, and lit only if D holds it (either may be a tautology)
+            had = -lit in clause
+            clause.discard(lit)
+            clause |= other
+            if not had:
+                clause.discard(-lit)
+        if clause != lits:
+            return f"node {i}: stored clause differs from the replayed chain"
     if proof.final is None:
         return "no final node"
-    if not 0 <= proof.final < len(proof.nodes):
+    if not 0 <= proof.final < len(nodes):
         return "final node out of range"
     if proof.lits(proof.final):
         return "final node is not the empty clause"
@@ -447,7 +461,8 @@ class SatSolver:
         clauses, reason, trail, proof = self.clauses, self._reason, self.trail, self.proof
         seen = {abs(l) for l in clauses[confl]}
         pending = len(seen)
-        node = self._node(confl) if proof else None
+        first = self._node(confl) if proof else None
+        steps = []
         i = len(trail)
         while pending:
             i -= 1
@@ -458,19 +473,21 @@ class SatSolver:
             rid = reason[v]
             assert rid is not None, "unassigned or decision literal in a level-0 conflict"
             if proof:
-                node = proof.resolve(v, node, self._node(rid))
+                steps.append((v, self._node(rid)))
             for q in clauses[rid]:
                 u = abs(q)
                 if u not in seen:
                     seen.add(u)
                     pending += 1
         if proof:
-            proof.final = node
+            proof.final = proof.chain(first, steps, ())
 
     def _analyze(self, confl: int):
         """1st-UIP analysis.  Returns (learned literal list with the
-        asserting literal first, backjump level, proof node or None) or None
-        when the conflict proves global unsatisfiability.
+        asserting literal first, backjump level, derivation) or None when the
+        conflict proves global unsatisfiability.  With proof logging, the
+        derivation is (conflict node, [(pivot, reason node), ...]); the
+        learned clause is exactly its resolvent.
 
         Walks the trail backwards from its end, resolving every marked
         current-level literal against its reason until one such literal is
@@ -485,7 +502,8 @@ class SatSolver:
         lvl = max_lvl
         act, inc, reason, trail_pos = self._activity, self.var_inc, self._reason, self._trail_pos
         proof = self.proof
-        node = self._node(confl) if proof else None
+        first = self._node(confl) if proof else None
+        steps = []
         seen = set()
         rest = []   # literals below the conflict level
         open_ = 0   # marked current-level literals not yet resolved away
@@ -510,7 +528,7 @@ class SatSolver:
             rid = reason[v]
             assert rid is not None, "multiple decision literals at one level"
             if proof:
-                node = proof.resolve(v, node, self._node(rid))
+                steps.append((v, self._node(rid)))
             for q in clauses[rid]:
                 u = abs(q)
                 if u not in seen:
@@ -525,19 +543,20 @@ class SatSolver:
         rest.sort(key=lambda l: -trail_pos[abs(l)])
         backjump = level[abs(rest[0])] if rest else 0
         self._decay_activity()
-        return [-trail[i]] + rest, backjump, node
+        return [-trail[i]] + rest, backjump, (first, steps)
 
-    def _learn(self, learned: list[int], backjump: int, node) -> None:
+    def _learn(self, learned: list[int], backjump: int, derivation: tuple) -> None:
+        """Add the learned clause; with proof logging, a clause without a
+        node gets one chain node (or the conflict's node, when no step was
+        taken).  A re-derived clause keeps the node it has."""
         self._backjump(backjump)
         cid, status = self.add_clause(learned, ("learned",))
-        if status == "duplicate":
-            if self.proof and cid not in self._node_of:
-                self._node_of[cid] = node
-            # re-derived clause: it must re-propagate its asserting literal
-            if self._vals[learned[0]] is None:
-                self._enqueue(learned[0], cid)
-        elif self.proof:
-            self._node_of[cid] = node
+        if self.proof and cid not in self._node_of:
+            first, steps = derivation
+            self._node_of[cid] = self.proof.chain(first, steps, learned) if steps else first
+        # re-derived clause: it must re-propagate its asserting literal
+        if status == "duplicate" and self._vals[learned[0]] is None:
+            self._enqueue(learned[0], cid)
 
     # -- assumptions ----------------------------------------------------------
 
@@ -602,8 +621,8 @@ class SatSolver:
                 if res is None:
                     self.refuted = True
                     return SatVerdict("unsat", proof=self.proof)
-                learned, backjump, node = res
-                self._learn(learned, backjump, node)
+                learned, backjump, derivation = res
+                self._learn(learned, backjump, derivation)
                 continue
             dl = self.decision_level
             if dl < len(assumptions):

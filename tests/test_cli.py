@@ -13,7 +13,7 @@ from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS
 from smtcore.parser import parse_file, render_instance
 from smtcore.sat import sat_solve
-from smtcore.smt import smt_solve
+from smtcore.smt import SmtSolver, smt_solve
 
 NINE_CLAUSES = "nine_clauses.smt2"
 
@@ -49,8 +49,13 @@ class TestSolve:
                              "--proof-out", str(trace), capsys=capsys)
         assert code == 20
         lines = trace.read_text().splitlines()
-        assert any(l.startswith("L ") for l in lines)
-        assert any(l.startswith("R ") for l in lines)
+        # one line a node: "L <clause id>" a leaf, "C <first> <pivot> <node> ..."
+        # the chain of one learned clause or of the empty clause
+        engine = SmtSolver(cnf_convert(parse_file(str(data_dir / NINE_CLAUSES))), log_proof=True)
+        assert engine.solve().status == "unsat"
+        nodes = engine.sat.proof.nodes
+        assert [l.split()[0] for l in lines] == ["L" if n[0] == "leaf" else "C" for n in nodes]
+        assert sum(l.startswith("C ") for l in lines) == sum(n[0] == "chain" for n in nodes) >= 2
 
 
 class TestCore:

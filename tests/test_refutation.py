@@ -100,20 +100,79 @@ class TestRejections:
     def test_wrong_pivot(self, nine_clauses, method, fixpoint):
         core, proof = core_and_proof(nine_clauses, method, fixpoint)
         i = proof.final
-        _, pivot, left, right, lits = proof.nodes[i]
+        _, first, steps, lits = proof.nodes[i]
         other = len(nine_clauses.atoms) + 1
-        proof.nodes[i] = ("res", other, left, right, lits)
+        k = len(steps) - 1
+        proof.nodes[i] = ("chain", first, steps[:k] + ((other, steps[k][1]),), lits)
         assert check_refutation(nine_clauses, core, proof) == (
-            f"refutation: node {i}: pivot {other} not opposite in the children")
+            f"refutation: node {i}: step {k}: pivot {other} not opposite in the clauses")
 
     @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
     def test_wrong_resolvent(self, nine_clauses, method, fixpoint):
         core, proof = core_and_proof(nine_clauses, method, fixpoint)
         i = proof.final
-        _, pivot, left, right, lits = proof.nodes[i]
-        proof.nodes[i] = ("res", pivot, left, right, lits | {pivot})
+        _, first, steps, lits = proof.nodes[i]
+        proof.nodes[i] = ("chain", first, steps, lits | {steps[-1][0]})
         assert check_refutation(nine_clauses, core, proof) == (
-            f"refutation: node {i}: stored resolvent differs from the resolution result")
+            f"refutation: node {i}: stored clause differs from the replayed chain")
+
+    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
+    def test_wrong_pivot_at_a_middle_step(self, nine_clauses, method, fixpoint):
+        core, proof = core_and_proof(nine_clauses, method, fixpoint)
+        i = proof.final
+        _, first, steps, lits = proof.nodes[i]
+        assert len(steps) >= 3
+        k = len(steps) // 2
+        pivot, ante = steps[k]
+        for wrong in (len(nine_clauses.atoms) + 1, steps[k + 1][0]):
+            proof.nodes[i] = ("chain", first, steps[:k] + ((wrong, ante),) + steps[k + 1:], lits)
+            problem = check_refutation(nine_clauses, core, proof)
+            assert problem is not None and problem.startswith(f"refutation: node {i}: step"), \
+                wrong
+        # the pivot's sign does not matter: only its variable is read
+        proof.nodes[i] = ("chain", first, steps[:k] + ((-pivot, ante),) + steps[k + 1:], lits)
+        assert check_refutation(nine_clauses, core, proof) is None
+
+    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
+    def test_dropped_step(self, nine_clauses, method, fixpoint):
+        core, proof = core_and_proof(nine_clauses, method, fixpoint)
+        i = proof.final
+        _, first, steps, lits = proof.nodes[i]
+        for k in range(len(steps)):
+            proof.nodes[i] = ("chain", first, steps[:k] + steps[k + 1:], lits)
+            problem = check_refutation(nine_clauses, core, proof)
+            assert problem is not None and problem.startswith(f"refutation: node {i}: "), k
+        proof.nodes[i] = ("chain", first, steps[:-1], lits)
+        assert check_refutation(nine_clauses, core, proof) == (
+            f"refutation: node {i}: stored clause differs from the replayed chain")
+
+    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
+    def test_step_names_a_later_node(self, nine_clauses, method, fixpoint):
+        core, proof = core_and_proof(nine_clauses, method, fixpoint)
+        j = next(j for j, node in enumerate(proof.nodes)
+                 if node[0] == "chain" and j != proof.final)
+        _, first, steps, lits = proof.nodes[j]
+        for later in (j, j + 1, proof.final, len(proof.nodes)):
+            proof.nodes[j] = ("chain", first, ((steps[0][0], later),) + steps[1:], lits)
+            assert check_refutation(nine_clauses, core, proof) == (
+                f"refutation: node {j}: step 0 names a node that is not earlier")
+            proof.nodes[j] = ("chain", later, steps, lits)
+            assert check_refutation(nine_clauses, core, proof) == (
+                f"refutation: node {j}: chain starts at a node that is not earlier")
+
+    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
+    def test_stored_clause_one_literal_off(self, nine_clauses, method, fixpoint):
+        core, proof = core_and_proof(nine_clauses, method, fixpoint)
+        j = next(j for j, node in enumerate(proof.nodes)
+                 if node[0] == "chain" and j != proof.final)
+        _, first, steps, lits = proof.nodes[j]
+        assert len(lits) >= 2
+        extra = len(nine_clauses.atoms) + 1
+        wrong = [lits | {extra}, lits | {-extra}] + [lits - {lit} for lit in lits]
+        for bad in wrong:
+            proof.nodes[j] = ("chain", first, steps, bad)
+            assert check_refutation(nine_clauses, core, proof) == (
+                f"refutation: node {j}: stored clause differs from the replayed chain")
 
     def test_final_node_not_empty(self, nine_clauses):
         core, proof = core_and_proof(nine_clauses)
@@ -179,7 +238,8 @@ class TestRejections:
         a = formula.clauses[0][0]
         proof = ProofLog()
         tautology, neg, pos = proof.leaf(7, [a, -a]), proof.leaf(1, [-a]), proof.leaf(0, [a])
-        proof.final = proof.resolve(a, proof.resolve(a, tautology, neg), pos)
+        # {a, -a} on a with {-a} keeps its own -a, which {a} then resolves away
+        proof.final = proof.chain(tautology, [(a, neg), (a, pos)], [])
         assert check_refutation(formula, [0, 1], proof) is None
         assert check_refutation(formula, [0], proof) is not None
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from gen import pigeonhole_cnf, random_cnf
 from oracles import cnf_truth_table_sat
 from smtcore.sat import (
@@ -18,9 +20,10 @@ class TestBasics:
         v = sat_solve([[1], [-1]], log_proof=True)
         assert v.status == "unsat"
         assert proof_core(v.proof) == {0, 1}
-        # exactly one resolution step on the single variable
-        res_nodes = [n for n in v.proof.nodes if n[0] == "res"]
-        assert len(res_nodes) == 1 and res_nodes[0][1] == 1
+        # one chain node of exactly one resolution step, on the single variable
+        chains = [n for n in v.proof.nodes if n[0] == "chain"]
+        assert len(chains) == 1
+        assert [pivot for pivot, _ in chains[0][2]] == [1]
 
     def test_simple_sat(self):
         v = sat_solve([[1, 2]])
@@ -124,22 +127,53 @@ class TestCheckProof:
         l0 = proof.leaf(0, clauses[0])
         l1 = proof.leaf(1, clauses[1])
         l2 = proof.leaf(2, clauses[2])
-        n1 = proof.resolve(1, l0, l1)   # -> (2)
-        n2 = proof.resolve(2, n1, l2)   # -> ()
-        proof.final = n2
+        n1 = proof.chain(l0, [(1, l1)], [2])
+        proof.final = proof.chain(n1, [(2, l2)], [])
         assert check_proof(proof, clauses) is None
         assert proof_core(proof) == {0, 1, 2}
+        # the same refutation as one chain of two steps
+        proof.final = proof.chain(l0, [(1, l1), (2, l2)], [])
+        assert check_proof(proof, clauses) is None
 
     def test_corrupted_pivot_is_reported(self):
         clauses = [[1], [-1]]
         proof = ProofLog()
         l0 = proof.leaf(0, clauses[0])
         l1 = proof.leaf(1, clauses[1])
-        n = proof.resolve(1, l0, l1)
+        n = proof.chain(l0, [(2, l1)], [])  # pivot 2 does not occur
         proof.final = n
-        proof.nodes[n] = ("res", 2, l0, l1, frozenset())  # corrupt the pivot
-        violation = check_proof(proof, clauses)
-        assert violation is not None and f"node {n}" in violation
+        assert check_proof(proof, clauses) == \
+            f"node {n}: step 0: pivot 2 not opposite in the clauses"
+
+    @pytest.mark.parametrize("first, steps, lits", [
+        # a tautological running clause: {1, -1} on 1 with {-1, 2} keeps
+        # its own -1, so {-1, 2} remains, not {2}
+        ([1, -1], [(1, [-1, 2])], [-1, 2]),
+        ([1, -1], [(1, [-1, 2]), (2, [-2]), (1, [1])], []),
+        # the other polarity of the pivot
+        ([-1, 1], [(-1, [1, 2])], [1, 2]),
+        # a tautological antecedent: {1} on 1 with {-1, 1, 2} gets 1 back
+        ([1], [(1, [-1, 1, 2])], [1, 2]),
+        ([1], [(1, [-1, 1, 2]), (1, [-1]), (2, [-2])], []),
+    ], ids=["tautology-first", "tautology-first-to-empty", "negative-pivot",
+            "tautology-antecedent", "tautology-antecedent-to-empty"])
+    def test_each_step_is_exact_binary_resolution(self, first, steps, lits):
+        """(C - {p}) | (D - {-p}) at every step, also when C or D holds
+        both polarities of the pivot."""
+        clauses = [first] + [d for _, d in steps]
+        proof = ProofLog()
+        nodes = [proof.leaf(i, cl) for i, cl in enumerate(clauses)]
+        n = proof.chain(nodes[0], [(p, a) for (p, _), a in zip(steps, nodes[1:])], lits)
+        proof.final = n
+        if lits:
+            assert check_proof(proof, clauses) == "final node is not the empty clause"
+        else:
+            assert check_proof(proof, clauses) is None
+        for wrong in ({2}, {-1, 1, 2}, {-1}):
+            if wrong != set(lits):
+                proof.nodes[n] = ("chain", nodes[0], proof.nodes[n][2], frozenset(wrong))
+                assert check_proof(proof, clauses) == \
+                    f"node {n}: stored clause differs from the replayed chain"
 
     def test_solver_proofs_always_check(self):
         rng = random.Random(41)
@@ -153,10 +187,43 @@ class TestCheckProof:
         assert seen_unsat > 20
 
     def test_trace_format(self):
+        # leaf nodes 0 and 1 name clauses 1 and 0; node 2 starts at node 0
+        # and resolves on variable 1 with node 1
         v = sat_solve([[1], [-1]], log_proof=True)
-        lines = v.proof.to_trace().strip().splitlines()
-        assert any(l.startswith("L ") for l in lines)
-        assert any(l.startswith("R 1 ") for l in lines)
+        assert v.proof.to_trace() == "L 1\nL 0\nC 0 1 1\n"
+        clauses, _ = pigeonhole_cnf(random.Random(0), 4, 0, 0)
+        proof = sat_solve(clauses, log_proof=True).proof
+        lines = proof.to_trace().splitlines()
+        assert len(lines) == len(proof.nodes)
+        for line, node in zip(lines, proof.nodes):
+            kind, *fields = line.split()
+            if node[0] == "leaf":
+                assert (kind, fields) == ("L", [str(node[1])])
+            else:
+                steps = [int(f) for f in fields[1:]]
+                assert kind == "C" and int(fields[0]) == node[1]
+                assert list(zip(steps[::2], steps[1::2])) == list(node[2])
+        assert sum(l.startswith("C ") for l in lines) == \
+            sum(n[0] == "chain" for n in proof.nodes) > 1
+
+    def test_one_chain_node_per_learned_clause(self):
+        """Conflict analysis logs one node per learned clause, holding that
+        clause, and one more for the empty clause; nothing in between."""
+        clauses, _ = pigeonhole_cnf(random.Random(0), 4, 0, 0)  # PHP 5/4
+        s = SatSolver(log_proof=True)
+        for i, cl in enumerate(clauses):
+            s.add_clause(cl, ("input", i))
+        assert s.solve().status == "unsat"
+        proof = s.proof
+        learned = [cid for cid, origin in enumerate(s.origins) if origin == ("learned",)]
+        assert len(learned) > 20
+        assert sum(n[0] == "chain" for n in proof.nodes) == len(learned) + 1
+        for cid in learned:
+            node = s._node_of[cid]
+            assert proof.nodes[node][0] == "chain"
+            assert proof.lits(node) == frozenset(s.clauses[cid])
+        assert proof.nodes[proof.final][0] == "chain"
+        assert check_proof(proof, clauses) is None
 
 
 class TestSoundnessAgainstTruthTables:
