@@ -1,7 +1,8 @@
 """Command-line surface: solve, core, allmus, verify, bench, boolean-core.
 
 Exit codes follow the solving convention: 10 for sat, 20 for unsat, 1 for
-errors (usage errors included), 2 for capped (incomplete) enumeration.
+errors (usage errors included), 2 for incomplete enumeration (capped, or
+out of conflict budget).
 `boolean-core` is the plug-in Boolean extractor surface (DIMACS in, core
 out) and exits 0 on success so it can serve as an external extractor
 command.
@@ -97,7 +98,10 @@ def cmd_core(args) -> int:
 
 def cmd_allmus(args) -> int:
     formula = _load(args.file)
-    mcs, mus = all_minimal_cores(formula, cap=args.cap)
+    mcs, mus = all_minimal_cores(formula, cap=args.cap, budget=args.budget)
+    if mcs.satisfiable is None:
+        print("unknown")
+        return EXIT_INCOMPLETE
     if mcs.satisfiable:
         print("sat")
         return EXIT_SAT
@@ -107,7 +111,7 @@ def cmd_allmus(args) -> int:
     for m in sorted(mus.muses, key=sorted):
         print("MUS:", " ".join(str(i + 1) for i in sorted(m)))
     if not (mcs.complete and mus.complete):
-        print("INCOMPLETE: enumeration cap reached; the listing is partial")
+        print("INCOMPLETE: enumeration cap or conflict budget reached; the listing is partial")
         return EXIT_INCOMPLETE
     return EXIT_UNSAT
 
@@ -199,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("allmus", help="enumerate all MCSes and minimal cores")
     pa.add_argument("file")
     pa.add_argument("--cap", type=_at_least(1), default=10_000)
+    pa.add_argument("--budget", type=_at_least(0), default=None,
+                    help="conflicts each enumeration solve may take")
     pa.set_defaults(fn=cmd_allmus)
 
     pv = sub.add_parser("verify", help="check a 1-based core index file")

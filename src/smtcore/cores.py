@@ -13,6 +13,13 @@ every solve of the route and of minimization (running out is an
 unbudgeted checks round things out.  The selector route and minimization
 each run on one incremental `SelectorEngine`.
 
+A formula with no theory atoms (`LOGIC_PROP`) can store no lemma, so
+`lift-proof` and `lift-selectors` run no SMT search on it: the internal
+extractor's own search over the input clauses decides it, under the
+route's budget, and a satisfiable one is reported as "sat".
+`lift-external` keeps its SMT run, because an external extractor cannot
+answer "sat".
+
 A route that ends in a resolution refutation (`lift-proof`, with or
 without the fixpoint, and `smt-proof`) hands it on with its core, and an
 unminimized core of such a route is verified from it by
@@ -38,7 +45,7 @@ from typing import Iterable, Optional
 from . import dimacs
 from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
 from .smt import SelectorEngine, SmtSolver, lifted_clauses, smt_solve
-from .terms import Formula
+from .terms import LOGIC_PROP, Formula
 from .theory import solver_for_logic
 
 
@@ -52,6 +59,10 @@ class ExtractionError(RuntimeError):
 
 class BridgeError(ExtractionError):
     """External-extractor failure; the message names the failing stage."""
+
+
+class _Satisfiable(ExtractionError):
+    """An internal Boolean extractor found its input satisfiable."""
 
 
 @dataclass
@@ -94,18 +105,24 @@ class BooleanCore(list):
     proof: Optional[ProofLog] = None
 
 
-def _extract_once(clauses: list[list[int]],
-                  config: ExtractorConfig) -> tuple[list[int], Optional[ProofLog]]:
+def _refuted(verdict) -> bool:
+    if verdict.status == "unknown":
+        raise ExtractionError("conflict budget exceeded before a verdict")
+    return verdict.status != "sat"
+
+
+def _extract_once(clauses: list[list[int]], config: ExtractorConfig,
+                  budget: Optional[int]) -> tuple[list[int], Optional[ProofLog]]:
     if config.kind == "internal-proof":
-        verdict = sat_solve(clauses, log_proof=True)
-        if verdict.status == "sat":
-            raise ExtractionError("input is satisfiable; there is no core to extract")
+        verdict = sat_solve(clauses, log_proof=True, conflict_budget=budget)
+        if not _refuted(verdict):
+            raise _Satisfiable("input is satisfiable; there is no core to extract")
         ids = proof_core(verdict.proof)
         return sorted(_leaf_indices(clauses, ids)), verdict.proof
     if config.kind == "internal-selectors":
-        verdict, core = solve_with_selectors(clauses)
-        if verdict.status == "sat":
-            raise ExtractionError("input is satisfiable; there is no core to extract")
+        verdict, core = solve_with_selectors(clauses, conflict_budget=budget)
+        if not _refuted(verdict):
+            raise _Satisfiable("input is satisfiable; there is no core to extract")
         return core, None
     return external_bridge(clauses, config.command, config.output_mode), None
 
@@ -120,13 +137,15 @@ def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
     return {first[frozenset(clauses[i])] for i in leaf_ids}
 
 
-def boolean_core(clauses: list[list[int]], config: ExtractorConfig) -> BooleanCore:
+def boolean_core(clauses: list[list[int]], config: ExtractorConfig,
+                 budget: Optional[int] = None) -> BooleanCore:
     """Indices of an unsatisfiable subset.  With the fixpoint flag the
     extractor is re-run on its own output until the size stabilizes; the
-    proof, if any, is the last run's."""
+    proof, if any, is the last run's.  `budget` bounds each search of an
+    internal extractor; one that runs out is an ExtractionError."""
     current = list(range(len(clauses)))
     while True:
-        rel, proof = _extract_once([clauses[i] for i in current], config)
+        rel, proof = _extract_once([clauses[i] for i in current], config, budget)
         new = BooleanCore(current[j] for j in rel)
         if not config.fixpoint or len(new) == len(current):
             new.proof = proof
@@ -195,19 +214,21 @@ def self_extractor_command(mode: str = "index-list") -> str:
 # None.  `_run` then minimizes and verifies that core once, the same way
 # for every method.
 
-def _refuted(verdict) -> bool:
-    if verdict.status == "unknown":
-        raise ExtractionError("conflict budget exceeded before a verdict")
-    return verdict.status != "sat"
-
-
 def _lift_route(formula: Formula, config: ExtractorConfig, budget: Optional[int]):
-    verdict, store = smt_solve(formula, conflict_budget=budget)
-    if not _refuted(verdict):
-        return None, None
-    n = len(formula.clauses)
-    idxs = boolean_core(lifted_clauses(formula, store), config)
-    surviving = [i for i in idxs if i < n]
+    if formula.logic == LOGIC_PROP and config.kind != "external":
+        # no theory atoms: an SMT run could store no lemma, so it would only
+        # repeat the extractor's search over the same clauses; the external
+        # extractor keeps it because it cannot answer "sat"
+        try:
+            idxs = boolean_core(formula.clauses, config, budget)
+        except _Satisfiable:
+            return None, None
+    else:
+        verdict, store = smt_solve(formula, conflict_budget=budget)
+        if not _refuted(verdict):
+            return None, None
+        idxs = boolean_core(lifted_clauses(formula, store), config)
+    surviving = [i for i in idxs if i < len(formula.clauses)]
     assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
     return surviving, idxs.proof
 

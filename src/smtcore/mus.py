@@ -10,12 +10,14 @@ selectors, the at-most-k counters' registers and their activation
 variables all come from `SmtSolver.new_var`, so none of them is an atom.
 Phase two computes all minimal unsatisfiable cores as the minimal hitting
 sets of the MCS set.  Both sets can be exponentially large, so hard caps
-guard each phase and flag incomplete results loudly.
+guard each phase and flag incomplete results loudly.  A conflict budget
+bounds each solve of phase one; one that runs out ends the enumeration,
+flagged incomplete the same way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from .smt import SelectorEngine
 from .terms import Formula
@@ -27,7 +29,7 @@ DEFAULT_CAP = 10_000
 class McsSet:
     mcses: list[frozenset[int]]
     complete: bool
-    satisfiable: bool = False
+    satisfiable: Optional[bool] = False  # None: the budget ran out before a verdict
 
 
 @dataclass
@@ -69,12 +71,18 @@ def _sequential_counter_atmost(lits: list[int], k: int,
     return out
 
 
-def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
-    """All minimal correction subsets of a theory-unsatisfiable formula."""
+def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
+                  budget: Optional[int] = None) -> McsSet:
+    """All minimal correction subsets of a theory-unsatisfiable formula.
+    `budget` bounds each solve; one that runs out returns what was found
+    so far as incomplete, with `satisfiable` None if it was the first."""
     n = len(formula.clauses)
-    engine = SelectorEngine(formula)
-    if engine.solve(range(n)).status == "sat":
+    engine = SelectorEngine(formula, conflict_budget=budget)
+    status = engine.solve(range(n)).status
+    if status == "sat":
         return McsSet([], complete=True, satisfiable=True)
+    if status == "unknown":
+        return McsSet([], complete=False, satisfiable=None)
     selectors, new_var, add = engine.selectors, engine.solver.new_var, engine.solver.add_clause
     found: list[frozenset[int]] = []
     for k in range(1, n + 1):
@@ -85,6 +93,8 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
             add((-act,) + clause)
         while True:
             verdict = engine.solve((), act)
+            if verdict.status == "unknown":
+                return McsSet(found, complete=False)
             if verdict.status != "sat":
                 break
             mcs = frozenset(i for i, s in enumerate(selectors)
@@ -95,8 +105,9 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP) -> McsSet:
             if len(found) >= cap:
                 return McsSet(found, complete=False)
         add((-act,))
-        if engine.solve(()).status != "sat":
-            return McsSet(found, complete=True)
+        status = engine.solve(()).status
+        if status != "sat":
+            return McsSet(found, complete=status != "unknown")
     return McsSet(found, complete=True)
 
 
@@ -134,8 +145,9 @@ def minimal_hitting_sets(mcses: Iterable[frozenset[int]],
     return MusSet(minimal, complete=not capped)
 
 
-def all_minimal_cores(formula: Formula, cap: int = DEFAULT_CAP) -> tuple[McsSet, MusSet]:
-    mcs = enumerate_mcs(formula, cap)
+def all_minimal_cores(formula: Formula, cap: int = DEFAULT_CAP,
+                      budget: Optional[int] = None) -> tuple[McsSet, MusSet]:
+    mcs = enumerate_mcs(formula, cap, budget)
     mus = minimal_hitting_sets(mcs.mcses, cap)
     if not mcs.complete:
         mus.complete = False

@@ -663,12 +663,14 @@ def sat_solve(clauses: list[list[int]], assumptions: Iterable[int] = (),
     return s.solve(assumptions)
 
 
-def solve_with_selectors(clauses: list[list[int]]):
+def solve_with_selectors(clauses: list[list[int]], conflict_budget: Optional[int] = None):
     """Guard every clause with a fresh selector variable assumed true; on
     unsat the core is the set of clauses whose selectors appear negated in
-    the final conflict clause.  Returns (verdict, core indices or None)."""
+    the final conflict clause.  Returns (verdict, core indices or None);
+    a search that runs out of `conflict_budget` is an "unknown" verdict
+    with no core."""
     base = max((abs(l) for cl in clauses for l in cl), default=0)
-    s = SatSolver()
+    s = SatSolver(conflict_budget=conflict_budget)
     s.ensure_vars(base + len(clauses))
     selector = {}
     for i, cl in enumerate(clauses):
@@ -676,7 +678,7 @@ def solve_with_selectors(clauses: list[list[int]]):
         selector[-sel] = i
         s.add_clause([-sel] + list(cl), ("input", i))
     verdict = s.solve(assumptions=[base + 1 + i for i in range(len(clauses))])
-    if verdict.status == "sat":
+    if verdict.status in ("sat", "unknown"):
         return verdict, None
     assert verdict.status == "unsat-assumptions", \
         "selector-guarded clauses cannot conflict without assumptions"

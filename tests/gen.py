@@ -23,6 +23,15 @@ def formula_from_clauses(clauses: list[tuple[int, ...]], atoms: AtomTable,
     return Formula(clauses, atoms, declarations, logic, list(range(len(clauses))))
 
 
+def prop_formula(clauses) -> Formula:
+    """A propositional formula over atoms p1, p2, ... from int clauses."""
+    table = AtomTable()
+    nvars = max(abs(lit) for cl in clauses for lit in cl)
+    ids = [None] + [table.intern(PropAtom(f"p{v}")) for v in range(1, nvars + 1)]
+    return formula_from_clauses([tuple(ids[l] if l > 0 else -ids[-l] for l in cl)
+                                 for cl in clauses], table)
+
+
 LRA_VARS = [Var("x", REAL, 0), Var("y", REAL, 1), Var("z", REAL, 2)]
 
 _U = "U"

@@ -153,6 +153,33 @@ class TestCore:
         assert proc.stderr == "error: conflict budget exceeded before a verdict\n"
 
     @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_propositional_input_under_a_budget(self, tmp_path, capsys, method):
+        sat = tmp_path / "sat.smt2"
+        sat.write_text("(declare-fun a () Bool) (declare-fun b () Bool)\n"
+                       "(assert (or a b)) (assert (not a)) (assert (or b (not a)))\n",
+                       encoding="utf-8")
+        # pigeonhole 3/2: three pigeons, two holes
+        names = [f"p{i}{h}" for i in range(3) for h in range(2)]
+        php = tmp_path / "php.smt2"
+        php.write_text("".join(f"(declare-fun {n} () Bool)\n" for n in names)
+                       + "".join(f"(assert (or p{i}0 p{i}1))\n" for i in range(3))
+                       + "".join(f"(assert (or (not p{i}{h}) (not p{j}{h})))\n"
+                                 for h in range(2) for i in range(3) for j in range(i + 1, 3)),
+                       encoding="utf-8")
+        for budget in ("0", "100"):
+            code, out, _ = run_cli("core", str(sat), "--method", method, "--budget", budget,
+                                   capsys=capsys)
+            assert (code, out) == (10, "sat\n")
+        code, out, err = run_cli("core", str(php), "--method", method, "--budget", "0",
+                                 capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: conflict budget exceeded before a verdict\n"
+        code, out, _ = run_cli("core", str(php), "--method", method, "--budget", "100",
+                               "--verify", capsys=capsys)
+        assert code == 20 and out.splitlines()[1] == "core-clauses: " + " ".join(
+            str(i) for i in range(1, 10))
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
     def test_minimize_verify_gives_a_minimal_core(self, data_dir, capsys, method):
         path = str(data_dir / NINE_CLAUSES)
         code, out, _ = run_cli("core", path, "--method", method, "--minimize", "--verify",
@@ -243,6 +270,27 @@ class TestAllmus:
         code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--cap", "2",
                                capsys=capsys)
         assert code == 2 and "INCOMPLETE" in out
+
+    def test_budget_out_before_a_verdict_is_unknown(self, data_dir, capsys):
+        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "0",
+                               capsys=capsys)
+        assert (code, out) == (2, "unknown\n")
+
+    def test_budget_out_mid_enumeration_prints_the_partial_lists(self, data_dir, capsys):
+        # the first verdict takes three conflicts, the whole enumeration four
+        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "3",
+                               capsys=capsys)
+        lines = out.splitlines()
+        assert code == 2 and lines[:2] == ["unsat", "MCS: 1"]
+        assert lines[-1].startswith("INCOMPLETE")
+        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "4",
+                               capsys=capsys)
+        assert code == 20 and "INCOMPLETE" not in out
+
+    def test_budget_defaults_to_the_environment(self, data_dir, capsys, monkeypatch):
+        monkeypatch.setenv("SMTCORE_BUDGET", "0")
+        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), capsys=capsys)
+        assert (code, out) == (2, "unknown\n")
 
 
 class TestVerify:

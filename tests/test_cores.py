@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from gen import labeled_corpus, random_difference_formula
+from gen import labeled_corpus, pigeonhole_cnf, prop_formula, random_difference_formula
 from oracles import brute_force_smt_sat
 from smtcore import cores, smt
 from smtcore.cnf import cnf_convert
@@ -220,11 +220,33 @@ DIFFERENCE_12_60_MINIMAL = (0, 3, 10, 11, 14, 16, 18, 19, 20, 21, 24, 25, 27, 34
                             38, 44, 51, 57)
 
 
+def php_5_4():
+    """Pigeonhole 5/4 with no theory atom: the internal lift routes run no
+    SMT search on it, so the budget bounds their Boolean extractor."""
+    return prop_formula(pigeonhole_cnf(random.Random(0), 4, 0, 0)[0])
+
+
 class TestBudget:
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_a_route_that_runs_out_raises(self, method):
-        with pytest.raises(ExtractionError, match="conflict budget exceeded"):
-            extract_core(difference_12_60(), method, budget=0)
+        for formula in (difference_12_60(), php_5_4()):
+            with pytest.raises(ExtractionError, match="conflict budget exceeded"):
+                extract_core(formula, method, budget=0)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_a_satisfiable_propositional_formula_is_sat(self, method):
+        # random 3-CNF, 40 variables and 170 clauses; plain CDCL finds its
+        # model after 18 conflicts
+        rng = random.Random(4)
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 41), 3)]
+                   for _ in range(170)]
+        formula = prop_formula(clauses)
+        assert extract_core(formula, method).verdict == "sat"
+        for budget in range(0, 40, 3):
+            try:
+                assert extract_core(formula, method, budget=budget).verdict == "sat"
+            except ExtractionError as exc:
+                assert "conflict budget exceeded" in str(exc)
 
     def test_minimization_trials_are_budgeted(self):
         formula = difference_12_60()

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gen import labeled_corpus
+from gen import labeled_corpus, random_uf_formula
 from oracles import brute_force_smt_sat, cnf_truth_table_sat
 from smtcore.cnf import cnf_convert
 from smtcore.cores import check_core
@@ -71,6 +71,41 @@ class TestEnumerateMcs:
     def test_cap_flags_incomplete(self, nine_clauses):
         result = enumerate_mcs(nine_clauses, cap=2)
         assert not result.complete and len(result.mcses) == 2
+
+
+class TestBudget:
+    def test_out_of_budget_before_a_verdict(self, nine_clauses):
+        result = enumerate_mcs(nine_clauses, budget=0)
+        assert result.satisfiable is None
+        assert not result.complete and result.mcses == []
+        mcs, mus = all_minimal_cores(nine_clauses, budget=0)
+        assert mcs.satisfiable is None and not mus.complete
+
+    def test_a_satisfiable_formula_needs_no_conflict(self):
+        f = cnf_convert(parse("(declare-fun y () Real)(assert (< y 0))"))
+        result = enumerate_mcs(f, budget=0)
+        assert result.satisfiable and result.complete
+
+    @pytest.mark.parametrize("name", ["nine-clauses", "uf-8-30"])
+    def test_a_budget_never_shortens_an_exact_list(self, nine_clauses, name):
+        # uf-8-30: equalities over eight constants and their images, 36 MCSes
+        formula = nine_clauses if name == "nine-clauses" \
+            else random_uf_formula(random.Random(4), 8, 30, 2)
+        exact = enumerate_mcs(formula)
+        kinds = set()
+        for budget in range(0, 30):
+            result = enumerate_mcs(formula, budget=budget)
+            assert result.satisfiable is not True
+            # what the budget allows is the start of the unbudgeted order
+            assert result.mcses == exact.mcses[:len(result.mcses)]
+            if result.complete:
+                assert result.mcses == exact.mcses
+                kinds.add("complete")
+            else:
+                _, mus = all_minimal_cores(formula, budget=budget)
+                assert not mus.complete
+                kinds.add("partial" if result.satisfiable is False else "undecided")
+        assert kinds == {"undecided", "partial", "complete"}
 
 
 class TestHittingSets:

@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 from gen import (
-    diamond_chain_formula, formula_from_clauses, labeled_corpus, pigeonhole_cnf,
+    diamond_chain_formula, labeled_corpus, pigeonhole_cnf, prop_formula,
     random_difference_formula, random_uf_formula,
 )
 from oracles import brute_force_smt_sat
@@ -26,7 +26,6 @@ from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.sat import ProofLog, sat_solve
 from smtcore.smt import SmtVerdict, TLemma
-from smtcore.terms import AtomTable, PropAtom
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
 
@@ -42,15 +41,6 @@ def core_and_proof(formula, method="lift-proof", fixpoint=False):
 
 def formula_of(text):
     return cnf_convert(parse(text))
-
-
-def prop_formula(clauses):
-    """A propositional formula over atoms p1, p2, ... from int clauses."""
-    table = AtomTable()
-    nvars = max(abs(lit) for cl in clauses for lit in cl)
-    ids = [None] + [table.intern(PropAtom(f"p{v}")) for v in range(1, nvars + 1)]
-    return formula_from_clauses([tuple(ids[l] if l > 0 else -ids[-l] for l in cl)
-                                 for cl in clauses], table)
 
 
 def php_formula(holes, seed=0):
@@ -328,8 +318,8 @@ class TestAgreement:
         proofs = []
         boolean_core = cores.boolean_core
 
-        def recording(clauses, config):
-            result = boolean_core(clauses, config)
+        def recording(clauses, config, budget=None):
+            result = boolean_core(clauses, config, budget)
             proofs.append(weakref.ref(result.proof))
             return result
 
