@@ -29,7 +29,9 @@ or a clause that a fresh theory solver proves theory-valid.  It trusts no
 part of the CDCL search that logged the proof.  Every other core (a
 selector or external route, or any minimized core) is verified by
 `check_core`, which re-solves the induced clause set with a fresh engine.
-Neither check reads anything of the run it checks.
+Neither check reads anything of the run it checks.  No engine here, the
+fresh one of `check_core` included, builds a theory model: every caller
+reads a verdict's status, assumption conflict or proof, never a model.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from typing import Iterable, Optional
 
 from . import dimacs
 from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
-from .smt import SelectorEngine, SmtSolver, lifted_clauses, smt_solve
+from .smt import SelectorEngine, SmtSolver, lifted_clauses
 from .terms import LOGIC_PROP, Formula
 from .theory import solver_for_logic
 
@@ -224,10 +226,10 @@ def _lift_route(formula: Formula, config: ExtractorConfig, budget: Optional[int]
         except _Satisfiable:
             return None, None
     else:
-        verdict, store = smt_solve(formula, conflict_budget=budget)
-        if not _refuted(verdict):
+        engine = SmtSolver(formula, conflict_budget=budget)
+        if not _refuted(engine.solve()):
             return None, None
-        idxs = boolean_core(lifted_clauses(formula, store), config)
+        idxs = boolean_core(lifted_clauses(formula, engine.store), config)
     surviving = [i for i in idxs if i < len(formula.clauses)]
     assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
     return surviving, idxs.proof
@@ -366,9 +368,9 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
     core = sorted(set(core))
     if problem := _out_of_range(formula, core):
         return problem
-    verdict, _ = smt_solve(formula.restrict(core))
-    if verdict.status != "unsat":
-        return f"induced clause set is {verdict.status}, not unsat"
+    status = SmtSolver(formula.restrict(core)).solve().status
+    if status != "unsat":
+        return f"induced clause set is {status}, not unsat"
     return None
 
 

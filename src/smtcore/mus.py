@@ -12,7 +12,8 @@ Phase two computes all minimal unsatisfiable cores as the minimal hitting
 sets of the MCS set.  Both sets can be exponentially large, so hard caps
 guard each phase and flag incomplete results loudly.  A conflict budget
 bounds each solve of phase one; one that runs out ends the enumeration,
-flagged incomplete the same way.
+flagged incomplete the same way.  A hitting set of an incomplete MCS list
+need not be unsatisfiable, so phase two runs only on a complete one.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
             if verdict.status != "sat":
                 break
             mcs = frozenset(i for i, s in enumerate(selectors)
-                            if not verdict.bool_model[s])
+                            if not verdict.model[s])
             assert mcs and len(mcs) <= k
             found.append(mcs)
             add(tuple(selectors[i] for i in sorted(mcs)))
@@ -147,8 +148,10 @@ def minimal_hitting_sets(mcses: Iterable[frozenset[int]],
 
 def all_minimal_cores(formula: Formula, cap: int = DEFAULT_CAP,
                       budget: Optional[int] = None) -> tuple[McsSet, MusSet]:
+    """The MCSes and MUSes of `formula`.  When the MCS list is incomplete
+    (capped, or out of budget) no MUS is listed: a minimal hitting set of
+    part of the MCSes need not be a core."""
     mcs = enumerate_mcs(formula, cap, budget)
-    mus = minimal_hitting_sets(mcs.mcses, cap)
     if not mcs.complete:
-        mus.complete = False
-    return mcs, mus
+        return mcs, MusSet([], complete=False)
+    return mcs, minimal_hitting_sets(mcs.mcses, cap)

@@ -26,6 +26,10 @@ cut back only by conflict analysis and by a new `solve` call.  Proof
 logging only records: with `log_proof` on or off, the solver makes the same
 decisions, counts the same conflicts, learns the same clauses and returns
 the same verdict and model.
+
+`SatVerdict` is the one verdict of every search, with or without a theory
+hook: the lazy SMT engine returns the verdict of its CDCL search as it is.
+Only `smt.smt_solve` fills `theory_model`, on a satisfiable answer.
 """
 from __future__ import annotations
 
@@ -166,6 +170,7 @@ class SatVerdict:
     model: Optional[dict[int, bool]] = None
     proof: Optional[ProofLog] = None
     conflict: Optional[tuple[int, ...]] = None  # negations of responsible assumptions
+    theory_model: object = None  # LRA: {Var: int or Fraction}; EUF: {Term: class}
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +273,6 @@ class SatSolver:
         self._activity += [0.0] * extra
         self._phase += [False] * extra
         self._cap = cap
-
-    def value(self, lit: int) -> Optional[bool]:
-        """True, False, or None when unassigned or not yet a variable."""
-        if abs(lit) > self.nvars:
-            return None
-        return self._vals[lit]
 
     def _enqueue(self, lit: int, reason: Optional[int]):
         v = abs(lit)

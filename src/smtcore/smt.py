@@ -17,6 +17,10 @@ is false, and the theory never hands the same clause back.  The lemmas are
 the raw material for core extraction: the abstraction of the inputs plus
 the stored lemmas is propositionally unsatisfiable whenever the run
 answers unsat.
+
+A solve answers with the CDCL search's own `SatVerdict`.  A theory model
+is built by `smt_solve` alone, for the caller of a one-shot solve that
+reads it; no engine of the extraction routes builds one.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .sat import SatSolver, sat_solve
+from .sat import SatSolver, SatVerdict, sat_solve
 from .terms import AtomTable, Formula, atom_theory
 from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 
@@ -34,14 +38,6 @@ from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 class TLemma:
     clause: tuple[int, ...]  # signed atom ids; SAT clause origin ("tlemma", list position)
     kind: str                # "theory-conflict" | "theory-deduction"
-
-
-@dataclass
-class SmtVerdict:
-    status: str  # "sat" | "unsat" | "unsat-assumptions" | "unknown"
-    bool_model: Optional[dict[int, bool]] = None      # variable -> value
-    theory_model: object = None                       # LRA: {Var: int or Fraction}; EUF: {Term: class}
-    conflict: Optional[tuple[int, ...]] = None        # assumption-core clause (signed variables)
 
 
 class SmtSolver:
@@ -105,8 +101,8 @@ class SmtSolver:
         conflict, whose lemma is stored."""
         if self._sync():
             return True
-        verdict = self.theory.check_full()
-        return verdict.status == "conflict" and self._conflict_lemma(verdict.conflict)
+        conflict = self.theory.check_full()
+        return conflict is not None and self._conflict_lemma(conflict)
 
     def hook_fixpoint(self, solver: SatSolver) -> bool:
         if self._check():
@@ -149,29 +145,26 @@ class SmtSolver:
         self.sat._backjump(0)
         self.sat.add_clause(lits, ("added",))
 
-    def solve(self, assumptions: tuple[int, ...] = ()) -> SmtVerdict:
-        """Solve under `assumptions` (signed variables).  Learned clauses and
-        the lemma store carry over to the next call."""
-        verdict = self.sat.solve(assumptions)
-        if verdict.status == "sat":
-            witness = self.theory.witness() if self.theory is not None else None
-            return SmtVerdict("sat", bool_model=verdict.model, theory_model=witness)
-        if verdict.status == "unsat":
-            return SmtVerdict("unsat")
-        if verdict.status == "unsat-assumptions":
-            return SmtVerdict("unsat-assumptions", conflict=verdict.conflict)
-        return SmtVerdict("unknown")
+    def solve(self, assumptions: tuple[int, ...] = ()) -> SatVerdict:
+        """Solve under `assumptions` (signed variables): the CDCL search's
+        verdict, with no theory model.  Learned clauses and the lemma store
+        carry over to the next call."""
+        return self.sat.solve(assumptions)
 
 
 def smt_solve(formula: Formula, *,
-              conflict_budget: Optional[int] = None) -> tuple[SmtVerdict, list[TLemma]]:
+              conflict_budget: Optional[int] = None) -> tuple[SatVerdict, list[TLemma]]:
     """Solve a formula; returns the verdict together with every theory lemma
-    stored during the run, in discovery order.  No lemma repeats and none
+    stored during the run, in discovery order.  A satisfiable verdict
+    carries the theory's model in `theory_model` (None without theory
+    atoms), so `evaluate_clause` can check it.  No lemma repeats and none
     equals an input clause: each is a clause the current assignment
     falsifies or makes unit, which no clause already in the SAT database
     can be once propagation has reached its fixpoint."""
     engine = SmtSolver(formula, conflict_budget=conflict_budget)
     verdict = engine.solve()
+    if verdict.status == "sat" and engine.theory is not None:
+        verdict.theory_model = engine.theory.witness()
     return verdict, engine.store
 
 
@@ -194,13 +187,13 @@ class SelectorEngine:
             self.solver.add_clause((-sel,) + clause)
             self.selectors.append(sel)
 
-    def solve(self, subset: Iterable[int], *extra: int) -> SmtVerdict:
+    def solve(self, subset: Iterable[int], *extra: int) -> SatVerdict:
         """Solve the clauses of `subset` plus every added clause, assuming
         their selectors in the given order and then the signed literals
         `extra`."""
         return self.solver.solve(tuple(self.selectors[i] for i in subset) + extra)
 
-    def conflict_clauses(self, verdict: SmtVerdict) -> list[int]:
+    def conflict_clauses(self, verdict: SatVerdict) -> list[int]:
         """Ascending indices of the clauses whose selectors an
         unsat-assumptions verdict blames."""
         negated = set(verdict.conflict)
@@ -234,9 +227,9 @@ def lemma_store_violations(formula: Formula, store: list[TLemma],
     return problems
 
 
-def evaluate_literal(lit: int, table: AtomTable, verdict: SmtVerdict) -> bool:
-    """Truth of a signed atom id under a sat verdict's theory witness
-    (falling back to the Boolean model for propositional atoms)."""
+def evaluate_literal(lit: int, table: AtomTable, verdict: SatVerdict) -> bool:
+    """Truth of a signed atom id under the theory model of a sat verdict
+    of `smt_solve` (the Boolean model for propositional atoms)."""
     from .terms import EufAtom, LinAtom, eval_lin_atom
 
     atom = table.atom(abs(lit))
@@ -246,9 +239,9 @@ def evaluate_literal(lit: int, table: AtomTable, verdict: SmtVerdict) -> bool:
         classes = verdict.theory_model or {}
         value = classes.get(atom.lhs) == classes.get(atom.rhs) and atom.lhs in classes
     else:
-        value = bool(verdict.bool_model.get(abs(lit)))
+        value = bool(verdict.model.get(abs(lit)))
     return value if lit > 0 else not value
 
 
-def evaluate_clause(clause: tuple[int, ...], table: AtomTable, verdict: SmtVerdict) -> bool:
+def evaluate_clause(clause: tuple[int, ...], table: AtomTable, verdict: SatVerdict) -> bool:
     return any(evaluate_literal(lit, table, verdict) for lit in clause)

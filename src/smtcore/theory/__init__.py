@@ -4,12 +4,12 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..terms import LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, AtomTable, EufAtom, LinAtom
-from .base import Deduction, TheorySolver, TheoryVerdict
+from .base import Deduction, TheorySolver
 from .euf import EufSolver
 from .lra import LraSolver
 
 __all__ = [
-    "Deduction", "TheorySolver", "TheoryVerdict", "EufSolver", "LraSolver",
+    "Deduction", "TheorySolver", "EufSolver", "LraSolver",
     "solver_for_logic", "is_valid_lemma",
 ]
 

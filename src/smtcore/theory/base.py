@@ -5,7 +5,8 @@ A solver owns the atoms of exactly one theory.  A literal is the SAT
 solver's: a signed atom id of the table, positive for the atom and negative
 for its negation.  Asserting a literal either extends the state or returns a
 conflict: a subset of the currently asserted literals whose conjunction is
-theory-unsatisfiable.  Marks count asserted literals; backtracking restores
+theory-unsatisfiable.  The full check answers the same way, with such a
+conflict or None.  Marks count asserted literals; backtracking restores
 the state at a mark exactly.
 
 Every change a solver makes to its state is pushed on one undo trail,
@@ -27,12 +28,6 @@ from ..terms import AtomTable
 class Deduction:
     literal: int                      # signed atom id
     explanation: tuple[int, ...]      # asserted literals entailing `literal`
-
-
-@dataclass
-class TheoryVerdict:
-    status: str  # "sat" | "conflict"
-    conflict: Optional[list[int]] = None
 
 
 class TheorySolver:
@@ -82,7 +77,7 @@ class TheorySolver:
         atoms, one literal an atom) in order, then check: whether that met a
         conflict.  The literals stay asserted; the caller backtracks."""
         return any(self.assert_literal(-lit) is not None for lit in lits) \
-            or self.check_full().status == "conflict"
+            or self.check_full() is not None
 
     # -- to implement ---------------------------------------------------------
 
@@ -96,13 +91,16 @@ class TheorySolver:
         """Pop undo entries until `_trail` has `length` entries."""
         raise NotImplementedError
 
-    def check_full(self) -> TheoryVerdict:
+    def check_full(self) -> Optional[list[int]]:
+        """A conflict among the asserted literals, in the form
+        `assert_literal` returns one, or None when they are consistent."""
         raise NotImplementedError
 
     def witness(self):
         """Theory model of the asserted literals; valid only right after
-        check_full answered "sat".  Built on demand, since only a consumed
-        model (a final check, a lemma's countermodel) needs one."""
+        check_full returned None.  Built on demand: the search never reads
+        one, and only `smt_solve` (the model of a satisfiable answer) and
+        `is_valid_lemma` (a countermodel) ask for it."""
         raise NotImplementedError
 
     def deductions(self) -> list[Deduction]:

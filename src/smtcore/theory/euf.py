@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..terms import EufAtom, FunApp, Term
-from .base import Deduction, TheorySolver, TheoryVerdict
+from .base import Deduction, TheorySolver
 
 # undo-trail entry tags
 _MERGE, _SIG, _DISEQ, _PAIR, _LINK, _CONFLICT = range(6)
@@ -250,11 +250,8 @@ class EufSolver(TheorySolver):
             else:
                 self._conflict = None
 
-    def check_full(self) -> TheoryVerdict:
-        conflict = self._conflict_literals()
-        if conflict is not None:
-            return TheoryVerdict("conflict", conflict=conflict)
-        return TheoryVerdict("sat")
+    def check_full(self) -> Optional[list[int]]:
+        return self._conflict_literals()
 
     def witness(self):
         return {t: self.rep[i] for i, t in enumerate(self.terms)}

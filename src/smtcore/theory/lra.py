@@ -23,7 +23,7 @@ infeasibility certificate; they are sound but not necessarily minimal.
 Negated equalities are held aside as disequalities and settled inside
 check_full by probing both strict sides; when both sides fail the conflict
 is the union of the two certificates plus the disequality literal.
-check_full returns the verdict only; `witness` turns the delta-valued
+check_full returns the conflict only; `witness` turns the delta-valued
 assignment into a rational model on demand.
 
 Theory propagation (`deductions`) reads the bounds and never pivots, after
@@ -54,7 +54,7 @@ from math import gcd
 from typing import Optional
 
 from ..terms import LinAtom, Rational, Var, eval_lin_atom
-from .base import Deduction, TheorySolver, TheoryVerdict
+from .base import Deduction, TheorySolver
 
 # undo-trail entry tags
 _BOUND, _DISEQ, _CROSSED, _SLOT, _SYNCED = range(5)
@@ -462,21 +462,20 @@ class LraSolver(TheorySolver):
 
     # -- public checks -----------------------------------------------------------------
 
-    def check_full(self) -> TheoryVerdict:
+    def check_full(self) -> Optional[list[int]]:
         start = len(self._trail)
         conf = self._check()
         if conf is None:
             conf = self._settle_diseqs(frozenset())
         self._undo_to(start)
-        if conf is not None:
-            return TheoryVerdict("conflict", conflict=self._sanitize(conf))
-        return TheoryVerdict("sat")
+        return None if conf is None else self._sanitize(conf)
 
     def witness(self) -> dict[Var, Rational]:
         """The simplex assignment with the infinitesimal made concrete: the
         largest eps = 2**-k under which every asserted literal holds.  The
         disequality probes of check_full are undone but the values they
-        moved stay, so this is a model right after a "sat" check_full.
+        moved stay, so this is a model right after a check_full that found
+        no conflict.
 
         A slack's value is r + d * eps, and the delta-valued assignment
         meets each asserted bound for every small enough eps > 0.  So the

@@ -6,7 +6,10 @@ linear-arithmetic conjunctions is decided by Fourier-Motzkin elimination
 recompute from the bounds on every call, EUF conjunctions by a naive
 congruence-closure fixpoint over the term universe, propositional formulas
 by vectorized truth-table enumeration, and SMT formulas by enumerating all
-total truth assignments and filtering through the theory oracle.
+total truth assignments and filtering through the theory oracle.  The
+all-MUS oracle, MARCO, decides its subsets with the package's own one-shot
+`smt_solve`, but shares nothing with `smtcore.mus`: no selector engine,
+no cardinality counter and no hitting sets.
 """
 from __future__ import annotations
 
@@ -15,6 +18,8 @@ from math import gcd
 
 import numpy as np
 
+from smtcore.sat import SatSolver
+from smtcore.smt import evaluate_clause, smt_solve
 from smtcore.terms import EufAtom, Formula, FunApp, LinAtom, Term
 
 
@@ -320,3 +325,68 @@ def brute_force_smt_sat(formula: Formula) -> bool:
         if theory_literals_sat(literals):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# MARCO: all MUSes by exploring the power set of the clauses
+# ---------------------------------------------------------------------------
+
+def marco_muses(formula: Formula) -> set[frozenset[int]]:
+    """Every minimal unsatisfiable subset of the formula's clauses, after
+    Liffiton, Previti, Malik & Marques-Silva, "Fast, flexible MUS
+    enumeration" (Constraints 2016).  A SAT map over one variable per
+    clause (variable i + 1 true: clause i is left out) holds the subsets
+    not yet explored; the solver's default phase leaves a clause in, so
+    a seed is large.  A satisfiable seed is grown to a maximal satisfiable
+    subset and its subsets are blocked; an unsatisfiable one is shrunk to a
+    MUS by deletion and its supersets are blocked.
+
+    A subset check is a fresh `smt_solve`, except where the answer is
+    known: a subset holding a MUS found so far is unsatisfiable, and one
+    whose clauses the model of an earlier satisfiable check all satisfies
+    is satisfiable.  A satisfiable check takes in every clause its model
+    satisfies, so growing needs one solve per clause that model misses."""
+    n = len(formula.clauses)
+    blocks: list[tuple[int, ...]] = []
+    muses: set[frozenset[int]] = set()
+    modelled: list[frozenset[int]] = []  # the clauses each model satisfies
+
+    def satisfied(subset: set[int]):
+        """A set of clauses holding `subset` that one model satisfies, or
+        None when `subset` is unsatisfiable."""
+        if any(mus <= subset for mus in muses):
+            return None
+        known = next((known for known in modelled if subset <= known), None)
+        if known is not None:
+            return known
+        verdict, _ = smt_solve(formula.restrict(sorted(subset)))
+        if verdict.status != "sat":
+            return None
+        known = frozenset(i for i, clause in enumerate(formula.clauses)
+                          if evaluate_clause(clause, formula.atoms, verdict))
+        assert subset <= known, "a model of the subset falsifies one of its clauses"
+        modelled.append(known)
+        return known
+
+    while True:
+        explored = SatSolver()
+        explored.ensure_vars(n)
+        for block in blocks:
+            explored.add_clause(block)
+        verdict = explored.solve()
+        if verdict.status != "sat":
+            return muses
+        seed = {i for i in range(n) if not verdict.model[i + 1]}
+        known = satisfied(seed)
+        if known is not None:
+            seed = set(known)
+            for i in range(n):
+                if i not in seed and (known := satisfied(seed | {i})) is not None:
+                    seed = set(known)
+            blocks.append(tuple(-(i + 1) for i in range(n) if i not in seed))
+        else:
+            for i in sorted(seed):
+                if satisfied(seed - {i}) is None:
+                    seed.discard(i)
+            muses.add(frozenset(seed))
+            blocks.append(tuple(i + 1 for i in sorted(seed)))

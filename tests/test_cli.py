@@ -270,6 +270,8 @@ class TestAllmus:
         code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--cap", "2",
                                capsys=capsys)
         assert code == 2 and "INCOMPLETE" in out
+        # a hitting set of two of the six MCSes is no core
+        assert not [l for l in out.splitlines() if l.startswith("MUS:")]
 
     def test_budget_out_before_a_verdict_is_unknown(self, data_dir, capsys):
         code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "0",
@@ -283,6 +285,7 @@ class TestAllmus:
         lines = out.splitlines()
         assert code == 2 and lines[:2] == ["unsat", "MCS: 1"]
         assert lines[-1].startswith("INCOMPLETE")
+        assert not [l for l in lines if l.startswith("MUS:")]
         code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "4",
                                capsys=capsys)
         assert code == 20 and "INCOMPLETE" not in out

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from gen import labeled_corpus, random_uf_formula
-from oracles import brute_force_smt_sat, cnf_truth_table_sat
+from gen import labeled_corpus, random_difference_formula, random_uf_formula
+from oracles import brute_force_smt_sat, cnf_truth_table_sat, marco_muses
 from smtcore.cnf import cnf_convert
-from smtcore.cores import check_core
+from smtcore.cores import check_core, extract_core
 from smtcore.mus import (
     _sequential_counter_atmost, all_minimal_cores, enumerate_mcs, minimal_hitting_sets,
 )
@@ -79,7 +79,7 @@ class TestBudget:
         assert result.satisfiable is None
         assert not result.complete and result.mcses == []
         mcs, mus = all_minimal_cores(nine_clauses, budget=0)
-        assert mcs.satisfiable is None and not mus.complete
+        assert mcs.satisfiable is None and not mus.complete and mus.muses == []
 
     def test_a_satisfiable_formula_needs_no_conflict(self):
         f = cnf_convert(parse("(declare-fun y () Real)(assert (< y 0))"))
@@ -102,10 +102,16 @@ class TestBudget:
                 assert result.mcses == exact.mcses
                 kinds.add("complete")
             else:
+                # a hitting set of part of the MCSes need not be a core
                 _, mus = all_minimal_cores(formula, budget=budget)
-                assert not mus.complete
+                assert not mus.complete and mus.muses == []
                 kinds.add("partial" if result.satisfiable is False else "undecided")
         assert kinds == {"undecided", "partial", "complete"}
+
+    def test_a_capped_mcs_list_names_no_mus(self, nine_clauses):
+        mcs, mus = all_minimal_cores(nine_clauses, cap=2)
+        assert not mcs.complete and len(mcs.mcses) == 2
+        assert not mus.complete and mus.muses == []
 
 
 class TestHittingSets:
@@ -179,3 +185,22 @@ class TestDuality:
                            for c in sub):
                         expected.add(frozenset(sub))
             assert set(mus.muses) == expected
+
+
+class TestAgainstMarco:
+    """`all_minimal_cores` (MCSes on one selector engine, then hitting sets)
+    against MARCO, which explores subsets with fresh solves only."""
+
+    def test_nine_clauses(self, nine_clauses):
+        mcs, mus = all_minimal_cores(nine_clauses)
+        assert mcs.complete and mus.complete
+        assert set(mus.muses) == marco_muses(nine_clauses) == {CORE_A, CORE_B}
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_lift_proof_cores_of_difference_formulas(self, seed):
+        # cores of 26 / 19 / 17 clauses with 12 / 1 / 3 MUSes
+        formula = random_difference_formula(random.Random(seed), 12, 60, 2)
+        core = formula.restrict(extract_core(formula, "lift-proof").core)
+        mcs, mus = all_minimal_cores(core)
+        assert mcs.complete and mus.complete
+        assert set(mus.muses) == marco_muses(core)

@@ -24,8 +24,8 @@ from smtcore.cores import (
 )
 from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
-from smtcore.sat import ProofLog, sat_solve
-from smtcore.smt import SmtVerdict, TLemma
+from smtcore.sat import ProofLog, SatVerdict, sat_solve
+from smtcore.smt import TLemma
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
 
@@ -196,8 +196,12 @@ class TestRejections:
         wrong core, which only the check of its refutation catches."""
         formula = formula_of(text)
         lemma = TLemma(refuting(formula), "theory-conflict")
-        monkeypatch.setattr(cores, "smt_solve",
-                            lambda f, conflict_budget: (SmtVerdict("unsat"), [lemma]))
+
+        def flipped_run(engine, assumptions=()):
+            engine.store.append(lemma)
+            return SatVerdict("unsat")
+
+        monkeypatch.setattr(smt.SmtSolver, "solve", flipped_run)
         everything = tuple(range(len(formula.clauses)))
         assert extract_core(formula, "lift-proof").core == everything
         with pytest.raises(ExtractionError, match="is neither a core clause nor theory-valid"):

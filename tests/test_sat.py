@@ -332,7 +332,7 @@ class CheckedSolver(SatSolver):
         picked = super()._pick_var()
         best, best_act = None, -1.0
         for v in range(1, self.nvars + 1):
-            if self.value(v) is None and self._activity[v] > best_act:
+            if self._vals[v] is None and self._activity[v] > best_act:
                 best, best_act = v, self._activity[v]
         assert picked == best
         self.picks += 1
@@ -350,8 +350,8 @@ class CheckedSolver(SatSolver):
         assert len({abs(l) for l in signed}) == len(self.trail)
         for v in range(1, self.nvars + 1):
             want = True if v in signed else False if -v in signed else None
-            assert self.value(v) is want
-            assert self.value(-v) is (None if want is None else not want)
+            assert self._vals[v] is want
+            assert self._vals[-v] is (None if want is None else not want)
         assert len(self._heap) <= HEAP_SLACK * self.nvars
 
 

@@ -8,12 +8,14 @@ from gen import (
 )
 from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
+from smtcore.cores import extract_core
+from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse
 from smtcore.smt import (
     SelectorEngine, SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
 )
 from smtcore.terms import REAL, AtomTable, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom
-from smtcore.theory import is_valid_lemma
+from smtcore.theory import EufSolver, LraSolver, is_valid_lemma
 
 
 def test_nine_clause_instance_unsat_with_facts(nine_clauses):
@@ -75,7 +77,7 @@ def test_propositional_only_formula():
     verdict, store = smt_solve(f)
     assert verdict.status == "sat"
     assert len(store) == 0
-    assert verdict.bool_model
+    assert verdict.model
     assert all(evaluate_clause(c, f.atoms, verdict) for c in f.clauses)
 
 
@@ -89,6 +91,8 @@ def test_verdicts_match_brute_force(theory):
         verdict, store = engine.solve(), engine.store
         assert verdict.status == ("sat" if expected else "unsat")
         if verdict.status == "sat":
+            # an engine's verdict carries no theory model; the theory holds one
+            verdict.theory_model = engine.theory.witness()
             assert all(evaluate_clause(c, formula.atoms, verdict)
                        for c in formula.clauses)
         else:
@@ -138,6 +142,7 @@ def test_selector_engine_matches_fresh_solves(theory):
                 reference, None, formula.logic))
             assert (verdict.status == "sat") == (again.status == "sat"), (k, step)
             if verdict.status == "sat":
+                verdict.theory_model = engine.solver.theory.witness()
                 assert all(evaluate_clause(c, reference, verdict)
                            for c in [formula.clauses[i] for i in subset]
                            + added)
@@ -212,3 +217,49 @@ def test_lemma_list_has_no_repeats_across_subset_solves(theory):
             _check_lemma_list(engine.solver, inputs)
         stored += len(engine.solver.store)
     assert stored > 300
+
+
+# (theory, expected verdict) -> a formula with that verdict
+MODEL_CONTRACT_FORMULAS = {
+    ("LRA", "sat"): lambda: random_difference_formula(random.Random(0), 6, 12, 2),
+    ("LRA", "unsat"): lambda: random_difference_formula(random.Random(3), 6, 24, 2),
+    ("EUF", "sat"): lambda: random_uf_formula(random.Random(0), 8, 30, 2),
+    ("EUF", "unsat"): lambda: random_uf_formula(random.Random(4), 8, 30, 2),
+}
+
+
+@pytest.fixture()
+def witness_calls(monkeypatch):
+    """The theory models built while the test runs, one entry per
+    `witness` call."""
+    calls = []
+    for cls in (LraSolver, EufSolver):
+        def counted(self, original=cls.witness):
+            calls.append(type(self).__name__)
+            return original(self)
+        monkeypatch.setattr(cls, "witness", counted)
+    return calls
+
+
+class TestModelContract:
+    """A theory model is built only where one is read: once by
+    `smt_solve` on a satisfiable answer, never by core extraction,
+    minimization, verification or enumeration."""
+
+    @pytest.mark.parametrize("key", sorted(MODEL_CONTRACT_FORMULAS), ids="-".join)
+    def test_extraction_and_enumeration_build_no_model(self, key, witness_calls):
+        formula = MODEL_CONTRACT_FORMULAS[key]()
+        status = key[1]
+        assert extract_core(formula, "lift-proof", minimize=True, verify=True).verdict == status
+        assert extract_core(formula, "smt-selectors").verdict == status
+        mcs, _ = all_minimal_cores(formula)
+        assert mcs.satisfiable is (status == "sat")
+        assert witness_calls == []
+
+    @pytest.mark.parametrize("theory", ["LRA", "EUF"])
+    def test_smt_solve_builds_one_checkable_model(self, theory, witness_calls):
+        formula = MODEL_CONTRACT_FORMULAS[theory, "sat"]()
+        verdict, _ = smt_solve(formula)
+        assert verdict.status == "sat"
+        assert len(witness_calls) == 1
+        assert all(evaluate_clause(c, formula.atoms, verdict) for c in formula.clauses)

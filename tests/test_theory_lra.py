@@ -42,7 +42,7 @@ class TestBoundOrder:
             for lit in lits:
                 assert s.assert_literal(lit) is None
                 seen.append(s.upper[s.slack_of[((X.index, 1),)]])
-            assert s.check_full().status == "sat"
+            assert s.check_full() is None
             return seen
 
         # x < 1 tightens x <= 1, and x <= 1 does not loosen x < 1
@@ -65,7 +65,7 @@ class TestAssertAndConflict:
         table, (ieq,) = table_with(lin({X: 1}, 0, "="))
         s = LraSolver(table)
         assert s.assert_literal(ieq) is None
-        assert s.check_full().status == "sat"
+        assert s.check_full() is None
 
     def test_row_conflict_found_by_check(self):
         # x <= 0, y <= 0, x + y >= 1
@@ -75,9 +75,9 @@ class TestAssertAndConflict:
         s = LraSolver(table)
         for i in (iux, iuy, isum):
             assert s.assert_literal(i) is None
-        v = s.check_full()
-        assert v.status == "conflict"
-        assert set(v.conflict) == {iux, iuy, isum}
+        conflict = s.check_full()
+        assert conflict is not None
+        assert set(conflict) == {iux, iuy, isum}
 
     def test_witness_satisfies_every_literal_exactly(self):
         table, ids = table_with(
@@ -88,8 +88,7 @@ class TestAssertAndConflict:
         lits = [ids[0], ids[1], -ids[2]]
         for lit in lits:
             assert s.assert_literal(lit) is None
-        v = s.check_full()
-        assert v.status == "sat"
+        assert s.check_full() is None
         for lit in lits:
             assert eval_lin_atom(table.atom(abs(lit)), s.witness()) == (lit > 0)
 
@@ -99,8 +98,7 @@ class TestAssertAndConflict:
         s = LraSolver(table)
         assert s.assert_literal(ilt) is None
         assert s.assert_literal(igt) is None
-        v = s.check_full()
-        assert v.status == "sat"
+        assert s.check_full() is None
         assert 0 < s.witness()[X] < 1
 
     def test_equality_negation_splits(self):
@@ -112,9 +110,8 @@ class TestAssertAndConflict:
         assert s.assert_literal(ile) is None
         conflict = s.assert_literal(-ieq)
         if conflict is None:
-            v = s.check_full()
-            assert v.status == "conflict"
-            conflict = v.conflict
+            conflict = s.check_full()
+            assert conflict is not None
         assert -ieq in conflict
 
     def test_constant_atom_conflict(self):
@@ -130,11 +127,11 @@ class TestBacktracking:
         s = LraSolver(table)
         s.assert_literal(ilt)
         mark = s.mark()
-        before = s.check_full().status
+        before = s.check_full()
         s.assert_literal(ieq)
-        assert s.check_full().status == "conflict"
+        assert s.check_full() is not None
         s.backtrack(mark)
-        assert s.check_full().status == before == "sat"
+        assert s.check_full() is before is None
 
     def test_stale_mark(self):
         table, (ilt,) = table_with(lin({Y: 1}, 0, "<"))
@@ -177,7 +174,7 @@ class TestDeductions:
         s = LraSolver(table)
         for i in ids[:2]:
             assert s.assert_literal(i) is None
-        assert s.check_full().status == "sat"
+        assert s.check_full() is None
         state = copy.deepcopy((s.rows, s.values, s.lower, s.upper, s.slack_of))
         assert s.deductions()
         assert (s.rows, s.values, s.lower, s.upper, s.slack_of) == state
@@ -239,7 +236,7 @@ class TestDeductions:
                 if s.assert_literal(i if rng.random() < 0.7 else -i) is not None:
                     ok = False
                     break
-            if not ok or s.check_full().status != "sat":
+            if not ok or s.check_full() is not None:
                 continue
             for d in s.deductions():
                 # explanation plus the negated literal must be oracle-unsat
@@ -307,7 +304,7 @@ class TestDeductionsAgainstReference:
                     if s.assert_literal(rng.choice(free) * rng.choice((1, -1))) is not None:
                         undo_some()
                 elif op < 0.55:
-                    if s.check_full().status == "conflict":
+                    if s.check_full() is not None:
                         undo_some()
                 elif op < 0.85:
                     deduced = s.deductions()
@@ -393,10 +390,8 @@ class TestCompletenessAgainstFourierMotzkin:
                 if conflict is not None:
                     break
             if conflict is None:
-                verdict = s.check_full()
-                got_sat = verdict.status == "sat"
-                if not got_sat:
-                    conflict = verdict.conflict
+                conflict = s.check_full()
+                got_sat = conflict is None
             else:
                 got_sat = False
             fractional_pivots += s.fractional_pivots
