@@ -118,7 +118,7 @@ def cmd_allmus(args) -> int:
 
 def cmd_verify(args) -> int:
     formula = _load(args.file)
-    text = Path(args.core).read_text(encoding="utf-8")
+    text = Path(args.core).read_text(encoding="utf-8-sig")
     indices = set()
     for ln, idx in dimacs.index_lines(text):
         if not 1 <= idx <= len(formula.clauses):
@@ -158,7 +158,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_boolean_core(args) -> int:
-    doc = dimacs.parse_dimacs(Path(args.infile).read_text(encoding="utf-8"))
+    doc = dimacs.parse_dimacs(Path(args.infile).read_text(encoding="utf-8-sig"))
     config = ExtractorConfig(f"internal-{args.method}", fixpoint=args.fixpoint)
     core = boolean_core(doc.clauses, config)
     if args.mode == "index-list":

@@ -185,7 +185,7 @@ def external_bridge(clauses: list[list[int]], command_template: str,
     if not out_path.exists():
         raise BridgeError(f"extractor produced no output file (files kept in {workdir})")
     try:
-        indices = dimacs.read_core(out_path.read_text(encoding="utf-8"), doc, mode)
+        indices = dimacs.read_core(out_path.read_text(encoding="utf-8-sig"), doc, mode)
     except dimacs.DimacsError as exc:
         raise BridgeError(f"could not interpret extractor output "
                           f"(files kept in {workdir}): {exc}")

@@ -7,8 +7,11 @@ accepted and ignored.  Connectives: and/or/not/=>/ite over Bool; relations
 constants only.  Comments start with ';'.  An integer numeral is read as
 an `int`; a decimal numeral or a `/` gives an exact `fractions.Fraction`.
 
-The text is read in one pass: each token of one regular expression goes
-straight into the s-expression tree, with its line and column.  Both sides
+The text is split into tokens by one `findall` of one regular expression
+and read into plain nested lists, in one pass with no position arithmetic:
+a symbol is held as the ordinal of its token.  Only a `ParseError` needs a
+line and column, and `_locate` finds them by scanning the text again from
+that ordinal, or from a list's place in the tree.  Both sides
 of a relation are then read into one accumulator, a map from variable to
 coefficient plus a constant, which gives the canonical atom in one step;
 no term in between is built.  `(=> a1 ... an c)` becomes the flat
@@ -22,6 +25,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
 from .terms import (
@@ -79,69 +83,79 @@ class AssertionSet:
 
 
 # ---------------------------------------------------------------------------
-# Reader: text to s-expression tree in one pass
+# Reader: text to nested lists in one pass
 # ---------------------------------------------------------------------------
 
-# One token per match: a newline (counted for line numbers), a comment up
-# to the end of its line, a parenthesis, or a symbol, which runs to the next
-# space, tab, carriage return, newline, parenthesis or ';'.  Spaces, tabs and
-# carriage returns match nothing and are skipped.  A comment always ends at
-# a newline or at the end of the input, so the column of every token is its
-# offset from the start of its line.
-_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+# One token per match: a comment up to the end of its line, a parenthesis,
+# or a symbol, which runs to the next space, tab, carriage return, newline,
+# parenthesis or ';'.  Spaces, tabs, carriage returns and newlines match
+# nothing and are skipped.
+_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 
-
-class _SExpr:
-    """A node of the s-expression tree: a list (`items`, with `text` None)
-    or a symbol (`text`, with `items` None), and the 1-based line and
-    column of its first character."""
-    __slots__ = ("items", "text", "line", "col")
-
-    def __init__(self, items: Optional[list["_SExpr"]], text: Optional[str],
-                 line: int, col: int):
-        self.items = items
-        self.text = text
-        self.line = line
-        self.col = col
-
+# A node of the tree: a list of nodes, or a symbol, held as the ordinal of
+# its token among the matches of _TOKEN, so its text is `tokens[node]`.
+Node = Union[int, list]
 
 # Deeper input is rejected up front: later stages recurse once or more per
 # level and would otherwise exhaust the interpreter stack.
 MAX_NESTING = 200
 
 
-def _read_sexprs(text: str) -> list[_SExpr]:
-    """The top-level s-expressions of `text`, built as its tokens are
-    matched."""
-    Node = _SExpr
-    out: list[_SExpr] = []
+def _read_sexprs(text: str) -> tuple[list[Node], list[str]]:
+    """The top-level s-expressions of `text`, and its tokens.  No position
+    is kept: `_locate` finds the one an error needs."""
+    tokens = _TOKEN.findall(text)
+    out: list[Node] = []
     items = out  # the list the next node joins
-    stack: list[list[_SExpr]] = []  # the enclosing lists of `items`
+    stack: list[list[Node]] = []  # the enclosing lists of `items`
     push, pop = stack.append, stack.pop
-    line, line_start = 1, -1  # line_start: offset of the newline before the line
-    for m in _TOKEN.finditer(text):
-        tok = m[0]
+    for i, tok in enumerate(tokens):
         if tok == "(":
-            col = m.start() - line_start
             if len(stack) == MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", line, col)
-            node = Node([], None, line, col)
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                                 *_locate(text, out, i))
+            node: list[Node] = []
             items.append(node)
             push(items)
-            items = node.items
+            items = node
         elif tok == ")":
             if not stack:
-                raise ParseError("unbalanced ')'", line, m.start() - line_start)
+                raise ParseError("unbalanced ')'", *_locate(text, out, i))
             items = pop()
-        elif tok == "\n":
-            line += 1
-            line_start = m.start()
         elif tok[0] != ";":
-            items.append(Node(None, tok, line, m.start() - line_start))
+            items.append(i)
     if stack:
-        unclosed = stack[-1][-1]
-        raise ParseError("unbalanced '(' at end of input", unclosed.line, unclosed.col)
-    return out
+        raise ParseError("unbalanced '(' at end of input", *_locate(text, out, items))
+    return out, tokens
+
+
+def _locate(text: str, tree: list[Node], node: Node) -> tuple[int, int]:
+    """The 1-based line and column of the first character of `node`, a
+    node of `tree` as `_read_sexprs` reads it (or has read it so far) from
+    `text`.  A symbol is its token; a list is the k-th list of the tree in
+    pre-order, so it opens at the k-th '(' token.  Only errors need a
+    position, so the text is scanned again here instead of while reading."""
+    matches = _TOKEN.finditer(text)
+    if isinstance(node, int):
+        m = next(islice(matches, node, None))
+    else:
+        k = next(k for k, x in enumerate(_lists(tree)) if x is node)
+        m = next(islice((m for m in matches if m[0] == "("), k, None))
+    start = m.start()
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+def _lists(tree: list[Node]):
+    """The lists of `tree` in pre-order."""
+    walk = [iter(tree)]
+    while walk:
+        for child in walk[-1]:
+            if isinstance(child, list):
+                yield child
+                walk.append(iter(child))
+                break
+        else:
+            walk.pop()
 
 
 _NUMERAL = re.compile(r"-?\d+(\.\d+)?")
@@ -161,22 +175,30 @@ class _Parser:
         self.logic: Optional[str] = None
         self.assertions: list[tuple[int, BoolExpr]] = []
         self._warned_int = False
+        self._text = ""
+        self._tree: list[Node] = []
+        self._tokens: list[str] = []
+
+    def _error(self, message: str, node: Node) -> ParseError:
+        return ParseError(message, *_locate(self._text, self._tree, node))
 
     # -- commands ----------------------------------------------------------
 
     def run(self, text: str) -> AssertionSet:
-        for sx in _read_sexprs(text):
+        self._text = text
+        self._tree, self._tokens = _read_sexprs(text)
+        for sx in self._tree:
             self._command(sx)
         return AssertionSet(self.assertions, self.decls, self.logic)
 
-    def _command(self, sx: _SExpr):
-        if not sx.items:
-            raise ParseError("expected a command", sx.line, sx.col)
-        head = sx.items[0]
-        if head.items is not None:
-            raise ParseError("command name must be a symbol", head.line, head.col)
-        name = head.text
-        args = sx.items[1:]
+    def _command(self, sx: Node):
+        if isinstance(sx, int) or not sx:
+            raise self._error("expected a command", sx)
+        head = sx[0]
+        if not isinstance(head, int):
+            raise self._error("command name must be a symbol", head)
+        name = self._tokens[head]
+        args = sx[1:]
         if name == "set-logic":
             self._set_logic(args, sx)
         elif name == "declare-sort":
@@ -187,41 +209,41 @@ class _Parser:
             self._declare_const(args, sx)
         elif name == "assert":
             if len(args) != 1:
-                raise ParseError("assert takes exactly one formula", sx.line, sx.col)
+                raise self._error("assert takes exactly one formula", sx)
             self.assertions.append((len(self.assertions), self._bool(args[0])))
         elif name in ("check-sat", "set-info", "set-option", "exit"):
             pass
         else:
-            raise ParseError(f"unsupported command {name!r}", sx.line, sx.col)
+            raise self._error(f"unsupported command {name!r}", sx)
 
     def _set_logic(self, args, sx):
-        if len(args) != 1 or args[0].items is not None:
-            raise ParseError("set-logic takes one symbol", sx.line, sx.col)
-        logic = args[0].text
+        if len(args) != 1 or not isinstance(args[0], int):
+            raise self._error("set-logic takes one symbol", sx)
+        logic = self._tokens[args[0]]
         if logic not in _LOGICS:
-            raise ParseError(f"unsupported logic {logic!r} (supported: {', '.join(_LOGICS)})",
-                             args[0].line, args[0].col)
+            raise self._error(f"unsupported logic {logic!r} (supported: {', '.join(_LOGICS)})",
+                              args[0])
         self.logic = logic
 
     def _declare_sort(self, args, sx):
         if self.logic in _ARITH_LOGICS:
-            raise ParseError(f"declare-sort is not available in {self.logic}", sx.line, sx.col)
-        if len(args) not in (1, 2) or args[0].items is not None:
-            raise ParseError("expected (declare-sort <name> 0)", sx.line, sx.col)
-        if len(args) == 2 and (args[1].items is not None or args[1].text != "0"):
-            raise ParseError("only zero-arity sorts are supported", args[1].line, args[1].col)
+            raise self._error(f"declare-sort is not available in {self.logic}", sx)
+        if len(args) not in (1, 2) or not isinstance(args[0], int):
+            raise self._error("expected (declare-sort <name> 0)", sx)
+        if len(args) == 2 and (not isinstance(args[1], int) or self._tokens[args[1]] != "0"):
+            raise self._error("only zero-arity sorts are supported", args[1])
         try:
-            self.decls.declare_sort(args[0].text)
+            self.decls.declare_sort(self._tokens[args[0]])
         except ValueError as exc:
-            raise ParseError(str(exc), args[0].line, args[0].col)
+            raise self._error(str(exc), args[0])
 
-    def _sort_name(self, sx: _SExpr) -> str:
-        if sx.items is not None:
-            raise ParseError("expected a sort name", sx.line, sx.col)
-        name = sx.text
+    def _sort_name(self, sx: Node) -> str:
+        if not isinstance(sx, int):
+            raise self._error("expected a sort name", sx)
+        name = self._tokens[sx]
         if name == "Int":
             if self.logic == "QF_UF":
-                raise ParseError("sort Int is not available in QF_UF", sx.line, sx.col)
+                raise self._error("sort Int is not available in QF_UF", sx)
             if not self._warned_int:
                 warnings.warn(
                     "sort Int is interpreted over the rationals: integrality is NOT enforced",
@@ -230,20 +252,18 @@ class _Parser:
             return REAL
         if name in (REAL, BOOL):
             if name == REAL and self.logic == "QF_UF":
-                raise ParseError("sort Real is not available in QF_UF", sx.line, sx.col)
+                raise self._error("sort Real is not available in QF_UF", sx)
             return name
         if name in self.decls.sorts:
             return name
-        raise ParseError(f"unknown sort {name!r}", sx.line, sx.col)
+        raise self._error(f"unknown sort {name!r}", sx)
 
-    def _declare_common(self, name_sx: _SExpr, arg_sorts: tuple[str, ...], ret: str):
-        name = name_sx.text
+    def _declare_common(self, name_sx: int, arg_sorts: tuple[str, ...], ret: str):
+        name = self._tokens[name_sx]
+        if arg_sorts and (ret in (REAL, BOOL) or any(s in (REAL, BOOL) for s in arg_sorts)):
+            raise self._error("function symbols must use uninterpreted sorts only", name_sx)
         try:
             if arg_sorts:
-                if ret in (REAL, BOOL) or any(s in (REAL, BOOL) for s in arg_sorts):
-                    raise ParseError(
-                        "function symbols must use uninterpreted sorts only",
-                        name_sx.line, name_sx.col)
                 self.decls.declare_fun(name, arg_sorts, ret)
             elif ret == BOOL:
                 self.decls.declare_prop(name)
@@ -252,37 +272,36 @@ class _Parser:
             else:
                 self.decls.declare_var(name, ret)
         except ValueError as exc:
-            raise ParseError(str(exc), name_sx.line, name_sx.col)
+            raise self._error(str(exc), name_sx)
 
     def _declare_fun(self, args, sx):
-        if len(args) != 3 or args[0].items is not None or args[1].items is None:
-            raise ParseError("expected (declare-fun <name> (<sorts>) <sort>)", sx.line, sx.col)
-        arg_sorts = tuple(self._sort_name(a) for a in args[1].items)
+        if len(args) != 3 or not isinstance(args[0], int) or isinstance(args[1], int):
+            raise self._error("expected (declare-fun <name> (<sorts>) <sort>)", sx)
+        arg_sorts = tuple(self._sort_name(a) for a in args[1])
         self._declare_common(args[0], arg_sorts, self._sort_name(args[2]))
 
     def _declare_const(self, args, sx):
-        if len(args) != 2 or args[0].items is not None:
-            raise ParseError("expected (declare-const <name> <sort>)", sx.line, sx.col)
+        if len(args) != 2 or not isinstance(args[0], int):
+            raise self._error("expected (declare-const <name> <sort>)", sx)
         self._declare_common(args[0], (), self._sort_name(args[1]))
 
     # -- terms -------------------------------------------------------------
 
-    def _numeral(self, sx: _SExpr) -> Optional[Rational]:
+    def _numeral(self, sx: int) -> Optional[Rational]:
         """The value of a numeral token, or None for any other symbol."""
-        text = sx.text
+        text = self._tokens[sx]
         numeral = _NUMERAL.fullmatch(text)
         if not numeral:
             return None
         try:
             return Fraction(text) if numeral.group(1) else int(text)
         except ValueError:  # beyond the interpreter's digit limit
-            raise ParseError(f"numeral of {len(text)} characters is too long",
-                             sx.line, sx.col) from None
+            raise self._error(f"numeral of {len(text)} characters is too long", sx) from None
 
-    def _term(self, sx: _SExpr) -> Term:
-        items = sx.items
-        if items is None:
-            text = sx.text
+    def _term(self, sx: Node) -> Term:
+        tokens = self._tokens
+        if isinstance(sx, int):
+            text = tokens[sx]
             value = self._numeral(sx)
             if value is not None:
                 return RatConst(value)
@@ -290,23 +309,23 @@ class _Parser:
                 return self.decls.vars[text]
             if text in self.decls.funs:
                 f = self.decls.funs[text]
-                raise ParseError(f"{text!r} expects {len(f.arg_sorts)} arguments", sx.line, sx.col)
-            raise ParseError(f"undeclared symbol {text!r}", sx.line, sx.col)
-        if not items or items[0].items is not None:
-            raise ParseError("expected a term", sx.line, sx.col)
-        op = items[0].text
+                raise self._error(f"{text!r} expects {len(f.arg_sorts)} arguments", sx)
+            raise self._error(f"undeclared symbol {text!r}", sx)
+        if not sx or not isinstance(sx[0], int):
+            raise self._error("expected a term", sx)
+        op = tokens[sx[0]]
         if op in _ARITH_OPS:
             coeffs: dict[Var, Rational] = {}
             return LinComb.build(coeffs, self._linear(sx, 1, coeffs))
         if op in self.decls.funs:
             f = self.decls.funs[op]
             try:
-                return FunApp(f, tuple(self._term(a) for a in items[1:]))
+                return FunApp(f, tuple(self._term(a) for a in sx[1:]))
             except SortError as exc:
-                raise ParseError(str(exc), sx.line, sx.col)
-        raise ParseError(f"unknown function {op!r}", sx.line, sx.col)
+                raise self._error(str(exc), sx)
+        raise self._error(f"unknown function {op!r}", sx)
 
-    def _linear(self, sx: _SExpr, k: Rational,
+    def _linear(self, sx: Node, k: Rational,
                 coeffs: dict[Var, Rational]) -> Union[Rational, Var, FunApp]:
         """Add `k` times the term `sx` into `coeffs` (variable -> coefficient)
         and return `k` times its constant part.  A term outside arithmetic, an
@@ -316,27 +335,28 @@ class _Parser:
         Every argument of an arithmetic operator is read, with its own
         errors, before the operator's own errors are raised, so the first
         error reported is the one a term-by-term evaluation would meet."""
-        items = sx.items
-        if items is None:
-            first = sx.text[0]
+        tokens = self._tokens
+        if isinstance(sx, int):
+            text = tokens[sx]
+            first = text[0]
             if first == "-" or first.isdecimal():  # else _NUMERAL cannot match
                 value = self._numeral(sx)
                 if value is not None:
                     return k * value
-            v = self.decls.vars.get(sx.text)
+            v = self.decls.vars.get(text)
             if v is None:
                 return self._term(sx)  # raises: undeclared, or a function name
             if v.sort != REAL:
                 return v
             coeffs[v] = coeffs.get(v, 0) + k
             return 0
-        if not items or items[0].items is not None or items[0].text not in _ARITH_OPS:
+        if not sx or not isinstance(sx[0], int) or tokens[sx[0]] not in _ARITH_OPS:
             return self._term(sx)
-        op = items[0].text
-        args = items[1:]
+        op = tokens[sx[0]]
+        args = sx[1:]
         if op == "+" or op == "-":
             if not args:
-                raise ParseError(f"{op} needs arguments", sx.line, sx.col)
+                raise self._error(f"{op} needs arguments", sx)
             const = 0
             pure = True
             sign = k if op == "+" or len(args) > 1 else -k
@@ -349,7 +369,7 @@ class _Parser:
                 if op == "-":
                     sign = -k
             if not pure:
-                raise ParseError("uninterpreted terms cannot appear in arithmetic", sx.line, sx.col)
+                raise self._error("uninterpreted terms cannot appear in arithmetic", sx)
             return const
         # "*" and "/" need the value of each argument before they can scale
         # the non-constant one, so every argument gets an accumulator of its own
@@ -359,29 +379,27 @@ class _Parser:
             parts.append((self._linear(a, 1, sub), sub, a))
         if op == "/":
             if len(parts) != 2:
-                raise ParseError("/ takes two arguments", sx.line, sx.col)
+                raise self._error("/ takes two arguments", sx)
             (num, own, _), (den, den_coeffs, _) = parts
             if isinstance(num, _NON_ARITH) or isinstance(den, _NON_ARITH):
-                raise ParseError("uninterpreted terms cannot appear in arithmetic", sx.line, sx.col)
+                raise self._error("uninterpreted terms cannot appear in arithmetic", sx)
             if any(den_coeffs.values()) or den == 0:
-                raise ParseError("division only by a nonzero numeric constant", sx.line, sx.col)
+                raise self._error("division only by a nonzero numeric constant", sx)
             scale = k * Fraction(1, den)
         else:
             if len(parts) < 2:
-                raise ParseError("* needs at least two arguments", sx.line, sx.col)
+                raise self._error("* needs at least two arguments", sx)
             scale = k
             num, own = 1, None  # the one factor that is not a constant
             for const, part, a in parts:
                 if isinstance(const, _NON_ARITH):
-                    raise ParseError("uninterpreted terms cannot appear in arithmetic",
-                                     sx.line, sx.col)
+                    raise self._error("uninterpreted terms cannot appear in arithmetic", sx)
                 if not any(part.values()):
                     scale *= const
                 elif own is None:
                     num, own = const, part
                 else:
-                    raise ParseError("multiplication must be by a numeric constant",
-                                     a.line, a.col)
+                    raise self._error("multiplication must be by a numeric constant", a)
             if own is None:
                 return scale
         for v, c in own.items():
@@ -394,7 +412,7 @@ class _Parser:
         """One atom from both sides of a relation, read into one
         accumulator, with `>=` and `>` rewritten by negating sides."""
         if len(args) != 2:
-            raise ParseError(f"{op} takes two arguments", sx.line, sx.col)
+            raise self._error(f"{op} takes two arguments", sx)
         coeffs: dict[Var, Rational] = {}
         k = -1 if op in (">=", ">") else 1
         lhs = self._linear(args[0], k, coeffs)
@@ -405,13 +423,14 @@ class _Parser:
             rs = term_sort(rhs) if rterm else REAL
             if op == "=" and ls == rs:
                 return euf_atom(lhs, rhs)
-            raise ParseError(f"relation {op} needs arithmetic operands "
-                             f"(got sorts {ls}, {rs})", sx.line, sx.col)
+            raise self._error(f"relation {op} needs arithmetic operands "
+                              f"(got sorts {ls}, {rs})", sx)
         return canonical_lin_atom(LinComb.build(coeffs, lhs + rhs), _CANONICAL_REL[op])
 
-    def _bool(self, sx: _SExpr) -> BoolExpr:
-        if sx.items is None:
-            text = sx.text
+    def _bool(self, sx: Node) -> BoolExpr:
+        tokens = self._tokens
+        if isinstance(sx, int):
+            text = tokens[sx]
             if text == "true":
                 return BConst(True)
             if text == "false":
@@ -419,33 +438,32 @@ class _Parser:
             if text in self.decls.props:
                 return BAtom(self.decls.props[text])
             if text in self.decls.vars:
-                raise ParseError(f"{text!r} is not Boolean", sx.line, sx.col)
-            raise ParseError(f"undeclared symbol {text!r}", sx.line, sx.col)
-        items = sx.items
-        if not items or items[0].items is not None:
-            raise ParseError("expected a formula", sx.line, sx.col)
-        op = items[0].text
-        args = items[1:]
+                raise self._error(f"{text!r} is not Boolean", sx)
+            raise self._error(f"undeclared symbol {text!r}", sx)
+        if not sx or not isinstance(sx[0], int):
+            raise self._error("expected a formula", sx)
+        op = tokens[sx[0]]
+        args = sx[1:]
         if op == "not":
             if len(args) != 1:
-                raise ParseError("not takes one argument", sx.line, sx.col)
+                raise self._error("not takes one argument", sx)
             return BNot(self._bool(args[0]))
         if op == "and":
             if not args:
-                raise ParseError("and needs arguments", sx.line, sx.col)
+                raise self._error("and needs arguments", sx)
             return BAnd(tuple(self._bool(a) for a in args))
         if op == "or":
             if not args:
-                raise ParseError("or needs arguments", sx.line, sx.col)
+                raise self._error("or needs arguments", sx)
             return BOr(tuple(self._bool(a) for a in args))
         if op == "=>":
             if len(args) < 2:
-                raise ParseError("=> needs at least two arguments", sx.line, sx.col)
+                raise self._error("=> needs at least two arguments", sx)
             parts = [self._bool(a) for a in args]
             return BOr(tuple(BNot(p) for p in parts[:-1]) + (parts[-1],))
         if op == "ite":
             if len(args) != 3:
-                raise ParseError("ite takes three arguments", sx.line, sx.col)
+                raise self._error("ite takes three arguments", sx)
             c, t, e = (self._bool(a) for a in args)
             return BAnd((BOr((BNot(c), t)), BOr((c, e))))
         if op in ("=", "<=", "<", ">=", ">"):
@@ -453,11 +471,10 @@ class _Parser:
                 # Boolean equality is out of the supported grammar; detect it
                 # early for a clear message.
                 for a in args:
-                    if a.items is None and a.text in self.decls.props:
-                        raise ParseError("equality between Boolean terms is unsupported",
-                                         sx.line, sx.col)
+                    if isinstance(a, int) and tokens[a] in self.decls.props:
+                        raise self._error("equality between Boolean terms is unsupported", sx)
             return BAtom(self._relation(op, args, sx))
-        raise ParseError(f"unsupported operator {op!r}", sx.line, sx.col)
+        raise self._error(f"unsupported operator {op!r}", sx)
 
 
 def parse(text: str) -> AssertionSet:
@@ -466,7 +483,7 @@ def parse(text: str) -> AssertionSet:
 
 
 def parse_file(path: str) -> AssertionSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 

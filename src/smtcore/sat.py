@@ -21,6 +21,14 @@ variable (see `SatSolver`), propagation reads them inline, conflict
 analysis walks the trail backwards with a seen-set, and branching reads a
 lazy binary heap.
 
+Clause intake has one generic pass, which reads every literal's value to
+give the clause's status and choose its two watches, and two paths that
+leave the same state without it: a clause added while the trail is empty
+is watched on its first two literals, and a learned clause is watched on
+its asserting literal and its highest-level literal, which conflict
+analysis has put first, and its asserting literal is enqueued.
+`add_inputs` sizes the arrays once for a whole load of input clauses.
+
 There is one search for every caller.  It never restarts: the trail is
 cut back only by conflict analysis and by a new `solve` call.  Proof
 logging only records: with `log_proof` on or off, the solver makes the same
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Optional
 
 
@@ -240,6 +249,9 @@ class SatSolver:
         self.refuted = False
         # a false clause, taken by the next propagation before it propagates
         self.pending_conflict: Optional[int] = None
+        # clauses added above level 0 that were false there or have one
+        # literal: the next solve reads them again at level 0
+        self._recheck: list[int] = []
 
     # -- basic state ---------------------------------------------------------
 
@@ -293,8 +305,28 @@ class SatSolver:
         the current assignment; a unit clause is enqueued immediately."""
         # duplicates go; a tautology is kept but can never propagate
         norm = list(dict.fromkeys(lits))
-        if 0 in norm:
+        self._admit(norm)
+        return self._insert(norm, origin)
+
+    def add_inputs(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Add `clauses` as input clauses, clause i with origin ("input", i),
+        as `add_clause` adds them one by one, with the arrays sized once for
+        all of them."""
+        norms = [list(dict.fromkeys(lits)) for lits in clauses]
+        self._admit(list(chain.from_iterable(norms)))
+        for i, norm in enumerate(norms):
+            self._insert(norm, ("input", i))
+
+    def _admit(self, lits: list[int]) -> None:
+        """Refuse literal 0 and size the arrays for `lits`."""
+        if 0 in lits:
             raise ValueError("literal 0 is not allowed")
+        if lits:
+            self.ensure_vars(max(max(lits), -min(lits)))
+
+    def _insert(self, norm: list[int], origin: tuple) -> tuple[int, str]:
+        """`add_clause` for a clause without repeated literals whose
+        variables the arrays hold."""
         key = frozenset(norm)
         existing = self._by_key.get(key)
         if existing is not None and origin[0] != "input":
@@ -309,9 +341,11 @@ class SatSolver:
             if self.proof:
                 self.proof.final = self._node(cid)
             return cid, "conflict"
-        self.ensure_vars(max(map(abs, norm)))
         vals = self._vals
         if len(norm) == 1:
+            if self.trail_lim:
+                # a backjump undoes what it says, and it has no watches
+                self._recheck.append(cid)
             val = vals[norm[0]]
             if val is None:
                 self._enqueue(norm[0], cid)
@@ -320,6 +354,11 @@ class SatSolver:
                 return cid, "satisfied"
             self.pending_conflict = cid
             return cid, "conflict"
+        if not self.trail:
+            # no literal is assigned: the pass below would watch the first two
+            self._watches[norm[0]].append(cid)
+            self._watches[norm[1]].append(cid)
+            return cid, "ok"
         # One pass over the literals gives the status and the two watches:
         # the first two literals that are not false, else the false ones of
         # the highest level (lowest position on ties).
@@ -357,6 +396,8 @@ class SatSolver:
         if satisfied:
             return cid, "satisfied"
         if not unassigned:
+            if self.trail_lim:
+                self._recheck.append(cid)
             self.pending_conflict = cid
             return cid, "conflict"
         if unassigned == 1:
@@ -545,16 +586,28 @@ class SatSolver:
         return [-trail[i]] + rest, backjump, (first, steps)
 
     def _learn(self, learned: list[int], backjump: int, derivation: tuple) -> None:
-        """Add the learned clause; with proof logging, a clause without a
+        """Add the learned clause and enqueue its asserting literal.  The
+        clause is watched on its first two literals, the asserting literal
+        and the highest-level one after it: the watches `add_clause` would
+        choose after the backjump.  With proof logging, a clause without a
         node gets one chain node (or the conflict's node, when no step was
-        taken).  A re-derived clause keeps the node it has."""
+        taken).  A re-derived clause keeps its id and the node it has."""
         self._backjump(backjump)
-        cid, status = self.add_clause(learned, ("learned",))
+        key = frozenset(learned)
+        cid = self._by_key.get(key)
+        if cid is None:
+            cid = len(self.clauses)
+            self.clauses.append(learned)
+            self.origins.append(("learned",))
+            self._by_key[key] = cid
+            if len(learned) > 1:
+                self._watches[learned[0]].append(cid)
+                self._watches[learned[1]].append(cid)
         if self.proof and cid not in self._node_of:
             first, steps = derivation
             self._node_of[cid] = self.proof.chain(first, steps, learned) if steps else first
-        # re-derived clause: it must re-propagate its asserting literal
-        if status == "duplicate" and self._vals[learned[0]] is None:
+        # a re-derived clause must re-propagate its asserting literal too
+        if self._vals[learned[0]] is None:
             self._enqueue(learned[0], cid)
 
     # -- assumptions ----------------------------------------------------------
@@ -594,8 +647,10 @@ class SatSolver:
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatVerdict:
         """Search under `assumptions`.  A solver can be solved again, under
-        other assumptions and after more clauses were added at level 0;
-        learned clauses carry over, since they follow from the clauses.
+        other assumptions and after more clauses were added, at level 0 or
+        on the trail the last call left (the call starts from level 0, where
+        it re-checks those clauses); learned clauses carry over, since they
+        follow from the clauses.
         `conflict_budget` bounds the conflicts of each call, while
         `conflicts` counts them over the solver's life."""
         assumptions = list(assumptions)
@@ -606,6 +661,21 @@ class SatSolver:
         self._backjump(0)
         if self.refuted:
             return SatVerdict("unsat", proof=self.proof)
+        # A clause added on that trail may have been false only under its
+        # decisions, and a one-literal clause has no watches to bring back
+        # what the backjump undid: read them at level 0.  A clause false
+        # there is the conflict; any other keeps its watches.
+        recheck, self._recheck = self._recheck, []
+        if recheck:
+            vals = self._vals
+            if self.pending_conflict in recheck:
+                self.pending_conflict = None
+            for cid in recheck:
+                clause = self.clauses[cid]
+                if all(vals[l] is False for l in clause):
+                    self.pending_conflict = cid
+                elif len(clause) == 1 and vals[clause[0]] is None:
+                    self._enqueue(clause[0], cid)
         budget_end = None if self.conflict_budget is None else self.conflicts + self.conflict_budget
         while True:
             confl = self._propagate()
@@ -657,8 +727,7 @@ def sat_solve(clauses: list[list[int]], assumptions: Iterable[int] = (),
     mention.  With proof logging, an unsat verdict carries a resolution
     proof whose leaves are input clauses."""
     s = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget)
-    for i, cl in enumerate(clauses):
-        s.add_clause(cl, ("input", i))
+    s.add_inputs(clauses)
     return s.solve(assumptions)
 
 
@@ -670,12 +739,8 @@ def solve_with_selectors(clauses: list[list[int]], conflict_budget: Optional[int
     with no core."""
     base = max((abs(l) for cl in clauses for l in cl), default=0)
     s = SatSolver(conflict_budget=conflict_budget)
-    s.ensure_vars(base + len(clauses))
-    selector = {}
-    for i, cl in enumerate(clauses):
-        sel = base + 1 + i
-        selector[-sel] = i
-        s.add_clause([-sel] + list(cl), ("input", i))
+    s.add_inputs([-(base + 1 + i), *cl] for i, cl in enumerate(clauses))
+    selector = {-(base + 1 + i): i for i in range(len(clauses))}
     verdict = s.solve(assumptions=[base + 1 + i for i in range(len(clauses))])
     if verdict.status in ("sat", "unknown"):
         return verdict, None

@@ -50,8 +50,7 @@ class SmtSolver:
         self.store: list[TLemma] = []
         self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget, seed=seed)
         self.sat.ensure_vars(len(self.table))
-        for i, clause in enumerate(formula.clauses):
-            self.sat.add_clause(clause, ("input", i))
+        self.sat.add_inputs(formula.clauses)
         # theory flags of the table's atoms; variables past it are new_var's
         self._theory_var = [False] + [atom_theory(atom) is not None
                                       for _, atom in self.table.items()]

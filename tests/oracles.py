@@ -268,6 +268,15 @@ def euf_literals_sat(literals: list[tuple[EufAtom, bool]]) -> bool:
 # Propositional truth tables (vectorized)
 # ---------------------------------------------------------------------------
 
+def _satisfies(assignments: np.ndarray, clause: list[int]) -> np.ndarray:
+    """Which of `assignments` (variable v is bit v-1) satisfy `clause`."""
+    sat_here = np.zeros(assignments.shape, dtype=bool)
+    for lit in clause:
+        bit = (assignments >> (abs(lit) - 1)) & 1
+        sat_here |= (bit == 1) if lit > 0 else (bit == 0)
+    return sat_here
+
+
 def cnf_truth_table_sat(clauses: list[list[int]], nvars: int) -> bool:
     """Exhaustive enumeration of all 2^nvars assignments."""
     if any(len(c) == 0 for c in clauses):
@@ -277,14 +286,20 @@ def cnf_truth_table_sat(clauses: list[list[int]], nvars: int) -> bool:
     assignments = np.arange(1 << nvars, dtype=np.uint32)
     ok = np.ones(assignments.shape, dtype=bool)
     for cl in clauses:
-        sat_here = np.zeros(assignments.shape, dtype=bool)
-        for lit in cl:
-            bit = (assignments >> (abs(lit) - 1)) & 1
-            sat_here |= (bit == 1) if lit > 0 else (bit == 0)
-        ok &= sat_here
+        ok &= _satisfies(assignments, cl)
         if not ok.any():
             return False
     return bool(ok.any())
+
+
+def cnf_models(clauses: list[list[int]], nvars: int) -> np.ndarray:
+    """Every one of the 2^nvars assignments that satisfies all of
+    `clauses`, as a bit pattern: variable v is bit v-1."""
+    assignments = np.arange(1 << nvars, dtype=np.uint32)
+    ok = np.ones(assignments.shape, dtype=bool)
+    for cl in clauses:
+        ok &= _satisfies(assignments, cl)
+    return assignments[ok]
 
 
 # ---------------------------------------------------------------------------

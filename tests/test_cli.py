@@ -43,6 +43,13 @@ class TestSolve:
         code, _, err = run_cli("solve", str(bad), capsys=capsys)
         assert code == 1 and "undeclared" in err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.smt2"
+        path.write_bytes(b"\xef\xbb\xbf(set-logic QF_UF)(declare-fun a () Bool)"
+                         b"(assert a)(assert (not a))")
+        code, out, err = run_cli("solve", str(path), capsys=capsys)
+        assert (code, out, err) == (20, "unsat\n", "")
+
     def test_proof_out(self, data_dir, tmp_path, capsys):
         trace = tmp_path / "proof.txt"
         code, _, _ = run_cli("solve", str(data_dir / NINE_CLAUSES),
@@ -318,6 +325,13 @@ class TestVerify:
                                capsys=capsys)
         assert code == 0 and out.strip() == "ok"
 
+    def test_byte_order_mark_is_skipped(self, data_dir, tmp_path, capsys):
+        core = tmp_path / "core.txt"
+        core.write_text("1\n2\n3\n4\n5\n6\n", encoding="utf-8-sig")
+        code, out, _ = run_cli("verify", str(data_dir / NINE_CLAUSES), "--core", str(core),
+                               capsys=capsys)
+        assert code == 0 and out.strip() == "ok"
+
     def test_out_of_range_index_names_its_line(self, data_dir, tmp_path, capsys):
         core = tmp_path / "core.txt"
         core.write_text("1\n\n10\n", encoding="utf-8")
@@ -385,6 +399,14 @@ class TestBooleanCoreCommand:
         out_path = tmp_path / "core.txt"
         code, _, _ = run_cli("boolean-core", str(cnf), str(out_path), capsys=capsys)
         assert code == 0
+        assert out_path.read_text().split() == ["1", "2"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        cnf = tmp_path / "in.cnf"
+        cnf.write_text("p cnf 2 3\n1 0\n-1 0\n2 0\n", encoding="utf-8-sig")
+        out_path = tmp_path / "core.txt"
+        code, _, err = run_cli("boolean-core", str(cnf), str(out_path), capsys=capsys)
+        assert (code, err) == (0, "")
         assert out_path.read_text().split() == ["1", "2"]
 
     def test_dimacs_subset_output_reads_back_unsat(self, tmp_path, capsys):

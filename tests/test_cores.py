@@ -322,6 +322,11 @@ class TestBridge:
         core = external_bridge([[1], [-1]], cmd)
         assert core == [0, 1]
 
+    def test_output_with_a_byte_order_mark_is_accepted(self):
+        cmd = (f"{_python()} -c \"import sys; open(sys.argv[2],'w',encoding='utf-8-sig')"
+               f".write('1\\n2\\n')\" {{in}} {{out}}")
+        assert external_bridge([[1], [-1]], cmd) == [0, 1]
+
     def test_out_of_range_core_rejected(self):
         cmd = f"{_python()} -c \"import sys; open(sys.argv[2],'w').write('9\\n')\" {{in}} {{out}}"
         with pytest.raises(BridgeError, match="interpret"):

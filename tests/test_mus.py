@@ -4,7 +4,7 @@ import random
 import pytest
 
 from gen import labeled_corpus, random_difference_formula, random_uf_formula
-from oracles import brute_force_smt_sat, cnf_truth_table_sat, marco_muses
+from oracles import brute_force_smt_sat, cnf_models, marco_muses
 from smtcore.cnf import cnf_convert
 from smtcore.cores import check_core, extract_core
 from smtcore.mus import (
@@ -19,18 +19,20 @@ CORE_B = frozenset({0, 1, 2, 3, 5, 7})
 
 
 def test_sequential_counter_matches_brute_force():
-    rng = random.Random(3)
     for n in range(1, 6):
         for k in range(1, n + 1):
             xs = list(range(1, n + 1))
             fresh = itertools.count(n + 1)
             clauses = [list(c) for c in _sequential_counter_atmost(xs, k, fresh.__next__)]
             nvars = next(fresh) - 1
+            # the xs are the low n bits of an assignment: the patterns of
+            # them that some model of the encoding extends
+            extendable = set((cnf_models(clauses, nvars) & ((1 << n) - 1)).tolist())
             # for every assignment of the xs, the encoding must be extendable
             # exactly when at most k are true
             for bits in itertools.product([False, True], repeat=n):
-                fixed = [[x] if b else [-x] for x, b in zip(xs, bits)]
-                ok = cnf_truth_table_sat(clauses + fixed, nvars)
+                pattern = sum(1 << i for i, b in enumerate(bits) if b)
+                ok = pattern in extendable
                 assert ok == (sum(bits) <= k)
 
 

@@ -1,14 +1,22 @@
+import hashlib
+import random
 import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smtcore.cnf import cnf_convert
-from smtcore.parser import MAX_NESTING, ParseError, _read_sexprs, parse, render_instance
+from smtcore.parser import (
+    MAX_NESTING, ParseError, _locate, _read_sexprs, parse, render_instance,
+)
 from smtcore.terms import REAL, AtomTable, LinAtom, LinComb, Var, canonical_lin_atom
+
+DATA = Path(__file__).parent / "data"
+PINNED_PARSE_OUTCOMES = "7e3d27285c4af3520ac5cc74651db3948f114316068f114b275d6e0f15fbe5d3"
 
 NINE_CLAUSES = """
 (set-logic QF_LRA)
@@ -122,6 +130,12 @@ def test_declare_sort_rejected_in_arith_logics():
         parse("(set-logic QF_LRA)(declare-sort U 0)")
 
 
+def test_function_over_interpreted_sorts_is_reported_once():
+    with pytest.raises(ParseError) as info:
+        parse("(declare-fun x () Real)\n(declare-fun f (Real) Real)")
+    assert str(info.value) == "2:14: function symbols must use uninterpreted sorts only"
+
+
 def test_duplicate_declaration_is_an_error():
     with pytest.raises(ParseError, match="already declared"):
         parse("(declare-fun x () Real)(declare-fun x () Real)")
@@ -222,15 +236,19 @@ def reference_read(text):
 
 
 def read(text):
-    """`_read_sexprs` in the form of `reference_read`."""
-    def tree(sx):
-        if sx.items is None:
-            return ("sym", sx.text, sx.line, sx.col)
-        return ("list", sx.line, sx.col, [tree(c) for c in sx.items])
+    """`_read_sexprs` in the form of `reference_read`, with every node
+    placed by `_locate`."""
     try:
-        return [tree(sx) for sx in _read_sexprs(text)]
+        top, tokens = _read_sexprs(text)
     except ParseError as exc:
         return ("error", str(exc).split(": ", 1)[1], exc.line, exc.col)
+
+    def tree(node):
+        line, col = _locate(text, top, node)
+        if isinstance(node, int):
+            return ("sym", tokens[node], line, col)
+        return ("list", line, col, [tree(c) for c in node])
+    return [tree(node) for node in top]
 
 
 @pytest.mark.parametrize("text", [
@@ -255,13 +273,13 @@ def test_tokenizer_matches_the_character_loop(text):
 
 # Parser-shaped text, so that the fuzzing reaches past the reader into the
 # commands, terms and atoms.
-_WORD = st.sampled_from([
+WORDS = [
     "(", ")", "(", ")", "assert", "declare-fun", "declare-const", "declare-sort",
     "set-logic", "check-sat", "Real", "Bool", "U", "QF_LRA", "QF_UF", "x", "y", "p",
     "f", "not", "and", "or", "=>", "ite", "=", "<=", "<", ">=", ">", "+", "-", "*",
     "/", "0", "1", "-2", "0.5", "1.", "true", "false", ";", "\n", "\r\n", "\t",
-])
-PARSER_ISH = st.lists(_WORD, max_size=40).map(" ".join)
+]
+PARSER_ISH = st.lists(st.sampled_from(WORDS), max_size=40).map(" ".join)
 ALPHABET = "();-./0123456789abcdefghijklmnopqrstuvwxyz \t\r\n"
 
 
@@ -273,6 +291,47 @@ def test_arbitrary_text_raises_only_parse_errors(text):
         parse(text)
     except ParseError:
         pass
+
+
+def parse_outcome(text):
+    """What `parse` makes of `text`: the logic and the assertions with their
+    atoms, or the error's message, line and column."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            aset = parse(text)
+    except ParseError as exc:
+        return repr(("error", str(exc), exc.line, exc.col))
+    return repr((aset.logic, aset.assertions))
+
+
+def seeded_parse_corpus(seed=20):
+    """Parser-shaped and arbitrary texts drawn as `PARSER_ISH` and
+    `ALPHABET` draw them, and every file of tests/data whole, with one token
+    deleted, doubled or replaced by one of `WORDS`, at seeded positions."""
+    rng = random.Random(seed)
+    for _ in range(1500):
+        yield " ".join(rng.choice(WORDS) for _ in range(rng.randrange(41)))
+        yield "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(81)))
+    for path in sorted(DATA.glob("*.smt2")):
+        text = path.read_text()
+        yield text
+        spans = [m.span() for m in re.finditer(r";[^\n]*|[()]|[^ \t\r\n();]+", text)]
+        for start, end in rng.sample(spans, min(len(spans), 60)):
+            yield text[:start] + text[end:]
+            yield text[:end] + " " + text[start:]
+            yield text[:start] + rng.choice(WORDS) + text[end:]
+
+
+def test_parse_outcomes_are_pinned():
+    """One digest over the outcome of every text of the seeded corpus,
+    recorded before the reader kept token ordinals instead of positioned
+    nodes: every tree, atom, message, line and column is unchanged."""
+    digest = hashlib.sha256()
+    for text in seeded_parse_corpus():
+        digest.update(parse_outcome(text).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == PINNED_PARSE_OUTCOMES
 
 
 @pytest.mark.parametrize("text, line, col", [

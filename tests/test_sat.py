@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from gen import pigeonhole_cnf, random_cnf
-from oracles import cnf_truth_table_sat
+from oracles import cnf_models, cnf_truth_table_sat
 from smtcore.sat import (
     ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, check_proof, proof_core, sat_solve,
     solve_with_selectors,
@@ -427,3 +428,280 @@ class TestProofLoggingOnlyObserves:
         clauses, _ = pigeonhole_cnf(random.Random(1), 6, 20, 40)
         conflicts, status, _, _ = self._assert_same_search(clauses)
         assert status == "unsat" and conflicts > 100
+
+
+class GenericIntake(SatSolver):
+    """A solver that takes every clause through the generic status-and-watch
+    pass, as `add_clause` did before it had fast paths: sized clause by
+    clause, and learned clauses added through `add_clause`.  Its one
+    addition to that pass is to note, for the next `solve`, a clause added
+    above level 0 that is false there or has one literal."""
+
+    def add_clause(self, lits, origin=("learned",)):
+        norm = list(dict.fromkeys(lits))
+        if 0 in norm:
+            raise ValueError("literal 0 is not allowed")
+        key = frozenset(norm)
+        existing = self._by_key.get(key)
+        if existing is not None and origin[0] != "input":
+            return existing, "duplicate"
+        cid = len(self.clauses)
+        self.clauses.append(norm)
+        self.origins.append(origin)
+        if existing is None:
+            self._by_key[key] = cid
+        if not norm:
+            self.refuted = True
+            if self.proof:
+                self.proof.final = self._node(cid)
+            return cid, "conflict"
+        self.ensure_vars(max(map(abs, norm)))
+        vals = self._vals
+        if len(norm) == 1:
+            if self.trail_lim:
+                self._recheck.append(cid)
+            val = vals[norm[0]]
+            if val is None:
+                self._enqueue(norm[0], cid)
+                return cid, "unit"
+            if val:
+                return cid, "satisfied"
+            self.pending_conflict = cid
+            return cid, "conflict"
+        level = self._level
+        free1 = free2 = false1 = false2 = -1
+        lvl1 = lvl2 = -1
+        satisfied = False
+        unassigned = 0
+        unit = 0
+        for i, l in enumerate(norm):
+            val = vals[l]
+            if val is False:
+                lv = level[abs(l)]
+                if lv > lvl1:
+                    false2, lvl2, false1, lvl1 = false1, lvl1, i, lv
+                elif lv > lvl2:
+                    false2, lvl2 = i, lv
+                continue
+            if free1 < 0:
+                free1 = i
+            elif free2 < 0:
+                free2 = i
+            if val is None:
+                unassigned += 1
+                unit = l
+            else:
+                satisfied = True
+        a, b = [i for i in (free1, free2, false1, false2) if i >= 0][:2]
+        norm[0], norm[a] = norm[a], norm[0]
+        if b == 0:
+            b = a
+        norm[1], norm[b] = norm[b], norm[1]
+        self._watches[norm[0]].append(cid)
+        self._watches[norm[1]].append(cid)
+        if satisfied:
+            return cid, "satisfied"
+        if not unassigned:
+            if self.trail_lim:
+                self._recheck.append(cid)
+            self.pending_conflict = cid
+            return cid, "conflict"
+        if unassigned == 1:
+            self._enqueue(unit, cid)
+            return cid, "unit"
+        return cid, "ok"
+
+    def add_inputs(self, clauses):
+        for i, cl in enumerate(clauses):
+            self.add_clause(cl, ("input", i))
+
+    def _learn(self, learned, backjump, derivation):
+        self._backjump(backjump)
+        cid, status = self.add_clause(learned, ("learned",))
+        if self.proof and cid not in self._node_of:
+            first, steps = derivation
+            self._node_of[cid] = self.proof.chain(first, steps, learned) if steps else first
+        if status == "duplicate" and self._vals[learned[0]] is None:
+            self._enqueue(learned[0], cid)
+
+
+def intake_state(s):
+    """Everything clause intake writes: the clauses in their watch order,
+    origins, watch lists, assignment, trail and pending conflict."""
+    lits = [l for v in range(1, s.nvars + 1) for l in (v, -v)]
+    return (s.nvars, s.clauses, s.origins, s._by_key, [s._watches[l] for l in lits],
+            [s._vals[l] for l in lits], s.trail, s.trail_lim, s.qhead,
+            [(s._level[abs(l)], s._reason[abs(l)]) for l in s.trail],
+            s.pending_conflict, s._recheck, s.refuted, s.conflicts, s._node_of,
+            s.proof.nodes if s.proof else None, s.proof.final if s.proof else None)
+
+
+def intake_clause(rng, nvars, earlier):
+    """A random clause that may repeat a literal, be a tautology, be a
+    unit or empty, or be an earlier clause in another order."""
+    r = rng.random()
+    if earlier and r < 0.05:
+        cl = list(rng.choice(earlier))
+        rng.shuffle(cl)
+        return cl
+    if r < 0.07:
+        return [rng.choice((1, -1)) * rng.randint(1, nvars)]
+    if r < 0.072:
+        return []
+    width = min(rng.choice((2, 3, 3, 3, 3, 3, 5)), nvars)
+    cl = [rng.choice((1, -1)) * v for v in rng.sample(range(1, nvars + 1), width)]
+    if r < 0.12:
+        cl.append(-cl[0])
+    elif r < 0.17:
+        cl.insert(rng.randrange(len(cl)), rng.choice(cl))
+    return cl
+
+
+class RandomLemmas:
+    """A theory hook that adds a few random clauses at propagation
+    fixpoints, as a theory adds its lemmas in the middle of a search."""
+
+    def __init__(self, rng, nvars, tally):
+        self.rng, self.nvars, self.tally = rng, nvars, tally
+        self.budget = 0  # clauses left to add in this solve
+
+    def hook_fixpoint(self, solver):
+        if self.budget <= 0 or self.rng.random() < 0.5:
+            return False
+        self.budget -= 1
+        return add_and_tally(solver, intake_clause(self.rng, self.nvars, solver.clauses),
+                             ("tlemma", self.budget), self.tally)[1] != "duplicate"
+
+    def hook_final(self, solver):
+        return False
+
+    def hook_backjump(self, trail_len):
+        pass
+
+
+def add_and_tally(solver, cl, origin, tally):
+    """`solver.add_clause`, counting which path of intake the clause takes."""
+    width = len(set(cl))
+    if width > 1:
+        tally["on a trail" if solver.trail else "empty trail"] += 1
+    elif width == 1 and solver.trail_lim:
+        tally["one literal above level 0"] += 1
+    return solver.add_clause(cl, origin)
+
+
+class TestIntake:
+    """The fast paths of clause intake (a clause added on an empty trail, a
+    load of input clauses, a learned clause) leave the solver exactly as
+    the generic status-and-watch pass does, and clauses added on the trail
+    a solve left are all kept by the next solve."""
+
+    def test_fast_paths_match_the_generic_pass(self):
+        tally = Counter()
+        for seed in range(150):
+            rng = random.Random(seed)
+            nvars = rng.randint(8, 30)
+            kwargs = dict(log_proof=seed % 2 == 0, conflict_budget=rng.choice((None, None, 0, 5)),
+                          seed=seed if seed % 3 == 0 else None)
+            fast, generic = SatSolver(**kwargs), GenericIntake(**kwargs)
+            inputs = []
+            for _ in range(rng.randint(3 * nvars, 5 * nvars)):
+                inputs.append(intake_clause(rng, nvars, inputs))
+            # a one-shot iterable of one-shot clauses
+            fast.add_inputs(iter([iter(cl) for cl in inputs]))
+            generic.add_inputs(inputs)
+            assert intake_state(fast) == intake_state(generic)
+            # while the two states agree, both hooks draw the same clauses
+            hook_seed = rng.random()
+            fast.theory_hook = RandomLemmas(random.Random(hook_seed), nvars, Counter())
+            generic.theory_hook = RandomLemmas(random.Random(hook_seed), nvars, tally)
+            for _ in range(4):
+                assumptions = [rng.choice((1, -1)) * v
+                               for v in rng.sample(range(1, nvars + 1), rng.randint(0, 3))]
+                fast.theory_hook.budget = generic.theory_hook.budget = rng.choice((0, 4))
+                learned = generic.origins.count(("learned",))
+                v1, v2 = fast.solve(assumptions), generic.solve(assumptions)
+                assert (v1.status, v1.model, v1.conflict) == (v2.status, v2.model, v2.conflict)
+                assert intake_state(fast) == intake_state(generic)
+                tally["learned"] += generic.origins.count(("learned",)) - learned
+                # clauses added between solves, at level 0 or on the trail
+                # the solve left
+                if rng.random() < 0.5:
+                    fast._backjump(0)
+                    generic._backjump(0)
+                for k in range(rng.randint(0, 6)):
+                    cl = intake_clause(rng, nvars + 1, generic.clauses)
+                    origin = rng.choice((("added",), ("tlemma", k)))
+                    assert fast.add_clause(cl, origin) == add_and_tally(
+                        generic, list(cl), origin, tally)
+                    assert intake_state(fast) == intake_state(generic)
+                nvars = fast.nvars
+        least = {"empty trail": 100, "on a trail": 100, "learned": 100,
+                 "one literal above level 0": 10}
+        assert all(tally[path] >= n for path, n in least.items()), tally
+
+    def test_pigeonhole_search_is_unchanged(self):
+        """Long searches with deep backjumps and many re-derived clauses."""
+        clauses, _ = pigeonhole_cnf(random.Random(2), 5, 12, 30)
+        for log_proof in (False, True):
+            fast, generic = SatSolver(log_proof=log_proof), GenericIntake(log_proof=log_proof)
+            fast.add_inputs(clauses)
+            generic.add_inputs(clauses)
+            assert fast.solve().status == generic.solve().status == "unsat"
+            assert fast.conflicts > 100
+            assert intake_state(fast) == intake_state(generic)
+
+    def test_blocking_clauses_added_after_a_solve_count_every_model(self):
+        """A clause added on the trail a solve left, false only under that
+        solve's decisions, is no conflict for the next solve."""
+        for seed in range(200):
+            rng = random.Random(seed)
+            nvars = rng.randint(1, 7)
+            clauses = [intake_clause(rng, nvars, []) for _ in range(rng.randint(1, 3 * nvars))]
+            s = SatSolver()
+            s.ensure_vars(nvars)
+            s.add_inputs(clauses)
+            models = 0
+            while (v := s.solve()).status == "sat":
+                models += 1
+                s.add_clause([-l if v.model[l] else l for l in range(1, nvars + 1)], ("added",))
+            assert v.status == "unsat"
+            assert models == len(cnf_models(clauses, nvars))
+
+    def test_one_literal_clause_added_after_a_solve_holds(self):
+        s = SatSolver()
+        s.add_clause([1, -1], ("input", 0))
+        assert s.solve().model == {1: False}
+        s.add_clause([1], ("added",))  # false under the last solve's decision
+        assert s.solve().model == {1: True}
+        s.add_clause([-1, 2], ("added",))
+        assert s.solve().model == {1: True, 2: True}  # unit on that trail
+        s.add_clause([-2], ("added",))
+        assert s.solve().status == "unsat"
+
+    def test_clauses_added_after_a_solve_are_all_kept(self):
+        """Clauses of every width, added on the trail each solve leaves: every
+        verdict and model agrees with the clauses added so far."""
+        for seed in range(300):
+            rng = random.Random(seed)
+            nvars = rng.randint(1, 6)
+            s = SatSolver(log_proof=seed % 2 == 0)
+            clauses = []
+            for _ in range(8):
+                for _ in range(rng.randint(0, 3)):
+                    cl = intake_clause(rng, nvars, clauses)
+                    s.add_clause(cl, ("added",))
+                    clauses.append(cl)
+                v = s.solve()
+                models = cnf_models(clauses, nvars)
+                assert v.status == ("sat" if len(models) else "unsat")
+                if v.status == "sat":
+                    assert all(any(v.model[abs(l)] == (l > 0) for l in cl) for cl in clauses)
+                    continue
+                if s.proof is not None:
+                    assert check_proof(s.proof, s.clauses) is None
+                break
+
+    def test_literal_zero_is_refused(self):
+        for add in (lambda s: s.add_clause([1, 0]), lambda s: s.add_inputs([[1, 2], [0]])):
+            with pytest.raises(ValueError, match="literal 0"):
+                add(SatSolver())
