@@ -11,7 +11,10 @@ them through the one method table `METHODS`, and its conflict budget bounds
 every solve of the route and of minimization (running out is an
 `ExtractionError`).  Deletion-based minimization and two independent,
 unbudgeted checks round things out.  The selector route and minimization
-each run on one incremental `SelectorEngine`.
+each run on one incremental `SelectorEngine`.  Every route hands on the
+lemmas its engine stored, and `extract_core`'s minimization starts from
+them: they are theory-valid, so they shorten the search of each trial
+without changing its verdict.
 
 A formula with no theory atoms (`LOGIC_PROP`) can store no lemma, so
 `lift-proof` and `lift-selectors` run no SMT search on it: the internal
@@ -46,7 +49,7 @@ from typing import Iterable, Optional
 
 from . import dimacs
 from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
-from .smt import SelectorEngine, SmtSolver, lifted_clauses
+from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses
 from .terms import LOGIC_PROP, Formula
 from .theory import solver_for_logic
 
@@ -211,10 +214,10 @@ def self_extractor_command(mode: str = "index-list") -> str:
 # ---------------------------------------------------------------------------
 #
 # A route computes the raw core of one method: its clause indices, or None
-# when the formula is satisfiable, and the resolution refutation of the
-# core's clauses plus theory-valid lemmas when the method logged one, else
-# None.  `_run` then minimizes and verifies that core once, the same way
-# for every method.
+# when the formula is satisfiable; the resolution refutation of the core's
+# clauses plus theory-valid lemmas when the method logged one, else None;
+# and the lemma store of its engine.  `_run` then minimizes and verifies
+# that core once, the same way for every method.
 
 def _lift_route(formula: Formula, config: ExtractorConfig, budget: Optional[int]):
     if formula.logic == LOGIC_PROP and config.kind != "external":
@@ -224,34 +227,37 @@ def _lift_route(formula: Formula, config: ExtractorConfig, budget: Optional[int]
         try:
             idxs = boolean_core(formula.clauses, config, budget)
         except _Satisfiable:
-            return None, None
+            return None, None, []
+        store = []
     else:
         engine = SmtSolver(formula, conflict_budget=budget)
         if not _refuted(engine.solve()):
-            return None, None
+            return None, None, []
         idxs = boolean_core(lifted_clauses(formula, engine.store), config)
+        store = engine.store
     surviving = [i for i in idxs if i < len(formula.clauses)]
     assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
-    return surviving, idxs.proof
+    return surviving, idxs.proof, store
 
 
 def _proof_route(formula: Formula, _config, budget: Optional[int]):
     engine = SmtSolver(formula, log_proof=True, conflict_budget=budget)
     if not _refuted(engine.solve()):
-        return None, None
+        return None, None, []
     # every leaf of the engine's proof is an input clause or a stored lemma
     origins = (engine.sat.origins[cid] for cid in proof_core(engine.sat.proof))
-    return {origin[1] for origin in origins if origin[0] == "input"}, engine.sat.proof
+    core = {origin[1] for origin in origins if origin[0] == "input"}
+    return core, engine.sat.proof, engine.store
 
 
 def _selector_route(formula: Formula, _config, budget: Optional[int]):
     engine = SelectorEngine(formula, conflict_budget=budget)
     verdict = engine.solve(range(len(formula.clauses)))
     if not _refuted(verdict):
-        return None, None
+        return None, None, []
     assert verdict.status == "unsat-assumptions", \
         "guarded clauses cannot refute without their selectors"
-    return engine.conflict_clauses(verdict), None
+    return engine.conflict_clauses(verdict), None, engine.solver.store
 
 
 # core method -> (route, Boolean extractor kind of a lifted route).  The
@@ -269,14 +275,14 @@ METHODS = {
 def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
          minimize: bool, verify: bool, budget: Optional[int]) -> CoreReport:
     route, _kind = METHODS[method]
-    core, proof = route(formula, config, budget)
+    core, proof, store = route(formula, config, budget)
     n = len(formula.clauses)
     if core is None:
         return CoreReport("sat", (), method, n, 0, "verified", ())
     if minimize:
         # the refutation is of the raw core; drop it before the long part
         proof = None
-        core = minimize_core(formula, core, budget=budget)
+        core = _minimize(formula, core, store, budget)
     core = tuple(sorted(set(core)))
     if verify:
         problem = check_core(formula, core) if proof is None \
@@ -341,10 +347,21 @@ def minimize_core(formula: Formula, core: Iterable[int], budget: Optional[int] =
     index) while the rest stays theory-unsatisfiable.  The result is
     one-deletion minimal.  Every trial is a solve of one selector engine
     that `budget` bounds; one that runs out is an ExtractionError."""
+    return _minimize(formula, core, [], budget)
+
+
+def _minimize(formula: Formula, core: Iterable[int], store: list[TLemma],
+              budget: Optional[int]) -> list[int]:
+    """`minimize_core` on an engine that starts with the clauses of the
+    lemma store of a route's run, unguarded.  A stored lemma is
+    theory-valid, so it changes no trial's verdict, only the search that
+    reaches it, and the result is the same core."""
     current = sorted(set(core))
     if problem := _out_of_range(formula, current):
         raise ValueError(f"core {problem}")
     engine = SelectorEngine(formula, conflict_budget=budget)
+    for lemma in store:
+        engine.solver.add_clause(lemma.clause)
     if not _refuted(engine.solve(current)):
         raise ValueError("minimize_core requires a theory-unsatisfiable core")
 

@@ -5,9 +5,11 @@ incremental selector engine, after Liffiton & Sakallah, "Algorithms for
 computing minimal unsatisfiable subsets of constraints" (JAR 2008):
 selector variables guard the clauses, and for growing sizes k we
 enumerate theory-consistent models whose false selectors form a
-correction set, adding a clause that blocks each one found.  The
-selectors, the at-most-k counters' registers and their activation
-variables all come from `SmtSolver.new_var`, so none of them is an atom.
+correction set, adding a clause that blocks each one found.  One
+totalizer over the negated selectors, built once and extended as k
+grows, bounds every k: at-most-k is one assumption on its outputs.  The
+selectors and the totalizer's outputs come from `SmtSolver.new_var`, so
+none of them is an atom.
 Phase two computes all minimal unsatisfiable cores as the minimal hitting
 sets of the MCS set.  Both sets can be exponentially large, so hard caps
 guard each phase and flag incomplete results loudly.  A conflict budget
@@ -39,37 +41,71 @@ class MusSet:
     complete: bool
 
 
-def _sequential_counter_atmost(lits: list[int], k: int,
-                               new_var: Callable[[], int]) -> list[tuple[int, ...]]:
-    """Sinz sequential-counter encoding of at-most-k over `lits` (signed
-    variables); each auxiliary register is a fresh variable from
-    `new_var`, made on first use."""
-    n = len(lits)
-    if k >= n:
-        return []
-    if k == 0:
-        return [(-l,) for l in lits]
-    reg = {}
+class _Totalizer:
+    """At-most-k over `lits` (signed variables) for every k, after
+    Bailleux & Boufkhad, "Efficient CNF encoding of Boolean cardinality
+    constraints" (CP 2003).  A balanced binary tree sums the lits in unary:
+    the node over m of them has outputs o_1..o_m, and clause (not a_i or
+    not b_j or o_(i+j)) of its children's outputs forces o_j whenever at
+    least j of its lits are true.  At-most-k is the assumption not o_(k+1)
+    of the root.
 
-    def r(i: int, j: int) -> int:
-        key = (i, j)
-        if key not in reg:
-            reg[key] = new_var()
-        return reg[key]
+    Outputs are made only as far as they are read, and extended as k
+    grows, after Martins, Joshi, Manquinho & Lynce, "Incremental
+    cardinality constraints for MaxSAT" (CP 2014).  A node below the root
+    holds outputs up to k, and the root only the o_(k+1) of each bound
+    asked for; a pair of any node that sums to k+1 forces the root's
+    o_(k+1) directly, which is sound since no node counts more lits than
+    the root.  Each output is a fresh variable from `new_var`, and each
+    clause goes to `add` once."""
 
-    out: list[tuple[int, ...]] = []
-    out.append((-lits[0], r(0, 0)))
-    for j in range(1, k):
-        out.append((-r(0, j),))
-    for i in range(1, n - 1):
-        out.append((-lits[i], r(i, 0)))
-        out.append((-r(i - 1, 0), r(i, 0)))
-        for j in range(1, k):
-            out.append((-lits[i], -r(i - 1, j - 1), r(i, j)))
-            out.append((-r(i - 1, j), r(i, j)))
-        out.append((-lits[i], -r(i - 1, k - 1)))
-    out.append((-lits[n - 1], -r(n - 2, k - 1)))
-    return out
+    def __init__(self, lits: list[int], new_var: Callable[[], int],
+                 add: Callable[[tuple[int, ...]], None]):
+        self._new_var, self._add = new_var, add
+        # (left outputs, right outputs, outputs, lits below), children
+        # first, so the root is last
+        self._nodes: list[tuple[list[int], list[int], list[int], int]] = []
+        self._n = len(lits)
+        self._build(lits)
+        self._bounds: dict[int, int] = {}  # k -> the root's o_(k+1)
+
+    def _build(self, lits: list[int]) -> list[int]:
+        if len(lits) == 1:
+            return lits
+        mid = len(lits) // 2
+        node = (self._build(lits[:mid]), self._build(lits[mid:]), [], len(lits))
+        self._nodes.append(node)
+        return node[2]
+
+    def at_most(self, k: int) -> tuple[int, ...]:
+        """The assumptions under which at most k of the lits are true."""
+        if k >= self._n:
+            return ()
+        if k not in self._bounds:
+            for left, right, out, size in self._nodes[:-1]:
+                self._extend(left, right, out, min(size, k))
+            bound = self._bounds[k] = self._new_var()
+            for left, right, _out, _size in self._nodes:
+                # the pairs (i, j) with i + j = k + 1, both at most k
+                for i in range(max(k + 1 - len(right), 1), min(len(left), k) + 1):
+                    self._add((-left[i - 1], -right[k - i], bound))
+        return (-self._bounds[k],)
+
+    def _extend(self, left: list[int], right: list[int], out: list[int], top: int):
+        """Give the node outputs up to o_top, with the clauses of the
+        pairs that force each new one."""
+        old = len(out)
+        for _ in range(old, top):
+            out.append(self._new_var())
+        add = self._add
+        for i in range(min(len(left), top) + 1):
+            for j in range(max(old + 1 - i, 0), min(len(right), top - i) + 1):
+                if i == 0:
+                    add((-right[j - 1], out[j - 1]))
+                elif j == 0:
+                    add((-left[i - 1], out[i - 1]))
+                else:
+                    add((-left[i - 1], -right[j - 1], out[i + j - 1]))
 
 
 def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
@@ -84,16 +120,14 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
         return McsSet([], complete=True, satisfiable=True)
     if status == "unknown":
         return McsSet([], complete=False, satisfiable=None)
-    selectors, new_var, add = engine.selectors, engine.solver.new_var, engine.solver.add_clause
+    selectors, add = engine.selectors, engine.solver.add_clause
+    # one cardinality encoding over the dropped clauses serves every k
+    dropped = _Totalizer([-s for s in selectors], engine.solver.new_var, add)
     found: list[frozenset[int]] = []
     for k in range(1, n + 1):
-        # the at-most-k counter binds only while its activation variable is
-        # assumed; the unit clause after the k loop retires it for good
-        act = new_var()
-        for clause in _sequential_counter_atmost([-s for s in selectors], k, new_var):
-            add((-act,) + clause)
+        at_most_k = dropped.at_most(k)
         while True:
-            verdict = engine.solve((), act)
+            verdict = engine.solve((), *at_most_k)
             if verdict.status == "unknown":
                 return McsSet(found, complete=False)
             if verdict.status != "sat":
@@ -105,7 +139,6 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
             add(tuple(selectors[i] for i in sorted(mcs)))
             if len(found) >= cap:
                 return McsSet(found, complete=False)
-        add((-act,))
         status = engine.solve(()).status
         if status != "sat":
             return McsSet(found, complete=status != "unknown")

@@ -7,16 +7,18 @@ solver, the lemma list and the SAT database all read the same ints.
 Variables numbered past the formula's atom table come from `new_var`:
 they name no atom, so no user symbol can alias them, and they stay
 propositional.  Every theory literal is asserted incrementally as it gets
-assigned, a full theory check runs at each propagation fixpoint, entailed
-literals are unit-propagated through their deduction clauses, and every
-theory-conflict and theory-deduction clause is appended to the engine's
-lemma list before it is added to the SAT database.  The list needs no
-index: a stored lemma is a clause of that database, so by the time a hook
-runs, propagation has already used it if it is unit and reported it if it
-is false, and the theory never hands the same clause back.  The lemmas are
-the raw material for core extraction: the abstraction of the inputs plus
-the stored lemmas is propositionally unsatisfiable whenever the run
-answers unsat.
+assigned, a full theory check and a deduction pass run at each
+propagation fixpoint where a theory literal was asserted or retracted
+since they last ran (on an unchanged asserted set they could add
+nothing), entailed literals are unit-propagated through their deduction
+clauses, and every theory-conflict and theory-deduction clause is
+appended to the engine's lemma list before it is added to the SAT
+database.  The list needs no index: a stored lemma is a clause of that
+database, so by the time a hook runs, propagation has already used it if
+it is unit and reported it if it is false, and the theory never hands the
+same clause back.  The lemmas are the raw material for core extraction:
+the abstraction of the inputs plus the stored lemmas is propositionally
+unsatisfiable whenever the run answers unsat.
 
 A solve answers with the CDCL search's own `SatVerdict`.  A theory model
 is built by `smt_solve` alone, for the caller of a one-shot solve that
@@ -56,6 +58,9 @@ class SmtSolver:
                                       for _, atom in self.table.items()]
         self._scan_pos = 0                      # sat trail position scanned so far
         self._synced_positions: list[int] = []  # trail position of each theory assert
+        # set when a theory literal is asserted or retracted, cleared once
+        # check_full and deductions have run on the asserted set
+        self._changed = True
         if self.theory is not None:
             self.sat.theory_hook = weakref.proxy(self)  # no reference cycle
 
@@ -91,21 +96,30 @@ class SmtSolver:
             if var < len(theory_var) and theory_var[var]:
                 conflict = self.theory.assert_literal(lit)
                 self._synced_positions.append(pos)
+                self._changed = True
                 if conflict is not None:
                     return self._conflict_lemma(conflict)
         return False
 
     def _check(self) -> bool:
-        """Sync, then check the asserted literals; True on a theory
-        conflict, whose lemma is stored."""
+        """Sync, then check the asserted literals if they changed since the
+        last fixpoint check; True on a theory conflict, whose lemma is
+        stored.  An unchanged set passed that check, and every deduction
+        it gave is a clause of the SAT database, so running the theory
+        again could add nothing."""
         if self._sync():
             return True
+        if not self._changed:
+            return False
         conflict = self.theory.check_full()
         return conflict is not None and self._conflict_lemma(conflict)
 
     def hook_fixpoint(self, solver: SatSolver) -> bool:
         if self._check():
             return True
+        if not self._changed:
+            return False
+        self._changed = False
         # _check has asserted every assigned theory atom, so a deduced
         # literal is unassigned and its clause is unit, unless the SAT
         # database holds that clause already
@@ -124,6 +138,7 @@ class SmtSolver:
         if keep < len(self._synced_positions):
             self.theory.backtrack(keep)
             del self._synced_positions[keep:]
+            self._changed = True
 
     # -- solving ----------------------------------------------------------------
 

@@ -286,14 +286,15 @@ class TestAllmus:
         assert (code, out) == (2, "unknown\n")
 
     def test_budget_out_mid_enumeration_prints_the_partial_lists(self, data_dir, capsys):
-        # the first verdict takes three conflicts, the whole enumeration four
-        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "3",
+        # the first verdict takes three conflicts, the costliest solve of
+        # the enumeration five
+        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "4",
                                capsys=capsys)
         lines = out.splitlines()
         assert code == 2 and lines[:2] == ["unsat", "MCS: 1"]
         assert lines[-1].startswith("INCOMPLETE")
         assert not [l for l in lines if l.startswith("MUS:")]
-        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "4",
+        code, out, _ = run_cli("allmus", str(data_dir / NINE_CLAUSES), "--budget", "5",
                                capsys=capsys)
         assert code == 20 and "INCOMPLETE" not in out
 

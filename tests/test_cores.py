@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from gen import labeled_corpus, pigeonhole_cnf, prop_formula, random_difference_formula
-from oracles import brute_force_smt_sat
+from oracles import brute_force_smt_sat, marco_muses
 from smtcore import cores, smt
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
@@ -391,3 +391,41 @@ class TestSoundnessOnRandomCorpus:
                 rest = [j for j in minimized if j != i]
                 verdict, _ = smt_solve(formula.restrict(rest))
                 assert verdict.status == "sat"
+
+
+class TestSeededMinimization:
+    """`extract_core(..., minimize=True)` starts its minimization engine
+    with the lemmas the route stored.  They are theory-valid, so no trial's
+    verdict changes, and the core is the one `minimize_core` finds without
+    them."""
+
+    @pytest.mark.parametrize("theory", ["LRA", "EUF"])
+    def test_cores_are_minimal_and_among_marcos(self, theory):
+        unsat, _ = labeled_corpus(theory, want_unsat=30, want_sat=0,
+                                  oracle=brute_force_smt_sat, seed=2024)
+        internal = [m for m, (_route, kind) in METHODS.items() if kind != "external"]
+        for formula in unsat:
+            muses = marco_muses(formula)
+            for method in internal:
+                core = extract_core(formula, method, minimize=True).core
+                assert frozenset(core) in muses
+                for i in core:
+                    verdict, _ = smt_solve(formula.restrict([j for j in core if j != i]))
+                    assert verdict.status == "sat"
+                raw = extract_core(formula, method).core
+                assert core == tuple(minimize_core(formula, raw))
+
+    def test_the_route_lemmas_reach_the_minimization_engine(self, monkeypatch):
+        formula = difference_12_60()
+        seeded = []
+        minimize = cores._minimize
+
+        def recording(f, core, store, budget):
+            seeded.append([lemma.clause for lemma in store])
+            return minimize(f, core, store, budget)
+
+        monkeypatch.setattr(cores, "_minimize", recording)
+        report = extract_core(formula, "lift-proof", minimize=True)
+        _, store = smt_solve(formula)
+        assert seeded == [[lemma.clause for lemma in store]] and store
+        assert report.core == DIFFERENCE_12_60_MINIMAL

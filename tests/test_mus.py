@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,32 +9,59 @@ from oracles import brute_force_smt_sat, cnf_models, marco_muses
 from smtcore.cnf import cnf_convert
 from smtcore.cores import check_core, extract_core
 from smtcore.mus import (
-    _sequential_counter_atmost, all_minimal_cores, enumerate_mcs, minimal_hitting_sets,
+    _Totalizer, all_minimal_cores, enumerate_mcs, minimal_hitting_sets,
 )
 from smtcore.parser import parse
-from smtcore.smt import smt_solve
+from smtcore.smt import SmtSolver, smt_solve
 
 MCS_FAMILY = [{0}, {1}, {2}, {3}, {5}, {4, 7}]
 CORE_A = frozenset({0, 1, 2, 3, 4, 5})
 CORE_B = frozenset({0, 1, 2, 3, 5, 7})
 
 
-def test_sequential_counter_matches_brute_force():
+def test_totalizer_matches_brute_force_at_every_bound():
     for n in range(1, 6):
+        xs = list(range(1, n + 1))
+        outputs, clauses = [], []
+
+        def new_var():
+            outputs.append(n + len(outputs) + 1)
+            return outputs[-1]
+
+        totalizer = _Totalizer(xs, new_var, clauses.append)
+        # one totalizer, its outputs extended as the bound grows
         for k in range(1, n + 1):
-            xs = list(range(1, n + 1))
-            fresh = itertools.count(n + 1)
-            clauses = [list(c) for c in _sequential_counter_atmost(xs, k, fresh.__next__)]
-            nvars = next(fresh) - 1
+            bound = totalizer.at_most(k)
+            nvars = n + len(outputs)
             # the xs are the low n bits of an assignment: the patterns of
-            # them that some model of the encoding extends
-            extendable = set((cnf_models(clauses, nvars) & ((1 << n) - 1)).tolist())
+            # them that some model of the encoding under the bound extends
+            models = cnf_models([list(c) for c in clauses] + [[lit] for lit in bound], nvars)
+            extendable = set((models & ((1 << n) - 1)).tolist())
             # for every assignment of the xs, the encoding must be extendable
             # exactly when at most k are true
             for bits in itertools.product([False, True], repeat=n):
                 pattern = sum(1 << i for i, b in enumerate(bits) if b)
-                ok = pattern in extendable
-                assert ok == (sum(bits) <= k)
+                assert (pattern in extendable) == (sum(bits) <= k)
+
+
+def test_enumeration_variables_grow_as_n_log_n(monkeypatch):
+    # 40 clauses over 61 atoms with 300 MCSes of sizes 1 to 14: a counter
+    # per bound left over 4,000 registers in the engine
+    formula = random_uf_formula(random.Random(4), 8, 40, 2)
+    n = len(formula.clauses)
+    nvars = []
+    new_var = SmtSolver.new_var
+
+    def counted(self):
+        nvars.append(new_var(self))
+        return nvars[-1]
+
+    monkeypatch.setattr(SmtSolver, "new_var", counted)
+    result = enumerate_mcs(formula)
+    assert result.complete and max(len(m) for m in result.mcses) == 14
+    # past the atoms: n selectors, then at most n outputs on each of the
+    # ceil(log2 n) levels of the tree and one bound output a k
+    assert max(nvars) - len(formula.atoms) - n <= n * math.ceil(math.log2(n)) + n
 
 
 class TestEnumerateMcs:

@@ -34,7 +34,7 @@ def core_and_proof(formula, method="lift-proof", fixpoint=False):
     """The raw core of a proof route and the refutation it logged."""
     route, kind = METHODS[method]
     config = ExtractorConfig(kind, fixpoint=fixpoint) if kind else None
-    core, proof = route(formula, config, None)
+    core, proof, _store = route(formula, config, None)
     assert isinstance(proof, ProofLog)
     return sorted(core), proof
 
@@ -78,8 +78,8 @@ class TestRejections:
         route, kind = METHODS["lift-proof"]
 
         def dropping_route(formula, config, budget):
-            core, proof = route(formula, config, budget)
-            return core[1:], proof
+            core, proof, store = route(formula, config, budget)
+            return core[1:], proof, store
 
         monkeypatch.setitem(cores.METHODS, "lift-proof", (dropping_route, kind))
         with pytest.raises(ExtractionError, match="core failed verification: refutation leaf"):
@@ -217,8 +217,8 @@ class TestRejections:
         route, kind = METHODS["smt-proof"]
 
         def dropping_route(formula, config, budget):
-            core, proof = route(formula, config, budget)
-            return sorted(core)[:-1], proof
+            core, proof, store = route(formula, config, budget)
+            return sorted(core)[:-1], proof, store
 
         monkeypatch.setitem(cores.METHODS, "smt-proof", (dropping_route, kind))
         with pytest.raises(ExtractionError, match="core failed verification"):
@@ -328,10 +328,10 @@ class TestAgreement:
             return result
 
         alive = []
-        minimize_core = cores.minimize_core
+        minimize = cores._minimize
         monkeypatch.setattr(cores, "boolean_core", recording)
-        monkeypatch.setattr(cores, "minimize_core", lambda f, core, budget: alive.append(
-            proofs[-1]() is not None) or minimize_core(f, core, budget))
+        monkeypatch.setattr(cores, "_minimize", lambda f, core, store, budget: alive.append(
+            proofs[-1]() is not None) or minimize(f, core, store, budget))
         extract_core(nine_clauses, "lift-proof", minimize=True, verify=True)
         assert alive == [False]
         report = extract_core(nine_clauses, "lift-proof", verify=True)

@@ -2,14 +2,15 @@
 `enumerate_mcs` must find the same minimal correction subsets in the same
 order, and the `smt-selectors` core and the minimization of each
 `lift-proof` core must come out the same.  All three run on one
-incremental `SelectorEngine`, whose selector variables, counter registers
+incremental `SelectorEngine`, whose selector variables, totalizer outputs
 and clause order decide each of these outcomes; `test_lra_search.py` pins
 the plain search and only the LRA minimizations.
 
 Each corpus is reduced to one SHA-256 digest.  The digests were computed
-when the selector engine still copied the formula's atom table and
-interned its selectors and counter registers as named atoms; a mismatch
-means a selector search changed.  To find the first instance that
+when one totalizer replaced a sequential counter per bound, which changed
+the order in which MCSes are found and nothing else: with each MCS list
+sorted, every outcome equalled the one of the counters.  A mismatch means
+a selector search changed.  To find the first instance that
 differs, compare `outcome(formula)` across the two versions on the corpus
 that fails.  A change to `tests/gen.py` changes the corpus rather than
 the search: recompute the digests then, on the commit before it, with
@@ -72,11 +73,11 @@ def corpus(name):
 
 
 DIGESTS = {
-    "lra-labeled": "8e7f910cbbb0574603fe1fc3fd8e2a62208197b019eca96a4121e1307cf6dd93",
-    "euf-labeled": "329633f387125b940e7ee90570e7fa10de86743656526adba7ecf436415b3891",
-    "lra-difference": "fe2b66d81f8a10970bfecfea299811e2b8a538929f10b7539eb6bca36d2b9216",
-    "euf-uf": "e4380ab2fe480d77d35485c3561e1cec5f05300ec04d0e0fa003db36b54b3721",
-    "euf-diamond": "14bc2a828daf50702c49ce5000c12f0bfbf869700890b3e0c0fae2932cf10aa7",
+    "lra-labeled": "2addb857545764e11418e22cf577b389a1a08fe692a4d3592f7ef10d2386fe87",
+    "euf-labeled": "7b2f9035ebc24afbc7abcc6377b9ded86723ac78fb7e013e59292a93bd0c85cd",
+    "lra-difference": "34483415b1133aee11db25220e0cb989323fd0ba16a6fd11bf5577888ad23234",
+    "euf-uf": "e3444ee89e3c1b05dee497bdf2ad8ff3845eaba1e3b69544112ecc410fc83f02",
+    "euf-diamond": "2bd199ee687d9e113030c8aeff08f6d26c7f48ba9fbd33874ea968746020c684",
 }
 
 

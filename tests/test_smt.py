@@ -14,7 +14,9 @@ from smtcore.parser import parse
 from smtcore.smt import (
     SelectorEngine, SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
 )
-from smtcore.terms import REAL, AtomTable, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom
+from smtcore.terms import (
+    REAL, AtomTable, LinComb, PropAtom, Var, atom_theory, canonical_lin_atom, euf_atom,
+)
 from smtcore.theory import EufSolver, LraSolver, is_valid_lemma
 
 
@@ -263,3 +265,65 @@ class TestModelContract:
         assert verdict.status == "sat"
         assert len(witness_calls) == 1
         assert all(evaluate_clause(c, formula.atoms, verdict) for c in formula.clauses)
+
+
+class TestTheoryGuard:
+    """A propagation fixpoint runs `check_full` and `deductions` only when
+    a theory literal was asserted or retracted since the last one ran."""
+
+    @staticmethod
+    def counted_engine(formula):
+        """An engine whose theory records each check_full and deductions
+        call, settled at level 0: its fixpoint hook has nothing to add."""
+        engine = SmtSolver(formula)
+        calls = []
+        for name in ("check_full", "deductions"):
+            def counted(original=getattr(engine.theory, name), name=name):
+                calls.append(name)
+                return original()
+            setattr(engine.theory, name, counted)
+        TestTheoryGuard.settle(engine)
+        return engine, calls
+
+    @staticmethod
+    def settle(engine):
+        # a deduction's literal is enqueued as its clause is added, and
+        # asserted by the next fixpoint
+        while engine.hook_fixpoint(engine.sat):
+            pass
+
+    @staticmethod
+    def decide(engine, lit):
+        engine.sat.trail_lim.append(len(engine.sat.trail))
+        engine.sat._enqueue(lit, None)
+
+    @staticmethod
+    def unassigned_theory_atom(engine):
+        return next(i for i, atom in engine.table.items()
+                    if atom_theory(atom) and engine.sat._vals[i] is None)
+
+    def test_a_fixpoint_with_no_new_theory_literal_skips_the_theory(self, nine_clauses):
+        engine, calls = self.counted_engine(nine_clauses)
+        calls.clear()
+        assert not engine.hook_fixpoint(engine.sat) and not engine.hook_final(engine.sat)
+        self.decide(engine, engine.new_var())
+        assert not engine.hook_fixpoint(engine.sat) and not engine.hook_final(engine.sat)
+        assert calls == []
+        self.decide(engine, self.unassigned_theory_atom(engine))
+        engine.hook_fixpoint(engine.sat)
+        assert calls == ["check_full", "deductions"]
+
+    def test_a_backjump_that_retracts_a_theory_literal_checks_again(self, nine_clauses):
+        engine, calls = self.counted_engine(nine_clauses)
+        self.decide(engine, self.unassigned_theory_atom(engine))
+        self.settle(engine)
+        self.decide(engine, engine.new_var())
+        calls.clear()
+        engine.hook_fixpoint(engine.sat)
+        # undoing the propositional decision leaves the asserted set as it was
+        engine.sat._backjump(1)
+        engine.hook_fixpoint(engine.sat)
+        assert calls == []
+        engine.sat._backjump(0)
+        engine.hook_fixpoint(engine.sat)
+        assert calls == ["check_full", "deductions"]
