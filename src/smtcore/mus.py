@@ -11,11 +11,12 @@ grows, bounds every k: at-most-k is one assumption on its outputs.  The
 selectors and the totalizer's outputs come from `SmtSolver.new_var`, so
 none of them is an atom.
 Phase two computes all minimal unsatisfiable cores as the minimal hitting
-sets of the MCS set.  Both sets can be exponentially large, so hard caps
-guard each phase and flag incomplete results loudly.  A conflict budget
-bounds each solve of phase one; one that runs out ends the enumeration,
-flagged incomplete the same way.  A hitting set of an incomplete MCS list
-need not be unsatisfiable, so phase two runs only on a complete one.
+sets of the MCS set by MMCS, which finds each set once and only when it is
+minimal.  Both sets can be exponentially large, so hard caps guard each
+phase and flag incomplete results loudly.  A conflict budget bounds each
+solve of phase one; one that runs out ends the enumeration, flagged
+incomplete the same way.  A hitting set of an incomplete MCS list need not
+be unsatisfiable, so phase two runs only on a complete one.
 """
 from __future__ import annotations
 
@@ -147,36 +148,37 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
 
 def minimal_hitting_sets(mcses: Iterable[frozenset[int]],
                          cap: int = DEFAULT_CAP) -> MusSet:
-    """All minimal hitting sets via branch and bound: branch on the elements
-    of the smallest unhit set, prune supersets of found hitting sets, and
-    filter to minimality at the end."""
+    """MMCS, after Murakami & Uno, "Efficient algorithms for dualizing
+    large-scale hypergraphs" (DAM 2014): branch on the candidates of the
+    unhit set with the fewest, banning each for the siblings after it, so
+    each set is reached once.  Each chosen element keeps the sets that it
+    alone hits; a branch that empties one of those reaches no minimal set
+    and is cut, so every set found is minimal.  `cap` bounds the sets."""
     sets = [frozenset(m) for m in mcses]
-    results: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    capped = False
+    members = [sum(1 << e for e in s) for s in sets]  # elements, as bits
+    hits = {e: sum(1 << i for i, s in enumerate(sets) if e in s)  # indices, as bits
+            for e in frozenset().union(*sets)}
+    found: list[frozenset[int]] = []
 
-    def rec(chosen: frozenset[int], remaining: list[frozenset[int]]):
-        nonlocal capped
-        if capped:
-            return
-        unhit = [s for s in remaining if not (s & chosen)]
+    def rec(crit: dict[int, int], cand: int, unhit: list[int]) -> bool:
+        # crit maps each chosen element to the sets it alone hits
         if not unhit:
-            if chosen not in seen:
-                seen.add(chosen)
-                results.append(chosen)
-                if len(results) >= cap:
-                    capped = True
-            return
-        if any(h <= chosen for h in results):
-            return
-        pivot = min(unhit, key=lambda s: (len(s), sorted(s)))
-        for e in sorted(pivot):
-            rec(chosen | {e}, unhit)
+            found.append(frozenset(crit))
+            return len(found) < cap
+        pivot = min((members[i] & cand for i in unhit), key=int.bit_count)
+        for e in range(pivot.bit_length()):
+            if pivot >> e & 1:
+                cand &= ~(1 << e)
+                occ = hits[e]
+                child = {f: only & ~occ for f, only in crit.items()}
+                if all(child.values()):
+                    child[e] = sum(1 << i for i in unhit if occ >> i & 1)
+                    if not rec(child, cand, [i for i in unhit if not occ >> i & 1]):
+                        return False  # capped
+        return True
 
-    rec(frozenset(), sets)
-    minimal = [r for r in results if not any(o < r for o in results)]
-    minimal.sort(key=sorted)
-    return MusSet(minimal, complete=not capped)
+    complete = rec({}, -1, list(range(len(sets))))  # -1: every element
+    return MusSet(sorted(found, key=sorted), complete)
 
 
 def all_minimal_cores(formula: Formula, cap: int = DEFAULT_CAP,

@@ -6,8 +6,8 @@ solver's: a signed atom id of the table, positive for the atom and negative
 for its negation.  Asserting a literal either extends the state or returns a
 conflict: a subset of the currently asserted literals whose conjunction is
 theory-unsatisfiable.  The full check answers the same way, with such a
-conflict or None.  Marks count asserted literals; backtracking restores
-the state at a mark exactly.
+conflict or None.  `backtrack(n)` restores exactly the state in which
+the first n of the asserted literals were asserted.
 
 Every change a solver makes to its state is pushed on one undo trail,
 `_trail`, whose entries only the concrete solver reads.  The base class
@@ -43,9 +43,6 @@ class TheorySolver:
         self._marks: list[int] = []     # trail length before each asserted literal
 
     # -- mark/backtrack -----------------------------------------------------
-
-    def mark(self) -> int:
-        return len(self._asserted)
 
     def backtrack(self, mark: int):
         if not 0 <= mark <= len(self._asserted):

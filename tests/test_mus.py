@@ -167,13 +167,19 @@ class TestHittingSets:
 
     def test_against_brute_force_on_random_families(self):
         rng = random.Random(17)
+        # a fixed family first: with cap 2, a branch and bound that filtered
+        # to minimal only at the end listed {0,2} and {2,3}, though {3}
+        # alone hits all three sets
+        cases = [(range(7), [frozenset(range(7)), frozenset({0, 3, 4, 5, 6}),
+                             frozenset({2, 3})])]
         for _ in range(60):
             universe = list(range(rng.randint(2, 6)))
             fam = []
             for _ in range(rng.randint(1, 5)):
                 size = rng.randint(1, len(universe))
                 fam.append(frozenset(rng.sample(universe, size)))
-            got = set(minimal_hitting_sets(fam).muses)
+            cases.append((universe, fam))
+        for universe, fam in cases:
             # brute force: all subsets that hit everything, filtered to minimal
             hitting = [frozenset(s)
                        for r in range(len(universe) + 1)
@@ -181,7 +187,12 @@ class TestHittingSets:
                        if all(set(s) & f for f in fam)]
             minimal = {h for h in hitting
                        if not any(o < h for o in hitting)}
-            assert got == minimal
+            assert set(minimal_hitting_sets(fam).muses) == minimal
+            # a capped list holds only minimal sets, as many as the cap allows
+            for cap in range(1, len(minimal) + 1):
+                got = minimal_hitting_sets(fam, cap)
+                assert set(got.muses) <= minimal
+                assert len(got.muses) == min(cap, len(minimal))
 
 
 class TestDuality:

@@ -8,13 +8,16 @@ lemma-store facts and two verified cores.
   five clauses of at most two literals per constant, three of the eight
   unsat;
 - pigeonhole 7/6 among satisfiable noise clauses, whose refutation takes
-  close to a thousand conflicts and backjumps over many levels."""
+  close to a thousand conflicts and backjumps over many levels;
+- the 15,288 minimal hitting sets of the 300 MCSes of an EUF instance
+  with 40 clauses."""
 import random
 
 import pytest
 
 from gen import pigeonhole_cnf, random_difference_formula, random_uf_formula
 from smtcore.cores import check_core, extract_core
+from smtcore.mus import enumerate_mcs, minimal_hitting_sets
 from smtcore.sat import check_proof, proof_core, sat_solve, solve_with_selectors
 from smtcore.smt import evaluate_clause, lemma_store_violations, smt_solve
 
@@ -60,3 +63,18 @@ def test_pigeonhole_cores():
     verdict, core = solve_with_selectors(clauses)
     assert verdict.status == "unsat-assumptions"
     assert set(core) == php
+
+
+def test_all_minimal_hitting_sets_at_scale():
+    mcses = enumerate_mcs(random_uf_formula(random.Random(4), 8, 40, 2)).mcses
+    result = minimal_hitting_sets(mcses, cap=20_000)
+    assert result.complete and len(result.muses) == 15_288
+    assert len(set(result.muses)) == len(result.muses)
+    masks = [sum(1 << c for c in mcs) for mcs in mcses]
+    for mus in result.muses:
+        bits = sum(1 << c for c in mus)
+        hit = [bits & m for m in masks]
+        assert all(hit)
+        # minimal: every clause alone hits some MCS, so none can go
+        assert sum({h for h in hit if h & (h - 1) == 0}) == bits
+    assert minimal_hitting_sets(mcses[::-1], cap=20_000).muses == result.muses

@@ -99,7 +99,7 @@ def test_backtrack_replay_equivalence():
     table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
     s = EufSolver(table)
     s.assert_literal(iab)
-    mark = s.mark()
+    mark = len(s.asserted())
     before = s.check_full()
     before_witness = s.witness()
     s.assert_literal(-iac)
@@ -114,7 +114,7 @@ def test_backtrack_replay_equivalence():
 def test_backtrack_to_initial_mark_empties_everything():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
-    base = s.mark()
+    base = len(s.asserted())
     s.assert_literal(iab)
     s.backtrack(base)
     assert s.asserted() == []
@@ -127,7 +127,7 @@ def test_lifo_marks_restore_snapshots():
     snapshots = []
     marks = []
     for i in ids:
-        marks.append(s.mark())
+        marks.append(len(s.asserted()))
         snapshots.append(s.asserted())
         s.assert_literal(i)
     for mark, snap in zip(reversed(marks), reversed(snapshots)):
@@ -139,7 +139,7 @@ def test_stale_mark_is_an_error():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
     s.assert_literal(iab)
-    mark = s.mark()
+    mark = len(s.asserted())
     s.backtrack(0)
     with pytest.raises(ValueError, match="stale"):
         s.backtrack(mark)
@@ -226,7 +226,7 @@ class TestUndoTrail:
                     i = rng.choice(free)
                     s.assert_literal(i if rng.random() < 0.6 else -i)
                 elif op < 0.8:
-                    marks.append(s.mark())
+                    marks.append(len(s.asserted()))
                 elif marks:
                     # backtracking drops the marks above its target, so
                     # every kept mark stays live

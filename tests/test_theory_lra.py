@@ -126,7 +126,7 @@ class TestBacktracking:
         table, (ilt, ieq) = table_with(lin({Y: 1}, 0, "<"), lin({Y: 1}, -2, "="))
         s = LraSolver(table)
         s.assert_literal(ilt)
-        mark = s.mark()
+        mark = len(s.asserted())
         before = s.check_full()
         s.assert_literal(ieq)
         assert s.check_full() is not None
@@ -137,7 +137,7 @@ class TestBacktracking:
         table, (ilt,) = table_with(lin({Y: 1}, 0, "<"))
         s = LraSolver(table)
         s.assert_literal(ilt)
-        mark = s.mark()
+        mark = len(s.asserted())
         s.backtrack(0)
         with pytest.raises(ValueError, match="stale"):
             s.backtrack(mark)
@@ -149,7 +149,7 @@ class TestBacktracking:
         states = []
         marks = []
         for i in ids:
-            marks.append(s.mark())
+            marks.append(len(s.asserted()))
             states.append(len(s.asserted()))
             s.assert_literal(i)
         for mark, n in zip(reversed(marks), reversed(states)):
