@@ -28,11 +28,15 @@ without the fixpoint, and `smt-proof`) hands it on with its core, and an
 unminimized core of such a route is verified from it by
 `check_refutation`, with no new search: every chain of the proof must
 re-derive step by step, and every leaf it resolves on must be a core clause
-or a clause that a fresh theory solver proves theory-valid.  It trusts no
+or a clause that a fresh theory solver proves theory-valid.  A leaf may
+name an equality atom the run's EUF engine defined past the atom table,
+so `check_refutation` reads the route's definitions (each stored lemma
+records those of its clause), and accepts only definitions that give
+each such variable one equality over the formula's terms.  It trusts no
 part of the CDCL search that logged the proof.  Every other core (a
 selector or external route, or any minimized core) is verified by
 `check_core`, which re-solves the induced clause set with a fresh engine.
-Neither check reads anything of the run it checks.  No engine here, the
+Neither check reads anything else of the run it checks.  No engine here, the
 fresh one of `check_core` included, builds a theory model: every caller
 reads a verdict's status, assumption conflict or proof, never a model.
 """
@@ -50,7 +54,7 @@ from typing import Iterable, Optional
 from . import dimacs
 from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
 from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses
-from .terms import LOGIC_PROP, Formula
+from .terms import LOGIC_PROP, Atom, Formula
 from .theory import solver_for_logic
 
 
@@ -286,7 +290,8 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
     core = tuple(sorted(set(core)))
     if verify:
         problem = check_core(formula, core) if proof is None \
-            else check_refutation(formula, core, proof)
+            else check_refutation(formula, core, proof,
+                                  {var: atom for lemma in store for var, atom in lemma.defs})
         if problem is not None:
             raise ExtractionError(f"{method}: core failed verification: {problem}")
     return CoreReport("unsat", core, method, n, len(core),
@@ -346,23 +351,27 @@ def minimize_core(formula: Formula, core: Iterable[int], budget: Optional[int] =
     """Deletion-based minimization: drop clauses one at a time (descending
     index) while the rest stays theory-unsatisfiable.  The result is
     one-deletion minimal.  Every trial is a solve of one selector engine
-    that `budget` bounds; one that runs out is an ExtractionError."""
-    return _minimize(formula, core, [], budget)
+    that `budget` bounds; one that runs out is an ExtractionError.  A core
+    that is not theory-unsatisfiable is a ValueError."""
+    return _minimize(formula, core, [], budget, confirm=True)
 
 
 def _minimize(formula: Formula, core: Iterable[int], store: list[TLemma],
-              budget: Optional[int]) -> list[int]:
+              budget: Optional[int], *, confirm: bool = False) -> list[int]:
     """`minimize_core` on an engine that starts with the clauses of the
-    lemma store of a route's run, unguarded.  A stored lemma is
-    theory-valid, so it changes no trial's verdict, only the search that
-    reaches it, and the result is the same core."""
+    lemma store of a route's run, unguarded, each engine variable renamed
+    to the minimization engine's own (`SmtSolver.add_lemma`).  A stored
+    lemma is theory-valid, so it changes no trial's verdict, only the
+    search that reaches it, and the result is the same core.  The core is
+    solved first only with `confirm`: a route's core needs no such solve,
+    since the route refuted it together with theory-valid lemmas."""
     current = sorted(set(core))
     if problem := _out_of_range(formula, current):
         raise ValueError(f"core {problem}")
     engine = SelectorEngine(formula, conflict_budget=budget)
     for lemma in store:
-        engine.solver.add_clause(lemma.clause)
-    if not _refuted(engine.solve(current)):
+        engine.solver.add_lemma(lemma)
+    if confirm and not _refuted(engine.solve(current)):
         raise ValueError("minimize_core requires a theory-unsatisfiable core")
 
     def retire(i: int):
@@ -391,16 +400,22 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
     return None
 
 
-def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog) -> Optional[str]:
+def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog,
+                     defs: Optional[dict[int, Atom]] = None) -> Optional[str]:
     """Verification without a search: None when the indices are in range,
     every chain of `proof` re-derives step by step (`check_proof`), its
     final node is the empty clause, and every leaf it resolves on is
     either a clause of `core` (as a set) or theory-valid; else a
-    description.  A leaf is theory-valid when its negated theory literals,
-    asserted to one fresh theory solver, are inconsistent; the solver is
-    backtracked to empty after each leaf.
-    Only `formula` is read besides the proof: no lemma store, clause
-    numbering or engine of the run that logged it."""
+    description.  A leaf variable is an atom of the formula's table, or
+    one past it that `defs` maps to an equality over the formula's terms;
+    any other definition is rejected.  That is sound: a model of the core
+    extends to those variables by evaluating their equalities, and then
+    satisfies every theory-valid leaf, so the refutation refutes the core.
+    A leaf is theory-valid when its negated theory literals, asserted to
+    one fresh theory solver, are inconsistent; the solver is backtracked
+    to empty after each leaf.  Only `formula`, `proof` and `defs` are
+    read: no lemma store, clause numbering or engine of the run that
+    logged the proof."""
     core = sorted(set(core))
     if problem := _out_of_range(formula, core):
         return problem
@@ -408,15 +423,25 @@ def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog) -> 
     if problem is not None:
         return f"refutation: {problem}"
     table = formula.atoms
+    defs = defs or {}
     inputs = {frozenset(formula.clauses[i]) for i in core}
-    theory = None
+    leaves = []
     for _, _cid, lits in proof_leaves(proof):
         if lits in inputs:
             continue
-        if any(not 1 <= abs(lit) <= len(table) for lit in lits):
+        if any(not 1 <= abs(lit) <= len(table) and abs(lit) not in defs for lit in lits):
             return f"refutation leaf {sorted(lits, key=abs)} names an unknown atom"
-        if theory is None:
-            theory = solver_for_logic(formula.logic, table)
+        leaves.append(lits)
+    if not leaves:
+        return None
+    theory = solver_for_logic(formula.logic, table)
+    if theory is not None:
+        for var, atom in sorted(defs.items()):
+            try:
+                theory.define(var, atom)
+            except ValueError as exc:
+                return f"definition of variable {var} is rejected: {exc}"
+    for lits in leaves:
         if theory is None or not _theory_valid(theory, lits):
             return (f"refutation leaf {sorted(lits, key=abs)} is neither a core "
                     f"clause nor theory-valid")
@@ -431,7 +456,7 @@ def _theory_valid(theory, lits: frozenset[int]) -> bool:
     if any(-lit in lits for lit in lits):
         return True
     owned = [lit for lit in sorted(lits, key=abs)
-             if theory.owns_atom(theory.table.atom(abs(lit)))]
+             if theory.owns_atom(theory.atom(abs(lit)))]
     valid = theory.negation_inconsistent(owned)
     theory.backtrack(0)
     return valid

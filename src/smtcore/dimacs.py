@@ -1,9 +1,11 @@
 """DIMACS CNF documents and core-exchange files.
 
-The writer is deterministic: variables are numbered by atom-table order and
-clauses keep input order.  `read_core` understands two exchange shapes: a
-plain list of 1-based clause indices, and a DIMACS subset whose clauses are
-matched back to the original by sorted-literal multiset equality.
+The writer is deterministic: variables are numbered by atom-table order,
+then come the engine's own variables past the table that stored lemmas
+name, and clauses keep input order.  `read_core` understands two exchange
+shapes: a plain list of 1-based clause indices, and a DIMACS subset whose
+clauses are matched back to the original by sorted-literal multiset
+equality.
 """
 from __future__ import annotations
 
@@ -33,10 +35,12 @@ class DimacsDocument:
         return len(self.clauses)
 
 
-def document_for(clauses: Iterable[Iterable[int]], nvars: int | None = None) -> DimacsDocument:
+def document_for(clauses: Iterable[Iterable[int]], nvars: int = 0) -> DimacsDocument:
+    """The document of `clauses` over at least `nvars` variables: more when
+    a clause names a later one, as a lemma over an engine-defined atom
+    names one past the atom table."""
     rows = [list(cl) for cl in clauses]
-    if nvars is None:
-        nvars = max((abs(l) for cl in rows for l in cl), default=0)
+    nvars = max(nvars, max((abs(l) for cl in rows for l in cl), default=0))
     return DimacsDocument(nvars, rows)
 
 

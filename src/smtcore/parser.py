@@ -554,8 +554,50 @@ def atom_sexpr(atom: Atom) -> str:
     raise TypeError(f"not an atom: {atom!r}")
 
 
+def _symbols(t: Term, variables: dict, functions: dict):
+    """Record the variables and function symbols of a term."""
+    if isinstance(t, Var):
+        variables[t] = None
+    elif isinstance(t, FunApp):
+        functions[t.fn] = None
+        for a in t.args:
+            _symbols(a, variables, functions)
+    elif isinstance(t, LinComb):
+        for v, _ in t.terms:
+            variables[v] = None
+
+
+def _derived_declarations(formula, picked) -> list[str]:
+    """Declarations of the sorts, variables and function symbols of the
+    picked clauses' atoms, for a formula built without declarations:
+    variables in declaration order, so atoms read back in the same
+    orientation, then functions by name."""
+    variables: dict[Var, None] = {}
+    functions: dict = {}
+    for i in picked:
+        for lit in formula.clauses[i]:
+            atom = formula.atoms.atom(abs(lit))
+            if isinstance(atom, EufAtom):
+                _symbols(atom.lhs, variables, functions)
+                _symbols(atom.rhs, variables, functions)
+            elif isinstance(atom, LinAtom):
+                _symbols(atom.lincomb(), variables, functions)
+    ordered_vars = sorted(variables, key=lambda v: (v.index, v.name))
+    ordered_funs = sorted(functions, key=lambda f: f.name)
+    sorts = {v.sort for v in ordered_vars}
+    for f in ordered_funs:
+        sorts.update(f.arg_sorts, (f.ret_sort,))
+    lines = [f"(declare-sort {s} 0)" for s in sorted(sorts - {REAL, BOOL})]
+    lines += [f"(declare-fun {v.name} () {v.sort})" for v in ordered_vars]
+    lines += [f"(declare-fun {f.name} ({' '.join(f.arg_sorts)}) {f.ret_sort})"
+              for f in ordered_funs]
+    return lines
+
+
 def render_instance(formula, indices=None) -> str:
-    """Serialize (a subset of) a formula back to the input language."""
+    """Serialize (a subset of) a formula back to the input language.  A
+    formula built without declarations gets those its rendered atoms
+    need."""
     from .terms import LOGIC_EUF, LOGIC_LRA
 
     lines = []
@@ -563,8 +605,11 @@ def render_instance(formula, indices=None) -> str:
         lines.append("(set-logic QF_UF)")
     elif formula.logic == LOGIC_LRA:
         lines.append("(set-logic QF_LRA)")
+    picked = range(len(formula.clauses)) if indices is None else sorted(set(indices))
     decls = formula.declarations
-    if decls is not None:
+    if decls is None:
+        lines += _derived_declarations(formula, picked)
+    else:
         for s in decls.sorts:
             lines.append(f"(declare-sort {s} 0)")
         for name in decls._order:
@@ -575,7 +620,6 @@ def render_instance(formula, indices=None) -> str:
             else:
                 f = decls.funs[name]
                 lines.append(f"(declare-fun {name} ({' '.join(f.arg_sorts)}) {f.ret_sort})")
-    picked = range(len(formula.clauses)) if indices is None else sorted(set(indices))
     known_props = set(decls.props) if decls is not None else set()
     extra = []
     for i in picked:

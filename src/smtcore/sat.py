@@ -393,17 +393,34 @@ class SatSolver:
         norm[1], norm[b] = norm[b], norm[1]
         self._watches[norm[0]].append(cid)
         self._watches[norm[1]].append(cid)
+        return cid, self._settle(cid, satisfied, unassigned, unit)
+
+    def reassert(self, cid: int) -> str:
+        """Act on clause `cid`, one of the database, as `add_clause` acts
+        on a new clause; returns its status.  Its watches need not have
+        seen its literals go false: they may have been assigned after the
+        last propagation, or a backjump may have left it unit."""
+        vals = self._vals
+        free = [lit for lit in self.clauses[cid] if vals[lit] is not False]
+        return self._settle(cid, any(vals[lit] for lit in free), len(free),
+                            free[0] if free else 0)
+
+    def _settle(self, cid: int, satisfied: bool, unassigned: int, unit: int) -> str:
+        """The status of clause `cid`, given whether a literal is true and
+        else how many are unassigned and one of them, `unit`: enqueue that
+        literal if it is the only one, make the clause the pending conflict
+        if none is."""
         if satisfied:
-            return cid, "satisfied"
+            return "satisfied"
         if not unassigned:
             if self.trail_lim:
                 self._recheck.append(cid)
             self.pending_conflict = cid
-            return cid, "conflict"
+            return "conflict"
         if unassigned == 1:
             self._enqueue(unit, cid)
-            return cid, "unit"
-        return cid, "ok"
+            return "unit"
+        return "ok"
 
     def _node(self, cid: int) -> int:
         node = self._node_of.get(cid)

@@ -1,22 +1,26 @@
 """Lazy online DPLL(T): the CDCL engine drives the search and a theory
 solver prunes it.
 
-Every literal is the SAT solver's signed atom id, from the input formula
+Every literal is the SAT solver's signed variable, from the input formula
 down: the engine loads the formula's clauses as they are, and the theory
 solver, the lemma list and the SAT database all read the same ints.
-Variables numbered past the formula's atom table come from `new_var`:
-they name no atom, so no user symbol can alias them, and they stay
-propositional.  Every theory literal is asserted incrementally as it gets
+Variables numbered past the formula's atom table come from `new_var`,
+and are of two kinds.  Most name no atom, so no user symbol can alias
+them, and stay propositional.  The others are the engine's own theory
+atoms: an EUF conflict is stated as a chain of lemmas over equalities
+the table may lack, and each such equality gets one variable, which the
+theory solver defines and the engine asserts when it is assigned true.
+The table never grows.  Every theory literal is asserted incrementally as it gets
 assigned, a full theory check and a deduction pass run at each
 propagation fixpoint where a theory literal was asserted or retracted
 since they last ran (on an unchanged asserted set they could add
 nothing), entailed literals are unit-propagated through their deduction
 clauses, and every theory-conflict and theory-deduction clause is
 appended to the engine's lemma list before it is added to the SAT
-database.  The list needs no index: a stored lemma is a clause of that
-database, so by the time a hook runs, propagation has already used it if
-it is unit and reported it if it is false, and the theory never hands the
-same clause back.  The lemmas are the raw material for core extraction:
+database, with the atom of each engine variable it names.  The list
+needs no index: a stored lemma is a clause of that database, and a
+lemma the database holds already is not stored again, so the list never
+repeats a clause.  The lemmas are the raw material for core extraction:
 the abstraction of the inputs plus the stored lemmas is propositionally
 unsatisfiable whenever the run answers unsat.
 
@@ -32,14 +36,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .sat import SatSolver, SatVerdict, sat_solve
-from .terms import AtomTable, Formula, atom_theory
+from .terms import AtomTable, EufAtom, Formula, atom_theory
 from .theory import TheorySolver, is_valid_lemma, solver_for_logic
 
 
 @dataclass
 class TLemma:
-    clause: tuple[int, ...]  # signed atom ids; SAT clause origin ("tlemma", list position)
+    clause: tuple[int, ...]  # signed variables; SAT clause origin ("tlemma", list position)
     kind: str                # "theory-conflict" | "theory-deduction"
+    # each variable of the clause past the atom table, with the atom it names
+    defs: tuple[tuple[int, EufAtom], ...] = ()
 
 
 class SmtSolver:
@@ -53,7 +59,9 @@ class SmtSolver:
         self.sat = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget, seed=seed)
         self.sat.ensure_vars(len(self.table))
         self.sat.add_inputs(formula.clauses)
-        # theory flags of the table's atoms; variables past it are new_var's
+        self._table_size = len(self.table)
+        # theory flags by variable: the table's atoms, then the variables
+        # the theory defined (see _new_theory_var); the rest are new_var's
         self._theory_var = [False] + [atom_theory(atom) is not None
                                       for _, atom in self.table.items()]
         self._scan_pos = 0                      # sat trail position scanned so far
@@ -67,16 +75,31 @@ class SmtSolver:
     # -- lemma plumbing ----------------------------------------------------------
 
     def _add_lemma(self, clause: tuple[int, ...], kind: str) -> tuple[int, str]:
-        """Store a lemma and add its clause: (clause id, status)."""
-        self.store.append(TLemma(clause, kind))
-        return self.sat.add_clause(clause, ("tlemma", len(self.store) - 1))
+        """Add a lemma's clause and store the lemma, unless the SAT
+        database holds the clause already: (clause id, status)."""
+        cid, status = self.sat.add_clause(clause, ("tlemma", len(self.store)))
+        if status != "duplicate":
+            defined = self.theory.defined
+            defs = tuple((abs(lit), defined[abs(lit)]) for lit in clause
+                         if abs(lit) in defined) if defined else ()
+            self.store.append(TLemma(clause, kind, defs))
+        return cid, status
 
     def _conflict_lemma(self, conflict: list[int]) -> bool:
-        """Store the lemma of a theory conflict and make its clause the SAT
-        engine's pending conflict."""
-        cid, _ = self._add_lemma(tuple(-lit for lit in conflict), "theory-conflict")
-        self.sat.pending_conflict = cid
-        return True
+        """Add the lemmas that refute a theory conflict, in order, until one
+        is false: the SAT engine's pending conflict.  Each one before it is
+        unit or satisfied when added, so its last literal holds for the
+        next.  One the database holds already is acted on as a new one
+        would be (`SatSolver.reassert`): its premises may have been made
+        true by the lemmas just before it, which propagation has not read
+        yet."""
+        for clause in self.theory.conflict_clauses(conflict, self._new_theory_var):
+            cid, status = self._add_lemma(clause, "theory-conflict")
+            if status == "duplicate":
+                status = self.sat.reassert(cid)
+            if status == "conflict":
+                return True
+        raise RuntimeError("the lemmas of a theory conflict end in a clause that is not false")
 
     # -- theory hook (called by the SAT engine) -----------------------------------
     #
@@ -84,16 +107,17 @@ class SmtSolver:
     # already the SAT engine's pending conflict.
 
     def _sync(self) -> bool:
-        """Assert newly assigned theory literals in trail order; on a theory
-        conflict, store its lemma and stop."""
+        """Assert newly assigned theory literals in trail order, except the
+        negations of the atoms the theory defined (see `_new_theory_var`);
+        on a theory conflict, store its lemmas and stop."""
         trail = self.sat.trail
-        theory_var = self._theory_var
+        theory_var, table_size = self._theory_var, self._table_size
         while self._scan_pos < len(trail):
             pos = self._scan_pos
             lit = trail[pos]
             self._scan_pos += 1
             var = abs(lit)
-            if var < len(theory_var) and theory_var[var]:
+            if var < len(theory_var) and theory_var[var] and (lit > 0 or var <= table_size):
                 conflict = self.theory.assert_literal(lit)
                 self._synced_positions.append(pos)
                 self._changed = True
@@ -149,15 +173,39 @@ class SmtSolver:
         self.sat.ensure_vars(var)
         return var
 
+    def _new_theory_var(self) -> int:
+        """A variable from `new_var` for an atom the theory defines.  Only
+        its positive literal is asserted, since it may merge classes that
+        a disequality of the table separates.  Its negation is not: the
+        input clauses name only the table's atoms and every clause over a
+        defined atom is theory-valid, so an assignment whose table literals
+        the theory accepts satisfies the formula, whatever the defined
+        atoms' values, and a disequality over one would only feed
+        deductions."""
+        var = self.new_var()
+        theory_var = self._theory_var
+        theory_var.extend([False] * (var - len(theory_var)))
+        theory_var.append(True)
+        return var
+
     def add_clause(self, lits: Iterable[int]) -> None:
         """Add a clause between solves, over the table's atom ids and the
         variables of `new_var`.  The table must not have grown since the
         engine was built, a ValueError otherwise: an atom interned later
         would take the number of one of the engine's variables."""
-        if len(self.table) != len(self._theory_var) - 1:
+        if len(self.table) != self._table_size:
             raise ValueError("the atom table grew after the engine was built")
         self.sat._backjump(0)
         self.sat.add_clause(lits, ("added",))
+
+    def add_lemma(self, lemma: TLemma) -> None:
+        """Add, as `add_clause` does, a lemma another engine over the same
+        table stored, each of its engine variables renamed to the one that
+        names the same atom here."""
+        rename = {var: self.theory.atom_var(atom, self._new_theory_var)
+                  for var, atom in lemma.defs}
+        self.add_clause(rename.get(lit, lit) if lit > 0 else -rename.get(-lit, -lit)
+                        for lit in lemma.clause)
 
     def solve(self, assumptions: tuple[int, ...] = ()) -> SatVerdict:
         """Solve under `assumptions` (signed variables): the CDCL search's
@@ -172,9 +220,8 @@ def smt_solve(formula: Formula, *,
     stored during the run, in discovery order.  A satisfiable verdict
     carries the theory's model in `theory_model` (None without theory
     atoms), so `evaluate_clause` can check it.  No lemma repeats and none
-    equals an input clause: each is a clause the current assignment
-    falsifies or makes unit, which no clause already in the SAT database
-    can be once propagation has reached its fixpoint."""
+    equals an input clause: a clause the SAT database holds already is not
+    stored again."""
     engine = SmtSolver(formula, conflict_budget=conflict_budget)
     verdict = engine.solve()
     if verdict.status == "sat" and engine.theory is not None:
@@ -227,11 +274,12 @@ def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[tuple[int, ...
 def lemma_store_violations(formula: Formula, store: list[TLemma],
                            unsat: bool) -> list[str]:
     """Check the two lemma-store facts: every stored lemma is theory-valid,
-    and (after an unsat run) the abstraction of the inputs plus the lemmas
-    is propositionally unsatisfiable by an independent SAT run."""
+    its engine variables read as the atoms it records, and (after an unsat
+    run) the abstraction of the inputs plus the lemmas is propositionally
+    unsatisfiable by an independent SAT run."""
     problems = []
     for i, lemma in enumerate(store):
-        ok, counter = is_valid_lemma(lemma.clause, formula.atoms)
+        ok, counter = is_valid_lemma(lemma.clause, formula.atoms, lemma.defs)
         if not ok:
             problems.append(f"lemma {i} is not theory-valid: {counter}")
     if unsat:

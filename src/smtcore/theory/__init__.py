@@ -24,19 +24,30 @@ def solver_for_logic(logic: str, table: AtomTable) -> Optional[TheorySolver]:
     raise ValueError(f"no theory solver for logic {logic!r}")
 
 
-def is_valid_lemma(clause: Iterable[int], table: AtomTable):
-    """Decide theory validity of a clause of signed atom ids with a fresh
-    solver instance.
+def is_valid_lemma(clause: Iterable[int], table: AtomTable,
+                   defs: Iterable[tuple[int, EufAtom]] = ()):
+    """Decide theory validity of a clause of signed variables with a fresh
+    solver instance.  A variable is an atom of `table`, or one past it
+    that `defs`, pairs (variable, equality), defines as a lemma's
+    `TLemma.defs` do.
 
     Returns (True, None) when the conjunction of the negated literals is
     theory-unsatisfiable, else (False, countermodel).  Propositional
     literals are allowed but contribute nothing: the clause is valid only
-    if its theory part already is.  Mixed-theory clauses are an error.
+    if its theory part already is.  Mixed-theory clauses are an error.  A
+    clause with a variable that neither the table nor `defs` names is not
+    valid.
     """
+    defined = dict(defs)
     theory_lits: list[int] = []
     kinds = set()
     for lit in clause:
-        atom = table.atom(abs(lit))
+        var = abs(lit)
+        atom = defined.get(var)
+        if atom is None:
+            if not 1 <= var <= len(table):
+                return False, {"undefined variable": var}
+            atom = table.atom(var)
         if isinstance(atom, LinAtom):
             kinds.add(LOGIC_LRA)
             theory_lits.append(lit)
@@ -49,6 +60,8 @@ def is_valid_lemma(clause: Iterable[int], table: AtomTable):
         # all-propositional: not a theory lemma
         return False, {"propositional": "assign every literal false"}
     solver = EufSolver(table) if LOGIC_EUF in kinds else LraSolver(table)
+    for var, atom in defined.items():
+        solver.define(var, atom)
     if solver.negation_inconsistent(theory_lits):
         return True, None
     return False, solver.witness()

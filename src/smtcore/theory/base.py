@@ -3,7 +3,9 @@ backends.
 
 A solver owns the atoms of exactly one theory.  A literal is the SAT
 solver's: a signed atom id of the table, positive for the atom and negative
-for its negation.  Asserting a literal either extends the state or returns a
+for its negation, or a signed variable past the table that `define` gave
+an atom of the solver's theory (the engine's own atoms: the table never
+grows).  Asserting a literal either extends the state or returns a
 conflict: a subset of the currently asserted literals whose conjunction is
 theory-unsatisfiable.  The full check answers the same way, with such a
 conflict or None.  `backtrack(n)` restores exactly the state in which
@@ -19,9 +21,9 @@ to a length it took itself, as a check that probes the state does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from ..terms import AtomTable
+from ..terms import Atom, AtomTable
 
 
 @dataclass
@@ -37,6 +39,7 @@ class TheorySolver:
 
     def __init__(self, table: AtomTable):
         self.table = table
+        self.defined: dict[int, Atom] = {}   # variable past the table -> its atom
         self._asserted: list[int] = []
         self._asserted_atoms: set[int] = set()
         self._trail: list[tuple] = []   # undo entries, read by the subclass
@@ -56,9 +59,24 @@ class TheorySolver:
         del self._marks[mark:]
         self._undo_to(length)
 
+    def atom(self, var: int) -> Atom:
+        """The atom a variable names: the table's, or one `define` gave it."""
+        atom = self.defined.get(var)
+        return self.table.atom(var) if atom is None else atom
+
+    def define(self, var: int, atom: Atom) -> None:
+        """Let `var`, a variable past the table that names nothing yet,
+        name `atom`; a ValueError if it cannot."""
+        if var <= len(self.table):
+            raise ValueError(f"variable {var} is an atom of the table")
+        if not self.owns_atom(atom):
+            raise ValueError(f"{type(atom).__name__} does not belong to {self.theory}")
+        self._define(var, atom)
+        self.defined[var] = atom
+
     def assert_literal(self, lit: int) -> Optional[list[int]]:
         var = abs(lit)
-        atom = self.table.atom(var)
+        atom = self.defined.get(var) or self.table.atom(var)
         if not self.owns_atom(atom):
             raise ValueError(f"literal over {type(atom).__name__} does not belong to {self.theory}")
         self._asserted.append(lit)
@@ -76,6 +94,16 @@ class TheorySolver:
         return any(self.assert_literal(-lit) is not None for lit in lits) \
             or self.check_full() is not None
 
+    def conflict_clauses(self, conflict: list[int],
+                         new_var: Callable[[], int]) -> list[tuple[int, ...]]:
+        """Theory-valid clauses to add, in order, for the conflict that
+        `assert_literal` or `check_full` just returned as `conflict`.
+        Under the asserted literals and the clauses before it, each clause
+        has at most one literal that is not false, and the last has none.
+        Here, the one clause negating `conflict`; a solver may instead
+        state them over atoms it defines on variables from `new_var`."""
+        return [tuple(-lit for lit in conflict)]
+
     # -- to implement ---------------------------------------------------------
 
     def owns_atom(self, atom) -> bool:
@@ -83,6 +111,10 @@ class TheorySolver:
 
     def _assert(self, lit: int, atom) -> Optional[list[int]]:
         raise NotImplementedError
+
+    def _define(self, var: int, atom):
+        """Make `var` name `atom`, or raise a ValueError."""
+        raise ValueError(f"{self.theory} defines no atoms")
 
     def _undo_to(self, length: int):
         """Pop undo entries until `_trail` has `length` entries."""

@@ -22,12 +22,26 @@ term ids and never hashes a `Term`:
 Every change to these structures is pushed on the base class's undo
 trail, and backtracking pops the trail back to the length it had when the
 mark's literal was asserted; nothing is rebuilt from the asserted prefix.
+
+A conflict reaches the engine as a chain of short lemmas rather than one
+clause (`conflict_clauses`), after the proof-forest path between the two
+sides a, b of the violated disequality: each asserted edge u - v adds
+(not a=u) or (not u=v) or a=v, each congruence edge between f(s..) and
+f(t..) adds (not s1=t1) or ... or f(s..)=f(t..), whose argument
+equalities are broken up the same way, and the last lemma concludes the
+disequality's own atom a=b.  An equality the table has no atom for gets
+a variable of its own (`define`), which is asserted and backtracked like
+a table atom (the engine asserts only its positive literal) but left out
+of `deductions`: its own lemmas propagate it.
+So the search learns a = x_i once, not once per path through a chain of
+diamonds, as with splitting on demand (Barrett, Nieuwenhuis, Oliveras &
+Tinelli, LPAR 2006).
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from ..terms import EufAtom, FunApp, Term
+from ..terms import EufAtom, FunApp, Term, euf_atom
 from .base import Deduction, TheorySolver
 
 # undo-trail entry tags
@@ -56,15 +70,17 @@ class EufSolver(TheorySolver):
         self._conflict: Optional[int] = None     # a disequality whose sides are merged
         # the table's EUF atoms when the solver is built; none is added later
         self._atoms: list[tuple[int, int, int]] = []   # (atom id, lhs, rhs), table order
-        self._ends: dict[int, tuple[int, int]] = {}    # atom id -> (lhs, rhs)
-        ids: dict[Term, int] = {}
+        self._ends: dict[int, tuple[int, int]] = {}    # variable -> (lhs, rhs), defined ones too
+        self._eq: dict[tuple[int, int], int] = {}      # sorted (lhs, rhs) -> its variable
+        self._ids: dict[Term, int] = {}
         symbols: dict = {}
         for atom_id, atom in table.items():
             if isinstance(atom, EufAtom):
-                ends = (self._register(atom.lhs, ids, symbols),
-                        self._register(atom.rhs, ids, symbols))
+                ends = (self._register(atom.lhs, self._ids, symbols),
+                        self._register(atom.rhs, self._ids, symbols))
                 self._atoms.append((atom_id, *ends))
                 self._ends[atom_id] = ends
+                self._eq.setdefault(tuple(sorted(ends)), atom_id)
 
     def owns_atom(self, atom) -> bool:
         return isinstance(atom, EufAtom)
@@ -95,6 +111,25 @@ class EufSolver(TheorySolver):
             # distinct registered terms never share a signature: nothing is merged yet
             self._sig[(fn, *args)] = tid
         return tid
+
+    def _define(self, var: int, atom: EufAtom):
+        ends = (self._ids.get(atom.lhs), self._ids.get(atom.rhs))
+        if None in ends:
+            raise ValueError(f"{atom} is not over the solver's terms")
+        self._ends[var] = ends
+        self._eq.setdefault(tuple(sorted(ends)), var)
+
+    def atom_var(self, atom: EufAtom, new_var: Callable[[], int]) -> int:
+        """The variable naming `atom`, an equality over the solver's terms:
+        the table's or a defined one, else one from `new_var` defined now."""
+        return self._eq_var(self._ids[atom.lhs], self._ids[atom.rhs], new_var)
+
+    def _eq_var(self, a: int, b: int, new_var: Callable[[], int]) -> int:
+        var = self._eq.get((a, b) if a < b else (b, a))
+        if var is None:
+            var = new_var()
+            self.define(var, euf_atom(self.terms[a], self.terms[b]))
+        return var
 
     # -- merging ------------------------------------------------------------------
 
@@ -164,7 +199,7 @@ class EufSolver(TheorySolver):
     def _explain(self, pairs: list[tuple[int, int]], out: set) -> tuple[int, ...]:
         """`out` plus asserted literals whose conjunction entails a = b for
         every pair (a, b), each of which lies in one class; sorted by atom."""
-        fparent, flabel, args = self._fparent, self._flabel, self._args
+        args = self._args
         seen = set()
         while pairs:
             a, b = pairs.pop()
@@ -174,26 +209,68 @@ class EufSolver(TheorySolver):
             if key in seen:
                 continue
             seen.add(key)
-            ancestors = {a}
-            node = a
-            while fparent[node] != -1:
-                node = fparent[node]
-                ancestors.add(node)
-            common = b
-            while common not in ancestors:
-                common = fparent[common]
-                if common < 0:
-                    raise RuntimeError(f"terms {a} and {b} are not in one proof tree")
-            for node in (a, b):
-                while node != common:
-                    label = flabel[node]
-                    if type(label) is tuple:
-                        p, q = label
-                        pairs.extend(zip(args[p], args[q]))
-                    else:
-                        out.add(label)
-                    node = fparent[node]
+            for u, v, label in self._path(a, b):
+                if type(label) is tuple:
+                    pairs.extend(zip(args[u], args[v]))
+                else:
+                    out.add(label)
         return tuple(sorted(out, key=abs))
+
+    def _path(self, a: int, b: int) -> list[tuple[int, int, object]]:
+        """The proof-forest edges from a to b, two terms of one tree, in
+        path order: (u, v, label) with u nearer to a."""
+        fparent, flabel = self._fparent, self._flabel
+        ancestors = {a}
+        node = a
+        while fparent[node] != -1:
+            node = fparent[node]
+            ancestors.add(node)
+        tail = []
+        node = b
+        while node not in ancestors:
+            parent = fparent[node]
+            if parent < 0:
+                raise RuntimeError(f"terms {a} and {b} are not in one proof tree")
+            tail.append((parent, node, flabel[node]))
+            node = parent
+        head = []
+        while a != node:
+            head.append((a, fparent[a], flabel[a]))
+            a = fparent[a]
+        return head + tail[::-1]
+
+    def _chain(self, a: int, b: int, out: list, new_var: Callable[[], int]) -> int:
+        """Append to `out` lemmas that derive a = b from asserted literals
+        along the proof-forest path, each after those it needs; returns the
+        literal of a = b they make true."""
+        args = self._args
+        held = None                     # the literal of a = u, u the term reached
+        for u, v, label in self._path(a, b):
+            if type(label) is tuple:
+                premises = [self._chain(s, t, out, new_var)
+                            for s, t in zip(args[u], args[v]) if s != t]
+                edge = self._eq_var(u, v, new_var)
+                out.append(tuple(-p for p in premises) + (edge,))
+            else:
+                edge = label
+            if held is None:
+                held = edge
+            else:
+                conclusion = self._eq_var(a, v, new_var)
+                out.append((-held, -edge, conclusion))
+                held = conclusion
+        return held
+
+    def conflict_clauses(self, conflict: list[int],
+                         new_var: Callable[[], int]) -> list[tuple[int, ...]]:
+        a, b, lit = self._diseqs[self._conflict]
+        if a == b:                      # a reflexive atom: no path, the one clause
+            return super().conflict_clauses(conflict, new_var)
+        out: list[tuple[int, ...]] = []
+        held = self._chain(a, b, out, new_var)
+        if held != -lit:                # the table has two atoms over a, b
+            out.append((-held, -lit))
+        return out
 
     # -- assert / undo / check ----------------------------------------------------
 

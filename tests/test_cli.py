@@ -145,10 +145,8 @@ class TestCore:
         # the lift-proof route of this formula takes 11 conflicts, one of its
         # minimization trials more
         formula = random_difference_formula(random.Random(0), 12, 60, 2)
-        logic, rest = render_instance(formula).split("\n", 1)
-        decls = "".join(f"(declare-fun r{i} () Real)\n" for i in range(12))
         path = tmp_path / "difference.smt2"
-        path.write_text(f"{logic}\n{decls}{rest}", encoding="utf-8")
+        path.write_text(render_instance(formula), encoding="utf-8")
 
         def core(*extra):
             return subprocess.run([sys.executable, "-m", "smtcore", "core", str(path),

@@ -5,7 +5,10 @@ import weakref
 
 import pytest
 
-from gen import labeled_corpus, pigeonhole_cnf, prop_formula, random_difference_formula
+from gen import (
+    diamond_chain_formula, labeled_corpus, pigeonhole_cnf, prop_formula,
+    random_difference_formula,
+)
 from oracles import brute_force_smt_sat, marco_muses
 from smtcore import cores, smt
 from smtcore.cnf import cnf_convert
@@ -429,3 +432,58 @@ class TestSeededMinimization:
         _, store = smt_solve(formula)
         assert seeded == [[lemma.clause for lemma in store]] and store
         assert report.core == DIFFERENCE_12_60_MINIMAL
+
+    def test_an_imported_lemma_names_the_minimization_engines_own_atoms(self, monkeypatch):
+        """A stored lemma over an atom its engine defined is added with
+        that variable renamed to the minimization engine's variable of the
+        same equality."""
+        formula = diamond_chain_formula(random.Random(5), 5, 6)
+        route, kind = METHODS["lift-proof"]
+        core, _proof, store = route(formula, ExtractorConfig(kind), None)
+        assert any(lemma.defs for lemma in store)
+        added = []
+        add_clause = smt.SmtSolver.add_clause
+
+        def recording(engine, lits):
+            lits = tuple(lits)
+            added.append((engine, lits))
+            add_clause(engine, lits)
+
+        monkeypatch.setattr(smt.SmtSolver, "add_clause", recording)
+        result = cores._minimize(formula, core, store, None)
+        monkeypatch.undo()
+        guarded = len(formula.clauses)
+        engine = added[0][0]
+        imported = [lits for _engine, lits in added[guarded:guarded + len(store)]]
+        size, renamed = len(formula.atoms), 0
+        for lemma, lits in zip(store, imported):
+            defs = dict(lemma.defs)
+            assert len(lits) == len(lemma.clause)
+            for old, new in zip(lemma.clause, lits):
+                if abs(old) <= size:
+                    assert new == old
+                else:
+                    assert (new > 0) == (old > 0)
+                    assert engine.theory.defined[abs(new)] == defs[abs(old)]
+                    renamed += abs(new) != abs(old)
+        assert renamed
+        assert result == minimize_core(formula, core)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_seeded_minimization_equals_minimize_core_on_diamond_chains(self, n):
+        formula = diamond_chain_formula(random.Random(n), n, 2 * n)
+        internal = [m for m, (_route, kind) in METHODS.items() if kind != "external"]
+        for method in internal:
+            raw = extract_core(formula, method).core
+            report = extract_core(formula, method, minimize=True, verify=True)
+            assert report.core == tuple(minimize_core(formula, raw))
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_every_method_verifies_its_core_on_diamond_chains(method):
+    for n in (4, 7):
+        formula = diamond_chain_formula(random.Random(n), n, n)
+        for minimize in (False, True):
+            report = extract_core(formula, method, minimize=minimize, verify=True)
+            assert report.verification == "verified"
+            assert check_core(formula, report.core) is None

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gen
 from smtcore.cnf import cnf_convert
 from smtcore.parser import (
     MAX_NESTING, ParseError, _locate, _read_sexprs, parse, render_instance,
 )
+from smtcore.smt import smt_solve
 from smtcore.terms import REAL, AtomTable, LinAtom, LinComb, Var, canonical_lin_atom
 
 DATA = Path(__file__).parent / "data"
@@ -157,6 +159,26 @@ def test_render_subset_is_parsable(nine_clauses):
     text = render_instance(nine_clauses, [0, 1, 5])
     sub = cnf_convert(parse(text))
     assert len(sub.clauses) == 3
+
+
+@pytest.mark.parametrize("theory", ["LRA", "EUF"])
+def test_render_declares_the_symbols_of_a_formula_built_without_them(theory):
+    """A formula from the generators has no declarations; its rendered
+    text declares what its atoms use, loads again, and renders the same."""
+    rng = random.Random(5)
+    if theory == "LRA":
+        formulas = [gen.random_formula(rng, "LRA") for _ in range(20)]
+        formulas += [gen.random_difference_formula(random.Random(s), 6, 24, 3) for s in range(4)]
+    else:
+        formulas = [gen.random_formula(rng, "EUF") for _ in range(20)]
+        formulas += [gen.random_uf_formula(random.Random(s), 8, 40, 2) for s in range(4)]
+    for formula in formulas:
+        assert formula.declarations is None
+        text = render_instance(formula)
+        reparsed = cnf_convert(parse(text))
+        assert render_instance(reparsed) == text
+        assert smt_solve(reparsed)[0].status == smt_solve(formula)[0].status
+        assert cnf_convert(parse(render_instance(formula, [0])))
 
 
 @pytest.mark.parametrize("digits", [4000, 4001, 6000, 50_000])

@@ -269,8 +269,8 @@ class TestAgreement:
     def test_both_checks_pass_on_every_proof_route(self, monkeypatch):
         seen = []
 
-        def spy(formula, core, proof):
-            problem = check_refutation(formula, core, proof)
+        def spy(formula, core, proof, defs):
+            problem = check_refutation(formula, core, proof, defs)
             seen.append(problem)
             return problem
 

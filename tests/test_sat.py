@@ -705,3 +705,22 @@ class TestIntake:
         for add in (lambda s: s.add_clause([1, 0]), lambda s: s.add_inputs([[1, 2], [0]])):
             with pytest.raises(ValueError, match="literal 0"):
                 add(SatSolver())
+
+
+def test_reassert_acts_on_a_clause_as_add_clause_would():
+    s = SatSolver()
+    cid, status = s.add_clause([1, 2, 3])
+    assert status == "ok" and s.reassert(cid) == "ok"
+    s.trail_lim.append(len(s.trail))
+    s._enqueue(-1, None)
+    assert s.reassert(cid) == "ok"
+    s._enqueue(-2, None)
+    assert s.reassert(cid) == "unit"
+    assert s._vals[3] is True and s._reason[3] == cid
+    assert s.reassert(cid) == "satisfied"
+    s._backjump(0)
+    s.trail_lim.append(0)
+    for lit in (-1, -2, -3):
+        s._enqueue(lit, None)
+    assert s.reassert(cid) == "conflict" and s.pending_conflict == cid
+    assert s._recheck == [cid]

@@ -7,6 +7,10 @@ lemma-store facts and two verified cores.
 - EUF: 8 to 15 constants and their images under one unary function,
   five clauses of at most two literals per constant, three of the eight
   unsat;
+- pure diamond chains of 8, 10 and 12 diamonds, whose refutation took
+  one theory conflict per path through the chain (5,027 conflicts at 12)
+  before EUF conflicts were stated as chains of lemmas over atoms the
+  engine defines; now at most ten per diamond;
 - pigeonhole 7/6 among satisfiable noise clauses, whose refutation takes
   close to a thousand conflicts and backjumps over many levels;
 - the 15,288 minimal hitting sets of the 300 MCSes of an EUF instance
@@ -15,11 +19,11 @@ import random
 
 import pytest
 
-from gen import pigeonhole_cnf, random_difference_formula, random_uf_formula
+from gen import diamond_chain_formula, pigeonhole_cnf, random_difference_formula, random_uf_formula
 from smtcore.cores import check_core, extract_core
 from smtcore.mus import enumerate_mcs, minimal_hitting_sets
 from smtcore.sat import check_proof, proof_core, sat_solve, solve_with_selectors
-from smtcore.smt import evaluate_clause, lemma_store_violations, smt_solve
+from smtcore.smt import SmtSolver, evaluate_clause, lemma_store_violations, smt_solve
 
 
 def _check_facts(formula, verdict, store):
@@ -51,6 +55,20 @@ def test_uninterpreted_functions(seed):
                                 n_clauses=5 * n_consts, width=2)
     verdict, store = smt_solve(formula)
     _check_facts(formula, verdict, store)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_diamond_chains(n):
+    formula = diamond_chain_formula(random.Random(n), n, 0)
+    engine = SmtSolver(formula)
+    assert engine.solve().status == "unsat"
+    assert engine.sat.conflicts <= 10 * n
+    assert any(lemma.defs for lemma in engine.store)
+    assert lemma_store_violations(formula, engine.store, unsat=True) == []
+    report = extract_core(formula, "lift-proof", verify=True)
+    assert report.verification == "verified"
+    # every diamond and the closing disequality
+    assert report.assertions == tuple(range(n + 1))
 
 
 def test_pigeonhole_cores():

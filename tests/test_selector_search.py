@@ -9,7 +9,11 @@ the plain search and only the LRA minimizations.
 Each corpus is reduced to one SHA-256 digest.  The digests were computed
 when one totalizer replaced a sequential counter per bound, which changed
 the order in which MCSes are found and nothing else: with each MCS list
-sorted, every outcome equalled the one of the counters.  A mismatch means
+sorted, every outcome equalled the one of the counters.  The `euf-uf` and
+`euf-diamond` digests were computed again when EUF conflicts became
+chains of lemmas over engine-defined atoms: with each MCS list sorted,
+every MCS set equalled the one before and every minimized core was among
+MARCO's MUSes, while some cores of `euf-uf` changed.  A mismatch means
 a selector search changed.  To find the first instance that
 differs, compare `outcome(formula)` across the two versions on the corpus
 that fails.  A change to `tests/gen.py` changes the corpus rather than
@@ -76,8 +80,8 @@ DIGESTS = {
     "lra-labeled": "2addb857545764e11418e22cf577b389a1a08fe692a4d3592f7ef10d2386fe87",
     "euf-labeled": "7b2f9035ebc24afbc7abcc6377b9ded86723ac78fb7e013e59292a93bd0c85cd",
     "lra-difference": "34483415b1133aee11db25220e0cb989323fd0ba16a6fd11bf5577888ad23234",
-    "euf-uf": "e3444ee89e3c1b05dee497bdf2ad8ff3845eaba1e3b69544112ecc410fc83f02",
-    "euf-diamond": "2bd199ee687d9e113030c8aeff08f6d26c7f48ba9fbd33874ea968746020c684",
+    "euf-uf": "5b3132f7a275ab4044f35db14eeddc48423655214e0a1b41554ccc029661e62f",
+    "euf-diamond": "eaffd3a59313f3f4efc7b3d99fc0161bf5241a9caf011c94432b1c94d3bc5f5d",
 }
 
 

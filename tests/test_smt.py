@@ -3,19 +3,19 @@ import random
 import pytest
 
 from gen import (
-    formula_from_clauses, labeled_corpus, random_difference_formula, random_formula,
+    diamond_chain_formula, formula_from_clauses, labeled_corpus, random_difference_formula, random_formula,
     random_uf_formula,
 )
 from oracles import brute_force_smt_sat
 from smtcore.cnf import cnf_convert
-from smtcore.cores import extract_core
+from smtcore.cores import METHODS, ExtractorConfig, check_refutation, extract_core
 from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse
 from smtcore.smt import (
     SelectorEngine, SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
 )
 from smtcore.terms import (
-    REAL, AtomTable, LinComb, PropAtom, Var, atom_theory, canonical_lin_atom, euf_atom,
+    REAL, AtomTable, EufAtom, LinComb, PropAtom, Var, atom_theory, canonical_lin_atom, euf_atom,
 )
 from smtcore.theory import EufSolver, LraSolver, is_valid_lemma
 
@@ -327,3 +327,127 @@ class TestTheoryGuard:
         engine.sat._backjump(0)
         engine.hook_fixpoint(engine.sat)
         assert calls == ["check_full", "deductions"]
+
+
+def _diamond_formulas():
+    """Diamond chains with and without noise: their refutations store
+    lemmas over equalities the engine defines past the atom table."""
+    for n in range(3, 9):
+        for noise in (0, n):
+            yield diamond_chain_formula(random.Random(100 * n + noise), n, noise)
+
+
+class TestEngineDefinedAtoms:
+    """An EUF conflict is stored as a chain of lemmas, some over equality
+    atoms the engine defines on variables past the atom table; each lemma
+    records the equality of every such variable it names."""
+
+    def test_lemma_list_has_no_repeats(self):
+        defined = 0
+        for formula in _diamond_formulas():
+            size = len(formula.atoms)
+            engine = SmtSolver(formula)
+            assert engine.solve().status == "unsat"
+            assert len(formula.atoms) == size
+            _check_lemma_list(engine, formula.clauses)
+            defined += sum(bool(lemma.defs) for lemma in engine.store)
+            selectors = SelectorEngine(formula)
+            inputs = [(-sel,) + clause
+                      for sel, clause in zip(selectors.selectors, formula.clauses)]
+            n = len(formula.clauses)
+            for step in range(4):
+                selectors.solve(range(n) if step == 0 else
+                                random.Random(step).sample(range(n), n - 1))
+                _check_lemma_list(selectors.solver, inputs)
+        assert defined > 20
+
+    def test_a_chain_lemma_is_valid_under_its_definitions_only(self):
+        formula = diamond_chain_formula(random.Random(6), 6, 0)
+        size = len(formula.atoms)
+        _, store = smt_solve(formula)
+        chained = [lemma for lemma in store if lemma.defs]
+        assert chained
+        for lemma in chained:
+            past = {abs(lit) for lit in lemma.clause if abs(lit) > size}
+            assert past == {var for var, _ in lemma.defs}
+            assert is_valid_lemma(lemma.clause, formula.atoms, lemma.defs) == (True, None)
+            ok, _ = is_valid_lemma(lemma.clause, formula.atoms)
+            assert not ok
+        assert lemma_store_violations(formula, store, unsat=True) == []
+
+    def test_check_refutation_reads_the_definitions(self):
+        formula = diamond_chain_formula(random.Random(7), 7, 0)
+        route, kind = METHODS["lift-proof"]
+        core, proof, store = route(formula, ExtractorConfig(kind), None)
+        defs = {var: atom for lemma in store for var, atom in lemma.defs}
+        assert defs and check_refutation(formula, core, proof, defs) is None
+        # a leaf over an engine variable that nothing defines
+        assert "names an unknown atom" in check_refutation(formula, core, proof)
+        # a definition of a table atom's variable
+        table_var, table_atom = next(iter(formula.atoms.items()))
+        assert check_refutation(formula, core, proof, {**defs, table_var: table_atom}) == (
+            f"definition of variable {table_var} is rejected: "
+            f"variable {table_var} is an atom of the table")
+        # definitions under which a lemma leaf is not valid: every engine
+        # variable names y0 = z0, which no diamond forces
+        decls = formula.declarations
+        unforced = euf_atom(decls.vars["y0"], decls.vars["z0"])
+        problem = check_refutation(formula, core, proof, {var: unforced for var in defs})
+        assert problem is not None and problem.endswith("is neither a core clause nor "
+                                                        "theory-valid")
+
+    def test_only_the_positive_literal_of_a_defined_atom_is_asserted(self):
+        formula = diamond_chain_formula(random.Random(9), 6, 6)
+        size = len(formula.atoms)
+        engine = SelectorEngine(formula)
+        asserted = []
+        assert_literal = engine.solver.theory.assert_literal
+
+        def recording(lit):
+            asserted.append(lit)
+            return assert_literal(lit)
+
+        engine.solver.theory.assert_literal = recording
+        n = len(formula.clauses)
+        for step in range(6):
+            engine.solve(range(n) if step == 0 else random.Random(step).sample(range(n), n - 2))
+        assert any(lit > size for lit in asserted)
+        assert not any(-lit > size for lit in asserted)
+
+    def test_two_table_atoms_over_one_pair(self):
+        """The chain concludes the pair's first atom; a disequality over
+        the other gets one more lemma joining the two."""
+        a, b = Var("a", "U", 0), Var("b", "U", 1)
+        table = AtomTable()
+        first, second = table.intern(euf_atom(a, b)), table.intern(EufAtom(b, a))
+        for units, lemma in (((first, -second), (-first, second)),
+                             ((second, -first), (-second, first))):
+            formula = formula_from_clauses([(lit,) for lit in units], table, None, "EUF")
+            verdict, store = smt_solve(formula)
+            assert verdict.status == "unsat"
+            assert [stored.clause for stored in store] == [lemma]
+
+    @pytest.mark.parametrize("negated", ["(= x x)", "(= (f x) (f x))"])
+    def test_a_negated_reflexive_atom_is_refuted(self, negated):
+        """Both sides of the violated disequality are one term, so there
+        is no path to chain: the conflict is the one clause (k)."""
+        formula = cnf_convert(parse(
+            "(set-logic QF_UF) (declare-sort U 0) (declare-fun x () U) "
+            f"(declare-fun f (U) U) (assert (not {negated}))"))
+        verdict, store = smt_solve(formula)
+        assert verdict.status == "unsat"
+        assert lemma_store_violations(formula, store, unsat=True) == []
+        for method in sorted(METHODS):
+            report = extract_core(formula, method, verify=True)
+            assert (report.verdict, report.core, report.verification) == (
+                "unsat", (0,), "verified")
+
+    def test_the_table_growth_check_still_fires(self):
+        formula = diamond_chain_formula(random.Random(8), 8, 0)
+        engine = SelectorEngine(formula)
+        assert engine.solve(range(len(formula.clauses))).status == "unsat-assumptions"
+        assert engine.solver.theory.defined
+        new_id = formula.atoms.intern(euf_atom(Var("fresh_a", "U", 90),
+                                               Var("fresh_b", "U", 91)))
+        with pytest.raises(ValueError, match="the atom table grew after the engine was built"):
+            engine.solver.add_clause((new_id,))
