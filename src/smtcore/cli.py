@@ -82,8 +82,7 @@ def cmd_core(args) -> int:
     formula = _load(args.file)
     report = extract_core(formula, args.method, minimize=args.minimize,
                           fixpoint=args.fixpoint, verify=args.verify, budget=args.budget,
-                          extractor_cmd=args.extractor_cmd,
-                          extractor_mode=args.extractor_mode)
+                          extractor_cmd=args.extractor_cmd)
     if report.verdict == "sat":
         print("sat")
         return EXIT_SAT
@@ -193,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "core against the resolution refutation its run logged, any "
                          "other core by solving it again with a fresh engine")
     pc.add_argument("--extractor-cmd", default=None,
-                    help="external extractor template with {in} and {out}")
-    pc.add_argument("--extractor-mode", choices=("index-list", "dimacs-subset"),
-                    default="index-list")
+                    help="external extractor template with {in} and {out}; it writes "
+                         "1-based clause indices or a DIMACS subset")
     pc.add_argument("--out", default=None, help="write the core as a new input file")
     pc.add_argument("--budget", type=_at_least(0), default=None)
     pc.set_defaults(fn=cmd_core)

@@ -5,7 +5,7 @@ Assertions already in clause form pass through verbatim: a literal or an
 once (its first occurrence) and a literal beside its complement rejected as
 a tautology.  Everything else goes through negation normal form and
 constant folding, and is then distributed when the result stays small (at
-most `max_distribute` clauses per assertion), and otherwise converted
+most MAX_DISTRIBUTE clauses per assertion), and otherwise converted
 definitionally with fresh auxiliary propositional variables.  Every emitted
 clause is a tuple of signed atom ids, and the formula records the id of
 the assertion it came from.
@@ -16,6 +16,12 @@ from typing import Optional
 
 from .parser import AssertionSet, BAnd, BAtom, BConst, BNot, BOr, BoolExpr
 from .terms import Atom, AtomTable, Formula, PropAtom, infer_logic
+
+
+# An assertion is distributed when that gives at most MAX_DISTRIBUTE
+# clauses; distribution stops once a conjunction passes DISTRIBUTE_GUARD.
+MAX_DISTRIBUTE = 8
+DISTRIBUTE_GUARD = 4096
 
 
 class CnfError(ValueError):
@@ -110,16 +116,17 @@ def _distinct(clauses):
     return out
 
 
-def _try_distribute(node, guard: int = 4096) -> Optional[list[list[_Lit]]]:
-    """Full distribution into an ordered clause list, or None past the safety
-    guard.  Tautological and duplicate clauses are dropped; literal order
-    follows the source tree so the result is deterministic."""
+def _try_distribute(node) -> Optional[list[list[_Lit]]]:
+    """Full distribution into an ordered clause list, or None past
+    DISTRIBUTE_GUARD clauses.  Tautological and duplicate clauses are
+    dropped; literal order follows the source tree so the result is
+    deterministic."""
     if node[0] == "lit":
         return [[(node[1], node[2])]]
     kind, children = node
     parts = []
     for c in children:
-        sub = _try_distribute(c, guard)
+        sub = _try_distribute(c)
         if sub is None:
             return None
         parts.append(sub)
@@ -132,7 +139,7 @@ def _try_distribute(node, guard: int = 4096) -> Optional[list[list[_Lit]]]:
                 if key not in seen:
                     seen.add(key)
                     out.append(cl)
-            if len(out) > guard:
+            if len(out) > DISTRIBUTE_GUARD:
                 return None
         return out
     # or: pairwise products.  A one-clause child extends every partial
@@ -156,7 +163,7 @@ def _try_distribute(node, guard: int = 4096) -> Optional[list[list[_Lit]]]:
                 if key not in seen:
                     seen.add(key)
                     nxt.append(merged)
-            if len(nxt) > guard:
+            if len(nxt) > DISTRIBUTE_GUARD:
                 return None
         acc = nxt
     return [lits for lits, _ in _distinct(acc)]
@@ -238,7 +245,7 @@ def _valid(aid: int) -> CnfError:
                     "it would contribute no clauses")
 
 
-def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
+def cnf_convert(assertions: AssertionSet) -> Formula:
     """Convert a parsed assertion set into an indexed CNF formula.
 
     Raises CnfError for assertions that are propositionally valid (they
@@ -273,7 +280,7 @@ def cnf_convert(assertions: AssertionSet, max_distribute: int = 8) -> Formula:
         dist = _try_distribute(node)
         if dist is not None and not dist:
             raise _valid(aid)
-        if dist is not None and len(dist) <= max_distribute:
+        if dist is not None and len(dist) <= MAX_DISTRIBUTE:
             for cl in dist:
                 emit(cl, aid)
         else:

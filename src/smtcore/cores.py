@@ -78,7 +78,6 @@ class _Satisfiable(ExtractionError):
 class ExtractorConfig:
     kind: str = "internal-proof"  # internal-proof | internal-selectors | external
     command: Optional[str] = None
-    output_mode: str = "index-list"  # index-list | dimacs-subset
     fixpoint: bool = False
     minimize: bool = False
 
@@ -133,7 +132,7 @@ def _extract_once(clauses: list[list[int]], config: ExtractorConfig,
         if not _refuted(verdict):
             raise _Satisfiable("input is satisfiable; there is no core to extract")
         return core, None
-    return external_bridge(clauses, config.command, config.output_mode), None
+    return external_bridge(clauses, config.command), None
 
 
 def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
@@ -162,14 +161,15 @@ def boolean_core(clauses: list[list[int]], config: ExtractorConfig,
         current = new
 
 
-def external_bridge(clauses: list[list[int]], command_template: str,
-                    mode: str = "index-list") -> list[int]:
+def external_bridge(clauses: list[list[int]], command_template: str) -> list[int]:
     """Run an external propositional core extractor over DIMACS files.
 
-    The returned set is validated: it must be a subset of the emitted
-    clauses (by index or by multiset match) and unsatisfiable.  Temp files
-    are kept on error for debugging and removed on success.  A run longer
-    than BRIDGE_TIMEOUT_S seconds is stopped and reported as a failure.
+    The extractor writes its core as an index list or a DIMACS subset
+    (`dimacs.read_core` tells which).  The returned set is validated: it
+    must be a subset of the emitted clauses (by index or by multiset
+    match) and unsatisfiable.  Temp files are kept on error for debugging
+    and removed on success.  A run longer than BRIDGE_TIMEOUT_S seconds is
+    stopped and reported as a failure.
     """
     doc = dimacs.document_for(clauses)
     workdir = Path(tempfile.mkdtemp(prefix="smtcore-bridge-"))
@@ -192,7 +192,7 @@ def external_bridge(clauses: list[list[int]], command_template: str,
     if not out_path.exists():
         raise BridgeError(f"extractor produced no output file (files kept in {workdir})")
     try:
-        indices = dimacs.read_core(out_path.read_text(encoding="utf-8-sig"), doc, mode)
+        indices = dimacs.read_core(out_path.read_text(encoding="utf-8-sig"), doc)
     except dimacs.DimacsError as exc:
         raise BridgeError(f"could not interpret extractor output "
                           f"(files kept in {workdir}): {exc}")
@@ -301,30 +301,27 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
 
 def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool = False,
                  fixpoint: bool = False, verify: bool = False,
-                 budget: Optional[int] = None, extractor_cmd: Optional[str] = None,
-                 extractor_mode: str = "index-list") -> CoreReport:
+                 budget: Optional[int] = None, extractor_cmd: Optional[str] = None) -> CoreReport:
     """Core of `formula` by one of the METHODS.  `fixpoint` only concerns
-    the lifted methods, `extractor_cmd` (default: the self-bridge) and
-    `extractor_mode` only lift-external; an option the method would ignore
-    is a ValueError.  With `minimize` the core is made one-deletion
-    minimal, and with `verify` the final core is checked independently:
-    from the route's refutation when it has one and was not minimized
-    (`check_refutation`), else by a fresh solve (`check_core`).  `budget`
-    bounds each solve of the route and of minimization, not verification."""
+    the lifted methods and `extractor_cmd` (default: the self-bridge) only
+    lift-external; an option the method would ignore is a ValueError.
+    With `minimize` the core is made one-deletion minimal, and with
+    `verify` the final core is checked independently: from the route's
+    refutation when it has one and was not minimized (`check_refutation`),
+    else by a fresh solve (`check_core`).  `budget` bounds each solve of
+    the route and of minimization, not verification."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     kind = METHODS[method][1]
     if fixpoint and kind is None:
         raise ValueError(f"fixpoint applies only to the lift-* methods, not {method!r}")
-    if kind != "external" and (extractor_cmd is not None or extractor_mode != "index-list"):
-        raise ValueError(f"extractor command and mode apply only to lift-external, "
+    if kind != "external" and extractor_cmd is not None:
+        raise ValueError(f"an extractor command applies only to lift-external, "
                          f"not {method!r}")
     config = None
     if kind is not None:
-        command = (extractor_cmd or self_extractor_command(extractor_mode)) \
-            if kind == "external" else None
-        config = ExtractorConfig(kind, command=command, output_mode=extractor_mode,
-                                 fixpoint=fixpoint)
+        command = (extractor_cmd or self_extractor_command()) if kind == "external" else None
+        config = ExtractorConfig(kind, command=command, fixpoint=fixpoint)
     return _run(formula, method, config, minimize=minimize, verify=verify, budget=budget)
 
 

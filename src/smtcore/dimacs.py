@@ -3,9 +3,10 @@
 The writer is deterministic: variables are numbered by atom-table order,
 then come the engine's own variables past the table that stored lemmas
 name, and clauses keep input order.  `read_core` understands two exchange
-shapes: a plain list of 1-based clause indices, and a DIMACS subset whose
-clauses are matched back to the original by sorted-literal multiset
-equality.
+shapes, and tells them apart by the file alone: a DIMACS subset, which has
+a `p cnf` header and whose clauses are matched back to the original by
+sorted-literal multiset equality, and any other file, a plain list of
+1-based clause indices.
 """
 from __future__ import annotations
 
@@ -112,12 +113,14 @@ def index_lines(text: str) -> Iterator[tuple[int, int]]:
         yield ln, idx
 
 
-def read_core(text: str, original: DimacsDocument, mode: str) -> set[int]:
-    """Interpret a returned core file against the original document.
+def read_core(text: str, original: DimacsDocument) -> set[int]:
+    """Interpret a returned core file against the original document: a
+    DIMACS subset if a line is a problem line, as `parse_dimacs` reads one,
+    else an index list.
 
     Returns 0-based indices into the original clause list.
     """
-    if mode == "index-list":
+    if not any(line.strip().startswith("p") for line in text.splitlines()):
         out = set()
         for ln, idx in index_lines(text):
             if not 1 <= idx <= original.nclauses:
@@ -125,22 +128,20 @@ def read_core(text: str, original: DimacsDocument, mode: str) -> set[int]:
                     f"line {ln}: index {idx} out of range 1..{original.nclauses}")
             out.add(idx - 1)
         return out
-    if mode == "dimacs-subset":
-        doc = parse_dimacs(text)
-        pool: dict[tuple[int, ...], list[int]] = {}
-        for i, cl in enumerate(original.clauses):
-            pool.setdefault(tuple(sorted(cl)), []).append(i)
-        # lowest original indices first, consumed left to right
-        out = set()
-        used: dict[tuple[int, ...], int] = {}
-        for cl in doc.clauses:
-            key = tuple(sorted(cl))
-            candidates = pool.get(key)
-            pos = used.get(key, 0)
-            if candidates is None or pos >= len(candidates):
-                raise DimacsError(f"subset clause {cl} has no unmatched counterpart "
-                                  "in the original document")
-            out.add(candidates[pos])
-            used[key] = pos + 1
-        return out
-    raise ValueError(f"unknown core exchange mode {mode!r}")
+    doc = parse_dimacs(text)
+    pool: dict[tuple[int, ...], list[int]] = {}
+    for i, cl in enumerate(original.clauses):
+        pool.setdefault(tuple(sorted(cl)), []).append(i)
+    # lowest original indices first, consumed left to right
+    out = set()
+    used: dict[tuple[int, ...], int] = {}
+    for cl in doc.clauses:
+        key = tuple(sorted(cl))
+        candidates = pool.get(key)
+        pos = used.get(key, 0)
+        if candidates is None or pos >= len(candidates):
+            raise DimacsError(f"subset clause {cl} has no unmatched counterpart "
+                              "in the original document")
+        out.add(candidates[pos])
+        used[key] = pos + 1
+    return out

@@ -28,6 +28,10 @@ is watched on its first two literals, and a learned clause is watched on
 its asserting literal and its highest-level literal, which conflict
 analysis has put first, and its asserting literal is enqueued.
 `add_inputs` sizes the arrays once for a whole load of input clauses.
+One rule settles a clause the database holds against the trail (a lemma
+added again, a clause learned again, a one-literal clause, and at the
+start of `solve` a clause added above level 0): its unit literal is
+enqueued, or, if it is false, it is the pending conflict.
 
 There is one search for every caller.  It never restarts: the trail is
 cut back only by conflict analysis and by a new `solve` call.  Proof
@@ -241,8 +245,8 @@ class SatSolver:
         import random as _random
         self._rng = _random.Random(seed) if seed is not None else None
         # hook_fixpoint(solver) and hook_final(solver) each return whether
-        # they added a clause, and leave a conflict they find in
-        # pending_conflict; hook_backjump(trail_len) follows every backjump
+        # they enqueued a literal or left a conflict in pending_conflict;
+        # hook_backjump(trail_len) follows every backjump
         self.theory_hook = None
         # set once the clauses are refuted without assumptions: every later
         # solve answers unsat, whatever it assumes
@@ -299,10 +303,11 @@ class SatSolver:
 
     def add_clause(self, lits: Iterable[int], origin: tuple = ("learned",)) -> tuple[int, str]:
         """Add a clause; returns (clause id, status).  Input clauses always
-        get a fresh id (ids equal input positions); re-added lemma or learned
-        clauses that are canonically equal to an existing clause are ignored
-        and the existing id is returned.  Status describes the clause under
-        the current assignment; a unit clause is enqueued immediately."""
+        get a fresh id (ids equal input positions); any other clause equal
+        to one the database holds gets that clause's id.  The status ("ok",
+        "unit", "satisfied" or "conflict") is the clause's under the current
+        assignment: a unit clause is enqueued, a false one is the pending
+        conflict."""
         # duplicates go; a tautology is kept but can never propagate
         norm = list(dict.fromkeys(lits))
         self._admit(norm)
@@ -330,7 +335,7 @@ class SatSolver:
         key = frozenset(norm)
         existing = self._by_key.get(key)
         if existing is not None and origin[0] != "input":
-            return existing, "duplicate"
+            return existing, self._settle_held(existing)
         cid = len(self.clauses)
         self.clauses.append(norm)
         self.origins.append(origin)
@@ -341,24 +346,18 @@ class SatSolver:
             if self.proof:
                 self.proof.final = self._node(cid)
             return cid, "conflict"
-        vals = self._vals
         if len(norm) == 1:
-            if self.trail_lim:
+            status = self._settle_held(cid)
+            if self.trail_lim and status != "conflict":
                 # a backjump undoes what it says, and it has no watches
                 self._recheck.append(cid)
-            val = vals[norm[0]]
-            if val is None:
-                self._enqueue(norm[0], cid)
-                return cid, "unit"
-            if val:
-                return cid, "satisfied"
-            self.pending_conflict = cid
-            return cid, "conflict"
+            return cid, status
         if not self.trail:
             # no literal is assigned: the pass below would watch the first two
             self._watches[norm[0]].append(cid)
             self._watches[norm[1]].append(cid)
             return cid, "ok"
+        vals = self._vals
         # One pass over the literals gives the status and the two watches:
         # the first two literals that are not false, else the false ones of
         # the highest level (lowest position on ties).
@@ -395,11 +394,11 @@ class SatSolver:
         self._watches[norm[1]].append(cid)
         return cid, self._settle(cid, satisfied, unassigned, unit)
 
-    def reassert(self, cid: int) -> str:
-        """Act on clause `cid`, one of the database, as `add_clause` acts
-        on a new clause; returns its status.  Its watches need not have
-        seen its literals go false: they may have been assigned after the
-        last propagation, or a backjump may have left it unit."""
+    def _settle_held(self, cid: int) -> str:
+        """Settle clause `cid`, one the database holds, against the trail;
+        returns its status.  Its watches need not have seen its literals go
+        false: they may have been assigned after the last propagation, or a
+        backjump may have left it unit."""
         vals = self._vals
         free = [lit for lit in self.clauses[cid] if vals[lit] is not False]
         return self._settle(cid, any(vals[lit] for lit in free), len(free),
@@ -608,11 +607,11 @@ class SatSolver:
         and the highest-level one after it: the watches `add_clause` would
         choose after the backjump.  With proof logging, a clause without a
         node gets one chain node (or the conflict's node, when no step was
-        taken).  A re-derived clause keeps its id and the node it has."""
+        taken).  A re-derived clause keeps its id and node and is settled."""
         self._backjump(backjump)
         key = frozenset(learned)
-        cid = self._by_key.get(key)
-        if cid is None:
+        cid = held = self._by_key.get(key)
+        if held is None:
             cid = len(self.clauses)
             self.clauses.append(learned)
             self.origins.append(("learned",))
@@ -623,9 +622,10 @@ class SatSolver:
         if self.proof and cid not in self._node_of:
             first, steps = derivation
             self._node_of[cid] = self.proof.chain(first, steps, learned) if steps else first
-        # a re-derived clause must re-propagate its asserting literal too
-        if self._vals[learned[0]] is None:
+        if held is None:
             self._enqueue(learned[0], cid)
+        else:
+            self._settle_held(held)
 
     # -- assumptions ----------------------------------------------------------
 
@@ -680,19 +680,12 @@ class SatSolver:
             return SatVerdict("unsat", proof=self.proof)
         # A clause added on that trail may have been false only under its
         # decisions, and a one-literal clause has no watches to bring back
-        # what the backjump undid: read them at level 0.  A clause false
-        # there is the conflict; any other keeps its watches.
+        # what the backjump undid: settle them again at level 0.
         recheck, self._recheck = self._recheck, []
-        if recheck:
-            vals = self._vals
-            if self.pending_conflict in recheck:
-                self.pending_conflict = None
-            for cid in recheck:
-                clause = self.clauses[cid]
-                if all(vals[l] is False for l in clause):
-                    self.pending_conflict = cid
-                elif len(clause) == 1 and vals[clause[0]] is None:
-                    self._enqueue(clause[0], cid)
+        if self.pending_conflict in recheck:
+            self.pending_conflict = None
+        for cid in recheck:
+            self._settle_held(cid)
         budget_end = None if self.conflict_budget is None else self.conflicts + self.conflict_budget
         while True:
             confl = self._propagate()

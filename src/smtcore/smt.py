@@ -16,13 +16,15 @@ propagation fixpoint where a theory literal was asserted or retracted
 since they last ran (on an unchanged asserted set they could add
 nothing), entailed literals are unit-propagated through their deduction
 clauses, and every theory-conflict and theory-deduction clause is
-appended to the engine's lemma list before it is added to the SAT
-database, with the atom of each engine variable it names.  The list
-needs no index: a stored lemma is a clause of that database, and a
-lemma the database holds already is not stored again, so the list never
-repeats a clause.  The lemmas are the raw material for core extraction:
-the abstraction of the inputs plus the stored lemmas is propositionally
-unsatisfiable whenever the run answers unsat.
+appended to the engine's lemma list as it is added to the SAT database,
+with the atom of each engine variable it names.  The list needs no
+index: a stored lemma is a clause of that database, and a lemma the
+database holds already keeps its clause id, so it is not stored again
+and the list never repeats a clause.  The database settles such a lemma
+against the trail as it would a new one, so the engine acts on the
+status `add_clause` returns alone.  The lemmas are the raw material for
+core extraction: the abstraction of the inputs plus the stored lemmas is
+propositionally unsatisfiable whenever the run answers unsat.
 
 A solve answers with the CDCL search's own `SatVerdict`.  A theory model
 is built by `smt_solve` alone, for the caller of a one-shot solve that
@@ -74,37 +76,34 @@ class SmtSolver:
 
     # -- lemma plumbing ----------------------------------------------------------
 
-    def _add_lemma(self, clause: tuple[int, ...], kind: str) -> tuple[int, str]:
-        """Add a lemma's clause and store the lemma, unless the SAT
-        database holds the clause already: (clause id, status)."""
+    def _add_lemma(self, clause: tuple[int, ...], kind: str) -> str:
+        """Add a lemma's clause and store the lemma when the clause is new
+        to the SAT database; returns the clause's status.  A held clause
+        is settled as a new one: its premises may have been made true by
+        lemmas just before it, which propagation has not read yet."""
+        new = len(self.sat.clauses)
         cid, status = self.sat.add_clause(clause, ("tlemma", len(self.store)))
-        if status != "duplicate":
+        if cid == new:
             defined = self.theory.defined
             defs = tuple((abs(lit), defined[abs(lit)]) for lit in clause
                          if abs(lit) in defined) if defined else ()
             self.store.append(TLemma(clause, kind, defs))
-        return cid, status
+        return status
 
     def _conflict_lemma(self, conflict: list[int]) -> bool:
         """Add the lemmas that refute a theory conflict, in order, until one
         is false: the SAT engine's pending conflict.  Each one before it is
         unit or satisfied when added, so its last literal holds for the
-        next.  One the database holds already is acted on as a new one
-        would be (`SatSolver.reassert`): its premises may have been made
-        true by the lemmas just before it, which propagation has not read
-        yet."""
+        next."""
         for clause in self.theory.conflict_clauses(conflict, self._new_theory_var):
-            cid, status = self._add_lemma(clause, "theory-conflict")
-            if status == "duplicate":
-                status = self.sat.reassert(cid)
-            if status == "conflict":
+            if self._add_lemma(clause, "theory-conflict") == "conflict":
                 return True
         raise RuntimeError("the lemmas of a theory conflict end in a clause that is not false")
 
     # -- theory hook (called by the SAT engine) -----------------------------------
     #
-    # Each hook returns whether it added a clause; a conflict it found is
-    # already the SAT engine's pending conflict.
+    # Each hook returns whether it enqueued a literal or found a conflict,
+    # which is then the SAT engine's pending conflict.
 
     def _sync(self) -> bool:
         """Assert newly assigned theory literals in trail order, except the
@@ -145,13 +144,12 @@ class SmtSolver:
             return False
         self._changed = False
         # _check has asserted every assigned theory atom, so a deduced
-        # literal is unassigned and its clause is unit, unless the SAT
-        # database holds that clause already
-        added = False
+        # literal is unassigned and its clause is unit
+        progress = False
         for ded in self.theory.deductions():
             clause = tuple(-lit for lit in ded.explanation) + (ded.literal,)
-            added |= self._add_lemma(clause, "theory-deduction")[1] != "duplicate"
-        return added
+            progress |= self._add_lemma(clause, "theory-deduction") in ("unit", "conflict")
+        return progress
 
     def hook_final(self, solver: SatSolver) -> bool:
         return self._check()

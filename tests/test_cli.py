@@ -10,7 +10,7 @@ from gen import random_difference_formula
 from smtcore import dimacs
 from smtcore.cli import main
 from smtcore.cnf import cnf_convert
-from smtcore.cores import METHODS
+from smtcore.cores import METHODS, self_extractor_command
 from smtcore.parser import parse_file, render_instance
 from smtcore.sat import sat_solve
 from smtcore.smt import SmtSolver, smt_solve
@@ -83,7 +83,7 @@ class TestCore:
         (["--method", "smt-proof", "--fixpoint"], "fixpoint applies only"),
         (["--method", "lift-proof", "--extractor-cmd", "extract {in} {out}"],
          "only to lift-external"),
-        (["--method", "smt-selectors", "--extractor-mode", "dimacs-subset"],
+        (["--method", "smt-selectors", "--extractor-cmd", "extract {in} {out}"],
          "only to lift-external"),
     ])
     def test_option_the_method_ignores_exits_1(self, data_dir, capsys, extra, message):
@@ -105,8 +105,8 @@ class TestCore:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         path = str(data_dir / NINE_CLAUSES)
         code, out, err = run_cli("core", path, "--method", "lift-external",
-                                 "--extractor-mode", "dimacs-subset", "--verify",
-                                 capsys=capsys)
+                                 "--extractor-cmd", self_extractor_command("dimacs-subset"),
+                                 "--verify", capsys=capsys)
         assert (code, err) == (20, "")
         code2, out2, _ = run_cli("core", path, "--method", "lift-external", capsys=capsys)
         assert out.splitlines()[1] == out2.splitlines()[1]
@@ -417,7 +417,7 @@ class TestBooleanCoreCommand:
                              "--mode", "dimacs-subset", capsys=capsys)
         assert code == 0
         doc = dimacs.parse_dimacs(text)
-        core = dimacs.read_core(out_path.read_text(), doc, "dimacs-subset")
+        core = dimacs.read_core(out_path.read_text(), doc)
         assert core <= set(range(4))
         assert sat_solve([doc.clauses[i] for i in sorted(core)]).status == "unsat"
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from oracles import cnf_truth_table_sat
+from smtcore import cnf
 from smtcore.cnf import CnfError, cnf_convert
 from smtcore.parser import parse
 from smtcore.terms import PropAtom
@@ -12,8 +13,8 @@ from smtcore.terms import PropAtom
 PROPS = "(declare-fun a () Bool)(declare-fun b () Bool)(declare-fun c () Bool)(declare-fun d () Bool)"
 
 
-def convert(text, **kw):
-    return cnf_convert(parse(PROPS + text), **kw)
+def convert(text):
+    return cnf_convert(parse(PROPS + text))
 
 
 def test_clause_shaped_assertions_pass_through_verbatim():
@@ -46,9 +47,10 @@ def test_every_clause_carries_its_assertion_id():
     assert f.assertion_of == [0, 0, 1]
 
 
-def test_definitional_translation_shape():
+def test_definitional_translation_shape(monkeypatch):
     # one auxiliary, three definition clauses plus one linking clause
-    f = convert("(assert (or a (and b c)))", max_distribute=1)
+    monkeypatch.setattr(cnf, "MAX_DISTRIBUTE", 1)
+    f = convert("(assert (or a (and b c)))")
     assert len(f.clauses) == 4
     aux_atoms = {f.atoms.atom(abs(l)).name
                  for c in f.clauses for l in c
@@ -113,9 +115,10 @@ def _random_tree(rng, atoms, depth):
 
 
 @pytest.mark.parametrize("max_distribute", [8, 0])
-def test_conversion_preserves_satisfiability(max_distribute):
+def test_conversion_preserves_satisfiability(max_distribute, monkeypatch):
     """Brute-force equisatisfiability over the original atoms, for both the
     distributing and the definitional strategy."""
+    monkeypatch.setattr(cnf, "MAX_DISTRIBUTE", max_distribute)
     from smtcore.cnf import CnfError
     from smtcore.parser import AssertionSet
     from smtcore.terms import Declarations
@@ -129,7 +132,7 @@ def test_conversion_preserves_satisfiability(max_distribute):
                  for i in range(n_asserts)]
         aset = AssertionSet(trees, Declarations(), None)
         try:
-            formula = cnf_convert(aset, max_distribute=max_distribute)
+            formula = cnf_convert(aset)
         except CnfError:
             continue  # a propositionally valid assertion: rejected by design
         checked += 1

@@ -309,14 +309,14 @@ class TestBridge:
 
     def test_dimacs_subset_mode(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)
-        cmd = self_extractor_command("dimacs-subset")
-        via = external_bridge(rows, cmd, mode="dimacs-subset")
+        via = external_bridge(rows, self_extractor_command("dimacs-subset"))
         direct = boolean_core(rows, ExtractorConfig("internal-proof"))
         assert via == direct
 
     def test_default_bridge_writes_the_mode_it_reads(self, nine_clauses, tmp_path):
         by_index = extract_core(nine_clauses, "lift-external")
-        by_subset = extract_core(nine_clauses, "lift-external", extractor_mode="dimacs-subset")
+        by_subset = extract_core(nine_clauses, "lift-external",
+                                 extractor_cmd=self_extractor_command("dimacs-subset"))
         assert by_subset == by_index
         assert not list(tmp_path.glob("smtcore-bridge-*"))
 
@@ -338,7 +338,7 @@ class TestBridge:
     def test_malformed_subset_header_keeps_files(self, tmp_path):
         cmd = f"{_python()} -c \"import sys; open(sys.argv[2],'w').write('p cnf x 2\\n')\" {{in}} {{out}}"
         with pytest.raises(BridgeError, match="files kept in"):
-            external_bridge([[1], [-1]], cmd, mode="dimacs-subset")
+            external_bridge([[1], [-1]], cmd)
         kept, = tmp_path.glob("smtcore-bridge-*")
         assert (kept / "problem.cnf").exists()
 

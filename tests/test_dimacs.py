@@ -50,36 +50,36 @@ def test_literal_beyond_header_rejected():
 
 def test_index_list_mode():
     original = document_for([[1], [2], [3]])
-    assert read_core("1\n3\n", original, "index-list") == {0, 2}
+    assert read_core("1\n3\n", original) == {0, 2}
 
 
 def test_index_out_of_range():
     original = document_for([[1], [2]])
     with pytest.raises(DimacsError, match="out of range"):
-        read_core("3\n", original, "index-list")
+        read_core("3\n", original)
 
 
 def test_subset_mode_full_repeat():
     original = document_for([[1, -2], [2, 3], [-1]])
     text = render(original)
-    assert read_core(text, original, "dimacs-subset") == {0, 1, 2}
+    assert read_core(text, original) == {0, 1, 2}
 
 
 def test_subset_mode_order_insensitive():
     original = document_for([[1, -2]])
-    assert read_core("p cnf 2 1\n-2 1 0\n", original, "dimacs-subset") == {0}
+    assert read_core("p cnf 2 1\n-2 1 0\n", original) == {0}
 
 
 def test_subset_mode_duplicates_take_lowest_unused():
     original = document_for([[1, 2], [1, 2], [3]])
-    got = read_core("p cnf 3 2\n2 1 0\n1 2 0\n", original, "dimacs-subset")
+    got = read_core("p cnf 3 2\n2 1 0\n1 2 0\n", original)
     assert got == {0, 1}
 
 
 def test_subset_mode_unmatched_clause_rejected():
     original = document_for([[1, 2]])
     with pytest.raises(DimacsError, match="no unmatched counterpart"):
-        read_core("p cnf 3 1\n1 3 0\n", original, "dimacs-subset")
+        read_core("p cnf 3 1\n1 3 0\n", original)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -91,13 +91,13 @@ def test_round_trip_choose_then_read(data):
         min_size=1, max_size=6))
     original = document_for(rng_clauses, nvars=4)
     chosen = data.draw(st.sets(st.integers(0, len(rng_clauses) - 1)))
-    # index-list
+    # an index list
     text = render_core_indices(chosen)
-    assert read_core(text, original, "index-list") == set(chosen)
-    # dimacs-subset: write the chosen clauses, read back; content matching may
+    assert read_core(text, original) == set(chosen)
+    # a DIMACS subset: write the chosen clauses, read back; content matching may
     # legally remap duplicate clauses, so compare clause multisets
     sub = DimacsDocument(original.nvars, [original.clauses[i] for i in sorted(chosen)])
-    got = read_core(render(sub), original, "dimacs-subset")
+    got = read_core(render(sub), original)
     assert sorted(tuple(sorted(original.clauses[i])) for i in got) == \
         sorted(tuple(sorted(original.clauses[i])) for i in chosen)
 
@@ -126,11 +126,10 @@ DIMACS_ISH = st.builds("p cnf {} {}\n{}".format, _TOKEN, _TOKEN,
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(st.text(max_size=80), DIMACS_ISH),
-       st.sampled_from(["index-list", "dimacs-subset"]))
-def test_arbitrary_text_raises_only_dimacs_errors(text, mode):
+@given(st.one_of(st.text(max_size=80), DIMACS_ISH))
+def test_arbitrary_text_raises_only_dimacs_errors(text):
     original = document_for([[1, -2], [2], [-1, 3]])
-    for read in (lambda: parse_dimacs(text), lambda: read_core(text, original, mode)):
+    for read in (lambda: parse_dimacs(text), lambda: read_core(text, original)):
         try:
             read()
         except DimacsError:

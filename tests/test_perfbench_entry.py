@@ -5,7 +5,17 @@ perfbench/run.py and perfbench/workloads.py are loaded as they are, and
 every workload, so an API change that breaks the benchmark fails here
 rather than at benchmark time.  A short traced run of every workload also
 runs the wrappers that `spans.install` puts around the library.
+
+That traced run also pins the search on the benchmark's own corpora: the
+run's count metrics (those whose unit in BENCHMARK.json is "count") are
+reduced to one SHA-256 digest per workload, which must equal
+`COUNT_DIGESTS`.  A search-preserving change keeps them.  A change that
+alters the search, a workload's corpus or the set of count metrics
+re-pins them: run `count_digest` on the last line of
+`python perfbench/run.py --workload <name> --seed 5 --seconds 0.5 --trace 1`
+for each workload, and say in the change's notes why the counts moved.
 """
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -24,6 +34,16 @@ import workloads  # noqa: E402
 INSTANCES = 3
 SEED = 5
 
+_BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+COUNT_METRICS = sorted(m["name"] for m in _BENCHMARK["end_to_end"] + _BENCHMARK["per_layer"]
+                       if m["unit"] == "count")
+COUNT_DIGESTS = {
+    "euf-core": "47cbb2809dedbc6a3edb5e52776e5dcf8da1665273dcedf1392890f556c21583",
+    "lra-core": "0cddb9a4e5298e584e37fbcb7bdf610d9b47e06ec32ebcd7087ff9a98013414b",
+    "mus-enum": "61ec0d2ccc4e66bf8702ff4c7bc88b30755c5685b6d2534a6af48ed299dd4f58",
+    "prop-core": "05bf0f6af84307cd14d5b0c02fe1af08f88b8f1da79cb21dcfb60ab3ecbd364f",
+}
+
 # run.py is loaded under a name of its own: "run" is too generic to claim
 _spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
 run = sys.modules["perfbench_run"] = importlib.util.module_from_spec(_spec)
@@ -41,6 +61,12 @@ def test_run_one_and_check_instance(name):
         assert run.signature(outcome)[0] in ("sat", "unsat")
 
 
+def count_digest(result: dict) -> str:
+    """SHA-256 of the count metrics of a run's result line, by name."""
+    counts = {name: result["metrics"][name]["value"] for name in COUNT_METRICS}
+    return hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_run_is_correct(name, tmp_path):
     # a traced run writes its span table under the working directory
@@ -51,3 +77,4 @@ def test_traced_run_is_correct(name, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), proc.stderr
+    assert count_digest(result) == COUNT_DIGESTS[name]

@@ -433,9 +433,10 @@ class TestProofLoggingOnlyObserves:
 class GenericIntake(SatSolver):
     """A solver that takes every clause through the generic status-and-watch
     pass, as `add_clause` did before it had fast paths: sized clause by
-    clause, and learned clauses added through `add_clause`.  Its one
-    addition to that pass is to note, for the next `solve`, a clause added
-    above level 0 that is false there or has one literal."""
+    clause, and learned clauses added through `add_clause`.  Its additions
+    to that pass are to note, for the next `solve`, a clause added above
+    level 0 that is false there or has one literal, and to settle a clause
+    the database holds by the solver's own rule."""
 
     def add_clause(self, lits, origin=("learned",)):
         norm = list(dict.fromkeys(lits))
@@ -444,7 +445,7 @@ class GenericIntake(SatSolver):
         key = frozenset(norm)
         existing = self._by_key.get(key)
         if existing is not None and origin[0] != "input":
-            return existing, "duplicate"
+            return existing, self._settle_held(existing)
         cid = len(self.clauses)
         self.clauses.append(norm)
         self.origins.append(origin)
@@ -517,12 +518,10 @@ class GenericIntake(SatSolver):
 
     def _learn(self, learned, backjump, derivation):
         self._backjump(backjump)
-        cid, status = self.add_clause(learned, ("learned",))
+        cid, _ = self.add_clause(learned, ("learned",))
         if self.proof and cid not in self._node_of:
             first, steps = derivation
             self._node_of[cid] = self.proof.chain(first, steps, learned) if steps else first
-        if status == "duplicate" and self._vals[learned[0]] is None:
-            self._enqueue(learned[0], cid)
 
 
 def intake_state(s):
@@ -570,7 +569,7 @@ class RandomLemmas:
             return False
         self.budget -= 1
         return add_and_tally(solver, intake_clause(self.rng, self.nvars, solver.clauses),
-                             ("tlemma", self.budget), self.tally)[1] != "duplicate"
+                             ("tlemma", self.budget), self.tally)[1] in ("unit", "conflict")
 
     def hook_final(self, solver):
         return False
@@ -707,20 +706,55 @@ class TestIntake:
                 add(SatSolver())
 
 
-def test_reassert_acts_on_a_clause_as_add_clause_would():
+def test_a_held_clause_is_settled_as_a_new_one():
+    """`add_clause` of a clause the database holds keeps its id and acts on
+    it as on a new clause."""
     s = SatSolver()
-    cid, status = s.add_clause([1, 2, 3])
-    assert status == "ok" and s.reassert(cid) == "ok"
+    cid, status = s.add_clause([1, 2, 3], ("tlemma", 0))
+    assert status == "ok" and s.add_clause([3, 1, 2]) == (cid, "ok")
     s.trail_lim.append(len(s.trail))
     s._enqueue(-1, None)
-    assert s.reassert(cid) == "ok"
+    assert s.add_clause([2, 3, 1], ("added",)) == (cid, "ok")
     s._enqueue(-2, None)
-    assert s.reassert(cid) == "unit"
+    assert s.add_clause([1, 2, 3], ("tlemma", 1)) == (cid, "unit")
     assert s._vals[3] is True and s._reason[3] == cid
-    assert s.reassert(cid) == "satisfied"
+    assert s.add_clause([1, 2, 3]) == (cid, "satisfied")
     s._backjump(0)
     s.trail_lim.append(0)
     for lit in (-1, -2, -3):
         s._enqueue(lit, None)
-    assert s.reassert(cid) == "conflict" and s.pending_conflict == cid
+    assert s.add_clause([1, 2, 3]) == (cid, "conflict") and s.pending_conflict == cid
     assert s._recheck == [cid]
+    assert len(s.clauses) == 1
+
+
+class UnitAfterConflict:
+    """A hook that adds (-1 or -3) once, when 3 is true."""
+
+    def __init__(self):
+        self.added = False
+
+    def hook_fixpoint(self, solver):
+        if self.added or solver._vals[3] is not True:
+            return False
+        self.added = True
+        return solver.add_clause([-1, -3], ("tlemma", 0))[1] in ("unit", "conflict")
+
+    def hook_final(self, solver):
+        return False
+
+    def hook_backjump(self, trail_len):
+        pass
+
+
+def test_a_clause_a_budget_exit_left_unit_at_level_0_is_propagated():
+    """The hook's clause is false when added, above level 0, and the budget
+    ends the solve at that conflict.  The next solve settles the clause at
+    level 0, where it is unit, and so never meets that conflict again."""
+    s = SatSolver(conflict_budget=0)
+    s.add_inputs([[1], [2, 3]])
+    s.theory_hook = UnitAfterConflict()
+    assert s.solve().status == "unknown"
+    verdict = s.solve()
+    assert (verdict.status, s.conflicts) == ("sat", 1)
+    assert verdict.model == {1: True, 2: True, 3: False}
