@@ -45,6 +45,7 @@ Only `smt.smt_solve` fills `theory_model`, on a satisfiable answer.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -242,8 +243,7 @@ class SatSolver:
         self.conflicts = 0
         # a seed perturbs initial activities, varying branching tie-breaks
         # while staying reproducible per seed
-        import random as _random
-        self._rng = _random.Random(seed) if seed is not None else None
+        self._rng = random.Random(seed) if seed is not None else None
         # hook_fixpoint(solver) and hook_final(solver) each return whether
         # they enqueued a literal or left a conflict in pending_conflict;
         # hook_backjump(trail_len) follows every backjump

@@ -1,6 +1,10 @@
 """Core symbolic objects: terms, atoms, the atom table and formulas.
 
-Everything is immutable and hashable once constructed, and all arithmetic
+Everything is immutable and hashable once constructed.  A variable, an
+application and an atom compute their hash when they are built and store
+it: the value is the one a frozen dataclass generates, the hash of the
+tuple of its fields, so every set and dict keyed by them iterates in the
+same order, and a lookup does not hash a term tree again.  All arithmetic
 is exact: a value is a plain `int` while it is integral and a
 `fractions.Fraction` only when it is not; floats never appear in theory
 reasoning.  Both kinds go through the same operators, and `Fraction(n)`
@@ -18,7 +22,7 @@ store read as well.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
@@ -38,17 +42,35 @@ class SortError(ValueError):
     """A term or atom was built with mismatched sorts or arities."""
 
 
+class _HashedOnce:
+    """Base of the terms and atoms that store their hash: each sets `_hash`
+    when it is built to the hash of the tuple of its fields, the value a
+    frozen dataclass generates.  A string hashes differently in another
+    process, so a copy or an unpickled object is built again by its
+    constructor, never restored with the hash it had."""
+    __slots__ = ("_hash",)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, slots=True)
+class Var(_HashedOnce):
     """Theory variable.  `index` is the declaration ordinal and fixes the
     variable order used by linear-atom canonicalization."""
     name: str
     sort: str
     index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.sort, self.index)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -63,8 +85,8 @@ class FunSymbol:
     ret_sort: str
 
 
-@dataclass(frozen=True)
-class FunApp:
+@dataclass(frozen=True, slots=True)
+class FunApp(_HashedOnce):
     fn: FunSymbol
     args: tuple["Term", ...]
 
@@ -76,6 +98,10 @@ class FunApp:
             got = term_sort(arg)
             if got != want:
                 raise SortError(f"argument of {self.fn.name} has sort {got}, expected {want}")
+        object.__setattr__(self, "_hash", hash((self.fn, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -131,13 +157,19 @@ def term_key(t: Term):
 # Atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PropAtom:
+@dataclass(frozen=True, slots=True)
+class PropAtom(_HashedOnce):
     name: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
 
-@dataclass(frozen=True)
-class LinAtom:
+    def __hash__(self):
+        return self._hash
+
+
+@dataclass(frozen=True, slots=True)
+class LinAtom(_HashedOnce):
     """Canonical linear constraint ``sum(coeffs) + offset <rel> 0``.
 
     Use :func:`canonical_lin_atom` to construct; the raw constructor does
@@ -147,15 +179,27 @@ class LinAtom:
     offset: int
     rel: str  # "<=", "<" or "="
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.coeffs, self.offset, self.rel)))
+
+    def __hash__(self):
+        return self._hash
+
     def lincomb(self) -> LinComb:
         return LinComb(self.coeffs, self.offset)
 
 
-@dataclass(frozen=True)
-class EufAtom:
+@dataclass(frozen=True, slots=True)
+class EufAtom(_HashedOnce):
     """Equality between two uninterpreted terms, sides in term order."""
     lhs: Term
     rhs: Term
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.lhs, self.rhs)))
+
+    def __hash__(self):
+        return self._hash
 
 
 Atom = Union[PropAtom, LinAtom, EufAtom]

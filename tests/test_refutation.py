@@ -26,6 +26,8 @@ from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.sat import ProofLog, SatVerdict, sat_solve
 from smtcore.smt import TLemma
+from smtcore.terms import AtomTable, FunApp, FunSymbol, PropAtom, Var, euf_atom
+from smtcore.theory import EufSolver, TheorySolver, is_valid_lemma
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
 
@@ -241,6 +243,153 @@ class TestRejections:
         unknown = len(nine_clauses.atoms) + 1
         proof = sat_solve([[unknown], [-unknown]], log_proof=True).proof
         assert "names an unknown atom" in check_refutation(nine_clauses, [0], proof)
+
+
+U = "U"
+_CONSTS = [Var(name, U, k) for k, name in enumerate("abc")]
+_F = FunSymbol("f", (U,), U)
+_G = FunSymbol("g", (U, U), U)
+
+
+def _nested_terms():
+    """Constants, then unary and binary applications two deep."""
+    terms = list(_CONSTS)
+    for _ in range(2):
+        terms += [FunApp(_F, (t,)) for t in terms] + [FunApp(_G, (s, t)) for s in terms[:2]
+                                                      for t in terms[:3]]
+    return list(dict.fromkeys(terms))
+
+
+def _random_clause(rng, variables):
+    """One to five literals over `variables`, with a literal's complement
+    beside it in about one clause in eight."""
+    clause = {rng.choice(variables) * rng.choice((1, -1)) for _ in range(rng.randint(1, 5))}
+    if rng.random() < 0.125:
+        clause.add(-next(iter(clause)))
+    return frozenset(clause)
+
+
+def _cone(proof):
+    """The nodes the final node of `proof` derives from, itself included."""
+    seen, todo = set(), [proof.final]
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen.add(n)
+            node = proof.nodes[n]
+            if node[0] == "chain":
+                todo += [node[1], *(antecedent for _, antecedent in node[2])]
+    return seen
+
+
+def _leaf_checker(table, defs):
+    checker = cores._EufLeaves(table)
+    for var, atom in sorted(defs.items()):
+        checker.define(var, atom)
+    return checker
+
+
+def _agrees_with_is_valid_lemma(checker, table, defs, clause) -> bool:
+    """The checker's verdict on `clause`, checked against `is_valid_lemma`,
+    which counts a propositional tautology as invalid."""
+    valid = checker.valid(clause)
+    tautology = any(-lit in clause for lit in clause)
+    assert valid == (tautology or is_valid_lemma(clause, table, defs)[0]), sorted(clause)
+    return valid
+
+
+class TestEufLeaves:
+    """`check_refutation` decides an EUF leaf with a congruence closure over
+    the leaf's own terms (`cores._EufLeaves`), not with an `EufSolver`;
+    `is_valid_lemma`, which runs one, is the oracle."""
+
+    def test_agrees_with_is_valid_lemma_on_nested_applications(self):
+        rng = random.Random(2027)
+        terms = _nested_terms()
+        verdicts = []
+        for _ in range(150):
+            table = AtomTable()
+            atoms = {euf_atom(*rng.sample(terms[:12], 2)) for _ in range(rng.randint(2, 7))}
+            atoms |= {euf_atom(s, t) for s, t in rng.sample(list(zip(terms, terms[3:])), 2)}
+            atoms.add(euf_atom(t := rng.choice(terms), t))      # reflexive
+            ids = [table.intern(atom) for atom in sorted(atoms, key=repr)]
+            ids += [table.intern(PropAtom(name)) for name in ("p", "q")]
+            checker = _leaf_checker(table, {})
+            for _ in range(12):
+                clause = _random_clause(rng, ids)
+                verdicts.append(_agrees_with_is_valid_lemma(checker, table, {}, clause))
+        assert 250 <= sum(verdicts) <= len(verdicts) - 250
+
+    def test_agrees_with_is_valid_lemma_over_defined_atoms(self):
+        rng = random.Random(2028)
+        verdicts = []
+        for seed in range(8):
+            formula = diamond_chain_formula(random.Random(seed), 4 + seed % 4,
+                                            0 if seed % 2 else 4)
+            _, store = smt.smt_solve(formula)
+            defs = {var: atom for lemma in store for var, atom in lemma.defs}
+            assert defs
+            table = formula.atoms
+            checker = _leaf_checker(table, defs)
+            for lemma in store:                       # stored lemmas are valid
+                assert _agrees_with_is_valid_lemma(checker, table, defs,
+                                                   frozenset(lemma.clause))
+            variables = [var for var, _ in table.items()] + sorted(defs)
+            for _ in range(150):
+                clause = _random_clause(rng, variables)
+                verdicts.append(_agrees_with_is_valid_lemma(checker, table, defs, clause))
+        assert 100 <= sum(verdicts) <= len(verdicts) - 100
+
+    def test_a_weakened_leaf_of_a_real_refutation_fails(self, monkeypatch):
+        """Leaves of euf-core-like refutations, each with one premise
+        dropped or its conclusion negated.  Replay is switched off, so the
+        mutated leaf reaches the leaf check, which must reject it unless
+        the oracle finds the mutation valid (an explanation need not be
+        minimal, so a deduction can survive losing a premise)."""
+        monkeypatch.setattr(cores, "check_proof", lambda proof: None)
+        route, kind = METHODS["lift-proof"]
+        rejected = kept = 0
+        for seed in range(8):
+            formula = diamond_chain_formula(random.Random(seed), 3 + seed % 3, 8)
+            core, proof, store = route(formula, ExtractorConfig(kind), None)
+            defs = {var: atom for lemma in store for var, atom in lemma.defs}
+            assert check_refutation(formula, core, proof, defs) is None
+            inputs = {frozenset(formula.clauses[i]) for i in core}
+            lemma_of = {frozenset(lemma.clause): lemma for lemma in store}
+            for j in _cone(proof):
+                node = proof.nodes[j]
+                if node[0] != "leaf" or node[2] in inputs:
+                    continue
+                *premises, conclusion = lemma_of[node[2]].clause
+                mutants = [(node[2] - {p}, True) for p in premises]
+                mutants.append((node[2] - {conclusion} | {-conclusion}, False))
+                for lits, may_stay_valid in mutants:
+                    proof.nodes[j] = ("leaf", node[1], lits)
+                    problem = check_refutation(formula, core, proof, defs)
+                    if problem is None:
+                        assert may_stay_valid and is_valid_lemma(lits, formula.atoms, defs)[0]
+                        kept += 1
+                    else:
+                        assert problem == (f"refutation leaf {sorted(lits, key=abs)} is "
+                                           f"neither a core clause nor theory-valid")
+                        rejected += 1
+                proof.nodes[j] = node
+        assert rejected >= 100 and kept <= rejected // 20
+
+    def test_check_refutation_calls_no_euf_solver_method(self, monkeypatch):
+        formula = diamond_chain_formula(random.Random(3), 5, 5)
+        route, kind = METHODS["lift-proof"]
+        core, proof, store = route(formula, ExtractorConfig(kind), None)
+        defs = {var: atom for lemma in store for var, atom in lemma.defs}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an EufSolver method was called")
+
+        for cls in (EufSolver, TheorySolver):
+            for name, value in list(vars(cls).items()):
+                if callable(value):
+                    monkeypatch.setattr(cls, name, forbidden)
+        assert defs and check_refutation(formula, core, proof, defs) is None
 
 
 def _unsat_corpus():

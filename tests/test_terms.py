@@ -1,4 +1,9 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,8 +13,8 @@ from hypothesis import strategies as st
 from gen import formula_from_clauses
 from oracles import lra_literals_sat
 from smtcore.terms import (
-    LOGIC_PROP, REAL, AtomTable, Formula, FunApp, FunSymbol, LinComb, PropAtom, SortError,
-    Var, canonical_lin_atom, euf_atom,
+    LOGIC_PROP, REAL, AtomTable, EufAtom, Formula, FunApp, FunSymbol, LinAtom, LinComb, PropAtom,
+    SortError, Var, canonical_lin_atom, euf_atom,
 )
 
 X = Var("x", REAL, 0)
@@ -103,6 +108,72 @@ class TestEufAtoms:
     def test_function_arity_checked(self):
         with pytest.raises(SortError):
             FunApp(self.f, (self.a, self.b))
+
+
+class TestHashedOnce:
+    """Terms and atoms compute their hash when they are built.  It must be
+    the hash a frozen dataclass would generate, that of the tuple of the
+    compared fields, so that every set and dict keyed by them iterates in
+    the same order and every search stays the same."""
+    U = "U"
+    a = Var("a", U, 0)
+    b = Var("b", U, 1)
+    f = FunSymbol("f", (U,), U)
+    g = FunSymbol("g", (U, U), U)
+
+    def _examples(self):
+        fa = FunApp(self.f, (self.a,))
+        gab = FunApp(self.g, (self.a, fa))
+        yield from (X, Y, self.a, fa, gab, FunApp(self.f, (gab,)))
+        yield from (euf_atom(self.a, self.b), euf_atom(fa, gab), euf_atom(self.b, self.b))
+        yield from (lin({X: Fraction(2), Y: Fraction(-4)}, 6, "<="), lin({}, 3, "<"),
+                    lin({Y: Fraction(1, 3)}, Fraction(1, 2), "="))
+        yield from (PropAtom("p"), PropAtom("@cnf!3"))
+
+    def test_hash_is_that_of_the_tuple_of_fields(self):
+        kinds = set()
+        for obj in self._examples():
+            values = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj) if f.compare)
+            assert hash(obj) == hash(values), obj
+            kinds.add(type(obj))
+        assert kinds == {Var, FunApp, EufAtom, LinAtom, PropAtom}
+
+    def test_equal_objects_built_apart_hash_alike(self):
+        for obj in self._examples():
+            values = [getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init]
+            twin = type(obj)(*values)
+            assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+            assert repr(twin) == repr(obj) and "_hash" not in repr(obj)
+
+    def test_a_copy_from_another_process_hashes_as_built_here(self):
+        """A string hashes differently under another hash seed, so an
+        unpickled term must not keep the hash it was pickled with."""
+        prog = ("import pickle, sys\n"
+                "from test_terms import TestHashedOnce\n"
+                "sys.stdout.buffer.write(pickle.dumps(list(TestHashedOnce()._examples())))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+        proc = subprocess.run([sys.executable, "-c", prog], capture_output=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        here = list(self._examples())
+        copies = pickle.loads(proc.stdout)
+        assert copies == here and [hash(c) for c in copies] == [hash(h) for h in here]
+        assert set(copies) == set(here)
+
+    def test_terms_stay_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.a.index = 5
+
+    def test_function_arity_and_sorts_still_checked(self):
+        with pytest.raises(SortError, match="f expects 1 arguments, got 2"):
+            FunApp(self.f, (self.a, self.b))
+        with pytest.raises(SortError, match="g expects 2 arguments, got 0"):
+            FunApp(self.g, ())
+        with pytest.raises(SortError, match="argument of f has sort Real, expected U"):
+            FunApp(self.f, (X,))
+        with pytest.raises(SortError, match="argument of g has sort Bool, expected U"):
+            FunApp(self.g, (self.a, Var("p", "Bool", 2)))
 
 
 class TestClause:
