@@ -18,6 +18,6 @@ from .sat import ProofLog, SatSolver, SatVerdict, check_proof, proof_core, sat_s
 from .smt import SmtSolver, TLemma, evaluate_clause, lemma_store_violations, smt_solve
 from .terms import (Atom, AtomTable, Declarations, EufAtom, Formula, LinAtom, LinComb,
                     PropAtom, SortError, Var, canonical_lin_atom)
-from .theory import EufSolver, LraSolver, is_valid_lemma
+from .theory import EufSolver, LraSolver
 
 __version__ = "0.1.0"

@@ -133,7 +133,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    paths = sorted(Path(args.dir).glob("*.smt2"))
+    directory = Path(args.dir)
+    if not directory.is_dir():
+        problem = "is not a directory" if directory.exists() else "does not exist"
+        print(f"error: {args.dir} {problem}", file=sys.stderr)
+        return EXIT_ERROR
+    paths = sorted(directory.glob("*.smt2"))
+    if not paths:
+        print(f"error: {args.dir} holds no *.smt2 file", file=sys.stderr)
+        return EXIT_ERROR
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:

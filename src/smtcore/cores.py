@@ -29,22 +29,22 @@ unminimized core of such a route is verified from it by
 `check_refutation`, with no new search: every chain of the proof must
 re-derive step by step, and every leaf it resolves on must be a core clause
 or theory-valid.  An EUF leaf is decided by a congruence closure over its
-own terms (`_EufLeaves`), which shares no code with the `EufSolver` that
-made the lemmas; an LRA leaf by one fresh `LraSolver`.  A leaf may name
-an equality atom the run's EUF engine defined past the atom table, so
-`check_refutation` reads the route's definitions (each stored lemma
-records those of its clause), and accepts only definitions that give
-each such variable one equality over the formula's terms.  It trusts no
-part of the CDCL search that logged the proof.  Every other core (a
-selector or external route, or any minimized core) is verified by
-`check_core`, which re-solves the induced clause set with a fresh engine.
-Neither check reads anything else of the run it checks.  No engine here, the
-fresh one of `check_core` included, builds a theory model: every caller
-reads a verdict's status, assumption conflict or proof, never a model.
+own terms, which shares no code with the `EufSolver` that made the
+lemmas, an LRA leaf by one fresh `LraSolver`: `theory.validity_check`,
+which decides stored lemmas too.  A leaf may name an equality atom the
+run's EUF engine defined past the atom table, so `check_refutation` reads
+the route's definitions (each stored lemma records those of its clause),
+and accepts only definitions that give each such variable one equality
+over the formula's terms.  It trusts no part of the CDCL search that
+logged the proof.  Every other core (a selector or external route, or any minimized
+core) is verified by `check_core`, which re-solves the induced clause set
+with a fresh engine.  Neither check reads anything else of the run it
+checks.  No engine here, the fresh one of `check_core` included, builds a
+theory model: every caller reads a verdict's status, assumption conflict
+or proof, never a model.
 """
 from __future__ import annotations
 
-import functools
 import shlex
 import shutil
 import subprocess
@@ -57,8 +57,8 @@ from typing import Iterable, Optional
 from . import dimacs
 from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
 from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses
-from .terms import LOGIC_EUF, LOGIC_PROP, Atom, EufAtom, Formula, FunApp
-from .theory import solver_for_logic
+from .terms import LOGIC_PROP, Atom, Formula
+from .theory import validity_check
 
 
 # Wall-clock seconds an external extractor may run before it is stopped.
@@ -412,9 +412,9 @@ def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog,
     extends to those variables by evaluating their equalities, and then
     satisfies every theory-valid leaf, so the refutation refutes the core.
     A leaf is theory-valid when it is a tautology or its negated theory
-    literals are inconsistent.  For EUF, a congruence closure over the
-    leaf's own terms decides that (`_EufLeaves`, no `EufSolver`); for
-    LRA, they are asserted to one fresh `LraSolver`, which is backtracked
+    literals are inconsistent, as `theory.validity_check` decides it: for
+    EUF by a congruence closure over the leaf's own terms (no
+    `EufSolver`), for LRA by one fresh `LraSolver`, which is backtracked
     to empty after each leaf.  Only `formula`, `proof` and `defs` are
     read: no lemma store, clause numbering or engine of the run that
     logged the proof."""
@@ -424,127 +424,19 @@ def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog,
     problem = check_proof(proof)
     if problem is not None:
         return f"refutation: {problem}"
-    table = formula.atoms
-    defs = defs or {}
     inputs = {frozenset(formula.clauses[i]) for i in core}
-    leaves = []
-    for _, _cid, lits in proof_leaves(proof):
-        if lits in inputs:
-            continue
-        if any(not 1 <= abs(lit) <= len(table) and abs(lit) not in defs for lit in lits):
-            return f"refutation leaf {sorted(lits, key=abs)} names an unknown atom"
-        leaves.append(lits)
+    leaves = [lits for _, _cid, lits in proof_leaves(proof) if lits not in inputs]
     if not leaves:
         return None
-    if formula.logic == LOGIC_EUF:
-        theory = _EufLeaves(table)
-        valid = theory.valid
-    else:
-        theory = solver_for_logic(formula.logic, table)
-        valid = functools.partial(_theory_valid, theory)
-    if theory is not None:
-        for var, atom in sorted(defs.items()):
-            try:
-                theory.define(var, atom)
-            except ValueError as exc:
-                return f"definition of variable {var} is rejected: {exc}"
+    try:
+        check = validity_check(formula.logic, formula.atoms).under(
+            sorted((defs or {}).items()))
+    except ValueError as exc:
+        return str(exc)
     for lits in leaves:
-        if theory is None or not valid(lits):
+        if not check.known(lits):
+            return f"refutation leaf {sorted(lits, key=abs)} names an unknown atom"
+        if not check.valid(lits):
             return (f"refutation leaf {sorted(lits, key=abs)} is neither a core "
                     f"clause nor theory-valid")
     return None
-
-
-class _EufLeaves:
-    """Validity of the EUF leaves of a refutation, by a congruence closure
-    over each leaf's own terms and their subterms, which decides a ground
-    EUF clause (Nelson & Oppen, "Fast decision procedures based on
-    congruence closure", JACM 1980).  It shares no code with `EufSolver`,
-    whose lemmas it checks, and keeps no state from one leaf to the next."""
-
-    def __init__(self, table):
-        self.table = table
-        self.defined: dict[int, EufAtom] = {}
-        self.terms: set = set()             # every term of the table's equalities
-        todo = [t for _, a in table.items() if isinstance(a, EufAtom) for t in (a.lhs, a.rhs)]
-        while todo:
-            t = todo.pop()
-            if t not in self.terms:
-                self.terms.add(t)
-                if isinstance(t, FunApp):
-                    todo.extend(t.args)
-
-    def define(self, var: int, atom: Atom) -> None:
-        """Let `var`, past the table, name `atom`, an equality over the
-        terms of the table's equalities; a ValueError if it cannot."""
-        if var <= len(self.table):
-            raise ValueError(f"variable {var} is an atom of the table")
-        if not isinstance(atom, EufAtom):
-            raise ValueError(f"{type(atom).__name__} does not belong to EUF")
-        if atom.lhs not in self.terms or atom.rhs not in self.terms:
-            raise ValueError(f"{atom} is not over the solver's terms")
-        self.defined[var] = atom
-
-    def atom(self, var: int) -> Atom:
-        return self.defined.get(var) or self.table.atom(var)
-
-    def valid(self, lits: frozenset[int]) -> bool:
-        """Whether the clause is a tautology or the negations of its EUF
-        literals are inconsistent: the equalities it negates, closed under
-        congruence, join the two sides of an equality it asserts.  Other
-        literals are ignored, as `_theory_valid` ignores them."""
-        if any(-lit in lits for lit in lits):
-            return True
-        ids: dict = {}                      # term -> dense id
-        apps: list[tuple] = []              # (id, function symbol, argument ids)
-
-        def term_id(t) -> int:
-            tid = ids.get(t)
-            if tid is None:
-                args = tuple(term_id(a) for a in t.args) if isinstance(t, FunApp) else None
-                tid = ids[t] = len(ids)
-                if args is not None:
-                    apps.append((tid, t.fn, args))
-            return tid
-
-        def find(t: int) -> int:
-            while rep[t] != t:
-                rep[t] = t = rep[rep[t]]
-            return t
-
-        equal, unequal = [], []
-        for lit in lits:
-            atom = self.atom(abs(lit))
-            if isinstance(atom, EufAtom):
-                pair = (term_id(atom.lhs), term_id(atom.rhs))
-                (unequal if lit > 0 else equal).append(pair)
-        if not unequal:
-            return False
-        rep = list(range(len(ids)))
-        for a, b in equal:
-            rep[find(a)] = find(b)
-        merged = True
-        while merged:                       # one signature pass until none merges
-            merged = False
-            signatures = {}
-            for tid, fn, args in apps:
-                other = signatures.setdefault((fn, *map(find, args)), tid)
-                a, b = find(tid), find(other)
-                if a != b:
-                    rep[a] = b
-                    merged = True
-        return any(find(a) == find(b) for a, b in unequal)
-
-
-def _theory_valid(theory, lits: frozenset[int]) -> bool:
-    """Whether the clause is a tautology or the negations of its literals
-    over the theory's atoms are inconsistent; leaves `theory` with nothing
-    asserted.  Other literals are ignored, which is sound: a clause that
-    contains a valid clause is valid."""
-    if any(-lit in lits for lit in lits):
-        return True
-    owned = [lit for lit in sorted(lits, key=abs)
-             if theory.owns_atom(theory.atom(abs(lit)))]
-    valid = theory.negation_inconsistent(owned)
-    theory.backtrack(0)
-    return valid

@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 
 from .sat import SatSolver, SatVerdict, sat_solve
 from .terms import AtomTable, EufAtom, Formula, atom_theory
-from .theory import TheorySolver, is_valid_lemma, solver_for_logic
+from .theory import TheorySolver, solver_for_logic, validity_check
 
 
 @dataclass
@@ -271,19 +271,27 @@ def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[tuple[int, ...
 
 def lemma_store_violations(formula: Formula, store: list[TLemma],
                            unsat: bool) -> list[str]:
-    """Check the two lemma-store facts: every stored lemma is theory-valid,
-    its engine variables read as the atoms it records, and (after an unsat
-    run) the abstraction of the inputs plus the lemmas is propositionally
-    unsatisfiable by an independent SAT run."""
+    """Check the two lemma-store facts: every stored lemma is theory-valid
+    under the definitions it records (`TLemma.defs`), which must name
+    every variable of the clause past the atom table, each as an equality
+    over the formula's terms; and (after an unsat run) the abstraction of
+    the inputs plus the lemmas is propositionally unsatisfiable by an
+    independent SAT run.  Validity is decided by `theory.validity_check`,
+    as `cores.check_refutation` decides it for a refutation's leaves."""
     problems = []
+    shared = validity_check(formula.logic, formula.atoms)
     for i, lemma in enumerate(store):
-        ok, counter = is_valid_lemma(lemma.clause, formula.atoms, lemma.defs)
-        if not ok:
-            problems.append(f"lemma {i} is not theory-valid: {counter}")
-    if unsat:
-        check = sat_solve(lifted_clauses(formula, store))
-        if check.status != "unsat":
-            problems.append("abstraction plus stored lemmas is not propositionally unsat")
+        try:
+            check = shared.under(lemma.defs)
+        except ValueError as exc:
+            problems.append(f"lemma {i}: {exc}")
+            continue
+        if not check.known(lemma.clause):
+            problems.append(f"lemma {i} names an unknown atom")
+        elif not check.valid(frozenset(lemma.clause)):
+            problems.append(f"lemma {i} is not theory-valid")
+    if unsat and sat_solve(lifted_clauses(formula, store)).status != "unsat":
+        problems.append("abstraction plus stored lemmas is not propositionally unsat")
     return problems
 
 

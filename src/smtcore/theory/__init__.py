@@ -1,17 +1,18 @@
-"""Theory solvers: congruence closure (EUF) and simplex (LRA)."""
+"""Theory solvers, congruence closure (EUF) and simplex (LRA), and the one
+theory-validity check, `validity_check`, by which `cores.check_refutation`
+decides refutation leaves and `smt.lemma_store_violations` stored lemmas.
+"""
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Optional
 
-from ..terms import LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, AtomTable, EufAtom, LinAtom
+from ..terms import LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, Atom, AtomTable, EufAtom, FunApp
 from .base import Deduction, TheorySolver
 from .euf import EufSolver
 from .lra import LraSolver
 
-__all__ = [
-    "Deduction", "TheorySolver", "EufSolver", "LraSolver",
-    "solver_for_logic", "is_valid_lemma",
-]
+__all__ = ["Deduction", "TheorySolver", "EufSolver", "LraSolver", "solver_for_logic"]
 
 
 def solver_for_logic(logic: str, table: AtomTable) -> Optional[TheorySolver]:
@@ -24,44 +25,148 @@ def solver_for_logic(logic: str, table: AtomTable) -> Optional[TheorySolver]:
     raise ValueError(f"no theory solver for logic {logic!r}")
 
 
-def is_valid_lemma(clause: Iterable[int], table: AtomTable,
-                   defs: Iterable[tuple[int, EufAtom]] = ()):
-    """Decide theory validity of a clause of signed variables with a fresh
-    solver instance.  A variable is an atom of `table`, or one past it
-    that `defs`, pairs (variable, equality), defines as a lemma's
-    `TLemma.defs` do.
+def validity_check(logic: str, table: AtomTable) -> "_Validity":
+    """The validity check of clauses over `table` for a formula of `logic`:
+    for a formula with no theory atoms, one that accepts only tautologies."""
+    return {LOGIC_EUF: _EufValidity, LOGIC_LRA: _LraValidity}.get(logic, _Validity)(table)
 
-    Returns (True, None) when the conjunction of the negated literals is
-    theory-unsatisfiable, else (False, countermodel).  Propositional
-    literals are allowed but contribute nothing: the clause is valid only
-    if its theory part already is.  Mixed-theory clauses are an error.  A
-    clause with a variable that neither the table nor `defs` names is not
-    valid.
-    """
-    defined = dict(defs)
-    theory_lits: list[int] = []
-    kinds = set()
-    for lit in clause:
-        var = abs(lit)
-        atom = defined.get(var)
-        if atom is None:
-            if not 1 <= var <= len(table):
-                return False, {"undefined variable": var}
-            atom = table.atom(var)
-        if isinstance(atom, LinAtom):
-            kinds.add(LOGIC_LRA)
-            theory_lits.append(lit)
-        elif isinstance(atom, EufAtom):
-            kinds.add(LOGIC_EUF)
-            theory_lits.append(lit)
-    if len(kinds) > 1:
-        raise ValueError("mixed-theory clause")
-    if not theory_lits:
-        # all-propositional: not a theory lemma
-        return False, {"propositional": "assign every literal false"}
-    solver = EufSolver(table) if LOGIC_EUF in kinds else LraSolver(table)
-    for var, atom in defined.items():
-        solver.define(var, atom)
-    if solver.negation_inconsistent(theory_lits):
-        return True, None
-    return False, solver.witness()
+
+class _Validity:
+    """Theory validity of clauses of signed variables.  A variable is an
+    atom of `table`, or one past it that `define` names.  A clause is valid
+    when it is a tautology or the negations of its literals over the
+    theory's atoms are inconsistent (`_refutes`).  Its other literals are
+    ignored, which is sound: a clause that contains a valid clause is
+    valid.  This base decides no theory."""
+
+    def __init__(self, table: AtomTable):
+        self.table = table
+        self.defined: dict[int, Atom] = {}
+
+    def define(self, var: int, atom: Atom) -> None:
+        """Let `var`, past the table, name `atom`; a ValueError if it cannot."""
+        if var <= len(self.table):
+            raise ValueError(f"variable {var} is an atom of the table")
+        self._admit(var, atom)
+        self.defined[var] = atom
+
+    def under(self, defs: Iterable[tuple[int, Atom]]) -> "_Validity":
+        """A copy of this check whose only definitions are `defs`, pairs
+        (variable, atom) given to `define` in order; a ValueError naming
+        the first it rejects.  The copy shares everything else, so it
+        costs no more than its definitions."""
+        check = copy.copy(self)
+        check.defined = {}
+        for var, atom in defs:
+            try:
+                check.define(var, atom)
+            except ValueError as exc:
+                raise ValueError(f"definition of variable {var} is rejected: {exc}") from None
+        return check
+
+    def atom(self, var: int) -> Atom:
+        return self.defined.get(var) or self.table.atom(var)
+
+    def known(self, lits: Iterable[int]) -> bool:
+        """Whether every literal names an atom of the table or a defined one."""
+        return all(1 <= abs(lit) <= len(self.table) or abs(lit) in self.defined
+                   for lit in lits)
+
+    def valid(self, lits: frozenset[int]) -> bool:
+        """Whether the clause is valid; every literal must be `known`."""
+        return any(-lit in lits for lit in lits) or self._refutes(lits)
+
+    def _admit(self, var: int, atom: Atom) -> None:
+        raise ValueError("a formula without theory atoms defines none")
+
+    def _refutes(self, lits: frozenset[int]) -> bool:
+        return False
+
+
+class _EufValidity(_Validity):
+    """EUF, by a congruence closure over the clause's own terms and their
+    subterms, which decides a ground EUF clause (Nelson & Oppen, "Fast
+    decision procedures based on congruence closure", JACM 1980).  It
+    keeps no state from one clause to the next."""
+
+    def __init__(self, table: AtomTable):
+        super().__init__(table)
+        self.terms: set = set()             # every term of the table's equalities
+        todo = [t for _, a in table.items() if isinstance(a, EufAtom) for t in (a.lhs, a.rhs)]
+        while todo:
+            t = todo.pop()
+            if t not in self.terms:
+                self.terms.add(t)
+                if isinstance(t, FunApp):
+                    todo.extend(t.args)
+
+    def _admit(self, var: int, atom: Atom) -> None:
+        """An equality over the terms of the table's equalities."""
+        if not isinstance(atom, EufAtom):
+            raise ValueError(f"{type(atom).__name__} does not belong to EUF")
+        if atom.lhs not in self.terms or atom.rhs not in self.terms:
+            raise ValueError(f"{atom} is not over the solver's terms")
+
+    def _refutes(self, lits: frozenset[int]) -> bool:
+        """The equalities the clause negates, closed under congruence, join
+        the two sides of an equality it asserts."""
+        ids: dict = {}                      # term -> dense id
+        apps: list[tuple] = []              # (id, function symbol, argument ids)
+
+        def term_id(t) -> int:
+            tid = ids.get(t)
+            if tid is None:
+                args = tuple(term_id(a) for a in t.args) if isinstance(t, FunApp) else None
+                tid = ids[t] = len(ids)
+                if args is not None:
+                    apps.append((tid, t.fn, args))
+            return tid
+
+        def find(t: int) -> int:
+            while rep[t] != t:
+                rep[t] = t = rep[rep[t]]
+            return t
+
+        equal, unequal = [], []
+        for lit in lits:
+            atom = self.atom(abs(lit))
+            if isinstance(atom, EufAtom):
+                pair = (term_id(atom.lhs), term_id(atom.rhs))
+                (unequal if lit > 0 else equal).append(pair)
+        if not unequal:
+            return False
+        rep = list(range(len(ids)))
+        for a, b in equal:
+            rep[find(a)] = find(b)
+        merged = True
+        while merged:                       # one signature pass until none merges
+            merged = False
+            signatures = {}
+            for tid, fn, args in apps:
+                other = signatures.setdefault((fn, *map(find, args)), tid)
+                a, b = find(tid), find(other)
+                if a != b:
+                    rep[a] = b
+                    merged = True
+        return any(find(a) == find(b) for a, b in unequal)
+
+
+class _LraValidity(_Validity):
+    """LRA, by asserting the negations, in variable order, to one
+    `LraSolver` and checking it; the solver is backtracked to empty after
+    each clause."""
+
+    def __init__(self, table: AtomTable):
+        super().__init__(table)
+        self.solver = LraSolver(table)
+
+    def _admit(self, var: int, atom: Atom) -> None:
+        self.solver.define(var, atom)
+
+    def _refutes(self, lits: frozenset[int]) -> bool:
+        solver = self.solver
+        owned = [lit for lit in sorted(lits, key=abs) if solver.owns_atom(self.atom(abs(lit)))]
+        refuted = any(solver.assert_literal(-lit) is not None for lit in owned) \
+            or solver.check_full() is not None
+        solver.backtrack(0)
+        return refuted

@@ -21,7 +21,7 @@ to a length it took itself, as a check that probes the state does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..terms import Atom, AtomTable
 
@@ -87,13 +87,6 @@ class TheorySolver:
     def asserted(self) -> list[int]:
         return list(self._asserted)
 
-    def negation_inconsistent(self, lits: Iterable[int]) -> bool:
-        """Assert the negation of each literal of `lits` (over this solver's
-        atoms, one literal an atom) in order, then check: whether that met a
-        conflict.  The literals stay asserted; the caller backtracks."""
-        return any(self.assert_literal(-lit) is not None for lit in lits) \
-            or self.check_full() is not None
-
     def conflict_clauses(self, conflict: list[int],
                          new_var: Callable[[], int]) -> list[tuple[int, ...]]:
         """Theory-valid clauses to add, in order, for the conflict that
@@ -128,8 +121,8 @@ class TheorySolver:
     def witness(self):
         """Theory model of the asserted literals; valid only right after
         check_full returned None.  Built on demand: the search never reads
-        one, and only `smt_solve` (the model of a satisfiable answer) and
-        `is_valid_lemma` (a countermodel) ask for it."""
+        one, and only `smt_solve` asks for it (the model of a satisfiable
+        answer)."""
         raise NotImplementedError
 
     def deductions(self) -> list[Deduction]:

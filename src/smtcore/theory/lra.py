@@ -66,16 +66,6 @@ _CONST, _BOUNDS, _NOT_EQUAL = range(3)
 _EPS_STEPS = 220
 
 
-class _Probe:
-    """Sentinel bound reason used during disequality splits; never escapes
-    into a reported conflict."""
-
-    __slots__ = ("literal",)
-
-    def __init__(self, literal: int):
-        self.literal = literal
-
-
 class _Propagation:
     """The deduction plan of one solver's atom table, and the per-base
     bounds it maintains.
@@ -179,7 +169,7 @@ class LraSolver(TheorySolver):
         self.rows: dict[int, dict[int, Rational]] = {}
         self.values: dict[int, tuple] = {}       # variable -> (real, delta)
         self.lower: dict[int, tuple] = {}        # variable -> ((real, delta), reason)
-        self.upper: dict[int, tuple] = {}        # reason: an asserted literal or a _Probe
+        self.upper: dict[int, tuple] = {}        # reason: an asserted literal
         self.diseqs: list[tuple[int, Rational, int]] = []
         self._out_of_bounds: set[int] = set()    # holds every basic variable outside its bounds
         self._crossed: Optional[list] = None     # reasons of a bound asserted past its opposite
@@ -357,9 +347,7 @@ class LraSolver(TheorySolver):
         return None
 
     def _sanitize(self, reasons) -> list[int]:
-        lits = [r.literal if isinstance(r, _Probe) else r for r in reasons]
-        assert all(type(lit) is int for lit in lits), "probe sentinel leaked into a conflict"
-        return list(dict.fromkeys(lits))
+        return list(dict.fromkeys(reasons))
 
     def _undo_to(self, length: int):
         trail = self._trail
@@ -386,7 +374,7 @@ class LraSolver(TheorySolver):
 
     def _check(self) -> Optional[list]:
         """Restore feasibility or return the raw reason list of a conflict
-        (may contain probe sentinels)."""
+        (may repeat a literal)."""
         if self._crossed is not None:
             return self._crossed
         rows, values, lower, upper = self.rows, self.values, self.lower, self.upper
@@ -445,8 +433,9 @@ class LraSolver(TheorySolver):
         collected = []
         for is_lower, value in ((False, (c, -1)), (True, (c, 1))):
             length = len(self._trail)
-            probe = _Probe(dlit)
-            conf = self._assert_bound(sid, is_lower, value, probe)
+            # the probed side's reason is dlit: a disequality literal is the
+            # reason of no other bound, so a conflict naming it needs the split
+            conf = self._assert_bound(sid, is_lower, value, dlit)
             if conf is None:
                 conf = self._check()
             if conf is None:
@@ -454,11 +443,10 @@ class LraSolver(TheorySolver):
             if conf is None:
                 return None  # this side works; probes stay until check_full unwinds
             self._undo_to(length)
-            if probe not in conf:
+            if dlit not in conf:
                 return conf  # conflict independent of the split
-            collected.append([r for r in conf if r is not probe])
-        merged = collected[0] + collected[1] + [dlit]
-        return merged
+            collected.append([r for r in conf if r != dlit])
+        return collected[0] + collected[1] + [dlit]
 
     # -- public checks -----------------------------------------------------------------
 

@@ -7,6 +7,10 @@ recompute from the bounds on every call, EUF conjunctions by a naive
 congruence-closure fixpoint over the term universe, propositional formulas
 by vectorized truth-table enumeration, and SMT formulas by enumerating all
 total truth assignments and filtering through the theory oracle.  The
+theory oracle is also the validity oracle (`clause_valid`): a clause is
+theory-valid when the negations of its literals are unsatisfiable, which
+`theory.validity_check`, the check of stored lemmas and refutation
+leaves, must agree with.  The
 all-MUS oracle, MARCO, decides its subsets with the package's own one-shot
 `smt_solve`, but shares nothing with `smtcore.mus`: no selector engine,
 no cardinality counter and no hitting sets.
@@ -315,6 +319,14 @@ def theory_literals_sat(literals: list[tuple[object, bool]]) -> bool:
     if euf:
         return euf_literals_sat(euf)
     return True
+
+
+def clause_valid(clause, atom_of) -> bool:
+    """Whether a clause of signed variables, `atom_of(var)` the atom of
+    each, is a tautology or its negated theory literals are unsatisfiable;
+    propositional literals count for nothing."""
+    return any(-lit in clause for lit in clause) or not theory_literals_sat(
+        [(atom_of(abs(lit)), lit < 0) for lit in clause])
 
 
 def brute_force_smt_sat(formula: Formula) -> bool:

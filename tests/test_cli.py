@@ -373,6 +373,19 @@ class TestBench:
         assert code == 1 and out == ""
         assert "baseline 'lift-proof' is not among the methods" in err
 
+    @pytest.mark.parametrize("kind, problem", [
+        ("missing", "does not exist"),
+        ("file", "is not a directory"),
+        ("no instances", "holds no *.smt2 file"),
+    ])
+    def test_a_directory_without_instances_exits_1(self, tmp_path, capsys, kind, problem):
+        (tmp_path / "notes.txt").write_text("x", encoding="utf-8")
+        path = {"missing": tmp_path / "missing", "file": tmp_path / "notes.txt",
+                "no instances": tmp_path}[kind]
+        code, out, err = run_cli("bench", str(path), capsys=capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {path} {problem}\n"
+
     def test_per_instance_failures_never_abort_the_run(self, data_dir, tmp_path, capsys):
         work = tmp_path / "corpus"
         work.mkdir()

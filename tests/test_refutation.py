@@ -10,6 +10,7 @@ three proof routes, on the property suites' generators and on instances
 several times their size."""
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from gen import (
     diamond_chain_formula, labeled_corpus, pigeonhole_cnf, prop_formula,
     random_difference_formula, random_uf_formula,
 )
-from oracles import brute_force_smt_sat
+from oracles import brute_force_smt_sat, clause_valid
 from smtcore import cores, smt
 from smtcore.cores import (
     METHODS, ExtractionError, ExtractorConfig, check_core, check_refutation, extract_core,
@@ -26,8 +27,10 @@ from smtcore.cnf import cnf_convert
 from smtcore.parser import parse
 from smtcore.sat import ProofLog, SatVerdict, sat_solve
 from smtcore.smt import TLemma
-from smtcore.terms import AtomTable, FunApp, FunSymbol, PropAtom, Var, euf_atom
-from smtcore.theory import EufSolver, TheorySolver, is_valid_lemma
+from smtcore.terms import (
+    REAL, AtomTable, FunApp, FunSymbol, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom,
+)
+from smtcore.theory import EufSolver, TheorySolver, validity_check
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
 
@@ -282,28 +285,48 @@ def _cone(proof):
     return seen
 
 
-def _leaf_checker(table, defs):
-    checker = cores._EufLeaves(table)
-    for var, atom in sorted(defs.items()):
-        checker.define(var, atom)
-    return checker
-
-
-def _agrees_with_is_valid_lemma(checker, table, defs, clause) -> bool:
-    """The checker's verdict on `clause`, checked against `is_valid_lemma`,
-    which counts a propositional tautology as invalid."""
-    valid = checker.valid(clause)
-    tautology = any(-lit in clause for lit in clause)
-    assert valid == (tautology or is_valid_lemma(clause, table, defs)[0]), sorted(clause)
+def _agrees_with_the_oracle(check, clause) -> bool:
+    """The check's verdict on `clause`, checked against the oracle's."""
+    valid = check.valid(clause)
+    assert valid == clause_valid(clause, check.atom), sorted(clause)
     return valid
 
 
-class TestEufLeaves:
-    """`check_refutation` decides an EUF leaf with a congruence closure over
-    the leaf's own terms (`cores._EufLeaves`), not with an `EufSolver`;
-    `is_valid_lemma`, which runs one, is the oracle."""
+def _lin(coeffs, offset, rel):
+    return canonical_lin_atom(LinComb.build(coeffs, Fraction(offset)), rel)
 
-    def test_agrees_with_is_valid_lemma_on_nested_applications(self):
+
+GENERATORS = {
+    "difference": lambda s: random_difference_formula(random.Random(s), 4, 12, 3),
+    "diamond": lambda s: diamond_chain_formula(random.Random(s), 3 + s % 4, s % 3),
+    "uf": lambda s: random_uf_formula(random.Random(s), 5, 14, 2),
+}
+
+
+class TestTheoryValidity:
+    """`theory.validity_check`, which decides stored lemmas and refutation
+    leaves alike, agrees with the oracle (`oracles.clause_valid`: Fourier-
+    Motzkin for LRA, a naive congruence closure for EUF)."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_agrees_with_the_oracle_on_generated_formulas(self, name):
+        """Every stored lemma, and random clauses over the table's and the
+        defined variables."""
+        rng = random.Random(2029)
+        verdicts = []
+        for seed in range(40):
+            formula = GENERATORS[name](seed)
+            _, store = smt.smt_solve(formula)
+            defs = {var: atom for lemma in store for var, atom in lemma.defs}
+            check = validity_check(formula.logic, formula.atoms).under(sorted(defs.items()))
+            for lemma in store:
+                assert _agrees_with_the_oracle(check, frozenset(lemma.clause))
+            variables = [var for var, _ in formula.atoms.items()] + sorted(defs)
+            for _ in range(60):
+                verdicts.append(_agrees_with_the_oracle(check, _random_clause(rng, variables)))
+        assert 300 <= sum(verdicts) <= len(verdicts) - 300
+
+    def test_agrees_with_the_oracle_on_nested_applications(self):
         rng = random.Random(2027)
         terms = _nested_terms()
         verdicts = []
@@ -314,31 +337,41 @@ class TestEufLeaves:
             atoms.add(euf_atom(t := rng.choice(terms), t))      # reflexive
             ids = [table.intern(atom) for atom in sorted(atoms, key=repr)]
             ids += [table.intern(PropAtom(name)) for name in ("p", "q")]
-            checker = _leaf_checker(table, {})
+            check = validity_check("EUF", table)
             for _ in range(12):
-                clause = _random_clause(rng, ids)
-                verdicts.append(_agrees_with_is_valid_lemma(checker, table, {}, clause))
+                verdicts.append(_agrees_with_the_oracle(check, _random_clause(rng, ids)))
         assert 250 <= sum(verdicts) <= len(verdicts) - 250
 
-    def test_agrees_with_is_valid_lemma_over_defined_atoms(self):
-        rng = random.Random(2028)
-        verdicts = []
-        for seed in range(8):
-            formula = diamond_chain_formula(random.Random(seed), 4 + seed % 4,
-                                            0 if seed % 2 else 4)
-            _, store = smt.smt_solve(formula)
-            defs = {var: atom for lemma in store for var, atom in lemma.defs}
-            assert defs
-            table = formula.atoms
-            checker = _leaf_checker(table, defs)
-            for lemma in store:                       # stored lemmas are valid
-                assert _agrees_with_is_valid_lemma(checker, table, defs,
-                                                   frozenset(lemma.clause))
-            variables = [var for var, _ in table.items()] + sorted(defs)
-            for _ in range(150):
-                clause = _random_clause(rng, variables)
-                verdicts.append(_agrees_with_is_valid_lemma(checker, table, defs, clause))
-        assert 100 <= sum(verdicts) <= len(verdicts) - 100
+    def test_fixed_clauses(self):
+        """Transitivity; bound lemmas; a repeated literal, which is one
+        literal; a tautology; a constant atom; a strict bound."""
+        a, b, c = _CONSTS
+        x, y = Var("x", REAL, 0), Var("y", REAL, 1)
+        table = AtomTable()
+        iab, ibc, iac = (table.intern(euf_atom(s, t)) for s, t in ((a, b), (b, c), (a, c)))
+        p = table.intern(PropAtom("p"))
+        euf = validity_check("EUF", table)
+        table = AtomTable()
+        ix1, ix0, iy2, iylt, iy1, ione, ixlt, ixle = (table.intern(atom) for atom in (
+            _lin({x: 1}, -1, "="), _lin({x: 1}, 0, "="), _lin({y: 1}, -2, "="),
+            _lin({y: 1}, 0, "<"), _lin({y: 1}, -1, "="), _lin({}, -1, "<="),
+            _lin({x: 1}, 0, "<"), _lin({x: 1}, 0, "<=")))
+        lra = validity_check("LRA", table)
+        cases = [
+            (euf, (-iab, -ibc, iac), True), (euf, (iab, ibc), False),
+            (euf, (-iab, -ibc, iac, p), True), (euf, (p, -p), True), (euf, (p,), False),
+            (lra, (-ix1, -ix0), True), (lra, (-iy2, -iylt), True), (lra, (-iy1, -iylt), True),
+            (lra, (ix0, ix0), False), (lra, (ix0, -ix0), True), (lra, (ix0, ix1), False),
+            (lra, (ione,), True), (lra, (-ione,), False),
+            (lra, (-ixlt, ixle), True), (lra, (-ixle, ixlt), False),
+        ]
+        for check, clause, valid in cases:
+            assert _agrees_with_the_oracle(check, frozenset(clause)) == valid, clause
+
+
+class TestEufLeaves:
+    """`check_refutation` decides an EUF leaf by the congruence closure of
+    `theory.validity_check`, not with an `EufSolver`."""
 
     def test_a_weakened_leaf_of_a_real_refutation_fails(self, monkeypatch):
         """Leaves of euf-core-like refutations, each with one premise
@@ -367,7 +400,8 @@ class TestEufLeaves:
                     proof.nodes[j] = ("leaf", node[1], lits)
                     problem = check_refutation(formula, core, proof, defs)
                     if problem is None:
-                        assert may_stay_valid and is_valid_lemma(lits, formula.atoms, defs)[0]
+                        assert may_stay_valid and clause_valid(
+                            lits, lambda v: defs.get(v) or formula.atoms.atom(v))
                         kept += 1
                     else:
                         assert problem == (f"refutation leaf {sorted(lits, key=abs)} is "

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +7,7 @@ from gen import (
     diamond_chain_formula, formula_from_clauses, labeled_corpus, random_difference_formula, random_formula,
     random_uf_formula,
 )
-from oracles import brute_force_smt_sat
+from oracles import brute_force_smt_sat, clause_valid
 from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS, ExtractorConfig, check_refutation, extract_core
 from smtcore.mus import all_minimal_cores
@@ -16,8 +17,9 @@ from smtcore.smt import (
 )
 from smtcore.terms import (
     REAL, AtomTable, EufAtom, LinComb, PropAtom, Var, atom_theory, canonical_lin_atom, euf_atom,
+    term_sort,
 )
-from smtcore.theory import EufSolver, LraSolver, is_valid_lemma
+from smtcore.theory import EufSolver, LraSolver, TheorySolver
 
 
 def test_nine_clause_instance_unsat_with_facts(nine_clauses):
@@ -60,7 +62,7 @@ def test_stored_lemmas_accessor_order(nine_clauses):
               for cid, origin in enumerate(engine.sat.origins) if origin[0] == "tlemma"]
     assert tlemma == [(i, frozenset(lem.clause)) for i, lem in enumerate(engine.store)]
     for lem in engine.store:
-        assert is_valid_lemma(lem.clause, nine_clauses.atoms)[0]
+        assert clause_valid(lem.clause, nine_clauses.atoms.atom)
         assert lem.kind in ("theory-conflict", "theory-deduction")
 
 
@@ -370,10 +372,15 @@ class TestEngineDefinedAtoms:
         for lemma in chained:
             past = {abs(lit) for lit in lemma.clause if abs(lit) > size}
             assert past == {var for var, _ in lemma.defs}
-            assert is_valid_lemma(lemma.clause, formula.atoms, lemma.defs) == (True, None)
-            ok, _ = is_valid_lemma(lemma.clause, formula.atoms)
-            assert not ok
+            defined = dict(lemma.defs)
+            assert clause_valid(lemma.clause, lambda v: defined.get(v) or formula.atoms.atom(v))
         assert lemma_store_violations(formula, store, unsat=True) == []
+        # stripped of its definitions, a chain lemma names variables that no
+        # other lemma's definitions may stand in for
+        i = store.index(chained[-1])
+        forged = store[:i] + [replace(store[i], defs=())] + store[i + 1:]
+        assert lemma_store_violations(formula, forged, unsat=True) == [
+            f"lemma {i} names an unknown atom"]
 
     def test_check_refutation_reads_the_definitions(self):
         formula = diamond_chain_formula(random.Random(7), 7, 0)
@@ -451,3 +458,68 @@ class TestEngineDefinedAtoms:
                                                Var("fresh_b", "U", 91)))
         with pytest.raises(ValueError, match="the atom table grew after the engine was built"):
             engine.solver.add_clause((new_id,))
+
+
+def _flipped(store, atom_of, chained=False):
+    """The index of the first stored lemma (with definitions, if `chained`)
+    that flipping its last literal makes invalid by the oracle, and the
+    store with that lemma flipped."""
+    for i, lemma in enumerate(store):
+        if chained and not lemma.defs:
+            continue
+        clause = lemma.clause[:-1] + (-lemma.clause[-1],)
+        if not clause_valid(clause, atom_of):
+            return i, store[:i] + [replace(lemma, clause=clause)] + store[i + 1:]
+    raise AssertionError("no lemma turns invalid when flipped")
+
+
+class TestLemmaStoreViolations:
+    """Forged lemma stores: each must give exactly one problem."""
+
+    def test_a_flipped_euf_lemma(self):
+        formula = diamond_chain_formula(random.Random(4), 5, 3)
+        _, store = smt_solve(formula)
+        defs = {var: atom for lemma in store for var, atom in lemma.defs}
+        i, forged = _flipped(store, lambda v: defs.get(v) or formula.atoms.atom(v), chained=True)
+        assert lemma_store_violations(formula, forged, unsat=False) == [
+            f"lemma {i} is not theory-valid"]
+
+    def test_a_flipped_lra_lemma(self):
+        formula = random_difference_formula(random.Random(0), 4, 12, 3)
+        _, store = smt_solve(formula)
+        i, forged = _flipped(store, formula.atoms.atom)
+        assert lemma_store_violations(formula, forged, unsat=False) == [
+            f"lemma {i} is not theory-valid"]
+
+    def test_definitions_past_the_formula(self):
+        formula = diamond_chain_formula(random.Random(6), 6, 0)
+        _, store = smt_solve(formula)
+        i = next(k for k, lemma in enumerate(store) if lemma.defs)
+        (var, atom), *rest = store[i].defs
+        table_var, table_atom = next(iter(formula.atoms.items()))
+        stranger = euf_atom(atom.lhs, Var("stranger", term_sort(atom.lhs), 99))
+        for defs, named, problem in [
+                (((table_var, table_atom),) + store[i].defs, table_var,
+                 f"variable {table_var} is an atom of the table"),
+                (((var, stranger), *rest), var, f"{stranger} is not over the solver's terms")]:
+            forged = store[:i] + [replace(store[i], defs=tuple(defs))] + store[i + 1:]
+            assert lemma_store_violations(formula, forged, unsat=True) == [
+                f"lemma {i}: definition of variable {named} is rejected: {problem}"]
+
+    def test_a_store_that_leaves_the_abstraction_satisfiable(self, nine_clauses):
+        assert lemma_store_violations(nine_clauses, [], unsat=True) == [
+            "abstraction plus stored lemmas is not propositionally unsat"]
+
+    def test_calls_no_euf_solver_method(self, monkeypatch):
+        formula = diamond_chain_formula(random.Random(3), 5, 5)
+        _, store = smt_solve(formula)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an EufSolver method was called")
+
+        for cls in (EufSolver, TheorySolver):
+            for name, value in list(vars(cls).items()):
+                if callable(value):
+                    monkeypatch.setattr(cls, name, forbidden)
+        assert any(lemma.defs for lemma in store)
+        assert lemma_store_violations(formula, store, unsat=True) == []

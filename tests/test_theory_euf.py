@@ -5,7 +5,7 @@ import pytest
 from gen import random_euf_atoms
 from oracles import euf_literals_sat
 from smtcore.terms import AtomTable, FunApp, FunSymbol, Var, euf_atom
-from smtcore.theory import EufSolver, is_valid_lemma
+from smtcore.theory import EufSolver
 
 U = "U"
 
@@ -153,13 +153,6 @@ def test_wrong_theory_literal_rejected():
     ix = table.intern(canonical_lin_atom(LinComb(((x, Fraction(1)),), Fraction(0)), "<="))
     with pytest.raises(ValueError, match="does not belong"):
         EufSolver(table).assert_literal(ix)
-
-
-def test_valid_lemma_examples():
-    table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
-    assert is_valid_lemma((-iab, -ibc, iac), table) == (True, None)
-    ok, counter = is_valid_lemma((iab, ibc), table)
-    assert not ok and counter is not None
 
 
 class TestAgainstNaiveClosure:

@@ -9,7 +9,7 @@ from oracles import lra_literals_sat, reference_lra_deductions
 from smtcore.cores import minimize_core
 from smtcore.smt import smt_solve
 from smtcore.terms import REAL, AtomTable, LinComb, Var, canonical_lin_atom, eval_lin_atom
-from smtcore.theory import LraSolver, is_valid_lemma
+from smtcore.theory import LraSolver
 
 X = Var("x", REAL, 0)
 Y = Var("y", REAL, 1)
@@ -317,37 +317,6 @@ class TestDeductionsAgainstReference:
                     undo_some()
         assert len(checked_deductions) > 3000
         assert sum(checked_deductions) > 600
-
-
-class TestValidity:
-    def test_pairwise_bound_lemmas_are_valid(self):
-        table, (i10, i01, iy2, iylt, iy1) = table_with(
-            lin({X: 1}, -1, "="), lin({X: 1}, 0, "="),
-            lin({Y: 1}, -2, "="), lin({Y: 1}, 0, "<"), lin({Y: 1}, -1, "="))
-        for lemma in [(-i10, -i01), (-iy2, -iylt), (-iy1, -iylt)]:
-            assert is_valid_lemma(lemma, table) == (True, None)
-
-    def test_trivial_tautology_shape(self):
-        table, (ieq,) = table_with(lin({X: 1}, 0, "="))
-        # (x=0 or x=0) is not valid; (x=0 or not x=0) is
-        ok, counter = is_valid_lemma((ieq, ieq), table)
-        assert not ok and counter[X] != 0
-        assert is_valid_lemma((ieq, -ieq), table) == (True, None)
-
-    def test_invalid_lemma_has_countermodel(self):
-        table, (i0, i1) = table_with(lin({X: 1}, 0, "="), lin({X: 1}, -1, "="))
-        ok, counter = is_valid_lemma((i0, i1), table)
-        assert not ok
-        assert counter[X] not in (0, 1)
-
-    def test_mixed_theory_clause_is_an_error(self):
-        from smtcore.terms import euf_atom
-        u, v = Var("u", "U", 0), Var("v", "U", 1)
-        table = AtomTable()
-        i1 = table.intern(lin({X: 1}, 0, "="))
-        i2 = table.intern(euf_atom(u, v))
-        with pytest.raises(ValueError, match="mixed"):
-            is_valid_lemma((i1, i2), table)
 
 
 class PivotWatch(LraSolver):
