@@ -3,9 +3,9 @@ import random
 import pytest
 
 from gen import random_euf_atoms
-from oracles import euf_literals_sat
+from oracles import clause_valid, euf_literals_sat
 from smtcore.terms import AtomTable, FunApp, FunSymbol, Var, euf_atom
-from smtcore.theory import EufSolver
+from smtcore.theory import EufSolver, validity_check
 
 U = "U"
 
@@ -153,6 +153,14 @@ def test_wrong_theory_literal_rejected():
     ix = table.intern(canonical_lin_atom(LinComb(((x, Fraction(1)),), Fraction(0)), "<="))
     with pytest.raises(ValueError, match="does not belong"):
         EufSolver(table).assert_literal(ix)
+
+
+def test_valid_lemma_examples():
+    table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
+    check = validity_check("EUF", table)
+    for clause, valid in [((-iab, -ibc, iac), True), ((iab, ibc), False)]:
+        assert check.valid(frozenset(clause)) == valid
+        assert clause_valid(frozenset(clause), table.atom) == valid
 
 
 class TestAgainstNaiveClosure:

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from gen import random_difference_formula, random_lra_atoms
-from oracles import lra_literals_sat, reference_lra_deductions
+from oracles import clause_valid, lra_literals_sat, reference_lra_deductions
 from smtcore.cores import minimize_core
 from smtcore.smt import smt_solve
 from smtcore.terms import REAL, AtomTable, LinComb, Var, canonical_lin_atom, eval_lin_atom
-from smtcore.theory import LraSolver
+from smtcore.theory import LraSolver, validity_check
 
 X = Var("x", REAL, 0)
 Y = Var("y", REAL, 1)
@@ -317,6 +317,28 @@ class TestDeductionsAgainstReference:
                     undo_some()
         assert len(checked_deductions) > 3000
         assert sum(checked_deductions) > 600
+
+
+def _lra_verdicts(table, clauses):
+    """The shared check's verdict on each clause, which the oracle must share."""
+    check = validity_check("LRA", table)
+    verdicts = [check.valid(frozenset(clause)) for clause in clauses]
+    assert verdicts == [clause_valid(frozenset(clause), table.atom) for clause in clauses]
+    return verdicts
+
+
+class TestValidity:
+    def test_pairwise_bound_lemmas_are_valid(self):
+        table, (i10, i01, iy2, iylt, iy1) = table_with(
+            lin({X: 1}, -1, "="), lin({X: 1}, 0, "="),
+            lin({Y: 1}, -2, "="), lin({Y: 1}, 0, "<"), lin({Y: 1}, -1, "="))
+        lemmas = [(-i10, -i01), (-iy2, -iylt), (-iy1, -iylt)]
+        assert _lra_verdicts(table, lemmas) == [True, True, True]
+
+    def test_trivial_tautology_shape(self):
+        table, (ieq,) = table_with(lin({X: 1}, 0, "="))
+        # (x=0 or x=0) is not valid; (x=0 or not x=0) is
+        assert _lra_verdicts(table, [(ieq, ieq), (ieq, -ieq)]) == [False, True]
 
 
 class PivotWatch(LraSolver):
