@@ -196,9 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fixpoint", action="store_true")
     pc.add_argument("--minimize", action="store_true")
     pc.add_argument("--verify", action="store_true",
-                    help="check the final core: an unminimized lift-proof or smt-proof "
-                         "core against the resolution refutation its run logged, any "
-                         "other core by solving it again with a fresh engine")
+                    help="check the final core: a lift-proof or smt-proof core that "
+                         "--minimize did not shrink against the resolution refutation "
+                         "its run logged, any other core by solving it again with a "
+                         "fresh engine")
     pc.add_argument("--extractor-cmd", default=None,
                     help="external extractor template with {in} and {out}; it writes "
                          "1-based clause indices or a DIMACS subset")

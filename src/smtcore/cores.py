@@ -24,9 +24,10 @@ route's budget, and a satisfiable one is reported as "sat".
 answer "sat".
 
 A route that ends in a resolution refutation (`lift-proof`, with or
-without the fixpoint, and `smt-proof`) hands it on with its core, and an
-unminimized core of such a route is verified from it by
-`check_refutation`, with no new search: every chain of the proof must
+without the fixpoint, and `smt-proof`) hands it on with its core, and the
+final core of such a route is verified from it by `check_refutation`, with
+no new search, whenever it is the core the refutation refutes: unminimized,
+or one that minimization kept whole.  Every chain of the proof must
 re-derive step by step, and every leaf it resolves on must be a core clause
 or theory-valid.  An EUF leaf is decided by a congruence closure over its
 own terms, which shares no code with the `EufSolver` that made the
@@ -36,12 +37,12 @@ run's EUF engine defined past the atom table, so `check_refutation` reads
 the route's definitions (each stored lemma records those of its clause),
 and accepts only definitions that give each such variable one equality
 over the formula's terms.  It trusts no part of the CDCL search that
-logged the proof.  Every other core (a selector or external route, or any minimized
-core) is verified by `check_core`, which re-solves the induced clause set
-with a fresh engine.  Neither check reads anything else of the run it
-checks.  No engine here, the fresh one of `check_core` included, builds a
-theory model: every caller reads a verdict's status, assumption conflict
-or proof, never a model.
+logged the proof.  Every other core (a selector or external route, or a
+core that minimization shrank) is verified by `check_core`, which re-solves
+the induced clause set with a fresh engine.  Neither check reads anything
+else of the run it checks.  No engine here, the fresh one of `check_core`
+included, builds a theory model: every caller reads a verdict's status,
+assumption conflict or proof, never a model.
 """
 from __future__ import annotations
 
@@ -287,9 +288,15 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
     if core is None:
         return CoreReport("sat", (), method, n, 0, "verified", ())
     if minimize:
-        # the refutation is of the raw core; drop it before the long part
-        proof = None
+        # the refutation is of the raw core, so it can verify only a core
+        # that minimization keeps whole (`_minimize` returns a subset); it is
+        # kept through the long part only for that, and dropped otherwise
+        raw_size = len(set(core))
+        if not verify:
+            proof = None
         core = _minimize(formula, core, store, budget)
+        if len(core) < raw_size:
+            proof = None
     core = tuple(sorted(set(core)))
     if verify:
         problem = check_core(formula, core) if proof is None \
@@ -310,9 +317,11 @@ def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool
     lift-external; an option the method would ignore is a ValueError.
     With `minimize` the core is made one-deletion minimal, and with
     `verify` the final core is checked independently: from the route's
-    refutation when it has one and was not minimized (`check_refutation`),
-    else by a fresh solve (`check_core`).  `budget` bounds each solve of
-    the route and of minimization, not verification."""
+    refutation when the route logged one and the final core is the one it
+    refutes, that is, minimization (if any) kept it whole
+    (`check_refutation`), else by a fresh solve (`check_core`).  `budget`
+    bounds each solve of the route and of minimization, not
+    verification."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     kind = METHODS[method][1]

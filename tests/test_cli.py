@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gen import random_difference_formula
-from smtcore import dimacs
+from smtcore import cores, dimacs
 from smtcore.cli import main
 from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS, self_extractor_command
@@ -74,6 +74,23 @@ class TestCore:
         assert lines[0] == "unsat"
         got = lines[1].split(":")[1].split()
         assert got in (["1", "2", "3", "4", "5", "6"], ["1", "2", "3", "4", "6", "8"])
+
+    @pytest.mark.parametrize("name, check", [(NINE_CLAUSES, "check_refutation"),
+                                             ("abstraction_gap.smt2", "check_core")])
+    def test_minimize_verify_prints_the_lines_of_minimize(self, data_dir, capsys, monkeypatch,
+                                                          name, check):
+        # nine_clauses keeps its lift-proof core whole, so the route's
+        # refutation verifies it; abstraction_gap's shrinks, so it is re-solved
+        path = str(data_dir / name)
+        code, plain, _ = run_cli("core", path, "--minimize", capsys=capsys)
+        assert code == 20
+        called = []
+        for fn in ("check_core", "check_refutation"):
+            monkeypatch.setattr(cores, fn, lambda *args, fn=fn, real=getattr(cores, fn):
+                                called.append(fn) or real(*args))
+        code, verified, _ = run_cli("core", path, "--minimize", "--verify", capsys=capsys)
+        assert (code, verified) == (20, plain)
+        assert called == [check]
 
     def test_sat_input_prints_sat(self, data_dir, capsys):
         code, out, _ = run_cli("core", str(data_dir / "sat_unit.smt2"), capsys=capsys)

@@ -1,10 +1,10 @@
 """Core verification from a resolution refutation (`check_refutation`).
 
-An unminimized `lift-proof` or `smt-proof` core is verified from the
-refutation its route logged, with no new search; every other core by
-`check_core`'s fresh solve.  The rejection tests corrupt one part of a
-refutation, its core or the run that produced it, and each must fail
-verification with a clean description (`ExtractionError` through
+A `lift-proof` or `smt-proof` core that minimization did not shrink is
+verified from the refutation its route logged, with no new search; every
+other core by `check_core`'s fresh solve.  The rejection tests corrupt one
+part of a refutation, its core or the run that produced it, and each must
+fail verification with a clean description (`ExtractionError` through
 `extract_core`).  The agreement tests run both checks on the cores of all
 three proof routes, on the property suites' generators and on instances
 several times their size."""
@@ -484,21 +484,51 @@ class TestAgreement:
         monkeypatch.setattr(cores, "check_core",
                             lambda f, core: checked.append(core) or check_core(f, core))
         report = extract_core(nine_clauses, "lift-proof", minimize=True, verify=True)
-        # the lift, the minimization's selector engine and check_core's engine
-        assert len(engines) == 3
-        assert checked == [report.core]
+        # the lift and the minimization's selector engine: minimization kept
+        # the core whole, so its refutation verifies it with no third engine
+        assert len(report.core) == 6
+        assert len(engines) == 2
+        assert checked == []
 
-    def test_minimized_and_selector_cores_use_check_core(self, nine_clauses, monkeypatch):
+    @staticmethod
+    def _spy_checks(monkeypatch):
+        """Record, in call order, which check verified each core."""
         called = []
-        monkeypatch.setattr(cores, "check_refutation",
-                            lambda *args: called.append(args) or None)
-        for method in ("lift-selectors", "smt-selectors"):
-            extract_core(nine_clauses, method, verify=True)
-        for method, fixpoint in PROOF_ROUTES:
-            extract_core(nine_clauses, method, fixpoint=fixpoint, minimize=True, verify=True)
-        assert called == []
+        monkeypatch.setattr(cores, "check_core", lambda f, core: called.append(
+            "check_core") or check_core(f, core))
+        monkeypatch.setattr(cores, "check_refutation", lambda *args: called.append(
+            "check_refutation") or check_refutation(*args))
+        return called
 
-    def test_refutation_is_dropped_before_minimization(self, nine_clauses, monkeypatch):
+    def test_selector_cores_use_check_core(self, nine_clauses, monkeypatch):
+        called = self._spy_checks(monkeypatch)
+        for method in ("lift-selectors", "smt-selectors"):
+            for minimize in (False, True):
+                extract_core(nine_clauses, method, minimize=minimize, verify=True)
+        assert called == ["check_core"] * 4
+
+    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
+    def test_shrunk_cores_use_check_core(self, abstraction_gap, monkeypatch, method,
+                                         fixpoint):
+        called = self._spy_checks(monkeypatch)
+        report = extract_core(abstraction_gap, method, fixpoint=fixpoint, minimize=True,
+                              verify=True)
+        # the route's core is all four clauses, which the refutation refutes
+        assert report.core == (0, 1, 2)
+        assert called == ["check_core"]
+
+    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
+    def test_cores_kept_whole_use_the_refutation(self, nine_clauses, monkeypatch, method,
+                                                 fixpoint):
+        called = self._spy_checks(monkeypatch)
+        report = extract_core(nine_clauses, method, fixpoint=fixpoint, minimize=True,
+                              verify=True)
+        assert report.core == tuple(core_and_proof(nine_clauses, method, fixpoint)[0])
+        assert report.verification == "verified"
+        assert called == ["check_refutation"]
+
+    def test_refutation_is_dropped_once_it_cannot_verify(self, nine_clauses, abstraction_gap,
+                                                         monkeypatch):
         proofs = []
         boolean_core = cores.boolean_core
 
@@ -511,18 +541,59 @@ class TestAgreement:
         minimize = cores._minimize
         monkeypatch.setattr(cores, "boolean_core", recording)
         monkeypatch.setattr(cores, "_minimize", lambda f, core, store, budget: alive.append(
-            proofs[-1]() is not None) or minimize(f, core, store, budget))
-        extract_core(nine_clauses, "lift-proof", minimize=True, verify=True)
-        assert alive == [False]
+            ("minimize", proofs[-1]() is not None)) or minimize(f, core, store, budget))
+        monkeypatch.setattr(cores, "check_core", lambda f, core: alive.append(
+            ("check_core", proofs[-1]() is not None)) or check_core(f, core))
+        for formula in (nine_clauses, abstraction_gap):
+            # without verify nothing reads the refutation past the route
+            extract_core(formula, "lift-proof", minimize=True)
+            assert alive == [("minimize", False)]
+            assert proofs[-1]() is None
+            alive.clear()
+        # with verify it is kept through minimization, for the core kept whole ...
+        report = extract_core(nine_clauses, "lift-proof", minimize=True, verify=True)
+        assert report.verification == "verified"
+        assert alive == [("minimize", True)]
+        assert proofs[-1]() is None
+        alive.clear()
+        # ... and dropped before check_core when minimization shrinks the core
+        extract_core(abstraction_gap, "lift-proof", minimize=True, verify=True)
+        assert alive == [("minimize", True), ("check_core", False)]
+        assert proofs[-1]() is None
         report = extract_core(nine_clauses, "lift-proof", verify=True)
         assert report.verification == "verified"
         assert proofs[-1]() is None
+
+    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
+    def test_a_corrupt_refutation_fails_a_core_kept_whole(self, nine_clauses, monkeypatch,
+                                                          method, fixpoint):
+        route, kind = METHODS[method]
+
+        def corrupting_route(formula, config, budget):
+            core, proof, store = route(formula, config, budget)
+            i = proof.final
+            _, first, steps, lits = proof.nodes[i]
+            wrong = len(formula.atoms) + 1
+            proof.nodes[i] = ("chain", first, steps[:-1] + ((wrong, steps[-1][1]),), lits)
+            return core, proof, store
+
+        monkeypatch.setitem(cores.METHODS, method, (corrupting_route, kind))
+        with pytest.raises(ExtractionError,
+                           match=f"{method}: core failed verification: refutation: node "):
+            extract_core(nine_clauses, method, fixpoint=fixpoint, minimize=True, verify=True)
+        # the core itself is sound: only the refutation that verifies it is broken
+        assert extract_core(nine_clauses, method, fixpoint=fixpoint,
+                            minimize=True).verification == "unchecked"
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_verify_never_changes_the_core(self, method):
         formulas = [formula for _, formula in _unsat_corpus()][::9]
         if method == "lift-external":
             formulas = formulas[:3]
+        # a proof route's core is verified from its refutation with or
+        # without minimization, whenever minimization keeps it whole
+        minimizing = (False, True) if method in {m for m, _ in PROOF_ROUTES} else (False,)
         for formula in formulas:
-            assert extract_core(formula, method, verify=True).core == \
-                extract_core(formula, method).core
+            for minimize in minimizing:
+                assert extract_core(formula, method, minimize=minimize, verify=True).core == \
+                    extract_core(formula, method, minimize=minimize).core, minimize

@@ -114,6 +114,22 @@ class TestAssertAndConflict:
             assert conflict is not None
         assert -ieq in conflict
 
+    def test_a_conflict_independent_of_a_split_leaves_its_disequality_out(self):
+        # x0 != x2 is split first; on its first probed side the two bounds
+        # force x0 - x1 = 0 against x0 != x1, a conflict the split has no
+        # part in, so it is returned as it is
+        x0, x1, x2 = (Var(f"x{i}", REAL, i) for i in range(3))
+        table, (ieq02, ieq01, ile01, ile10) = table_with(
+            lin({x0: 1, x2: -1}, 0, "="), lin({x0: 1, x1: -1}, 0, "="),
+            lin({x0: 1, x1: -1}, 0, "<="), lin({x1: 1, x0: -1}, 0, "<="))
+        s = LraSolver(table)
+        for lit in (-ieq02, -ieq01, ile01, ile10):
+            assert s.assert_literal(lit) is None
+        conflict = s.check_full()
+        assert conflict is not None and -ieq02 not in conflict
+        assert sorted(conflict) == sorted([ile10, ile01, -ieq01])
+        assert clause_valid([-lit for lit in conflict], table.atom)
+
     def test_constant_atom_conflict(self):
         table, (ic,) = table_with(lin({}, 1, "<"))  # 1 < 0: false
         s = LraSolver(table)
