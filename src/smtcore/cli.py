@@ -196,10 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--fixpoint", action="store_true")
     pc.add_argument("--minimize", action="store_true")
     pc.add_argument("--verify", action="store_true",
-                    help="check the final core: a lift-proof or smt-proof core that "
-                         "--minimize did not shrink against the resolution refutation "
-                         "its run logged, any other core by solving it again with a "
-                         "fresh engine")
+                    help="check a resolution refutation of the final core plus "
+                         "theory-valid lemmas: the one its run logged, or one from the "
+                         "lemmas of the engine that last refuted the core")
     pc.add_argument("--extractor-cmd", default=None,
                     help="external extractor template with {in} and {out}; it writes "
                          "1-based clause indices or a DIMACS subset")

@@ -172,7 +172,8 @@ def _try_distribute(node) -> Optional[list[list[_Lit]]]:
 class _Definitions:
     """Definitional (auxiliary variable) translation for one conversion run.
     Auxiliaries are named `@cnf!N`, skipping every declared proposition
-    name, so no auxiliary is an atom of the input."""
+    name, so no auxiliary is an atom of the input: the parser rejects such
+    a name, but an assertion set built through the API may declare one."""
 
     def __init__(self, declared):
         self.counter = 0

@@ -23,26 +23,34 @@ route's budget, and a satisfiable one is reported as "sat".
 `lift-external` keeps its SMT run, because an external extractor cannot
 answer "sat".
 
-A route that ends in a resolution refutation (`lift-proof`, with or
-without the fixpoint, and `smt-proof`) hands it on with its core, and the
-final core of such a route is verified from it by `check_refutation`, with
-no new search, whenever it is the core the refutation refutes: unminimized,
-or one that minimization kept whole.  Every chain of the proof must
-re-derive step by step, and every leaf it resolves on must be a core clause
-or theory-valid.  An EUF leaf is decided by a congruence closure over its
-own terms, which shares no code with the `EufSolver` that made the
-lemmas, an LRA leaf by one fresh `LraSolver`: `theory.validity_check`,
-which decides stored lemmas too.  A leaf may name an equality atom the
-run's EUF engine defined past the atom table, so `check_refutation` reads
-the route's definitions (each stored lemma records those of its clause),
-and accepts only definitions that give each such variable one equality
-over the formula's terms.  It trusts no part of the CDCL search that
-logged the proof.  Every other core (a selector or external route, or a
-core that minimization shrank) is verified by `check_core`, which re-solves
-the induced clause set with a fresh engine.  Neither check reads anything
-else of the run it checks.  No engine here, the fresh one of `check_core`
-included, builds a theory model: every caller reads a verdict's status,
-assumption conflict or proof, never a model.
+Every final core is verified by `check_refutation`, with a resolution
+refutation of the core's clauses plus theory-valid lemmas.  A route that
+ends in a refutation (`lift-proof`, with or without the fixpoint, and
+`smt-proof`) hands it on with its core, and that refutation is checked
+whenever the final core is the one it refutes: unminimized, or one that
+minimization kept whole.  For any other core, `smt.lifted_refutation`
+builds one, by one proof-logging SAT search over the core's clauses plus
+the lemmas of the last engine that refuted it, the paper's lifting step
+once more: the minimization engine's lemmas when minimization shrank the
+core, else the route's store.  A selector engine's learned clauses keep
+the negated selectors of the clauses outside the core, and the external
+bridge checked that a subset of the core plus the lemmas is unsat, so
+these refute every sound core; when they are satisfiable the core fails.
+Every chain of the proof must re-derive step by step, and every leaf it
+resolves on must be a core clause or theory-valid.  An EUF leaf is
+decided by a congruence closure over its own terms, which shares no code
+with the `EufSolver` that made the lemmas, an LRA leaf by one fresh
+`LraSolver`: `theory.validity_check`, which decides stored lemmas too.  A
+leaf may name an equality atom the run's EUF engine defined past the atom
+table, so `check_refutation` reads the definitions of the engine whose
+lemmas it checks (each lemma records those of its clause), and accepts
+only definitions that give each such variable one equality over the
+formula's terms.  It trusts no part of the CDCL search that logged the
+proof.  `check_core`, which re-solves the induced clause set with a fresh
+engine, is the independent check of `smtcore verify`.  No engine here,
+the fresh one of `check_core` included, builds a theory model: every
+caller reads a verdict's status, assumption conflict or proof, never a
+model.
 """
 from __future__ import annotations
 
@@ -57,7 +65,7 @@ from typing import Iterable, Optional
 
 from . import dimacs
 from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
-from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses
+from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses, lifted_refutation
 from .terms import LOGIC_PROP, Atom, Formula
 from .theory import validity_check
 
@@ -290,16 +298,18 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
     if minimize:
         # the refutation is of the raw core, so it can verify only a core
         # that minimization keeps whole (`_minimize` returns a subset); it is
-        # kept through the long part only for that, and dropped otherwise
+        # kept through the long part only for that; a smaller core is
+        # verified from the lemmas of the minimization engine that refuted it
         raw_size = len(set(core))
         if not verify:
             proof = None
-        core = _minimize(formula, core, store, budget)
+        core, lemmas = _minimize(formula, core, store, budget)
         if len(core) < raw_size:
-            proof = None
+            proof, store = None, lemmas
     core = tuple(sorted(set(core)))
     if verify:
-        problem = check_core(formula, core) if proof is None \
+        proof = proof or lifted_refutation(formula, core, store)
+        problem = "the core plus its lemmas is propositionally satisfiable" if proof is None \
             else check_refutation(formula, core, proof,
                                   {var: atom for lemma in store for var, atom in lemma.defs})
         if problem is not None:
@@ -316,11 +326,11 @@ def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool
     the lifted methods and `extractor_cmd` (default: the self-bridge) only
     lift-external; an option the method would ignore is a ValueError.
     With `minimize` the core is made one-deletion minimal, and with
-    `verify` the final core is checked independently: from the route's
-    refutation when the route logged one and the final core is the one it
-    refutes, that is, minimization (if any) kept it whole
-    (`check_refutation`), else by a fresh solve (`check_core`).  `budget`
-    bounds each solve of the route and of minimization, not
+    `verify` the final core is checked by `check_refutation`: against the
+    route's refutation when the route logged one and minimization (if
+    any) kept the core whole, else against one `smt.lifted_refutation`
+    builds from the core and the lemmas of the last engine that refuted
+    it.  `budget` bounds each solve of the route and of minimization, not
     verification."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -362,24 +372,27 @@ def minimize_core(formula: Formula, core: Iterable[int], budget: Optional[int] =
     one-deletion minimal.  Every trial is a solve of one selector engine
     that `budget` bounds; one that runs out is an ExtractionError.  A core
     that is not theory-unsatisfiable is a ValueError."""
-    return _minimize(formula, core, [], budget, confirm=True)
+    return _minimize(formula, core, [], budget, confirm=True)[0]
 
 
 def _minimize(formula: Formula, core: Iterable[int], store: list[TLemma],
-              budget: Optional[int], *, confirm: bool = False) -> list[int]:
+              budget: Optional[int], *, confirm: bool = False) -> tuple[list[int], list[TLemma]]:
     """`minimize_core` on an engine that starts with the clauses of the
     lemma store of a route's run, unguarded, each engine variable renamed
     to the minimization engine's own (`SmtSolver.add_lemma`).  A stored
     lemma is theory-valid, so it changes no trial's verdict, only the
     search that reaches it, and the result is the same core.  The core is
     solved first only with `confirm`: a route's core needs no such solve,
-    since the route refuted it together with theory-valid lemmas."""
+    since the route refuted it together with theory-valid lemmas.  Returns
+    the core and the engine's lemmas in its own numbering, the renamed
+    store and then its own: the core plus them is propositionally unsat,
+    since the engine's learned clauses keep the negated selectors of the
+    clauses outside the core."""
     current = sorted(set(core))
     if problem := _out_of_range(formula, current):
         raise ValueError(f"core {problem}")
     engine = SelectorEngine(formula, conflict_budget=budget)
-    for lemma in store:
-        engine.solver.add_lemma(lemma)
+    seeded = [engine.solver.add_lemma(lemma) for lemma in store]
     if confirm and not _refuted(engine.solve(current)):
         raise ValueError("minimize_core requires a theory-unsatisfiable core")
 
@@ -394,7 +407,7 @@ def _minimize(formula: Formula, core: Iterable[int], store: list[TLemma],
         if _refuted(engine.solve(trial)):
             current = trial
             retire(candidate)
-    return current
+    return current, seeded + engine.solver.store
 
 
 def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:

@@ -6,6 +6,8 @@ accepted and ignored.  Connectives: and/or/not/=>/ite over Bool; relations
 =, <=, <, >=, >; arithmetic +, -, unary -, and multiplication by numeric
 constants only.  Comments start with ';'.  An integer numeral is read as
 an `int`; a decimal numeral or a `/` gives an exact `fractions.Fraction`.
+As in SMT-LIB, a symbol that starts with '@' or '.' is reserved: it can be
+neither declared nor used.
 
 The text is split into tokens by one `findall` of one regular expression
 and read into plain nested lists, in one pass with no position arithmetic:
@@ -25,7 +27,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Optional, Union
 
 from .terms import (
@@ -232,8 +234,9 @@ class _Parser:
             raise self._error("expected (declare-sort <name> 0)", sx)
         if len(args) == 2 and (not isinstance(args[1], int) or self._tokens[args[1]] != "0"):
             raise self._error("only zero-arity sorts are supported", args[1])
+        name = self._new_name(args[0])
         try:
-            self.decls.declare_sort(self._tokens[args[0]])
+            self.decls.declare_sort(name)
         except ValueError as exc:
             raise self._error(str(exc), args[0])
 
@@ -258,8 +261,17 @@ class _Parser:
             return name
         raise self._error(f"unknown sort {name!r}", sx)
 
+    def _new_name(self, sx: int) -> str:
+        """The symbol a command declares.  SMT-LIB reserves the simple
+        symbols that start with '@' or '.' for solvers; the CNF converter
+        names its auxiliaries among them."""
+        name = self._tokens[sx]
+        if name[0] in "@.":
+            raise self._error(f"symbol {name!r} is reserved: it starts with {name[0]!r}", sx)
+        return name
+
     def _declare_common(self, name_sx: int, arg_sorts: tuple[str, ...], ret: str):
-        name = self._tokens[name_sx]
+        name = self._new_name(name_sx)
         if arg_sorts and (ret in (REAL, BOOL) or any(s in (REAL, BOOL) for s in arg_sorts)):
             raise self._error("function symbols must use uninterpreted sorts only", name_sx)
         try:
@@ -597,7 +609,8 @@ def _derived_declarations(formula, picked) -> list[str]:
 def render_instance(formula, indices=None) -> str:
     """Serialize (a subset of) a formula back to the input language.  A
     formula built without declarations gets those its rendered atoms
-    need."""
+    need, and an undeclared proposition with a reserved name, as CNF
+    auxiliaries have, is written under a fresh one."""
     from .terms import LOGIC_EUF, LOGIC_LRA
 
     lines = []
@@ -628,12 +641,18 @@ def render_instance(formula, indices=None) -> str:
             if isinstance(a, PropAtom) and a.name not in known_props:
                 known_props.add(a.name)
                 extra.append(a.name)
-    for name in extra:  # auxiliaries introduced by CNF conversion
-        lines.append(f"(declare-fun {name} () Bool)")
+    # auxiliaries introduced by CNF conversion; a reserved name, as theirs
+    # are, is written as the first `aux!N` that nothing declared takes
+    taken = set(_TOKEN.findall("\n".join(lines))) | set(extra)
+    fresh = (name for k in count() if (name := f"aux!{k}") not in taken)
+    rename = {name: next(fresh) for name in extra if name[0] in "@."}
+    for name in extra:
+        lines.append(f"(declare-fun {rename.get(name, name)} () Bool)")
     for i in picked:
         lits = []
         for lit in formula.clauses[i]:
             s = atom_sexpr(formula.atoms.atom(abs(lit)))
+            s = rename.get(s, s)
             lits.append(s if lit > 0 else f"(not {s})")
         if not lits:
             body = "false"

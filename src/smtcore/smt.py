@@ -37,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .sat import SatSolver, SatVerdict, sat_solve
+from .sat import ProofLog, SatSolver, SatVerdict, sat_solve
 from .terms import AtomTable, EufAtom, Formula, atom_theory
 from .theory import TheorySolver, solver_for_logic, validity_check
 
@@ -196,14 +196,16 @@ class SmtSolver:
         self.sat._backjump(0)
         self.sat.add_clause(lits, ("added",))
 
-    def add_lemma(self, lemma: TLemma) -> None:
+    def add_lemma(self, lemma: TLemma) -> TLemma:
         """Add, as `add_clause` does, a lemma another engine over the same
         table stored, each of its engine variables renamed to the one that
-        names the same atom here."""
+        names the same atom here; returns the lemma as renamed."""
         rename = {var: self.theory.atom_var(atom, self._new_theory_var)
                   for var, atom in lemma.defs}
-        self.add_clause(rename.get(lit, lit) if lit > 0 else -rename.get(-lit, -lit)
-                        for lit in lemma.clause)
+        clause = tuple(rename.get(lit, lit) if lit > 0 else -rename.get(-lit, -lit)
+                       for lit in lemma.clause)
+        self.add_clause(clause)
+        return TLemma(clause, lemma.kind, tuple((rename[var], atom) for var, atom in lemma.defs))
 
     def solve(self, assumptions: tuple[int, ...] = ()) -> SatVerdict:
         """Solve under `assumptions` (signed variables): the CDCL search's
@@ -263,6 +265,16 @@ def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[tuple[int, ...
     """Boolean abstraction of the input clauses followed by the stored
     lemmas: positions below len(formula.clauses) are inputs."""
     return formula.clauses + [lemma.clause for lemma in store]
+
+
+def lifted_refutation(formula: Formula, core: Iterable[int],
+                      lemmas: list[TLemma]) -> Optional[ProofLog]:
+    """A resolution refutation of the clauses of `core` plus `lemmas`, by
+    one proof-logging SAT search over them, or None when they are
+    propositionally satisfiable.  The lemmas of an engine that refuted the
+    core are theory-valid, so this is the paper's lifting step run once
+    more: `cores.check_refutation` then verifies the core from it."""
+    return sat_solve(lifted_clauses(formula.restrict(core), lemmas), log_proof=True).proof
 
 
 # ---------------------------------------------------------------------------

@@ -75,12 +75,9 @@ class TestCore:
         got = lines[1].split(":")[1].split()
         assert got in (["1", "2", "3", "4", "5", "6"], ["1", "2", "3", "4", "6", "8"])
 
-    @pytest.mark.parametrize("name, check", [(NINE_CLAUSES, "check_refutation"),
-                                             ("abstraction_gap.smt2", "check_core")])
+    @pytest.mark.parametrize("name, check", [(NINE_CLAUSES, "check_refutation")])
     def test_minimize_verify_prints_the_lines_of_minimize(self, data_dir, capsys, monkeypatch,
                                                           name, check):
-        # nine_clauses keeps its lift-proof core whole, so the route's
-        # refutation verifies it; abstraction_gap's shrinks, so it is re-solved
         path = str(data_dir / name)
         code, plain, _ = run_cli("core", path, "--minimize", capsys=capsys)
         assert code == 20
@@ -135,6 +132,26 @@ class TestCore:
         assert code == 20
         code2, out2, _ = run_cli("solve", str(dest), capsys=capsys)
         assert code2 == 20 and out2.strip() == "unsat"
+
+    def test_out_writes_the_auxiliaries_under_fresh_names(self, tmp_path, capsys):
+        """A core with CNF auxiliaries is written with each under the first
+        `aux!N` that no declared symbol takes, since SMT-LIB reserves the
+        names the converter gives them."""
+        src = tmp_path / "aux.smt2"
+        src.write_text("(declare-fun aux!0 () Bool)"
+                       + "".join(f"(declare-fun {c} () Bool)" for c in "abcdefgh")
+                       + "(assert (or (and a b) (and c d) (and e f) (and g h)))"
+                         "(assert (not aux!0))(assert (not a))(assert (not c))"
+                         "(assert (not e))(assert (not g))", encoding="utf-8")
+        dest = tmp_path / "core.smt2"
+        code, _, _ = run_cli("core", str(src), "--out", str(dest), capsys=capsys)
+        assert code == 20
+        written = dest.read_text(encoding="utf-8")
+        assert "@" not in written
+        assert [line for line in written.splitlines() if "aux!" in line][:5] == [
+            f"(declare-fun aux!{k} () Bool)" for k in range(5)]
+        code, out, _ = run_cli("solve", str(dest), capsys=capsys)
+        assert (code, out) == (20, "unsat\n")
 
     def test_out_writes_coefficients_past_the_digit_limit(self, tmp_path, capsys):
         big = "7" * 3000  # its square has 6,000 digits, past the interpreter's 4,300
@@ -492,9 +509,11 @@ def _seeded_template(seed):
 
 class TestPropositionNames:
     """The verdict and the cores do not depend on what the propositions are
-    called, even when a name is one the converter or the selector engine
-    could have picked for an atom of its own."""
+    called, even when a name is one `core --out` could write for an
+    auxiliary of its own.  A name the converter could pick, which starts
+    with '@' as SMT-LIB reserves, cannot be declared."""
     PLAIN = ("p0", "p1", "p2", "p3", "p4")
+    LOOKALIKE = ("aux!0", "cnf!0", "sel!0", "aux!1", "amk!k1")
     CLASHING = ("@cnf!0", "@sel!0", "@sel!1", "@amk!k1", "@cnf!1")
     LETTERS = "abcdefgh"
     TEMPLATES = {
@@ -521,12 +540,18 @@ class TestPropositionNames:
         template = self.TEMPLATES[name]
         for command in self.COMMANDS:
             plain = self._run(tmp_path, capsys, template.format(*self.PLAIN), command)
-            clashing = self._run(tmp_path, capsys, template.format(*self.CLASHING), command)
+            lookalike = self._run(tmp_path, capsys, template.format(*self.LOOKALIKE), command)
             assert plain[0] in (10, 20), (command, plain)
-            assert clashing[:2] == plain[:2], command
+            assert lookalike[:2] == plain[:2], command
 
-    def test_the_two_repro_files_are_sat(self, tmp_path, capsys):
-        selector = self.TEMPLATES["selector"].format(*self.CLASHING)
-        auxiliary = self.TEMPLATES["auxiliary"].format(*self.CLASHING)
-        assert self._run(tmp_path, capsys, selector, ("allmus",))[:2] == (10, "sat\n")
-        assert self._run(tmp_path, capsys, auxiliary, ("solve",))[:2] == (10, "sat\n")
+    @pytest.mark.parametrize("name", sorted(TEMPLATES))
+    def test_a_reserved_name_is_a_parse_error(self, tmp_path, capsys, name):
+        text = self.TEMPLATES[name].format(*self.CLASHING)
+        # the first declaration of a reserved name is the one reported
+        first = min((text.find(f"(declare-fun {n} "), n) for n in self.CLASHING
+                    if f"(declare-fun {n} " in text)
+        col = first[0] + len("(declare-fun ") + 1
+        for command in self.COMMANDS:
+            code, out, err = self._run(tmp_path, capsys, text, command)
+            assert (code, out) == (1, ""), command
+            assert f"1:{col}: symbol {first[1]!r} is reserved" in err, command

@@ -450,7 +450,7 @@ class TestSeededMinimization:
             add_clause(engine, lits)
 
         monkeypatch.setattr(smt.SmtSolver, "add_clause", recording)
-        result = cores._minimize(formula, core, store, None)
+        result, lemmas = cores._minimize(formula, core, store, None)
         monkeypatch.undo()
         guarded = len(formula.clauses)
         engine = added[0][0]
@@ -468,6 +468,12 @@ class TestSeededMinimization:
                     renamed += abs(new) != abs(old)
         assert renamed
         assert result == minimize_core(formula, core)
+        # the lemmas come back as renamed, then the engine's own, each with
+        # the definitions of the minimization engine
+        assert [lemma.clause for lemma in lemmas[:len(store)]] == imported
+        assert lemmas[len(store):] == engine.store
+        assert all(engine.theory.defined[var] == atom
+                   for lemma in lemmas for var, atom in lemma.defs)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_seeded_minimization_equals_minimize_core_on_diamond_chains(self, n):

@@ -143,6 +143,21 @@ def test_duplicate_declaration_is_an_error():
         parse("(declare-fun x () Real)(declare-fun x () Real)")
 
 
+@pytest.mark.parametrize("text, line, col, message", [
+    ("(declare-fun @x () Bool)(assert @x)", 1, 14, "symbol '@x' is reserved"),
+    ("(declare-fun p () Bool)\n(declare-const .y Real)", 2, 16, "symbol '.y' is reserved"),
+    ("(declare-sort @U 0)", 1, 15, "symbol '@U' is reserved"),
+    ("(declare-sort U 0)(declare-fun @f (U) U)", 1, 32, "symbol '@f' is reserved"),
+    ("(declare-fun p () Bool)\n  (assert (or p @cnf!0))", 2, 17, "undeclared symbol '@cnf!0'"),
+])
+def test_a_reserved_symbol_can_be_neither_declared_nor_used(text, line, col, message):
+    """SMT-LIB reserves the simple symbols that start with '@' or '.'."""
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value).startswith(f"{line}:{col}: {message}")
+
+
 def test_render_round_trip(nine_clauses):
     text = render_instance(nine_clauses)
     reparsed = cnf_convert(parse(text))

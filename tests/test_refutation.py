@@ -1,13 +1,16 @@
 """Core verification from a resolution refutation (`check_refutation`).
 
-A `lift-proof` or `smt-proof` core that minimization did not shrink is
-verified from the refutation its route logged, with no new search; every
-other core by `check_core`'s fresh solve.  The rejection tests corrupt one
-part of a refutation, its core or the run that produced it, and each must
-fail verification with a clean description (`ExtractionError` through
-`extract_core`).  The agreement tests run both checks on the cores of all
-three proof routes, on the property suites' generators and on instances
-several times their size."""
+Every core `extract_core` verifies is checked by `check_refutation`, with
+no theory search: a `lift-proof` or `smt-proof` core that minimization did
+not shrink against the refutation its route logged, every other core
+against the one `smt.lifted_refutation` builds from the core and the
+lemmas of the last engine that refuted it.  The rejection tests corrupt
+one part of a refutation, its core or the run that produced it, and each
+must fail verification with a clean description (`ExtractionError`
+through `extract_core`).  The agreement tests run `check_refutation` and
+`check_core`'s fresh solve on the cores of every route, with and without
+minimization, on the property suites' generators and on instances several
+times their size."""
 import random
 import weakref
 from fractions import Fraction
@@ -33,6 +36,8 @@ from smtcore.terms import (
 from smtcore.theory import EufSolver, TheorySolver, validity_check
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
+INTERNAL_ROUTES = PROOF_ROUTES + [("lift-selectors", False), ("smt-selectors", False)]
+EVERY_ROUTE = INTERNAL_ROUTES + [("lift-external", False)]
 
 
 def core_and_proof(formula, method="lift-proof", fixpoint=False):
@@ -90,6 +95,32 @@ class TestRejections:
         with pytest.raises(ExtractionError, match="core failed verification: refutation leaf"):
             extract_core(nine_clauses, "lift-proof", verify=True)
         assert extract_core(nine_clauses, "lift-proof").verification == "unchecked"
+
+    @pytest.mark.parametrize("minimize", [False, True])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_a_dropped_core_clause_fails_on_every_route(self, nine_clauses, abstraction_gap,
+                                                        monkeypatch, method, minimize):
+        """A route that loses a core clause fails verification, whether its
+        refutation or the lemmas of its engine are checked.  So does one
+        that also forges the clause into its store as a lemma: the forged
+        leaf is then what fails.  On `abstraction_gap` the forged lemma lets
+        minimization shrink the core, so the lemmas of its engine are
+        checked."""
+        route, kind = METHODS[method]
+        forged = "refutation leaf .* is neither a core clause nor theory-valid"
+        lost = forged + "|the core plus its lemmas is propositionally satisfiable"
+        for formula in (nine_clauses, abstraction_gap):
+            for forge, message in ((False, lost), (True, forged)):
+                def dropping_route(formula, config, budget, forge=forge):
+                    core, proof, store = route(formula, config, budget)
+                    dropped, *kept = sorted(core)
+                    lemma = TLemma(formula.clauses[dropped], "theory-conflict")
+                    return kept, proof, store + [lemma] * forge
+
+                monkeypatch.setitem(cores.METHODS, method, (dropping_route, kind))
+                with pytest.raises(ExtractionError,
+                                   match=f"^{method}: core failed verification: ({message})"):
+                    extract_core(formula, method, minimize=minimize, verify=True)
 
     @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
     def test_wrong_pivot(self, nine_clauses, method, fixpoint):
@@ -456,14 +487,20 @@ class TestAgreement:
 
         monkeypatch.setattr(cores, "check_refutation", spy)
         unsat = 0
-        for name, formula in _unsat_corpus():
+        for k, (name, formula) in enumerate(_unsat_corpus()):
             if smt.smt_solve(formula)[0].status != "unsat":
                 continue
             unsat += 1
-            for method, fixpoint in PROOF_ROUTES:
+            # every internal route minimized on every third formula, so that
+            # cores kept whole and cores shrunk are both checked
+            routes = [(m, f, False) for m, f in PROOF_ROUTES]
+            if k % 3 == 0:
+                routes += [(m, f, True) for m, f in INTERNAL_ROUTES]
+            for method, fixpoint, minimize in routes:
                 seen.clear()
-                report = extract_core(formula, method, fixpoint=fixpoint, verify=True)
-                assert seen == [None], (name, method, fixpoint)
+                report = extract_core(formula, method, fixpoint=fixpoint, minimize=minimize,
+                                      verify=True)
+                assert seen == [None], (name, method, fixpoint, minimize)
                 assert report.verification == "verified"
                 assert check_core(formula, report.core) is None, (name, method, fixpoint)
         assert unsat >= 40
@@ -500,22 +537,21 @@ class TestAgreement:
             "check_refutation") or check_refutation(*args))
         return called
 
-    def test_selector_cores_use_check_core(self, nine_clauses, monkeypatch):
+    @pytest.mark.parametrize("method, fixpoint", EVERY_ROUTE)
+    def test_every_core_is_checked_by_one_refutation(self, nine_clauses, abstraction_gap,
+                                                     monkeypatch, method, fixpoint):
+        """With or without minimization, kept whole (`nine_clauses`) or
+        shrunk (`abstraction_gap`, whose raw core of 4 clauses minimizes
+        to 3), a core is checked once, by `check_refutation`."""
         called = self._spy_checks(monkeypatch)
-        for method in ("lift-selectors", "smt-selectors"):
+        for formula in (nine_clauses, abstraction_gap):
             for minimize in (False, True):
-                extract_core(nine_clauses, method, minimize=minimize, verify=True)
-        assert called == ["check_core"] * 4
-
-    @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
-    def test_shrunk_cores_use_check_core(self, abstraction_gap, monkeypatch, method,
-                                         fixpoint):
-        called = self._spy_checks(monkeypatch)
-        report = extract_core(abstraction_gap, method, fixpoint=fixpoint, minimize=True,
-                              verify=True)
-        # the route's core is all four clauses, which the refutation refutes
+                called.clear()
+                report = extract_core(formula, method, fixpoint=fixpoint, minimize=minimize,
+                                      verify=True)
+                assert report.verification == "verified"
+                assert called == ["check_refutation"], (len(formula.clauses), minimize)
         assert report.core == (0, 1, 2)
-        assert called == ["check_core"]
 
     @pytest.mark.parametrize("method, fixpoint", PROOF_ROUTES)
     def test_cores_kept_whole_use_the_refutation(self, nine_clauses, monkeypatch, method,
@@ -542,8 +578,9 @@ class TestAgreement:
         monkeypatch.setattr(cores, "boolean_core", recording)
         monkeypatch.setattr(cores, "_minimize", lambda f, core, store, budget: alive.append(
             ("minimize", proofs[-1]() is not None)) or minimize(f, core, store, budget))
-        monkeypatch.setattr(cores, "check_core", lambda f, core: alive.append(
-            ("check_core", proofs[-1]() is not None)) or check_core(f, core))
+        monkeypatch.setattr(cores, "check_refutation", lambda f, core, proof, defs: alive.append(
+            ("check_refutation", proofs[-1]() is not None)) or check_refutation(
+                f, core, proof, defs))
         for formula in (nine_clauses, abstraction_gap):
             # without verify nothing reads the refutation past the route
             extract_core(formula, "lift-proof", minimize=True)
@@ -553,12 +590,13 @@ class TestAgreement:
         # with verify it is kept through minimization, for the core kept whole ...
         report = extract_core(nine_clauses, "lift-proof", minimize=True, verify=True)
         assert report.verification == "verified"
-        assert alive == [("minimize", True)]
+        assert alive == [("minimize", True), ("check_refutation", True)]
         assert proofs[-1]() is None
         alive.clear()
-        # ... and dropped before check_core when minimization shrinks the core
+        # ... and dropped before the lifted refutation of a core that
+        # minimization shrank is checked
         extract_core(abstraction_gap, "lift-proof", minimize=True, verify=True)
-        assert alive == [("minimize", True), ("check_core", False)]
+        assert alive == [("minimize", True), ("check_refutation", False)]
         assert proofs[-1]() is None
         report = extract_core(nine_clauses, "lift-proof", verify=True)
         assert report.verification == "verified"
@@ -589,11 +627,9 @@ class TestAgreement:
     def test_verify_never_changes_the_core(self, method):
         formulas = [formula for _, formula in _unsat_corpus()][::9]
         if method == "lift-external":
-            formulas = formulas[:3]
-        # a proof route's core is verified from its refutation with or
-        # without minimization, whenever minimization keeps it whole
-        minimizing = (False, True) if method in {m for m, _ in PROOF_ROUTES} else (False,)
+            formulas = formulas[:3]  # each extraction starts a subprocess
         for formula in formulas:
-            for minimize in minimizing:
-                assert extract_core(formula, method, minimize=minimize, verify=True).core == \
-                    extract_core(formula, method, minimize=minimize).core, minimize
+            for minimize in (False, True):
+                report = extract_core(formula, method, minimize=minimize, verify=True)
+                assert report.core == extract_core(formula, method, minimize=minimize).core
+                assert report.verdict == "sat" or check_core(formula, report.core) is None
