@@ -134,20 +134,6 @@ def records_to_csv(records: list[BenchRecord]) -> str:
     return buf.getvalue()
 
 
-def records_from_csv(text: str) -> list[BenchRecord]:
-    out = []
-    for row in csv.DictReader(io.StringIO(text)):
-        out.append(BenchRecord(
-            instance=row["instance"],
-            clauses=int(row["clauses"]),
-            method=row["method"],
-            core_size=int(row["core_size"]) if row["core_size"] != "" else None,
-            time_ms=float(row["time_ms"]),
-            verified=row["verified"],
-        ))
-    return out
-
-
 def run_bench(paths: list[Path], methods: list[str], budget: Optional[int] = None,
               extractor_cmd: Optional[str] = None) -> list[BenchRecord]:
     """Run every method on every instance; per-instance failures are recorded
@@ -179,7 +165,7 @@ def run_bench(paths: list[Path], methods: list[str], budget: Optional[int] = Non
                                                elapsed, "ok"))
                 else:
                     records.append(BenchRecord(name, nclauses, method,
-                                               report.core_size, elapsed, "ok"))
+                                               len(report.core), elapsed, "ok"))
             except Exception as exc:
                 elapsed = (time.perf_counter() - start) * 1000.0
                 records.append(BenchRecord(name, nclauses, method, None, elapsed,

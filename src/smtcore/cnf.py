@@ -1,20 +1,21 @@
 """CNF conversion of parsed assertion sets.
 
-Assertions already in clause form pass through verbatim: a literal or an
-`or` of literals becomes its clause directly, with a repeated literal kept
-once (its first occurrence) and a literal beside its complement rejected as
-a tautology.  Everything else goes through negation normal form and
-constant folding, and is then distributed when the result stays small (at
-most MAX_DISTRIBUTE clauses per assertion), and otherwise converted
-definitionally with fresh auxiliary propositional variables.  Every emitted
-clause is a tuple of signed atom ids, and the formula records the id of
-the assertion it came from.
+The parser hands over each assertion in negation normal form
+(`parser.BoolExpr`).  Assertions already in clause form pass through
+verbatim: a literal or an `or` of literals becomes its clause directly,
+with a repeated literal kept once (its first occurrence) and a literal
+beside its complement rejected as a tautology.  Everything else goes
+through constant folding, and is then distributed when the result stays
+small (at most MAX_DISTRIBUTE clauses per assertion), and otherwise
+converted definitionally with fresh auxiliary propositional variables.
+Every emitted clause is a tuple of signed atom ids, and the formula
+records the id of the assertion it came from.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .parser import AssertionSet, BAnd, BAtom, BConst, BNot, BOr, BoolExpr
+from .parser import AssertionSet, BoolExpr
 from .terms import Atom, AtomTable, Formula, PropAtom, infer_logic
 
 
@@ -28,27 +29,8 @@ class CnfError(ValueError):
     pass
 
 
-# Internal NNF representation: a "literal" is (atom, positive) and trees are
-# and/or nodes over those after constant folding.
+# A literal of the NNF tree (`BoolExpr`) and of a clause: (atom, positive).
 _Lit = tuple[Atom, bool]
-
-
-def _nnf(node: BoolExpr, positive: bool):
-    """Push negations to the atoms; returns ("lit", atom, pol) | ("and"|"or",
-    children) | ("const", bool)."""
-    if isinstance(node, BConst):
-        return ("const", node.value == positive)
-    if isinstance(node, BAtom):
-        return ("lit", node.atom, positive)
-    if isinstance(node, BNot):
-        return _nnf(node.arg, not positive)
-    if isinstance(node, BAnd):
-        kind = "and" if positive else "or"
-        return (kind, [_nnf(a, positive) for a in node.args])
-    if isinstance(node, BOr):
-        kind = "or" if positive else "and"
-        return (kind, [_nnf(a, positive) for a in node.args])
-    raise TypeError(f"unexpected node {node!r}")
 
 
 def _simplify(node):
@@ -229,16 +211,10 @@ class _Definitions:
 def _literals(tree: BoolExpr) -> Optional[list[_Lit]]:
     """The literals of an assertion that is a literal or an `or` of
     literals, in order; None for any other shape."""
-    out = []
-    for arg in tree.args if type(tree) is BOr else (tree,):
-        positive = True
-        while type(arg) is BNot:
-            arg = arg.arg
-            positive = not positive
-        if type(arg) is not BAtom:
-            return None
-        out.append((arg.atom, positive))
-    return out
+    args = tree[1] if tree[0] == "or" else (tree,)
+    if any(arg[0] != "lit" for arg in args):
+        return None
+    return [(arg[1], arg[2]) for arg in args]
 
 
 def _valid(aid: int) -> CnfError:
@@ -272,7 +248,7 @@ def cnf_convert(assertions: AssertionSet) -> Formula:
                 raise _valid(aid)
             emit(clause[0], aid)
             continue
-        node = _simplify(_nnf(tree, True))
+        node = _simplify(tree)
         if node[0] == "const":
             if node[1]:
                 raise _valid(aid)

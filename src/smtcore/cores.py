@@ -108,8 +108,6 @@ class CoreReport:
     verdict: str                      # "sat" | "unsat"
     core: tuple[int, ...]             # 0-based clause indices, ascending
     method: str
-    input_size: int
-    core_size: int
     verification: str                 # "verified" | "unchecked"
     assertions: tuple[int, ...]       # assertion-level view
 
@@ -292,9 +290,8 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
          minimize: bool, verify: bool, budget: Optional[int]) -> CoreReport:
     route, _kind = METHODS[method]
     core, proof, store = route(formula, config, budget)
-    n = len(formula.clauses)
     if core is None:
-        return CoreReport("sat", (), method, n, 0, "verified", ())
+        return CoreReport("sat", (), method, "verified", ())
     if minimize:
         # the refutation is of the raw core, so it can verify only a core
         # that minimization keeps whole (`_minimize` returns a subset); it is
@@ -314,8 +311,7 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
                                   {var: atom for lemma in store for var, atom in lemma.defs})
         if problem is not None:
             raise ExtractionError(f"{method}: core failed verification: {problem}")
-    return CoreReport("unsat", core, method, n, len(core),
-                      "verified" if verify else "unchecked",
+    return CoreReport("unsat", core, method, "verified" if verify else "unchecked",
                       formula.assertion_ids(core))
 
 

@@ -16,8 +16,11 @@ line and column, and `_locate` finds them by scanning the text again from
 that ordinal, or from a list's place in the tree.  Both sides
 of a relation are then read into one accumulator, a map from variable to
 coefficient plus a constant, which gives the canonical atom in one step;
-no term in between is built.  `(=> a1 ... an c)` becomes the flat
-`(or (not a1) ... (not an) c)`.
+no term in between is built.  Each assertion is read straight into
+negation normal form (`BoolExpr`): `not` flips the polarity it is read at,
+`(=> a1 ... an c)` becomes the flat `(or (not a1) ... (not an) c)` and
+`(ite c t e)` becomes `(and (or (not c) t) (or c e))`, both at that
+polarity.
 
 QF_LIA inputs are interpreted over the rationals; a loud warning is issued.
 """
@@ -44,36 +47,11 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}" if line else message)
 
 
-# ---------------------------------------------------------------------------
-# Boolean expression trees (what `parse` produces per assertion)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BAtom:
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class BNot:
-    arg: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class BAnd:
-    args: tuple["BoolExpr", ...]
-
-
-@dataclass(frozen=True)
-class BOr:
-    args: tuple["BoolExpr", ...]
-
-
-@dataclass(frozen=True)
-class BConst:
-    value: bool
-
-
-BoolExpr = Union[BAtom, BNot, BAnd, BOr, BConst]
+# An assertion's Boolean structure, as `parse` produces it: negation normal
+# form, with negations pushed to the atoms.  A node is ("lit", atom,
+# positive), ("and", children) or ("or", children), the children in a list
+# in source order, or ("const", value).
+BoolExpr = tuple
 
 
 @dataclass
@@ -439,16 +417,17 @@ class _Parser:
                               f"(got sorts {ls}, {rs})", sx)
         return canonical_lin_atom(LinComb.build(coeffs, lhs + rhs), _CANONICAL_REL[op])
 
-    def _bool(self, sx: Node) -> BoolExpr:
+    def _bool(self, sx: Node, positive: bool = True) -> BoolExpr:
+        """The formula `sx` in negation normal form, negated when `positive`
+        is False: `not` flips the polarity, and the polarity picks between
+        `and` and `or`."""
         tokens = self._tokens
         if isinstance(sx, int):
             text = tokens[sx]
-            if text == "true":
-                return BConst(True)
-            if text == "false":
-                return BConst(False)
+            if text == "true" or text == "false":
+                return ("const", (text == "true") == positive)
             if text in self.decls.props:
-                return BAtom(self.decls.props[text])
+                return ("lit", self.decls.props[text], positive)
             if text in self.decls.vars:
                 raise self._error(f"{text!r} is not Boolean", sx)
             raise self._error(f"undeclared symbol {text!r}", sx)
@@ -456,28 +435,29 @@ class _Parser:
             raise self._error("expected a formula", sx)
         op = tokens[sx[0]]
         args = sx[1:]
+        conj, disj = ("and", "or") if positive else ("or", "and")
         if op == "not":
             if len(args) != 1:
                 raise self._error("not takes one argument", sx)
-            return BNot(self._bool(args[0]))
-        if op == "and":
+            return self._bool(args[0], not positive)
+        if op == "and" or op == "or":
             if not args:
-                raise self._error("and needs arguments", sx)
-            return BAnd(tuple(self._bool(a) for a in args))
-        if op == "or":
-            if not args:
-                raise self._error("or needs arguments", sx)
-            return BOr(tuple(self._bool(a) for a in args))
+                raise self._error(f"{op} needs arguments", sx)
+            return (conj if op == "and" else disj, [self._bool(a, positive) for a in args])
         if op == "=>":
             if len(args) < 2:
                 raise self._error("=> needs at least two arguments", sx)
-            parts = [self._bool(a) for a in args]
-            return BOr(tuple(BNot(p) for p in parts[:-1]) + (parts[-1],))
+            parts = [self._bool(a, not positive) for a in args[:-1]]
+            parts.append(self._bool(args[-1], positive))
+            return (disj, parts)
         if op == "ite":
             if len(args) != 3:
                 raise self._error("ite takes three arguments", sx)
-            c, t, e = (self._bool(a) for a in args)
-            return BAnd((BOr((BNot(c), t)), BOr((c, e))))
+            # (and (or (not c) t) (or c e)), the condition read once per
+            # polarity, so an error in c is met first and one in e last
+            c, t, e = args
+            then = (disj, [self._bool(c, not positive), self._bool(t, positive)])
+            return (conj, [then, (disj, [self._bool(c, positive), self._bool(e, positive)])])
         if op in ("=", "<=", "<", ">=", ">"):
             if op == "=" and len(args) == 2:
                 # Boolean equality is out of the supported grammar; detect it
@@ -485,7 +465,7 @@ class _Parser:
                 for a in args:
                     if isinstance(a, int) and tokens[a] in self.decls.props:
                         raise self._error("equality between Boolean terms is unsupported", sx)
-            return BAtom(self._relation(op, args, sx))
+            return ("lit", self._relation(op, args, sx), positive)
         raise self._error(f"unsupported operator {op!r}", sx)
 
 

@@ -214,15 +214,14 @@ class SmtSolver:
         return self.sat.solve(assumptions)
 
 
-def smt_solve(formula: Formula, *,
-              conflict_budget: Optional[int] = None) -> tuple[SatVerdict, list[TLemma]]:
+def smt_solve(formula: Formula) -> tuple[SatVerdict, list[TLemma]]:
     """Solve a formula; returns the verdict together with every theory lemma
     stored during the run, in discovery order.  A satisfiable verdict
     carries the theory's model in `theory_model` (None without theory
     atoms), so `evaluate_clause` can check it.  No lemma repeats and none
     equals an input clause: a clause the SAT database holds already is not
     stored again."""
-    engine = SmtSolver(formula, conflict_budget=conflict_budget)
+    engine = SmtSolver(formula)
     verdict = engine.solve()
     if verdict.status == "sat" and engine.theory is not None:
         verdict.theory_model = engine.theory.witness()

@@ -7,8 +7,8 @@ import pytest
 from oracles import cnf_truth_table_sat
 from smtcore import cnf
 from smtcore.cnf import CnfError, cnf_convert
-from smtcore.parser import parse
-from smtcore.terms import PropAtom
+from smtcore.parser import AssertionSet, parse
+from smtcore.terms import Declarations, PropAtom
 
 PROPS = "(declare-fun a () Bool)(declare-fun b () Bool)(declare-fun c () Bool)(declare-fun d () Bool)"
 
@@ -60,6 +60,21 @@ def test_definitional_translation_shape(monkeypatch):
     assert len(f.clauses[-1]) == 2  # linking clause: a or aux
 
 
+def test_auxiliaries_skip_declared_propositions():
+    # the parser rejects '@' names, so only an assertion set built through
+    # the API can declare one an auxiliary would otherwise take
+    decls = Declarations()
+    taken = [decls.declare_prop(name) for name in ("@cnf!0", "@cnf!1")]
+    props = [decls.declare_prop(name) for name in "abcdefgh"]
+    # (or (and a b) (and c d) (and e f) (and g h)) distributes to 16 clauses
+    tree = ("or", [("and", [("lit", props[i], True), ("lit", props[i + 1], True)])
+                   for i in range(0, 8, 2)])
+    f = cnf_convert(AssertionSet([(0, tree), (1, ("lit", taken[1], False))], decls, None))
+    aux = {f.atoms.atom(abs(l)) for c, aid in zip(f.clauses, f.assertion_of) if aid == 0
+           for l in c} - set(props)
+    assert len(aux) == 4 and aux.isdisjoint(taken)
+
+
 def test_small_formulas_distribute_without_auxiliaries():
     f = convert("(assert (or a (and b c)))")
     assert len(f.clauses) == 2
@@ -89,62 +104,54 @@ def test_origin_indices_are_dense():
     assert f.assertion_of == [0, 0, 1]
 
 
-def _eval_tree(node, assignment):
-    from smtcore.parser import BAnd, BAtom, BConst, BNot, BOr
-    if isinstance(node, BConst):
-        return node.value
-    if isinstance(node, BAtom):
-        return assignment[node.atom]
-    if isinstance(node, BNot):
-        return not _eval_tree(node.arg, assignment)
-    if isinstance(node, BAnd):
-        return all(_eval_tree(a, assignment) for a in node.args)
-    return any(_eval_tree(a, assignment) for a in node.args)
-
-
-def _random_tree(rng, atoms, depth):
-    from smtcore.parser import BAnd, BAtom, BNot, BOr
-    if depth == 0 or rng.random() < 0.3:
-        node = BAtom(rng.choice(atoms))
-        return BNot(node) if rng.random() < 0.3 else node
-    kind = rng.choice([BAnd, BOr])
-    children = tuple(_random_tree(rng, atoms, depth - 1)
-                     for _ in range(rng.randint(2, 3)))
-    node = kind(children)
-    return BNot(node) if rng.random() < 0.2 else node
+def _random_formula(rng, depth):
+    """A random formula over the propositions a, b, c and d, as its text
+    and its truth value: a function of an assignment (name -> bool)."""
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.choice("abcdabcdabcdTF")
+        if leaf in "TF":
+            return ("true", lambda v: True) if leaf == "T" else ("false", lambda v: False)
+        return leaf, lambda v: v[leaf]
+    op = rng.choice(["not", "and", "or", "=>", "ite"])
+    arity = {"not": 1, "and": rng.randint(1, 3), "or": rng.randint(1, 3),
+             "=>": rng.randint(2, 3), "ite": 3}[op]
+    args = [_random_formula(rng, depth - 1) for _ in range(arity)]
+    text = f"({op} {' '.join(t for t, _ in args)})"
+    fs = [f for _, f in args]
+    if op == "not":
+        return text, lambda v: not fs[0](v)
+    if op == "and":
+        return text, lambda v: all(f(v) for f in fs)
+    if op == "or":
+        return text, lambda v: any(f(v) for f in fs)
+    if op == "=>":
+        return text, lambda v: not all(f(v) for f in fs[:-1]) or fs[-1](v)
+    return text, lambda v: fs[1](v) if fs[0](v) else fs[2](v)
 
 
 @pytest.mark.parametrize("max_distribute", [8, 0])
 def test_conversion_preserves_satisfiability(max_distribute, monkeypatch):
-    """Brute-force equisatisfiability over the original atoms, for both the
-    distributing and the definitional strategy."""
+    """Brute-force equisatisfiability through the parser, for both the
+    distributing and the definitional strategy: random assertions are
+    drawn as text, and their satisfiability over the four propositions is
+    compared with that of `cnf_convert(parse(text))`.  This checks the
+    parser's reading of not, =>, ite and the constants at either polarity
+    end to end."""
     monkeypatch.setattr(cnf, "MAX_DISTRIBUTE", max_distribute)
-    from smtcore.cnf import CnfError
-    from smtcore.parser import AssertionSet
-    from smtcore.terms import Declarations
-
-    atoms = [PropAtom(n) for n in "abcd"]
     rng = random.Random(11)
     checked = 0
     for _ in range(250):
-        n_asserts = rng.randint(1, 3)
-        trees = [(i, _random_tree(rng, atoms, rng.randint(1, 3)))
-                 for i in range(n_asserts)]
-        aset = AssertionSet(trees, Declarations(), None)
+        drawn = [_random_formula(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         try:
-            formula = cnf_convert(aset)
+            formula = convert("".join(f"(assert {text})" for text, _ in drawn))
         except CnfError:
             continue  # a propositionally valid assertion: rejected by design
         checked += 1
-        # brute force the source trees over the original atoms
-        source_sat = False
-        for bits in itertools.product([False, True], repeat=len(atoms)):
-            assignment = dict(zip(atoms, bits))
-            if all(_eval_tree(t, assignment) for _, t in trees):
-                source_sat = True
-                break
+        source_sat = any(
+            all(value(dict(zip("abcd", bits))) for _, value in drawn)
+            for bits in itertools.product([False, True], repeat=4))
         cnf_sat = cnf_truth_table_sat(formula.clauses, len(formula.atoms))
-        assert cnf_sat == source_sat
+        assert cnf_sat == source_sat, [text for text, _ in drawn]
     assert checked > 150
 
 

@@ -18,7 +18,7 @@ from smtcore.smt import smt_solve
 from smtcore.terms import REAL, AtomTable, LinAtom, LinComb, Var, canonical_lin_atom
 
 DATA = Path(__file__).parent / "data"
-PINNED_PARSE_OUTCOMES = "7e3d27285c4af3520ac5cc74651db3948f114316068f114b275d6e0f15fbe5d3"
+PINNED_PARSE_OUTCOMES = "464d980759d6cb939760009c02a06fb5f600cde5ddea9aab56189003f3171511"
 
 NINE_CLAUSES = """
 (set-logic QF_LRA)
@@ -361,9 +361,12 @@ def seeded_parse_corpus(seed=20):
 
 
 def test_parse_outcomes_are_pinned():
-    """One digest over the outcome of every text of the seeded corpus,
-    recorded before the reader kept token ordinals instead of positioned
-    nodes: every tree, atom, message, line and column is unchanged."""
+    """One digest over the outcome of every text of the seeded corpus (3,701
+    texts): every tree, atom, message, line and column is pinned.  The value
+    was recorded from the parser that still built one dataclass node per
+    connective, with the converter's former pass into negation normal form
+    applied at positive polarity to every tree, and errors hashed as they
+    are here: reading straight into negation normal form changed no tree."""
     digest = hashlib.sha256()
     for text in seeded_parse_corpus():
         digest.update(parse_outcome(text).encode())
