@@ -107,8 +107,6 @@ class ExtractorConfig:
 class CoreReport:
     verdict: str                      # "sat" | "unsat"
     core: tuple[int, ...]             # 0-based clause indices, ascending
-    method: str
-    verification: str                 # "verified" | "unchecked"
     assertions: tuple[int, ...]       # assertion-level view
 
 
@@ -291,7 +289,7 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
     route, _kind = METHODS[method]
     core, proof, store = route(formula, config, budget)
     if core is None:
-        return CoreReport("sat", (), method, "verified", ())
+        return CoreReport("sat", (), ())
     if minimize:
         # the refutation is of the raw core, so it can verify only a core
         # that minimization keeps whole (`_minimize` returns a subset); it is
@@ -311,8 +309,7 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
                                   {var: atom for lemma in store for var, atom in lemma.defs})
         if problem is not None:
             raise ExtractionError(f"{method}: core failed verification: {problem}")
-    return CoreReport("unsat", core, method, "verified" if verify else "unchecked",
-                      formula.assertion_ids(core))
+    return CoreReport("unsat", core, formula.assertion_ids(core))
 
 
 def extract_core(formula: Formula, method: str = "lift-proof", *, minimize: bool = False,

@@ -35,7 +35,7 @@ from typing import Optional, Union
 
 from .terms import (
     BOOL, REAL, Atom, Declarations, EufAtom, FunApp, LinAtom, LinComb,
-    PropAtom, RatConst, Rational, SortError, Term, Var, canonical_lin_atom, euf_atom,
+    PropAtom, Rational, SortError, Term, Var, canonical_lin_atom, euf_atom,
     term_sort,
 )
 
@@ -293,8 +293,8 @@ class _Parser:
         if isinstance(sx, int):
             text = tokens[sx]
             value = self._numeral(sx)
-            if value is not None:
-                return RatConst(value)
+            if value is not None:  # only ever an argument of a function, a sort error
+                return LinComb((), value)
             if text in self.decls.vars:
                 return self.decls.vars[text]
             if text in self.decls.funs:
@@ -521,8 +521,6 @@ def _frac_sexpr(value: Rational) -> str:
 def term_sexpr(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, RatConst):
-        return _frac_sexpr(t.value)
     if isinstance(t, FunApp):
         return "(" + " ".join([t.fn.name] + [term_sexpr(a) for a in t.args]) + ")"
     if isinstance(t, LinComb):

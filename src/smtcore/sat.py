@@ -731,14 +731,14 @@ class SatSolver:
 # Convenience entry points
 # ---------------------------------------------------------------------------
 
-def sat_solve(clauses: list[list[int]], assumptions: Iterable[int] = (),
-              log_proof: bool = False, conflict_budget: Optional[int] = None) -> SatVerdict:
-    """One-shot solve over the variables the clauses and assumptions
-    mention.  With proof logging, an unsat verdict carries a resolution
-    proof whose leaves are input clauses."""
+def sat_solve(clauses: list[list[int]], log_proof: bool = False,
+              conflict_budget: Optional[int] = None) -> SatVerdict:
+    """One-shot solve over the variables the clauses mention.  With proof
+    logging, an unsat verdict carries a resolution proof whose leaves are
+    input clauses."""
     s = SatSolver(log_proof=log_proof, conflict_budget=conflict_budget)
     s.add_inputs(clauses)
-    return s.solve(assumptions)
+    return s.solve()
 
 
 def solve_with_selectors(clauses: list[list[int]], conflict_budget: Optional[int] = None):

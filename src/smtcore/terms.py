@@ -74,11 +74,6 @@ class Var(_HashedOnce):
 
 
 @dataclass(frozen=True)
-class RatConst:
-    value: Rational
-
-
-@dataclass(frozen=True)
 class FunSymbol:
     name: str
     arg_sorts: tuple[str, ...]
@@ -127,13 +122,13 @@ class LinComb:
         return total
 
 
-Term = Union[Var, RatConst, FunApp, LinComb]
+Term = Union[Var, FunApp, LinComb]
 
 
 def term_sort(t: Term) -> str:
     if isinstance(t, Var):
         return t.sort
-    if isinstance(t, (RatConst, LinComb)):
+    if isinstance(t, LinComb):
         return REAL
     if isinstance(t, FunApp):
         return t.fn.ret_sort
@@ -141,16 +136,12 @@ def term_sort(t: Term) -> str:
 
 
 def term_key(t: Term):
-    """Total order on terms, used to orient equality atoms."""
+    """Total order on the terms an equality atom can hold, to orient it."""
     if isinstance(t, Var):
         return (0, t.index, t.name)
-    if isinstance(t, RatConst):
-        return (1, t.value)
     if isinstance(t, FunApp):
         return (2, t.fn.name, tuple(term_key(a) for a in t.args))
-    if isinstance(t, LinComb):
-        return (3, tuple((v.index, c) for v, c in t.terms), t.offset)
-    raise TypeError(f"not a term: {t!r}")
+    raise TypeError(f"not an equality's term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

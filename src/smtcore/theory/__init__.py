@@ -33,10 +33,11 @@ def validity_check(logic: str, table: AtomTable) -> "_Validity":
 
 class _Validity:
     """Theory validity of clauses of signed variables.  A variable is an
-    atom of `table`, or one past it that `define` names.  A clause is valid
-    when it is a tautology or the negations of its literals over the
-    theory's atoms are inconsistent (`_refutes`).  Its other literals are
-    ignored, which is sound: a clause that contains a valid clause is
+    atom of `table`, or one past it that `define` names, which only the EUF
+    check admits (`_admit`), as only `EufSolver` defines atoms.  A clause
+    is valid when it is a tautology or the negations of its literals over
+    the theory's atoms are inconsistent (`_refutes`).  Its other literals
+    are ignored, which is sound: a clause that contains a valid clause is
     valid.  This base decides no theory."""
 
     def __init__(self, table: AtomTable):
@@ -77,7 +78,7 @@ class _Validity:
         return any(-lit in lits for lit in lits) or self._refutes(lits)
 
     def _admit(self, var: int, atom: Atom) -> None:
-        raise ValueError("a formula without theory atoms defines none")
+        raise ValueError("only an EUF formula defines atoms past its table")
 
     def _refutes(self, lits: frozenset[int]) -> bool:
         return False
@@ -159,9 +160,6 @@ class _LraValidity(_Validity):
     def __init__(self, table: AtomTable):
         super().__init__(table)
         self.solver = LraSolver(table)
-
-    def _admit(self, var: int, atom: Atom) -> None:
-        self.solver.define(var, atom)
 
     def _refutes(self, lits: frozenset[int]) -> bool:
         solver = self.solver

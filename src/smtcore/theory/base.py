@@ -3,13 +3,13 @@ backends.
 
 A solver owns the atoms of exactly one theory.  A literal is the SAT
 solver's: a signed atom id of the table, positive for the atom and negative
-for its negation, or a signed variable past the table that `define` gave
-an atom of the solver's theory (the engine's own atoms: the table never
-grows).  Asserting a literal either extends the state or returns a
-conflict: a subset of the currently asserted literals whose conjunction is
-theory-unsatisfiable.  The full check answers the same way, with such a
-conflict or None.  `backtrack(n)` restores exactly the state in which
-the first n of the asserted literals were asserted.
+for its negation, or a signed variable past the table that names an atom
+in `defined` (the engine's own atoms: the table never grows), which only
+`EufSolver.define` fills.  Asserting a literal either extends the state
+or returns a conflict: a subset of the currently asserted literals whose
+conjunction is theory-unsatisfiable.  The full check answers the same
+way, with such a conflict or None.  `backtrack(n)` restores exactly the
+state in which the first n of the asserted literals were asserted.
 
 Every change a solver makes to its state is pushed on one undo trail,
 `_trail`, whose entries only the concrete solver reads.  The base class
@@ -59,21 +59,6 @@ class TheorySolver:
         del self._marks[mark:]
         self._undo_to(length)
 
-    def atom(self, var: int) -> Atom:
-        """The atom a variable names: the table's, or one `define` gave it."""
-        atom = self.defined.get(var)
-        return self.table.atom(var) if atom is None else atom
-
-    def define(self, var: int, atom: Atom) -> None:
-        """Let `var`, a variable past the table that names nothing yet,
-        name `atom`; a ValueError if it cannot."""
-        if var <= len(self.table):
-            raise ValueError(f"variable {var} is an atom of the table")
-        if not self.owns_atom(atom):
-            raise ValueError(f"{type(atom).__name__} does not belong to {self.theory}")
-        self._define(var, atom)
-        self.defined[var] = atom
-
     def assert_literal(self, lit: int) -> Optional[list[int]]:
         var = abs(lit)
         atom = self.defined.get(var) or self.table.atom(var)
@@ -104,10 +89,6 @@ class TheorySolver:
 
     def _assert(self, lit: int, atom) -> Optional[list[int]]:
         raise NotImplementedError
-
-    def _define(self, var: int, atom):
-        """Make `var` name `atom`, or raise a ValueError."""
-        raise ValueError(f"{self.theory} defines no atoms")
 
     def _undo_to(self, length: int):
         """Pop undo entries until `_trail` has `length` entries."""

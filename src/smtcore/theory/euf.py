@@ -30,9 +30,10 @@ sides a, b of the violated disequality: each asserted edge u - v adds
 f(t..) adds (not s1=t1) or ... or f(s..)=f(t..), whose argument
 equalities are broken up the same way, and the last lemma concludes the
 disequality's own atom a=b.  An equality the table has no atom for gets
-a variable of its own (`define`), which is asserted and backtracked like
-a table atom (the engine asserts only its positive literal) but left out
-of `deductions`: its own lemmas propagate it.
+a variable of its own (`define`, the only theory atoms past the table),
+which is asserted and backtracked like a table atom (the engine asserts
+only its positive literal) but left out of `deductions`: its own lemmas
+propagate it.
 So the search learns a = x_i once, not once per path through a chain of
 diamonds, as with splitting on demand (Barrett, Nieuwenhuis, Oliveras &
 Tinelli, LPAR 2006).
@@ -112,12 +113,20 @@ class EufSolver(TheorySolver):
             self._sig[(fn, *args)] = tid
         return tid
 
-    def _define(self, var: int, atom: EufAtom):
+    def define(self, var: int, atom: EufAtom) -> None:
+        """Let `var`, a variable past the table that names nothing yet,
+        name `atom`, an equality over the solver's terms; a ValueError if
+        it cannot."""
+        if var <= len(self.table):
+            raise ValueError(f"variable {var} is an atom of the table")
+        if not isinstance(atom, EufAtom):
+            raise ValueError(f"{type(atom).__name__} does not belong to EUF")
         ends = (self._ids.get(atom.lhs), self._ids.get(atom.rhs))
         if None in ends:
             raise ValueError(f"{atom} is not over the solver's terms")
         self._ends[var] = ends
         self._eq.setdefault(tuple(sorted(ends)), var)
+        self.defined[var] = atom
 
     def atom_var(self, atom: EufAtom, new_var: Callable[[], int]) -> int:
         """The variable naming `atom`, an equality over the solver's terms:

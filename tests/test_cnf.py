@@ -8,6 +8,7 @@ from oracles import cnf_truth_table_sat
 from smtcore import cnf
 from smtcore.cnf import CnfError, cnf_convert
 from smtcore.parser import AssertionSet, parse
+from smtcore.sat import sat_solve
 from smtcore.terms import Declarations, PropAtom
 
 PROPS = "(declare-fun a () Bool)(declare-fun b () Bool)(declare-fun c () Bool)(declare-fun d () Bool)"
@@ -81,6 +82,38 @@ def test_small_formulas_distribute_without_auxiliaries():
     assert all(not isinstance(f.atoms.atom(abs(l)), PropAtom)
                or not f.atoms.atom(abs(l)).name.startswith("@cnf!")
                for c in f.clauses for l in c)
+
+
+def _or_of_pairs(tag, n):
+    return ("or", [("and", [f"{tag}a{i}", f"{tag}b{i}"]) for i in range(n)])
+
+
+def _leaves(node):
+    return [node] if isinstance(node, str) else [x for c in node[1] for x in _leaves(c)]
+
+
+def _holds(node, truth):
+    if isinstance(node, str):
+        return truth[node]
+    return (any if node[0] == "or" else all)(_holds(c, truth) for c in node[1])
+
+
+def _sexpr(node):
+    return node if isinstance(node, str) else f"({node[0]} {' '.join(map(_sexpr, node[1]))})"
+
+
+@pytest.mark.parametrize("tree, clauses, atoms", [
+    (_or_of_pairs("", 13), 40, 39),                               # an or past the guard
+    (("and", ["p", _or_of_pairs("", 13)]), 41, 40),               # ... under an and
+    (("and", [_or_of_pairs("", 12), _or_of_pairs("c", 12)]), 74, 72),  # an and past it
+])
+def test_distribution_past_the_guard_falls_back_to_definitions(tree, clauses, atoms):
+    text = "".join(f"(declare-fun {name} () Bool)" for name in _leaves(tree))
+    f = cnf_convert(parse(text + f"(assert {_sexpr(tree)})"))
+    assert (len(f.clauses), len(f.atoms)) == (clauses, atoms)
+    verdict = sat_solve(f.clauses)
+    assert verdict.status == "sat"
+    assert _holds(tree, {atom.name: verdict.model[var] for var, atom in f.atoms.items()})
 
 
 def test_tautological_input_clause_rejected():

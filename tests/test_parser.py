@@ -413,6 +413,35 @@ def test_the_first_error_met_is_the_one_reported(text, col, message):
     assert (info.value.line, info.value.col, str(info.value)) == (2, col, f"2:{col}: {message}")
 
 
+_FUNS = _TERMS.replace("\n", "(declare-fun g (U U) U)\n")
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # a numeral or an arithmetic term as the argument of a function; the
+    # arity error and an earlier argument's error come first
+    (_FUNS + "(assert (= a (f 3)))", 2, 14, "argument of f has sort Real, expected U"),
+    (_FUNS + "(assert (= a (f 1.5)))", 2, 14, "argument of f has sort Real, expected U"),
+    (_FUNS + "(assert (= a (f (+ x 1))))", 2, 14, "argument of f has sort Real, expected U"),
+    (_FUNS + "(assert (= a (f 3 4)))", 2, 14, "f expects 1 arguments, got 2"),
+    (_FUNS + "(assert (= a (f 3 b)))", 2, 19, "undeclared symbol 'b'"),
+    (_FUNS + "(assert (= a (g a (- 2))))", 2, 14, "argument of g has sort Real, expected U"),
+    # declarations and connectives
+    ("(declare-sort U 1)", 1, 17, "only zero-arity sorts are supported"),
+    ("(declare-sort U 0)\n(declare-sort U 0)", 2, 15, "symbol 'U' is already declared"),
+    ("(declare-sort U 0)(declare-fun x () (U))", 1, 37, "expected a sort name"),
+    ("(set-logic QF_UF)(declare-fun x () Int)", 1, 36, "sort Int is not available in QF_UF"),
+    ("(set-logic QF_UF)\n(declare-const x Real)", 2, 18, "sort Real is not available in QF_UF"),
+    ("(declare-const x)", 1, 1, "expected (declare-const <name> <sort>)"),
+    ("(assert (and))", 1, 9, "and needs arguments"),
+    ("(declare-fun p () Bool)(assert (=> p))", 1, 32, "=> needs at least two arguments"),
+])
+def test_error_messages_are_pinned(text, line, col, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col, str(info.value)) == (
+        line, col, f"{line}:{col}: {message}")
+
+
 @pytest.mark.parametrize("numeral", ["9" * 5000, "1." + "5" * 5000, "²"])
 def test_numerals_the_interpreter_cannot_convert_are_parse_errors(numeral):
     with pytest.raises(ParseError) as info:

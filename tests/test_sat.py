@@ -268,11 +268,15 @@ class TestLearnedClauseEntailment:
 class TestAssumptions:
     def test_assumption_core_under_plain_unsat_formula(self):
         # globally unsat regardless of assumptions: plain unsat wins
-        v = sat_solve([[1], [-1]], assumptions=[2], log_proof=True)
+        s = SatSolver(log_proof=True)
+        s.add_inputs([[1], [-1]])
+        v = s.solve([2])
         assert v.status == "unsat"
 
     def test_failed_assumption(self):
-        v = sat_solve([[1]], assumptions=[-1])
+        s = SatSolver()
+        s.add_inputs([[1]])
+        v = s.solve([-1])
         assert v.status == "unsat-assumptions"
         assert 1 in v.conflict
 

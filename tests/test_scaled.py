@@ -66,7 +66,6 @@ def test_diamond_chains(n):
     assert any(lemma.defs for lemma in engine.store)
     assert lemma_store_violations(formula, engine.store, unsat=True) == []
     report = extract_core(formula, "lift-proof", verify=True)
-    assert report.verification == "verified"
     # every diamond and the closing disequality
     assert report.assertions == tuple(range(n + 1))
 

