@@ -23,7 +23,9 @@ class BenchRecord:
     method: str
     core_size: Optional[int]  # None when the method failed on the instance
     time_ms: float
-    verified: str             # "ok" | "unchecked" | "failed" | "error:<msg>"
+    # "ok", or "error:<exception class>" when parsing, extraction or
+    # verification raised (a core that fails verification raises ExtractionError)
+    verified: str
 
     def __post_init__(self):
         if self.time_ms < 0:

@@ -6,10 +6,13 @@ ever used.  Canonical atoms have integer coefficients, so on difference
 constraints every pivot divides by +-1 and the tableau stays integral,
 the small-integer fast path of Dutertre & de Moura (CAV 2006).
 
-Variables (original theory variables plus one slack per distinct
-coefficient vector) carry optional lower/upper bounds valued in
-delta-rationals, so strict inequalities are exact.  A delta-rational is a
-plain `(real, delta)` tuple standing for real + delta * eps with eps > 0
+Every atom's linear form is lam * b for a base form b (content 1, first
+coefficient positive), so `x - y` and `y - x`, or `x` and `2x`, share
+one, and an atom is a bound on the one slack of its base form, at its
+constant divided by lam.  Variables (original theory variables plus the
+slacks) carry optional lower/upper bounds valued in delta-rationals, so
+strict inequalities are exact.  A delta-rational is a plain
+`(real, delta)` tuple standing for real + delta * eps with eps > 0
 infinitesimal, so Python's tuple order is the order of the values.  Each
 literal's slack and bound tuples are worked out once, on its first
 assertion.  The check keeps a set holding every basic variable outside
@@ -28,24 +31,22 @@ assignment into a rational model on demand.
 
 Theory propagation (`deductions`) reads the bounds and never pivots, after
 Dutertre & de Moura, "A Fast Linear-Arithmetic Solver for DPLL(T)" (CAV
-2006).  Every atom's linear form is lam * b for a base form b (content 1,
-first coefficient positive), so `x - y` and `y - x`, or `x` and `2x`,
-share one.  Unate propagation bounds b by the tightest asserted bound of
-any slack over it; one round of interval propagation then bounds
-multi-variable bases by their variables' bounds, and a variable by a
-two-variable base plus its other variable.  Every unasserted atom whose
-threshold the bounds cross is deduced, explained by the literals that set
-the bounds used.  This finds fewer atoms than a simplex probe per atom
-would, at a small fraction of the cost.
+2006).  Unate propagation bounds each base by the asserted bounds of its
+slack; one round of interval propagation then bounds multi-variable
+bases by their variables' bounds, and a variable by a two-variable base
+plus its other variable.  Every unasserted atom whose threshold the
+bounds cross is deduced, explained by the literals that set the bounds
+used.  This finds fewer atoms than a simplex probe per atom would, at a
+small fraction of the cost.
 
-Propagation is driven by the undo trail.  The per-base bounds, unate and
-rule-derived, are solver state, and every change to them is a trail
-entry, so backtracking restores them with the asserted bounds.  A call
-reads only the slacks whose bounds moved since the state was last brought
-up to date, re-runs only the interval rules over the bases that changed,
-and tests only the atoms whose answer can differ from the previous
-call's: those over a base whose bound changed, those unasserted since,
-and those the previous call reported.
+Propagation is driven by the undo trail.  The rule-derived bounds are
+solver state, and every change to them is a trail entry, so backtracking
+restores them with the asserted bounds.  A call reads only the slacks
+whose bounds moved since the state was last brought up to date, re-runs
+only the interval rules that read them, and tests only the atoms whose
+answer can differ from the previous call's: those over a base whose
+bound changed, those unasserted since, and those the previous call
+reported.
 """
 from __future__ import annotations
 
@@ -67,53 +68,39 @@ _EPS_STEPS = 220
 
 
 class _Propagation:
-    """The deduction plan of one solver's atom table, and the per-base
+    """The deduction plan of one solver's atom table, and the rule-derived
     bounds it maintains.
 
     The plan groups the atoms by base form, in table order, and lists the
-    interval rules over those bases.  An atom `s rel c` over its slack
-    s = lam * b, b its base form, holds exactly when least <= b <= most,
-    with thresholds in base units (c / lam; None when unbounded, a nonzero
-    infinitesimal when strict).
+    interval rules over those bases.  An atom `s rel c` over the linear
+    form s = lam * b, b its base form, holds exactly when least <= b <=
+    most, with thresholds in base units (c / lam; None when unbounded, a
+    nonzero infinitesimal when strict).  A base's own bounds are those
+    asserted on its slack (`slack`, None until one has been: unbounded).
 
     The state is, per side (0 lower, 1 upper), a (value, explanation) or
-    None per base for its unate bound and for the tightest of that and its
-    rules' bounds (merged), and per rule for the bound it derives.  The
-    solver writes it through the undo trail (`LraSolver._set_slot`)."""
+    None per rule for the bound it derives, and per base for the tightest
+    of its rules' bounds when that is strictly tighter than its slack's
+    own (ruled).  The solver writes it through the undo trail
+    (`LraSolver._set_slot`)."""
 
     def __init__(self, table, lower: dict, upper: dict):
         bases: dict[tuple, int] = {}
-        self.base_of_key: dict[tuple, int] = {}
-        # per side and base: (slack key, 1/lam, the slack's bound store
-        # that bounds the base on that side), in table order
-        self.slacks: tuple[list, list] = ([], [])
         self.constants: list[int] = []
         self.tests: list[tuple] = []           # (atom id, base, least, most)
         self.tests_of: list[list[int]] = []    # base -> its tests
         self.test_of_atom: dict[int, int] = {}
-        lams: dict[tuple, Rational] = {}   # slack key -> lam
         for atom_id, atom in table.items():
             if not isinstance(atom, LinAtom):
                 continue
             if not atom.coeffs:
                 self.constants.append(atom_id if eval_lin_atom(atom, {}) else -atom_id)
                 continue
-            key = tuple((v.index, c) for v, c in atom.coeffs)
-            lam = lams.get(key)
-            if lam is None:
-                form, lam = _base_form(key)
-                lams[key] = lam
-                bid = bases.get(form)
-                if bid is None:
-                    bid = bases[form] = len(bases)
-                    self.slacks[0].append([])
-                    self.slacks[1].append([])
-                    self.tests_of.append([])
-                self.base_of_key[key] = bid
-                inv = _div(1, lam)
-                self.slacks[0][bid].append((key, inv, lower if inv > 0 else upper))
-                self.slacks[1][bid].append((key, inv, upper if inv > 0 else lower))
-            bid = self.base_of_key[key]
+            form, lam = _base_form(atom.coeffs)
+            bid = bases.get(form)
+            if bid is None:
+                bid = bases[form] = len(bases)
+                self.tests_of.append([])
             k = _div(-atom.offset, lam)
             strict = int(atom.rel == "<")
             if atom.rel == "=":
@@ -126,8 +113,9 @@ class _Propagation:
             self.tests_of[bid].append(len(self.tests))
             self.tests.append((atom_id, bid, least, most))
         nbases = len(bases)
-        self.unate = ([None] * nbases, [None] * nbases)
-        self.merged = ([None] * nbases, [None] * nbases)
+        self.base_of = bases                   # base form -> base
+        self.slack: list[Optional[int]] = [None] * nbases
+        self.ruled = ([None] * nbases, [None] * nbases)
         # one interval rule per derivable base: target <- sum(coeff * source)
         single = {form[0][0]: bid for form, bid in bases.items() if len(form) == 1}
         rules = []
@@ -142,10 +130,11 @@ class _Propagation:
                         rules.append((single[vj], ((bid, _div(1, cj)),
                                                    (single[vi], _div(-ci, cj)))))
         self.rule_target = [target for target, _terms in rules]
-        # per side and rule, its terms, each reading the unate bound of its
-        # source on the side the coefficient's sign selects
+        # per side and rule, its terms, each reading its source's slack
+        # bound on the side the coefficient's sign selects
+        stores = (lower, upper)
         self.rule_terms = tuple(
-            [tuple((self.unate[side if c > 0 else 1 - side], src, c) for src, c in terms)
+            [tuple((stores[side if c > 0 else 1 - side], src, c) for src, c in terms)
              for _target, terms in rules]
             for side in (0, 1))
         self.rule_bounds = ([None] * len(rules), [None] * len(rules))
@@ -164,7 +153,7 @@ class LraSolver(TheorySolver):
         super().__init__(table)
         self.columns: dict[Var, int] = {}
         self.slack_of: dict[tuple, int] = {}
-        self._key_of: dict[int, tuple] = {}      # slack -> its coefficient key
+        self._form_of: dict[int, tuple] = {}     # slack -> its base form
         self.nvars = 0
         self.rows: dict[int, dict[int, Rational]] = {}
         self.values: dict[int, tuple] = {}       # variable -> (real, delta)
@@ -197,13 +186,16 @@ class LraSolver(TheorySolver):
             self.columns[v] = vid
         return vid
 
-    def _slack(self, coeffs: tuple[tuple[Var, int], ...]) -> int:
-        key = tuple((v.index, c) for v, c in coeffs)
-        sid = self.slack_of.get(key)
+    def _slack(self, coeffs: tuple[tuple[Var, int], ...]) -> tuple[int, int]:
+        """(slack, lam) for a linear form lam * b, b its base form: the
+        slack stands for b, and its row is made on the first call."""
+        form, lam = _base_form(coeffs)
+        sid = self.slack_of.get(form)
         if sid is not None:
-            return sid
+            return sid, lam
         row: dict[int, Rational] = {}
         for v, c in coeffs:
+            c //= lam
             col = self._column(v)
             if col in self.rows:  # substitute an already-basic variable
                 for k, ck in self.rows[col].items():
@@ -213,15 +205,15 @@ class LraSolver(TheorySolver):
         row = {k: ck for k, ck in row.items() if ck != 0}
         assert row, "a nonzero linear form cannot reduce to the empty row"
         sid = self._new_id()
-        self.slack_of[key] = sid
-        self._key_of[sid] = key
+        self.slack_of[form] = sid
+        self._form_of[sid] = form
         self.rows[sid] = row
         real = delta = 0
         for k, ck in row.items():
             vr, vd = self.values[k]
             real, delta = real + vr * ck, delta + vd * ck
         self.values[sid] = (real, delta)
-        return sid
+        return sid, lam
 
     def _track(self, var: int, value: tuple):
         """Put a basic variable whose value just changed in the
@@ -312,19 +304,21 @@ class LraSolver(TheorySolver):
         """(kind, slack, data) of a literal: _BOUNDS with the (is_lower,
         value) pairs it asserts on its slack, _NOT_EQUAL with the constant
         its slack must differ from, or _CONST (no slack) with whether it
-        holds."""
+        holds.  The atom `lam * b rel c` is stated on b's slack, at c / lam
+        and on the side the sign of lam selects."""
         if not atom.coeffs:
             return _CONST, None, eval_lin_atom(atom, {}) == (lit > 0)
-        sid = self._slack(atom.coeffs)
-        c = -atom.offset
+        sid, lam = self._slack(atom.coeffs)
+        c = _div(-atom.offset, lam)
         if atom.rel == "=":
             if lit > 0:
                 return _BOUNDS, sid, ((True, (c, 0)), (False, (c, 0)))
             return _NOT_EQUAL, sid, c
-        strict = atom.rel == "<"
-        if lit > 0:
-            return _BOUNDS, sid, ((False, (c, -1 if strict else 0)),)
-        return _BOUNDS, sid, ((True, (c, 0 if strict else 1)),)
+        # a positive literal bounds lam * b from above, strictly when it is
+        # `<`; a negative one from below, strictly when it negates `<=`
+        is_lower = (lit > 0) != (lam > 0)
+        strict = (atom.rel == "<") == (lit > 0)
+        return _BOUNDS, sid, ((is_lower, (c, (1 if is_lower else -1) if strict else 0)),)
 
     def _assert(self, lit: int, atom: LinAtom) -> Optional[list[int]]:
         plan = self._lit_plans.get(lit)
@@ -516,54 +510,40 @@ class LraSolver(TheorySolver):
         return True
 
     def _sync_bases(self, prop: _Propagation) -> set[int]:
-        """Bring the per-base bounds up to date with the asserted bounds,
-        reading only the slacks whose bounds moved since they last were and
-        re-running only the rules that read a base whose unate bound
-        changed; returns the bases whose merged bound changed."""
+        """Bring the rule-derived bounds up to date with the asserted
+        bounds, reading only the slacks whose bounds moved since they last
+        were and re-running only the rules that read them; returns the
+        bases whose bound may have changed."""
         trail = self._trail
-        touched = set()
+        changed = set()
         for entry in trail[self._synced:]:
             if entry[0] == _BOUND:
-                bid = prop.base_of_key.get(self._key_of[entry[1]])
+                bid = prop.base_of.get(self._form_of[entry[1]])
                 if bid is not None:
-                    touched.add(bid)
-        changed, rules, moved = set(), set(), set()
-        for bid in touched:
-            for side in (0, 1):
-                best = None
-                for key, inv, store in prop.slacks[side][bid]:
-                    sid = self.slack_of.get(key)
-                    bound = None if sid is None else store.get(sid)
-                    if bound is None:
-                        continue
-                    value = bound[0]
-                    if inv != 1:
-                        value = (value[0] * inv, _sign(value[1] * inv))
-                    if best is None or (value > best[0] if side == 0 else value < best[0]):
-                        best = (value, (bound[1],))
-                if self._set_slot(prop.unate[side], bid, best):
+                    prop.slack[bid] = entry[1]
                     changed.add(bid)
-                    rules.update(prop.readers[bid])
+        rules = {r for bid in changed for r in prop.readers[bid]}
         for r in rules:
             for side in (0, 1):
                 if self._set_slot(prop.rule_bounds[side], r,
-                                  _rule_bound(prop.rule_terms[side][r])):
+                                  _rule_bound(prop.rule_terms[side][r], prop.slack)):
                     changed.add(prop.rule_target[r])
-        # merged: the unate bound unless a rule derives a strictly tighter
-        # one, the first such rule in rule order
+        # ruled: the tightest rule bound, the first in rule order among
+        # equals, when it is strictly tighter than the slack's own bound
         for bid in changed:
-            for side in (0, 1):
-                best = prop.unate[side][bid]
+            for side, store in ((0, self.lower), (1, self.upper)):
+                own = store.get(prop.slack[bid])
+                best = None if own is None else own[0]
+                tightest = None
                 for r in prop.rules_of[bid]:
                     bound = prop.rule_bounds[side][r]
                     if bound is not None and (best is None or (
-                            bound[0] > best[0] if side == 0 else bound[0] < best[0])):
-                        best = bound
-                if self._set_slot(prop.merged[side], bid, best):
-                    moved.add(bid)
+                            bound[0] > best if side == 0 else bound[0] < best)):
+                        best, tightest = bound[0], bound
+                self._set_slot(prop.ruled[side], bid, tightest)
         trail.append((_SYNCED, self._synced))
         self._synced = len(trail)
-        return moved
+        return changed
 
     def deductions(self) -> list[Deduction]:
         """Unate and interval propagation over the current bounds; changes
@@ -585,13 +565,14 @@ class LraSolver(TheorySolver):
             if test is not None:
                 candidates.add(test)
         out = [Deduction(lit, ()) for lit in prop.constants if abs(lit) not in asserted]
-        lo, hi = prop.merged
+        (lo, hi), lower, upper, slack = prop.ruled, self.lower, self.upper, prop.slack
         reported = []
         for test in sorted(candidates):
             atom_id, bid, least, most = prop.tests[test]
             if atom_id in asserted:
                 continue
-            low, up = lo[bid], hi[bid]
+            low = lo[bid] or _own(lower.get(slack[bid]))
+            up = hi[bid] or _own(upper.get(slack[bid]))
             low_in = least is None or (low is not None and low[0] >= least)
             up_in = most is None or (up is not None and up[0] <= most)
             if low_in and up_in:
@@ -619,32 +600,40 @@ def _div(a: Rational, b: Rational) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
+def _own(entry) -> Optional[tuple]:
+    """A slack's bound entry (value, reason) as a (value, explanation)
+    bound, or None when the slack has none on that side."""
+    return None if entry is None else (entry[0], (entry[1],))
+
+
 def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
 
 
-def _base_form(key) -> tuple[tuple, Rational]:
-    """(base form, lam) with key = lam * base, key a linear form as
-    (variable index, coefficient) pairs: the base is the form divided by
-    its content, first coefficient positive."""
-    lam = gcd(*(c for _, c in key))
-    if key[0][1] < 0:
+def _base_form(coeffs) -> tuple[tuple, int]:
+    """(base form, lam) with coeffs = lam * base, coeffs a linear form as
+    (variable, coefficient) pairs and the base as (variable index,
+    coefficient) pairs: the form divided by its content, first
+    coefficient positive."""
+    lam = gcd(*(c for _, c in coeffs))
+    if coeffs[0][1] < 0:
         lam = -lam
-    return (key if lam == 1 else tuple((v, c // lam) for v, c in key)), lam
+    return tuple((v.index, c // lam) for v, c in coeffs), lam
 
 
-def _rule_bound(terms) -> Optional[tuple]:
-    """The bound an interval rule derives from the unate bounds of its
-    sources, or None when one is unbounded.  Only the sign of the summed
-    infinitesimal is kept: a bound is strict or not, and the size of delta
-    carries no meaning once rows are combined."""
+def _rule_bound(terms, slack) -> Optional[tuple]:
+    """The bound an interval rule derives from the slack bounds of its
+    sources, or None when one is unbounded (a base with no slack yet is).
+    Only the sign of the summed infinitesimal is kept: a bound is strict
+    or not, and the size of delta carries no meaning once rows are
+    combined."""
     real = delta = 0
     expl: list = []
-    for unate, src, coeff in terms:
-        entry = unate[src]
+    for store, src, coeff in terms:
+        entry = store.get(slack[src])
         if entry is None:
             return None
-        (vr, vd), reasons = entry
+        (vr, vd), reason = entry
         real, delta = real + vr * coeff, delta + vd * coeff
-        expl.extend(reasons)
+        expl.append(reason)
     return (real, _sign(delta)), tuple(dict.fromkeys(expl))

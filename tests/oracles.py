@@ -118,11 +118,10 @@ def _improves(value, current, is_lower: bool) -> bool:
 def reference_lra_deductions(solver) -> list[tuple[int, tuple[int, ...]]]:
     """The (literal, explanation) pairs `LraSolver.deductions` must return,
     recomputed from scratch out of the solver's atom table, asserted atoms,
-    slacks and bounds: unate propagation over base forms, then one round of
-    interval propagation.  Ties keep the first slack in table order, and
-    the first rule in rule order."""
+    slacks and bounds: unate propagation over base forms, each bounded by
+    its one slack, then one round of interval propagation.  Ties keep the
+    slack's own bound, then the first rule in rule order."""
     bases: dict[tuple, int] = {}
-    groups: dict[tuple, tuple[int, int]] = {}   # slack key -> (base, lam)
     constants, tests = [], []
     for atom_id, atom in solver.table.items():
         if not isinstance(atom, LinAtom):
@@ -136,7 +135,6 @@ def reference_lra_deductions(solver) -> list[tuple[int, tuple[int, ...]]]:
             lam = -lam
         form = tuple((v.index, c // lam) for v, c in atom.coeffs)
         bid = bases.setdefault(form, len(bases))
-        groups.setdefault(tuple((v.index, c) for v, c in atom.coeffs), (bid, lam))
         k = Fraction(-atom.offset, lam)
         strict = int(atom.rel == "<")
         if atom.rel == "=":
@@ -160,20 +158,11 @@ def reference_lra_deductions(solver) -> list[tuple[int, tuple[int, ...]]]:
                                                (single[vi], Fraction(-ci, cj)))))
     lo: dict[int, tuple] = {}
     hi: dict[int, tuple] = {}
-    for key, (bid, lam) in groups.items():
-        sid = solver.slack_of.get(key)
-        if sid is None:
-            continue
-        inv = Fraction(1, lam)
-        for bound, is_lower in ((solver.lower.get(sid), inv > 0),
-                                (solver.upper.get(sid), inv < 0)):
-            if bound is None:
-                continue
-            (real, delta), reason = bound
-            value = (real, delta) if inv == 1 else (real * inv, _sign(delta * inv))
-            side = lo if is_lower else hi
-            if _improves(value, side.get(bid), is_lower):
-                side[bid] = (value, (reason,))
+    for form, bid in bases.items():
+        sid = solver.slack_of.get(form)
+        for bound, side in ((solver.lower.get(sid), lo), (solver.upper.get(sid), hi)):
+            if bound is not None:
+                side[bid] = (bound[0], (bound[1],))
     derived = ({}, {})
     for target, terms in rules:
         for is_lower, out in ((True, derived[0]), (False, derived[1])):

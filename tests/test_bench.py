@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from smtcore import cores
 from smtcore.bench import (
     BenchRecord, RatioStats, format_table, quantile, ratio_stats,
     records_to_csv, run_bench, stats_for_pair,
@@ -121,3 +122,9 @@ class TestRunBench:
             ("smt-proof", "ok")]
         assert records[0].core_size == records[2].core_size == 2
         assert len(list(tmp_path.glob("smtcore-bridge-*"))) == 1
+
+    def test_a_core_that_fails_verification_is_recorded_as_an_extraction_error(
+            self, monkeypatch):
+        monkeypatch.setattr(cores, "check_refutation", lambda *args: "a planted problem")
+        records = run_bench([DATA / "contradictory_units.smt2"], ["lift-proof"])
+        assert [(r.core_size, r.verified) for r in records] == [(None, "error:ExtractionError")]

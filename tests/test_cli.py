@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gen import random_difference_formula
+from gen import pigeonhole_cnf, prop_formula, random_difference_formula
 from smtcore import cores, dimacs
 from smtcore.cli import main
 from smtcore.cnf import cnf_convert
@@ -50,6 +50,14 @@ class TestSolve:
                          b"(assert a)(assert (not a))")
         code, out, err = run_cli("solve", str(path), capsys=capsys)
         assert (code, out, err) == (20, "unsat\n", "")
+
+    def test_budget_out_is_unknown_exit_1(self, tmp_path, capsys):
+        # pigeonhole 3/2 takes a conflict to refute
+        path = tmp_path / "php.smt2"
+        path.write_text(render_instance(prop_formula(pigeonhole_cnf(random.Random(0), 2, 0, 0)[0])),
+                        encoding="utf-8")
+        code, out, err = run_cli("solve", str(path), "--budget", "0", capsys=capsys)
+        assert (code, out, err) == (1, "unknown\n", "")
 
     def test_proof_out(self, data_dir, tmp_path, capsys):
         trace = tmp_path / "proof.txt"
@@ -177,15 +185,15 @@ class TestCore:
             assert out.splitlines()[0] == "unsat"
 
     def test_budget_bounds_minimization_too(self, tmp_path):
-        # the lift-proof route of this formula takes 11 conflicts, one of its
+        # the lift-proof route of this formula takes 10 conflicts, one of its
         # minimization trials more
-        formula = random_difference_formula(random.Random(0), 12, 60, 2)
+        formula = random_difference_formula(random.Random(3), 12, 60, 2)
         path = tmp_path / "difference.smt2"
         path.write_text(render_instance(formula), encoding="utf-8")
 
         def core(*extra):
             return subprocess.run([sys.executable, "-m", "smtcore", "core", str(path),
-                                   "--budget", "11", *extra], capture_output=True, text=True)
+                                   "--budget", "10", *extra], capture_output=True, text=True)
 
         assert core().returncode == 20
         proc = core("--minimize")
@@ -395,6 +403,18 @@ class TestBench:
         assert len(instances) == len(list(Path(data_dir).glob("*.smt2")))
         assert "core size ratio" in out
         assert "smt-proof/lift-proof" in out
+
+    def test_csv_goes_to_standard_output_before_the_table(self, data_dir, capsys):
+        code, out, _ = run_cli("bench", str(data_dir), "--methods", "lift-proof,smt-proof",
+                               "--baseline", "lift-proof", capsys=capsys)
+        assert code == 0
+        lines = out.splitlines()
+        table = next(i for i, line in enumerate(lines) if line.startswith("core size ratio"))
+        records = list(csv.DictReader(lines[:table]))
+        assert [(Path(r["instance"]).name, r["method"]) for r in records] == [
+            (path.name, method) for path in sorted(Path(data_dir).glob("*.smt2"))
+            for method in ("lift-proof", "smt-proof")]
+        assert "smt-proof/lift-proof" in lines[table + 1]
 
     def test_unknown_method_rejected(self, data_dir, capsys):
         code, _, err = run_cli("bench", str(data_dir), "--methods", "magic",

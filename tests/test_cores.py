@@ -213,8 +213,7 @@ class TestLemmaLiftShim:
 
 
 def difference_12_60():
-    """Its lift-proof route takes 11 conflicts; one of its minimization
-    trials takes more."""
+    """Its lift-proof route takes 11 conflicts."""
     return random_difference_formula(random.Random(0), 12, 60, 2)
 
 
@@ -251,12 +250,13 @@ class TestBudget:
                 assert "conflict budget exceeded" in str(exc)
 
     def test_minimization_trials_are_budgeted(self):
-        formula = difference_12_60()
-        # the route alone fits in the budget
-        assert extract_core(formula, "lift-proof", budget=11).verdict == "unsat"
+        formula = random_difference_formula(random.Random(3), 12, 60, 2)
+        # the route alone fits in the budget; a minimization trial takes more
+        assert extract_core(formula, "lift-proof", budget=10).verdict == "unsat"
         with pytest.raises(ExtractionError, match="conflict budget exceeded"):
-            extract_core(formula, "lift-proof", minimize=True, budget=11)
-        assert extract_core(formula, "lift-proof", minimize=True).core == DIFFERENCE_12_60_MINIMAL
+            extract_core(formula, "lift-proof", minimize=True, budget=10)
+        assert extract_core(formula, "lift-proof", minimize=True).core == (
+            1, 2, 6, 7, 9, 10, 15, 18, 20, 21, 22, 36, 56)
 
     def test_minimize_core_runs_out_on_its_own(self):
         formula = difference_12_60()

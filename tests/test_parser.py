@@ -170,6 +170,14 @@ def test_render_round_trip(nine_clauses):
         assert [l > 0 for l in c1] == [l > 0 for l in c2]
 
 
+def test_render_writes_an_empty_clause_as_false():
+    formula = cnf_convert(parse("(declare-fun a () Bool)(assert a)(assert false)"))
+    assert formula.clauses == [(1,), ()]
+    text = render_instance(formula)
+    assert "(assert false)" in text.splitlines()
+    assert cnf_convert(parse(text)).clauses == formula.clauses
+
+
 def test_render_subset_is_parsable(nine_clauses):
     text = render_instance(nine_clauses, [0, 1, 5])
     sub = cnf_convert(parse(text))

@@ -41,7 +41,7 @@ COUNT_METRICS = sorted(m["name"] for m in _BENCHMARK["end_to_end"] + _BENCHMARK[
                        if m["unit"] == "count")
 COUNT_DIGESTS = {
     "euf-core": "0ba3cbac0565f5e3c1ac159b9f051bab2074908f6d720b2e7e2b83a909683432",
-    "lra-core": "0cddb9a4e5298e584e37fbcb7bdf610d9b47e06ec32ebcd7087ff9a98013414b",
+    "lra-core": "749631c0abdf6e1eb710b6b2a8e251b7abb0cdc7c6cb92edd542a0a599983b4e",
     "mus-enum": "2229727da8410076227c7af9628eaf320e190474557bb1adf984d6b36a0c6fea",
     "prop-core": "05bf0f6af84307cd14d5b0c02fe1af08f88b8f1da79cb21dcfb60ab3ecbd364f",
 }

@@ -4,6 +4,9 @@ its own: a sat model against every clause, an unsat verdict through the
 lemma-store facts and two verified cores.
 
 - difference constraints: 6 reals, 24 binary clauses, about half unsat;
+- difference constraints at 12/60 and 24/120, each core verified from a
+  refutation, and at 12/60 minimized and checked one-deletion minimal
+  (minimizing at 24/120 takes seconds to half a minute an instance);
 - EUF: 8 to 15 constants and their images under one unary function,
   five clauses of at most two literals per constant, three of the eight
   unsat;
@@ -46,6 +49,25 @@ def test_difference_constraints(seed):
                                         n_clauses=24, width=2)
     verdict, store = smt_solve(formula)
     _check_facts(formula, verdict, store)
+
+
+@pytest.mark.parametrize("shape, seed, minimize",
+                         [((12, 60, 2), seed, True) for seed in (0, 3, 7)]
+                         + [((24, 120, 2), seed, False) for seed in range(4)]
+                         + [((24, 120, 3), seed, False) for seed in range(2)])
+def test_difference_constraints_at_scale(shape, seed, minimize):
+    formula = random_difference_formula(random.Random(seed), *shape)
+    verdict, store = smt_solve(formula)
+    unsat = verdict.status == "unsat"
+    assert lemma_store_violations(formula, store, unsat=unsat) == []
+    if not unsat:
+        assert all(evaluate_clause(c, formula.atoms, verdict) for c in formula.clauses)
+        return
+    for method in ("lift-proof", "smt-selectors"):
+        core = extract_core(formula, method, minimize=minimize, verify=True).core
+        for i in core if minimize else ():
+            rest = [j for j in core if j != i]
+            assert smt_solve(formula.restrict(rest))[0].status == "sat", (method, i)
 
 
 @pytest.mark.parametrize("seed", range(8))

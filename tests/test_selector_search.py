@@ -13,7 +13,10 @@ sorted, every outcome equalled the one of the counters.  The `euf-uf` and
 `euf-diamond` digests were computed again when EUF conflicts became
 chains of lemmas over engine-defined atoms: with each MCS list sorted,
 every MCS set equalled the one before and every minimized core was among
-MARCO's MUSes, while some cores of `euf-uf` changed.  A mismatch means
+MARCO's MUSes, while some cores of `euf-uf` changed.  The `lra-difference`
+digest was computed again when atoms whose linear forms differ by a
+constant factor came to bound one shared slack: every MCS set equalled
+the one before, and every core passed verification.  A mismatch means
 a selector search changed.  To find the first instance that
 differs, compare `outcome(formula)` across the two versions on the corpus
 that fails.  A change to `tests/gen.py` changes the corpus rather than
@@ -79,7 +82,7 @@ def corpus(name):
 DIGESTS = {
     "lra-labeled": "2addb857545764e11418e22cf577b389a1a08fe692a4d3592f7ef10d2386fe87",
     "euf-labeled": "7b2f9035ebc24afbc7abcc6377b9ded86723ac78fb7e013e59292a93bd0c85cd",
-    "lra-difference": "34483415b1133aee11db25220e0cb989323fd0ba16a6fd11bf5577888ad23234",
+    "lra-difference": "0878b01ea9a83bf486c42051db5095886889298b6abecc3b9f635b13da51e83e",
     "euf-uf": "5b3132f7a275ab4044f35db14eeddc48423655214e0a1b41554ccc029661e62f",
     "euf-diamond": "eaffd3a59313f3f4efc7b3d99fc0161bf5241a9caf011c94432b1c94d3bc5f5d",
 }

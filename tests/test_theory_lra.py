@@ -158,6 +158,41 @@ class TestAssertAndConflict:
         assert s.assert_literal(-ieq) == [-ilt, ile, -ieq]
 
 
+class TestTwinSlacks:
+    """Atoms whose linear forms differ by a constant factor, as `x` and
+    `-x` or `x - y` and `y - x` do, bound one shared slack."""
+
+    def test_a_disequality_between_twin_bounds_conflicts_at_assertion(self):
+        table, (ige, ile, ieq) = table_with(
+            lin({X: -1}, 0, "<="), lin({X: 1}, 0, "<="), lin({X: 1}, 0, "="))
+        s = LraSolver(table)
+        assert s.assert_literal(ige) is None       # -x <= 0
+        assert s.assert_literal(ile) is None       # x <= 0
+        assert s.assert_literal(-ieq) == [ige, ile, -ieq]
+
+    def test_a_difference_and_its_reverse_share_one_row(self):
+        table, (ixy, iyx, ieq) = table_with(
+            lin({X: 1, Y: -1}, -2, "<="), lin({Y: 1, X: -1}, 2, "<="),
+            lin({X: 1, Y: -1}, -2, "="))
+        s = LraSolver(table)
+        assert s.assert_literal(ixy) is None       # x - y <= 2
+        assert s.assert_literal(iyx) is None       # y - x <= -2
+        assert s.assert_literal(-ieq) == [iyx, ixy, -ieq]
+        assert len(s.rows) == 1
+
+    def test_a_formula_over_twin_atoms_and_a_disequality_is_solved(self):
+        # x - y >= 2 would meet x - y <= 2 and x - y != 2 at one point, so
+        # x < 0 must hold, then y = 0; 2y - 2x < 5 scales the same form
+        formula = cnf_convert(parse(
+            "(declare-fun x () Real)(declare-fun y () Real)"
+            "(assert (<= (- x y) 2))(assert (or (<= (- y x) (- 2)) (< x 0)))"
+            "(assert (not (= (- x y) 2)))(assert (or (>= x 1) (= y 0)))"
+            "(assert (< (* 2 (- y x)) 5))"))
+        verdict, _store = smt_solve(formula)
+        assert verdict.status == "sat"
+        assert all(evaluate_clause(c, formula.atoms, verdict) for c in formula.clauses)
+
+
 class TestBacktracking:
     def test_mark_restores_verdict(self):
         table, (ilt, ieq) = table_with(lin({Y: 1}, 0, "<"), lin({Y: 1}, -2, "="))
