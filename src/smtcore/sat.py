@@ -17,9 +17,13 @@ elided, so every chain is plain binary resolution and needs no other rule.
 The search state is array-based, after Eén & Sörensson, "An Extensible
 SAT-solver" (SAT 2003): values, watch lists, levels, reasons, trail
 positions, activities and phases live in plain lists indexed by literal or
-variable (see `SatSolver`), propagation reads them inline, conflict
-analysis walks the trail backwards with a seen-set, and branching reads a
-lazy binary heap.
+variable (see `SatSolver`), conflict analysis walks the trail backwards
+with a seen-set, and branching reads a lazy binary heap.  The hot loops
+read the arrays inline and are written for the interpreter: a watch move
+writes its two literals directly, a binary clause is not scanned for a
+replacement, and a variable is taken by a sign test, not `abs`.
+`tests/test_sat.py` pins the search they run, every learned clause, model
+and proof node of a pigeonhole and a random-CNF corpus, to one digest.
 
 Clause intake has one generic pass, which reads every literal's value to
 give the clause's status and choose its two watches, and two paths that
@@ -27,7 +31,9 @@ leave the same state without it: a clause added while the trail is empty
 is watched on its first two literals, and a learned clause is watched on
 its asserting literal and its highest-level literal, which conflict
 analysis has put first, and its asserting literal is enqueued.
-`add_inputs` sizes the arrays once for a whole load of input clauses.
+`add_inputs` sizes the arrays once for a whole load of input clauses, and
+`add_clause` checks and sizes its one clause itself, so a lemma added in
+mid-search goes through a single call before the status pass.
 One rule settles a clause the database holds against the trail (a lemma
 added again, a clause learned again, a one-literal clause, and at the
 start of `solve` a clause added above level 0): its unit literal is
@@ -99,20 +105,26 @@ def proof_leaves(proof: ProofLog) -> list[tuple]:
         raise ValueError("proof does not derive the empty clause")
     if proof.lits(proof.final):
         raise ValueError("final node is not the empty clause")
-    seen = set()
+    nodes = proof.nodes
+    seen = bytearray(len(nodes))
     out = []
     stack = [proof.final]
+    push = stack.append
     while stack:
         n = stack.pop()
-        if n in seen:
+        if seen[n]:
             continue
-        seen.add(n)
-        node = proof.nodes[n]
+        seen[n] = 1
+        node = nodes[n]
         if node[0] == "leaf":
             out.append(node)
-        else:
-            stack.append(node[1])
-            stack.extend(a for _, a in node[2])
+            continue
+        # a node seen by now would be skipped when popped: leave it off
+        if not seen[node[1]]:
+            push(node[1])
+        for _, a in node[2]:
+            if not seen[a]:
+                push(a)
     return out
 
 
@@ -310,7 +322,12 @@ class SatSolver:
         conflict."""
         # duplicates go; a tautology is kept but can never propagate
         norm = list(dict.fromkeys(lits))
-        self._admit(norm)
+        if 0 in norm:
+            raise ValueError("literal 0 is not allowed")
+        if norm:
+            top = max(max(norm), -min(norm))
+            if top > self.nvars:
+                self.ensure_vars(top)
         return self._insert(norm, origin)
 
     def add_inputs(self, clauses: Iterable[Iterable[int]]) -> None:
@@ -318,16 +335,13 @@ class SatSolver:
         as `add_clause` adds them one by one, with the arrays sized once for
         all of them."""
         norms = [list(dict.fromkeys(lits)) for lits in clauses]
-        self._admit(list(chain.from_iterable(norms)))
+        every = list(chain.from_iterable(norms))
+        if 0 in every:
+            raise ValueError("literal 0 is not allowed")
+        if every:
+            self.ensure_vars(max(max(every), -min(every)))
         for i, norm in enumerate(norms):
             self._insert(norm, ("input", i))
-
-    def _admit(self, lits: list[int]) -> None:
-        """Refuse literal 0 and size the arrays for `lits`."""
-        if 0 in lits:
-            raise ValueError("literal 0 is not allowed")
-        if lits:
-            self.ensure_vars(max(max(lits), -min(lits)))
 
     def _insert(self, norm: list[int], origin: tuple) -> tuple[int, str]:
         """`add_clause` for a clause without repeated literals whose
@@ -370,7 +384,7 @@ class SatSolver:
         for i, l in enumerate(norm):
             val = vals[l]
             if val is False:
-                lv = level[abs(l)]
+                lv = level[l if l > 0 else -l]
                 if lv > lvl1:
                     false2, lvl2, false1, lvl1 = false1, lvl1, i, lv
                 elif lv > lvl2:
@@ -385,7 +399,13 @@ class SatSolver:
                 unit = l
             else:
                 satisfied = True
-        a, b = [i for i in (free1, free2, false1, false2) if i >= 0][:2]
+        # a clause of two or more literals has two of these
+        if free2 >= 0:
+            a, b = free1, free2
+        elif free1 >= 0:
+            a, b = free1, false1
+        else:
+            a, b = false1, false2
         norm[0], norm[a] = norm[a], norm[0]
         if b == 0:
             b = a
@@ -446,31 +466,45 @@ class SatSolver:
             neg = -trail[qhead]
             qhead += 1
             ws = watches[neg]
+            # Every clause of `ws` watches `neg`, now false, as its first or
+            # second literal.  It stays in `keep` if its other watch is true
+            # or no replacement is found; else it moves to the list of the
+            # replacement, which takes `neg`'s place as its second literal.
             keep = []
-            for pos, cid in enumerate(ws):
+            moved = 0
+            for cid in ws:
                 cl = clauses[cid]
-                if cl[0] == neg:
-                    cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
+                if first == neg:
+                    first = cl[1]
+                    cl[0] = first
+                    cl[1] = neg
                 val = vals[first]
                 if val is True:
                     keep.append(cid)
                     continue
-                for k in range(2, len(cl)):
-                    if vals[cl[k]] is not False:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        watches[cl[1]].append(cid)
+                k, n = 2, len(cl)
+                while k < n:
+                    lit = cl[k]
+                    if vals[lit] is not False:
+                        cl[1] = lit
+                        cl[k] = neg
+                        watches[lit].append(cid)
+                        moved += 1
                         break
+                    k += 1
                 else:
                     keep.append(cid)
                     if val is False:
-                        keep.extend(ws[pos + 1:])
+                        # the entries not visited stay: every entry up to
+                        # this one is in keep or was moved
+                        keep += ws[len(keep) + moved:]
                         watches[neg] = keep
                         self.qhead = qhead
                         return cid
                     vals[first] = True
                     vals[-first] = False
-                    v = abs(first)
+                    v = first if first > 0 else -first
                     level[v] = dl
                     reason[v] = cid
                     trail_pos[v] = len(trail)
@@ -494,22 +528,28 @@ class SatSolver:
         heapify(self._heap)
 
     def _backjump(self, target_level: int):
-        if len(self.trail_lim) <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        cut = self.trail_lim[target_level]
+        cut = trail_lim[target_level]
+        trail = self.trail
         vals, phase, act, heap = self._vals, self._phase, self._activity, self._heap
-        for lit in self.trail[cut:]:
-            v = abs(lit)
-            phase[v] = lit > 0
+        for lit in trail[cut:]:
             vals[lit] = vals[-lit] = None
-            heappush(heap, (-act[v], v))
-        del self.trail[cut:]
-        del self.trail_lim[target_level:]
-        self.qhead = min(self.qhead, len(self.trail))
+            if lit > 0:
+                phase[lit] = True
+                heappush(heap, (-act[lit], lit))
+            else:
+                phase[-lit] = False
+                heappush(heap, (-act[-lit], -lit))
+        del trail[cut:]
+        del trail_lim[target_level:]
+        if self.qhead > cut:
+            self.qhead = cut
         if len(heap) > HEAP_SLACK * self.nvars:
             self._rebuild_heap()
         if self.theory_hook is not None:
-            self.theory_hook.hook_backjump(len(self.trail))
+            self.theory_hook.hook_backjump(cut)
 
     def _derive_empty(self, confl: int):
         """Level-0 conflict: resolve against reasons in reverse trail order
@@ -547,35 +587,42 @@ class SatSolver:
 
         Walks the trail backwards from its end, resolving every marked
         current-level literal against its reason until one such literal is
-        left open: the resolution order is decreasing trail position."""
+        left open: the resolution order is decreasing trail position.  The
+        literals below the conflict level are collected as trail positions,
+        so that they sort as plain integers."""
         clauses, level = self.clauses, self._level
         clause = clauses[confl]
-        max_lvl = max((level[abs(l)] for l in clause), default=0)
-        if max_lvl == 0:
+        lvl = 0
+        for l in clause:
+            lv = level[l if l > 0 else -l]
+            if lv > lvl:
+                lvl = lv
+        if lvl == 0:
             self._derive_empty(confl)
             return None
-        self._backjump(max_lvl)
-        lvl = max_lvl
+        self._backjump(lvl)
         act, inc, reason, trail_pos = self._activity, self.var_inc, self._reason, self._trail_pos
-        proof = self.proof
+        proof, node_of = self.proof, self._node_of
         first = self._node(confl) if proof else None
         steps = []
         seen = set()
-        rest = []   # literals below the conflict level
+        rest = []   # trail positions of the literals below the conflict level
         open_ = 0   # marked current-level literals not yet resolved away
         for l in clause:
-            v = abs(l)
+            v = l if l > 0 else -l
             act[v] += inc
             seen.add(v)
             if level[v] == lvl:
                 open_ += 1
             else:
-                rest.append(l)
+                rest.append(trail_pos[v])
         trail = self.trail
         i = len(trail)
         while True:
             i -= 1
-            v = abs(trail[i])
+            v = trail[i]
+            if v < 0:
+                v = -v
             if v not in seen:
                 continue
             if open_ == 1:
@@ -584,22 +631,30 @@ class SatSolver:
             rid = reason[v]
             assert rid is not None, "multiple decision literals at one level"
             if proof:
-                steps.append((v, self._node(rid)))
+                node = node_of.get(rid)
+                steps.append((v, self._node(rid) if node is None else node))
             for q in clauses[rid]:
-                u = abs(q)
+                u = q if q > 0 else -q
                 if u not in seen:
                     seen.add(u)
                     if level[u] == lvl:
                         open_ += 1
                     else:
-                        rest.append(q)
+                        rest.append(trail_pos[u])
             act[v] += inc
-        # levels never decrease along the trail, so this is the order by
-        # decreasing (level, trail position)
-        rest.sort(key=lambda l: -trail_pos[abs(l)])
-        backjump = level[abs(rest[0])] if rest else 0
+        # Each literal below the conflict level is false: the negation of
+        # the trail literal at its position.  Levels never decrease along
+        # the trail, so they go in the order of decreasing (level, position).
+        rest.sort(reverse=True)
+        learned = [-trail[i]]
+        for p in rest:
+            learned.append(-trail[p])
+        backjump = 0
+        if rest:
+            u = trail[rest[0]]
+            backjump = level[u if u > 0 else -u]
         self._decay_activity()
-        return [-trail[i]] + rest, backjump, (first, steps)
+        return learned, backjump, (first, steps)
 
     def _learn(self, learned: list[int], backjump: int, derivation: tuple) -> None:
         """Add the learned clause and enqueue its asserting literal.  The
@@ -687,12 +742,13 @@ class SatSolver:
         for cid in recheck:
             self._settle_held(cid)
         budget_end = None if self.conflict_budget is None else self.conflicts + self.conflict_budget
+        hook, trail, trail_lim = self.theory_hook, self.trail, self.trail_lim
         while True:
             confl = self._propagate()
-            if confl is None and self.theory_hook is not None \
-                    and self.theory_hook.hook_fixpoint(self):
-                continue
-            if confl is not None:
+            if confl is None:
+                if hook is not None and hook.hook_fixpoint(self):
+                    continue
+            else:
                 self.conflicts += 1
                 if budget_end is not None and self.conflicts > budget_end:
                     return SatVerdict("unknown")
@@ -700,31 +756,29 @@ class SatSolver:
                 if res is None:
                     self.refuted = True
                     return SatVerdict("unsat", proof=self.proof)
-                learned, backjump, derivation = res
-                self._learn(learned, backjump, derivation)
+                self._learn(*res)
                 continue
-            dl = self.decision_level
+            dl = len(trail_lim)
             if dl < len(assumptions):
                 a = assumptions[dl]
                 val = self._vals[a]
                 if val is True:
-                    self.trail_lim.append(len(self.trail))
+                    trail_lim.append(len(trail))
                     continue
                 if val is False:
                     conflict = self._analyze_final(a)
                     return SatVerdict("unsat-assumptions", conflict=conflict)
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 self._enqueue(a, None)
                 continue
             v = self._pick_var()
             if v is None:
-                if self.theory_hook is not None and self.theory_hook.hook_final(self):
+                if hook is not None and hook.hook_final(self):
                     continue
                 vals = self._vals
                 return SatVerdict("sat", model={u: vals[u] for u in range(1, self.nvars + 1)})
-            lit = v if self._phase[v] else -v
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, None)
+            trail_lim.append(len(trail))
+            self._enqueue(v if self._phase[v] else -v, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
-from gen import pigeonhole_cnf, random_cnf
+from gen import pigeonhole_cnf, random_cnf, random_difference_formula
 from oracles import cnf_models, cnf_truth_table_sat
+from smtcore import smt
 from smtcore.sat import (
     ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, check_proof, proof_core, sat_solve,
     solve_with_selectors,
@@ -762,3 +764,173 @@ def test_a_clause_a_budget_exit_left_unit_at_level_0_is_propagated():
     verdict = s.solve()
     assert (verdict.status, s.conflicts) == ("sat", 1)
     assert verdict.model == {1: True, 2: True, 3: False}
+
+
+# ---------------------------------------------------------------------------
+# The two-watched-literal invariant, and the search pinned bit for bit
+# ---------------------------------------------------------------------------
+
+def pigeonhole_corpus():
+    """PHP 4/3 to 6/5, each among satisfiable noise."""
+    return [pigeonhole_cnf(random.Random(holes), holes, noise, 2 * noise)[0]
+            for holes in (3, 4, 5) for noise in (10, 20)]
+
+
+def threshold_corpus():
+    """Random 3-CNF of 70 variables at clause density 4.26, where searches
+    are long and both verdicts occur."""
+    corpus = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        corpus.append([[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 71), 3)]
+                       for _ in range(298)])
+    return corpus
+
+
+class WatchChecked(SatSolver):
+    """After every `_propagate`, checks that each clause of two or more
+    literals is in the watch lists of its first two literals, once each,
+    and in no other list; with `fixpoint_check`, also that at a fixpoint
+    without a conflict no clause is false, or unit with its literal
+    unassigned."""
+
+    fixpoint_check = True
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.tally = Counter()
+
+    def add_clause(self, lits, origin=("learned",)):
+        if self.trail_lim:
+            self.tally["added above level 0"] += 1
+        return super().add_clause(lits, origin)
+
+    def _propagate(self):
+        pending = self.pending_conflict is not None
+        confl = super()._propagate()
+        self._check_watches()
+        if confl is None:
+            self.tally["fixpoints"] += 1
+            if self.fixpoint_check:
+                self._check_fixpoint()
+        elif not pending:
+            # the conflict clause stays where it was found, ahead of the
+            # entries of its watch list that were not visited
+            ws = self._watches[-self.trail[self.qhead - 1]]
+            if ws.index(confl) < len(ws) - 1:
+                self.tally["conflicts inside a watch list"] += 1
+        return confl
+
+    def _check_watches(self):
+        found = Counter()
+        for v in range(1, self.nvars + 1):
+            for lit in (v, -v):
+                for cid in self._watches[lit]:
+                    found[cid, lit] += 1
+        want = Counter()
+        for cid, cl in enumerate(self.clauses):
+            if len(cl) >= 2:
+                want[cid, cl[0]] += 1
+                want[cid, cl[1]] += 1
+        assert found == want
+
+    def _check_fixpoint(self):
+        vals = self._vals
+        for cl in self.clauses:
+            free = [l for l in cl if vals[l] is not False]
+            assert free, f"false clause {cl} at a fixpoint"
+            assert len(free) > 1 or vals[free[0]], f"unit clause {cl} at a fixpoint"
+
+
+class WatchesOnly(WatchChecked):
+    fixpoint_check = False
+
+
+class TestWatchInvariant:
+    def _solve(self, clauses, log_proof):
+        s = WatchChecked(log_proof=log_proof)
+        s.add_inputs(clauses)
+        return s, s.solve()
+
+    def test_pigeonhole_with_noise(self):
+        tally = Counter()
+        for clauses in pigeonhole_corpus():
+            for log_proof in (False, True):
+                s, v = self._solve(clauses, log_proof)
+                assert v.status == "unsat"
+                tally += s.tally
+        assert tally["conflicts inside a watch list"] >= 100, tally
+
+    def test_threshold_three_cnf(self):
+        tally, statuses = Counter(), set()
+        for clauses in threshold_corpus():
+            for log_proof in (False, True):
+                s, v = self._solve(clauses, log_proof)
+                statuses.add(v.status)
+                tally += s.tally
+        assert statuses == {"sat", "unsat"}
+        assert tally["conflicts inside a watch list"] >= 100, tally
+
+    def test_lemmas_added_mid_search(self, monkeypatch):
+        """A theory lemma that a backjump leaves unit stays unpropagated
+        until it is added again, so only the watches are checked here."""
+        monkeypatch.setattr(smt, "SatSolver", WatchesOnly)
+        engine = smt.SmtSolver(random_difference_formula(random.Random(0), 12, 60, 2))
+        engine.solve()
+        assert engine.sat.tally["added above level 0"] >= 20, engine.sat.tally
+        assert engine.sat.tally["fixpoints"] >= 20, engine.sat.tally
+
+
+class TracedSolver(SatSolver):
+    """Records every learned clause as conflict analysis gives it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.learned = []
+
+    def _learn(self, learned, backjump, derivation):
+        self.learned.append(f"{backjump}: {' '.join(map(str, learned))}")
+        super()._learn(learned, backjump, derivation)
+
+
+def search_trace(clauses, log_proof, seed=None) -> str:
+    """One solve as text: verdict and conflict count, every learned clause
+    in order with its backjump level, the model, every clause in its final
+    literal order (which the watch moves decide) and every proof node."""
+    s = TracedSolver(log_proof=log_proof, seed=seed)
+    s.add_inputs(clauses)
+    v = s.solve()
+    lines = [f"{v.status} {s.conflicts}", *s.learned]
+    lines.append(repr(sorted(v.model.items())) if v.model else "no model")
+    lines += [" ".join(map(str, cl)) for cl in s.clauses]
+    if s.proof:
+        lines += [f"{n[:-1]} {sorted(n[-1])}" for n in s.proof.nodes]
+        lines.append(f"final {s.proof.final}")
+    return "\n".join(lines) + "\n"
+
+
+def search_digest() -> str:
+    h = hashlib.sha256()
+    for clauses in pigeonhole_corpus() + threshold_corpus():
+        for log_proof in (False, True):
+            for seed in (None, 1):
+                h.update(hashlib.sha256(search_trace(clauses, log_proof, seed).encode()).digest())
+    return h.hexdigest()
+
+
+SEARCH_DIGEST = "79921a29db0771ad746b8d6400b8193566485aa581b788536afac048ec3480ed"
+
+
+def test_search_trace_is_pinned():
+    """The CDCL search is pinned: on the pigeonhole and threshold corpora,
+    with and without proof logging and a branching seed, every solve must
+    learn the same clauses in the same order, count the same conflicts,
+    give the same verdict and model, leave every clause in the same literal
+    order and log the same proof nodes.  A change that means to alter the
+    search recomputes the digest on the commit before it, with
+
+        PYTHONPATH=src:tests python -c "import test_sat as t; print(t.search_digest())"
+
+    and says why the search moved; to find the first run that differs,
+    compare `search_trace` across the two versions."""
+    assert search_digest() == SEARCH_DIGEST
