@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .parser import AssertionSet, BoolExpr
+from .parser import AssertionSet
 from .terms import Atom, AtomTable, Formula, PropAtom, infer_logic
 
 
@@ -208,15 +208,6 @@ class _Definitions:
         return defs + [link]
 
 
-def _literals(tree: BoolExpr) -> Optional[list[_Lit]]:
-    """The literals of an assertion that is a literal or an `or` of
-    literals, in order; None for any other shape."""
-    args = tree[1] if tree[0] == "or" else (tree,)
-    if any(arg[0] != "lit" for arg in args):
-        return None
-    return [(arg[1], arg[2]) for arg in args]
-
-
 def _valid(aid: int) -> CnfError:
     return CnfError(f"assertion {aid} is propositionally valid (tautological); "
                     "it would contribute no clauses")
@@ -233,20 +224,26 @@ def cnf_convert(assertions: AssertionSet) -> Formula:
     clauses: list[tuple[int, ...]] = []
     assertion_of: list[int] = []
     defs = _Definitions(assertions.declarations.props)
+    intern = table.intern
 
     def emit(lits, aid: int):
-        clauses.append(tuple(table.intern(a) if p else -table.intern(a) for a, p in lits))
+        clauses.append(tuple([intern(a) if p else -intern(a) for a, p in lits]))
         assertion_of.append(aid)
 
     for aid, tree in assertions.assertions:
-        lits = _literals(tree)
-        if lits is not None:
-            # a repeated literal is kept once, the first copy, and a literal
-            # beside its complement makes the assertion valid, as in _simplify
-            clause = ([], {})
-            if not _extend(clause, lits):
-                raise _valid(aid)
-            emit(clause[0], aid)
+        args = tree[1] if tree[0] == "or" else (tree,)
+        for arg in args:
+            if arg[0] != "lit":
+                break
+        else:
+            # a literal or an `or` of literals is its own clause, each literal
+            # once; one beside its complement makes it valid, as in _simplify
+            clause = dict.fromkeys([intern(a) if p else -intern(a) for _, a, p in args])
+            for lit in clause:
+                if -lit in clause:
+                    raise _valid(aid)
+            clauses.append(tuple(clause))
+            assertion_of.append(aid)
             continue
         node = _simplify(tree)
         if node[0] == "const":

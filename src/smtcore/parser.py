@@ -9,18 +9,18 @@ an `int`; a decimal numeral or a `/` gives an exact `fractions.Fraction`.
 As in SMT-LIB, a symbol that starts with '@' or '.' is reserved: it can be
 neither declared nor used.
 
-The text is split into tokens by one `findall` of one regular expression
-and read into plain nested lists, in one pass with no position arithmetic:
-a symbol is held as the ordinal of its token.  Only a `ParseError` needs a
-line and column, and `_locate` finds them by scanning the text again from
-that ordinal, or from a list's place in the tree.  Both sides
-of a relation are then read into one accumulator, a map from variable to
-coefficient plus a constant, which gives the canonical atom in one step;
-no term in between is built.  Each assertion is read straight into
-negation normal form (`BoolExpr`): `not` flips the polarity it is read at,
-`(=> a1 ... an c)` becomes the flat `(or (not a1) ... (not an) c)` and
-`(ite c t e)` becomes `(and (or (not c) t) (or c e))`, both at that
-polarity.
+The text is split into tokens and read into plain nested lists, in one
+pass with no position arithmetic: a symbol is held as the ordinal of its
+token.  Only a `ParseError` needs a line and column, and `_locate` finds
+them by scanning the text again from that ordinal, or from a list's place
+in the tree.  Both sides of a relation are then read into one accumulator,
+a map from variable to coefficient plus a constant, which gives the
+canonical atom in one step; no term in between is built, and every
+occurrence of an application is one `FunApp`.  Each assertion is read
+straight into negation normal form (`BoolExpr`): `not` flips the polarity
+it is read at, `(=> a1 ... an c)` becomes the flat `(or (not a1) ...
+(not an) c)` and `(ite c t e)` becomes `(and (or (not c) t) (or c e))`,
+both at that polarity.
 
 QF_LIA inputs are interpreted over the rationals; a loud warning is issued.
 """
@@ -34,9 +34,8 @@ from itertools import count, islice
 from typing import Optional, Union
 
 from .terms import (
-    BOOL, REAL, Atom, Declarations, EufAtom, FunApp, LinAtom, LinComb,
-    PropAtom, Rational, SortError, Term, Var, canonical_lin_atom, euf_atom,
-    term_sort,
+    BOOL, LOGIC_EUF, LOGIC_LRA, REAL, Atom, Declarations, EufAtom, FunApp, LinAtom, LinComb,
+    PropAtom, Rational, SortError, Term, Var, canonical_lin_atom, euf_atom, term_sort,
 )
 
 
@@ -71,9 +70,10 @@ class AssertionSet:
 # parenthesis or ';'.  Spaces, tabs, carriage returns and newlines match
 # nothing and are skipped.
 _TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
+_COMMENT = re.compile(r";[^\n]*")
 
 # A node of the tree: a list of nodes, or a symbol, held as the ordinal of
-# its token among the matches of _TOKEN, so its text is `tokens[node]`.
+# its token among the non-comment matches of _TOKEN: its text is `tokens[node]`.
 Node = Union[int, list]
 
 # Deeper input is rejected up front: later stages recurse once or more per
@@ -82,9 +82,11 @@ MAX_NESTING = 200
 
 
 def _read_sexprs(text: str) -> tuple[list[Node], list[str]]:
-    """The top-level s-expressions of `text`, and its tokens.  No position
-    is kept: `_locate` finds the one an error needs."""
-    tokens = _TOKEN.findall(text)
+    """The top-level s-expressions of `text`, and its tokens: those of
+    `_TOKEN` less the comments, split faster by string methods.  No
+    position is kept: `_locate` finds the one an error needs."""
+    spaced = _COMMENT.sub("", text).replace("\n", " ").replace("\t", " ").replace("\r", " ")
+    tokens = list(filter(None, spaced.replace("(", " ( ").replace(")", " ) ").split(" ")))
     out: list[Node] = []
     items = out  # the list the next node joins
     stack: list[list[Node]] = []  # the enclosing lists of `items`
@@ -102,7 +104,7 @@ def _read_sexprs(text: str) -> tuple[list[Node], list[str]]:
             if not stack:
                 raise ParseError("unbalanced ')'", *_locate(text, out, i))
             items = pop()
-        elif tok[0] != ";":
+        else:
             items.append(i)
     if stack:
         raise ParseError("unbalanced '(' at end of input", *_locate(text, out, items))
@@ -115,7 +117,7 @@ def _locate(text: str, tree: list[Node], node: Node) -> tuple[int, int]:
     `text`.  A symbol is its token; a list is the k-th list of the tree in
     pre-order, so it opens at the k-th '(' token.  Only errors need a
     position, so the text is scanned again here instead of while reading."""
-    matches = _TOKEN.finditer(text)
+    matches = (m for m in _TOKEN.finditer(text) if m[0][0] != ";")
     if isinstance(node, int):
         m = next(islice(matches, node, None))
     else:
@@ -155,6 +157,9 @@ class _Parser:
         self.logic: Optional[str] = None
         self.assertions: list[tuple[int, BoolExpr]] = []
         self._warned_int = False
+        self._reals: dict[str, int] = {}  # Real variable's name -> index, unless a numeral
+        self._var_at: list[Var] = []      # every variable, by declaration index
+        self._apps: dict[tuple, FunApp] = {}  # (function name, arguments) -> its one FunApp
         self._text = ""
         self._tree: list[Node] = []
         self._tokens: list[str] = []
@@ -178,19 +183,18 @@ class _Parser:
         if not isinstance(head, int):
             raise self._error("command name must be a symbol", head)
         name = self._tokens[head]
-        args = sx[1:]
-        if name == "set-logic":
-            self._set_logic(args, sx)
-        elif name == "declare-sort":
-            self._declare_sort(args, sx)
-        elif name == "declare-fun":
-            self._declare_fun(args, sx)
-        elif name == "declare-const":
-            self._declare_const(args, sx)
-        elif name == "assert":
-            if len(args) != 1:
+        if name == "assert":  # by far the most frequent command
+            if len(sx) != 2:
                 raise self._error("assert takes exactly one formula", sx)
-            self.assertions.append((len(self.assertions), self._bool(args[0])))
+            self.assertions.append((len(self.assertions), self._bool(sx[1])))
+        elif name == "set-logic":
+            self._set_logic(sx[1:], sx)
+        elif name == "declare-sort":
+            self._declare_sort(sx[1:], sx)
+        elif name == "declare-fun":
+            self._declare_fun(sx[1:], sx)
+        elif name == "declare-const":
+            self._declare_const(sx[1:], sx)
         elif name in ("check-sat", "set-info", "set-option", "exit"):
             pass
         else:
@@ -257,10 +261,11 @@ class _Parser:
                 self.decls.declare_fun(name, arg_sorts, ret)
             elif ret == BOOL:
                 self.decls.declare_prop(name)
-            elif ret == REAL:
-                self.decls.declare_var(name, REAL)
             else:
-                self.decls.declare_var(name, ret)
+                v = self.decls.declare_var(name, ret)
+                self._var_at.append(v)
+                if ret == REAL and not _NUMERAL.fullmatch(name):
+                    self._reals[name] = v.index
         except ValueError as exc:
             raise self._error(str(exc), name_sx)
 
@@ -280,21 +285,21 @@ class _Parser:
     def _numeral(self, sx: int) -> Optional[Rational]:
         """The value of a numeral token, or None for any other symbol."""
         text = self._tokens[sx]
-        numeral = _NUMERAL.fullmatch(text)
-        if not numeral:
-            return None
         try:
-            return Fraction(text) if numeral.group(1) else int(text)
+            if text.isdecimal():  # the digits alone, which _NUMERAL matches
+                return int(text)
+            numeral = _NUMERAL.fullmatch(text)
+            return (Fraction(text) if numeral.group(1) else int(text)) if numeral else None
         except ValueError:  # beyond the interpreter's digit limit
             raise self._error(f"numeral of {len(text)} characters is too long", sx) from None
 
     def _term(self, sx: Node) -> Term:
         tokens = self._tokens
+        # arithmetic read here is a function's argument: a sort error whatever its value
         if isinstance(sx, int):
             text = tokens[sx]
-            value = self._numeral(sx)
-            if value is not None:  # only ever an argument of a function, a sort error
-                return LinComb((), value)
+            if self._numeral(sx) is not None:
+                return LinComb((), 0)
             if text in self.decls.vars:
                 return self.decls.vars[text]
             if text in self.decls.funs:
@@ -305,22 +310,25 @@ class _Parser:
             raise self._error("expected a term", sx)
         op = tokens[sx[0]]
         if op in _ARITH_OPS:
-            coeffs: dict[Var, Rational] = {}
-            return LinComb.build(coeffs, self._linear(sx, 1, coeffs))
+            self._linear(sx, 1, {})
+            return LinComb((), 0)
         if op in self.decls.funs:
-            f = self.decls.funs[op]
-            try:
-                return FunApp(f, tuple(self._term(a) for a in sx[1:]))
-            except SortError as exc:
-                raise self._error(str(exc), sx)
+            key = (op, tuple([self._term(a) for a in sx[1:]]))
+            app = self._apps.get(key)
+            if app is None:
+                try:
+                    app = self._apps[key] = FunApp(self.decls.funs[op], key[1])
+                except SortError as exc:
+                    raise self._error(str(exc), sx)
+            return app
         raise self._error(f"unknown function {op!r}", sx)
 
     def _linear(self, sx: Node, k: Rational,
-                coeffs: dict[Var, Rational]) -> Union[Rational, Var, FunApp]:
-        """Add `k` times the term `sx` into `coeffs` (variable -> coefficient)
-        and return `k` times its constant part.  A term outside arithmetic, an
-        uninterpreted constant or application, adds nothing and is returned
-        as the Term it is.
+                coeffs: dict[int, Rational]) -> Union[Rational, Var, FunApp]:
+        """Add `k` times the term `sx` into `coeffs` (declaration index of a
+        variable -> coefficient) and return `k` times its constant part.  A
+        term outside arithmetic, an uninterpreted constant or application,
+        adds nothing and is returned as the Term it is.
 
         Every argument of an arithmetic operator is read, with its own
         errors, before the operator's own errors are raised, so the first
@@ -328,18 +336,17 @@ class _Parser:
         tokens = self._tokens
         if isinstance(sx, int):
             text = tokens[sx]
+            i = self._reals.get(text)
+            if i is not None:
+                coeffs[i] = coeffs.get(i, 0) + k
+                return 0
             first = text[0]
             if first == "-" or first.isdecimal():  # else _NUMERAL cannot match
                 value = self._numeral(sx)
                 if value is not None:
                     return k * value
             v = self.decls.vars.get(text)
-            if v is None:
-                return self._term(sx)  # raises: undeclared, or a function name
-            if v.sort != REAL:
-                return v
-            coeffs[v] = coeffs.get(v, 0) + k
-            return 0
+            return self._term(sx) if v is None else v  # raises: undeclared, or a function
         if not sx or not isinstance(sx[0], int) or tokens[sx[0]] not in _ARITH_OPS:
             return self._term(sx)
         op = tokens[sx[0]]
@@ -350,12 +357,17 @@ class _Parser:
             const = 0
             pure = True
             sign = k if op == "+" or len(args) > 1 else -k
+            reals = self._reals
             for a in args:
-                part = self._linear(a, sign, coeffs)
-                if isinstance(part, _NON_ARITH):
-                    pure = False
+                i = reals.get(tokens[a]) if isinstance(a, int) else None
+                if i is not None:  # a Real variable, read here rather than by a call
+                    coeffs[i] = coeffs.get(i, 0) + sign
                 else:
-                    const += part
+                    part = self._linear(a, sign, coeffs)
+                    if isinstance(part, _NON_ARITH):
+                        pure = False
+                    else:
+                        const += part
                 if op == "-":
                     sign = -k
             if not pure:
@@ -365,7 +377,7 @@ class _Parser:
         # the non-constant one, so every argument gets an accumulator of its own
         parts = []
         for a in args:
-            sub: dict[Var, Rational] = {}
+            sub: dict[int, Rational] = {}
             parts.append((self._linear(a, 1, sub), sub, a))
         if op == "/":
             if len(parts) != 2:
@@ -403,8 +415,8 @@ class _Parser:
         accumulator, with `>=` and `>` rewritten by negating sides."""
         if len(args) != 2:
             raise self._error(f"{op} takes two arguments", sx)
-        coeffs: dict[Var, Rational] = {}
-        k = -1 if op in (">=", ">") else 1
+        coeffs: dict[int, Rational] = {}
+        k = -1 if op == ">=" or op == ">" else 1
         lhs = self._linear(args[0], k, coeffs)
         rhs = self._linear(args[1], -k, coeffs)
         lterm, rterm = isinstance(lhs, _NON_ARITH), isinstance(rhs, _NON_ARITH)
@@ -415,31 +427,43 @@ class _Parser:
                 return euf_atom(lhs, rhs)
             raise self._error(f"relation {op} needs arithmetic operands "
                               f"(got sorts {ls}, {rs})", sx)
-        return canonical_lin_atom(LinComb.build(coeffs, lhs + rhs), _CANONICAL_REL[op])
+        at = self._var_at
+        terms = tuple([(at[i], coeffs[i]) for i in sorted(coeffs) if coeffs[i]])
+        return canonical_lin_atom(LinComb(terms, lhs + rhs), _CANONICAL_REL[op])
 
     def _bool(self, sx: Node, positive: bool = True) -> BoolExpr:
         """The formula `sx` in negation normal form, negated when `positive`
         is False: `not` flips the polarity, and the polarity picks between
         `and` and `or`."""
         tokens = self._tokens
-        if isinstance(sx, int):
-            text = tokens[sx]
-            if text == "true" or text == "false":
-                return ("const", (text == "true") == positive)
-            if text in self.decls.props:
-                return ("lit", self.decls.props[text], positive)
-            if text in self.decls.vars:
-                raise self._error(f"{text!r} is not Boolean", sx)
-            raise self._error(f"undeclared symbol {text!r}", sx)
-        if not sx or not isinstance(sx[0], int):
-            raise self._error("expected a formula", sx)
-        op = tokens[sx[0]]
-        args = sx[1:]
-        conj, disj = ("and", "or") if positive else ("or", "and")
-        if op == "not":
-            if len(args) != 1:
+        while True:  # each `not` flips the polarity of what it wraps
+            if isinstance(sx, int):
+                text = tokens[sx]
+                if text == "true" or text == "false":
+                    return ("const", (text == "true") == positive)
+                if text in self.decls.props:
+                    return ("lit", self.decls.props[text], positive)
+                if text in self.decls.vars:
+                    raise self._error(f"{text!r} is not Boolean", sx)
+                raise self._error(f"undeclared symbol {text!r}", sx)
+            if not sx or not isinstance(sx[0], int):
+                raise self._error("expected a formula", sx)
+            op = tokens[sx[0]]
+            if op != "not":
+                break
+            if len(sx) != 2:
                 raise self._error("not takes one argument", sx)
-            return self._bool(args[0], not positive)
+            sx, positive = sx[1], not positive
+        args = sx[1:]
+        if op in _CANONICAL_REL:
+            if op == "=" and len(args) == 2:
+                # Boolean equality is out of the supported grammar; detect it
+                # early for a clear message.
+                for a in args:
+                    if isinstance(a, int) and tokens[a] in self.decls.props:
+                        raise self._error("equality between Boolean terms is unsupported", sx)
+            return ("lit", self._relation(op, args, sx), positive)
+        conj, disj = ("and", "or") if positive else ("or", "and")
         if op == "and" or op == "or":
             if not args:
                 raise self._error(f"{op} needs arguments", sx)
@@ -458,14 +482,6 @@ class _Parser:
             c, t, e = args
             then = (disj, [self._bool(c, not positive), self._bool(t, positive)])
             return (conj, [then, (disj, [self._bool(c, positive), self._bool(e, positive)])])
-        if op in ("=", "<=", "<", ">=", ">"):
-            if op == "=" and len(args) == 2:
-                # Boolean equality is out of the supported grammar; detect it
-                # early for a clear message.
-                for a in args:
-                    if isinstance(a, int) and tokens[a] in self.decls.props:
-                        raise self._error("equality between Boolean terms is unsupported", sx)
-            return ("lit", self._relation(op, args, sx), positive)
         raise self._error(f"unsupported operator {op!r}", sx)
 
 
@@ -589,8 +605,6 @@ def render_instance(formula, indices=None) -> str:
     formula built without declarations gets those its rendered atoms
     need, and an undeclared proposition with a reserved name, as CNF
     auxiliaries have, is written under a fresh one."""
-    from .terms import LOGIC_EUF, LOGIC_LRA
-
     lines = []
     if formula.logic == LOGIC_EUF:
         lines.append("(set-logic QF_UF)")

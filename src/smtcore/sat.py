@@ -271,21 +271,19 @@ class SatSolver:
 
     # -- basic state ---------------------------------------------------------
 
-    @property
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
-
     def ensure_vars(self, n: int):
         if n <= self.nvars:
             return
         if n > self._cap:
             self._grow(max(n, 2 * self._cap))
         rng = self._rng
-        for v in range(self.nvars + 1, n + 1):
-            if rng:
+        if rng:
+            for v in range(self.nvars + 1, n + 1):
                 self._activity[v] = rng.random() * 1e-6
                 self._phase[v] = bool(rng.getrandbits(1))
-            heappush(self._heap, (-self._activity[v], v))
+                heappush(self._heap, (-self._activity[v], v))
+        else:  # activities are >= 0, so (-0.0, v) is the largest key: a push appends it
+            self._heap += [(-0.0, v) for v in range(self.nvars + 1, n + 1)]
         self.nvars = n
 
     def _grow(self, cap: int):

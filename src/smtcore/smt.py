@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .sat import ProofLog, SatSolver, SatVerdict, sat_solve
-from .terms import AtomTable, EufAtom, Formula, atom_theory
+from .terms import AtomTable, EufAtom, Formula, LinAtom, eval_lin_atom
 from .theory import TheorySolver, solver_for_logic, validity_check
 
 
@@ -64,7 +64,7 @@ class SmtSolver:
         self._table_size = len(self.table)
         # theory flags by variable: the table's atoms, then the variables
         # the theory defined (see _new_theory_var); the rest are new_var's
-        self._theory_var = [False] + [atom_theory(atom) is not None
+        self._theory_var = [False] + [isinstance(atom, (LinAtom, EufAtom))
                                       for _, atom in self.table.items()]
         self._scan_pos = 0                      # sat trail position scanned so far
         self._synced_positions: list[int] = []  # trail position of each theory assert
@@ -309,8 +309,6 @@ def lemma_store_violations(formula: Formula, store: list[TLemma],
 def evaluate_literal(lit: int, table: AtomTable, verdict: SatVerdict) -> bool:
     """Truth of a signed atom id under the theory model of a sat verdict
     of `smt_solve` (the Boolean model for propositional atoms)."""
-    from .terms import EufAtom, LinAtom, eval_lin_atom
-
     atom = table.atom(abs(lit))
     if isinstance(atom, LinAtom):
         value = eval_lin_atom(atom, verdict.theory_model or {})

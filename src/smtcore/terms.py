@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 # An exact number: an int when integral, a Fraction otherwise.
@@ -111,15 +113,8 @@ class LinComb:
 
     @staticmethod
     def build(coeffs: dict[Var, Rational], offset: Rational) -> "LinComb":
-        items = tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0),
-                             key=lambda it: it[0].index))
-        return LinComb(items, offset)
-
-    def evaluate(self, values: dict[Var, Rational]) -> Rational:
-        total = self.offset
-        for v, c in self.terms:
-            total += c * values.get(v, 0)
-        return total
+        return LinComb(tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0),
+                                    key=lambda it: it[0].index)), offset)
 
 
 Term = Union[Var, FunApp, LinComb]
@@ -196,6 +191,7 @@ class EufAtom(_HashedOnce):
 Atom = Union[PropAtom, LinAtom, EufAtom]
 
 _REL_OK = ("<=", "<", "=")
+_second = itemgetter(1)
 
 
 def canonical_lin_atom(comb: LinComb, rel: str) -> LinAtom:
@@ -214,15 +210,18 @@ def canonical_lin_atom(comb: LinComb, rel: str) -> LinAtom:
     offset = comb.offset
     if not coeffs:
         return LinAtom((), (offset > 0) - (offset < 0), rel)
-    denom = offset.denominator
-    for _, c in coeffs:
-        denom = lcm(denom, c.denominator)
-    ints = [c.numerator * (denom // c.denominator) for _, c in coeffs]
-    off = offset.numerator * (denom // offset.denominator)
-    g = gcd(off, *ints)
-    if rel == "=" and ints[0] < 0:
+    try:
+        g = gcd(offset, *map(_second, coeffs))
+    except TypeError:  # a Fraction among them: clear denominators first
+        denom = lcm(offset.denominator, *[c.denominator for _, c in coeffs])
+        coeffs = tuple([(v, c.numerator * (denom // c.denominator)) for v, c in coeffs])
+        offset = offset.numerator * (denom // offset.denominator)
+        g = gcd(offset, *map(_second, coeffs))
+    if rel == "=" and coeffs[0][1] < 0:
         g = -g
-    return LinAtom(tuple((v, n // g) for (v, _), n in zip(coeffs, ints)), off // g, rel)
+    if g == 1:
+        return LinAtom(coeffs, offset, rel)
+    return LinAtom(tuple([(v, c // g) for v, c in coeffs]), offset // g, rel)
 
 
 def euf_atom(lhs: Term, rhs: Term) -> EufAtom:
@@ -237,7 +236,7 @@ def euf_atom(lhs: Term, rhs: Term) -> EufAtom:
 
 
 def eval_lin_atom(atom: LinAtom, values: dict[Var, Rational]) -> bool:
-    total = atom.lincomb().evaluate(values)
+    total = atom.offset + sum(c * values.get(v, 0) for v, c in atom.coeffs)
     if atom.rel == "<=":
         return total <= 0
     if atom.rel == "<":
@@ -269,12 +268,9 @@ class AtomTable:
         return len(self._atoms)
 
     def intern(self, atom: Atom) -> int:
-        idx = self._ids.get(atom)
-        if idx is not None:
-            return idx
-        idx = len(self._atoms) + 1
-        self._atoms.append(atom)
-        self._ids[atom] = idx
+        idx = self._ids.setdefault(atom, len(self._atoms) + 1)
+        if idx > len(self._atoms):
+            self._atoms.append(atom)
         return idx
 
     def atom(self, idx: int) -> Atom:
@@ -283,7 +279,7 @@ class AtomTable:
         return self._atoms[idx - 1]
 
     def items(self) -> Iterable[tuple[int, Atom]]:
-        return ((i + 1, a) for i, a in enumerate(self._atoms))
+        return enumerate(self._atoms, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +373,8 @@ class Formula:
 
 
 def infer_logic(clauses: Iterable[tuple[int, ...]], atoms: AtomTable) -> str:
-    theories = {atom_theory(atoms.atom(abs(lit))) for c in clauses for lit in c} - {None}
+    variables = set(map(abs, chain.from_iterable(clauses)))
+    theories = {atom_theory(atoms.atom(var)) for var in variables} - {None}
     if len(theories) > 1:
         raise SortError("formula mixes EUF and LRA atoms; theory combination is unsupported")
-    if LOGIC_EUF in theories:
-        return LOGIC_EUF
-    if LOGIC_LRA in theories:
-        return LOGIC_LRA
-    return LOGIC_PROP
+    return theories.pop() if theories else LOGIC_PROP

@@ -84,34 +84,35 @@ class _Propagation:
     own (ruled).  The solver writes it through the undo trail
     (`LraSolver._set_slot`)."""
 
-    def __init__(self, table, lower: dict, upper: dict):
+    def __init__(self, solver: "LraSolver"):
         bases: dict[tuple, int] = {}
         self.constants: list[int] = []
         self.tests: list[tuple] = []           # (atom id, base, least, most)
         self.tests_of: list[list[int]] = []    # base -> its tests
         self.test_of_atom: dict[int, int] = {}
-        for atom_id, atom in table.items():
+        tests, tests_of, base_form = self.tests, self.tests_of, solver._base_form
+        for atom_id, atom in solver.table.items():
             if not isinstance(atom, LinAtom):
                 continue
             if not atom.coeffs:
                 self.constants.append(atom_id if eval_lin_atom(atom, {}) else -atom_id)
                 continue
-            form, lam = _base_form(atom.coeffs)
+            form, lam = base_form(atom.coeffs)
             bid = bases.get(form)
             if bid is None:
                 bid = bases[form] = len(bases)
-                self.tests_of.append([])
+                tests_of.append([])
             k = _div(-atom.offset, lam)
-            strict = int(atom.rel == "<")
-            if atom.rel == "=":
+            rel = atom.rel
+            if rel == "=":
                 least = most = (k, 0)
             elif lam > 0:
-                least, most = None, (k, -strict)
+                least, most = None, (k, -(rel == "<"))
             else:
-                least, most = (k, strict), None
-            self.test_of_atom[atom_id] = len(self.tests)
-            self.tests_of[bid].append(len(self.tests))
-            self.tests.append((atom_id, bid, least, most))
+                least, most = (k, int(rel == "<")), None
+            self.test_of_atom[atom_id] = test = len(tests)
+            tests_of[bid].append(test)
+            tests.append((atom_id, bid, least, most))
         nbases = len(bases)
         self.base_of = bases                   # base form -> base
         self.slack: list[Optional[int]] = [None] * nbases
@@ -119,7 +120,7 @@ class _Propagation:
         # one interval rule per derivable base: target <- sum(coeff * source)
         single = {form[0][0]: bid for form, bid in bases.items() if len(form) == 1}
         rules = []
-        for form, bid in bases.items():
+        for form, bid in bases.items() if single else ():  # rules read one-variable bases
             if len(form) < 2:
                 continue
             if all(v in single for v, _ in form):
@@ -132,7 +133,7 @@ class _Propagation:
         self.rule_target = [target for target, _terms in rules]
         # per side and rule, its terms, each reading its source's slack
         # bound on the side the coefficient's sign selects
-        stores = (lower, upper)
+        stores = (solver.lower, solver.upper)
         self.rule_terms = tuple(
             [tuple((stores[side if c > 0 else 1 - side], src, c) for src, c in terms)
              for _target, terms in rules]
@@ -153,6 +154,7 @@ class LraSolver(TheorySolver):
         super().__init__(table)
         self.columns: dict[Var, int] = {}
         self.slack_of: dict[tuple, int] = {}
+        self._bases: dict[tuple, tuple] = {}     # linear form -> _base_form
         self._form_of: dict[int, tuple] = {}     # slack -> its base form
         self.nvars = 0
         self.rows: dict[int, dict[int, Rational]] = {}
@@ -173,30 +175,38 @@ class LraSolver(TheorySolver):
 
     # -- tableau ---------------------------------------------------------------
 
+    def _base_form(self, coeffs) -> tuple[tuple, int]:
+        """(base form, lam) with coeffs = lam * base, coeffs a linear form as
+        (variable, coefficient) pairs and the base as (variable index,
+        coefficient) pairs: the form divided by its content, first
+        coefficient positive.  Worked out once per linear form."""
+        base = self._bases.get(coeffs)
+        if base is None:
+            lam = gcd(*(c for _, c in coeffs))
+            if coeffs[0][1] < 0:
+                lam = -lam
+            base = self._bases[coeffs] = tuple([(v.index, c // lam) for v, c in coeffs]), lam
+        return base
+
     def _new_id(self) -> int:
         vid = self.nvars
         self.nvars += 1
         self.values[vid] = (0, 0)
         return vid
 
-    def _column(self, v: Var) -> int:
-        vid = self.columns.get(v)
-        if vid is None:
-            vid = self._new_id()
-            self.columns[v] = vid
-        return vid
-
     def _slack(self, coeffs: tuple[tuple[Var, int], ...]) -> tuple[int, int]:
         """(slack, lam) for a linear form lam * b, b its base form: the
         slack stands for b, and its row is made on the first call."""
-        form, lam = _base_form(coeffs)
+        form, lam = self._base_form(coeffs)
         sid = self.slack_of.get(form)
         if sid is not None:
             return sid, lam
         row: dict[int, Rational] = {}
         for v, c in coeffs:
             c //= lam
-            col = self._column(v)
+            col = self.columns.get(v)
+            if col is None:
+                col = self.columns[v] = self._new_id()
             if col in self.rows:  # substitute an already-basic variable
                 for k, ck in self.rows[col].items():
                     row[k] = row.get(k, 0) + c * ck
@@ -550,7 +560,7 @@ class LraSolver(TheorySolver):
         no bound, value or row of the tableau."""
         prop = self._prop
         if prop is None:
-            prop = self._prop = _Propagation(self.table, self.lower, self.upper)
+            prop = self._prop = _Propagation(self)
         asserted = self._asserted_atoms
         # The answer can change only for atoms over a base whose bound
         # changed, atoms the last call reported and atoms unasserted since.
@@ -608,17 +618,6 @@ def _own(entry) -> Optional[tuple]:
 
 def _sign(x: Rational) -> int:
     return (x > 0) - (x < 0)
-
-
-def _base_form(coeffs) -> tuple[tuple, int]:
-    """(base form, lam) with coeffs = lam * base, coeffs a linear form as
-    (variable, coefficient) pairs and the base as (variable index,
-    coefficient) pairs: the form divided by its content, first
-    coefficient positive."""
-    lam = gcd(*(c for _, c in coeffs))
-    if coeffs[0][1] < 0:
-        lam = -lam
-    return tuple((v.index, c // lam) for v, c in coeffs), lam
 
 
 def _rule_bound(terms, slack) -> Optional[tuple]:

@@ -80,6 +80,24 @@ PERFBENCH_DIGESTS = {
         "3093e2e97155ef5889e65156273e4bb05678dcf3f86e5b5d3bf72bb76bb2087b",
     ("mus-enum", 9001):
         "3391ec86986a14c7c0282aaf7e521de945e5094b13ab676095a864637c2b75b6",
+    # the benchmark's usual seeds, computed on the front end before its
+    # linear atoms took an all-int path and its applications were shared
+    ("euf-core", 2025):
+        "e7a6e8d3f60bc54481a3bd75d3b1a4f66c4a9f9e117c940633fc8bdd828971a9",
+    ("euf-core", 3131):
+        "b7f0e460cbb4fdd5dd8af7ba6ac506bb2dee26cbba89ee0bc373c36c1797b06b",
+    ("lra-core", 2025):
+        "153406c1015a360ce4b4be8c169bb67350b2b6bb4d0329f04b4cf77879ff434c",
+    ("lra-core", 3131):
+        "9a71e67f8f65e1528a58bc77c4082cba92a455c7608efe8141aa199c8d4364f0",
+    ("mus-enum", 2025):
+        "ada19ac4d319ea0c1d28ba2341e6bbb800f2cfd0e711dc622b3056f0176cb55f",
+    ("mus-enum", 3131):
+        "33790738aa26bd2c79771487f97a43a5d6ab9bac400b6915ab854c66e3af322e",
+    ("prop-core", 2025):
+        "9a4fcda503b2179209cb1a4a2fa6b74633d7226a00177e3ca96aecf6b53139fa",
+    ("prop-core", 3131):
+        "1d6ab1269c6e600747a55d57a18b649930afc65ea2c10402c6af6ae56de5aa7e",
 }
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,26 @@ Y = Var("y", REAL, 1)
 
 def lin(coeffs, offset, rel):
     return canonical_lin_atom(LinComb.build(coeffs, Fraction(offset)), rel)
+
+
+def general_canonical(comb, rel):
+    """canonical_lin_atom without its all-int path: the denominators of
+    every number are cleared, whatever its type, before the gcd."""
+    if not comb.terms:
+        return LinAtom((), (comb.offset > 0) - (comb.offset < 0), rel)
+    denom = comb.offset.denominator
+    for _, c in comb.terms:
+        denom = lcm(denom, c.denominator)
+    ints = [c.numerator * (denom // c.denominator) for _, c in comb.terms]
+    off = comb.offset.numerator * (denom // comb.offset.denominator)
+    g = gcd(off, *ints)
+    if rel == "=" and ints[0] < 0:
+        g = -g
+    return LinAtom(tuple((v, n // g) for (v, _), n in zip(comb.terms, ints)), off // g, rel)
+
+
+_NUMBERS = st.one_of(st.integers(-12, 12),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=6))
 
 
 class TestCanonicalization:
@@ -67,6 +88,22 @@ class TestCanonicalization:
         a = lin({X: Fraction(cx), Y: Fraction(cy)}, off, rel)
         b = lin({X: Fraction(cx) * k, Y: Fraction(cy) * k}, Fraction(off) * k, rel)
         assert a == b
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(_NUMBERS, max_size=4), _NUMBERS, st.sampled_from(["<=", "<", "="]),
+           st.booleans())
+    def test_the_int_path_gives_the_general_result(self, coeffs, offset, rel, ints):
+        """With every number an int, canonical_lin_atom skips clearing
+        denominators; its atom, number types included, is the one the
+        general path gives, and so are those of Fraction forms."""
+        if ints:
+            coeffs = [int(c) for c in coeffs]
+            offset = int(offset)
+        variables = [X, Y, Var("z", REAL, 2), Var("w", REAL, 3)]
+        comb = LinComb.build(dict(zip(variables, coeffs)), offset)
+        atom = canonical_lin_atom(comb, rel)
+        assert repr(atom) == repr(general_canonical(comb, rel))
+        assert all(type(c) is int for _, c in atom.coeffs) and type(atom.offset) is int
 
     def test_same_id_implies_same_solution_set(self):
         # sampled pairs checked through the Fourier-Motzkin oracle

@@ -1,0 +1,169 @@
+"""Paired in-process A/B of the benchmark's per-instance operation.
+
+    python3 tools/ab.py --parent REV --workload lra-core [--seed 2025] [--rounds 4]
+
+Run from the repository root.  The `src/` of commit REV is taken from the
+local git history with `git archive` into a temporary directory, and both
+it and the working tree's `src/` are imported into this process side by
+side, under two package names (the package imports itself only by
+relative imports).  Every instance of the seeded perfbench corpus then
+runs through `perfbench/run.py`'s `run_one` on both trees, `--rounds`
+times, with the side that runs first alternating by instance and round.
+Each run is timed in process CPU time, and both trees must give equal
+`run.signature`s.
+
+Printed: the ratio change/parent of the total CPU time of all runs, a
+bootstrap 95 % interval of that ratio, and the median over instances of
+the ratio of their total times.  The bootstrap draws the instances with
+replacement and, for each, one round, whose two runs were made side by
+side, so the interval holds the spread of one pass from run to run as
+well as the spread between instances.  Identical code imported twice can
+read a percent or two apart, as each copy lies elsewhere in memory.  A
+ratio below 1 means the working tree is faster.
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import io
+import json
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+from statistics import median
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+RESAMPLES = 2000
+
+
+def perfbench_run():
+    """`perfbench/run.py`, loaded as the module `perfbench_run`."""
+    module = sys.modules.get("perfbench_run")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = sys.modules["perfbench_run"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def archive_src(rev: str, dest: Path) -> Path:
+    """Extract `src/` of commit `rev` under `dest`; returns the `src` path."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                         stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def load_tree(src: Path, name: str):
+    """Import the `smtcore` package under `src` as the package `name`."""
+    package = Path(src) / "smtcore"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def compare(parent, change, workload, corpus, rounds: int) -> tuple[list, list]:
+    """Per instance and round, the CPU seconds of `run_one` on each tree;
+    raises AssertionError when the two trees' outcomes have different
+    signatures."""
+    run = perfbench_run()
+    times = {parent: [[] for _ in corpus], change: [[] for _ in corpus]}
+    for r in range(rounds):
+        gc.collect()
+        for k, inst in enumerate(corpus):
+            order = (parent, change) if (k + r) % 2 == 0 else (change, parent)
+            signatures = {}
+            for sm in order:
+                start = time.process_time()
+                try:
+                    outcome = run.run_one(sm, workload, inst)
+                except Exception as exc:  # compared by signature, as run.py does
+                    outcome = exc
+                elapsed = time.process_time() - start
+                signatures[sm] = run.signature(outcome)
+                outcome = None
+                times[sm][k].append(elapsed)
+            if signatures[parent] != signatures[change]:
+                raise AssertionError(f"{inst.name}: parent gives {signatures[parent]}, "
+                                     f"change gives {signatures[change]}")
+    return times[parent], times[change]
+
+
+def summary(parent: list, change: list, resamples: int = RESAMPLES, seed: int = 0) -> dict:
+    """The ratio change/parent of the total times, its bootstrap 95 %
+    interval (see the module docstring) and the median per-instance ratio,
+    from the per-instance, per-round times of `compare`."""
+    n, rounds = len(parent), len(parent[0])
+    rng = random.Random(seed)
+    ratios = []
+    for _ in range(resamples):
+        picked = [(rng.randrange(n), rng.randrange(rounds)) for _ in range(n)]
+        ratios.append(sum(change[k][r] for k, r in picked) / sum(parent[k][r] for k, r in picked))
+    ratios.sort()
+    p, c = [sum(t) for t in parent], [sum(t) for t in change]
+    return {
+        "instances": n,
+        "parent_ms": sum(p) / n / rounds * 1e3,
+        "change_ms": sum(c) / n / rounds * 1e3,
+        "ratio": sum(c) / sum(p),
+        "low": ratios[int(0.025 * resamples)],
+        "high": ratios[int(0.975 * resamples) - 1],
+        "median_ratio": median(ci / pi for ci, pi in zip(c, p)),
+        "faster": sum(ci < pi for ci, pi in zip(c, p)),
+    }
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="the commit to compare the working tree with")
+    ap.add_argument("--workload", required=True, choices=sorted(perfbench_run().WORKLOADS))
+    ap.add_argument("--seed", type=int, default=2025)
+    ap.add_argument("--rounds", type=_positive, default=4,
+                    help="runs of each instance on each tree; an even count lets each side run first equally often")
+    return ap.parse_args(argv)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return value
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    run = perfbench_run()
+    workload = run.WORKLOADS[args.workload]
+    # the benchmark's own corpus, at its run length
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    corpus = run.build_corpus(workload, args.seed, seconds)
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            parent_src = archive_src(args.parent, Path(tmp))
+        except subprocess.CalledProcessError:
+            print(f"cannot take src/ of {args.parent!r} from git", file=sys.stderr)
+            return 2
+        parent = load_tree(parent_src, "ab_parent_smtcore")
+        change = load_tree(ROOT / "src", "ab_change_smtcore")
+        times = compare(parent, change, workload, corpus, args.rounds)
+    s = summary(*times)
+    print(f"{args.workload} seed {args.seed}, {s['instances']} instances, "
+          f"{args.rounds} rounds, signatures equal")
+    print(f"parent {s['parent_ms']:.3f} ms, change {s['change_ms']:.3f} ms an instance")
+    print(f"total-CPU ratio {s['ratio']:.3f}, 95 % interval "
+          f"[{s['low']:.3f}, {s['high']:.3f}], median per-instance ratio "
+          f"{s['median_ratio']:.3f}, change faster on {s['faster']} of {s['instances']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
