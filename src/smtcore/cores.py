@@ -144,9 +144,9 @@ def _extract_once(clauses: list[list[int]], config: ExtractorConfig,
 
 
 def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
-    # clause ids equal input positions except that duplicated inputs collapse
-    # onto the first copy; map every id onto the first position with the
-    # same content
+    # clause ids equal input positions, and every copy of a duplicated
+    # input has its own, so a refutation may cite a later copy; map every
+    # id onto the first position with the same content
     first = {}
     for i, cl in enumerate(clauses):
         first.setdefault(frozenset(cl), i)

@@ -256,7 +256,8 @@ class SatSolver:
         # a seed perturbs initial activities, varying branching tie-breaks
         # while staying reproducible per seed
         self._rng = random.Random(seed) if seed is not None else None
-        # hook_fixpoint(solver) and hook_final(solver) each return whether
+        # the theory hook holds the solver it is set on, so its hooks take
+        # no solver: hook_fixpoint() and hook_final() each return whether
         # they enqueued a literal or left a conflict in pending_conflict;
         # hook_backjump(trail_len) follows every backjump
         self.theory_hook = None
@@ -744,7 +745,7 @@ class SatSolver:
         while True:
             confl = self._propagate()
             if confl is None:
-                if hook is not None and hook.hook_fixpoint(self):
+                if hook is not None and hook.hook_fixpoint():
                     continue
             else:
                 self.conflicts += 1
@@ -771,7 +772,7 @@ class SatSolver:
                 continue
             v = self._pick_var()
             if v is None:
-                if hook is not None and hook.hook_final(self):
+                if hook is not None and hook.hook_final():
                     continue
                 vals = self._vals
                 return SatVerdict("sat", model={u: vals[u] for u in range(1, self.nvars + 1)})

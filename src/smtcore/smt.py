@@ -137,7 +137,7 @@ class SmtSolver:
         conflict = self.theory.check_full()
         return conflict is not None and self._conflict_lemma(conflict)
 
-    def hook_fixpoint(self, solver: SatSolver) -> bool:
+    def hook_fixpoint(self) -> bool:
         if self._check():
             return True
         if not self._changed:
@@ -146,12 +146,11 @@ class SmtSolver:
         # _check has asserted every assigned theory atom, so a deduced
         # literal is unassigned and its clause is unit
         progress = False
-        for ded in self.theory.deductions():
-            clause = tuple(-lit for lit in ded.explanation) + (ded.literal,)
+        for clause in self.theory.deductions():
             progress |= self._add_lemma(clause, "theory-deduction") in ("unit", "conflict")
         return progress
 
-    def hook_final(self, solver: SatSolver) -> bool:
+    def hook_final(self) -> bool:
         return self._check()
 
     def hook_backjump(self, trail_len: int):

@@ -8,11 +8,11 @@ import copy
 from typing import Iterable, Optional
 
 from ..terms import LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, Atom, AtomTable, EufAtom, FunApp
-from .base import Deduction, TheorySolver
+from .base import TheorySolver
 from .euf import EufSolver
 from .lra import LraSolver
 
-__all__ = ["Deduction", "TheorySolver", "EufSolver", "LraSolver", "solver_for_logic"]
+__all__ = ["TheorySolver", "EufSolver", "LraSolver", "solver_for_logic"]
 
 
 def solver_for_logic(logic: str, table: AtomTable) -> Optional[TheorySolver]:
@@ -33,36 +33,32 @@ def validity_check(logic: str, table: AtomTable) -> "_Validity":
 
 class _Validity:
     """Theory validity of clauses of signed variables.  A variable is an
-    atom of `table`, or one past it that `define` names, which only the EUF
-    check admits (`_admit`), as only `EufSolver` defines atoms.  A clause
-    is valid when it is a tautology or the negations of its literals over
-    the theory's atoms are inconsistent (`_refutes`).  Its other literals
-    are ignored, which is sound: a clause that contains a valid clause is
-    valid.  This base decides no theory."""
+    atom of `table`, or one past it that a copy made by `under` names,
+    which only the EUF check admits (`_admit`), as only `EufSolver`
+    defines atoms.  A clause is valid when it is a tautology or the
+    negations of its literals over the theory's atoms are inconsistent
+    (`_refutes`).  Its other literals are ignored, which is sound: a clause
+    that contains a valid clause is valid.  This base decides no theory."""
 
     def __init__(self, table: AtomTable):
         self.table = table
         self.defined: dict[int, Atom] = {}
 
-    def define(self, var: int, atom: Atom) -> None:
-        """Let `var`, past the table, name `atom`; a ValueError if it cannot."""
-        if var <= len(self.table):
-            raise ValueError(f"variable {var} is an atom of the table")
-        self._admit(var, atom)
-        self.defined[var] = atom
-
     def under(self, defs: Iterable[tuple[int, Atom]]) -> "_Validity":
         """A copy of this check whose only definitions are `defs`, pairs
-        (variable, atom) given to `define` in order; a ValueError naming
-        the first it rejects.  The copy shares everything else, so it
-        costs no more than its definitions."""
+        (variable, atom) in which each variable, past the table, names its
+        atom; a ValueError naming the first it rejects.  The copy shares
+        everything else, so it costs no more than its definitions."""
         check = copy.copy(self)
         check.defined = {}
         for var, atom in defs:
             try:
-                check.define(var, atom)
+                if var <= len(self.table):
+                    raise ValueError(f"variable {var} is an atom of the table")
+                self._admit(var, atom)
             except ValueError as exc:
                 raise ValueError(f"definition of variable {var} is rejected: {exc}") from None
+            check.defined[var] = atom
         return check
 
     def atom(self, var: int) -> Atom:

@@ -10,6 +10,9 @@ or returns a conflict: a subset of the currently asserted literals whose
 conjunction is theory-unsatisfiable.  The full check answers the same
 way, with such a conflict or None.  `backtrack(n)` restores exactly the
 state in which the first n of the asserted literals were asserted.
+The engine receives what a solver infers as lemma clauses, the shape in
+which it stores them: `conflict_clauses` states a conflict, and
+`deductions` gives each entailed literal with its explanation negated.
 
 Every change a solver makes to its state is pushed on one undo trail,
 `_trail`, whose entries only the concrete solver reads.  The base class
@@ -20,16 +23,9 @@ to a length it took itself, as a check that probes the state does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..terms import Atom, AtomTable
-
-
-@dataclass
-class Deduction:
-    literal: int                      # signed atom id
-    explanation: tuple[int, ...]      # asserted literals entailing `literal`
 
 
 class TheorySolver:
@@ -69,9 +65,6 @@ class TheorySolver:
         self._marks.append(len(self._trail))
         return self._assert(lit, atom)
 
-    def asserted(self) -> list[int]:
-        return list(self._asserted)
-
     def conflict_clauses(self, conflict: list[int],
                          new_var: Callable[[], int]) -> list[tuple[int, ...]]:
         """Theory-valid clauses to add, in order, for the conflict that
@@ -106,5 +99,8 @@ class TheorySolver:
         answer)."""
         raise NotImplementedError
 
-    def deductions(self) -> list[Deduction]:
+    def deductions(self) -> list[tuple[int, ...]]:
+        """Each unasserted literal the asserted ones entail, as the lemma
+        clause that states it: the negations of the asserted literals that
+        entail it, then the literal itself."""
         raise NotImplementedError

@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..terms import EufAtom, FunApp, Term, euf_atom
-from .base import Deduction, TheorySolver
+from .base import TheorySolver
 
 # undo-trail entry tags
 _MERGE, _SIG, _DISEQ, _PAIR, _LINK, _CONFLICT = range(6)
@@ -342,9 +342,10 @@ class EufSolver(TheorySolver):
     def witness(self):
         return {t: self.rep[i] for i, t in enumerate(self.terms)}
 
-    def deductions(self) -> list[Deduction]:
+    def deductions(self) -> list[tuple[int, ...]]:
         """Every unasserted atom whose sides share a class (positive) or lie
-        in two classes a disequality separates (negative)."""
+        in two classes a disequality separates (negative), as its lemma
+        clause."""
         out = []
         rep, asserted, pairs = self.rep, self._asserted_atoms, self._dq_pair
         for atom_id, a, b in self._atoms:
@@ -352,7 +353,7 @@ class EufSolver(TheorySolver):
                 continue
             ra, rb = rep[a], rep[b]
             if ra == rb:
-                out.append(Deduction(atom_id, self._explain([(a, b)], set())))
+                out.append((*[-lit for lit in self._explain([(a, b)], set())], atom_id))
                 continue
             d = pairs.get((ra, rb) if ra < rb else (rb, ra))
             if d is None:
@@ -360,5 +361,5 @@ class EufSolver(TheorySolver):
             u, v, dlit = self._diseqs[d]
             if rep[u] != ra:
                 u, v = v, u
-            out.append(Deduction(-atom_id, self._explain([(u, a), (v, b)], {dlit})))
+            out.append((*[-lit for lit in self._explain([(u, a), (v, b)], {dlit})], -atom_id))
         return out

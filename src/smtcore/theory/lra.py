@@ -55,7 +55,7 @@ from math import gcd
 from typing import Optional
 
 from ..terms import LinAtom, Rational, Var, eval_lin_atom
-from .base import Deduction, TheorySolver
+from .base import TheorySolver
 
 # undo-trail entry tags
 _BOUND, _DISEQ, _CROSSED, _SLOT, _SYNCED = range(5)
@@ -555,9 +555,10 @@ class LraSolver(TheorySolver):
         self._synced = len(trail)
         return changed
 
-    def deductions(self) -> list[Deduction]:
-        """Unate and interval propagation over the current bounds; changes
-        no bound, value or row of the tableau."""
+    def deductions(self) -> list[tuple[int, ...]]:
+        """Unate and interval propagation over the current bounds, each
+        deduction as its lemma clause; changes no bound, value or row of
+        the tableau."""
         prop = self._prop
         if prop is None:
             prop = self._prop = _Propagation(self)
@@ -574,7 +575,7 @@ class LraSolver(TheorySolver):
             test = prop.test_of_atom.get(atom_id)
             if test is not None:
                 candidates.add(test)
-        out = [Deduction(lit, ()) for lit in prop.constants if abs(lit) not in asserted]
+        out = [(lit,) for lit in prop.constants if abs(lit) not in asserted]
         (lo, hi), lower, upper, slack = prop.ruled, self.lower, self.upper, prop.slack
         reported = []
         for test in sorted(candidates):
@@ -587,11 +588,11 @@ class LraSolver(TheorySolver):
             up_in = most is None or (up is not None and up[0] <= most)
             if low_in and up_in:
                 expl = (low[1] if least is not None else ()) + (up[1] if most is not None else ())
-                out.append(Deduction(atom_id, tuple(dict.fromkeys(expl))))
+                out.append((*[-lit for lit in dict.fromkeys(expl)], atom_id))
             elif low is not None and most is not None and low[0] > most:
-                out.append(Deduction(-atom_id, low[1]))
+                out.append((*[-lit for lit in low[1]], -atom_id))
             elif up is not None and least is not None and up[0] < least:
-                out.append(Deduction(-atom_id, up[1]))
+                out.append((*[-lit for lit in up[1]], -atom_id))
             else:
                 continue
             reported.append(test)

@@ -115,12 +115,13 @@ def _improves(value, current, is_lower: bool) -> bool:
     return current is None or (value > current[0] if is_lower else value < current[0])
 
 
-def reference_lra_deductions(solver) -> list[tuple[int, tuple[int, ...]]]:
-    """The (literal, explanation) pairs `LraSolver.deductions` must return,
-    recomputed from scratch out of the solver's atom table, asserted atoms,
-    slacks and bounds: unate propagation over base forms, each bounded by
-    its one slack, then one round of interval propagation.  Ties keep the
-    slack's own bound, then the first rule in rule order."""
+def reference_lra_deductions(solver) -> list[tuple[int, ...]]:
+    """The lemma clauses `LraSolver.deductions` must return, recomputed
+    from scratch out of the solver's atom table, asserted atoms, slacks
+    and bounds: unate propagation over base forms, each bounded by its one
+    slack, then one round of interval propagation.  Ties keep the slack's
+    own bound, then the first rule in rule order.  Each clause is the
+    deduction's explanation negated, then its literal."""
     bases: dict[tuple, int] = {}
     constants, tests = [], []
     for atom_id, atom in solver.table.items():
@@ -183,7 +184,7 @@ def reference_lra_deductions(solver) -> list[tuple[int, tuple[int, ...]]]:
         for bid, (value, expl) in out.items():
             if _improves(value, side.get(bid), is_lower):
                 side[bid] = (value, expl)
-    asserted = {abs(lit) for lit in solver.asserted()}
+    asserted = {abs(lit) for lit in solver._asserted}
     found = [(lit, ()) for lit in constants if abs(lit) not in asserted]
     for atom_id, bid, least, most in tests:
         if atom_id in asserted:
@@ -198,7 +199,7 @@ def reference_lra_deductions(solver) -> list[tuple[int, tuple[int, ...]]]:
             found.append((-atom_id, low[1]))
         elif up is not None and least is not None and up[0] < least:
             found.append((-atom_id, up[1]))
-    return found
+    return [tuple(-e for e in expl) + (lit,) for lit, expl in found]
 
 
 # ---------------------------------------------------------------------------

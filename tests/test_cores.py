@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from gen import (
-    diamond_chain_formula, labeled_corpus, pigeonhole_cnf, prop_formula,
+    diamond_chain_formula, labeled_corpus, pigeonhole_cnf, prop_formula, random_cnf,
     random_difference_formula,
 )
 from oracles import brute_force_smt_sat, marco_muses
@@ -19,6 +19,7 @@ from smtcore.cores import (
 )
 from smtcore.mus import enumerate_mcs
 from smtcore.parser import parse
+from smtcore.sat import proof_core, sat_solve
 from smtcore.smt import SmtSolver, smt_solve
 
 CORE_A = (0, 1, 2, 3, 4, 5)
@@ -54,6 +55,25 @@ class TestBooleanCore:
     def test_satisfiable_input_is_an_error(self):
         with pytest.raises(ExtractionError, match="satisfiable"):
             boolean_core([[1, 2]], ExtractorConfig("internal-proof"))
+
+    @pytest.mark.parametrize("seed", [0, 4, 13])
+    def test_a_refutation_citing_a_later_copy_reports_the_first(self, seed):
+        """`SatSolver` gives every copy of a duplicated input its own id, so
+        a refutation may cite a later copy; the core names the first."""
+        rng = random.Random(seed)
+        clauses, _ = random_cnf(rng, max_vars=8, max_width=3, density=4)
+        clauses = [c for c in clauses if not any(-lit in c for lit in c)]
+        clauses += [list(clauses[i]) for i in rng.sample(range(len(clauses)), 3)]
+        formula = prop_formula(clauses)
+        first = {}
+        for i, clause in enumerate(formula.clauses):
+            first.setdefault(frozenset(clause), i)
+        leaves = proof_core(sat_solve(formula.clauses, log_proof=True).proof)
+        later = {i for i in leaves if first[frozenset(formula.clauses[i])] != i}
+        assert later
+        core = extract_core(formula, "lift-proof", verify=True).core
+        assert core == tuple(sorted({first[frozenset(formula.clauses[i])] for i in leaves}))
+        assert not later & set(core)
 
     def test_fixpoint_stabilizes(self, nine_clauses):
         rows = lifted_clauses(nine_clauses)

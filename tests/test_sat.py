@@ -563,21 +563,23 @@ def intake_clause(rng, nvars, earlier):
 
 
 class RandomLemmas:
-    """A theory hook that adds a few random clauses at propagation
-    fixpoints, as a theory adds its lemmas in the middle of a search."""
+    """A theory hook that adds a few random clauses to `solver` at
+    propagation fixpoints, as a theory adds its lemmas in the middle of a
+    search."""
 
-    def __init__(self, rng, nvars, tally):
-        self.rng, self.nvars, self.tally = rng, nvars, tally
+    def __init__(self, solver, rng, nvars, tally):
+        self.solver, self.rng, self.nvars, self.tally = solver, rng, nvars, tally
         self.budget = 0  # clauses left to add in this solve
 
-    def hook_fixpoint(self, solver):
+    def hook_fixpoint(self):
         if self.budget <= 0 or self.rng.random() < 0.5:
             return False
         self.budget -= 1
+        solver = self.solver
         return add_and_tally(solver, intake_clause(self.rng, self.nvars, solver.clauses),
                              ("tlemma", self.budget), self.tally)[1] in ("unit", "conflict")
 
-    def hook_final(self, solver):
+    def hook_final(self):
         return False
 
     def hook_backjump(self, trail_len):
@@ -617,8 +619,8 @@ class TestIntake:
             assert intake_state(fast) == intake_state(generic)
             # while the two states agree, both hooks draw the same clauses
             hook_seed = rng.random()
-            fast.theory_hook = RandomLemmas(random.Random(hook_seed), nvars, Counter())
-            generic.theory_hook = RandomLemmas(random.Random(hook_seed), nvars, tally)
+            fast.theory_hook = RandomLemmas(fast, random.Random(hook_seed), nvars, Counter())
+            generic.theory_hook = RandomLemmas(generic, random.Random(hook_seed), nvars, tally)
             for _ in range(4):
                 assumptions = [rng.choice((1, -1)) * v
                                for v in rng.sample(range(1, nvars + 1), rng.randint(0, 3))]
@@ -735,18 +737,19 @@ def test_a_held_clause_is_settled_as_a_new_one():
 
 
 class UnitAfterConflict:
-    """A hook that adds (-1 or -3) once, when 3 is true."""
+    """A hook that adds (-1 or -3) to `solver` once, when 3 is true."""
 
-    def __init__(self):
+    def __init__(self, solver):
+        self.solver = solver
         self.added = False
 
-    def hook_fixpoint(self, solver):
-        if self.added or solver._vals[3] is not True:
+    def hook_fixpoint(self):
+        if self.added or self.solver._vals[3] is not True:
             return False
         self.added = True
-        return solver.add_clause([-1, -3], ("tlemma", 0))[1] in ("unit", "conflict")
+        return self.solver.add_clause([-1, -3], ("tlemma", 0))[1] in ("unit", "conflict")
 
-    def hook_final(self, solver):
+    def hook_final(self):
         return False
 
     def hook_backjump(self, trail_len):
@@ -759,7 +762,7 @@ def test_a_clause_a_budget_exit_left_unit_at_level_0_is_propagated():
     level 0, where it is unit, and so never meets that conflict again."""
     s = SatSolver(conflict_budget=0)
     s.add_inputs([[1], [2, 3]])
-    s.theory_hook = UnitAfterConflict()
+    s.theory_hook = UnitAfterConflict(s)
     assert s.solve().status == "unknown"
     verdict = s.solve()
     assert (verdict.status, s.conflicts) == ("sat", 1)

@@ -291,7 +291,7 @@ class TestTheoryGuard:
     def settle(engine):
         # a deduction's literal is enqueued as its clause is added, and
         # asserted by the next fixpoint
-        while engine.hook_fixpoint(engine.sat):
+        while engine.hook_fixpoint():
             pass
 
     @staticmethod
@@ -307,12 +307,12 @@ class TestTheoryGuard:
     def test_a_fixpoint_with_no_new_theory_literal_skips_the_theory(self, nine_clauses):
         engine, calls = self.counted_engine(nine_clauses)
         calls.clear()
-        assert not engine.hook_fixpoint(engine.sat) and not engine.hook_final(engine.sat)
+        assert not engine.hook_fixpoint() and not engine.hook_final()
         self.decide(engine, engine.new_var())
-        assert not engine.hook_fixpoint(engine.sat) and not engine.hook_final(engine.sat)
+        assert not engine.hook_fixpoint() and not engine.hook_final()
         assert calls == []
         self.decide(engine, self.unassigned_theory_atom(engine))
-        engine.hook_fixpoint(engine.sat)
+        engine.hook_fixpoint()
         assert calls == ["check_full", "deductions"]
 
     def test_a_backjump_that_retracts_a_theory_literal_checks_again(self, nine_clauses):
@@ -321,13 +321,13 @@ class TestTheoryGuard:
         self.settle(engine)
         self.decide(engine, engine.new_var())
         calls.clear()
-        engine.hook_fixpoint(engine.sat)
+        engine.hook_fixpoint()
         # undoing the propositional decision leaves the asserted set as it was
         engine.sat._backjump(1)
-        engine.hook_fixpoint(engine.sat)
+        engine.hook_fixpoint()
         assert calls == []
         engine.sat._backjump(0)
-        engine.hook_fixpoint(engine.sat)
+        engine.hook_fixpoint()
         assert calls == ["check_full", "deductions"]
 
 

@@ -73,12 +73,8 @@ def test_deduction_by_congruence():
     table, (iab, ifafb) = setup_atoms(euf_atom(a, b), euf_atom(fa, fb))
     s = EufSolver(table)
     s.assert_literal(iab)
-    deds = s.deductions()
-    by_atom = {abs(d.literal): d for d in deds}
-    assert ifafb in by_atom
-    d = by_atom[ifafb]
-    assert d.literal == ifafb
-    assert d.explanation == (iab,)
+    by_atom = {abs(clause[-1]): clause for clause in s.deductions()}
+    assert by_atom[ifafb] == (-iab, ifafb)
 
 
 def test_no_deductions_without_assertions():
@@ -91,15 +87,15 @@ def test_negative_deduction_through_disequality():
     s = EufSolver(table)
     s.assert_literal(iab)
     s.assert_literal(-iac)
-    deds = {abs(d.literal): d for d in s.deductions()}
-    assert ibc in deds and deds[ibc].literal == -ibc
+    deds = {abs(clause[-1]): clause for clause in s.deductions()}
+    assert ibc in deds and deds[ibc][-1] == -ibc
 
 
 def test_backtrack_replay_equivalence():
     table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
     s = EufSolver(table)
     s.assert_literal(iab)
-    mark = len(s.asserted())
+    mark = len(s._asserted)
     before = s.check_full()
     before_witness = s.witness()
     s.assert_literal(-iac)
@@ -108,16 +104,16 @@ def test_backtrack_replay_equivalence():
     after = s.check_full()
     assert before is after is None
     assert before_witness == s.witness()
-    assert s.asserted() == [iab]
+    assert s._asserted == [iab]
 
 
 def test_backtrack_to_initial_mark_empties_everything():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
-    base = len(s.asserted())
+    base = len(s._asserted)
     s.assert_literal(iab)
     s.backtrack(base)
-    assert s.asserted() == []
+    assert s._asserted == []
     assert s.check_full() is None
 
 
@@ -127,19 +123,19 @@ def test_lifo_marks_restore_snapshots():
     snapshots = []
     marks = []
     for i in ids:
-        marks.append(len(s.asserted()))
-        snapshots.append(s.asserted())
+        marks.append(len(s._asserted))
+        snapshots.append(list(s._asserted))
         s.assert_literal(i)
     for mark, snap in zip(reversed(marks), reversed(snapshots)):
         s.backtrack(mark)
-        assert s.asserted() == snap
+        assert s._asserted == snap
 
 
 def test_stale_mark_is_an_error():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
     s.assert_literal(iab)
-    mark = len(s.asserted())
+    mark = len(s._asserted)
     s.backtrack(0)
     with pytest.raises(ValueError, match="stale"):
         s.backtrack(mark)
@@ -202,7 +198,7 @@ class TestAgainstNaiveClosure:
                 # the conflict subset must be oracle-unsat and drawn from the
                 # asserted literals
                 assert not euf_literals_sat(_facts(table, conflict))
-                assert set(conflict) <= set(s.asserted())
+                assert set(conflict) <= set(s._asserted)
             want_sat = euf_literals_sat(_facts(table, lits))
             if got_sat != want_sat:
                 disagreements += 1
@@ -221,7 +217,7 @@ def _partition(solver):
 
 def _observed(solver):
     return (solver.check_full() is None, _partition(solver),
-            {d.literal for d in solver.deductions()})
+            {clause[-1] for clause in solver.deductions()})
 
 
 class TestUndoTrail:
@@ -236,13 +232,13 @@ class TestUndoTrail:
             marks = []
             for _ in range(rng.randint(4, 20)):
                 op = rng.random()
-                taken = {abs(l) for l in s.asserted()}
+                taken = {abs(l) for l in s._asserted}
                 free = [i for i in ids if i not in taken]
                 if op < 0.55 and free:
                     i = rng.choice(free)
                     s.assert_literal(i if rng.random() < 0.6 else -i)
                 elif op < 0.8:
-                    marks.append(len(s.asserted()))
+                    marks.append(len(s._asserted))
                 elif marks:
                     # backtracking drops the marks above its target, so
                     # every kept mark stays live
@@ -251,7 +247,7 @@ class TestUndoTrail:
                     s.backtrack(mark)
                     backtracks += 1
                     fresh = EufSolver(table)
-                    for lit in s.asserted():
+                    for lit in s._asserted:
                         fresh.assert_literal(lit)
                     assert _observed(s) == _observed(fresh)
         assert backtracks > 200
@@ -272,14 +268,15 @@ class TestDeductions:
                 continue
             if s.check_full() is not None:
                 continue
-            asserted = s.asserted()
+            asserted = list(s._asserted)
             facts = _facts(table, asserted)
             deduced = {}
-            for d in s.deductions():
-                assert set(d.explanation) <= set(asserted)
+            for clause in s.deductions():
+                negation = [-lit for lit in clause]  # the explanation, then the literal negated
+                assert set(negation[:-1]) <= set(asserted)
                 # explanation plus the negated literal must be oracle-unsat
-                assert not euf_literals_sat(_facts(table, d.explanation + (-d.literal,)))
-                deduced[abs(d.literal)] = d.literal > 0
+                assert not euf_literals_sat(_facts(table, negation))
+                deduced[abs(clause[-1])] = clause[-1] > 0
                 checked += 1
             for i in ids:
                 if i in picked:

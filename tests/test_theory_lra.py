@@ -198,7 +198,7 @@ class TestBacktracking:
         table, (ilt, ieq) = table_with(lin({Y: 1}, 0, "<"), lin({Y: 1}, -2, "="))
         s = LraSolver(table)
         s.assert_literal(ilt)
-        mark = len(s.asserted())
+        mark = len(s._asserted)
         before = s.check_full()
         s.assert_literal(ieq)
         assert s.check_full() is not None
@@ -209,7 +209,7 @@ class TestBacktracking:
         table, (ilt,) = table_with(lin({Y: 1}, 0, "<"))
         s = LraSolver(table)
         s.assert_literal(ilt)
-        mark = len(s.asserted())
+        mark = len(s._asserted)
         s.backtrack(0)
         with pytest.raises(ValueError, match="stale"):
             s.backtrack(mark)
@@ -221,12 +221,12 @@ class TestBacktracking:
         states = []
         marks = []
         for i in ids:
-            marks.append(len(s.asserted()))
-            states.append(len(s.asserted()))
+            marks.append(len(s._asserted))
+            states.append(len(s._asserted))
             s.assert_literal(i)
         for mark, n in zip(reversed(marks), reversed(states)):
             s.backtrack(mark)
-            assert len(s.asserted()) == n
+            assert len(s._asserted) == n
 
 
 class TestDeductions:
@@ -234,10 +234,8 @@ class TestDeductions:
         table, (ieq1, ieq0) = table_with(lin({X: 1}, -1, "="), lin({X: 1}, 0, "="))
         s = LraSolver(table)
         s.assert_literal(ieq1)
-        deds = {abs(d.literal): d for d in s.deductions()}
-        assert ieq0 in deds
-        assert deds[ieq0].literal == -ieq0
-        assert deds[ieq0].explanation == (ieq1,)
+        deds = {abs(clause[-1]): clause for clause in s.deductions()}
+        assert deds[ieq0] == (-ieq1, -ieq0)
 
     def test_deductions_leave_the_tableau_unchanged(self):
         table, ids = table_with(
@@ -257,16 +255,14 @@ class TestDeductions:
                                        lin({X: -1, Y: 1}, 1, "<"))
         s = LraSolver(table)
         s.assert_literal(ile)
-        assert [(d.literal, d.explanation) for d in s.deductions()] == \
-            [(-ilt, (ile,))]
+        assert s.deductions() == [(-ile, -ilt)]
 
     def test_scaled_unate(self):
         # 2x <= 3 entails x <= 2: the same base x at scales 2 and 1
         table, (i2x, ix) = table_with(lin({X: 2}, -3, "<="), lin({X: 1}, -2, "<="))
         s = LraSolver(table)
         s.assert_literal(i2x)
-        assert [(d.literal, d.explanation) for d in s.deductions()] == \
-            [(ix, (i2x,))]
+        assert s.deductions() == [(-i2x, ix)]
 
     def test_interval_sum(self):
         # x <= 1 and y <= 1 entail x + y <= 2
@@ -276,8 +272,8 @@ class TestDeductions:
         s.assert_literal(ix)
         s.assert_literal(iy)
         deds = s.deductions()
-        assert [d.literal for d in deds] == [isum]
-        assert set(deds[0].explanation) == {ix, iy}
+        assert [clause[-1] for clause in deds] == [isum]
+        assert set(deds[0][:-1]) == {-ix, -iy}
 
     def test_interval_difference_bounds_a_variable(self):
         # x - y <= 1 and y < 0 entail x < 1, hence not (x >= 1)
@@ -287,8 +283,8 @@ class TestDeductions:
         s.assert_literal(idiff)
         s.assert_literal(iy)
         deds = s.deductions()
-        assert [d.literal for d in deds] == [-ix]
-        assert set(deds[0].explanation) == {idiff, iy}
+        assert [clause[-1] for clause in deds] == [-ix]
+        assert set(deds[0][:-1]) == {-idiff, -iy}
 
     def test_no_deductions_on_empty_state(self):
         table, _ = table_with(lin({X: 1}, 0, "="))
@@ -310,25 +306,27 @@ class TestDeductions:
                     break
             if not ok or s.check_full() is not None:
                 continue
-            for d in s.deductions():
-                # explanation plus the negated literal must be oracle-unsat
-                assert not lra_literals_sat(_facts(table, d.explanation + (-d.literal,)))
+            for clause in s.deductions():
+                # its negation, the explanation plus the negated literal,
+                # must be oracle-unsat
+                assert not lra_literals_sat(_facts(table, [-lit for lit in clause]))
                 checked += 1
         assert checked > 50
 
 
 @pytest.fixture
 def checked_deductions(monkeypatch):
-    """Make every LraSolver.deductions call compare its answer, literal,
-    order and explanation, with the full recompute of the reference; the
-    list returned collects the number of deductions of each call."""
+    """Make every LraSolver.deductions call compare its answer, clause for
+    clause and literal for literal, with the full recompute of the
+    reference; the list returned collects the number of deductions of each
+    call."""
     found = []
     deductions = LraSolver.deductions
 
     def checked(self):
         want = reference_lra_deductions(self)
         got = deductions(self)
-        assert [(d.literal, d.explanation) for d in got] == want
+        assert got == want
         found.append(len(got))
         return got
 
@@ -366,11 +364,11 @@ class TestDeductionsAgainstReference:
             s = LraSolver(table)
 
             def undo_some():
-                s.backtrack(rng.randrange(len(s.asserted())) if s.asserted() else 0)
+                s.backtrack(rng.randrange(len(s._asserted)) if s._asserted else 0)
 
             for _step in range(40):
                 op = rng.random()
-                asserted = {abs(lit) for lit in s.asserted()}
+                asserted = {abs(lit) for lit in s._asserted}
                 free = [i for i in ids if i not in asserted]
                 if op < 0.4 and free:
                     if s.assert_literal(rng.choice(free) * rng.choice((1, -1))) is not None:
@@ -381,8 +379,8 @@ class TestDeductionsAgainstReference:
                 elif op < 0.85:
                     deduced = s.deductions()
                     if rng.random() < 0.8:
-                        for d in deduced:
-                            if s.assert_literal(d.literal) is not None:
+                        for clause in deduced:
+                            if s.assert_literal(clause[-1]) is not None:
                                 undo_some()
                                 break
                 else:
