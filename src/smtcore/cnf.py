@@ -262,4 +262,6 @@ def cnf_convert(assertions: AssertionSet) -> Formula:
                 emit(cl, aid)
 
     logic = infer_logic(clauses, table)
-    return Formula(clauses, table, assertions.declarations, logic, assertion_of)
+    # every path above emits distinct literals over the table, never one
+    # beside its complement, so the clauses are not normalized again
+    return Formula._of_normalized(clauses, table, assertions.declarations, logic, assertion_of)

@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import dimacs
-from .sat import ProofLog, check_proof, proof_core, proof_leaves, sat_solve, solve_with_selectors
+from .sat import ProofLog, check_proof, proof_leaves, sat_solve, solve_with_selectors
 from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses, lifted_refutation
 from .terms import LOGIC_PROP, Atom, Formula
 from .theory import validity_check
@@ -117,8 +117,10 @@ class CoreReport:
 class BooleanCore(list):
     """Ascending clause indices of a Boolean core.  `proof` is a resolution
     refutation of those clauses when the extractor logged one (the
-    internal proof extractor does), else None."""
+    internal proof extractor does), else None, and `leaves` its leaf nodes
+    reachable from the final one (`sat.proof_leaves`)."""
     proof: Optional[ProofLog] = None
+    leaves: Optional[list[tuple]] = None
 
 
 def _refuted(verdict) -> bool:
@@ -127,20 +129,23 @@ def _refuted(verdict) -> bool:
     return verdict.status != "sat"
 
 
-def _extract_once(clauses: list[list[int]], config: ExtractorConfig,
-                  budget: Optional[int]) -> tuple[list[int], Optional[ProofLog]]:
+def _extract_once(clauses: list[list[int]], config: ExtractorConfig, budget: Optional[int]
+                  ) -> tuple[list[int], Optional[ProofLog], Optional[list[tuple]]]:
+    """The core's indices, its refutation if one was logged, and that
+    refutation's reachable leaves."""
     if config.kind == "internal-proof":
         verdict = sat_solve(clauses, log_proof=True, conflict_budget=budget)
         if not _refuted(verdict):
             raise _Satisfiable("input is satisfiable; there is no core to extract")
-        ids = proof_core(verdict.proof)
-        return sorted(_leaf_indices(clauses, ids)), verdict.proof
+        leaves = proof_leaves(verdict.proof)
+        ids = {leaf[1] for leaf in leaves}
+        return sorted(_leaf_indices(clauses, ids)), verdict.proof, leaves
     if config.kind == "internal-selectors":
         verdict, core = solve_with_selectors(clauses, conflict_budget=budget)
         if not _refuted(verdict):
             raise _Satisfiable("input is satisfiable; there is no core to extract")
-        return core, None
-    return external_bridge(clauses, config.command), None
+        return core, None, None
+    return external_bridge(clauses, config.command), None, None
 
 
 def _leaf_indices(clauses: list[list[int]], leaf_ids: set[int]) -> set[int]:
@@ -161,10 +166,10 @@ def boolean_core(clauses: list[list[int]], config: ExtractorConfig,
     internal extractor; one that runs out is an ExtractionError."""
     current = list(range(len(clauses)))
     while True:
-        rel, proof = _extract_once([clauses[i] for i in current], config, budget)
+        rel, proof, leaves = _extract_once([clauses[i] for i in current], config, budget)
         new = BooleanCore(current[j] for j in rel)
         if not config.fixpoint or len(new) == len(current):
-            new.proof = proof
+            new.proof, new.leaves = proof, leaves
             return new
         current = new
 
@@ -227,8 +232,9 @@ def self_extractor_command(mode: str = "index-list") -> str:
 #
 # A route computes the raw core of one method: its clause indices, or None
 # when the formula is satisfiable; the resolution refutation of the core's
-# clauses plus theory-valid lemmas when the method logged one, else None;
-# and the lemma store of its engine.  `_run` then minimizes and verifies
+# clauses plus theory-valid lemmas when the method logged one, else None,
+# and the refutation's reachable leaves, which gave the core; and the lemma
+# store of its engine.  `_run` then minimizes and verifies
 # that core once, the same way for every method.
 
 def _lift_route(formula: Formula, config: ExtractorConfig, budget: Optional[int]):
@@ -239,37 +245,38 @@ def _lift_route(formula: Formula, config: ExtractorConfig, budget: Optional[int]
         try:
             idxs = boolean_core(formula.clauses, config, budget)
         except _Satisfiable:
-            return None, None, []
+            return None, None, None, []
         store = []
     else:
         engine = SmtSolver(formula, conflict_budget=budget)
         if not _refuted(engine.solve()):
-            return None, None, []
+            return None, None, None, []
         idxs = boolean_core(lifted_clauses(formula, engine.store), config)
         store = engine.store
     surviving = [i for i in idxs if i < len(formula.clauses)]
     assert surviving, "a Boolean core cannot consist of theory-valid lemmas only"
-    return surviving, idxs.proof, store
+    return surviving, idxs.proof, idxs.leaves, store
 
 
 def _proof_route(formula: Formula, _config, budget: Optional[int]):
     engine = SmtSolver(formula, log_proof=True, conflict_budget=budget)
     if not _refuted(engine.solve()):
-        return None, None, []
+        return None, None, None, []
     # every leaf of the engine's proof is an input clause or a stored lemma
-    origins = (engine.sat.origins[cid] for cid in proof_core(engine.sat.proof))
+    leaves = proof_leaves(engine.sat.proof)
+    origins = (engine.sat.origins[leaf[1]] for leaf in leaves)
     core = {origin[1] for origin in origins if origin[0] == "input"}
-    return core, engine.sat.proof, engine.store
+    return core, engine.sat.proof, leaves, engine.store
 
 
 def _selector_route(formula: Formula, _config, budget: Optional[int]):
     engine = SelectorEngine(formula, conflict_budget=budget)
     verdict = engine.solve(range(len(formula.clauses)))
     if not _refuted(verdict):
-        return None, None, []
+        return None, None, None, []
     assert verdict.status == "unsat-assumptions", \
         "guarded clauses cannot refute without their selectors"
-    return engine.conflict_clauses(verdict), None, engine.solver.store
+    return engine.conflict_clauses(verdict), None, None, engine.solver.store
 
 
 # core method -> (route, Boolean extractor kind of a lifted route).  The
@@ -287,7 +294,7 @@ METHODS = {
 def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
          minimize: bool, verify: bool, budget: Optional[int]) -> CoreReport:
     route, _kind = METHODS[method]
-    core, proof, store = route(formula, config, budget)
+    core, proof, leaves, store = route(formula, config, budget)
     if core is None:
         return CoreReport("sat", (), ())
     if minimize:
@@ -297,16 +304,17 @@ def _run(formula: Formula, method: str, config: Optional[ExtractorConfig], *,
         # verified from the lemmas of the minimization engine that refuted it
         raw_size = len(set(core))
         if not verify:
-            proof = None
+            proof = leaves = None
         core, lemmas = _minimize(formula, core, store, budget)
         if len(core) < raw_size:
-            proof, store = None, lemmas
+            proof, leaves, store = None, None, lemmas
     core = tuple(sorted(set(core)))
     if verify:
         proof = proof or lifted_refutation(formula, core, store)
         problem = "the core plus its lemmas is propositionally satisfiable" if proof is None \
             else check_refutation(formula, core, proof,
-                                  {var: atom for lemma in store for var, atom in lemma.defs})
+                                  {var: atom for lemma in store for var, atom in lemma.defs},
+                                  leaves)
         if problem is not None:
             raise ExtractionError(f"{method}: core failed verification: {problem}")
     return CoreReport("unsat", core, formula.assertion_ids(core))
@@ -416,7 +424,8 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
 
 
 def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog,
-                     defs: Optional[dict[int, Atom]] = None) -> Optional[str]:
+                     defs: Optional[dict[int, Atom]] = None,
+                     leaves: Optional[list[tuple]] = None) -> Optional[str]:
     """Verification without a search: None when the indices are in range,
     every chain of `proof` re-derives step by step (`check_proof`), its
     final node is the empty clause, and every leaf it resolves on is
@@ -432,7 +441,8 @@ def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog,
     `EufSolver`), for LRA by one fresh `LraSolver`, which is backtracked
     to empty after each leaf.  Only `formula`, `proof` and `defs` are
     read: no lemma store, clause numbering or engine of the run that
-    logged the proof."""
+    logged the proof.  `leaves`, when given, must be `sat.proof_leaves` of
+    `proof`, from a caller that walked it already."""
     core = sorted(set(core))
     if problem := _out_of_range(formula, core):
         return problem
@@ -440,7 +450,9 @@ def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog,
     if problem is not None:
         return f"refutation: {problem}"
     inputs = {frozenset(formula.clauses[i]) for i in core}
-    leaves = [lits for _, _cid, lits in proof_leaves(proof) if lits not in inputs]
+    if leaves is None:
+        leaves = proof_leaves(proof)
+    leaves = [lits for _, _cid, lits in leaves if lits not in inputs]
     if not leaves:
         return None
     try:

@@ -32,8 +32,11 @@ is watched on its first two literals, and a learned clause is watched on
 its asserting literal and its highest-level literal, which conflict
 analysis has put first, and its asserting literal is enqueued.
 `add_inputs` sizes the arrays once for a whole load of input clauses, and
-`add_clause` checks and sizes its one clause itself, so a lemma added in
-mid-search goes through a single call before the status pass.
+loads in bulk each clause whose first two literals are unassigned: the
+generic pass would watch them and leave the clause as it is, whatever else
+the trail holds.  `add_clause` checks and sizes its one clause itself, so
+a lemma added in mid-search goes through a single call before the status
+pass.
 One rule settles a clause the database holds against the trail (a lemma
 added again, a clause learned again, a one-literal clause, and at the
 start of `solve` a clause added above level 0): its unit literal is
@@ -339,8 +342,20 @@ class SatSolver:
             raise ValueError("literal 0 is not allowed")
         if every:
             self.ensure_vars(max(max(every), -min(every)))
+        # a clause of two or more literals whose first two are unassigned
+        # is watched on them, and left as it is, as `_insert` would
+        clauses_, origins, by_key = self.clauses, self.origins, self._by_key
+        vals, watches = self._vals, self._watches
         for i, norm in enumerate(norms):
-            self._insert(norm, ("input", i))
+            if len(norm) < 2 or vals[norm[0]] is not None or vals[norm[1]] is not None:
+                self._insert(norm, ("input", i))
+                continue
+            cid = len(clauses_)
+            clauses_.append(norm)
+            origins.append(("input", i))
+            by_key.setdefault(frozenset(norm), cid)
+            watches[norm[0]].append(cid)
+            watches[norm[1]].append(cid)
 
     def _insert(self, norm: list[int], origin: tuple) -> tuple[int, str]:
         """`add_clause` for a clause without repeated literals whose
@@ -675,7 +690,8 @@ class SatSolver:
                 self._watches[learned[1]].append(cid)
         if self.proof and cid not in self._node_of:
             first, steps = derivation
-            self._node_of[cid] = self.proof.chain(first, steps, learned) if steps else first
+            # the chain node's clause is the key already built
+            self._node_of[cid] = self.proof.chain(first, steps, key) if steps else first
         if held is None:
             self._enqueue(learned[0], cid)
         else:

@@ -11,10 +11,12 @@ atoms: an EUF conflict is stated as a chain of lemmas over equalities
 the table may lack, and each such equality gets one variable, which the
 theory solver defines and the engine asserts when it is assigned true.
 The table never grows.  Every theory literal is asserted incrementally as it gets
-assigned, a full theory check and a deduction pass run at each
-propagation fixpoint where a theory literal was asserted or retracted
-since they last ran (on an unchanged asserted set they could add
-nothing), entailed literals are unit-propagated through their deduction
+assigned, and a theory pass, a full theory check and then a deduction
+pass, runs at each propagation fixpoint where the theory reports its state
+`changed` since the last pass: on an unchanged state they could add
+nothing (see `_check` for when each theory reports a change; for EUF, a
+merge, a newly separated pair of classes or a conflict, and never a
+backjump).  Entailed literals are unit-propagated through their deduction
 clauses, and every theory-conflict and theory-deduction clause is
 appended to the engine's lemma list as it is added to the SAT database,
 with the atom of each engine variable it names.  The list needs no
@@ -62,15 +64,13 @@ class SmtSolver:
         self.sat.ensure_vars(len(self.table))
         self.sat.add_inputs(formula.clauses)
         self._table_size = len(self.table)
-        # theory flags by variable: the table's atoms, then the variables
-        # the theory defined (see _new_theory_var); the rest are new_var's
-        self._theory_var = [False] + [isinstance(atom, (LinAtom, EufAtom))
-                                      for _, atom in self.table.items()]
+        # the literals _sync asserts: both signs of the table's theory atoms,
+        # and the positive one of each variable the theory defined (see
+        # _new_theory_var)
+        self._assertable = {lit for var, atom in self.table.items()
+                            if isinstance(atom, (LinAtom, EufAtom)) for lit in (var, -var)}
         self._scan_pos = 0                      # sat trail position scanned so far
         self._synced_positions: list[int] = []  # trail position of each theory assert
-        # set when a theory literal is asserted or retracted, cleared once
-        # check_full and deductions have run on the asserted set
-        self._changed = True
         if self.theory is not None:
             self.sat.theory_hook = weakref.proxy(self)  # no reference cycle
 
@@ -110,43 +110,56 @@ class SmtSolver:
         negations of the atoms the theory defined (see `_new_theory_var`);
         on a theory conflict, store its lemmas and stop."""
         trail = self.sat.trail
-        theory_var, table_size = self._theory_var, self._table_size
-        while self._scan_pos < len(trail):
-            pos = self._scan_pos
+        start, end = self._scan_pos, len(trail)
+        if start == end:
+            return False
+        assertable, synced = self._assertable, self._synced_positions
+        assert_literal = self.theory.assert_literal
+        for pos in range(start, end):
             lit = trail[pos]
-            self._scan_pos += 1
-            var = abs(lit)
-            if var < len(theory_var) and theory_var[var] and (lit > 0 or var <= table_size):
-                conflict = self.theory.assert_literal(lit)
-                self._synced_positions.append(pos)
-                self._changed = True
+            if lit in assertable:
+                conflict = assert_literal(lit)
+                synced.append(pos)
                 if conflict is not None:
+                    self._scan_pos = pos + 1
                     return self._conflict_lemma(conflict)
+        self._scan_pos = end
         return False
 
     def _check(self) -> bool:
-        """Sync, then check the asserted literals if they changed since the
-        last fixpoint check; True on a theory conflict, whose lemma is
-        stored.  An unchanged set passed that check, and every deduction
-        it gave is a clause of the SAT database, so running the theory
-        again could add nothing."""
+        """Sync, then check the asserted literals if the theory reports them
+        `changed` since the last fixpoint pass; True on a theory conflict,
+        whose lemma is stored.
+
+        A theory pass (`check_full`, then `deductions` in `hook_fixpoint`)
+        runs only on a `changed` state.  An unchanged one passed that check,
+        and every deduction it gave is a clause of the SAT database, so
+        running the theory again could add nothing.  Every assert of LRA
+        counts as a change, and so does every backtrack, since its simplex
+        basis then differs.  EUF counts only a merge, a pair of classes
+        newly separated and a conflict, and a backjump leaves it unchanged:
+        the SAT engine decides only after the fixpoint pass of its level,
+        so a backjump lands on a state that pass checked and deduced, which
+        the exact undo restores."""
         if self._sync():
             return True
-        if not self._changed:
+        theory = self.theory
+        if not theory.changed:
             return False
-        conflict = self.theory.check_full()
+        conflict = theory.check_full()
         return conflict is not None and self._conflict_lemma(conflict)
 
     def hook_fixpoint(self) -> bool:
         if self._check():
             return True
-        if not self._changed:
+        theory = self.theory
+        if not theory.changed:
             return False
-        self._changed = False
+        theory.changed = False
         # _check has asserted every assigned theory atom, so a deduced
         # literal is unassigned and its clause is unit
         progress = False
-        for clause in self.theory.deductions():
+        for clause in theory.deductions():
             progress |= self._add_lemma(clause, "theory-deduction") in ("unit", "conflict")
         return progress
 
@@ -154,12 +167,15 @@ class SmtSolver:
         return self._check()
 
     def hook_backjump(self, trail_len: int):
-        self._scan_pos = min(self._scan_pos, trail_len)
-        keep = bisect_left(self._synced_positions, trail_len)
-        if keep < len(self._synced_positions):
-            self.theory.backtrack(keep)
-            del self._synced_positions[keep:]
-            self._changed = True
+        if self._scan_pos > trail_len:
+            self._scan_pos = trail_len
+        synced = self._synced_positions
+        if synced and synced[-1] >= trail_len:
+            keep = bisect_left(synced, trail_len)
+            theory = self.theory
+            theory.backtrack(keep)
+            del synced[keep:]
+            theory.changed = not theory.exact_undo
 
     # -- solving ----------------------------------------------------------------
 
@@ -180,9 +196,7 @@ class SmtSolver:
         atoms' values, and a disequality over one would only feed
         deductions."""
         var = self.new_var()
-        theory_var = self._theory_var
-        theory_var.extend([False] * (var - len(theory_var)))
-        theory_var.append(True)
+        self._assertable.add(var)
         return var
 
     def add_clause(self, lits: Iterable[int]) -> None:

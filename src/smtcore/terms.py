@@ -343,8 +343,8 @@ def _normalized(clause: Iterable[int], size: int) -> tuple[int, ...]:
 class Formula:
     """A CNF problem over the shared atom table: `clauses[i]` is a tuple of
     signed atom ids and `assertion_of[i]` the assertion it came from.
-    Building a Formula normalizes every clause once (see `_normalized`).
-    Immutable by convention once built."""
+    Building a Formula normalizes every clause once (see `_normalized`),
+    except through `_of_normalized`.  Immutable by convention once built."""
     clauses: list[tuple[int, ...]]
     atoms: AtomTable
     declarations: Optional[Declarations]
@@ -358,6 +358,18 @@ class Formula:
         size = len(self.atoms)
         self.clauses = [_normalized(c, size) for c in self.clauses]
 
+    @classmethod
+    def _of_normalized(cls, clauses: list[tuple[int, ...]], atoms: AtomTable,
+                       declarations: Optional[Declarations], logic: str,
+                       assertion_of: list[int]) -> "Formula":
+        """A Formula of clauses that are normalized already, one assertion id
+        each, built without checking them again: `cnf_convert` emits such
+        clauses, and `restrict` picks them from a Formula."""
+        formula = cls.__new__(cls)
+        formula.clauses, formula.atoms, formula.declarations = clauses, atoms, declarations
+        formula.logic, formula.assertion_of = logic, assertion_of
+        return formula
+
     def __len__(self) -> int:
         return len(self.clauses)
 
@@ -365,8 +377,9 @@ class Formula:
         """Sub-formula induced by a set of clause indices (re-indexed, same
         atom table; assertion ids preserved)."""
         picked = sorted(set(indices))
-        return Formula([self.clauses[i] for i in picked], self.atoms, self.declarations,
-                       self.logic, [self.assertion_of[i] for i in picked])
+        return Formula._of_normalized([self.clauses[i] for i in picked], self.atoms,
+                                      self.declarations, self.logic,
+                                      [self.assertion_of[i] for i in picked])
 
     def assertion_ids(self, indices: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted({self.assertion_of[i] for i in indices}))

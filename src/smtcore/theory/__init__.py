@@ -66,8 +66,8 @@ class _Validity:
 
     def known(self, lits: Iterable[int]) -> bool:
         """Whether every literal names an atom of the table or a defined one."""
-        return all(1 <= abs(lit) <= len(self.table) or abs(lit) in self.defined
-                   for lit in lits)
+        size, defined = len(self.table), self.defined
+        return all(1 <= abs(lit) <= size or abs(lit) in defined for lit in lits)
 
     def valid(self, lits: frozenset[int]) -> bool:
         """Whether the clause is valid; every literal must be `known`."""
@@ -83,8 +83,11 @@ class _Validity:
 class _EufValidity(_Validity):
     """EUF, by a congruence closure over the clause's own terms and their
     subterms, which decides a ground EUF clause (Nelson & Oppen, "Fast
-    decision procedures based on congruence closure", JACM 1980).  It
-    keeps no state from one clause to the next."""
+    decision procedures based on congruence closure", JACM 1980).  No
+    closure is kept from one clause to the next, only names: a term gets
+    a dense id the first time a clause names it, kept with the ids of its
+    subterms and its function symbol's number, and an atom the pair of its
+    sides' ids, so a clause's closure hashes no `Term`."""
 
     def __init__(self, table: AtomTable):
         super().__init__(table)
@@ -96,6 +99,31 @@ class _EufValidity(_Validity):
                 self.terms.add(t)
                 if isinstance(t, FunApp):
                     todo.extend(t.args)
+        self._ids: dict = {}                # term -> id
+        self._app: list = []                # id -> (symbol number, argument ids), or None
+        self._below: list = []              # id -> the ids of its subterms, itself last
+        self._symbols: dict = {}            # function symbol -> number
+        self._ends: dict = {}               # variable -> (lhs id, rhs id), or None if not EUF
+
+    def _term_id(self, t) -> int:
+        tid = self._ids.get(t)
+        if tid is None:
+            below, app = [], None
+            if isinstance(t, FunApp):
+                args = tuple([self._term_id(a) for a in t.args])
+                for a in args:
+                    below += self._below[a]
+                app = (self._symbols.setdefault(t.fn, len(self._symbols)), args)
+            tid = self._ids[t] = len(self._app)
+            below.append(tid)
+            self._app.append(app)
+            self._below.append(tuple(dict.fromkeys(below)))
+        return tid
+
+    def under(self, defs: Iterable[tuple[int, Atom]]) -> "_EufValidity":
+        check = super().under(defs)
+        check._ends = {}                    # a defined variable may name another atom there
+        return check
 
     def _admit(self, var: int, atom: Atom) -> None:
         """An equality over the terms of the table's equalities."""
@@ -107,39 +135,39 @@ class _EufValidity(_Validity):
     def _refutes(self, lits: frozenset[int]) -> bool:
         """The equalities the clause negates, closed under congruence, join
         the two sides of an equality it asserts."""
-        ids: dict = {}                      # term -> dense id
-        apps: list[tuple] = []              # (id, function symbol, argument ids)
-
-        def term_id(t) -> int:
-            tid = ids.get(t)
-            if tid is None:
-                args = tuple(term_id(a) for a in t.args) if isinstance(t, FunApp) else None
-                tid = ids[t] = len(ids)
-                if args is not None:
-                    apps.append((tid, t.fn, args))
-            return tid
+        ends = self._ends
+        equal, unequal = [], []
+        for lit in lits:
+            var = lit if lit > 0 else -lit
+            if var in ends:
+                pair = ends[var]
+            else:
+                atom = self.atom(var)
+                pair = ends[var] = (self._term_id(atom.lhs), self._term_id(atom.rhs)) \
+                    if isinstance(atom, EufAtom) else None
+            if pair is not None:
+                (unequal if lit > 0 else equal).append(pair)
+        if not unequal:
+            return False
+        below, app = self._below, self._app
+        rep = {}                            # the clause's terms and their subterms
+        for a, b in equal + unequal:
+            for tid in below[a] + below[b]:
+                rep[tid] = tid
+        apps = [(tid, app[tid]) for tid in rep if app[tid] is not None]
 
         def find(t: int) -> int:
             while rep[t] != t:
                 rep[t] = t = rep[rep[t]]
             return t
 
-        equal, unequal = [], []
-        for lit in lits:
-            atom = self.atom(abs(lit))
-            if isinstance(atom, EufAtom):
-                pair = (term_id(atom.lhs), term_id(atom.rhs))
-                (unequal if lit > 0 else equal).append(pair)
-        if not unequal:
-            return False
-        rep = list(range(len(ids)))
         for a, b in equal:
             rep[find(a)] = find(b)
         merged = True
         while merged:                       # one signature pass until none merges
             merged = False
             signatures = {}
-            for tid, fn, args in apps:
+            for tid, (fn, args) in apps:
                 other = signatures.setdefault((fn, *map(find, args)), tid)
                 a, b = find(tid), find(other)
                 if a != b:

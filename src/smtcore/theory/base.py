@@ -20,6 +20,12 @@ records the trail's length before each asserted literal in `_marks`, and
 `backtrack` hands the length at the mark to the solver's `_undo_to`, which
 pops entries until the trail is that long again.  A solver may also undo
 to a length it took itself, as a check that probes the state does.
+
+`changed` tells the engine when `check_full` and `deductions` may answer
+otherwise than at its last pass, which cleared it: the base sets it on
+every assert, and a solver may set it only when its state changes in a way
+they read.  `exact_undo` says that `backtrack` restores a state on which
+both answer as they did when it was first reached.
 """
 from __future__ import annotations
 
@@ -32,6 +38,7 @@ class TheorySolver:
     """Base class; concrete solvers implement the underscored primitives."""
 
     theory: str = "?"
+    exact_undo: bool = False
 
     def __init__(self, table: AtomTable):
         self.table = table
@@ -40,6 +47,7 @@ class TheorySolver:
         self._asserted_atoms: set[int] = set()
         self._trail: list[tuple] = []   # undo entries, read by the subclass
         self._marks: list[int] = []     # trail length before each asserted literal
+        self.changed = True             # see the module docstring
 
     # -- mark/backtrack -----------------------------------------------------
 
@@ -48,8 +56,7 @@ class TheorySolver:
             raise ValueError(f"stale mark {mark}: only {len(self._asserted)} literals asserted")
         if mark == len(self._asserted):
             return
-        for lit in self._asserted[mark:]:
-            self._asserted_atoms.remove(abs(lit))
+        self._asserted_atoms.difference_update([abs(lit) for lit in self._asserted[mark:]])
         del self._asserted[mark:]
         length = self._marks[mark]
         del self._marks[mark:]
@@ -63,6 +70,7 @@ class TheorySolver:
         self._asserted.append(lit)
         self._asserted_atoms.add(var)
         self._marks.append(len(self._trail))
+        self.changed = True
         return self._assert(lit, atom)
 
     def conflict_clauses(self, conflict: list[int],

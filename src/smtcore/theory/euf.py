@@ -9,19 +9,33 @@ term ids and never hashes a `Term`:
   read, and a merge relabels the members of the smaller class;
 - use lists: per class, the applications with an argument in it.  A merge
   re-signs the applications of the absorbed class against the signature
-  table; a hit on another class is a congruence and is merged in turn;
+  table, keyed by a function symbol's number and the argument classes; a
+  hit on another class is a congruence and is merged in turn;
 - a proof forest whose edges are labeled either with the asserted equality
   literal that caused the merge or with a congruence step, whose argument
   equalities are explained in turn.  Explanations are not guaranteed
   minimal;
-- disequalities, listed per class and indexed by the sorted pair of their
-  endpoints' classes: a merge checks only the absorbed class's
-  disequalities, and a deduction finds the disequality separating an
-  atom's two classes with one lookup.
+- disequalities, listed per class and indexed by the ordered pair of their
+  endpoints' classes, both ways round, under one integer key: a merge
+  checks only the absorbed class's disequalities, and a deduction finds
+  the disequality separating an atom's two classes with one lookup.
+
+`assert_literal` is one call: the `_ends` table both decides that a
+literal is the solver's and gives its two terms.  It sets `changed` only
+when the closure changes, by a merge, a pair of classes newly separated or
+a conflict: an equality inside one class, or a disequality between two
+classes already separated, leaves `check_full` and `deductions` with the
+answers they had, so the engine runs neither for it.
 
 Every change to these structures is pushed on the base class's undo
 trail, and backtracking pops the trail back to the length it had when the
 mark's literal was asserted; nothing is rebuilt from the asserted prefix.
+The undo is exact (`exact_undo`): after `backtrack(n)` the classes,
+signatures and disequalities are those the first n literals gave, and the
+proof forest has the same edges with the same labels.  An undone link
+cuts its edge without turning the tree back, so an edge may point the
+other way than before; a path between two terms of one tree is unique,
+so every explanation and lemma reads the same edges in the same order.
 
 A conflict reaches the engine as a chain of short lemmas rather than one
 clause (`conflict_clauses`), after the proof-forest path between the two
@@ -46,71 +60,74 @@ from ..terms import EufAtom, FunApp, Term, euf_atom
 from .base import TheorySolver
 
 # undo-trail entry tags
-_MERGE, _SIG, _DISEQ, _PAIR, _LINK, _CONFLICT = range(6)
+_MERGE, _SIG, _DISEQ, _PAIR, _CONFLICT = range(5)
 
 
 class EufSolver(TheorySolver):
     theory = "EUF"
+    exact_undo = True
 
     def __init__(self, table):
         super().__init__(table)
         self.terms: list[Term] = []
         self._fn: list[int] = []                 # function symbol number; -1 for a constant
         self._args: list[tuple[int, ...]] = []
-        self.rep: list[int] = []                 # term -> representative of its class
-        self._members: list[list[int]] = []      # representative -> class members
-        self._uses: list[list[int]] = []         # representative -> applications over the class
-        self._sig: dict[tuple, int] = {}         # (symbol, argument classes) -> application
-        # proof forest: parent term (-1 at a root) and the edge's label, an
-        # asserted literal or a congruent application pair (p, q)
-        self._fparent: list[int] = []
-        self._flabel: list = []
-        self._diseqs: list[tuple[int, int, int]] = []
-        self._dq_of: list[list[int]] = []        # representative -> incident disequalities
-        self._dq_pair: dict[tuple[int, int], int] = {}  # sorted class pair -> disequality
-        self._conflict: Optional[int] = None     # a disequality whose sides are merged
+        self._ids: dict[Term, int] = {}
         # the table's EUF atoms when the solver is built; none is added later
         self._atoms: list[tuple[int, int, int]] = []   # (atom id, lhs, rhs), table order
         self._ends: dict[int, tuple[int, int]] = {}    # variable -> (lhs, rhs), defined ones too
         self._eq: dict[tuple[int, int], int] = {}      # sorted (lhs, rhs) -> its variable
-        self._ids: dict[Term, int] = {}
-        symbols: dict = {}
+        ids, atoms, ends_of, eq, symbols = self._ids, self._atoms, self._ends, self._eq, {}
         for atom_id, atom in table.items():
             if isinstance(atom, EufAtom):
-                ends = (self._register(atom.lhs, self._ids, symbols),
-                        self._register(atom.rhs, self._ids, symbols))
-                self._atoms.append((atom_id, *ends))
-                self._ends[atom_id] = ends
-                self._eq.setdefault(tuple(sorted(ends)), atom_id)
+                a = ids.get(atom.lhs)
+                if a is None:
+                    a = self._register(atom.lhs, symbols)
+                b = ids.get(atom.rhs)
+                if b is None:
+                    b = self._register(atom.rhs, symbols)
+                atoms.append((atom_id, a, b))
+                ends_of[atom_id] = (a, b)
+                eq.setdefault((a, b) if a < b else (b, a), atom_id)
+        n = self._n = len(self.terms)
+        self.rep: list[int] = list(range(n))     # term -> representative of its class
+        self._members = [[t] for t in range(n)]  # representative -> class members
+        self._uses = [[] for _ in range(n)]      # representative -> applications over the class
+        self._sig: dict[tuple, int] = {}         # (symbol, argument classes) -> application
+        for tid, args in enumerate(self._args):
+            if args:
+                for a in dict.fromkeys(args):
+                    self._uses[a].append(tid)
+                # distinct terms never share a signature: nothing is merged yet
+                self._sig[(self._fn[tid], *args)] = tid
+        # proof forest: parent term (-1 at a root) and the edge's label, an
+        # asserted literal or a congruent application pair (p, q)
+        self._fparent = [-1] * n
+        self._flabel: list = [None] * n
+        self._diseqs: list[tuple[int, int, int]] = []
+        self._dq_of = [[] for _ in range(n)]     # representative -> incident disequalities
+        # ru * n + rv -> the first disequality separating classes ru and rv,
+        # stored under both orders
+        self._dq_pair: dict[int, int] = {}
+        self._conflict: Optional[int] = None     # a disequality whose sides are merged
 
     def owns_atom(self, atom) -> bool:
         return isinstance(atom, EufAtom)
 
-    def _register(self, t: Term, ids: dict, symbols: dict) -> int:
-        tid = ids.get(t)
+    def _register(self, t: Term, symbols: dict) -> int:
+        """The id of `t`, registering it and its subterms, arguments first."""
+        tid = self._ids.get(t)
         if tid is not None:
             return tid
         if isinstance(t, FunApp):
-            args = tuple(self._register(a, ids, symbols) for a in t.args)
+            args = tuple([self._register(a, symbols) for a in t.args])
             fn = symbols.setdefault(t.fn, len(symbols))
         else:
             args, fn = (), -1
-        tid = len(self.terms)
-        ids[t] = tid
+        tid = self._ids[t] = len(self.terms)
         self.terms.append(t)
         self._fn.append(fn)
         self._args.append(args)
-        self.rep.append(tid)
-        self._members.append([tid])
-        self._uses.append([])
-        self._fparent.append(-1)
-        self._flabel.append(None)
-        self._dq_of.append([])
-        if args:
-            for a in dict.fromkeys(args):
-                self._uses[a].append(tid)
-            # distinct registered terms never share a signature: nothing is merged yet
-            self._sig[(fn, *args)] = tid
         return tid
 
     def define(self, var: int, atom: EufAtom) -> None:
@@ -143,26 +160,41 @@ class EufSolver(TheorySolver):
     # -- merging ------------------------------------------------------------------
 
     def _merge(self, a: int, b: int, label):
+        """Merge the classes of a and b, which differ, and every pair of
+        classes the merge makes congruent."""
         rep, members, uses, dq_of = self.rep, self._members, self._uses, self._dq_of
         sig, fn, args, trail = self._sig, self._fn, self._args, self._trail
+        fparent, flabel, diseqs = self._fparent, self._flabel, self._diseqs
+        self.changed = True
         pending = [(a, b, label)]
         while pending:
             a, b, label = pending.pop()
             ra, rb = rep[a], rep[b]
             if ra == rb:
                 continue
-            self._link(a, b, label)
+            # make a the root of its proof tree, then hang it under b
+            node, prev, prev_label = a, -1, None
+            while node != -1:
+                nxt, next_label = fparent[node], flabel[node]
+                fparent[node], flabel[node] = prev, prev_label
+                prev, prev_label, node = node, next_label, nxt
+            fparent[a], flabel[a] = b, label
             if len(members[ra]) > len(members[rb]):
                 ra, rb = rb, ra
             # fold class ra into rb; ra's own lists stay as they are, so the
-            # undo only relabels and truncates
+            # undo only relabels and truncates, then cuts the edge a - b
             into, uses_rb, dq_rb = members[rb], uses[rb], dq_of[rb]
-            trail.append((_MERGE, ra, rb, len(into), len(uses_rb), len(dq_rb)))
-            for m in members[ra]:
+            trail.append((_MERGE, ra, rb, len(into), len(uses_rb), len(dq_rb), a, b))
+            absorbed = members[ra]
+            for m in absorbed:
                 rep[m] = rb
-            into.extend(members[ra])
+            into.extend(absorbed)
             for p in uses[ra]:
-                key = (fn[p], *[rep[x] for x in args[p]])
+                pargs = args[p]
+                if len(pargs) == 1:
+                    key = (fn[p], rep[pargs[0]])
+                else:
+                    key = (fn[p], *[rep[x] for x in pargs])
                 q = sig.get(key)
                 if q is None:
                     sig[key] = p
@@ -171,7 +203,7 @@ class EufSolver(TheorySolver):
                     pending.append((p, q, (p, q)))
             uses_rb.extend(uses[ra])
             for d in dq_of[ra]:
-                u, v, _ = self._diseqs[d]
+                u, v, _ = diseqs[d]
                 self._index_diseq(d, rep[u], rep[v])
             dq_rb.extend(dq_of[ra])
 
@@ -180,28 +212,15 @@ class EufSolver(TheorySolver):
             if self._conflict is None:
                 self._conflict = d
                 self._trail.append((_CONFLICT,))
+                self.changed = True
             return
-        key = (ru, rv) if ru < rv else (rv, ru)
-        if key not in self._dq_pair:
-            self._dq_pair[key] = d
-            self._trail.append((_PAIR, key))
-
-    def _reroot(self, node: int) -> int:
-        """Make `node` the root of its proof tree; returns the old root."""
-        fparent, flabel = self._fparent, self._flabel
-        prev, prev_label = -1, None
-        while node != -1:
-            nxt, label = fparent[node], flabel[node]
-            fparent[node], flabel[node] = prev, prev_label
-            prev, prev_label = node, label
-            node = nxt
-        return prev
-
-    def _link(self, a: int, b: int, label):
-        old_root = self._reroot(a)
-        self._fparent[a] = b
-        self._flabel[a] = label
-        self._trail.append((_LINK, a, old_root))
+        n, pairs = self._n, self._dq_pair
+        key = ru * n + rv
+        if key not in pairs:
+            back = rv * n + ru
+            pairs[key] = pairs[back] = d
+            self._trail.append((_PAIR, key, back))
+            self.changed = True
 
     # -- explanations -----------------------------------------------------------
 
@@ -283,20 +302,34 @@ class EufSolver(TheorySolver):
 
     # -- assert / undo / check ----------------------------------------------------
 
-    def _assert(self, lit: int, atom: EufAtom) -> Optional[list[int]]:
-        a, b = self._ends[abs(lit)]
+    def assert_literal(self, lit: int) -> Optional[list[int]]:
+        """The base class's assert with its `_assert` in one call, which
+        sets `changed` only when the closure changes."""
+        var = lit if lit > 0 else -lit
+        ends = self._ends.get(var)
+        if ends is None:
+            atom = self.defined.get(var) or self.table.atom(var)
+            raise ValueError(f"literal over {type(atom).__name__} does not belong to {self.theory}")
+        self._asserted.append(lit)
+        self._asserted_atoms.add(var)
+        trail = self._trail
+        self._marks.append(len(trail))
+        a, b = ends
+        rep = self.rep
         if lit > 0:
-            self._merge(a, b, lit)
+            if rep[a] != rep[b]:
+                self._merge(a, b, lit)
         else:
             d = len(self._diseqs)
             self._diseqs.append((a, b, lit))
-            ra, rb = self.rep[a], self.rep[b]
-            self._dq_of[ra].append(d)
+            ra, rb = rep[a], rep[b]
+            dq_of = self._dq_of
+            dq_of[ra].append(d)
             if rb != ra:
-                self._dq_of[rb].append(d)
-            self._trail.append((_DISEQ, ra, rb))
+                dq_of[rb].append(d)
+            trail.append((_DISEQ, ra, rb))
             self._index_diseq(d, ra, rb)
-        return self._conflict_literals()
+        return None if self._conflict is None else self._conflict_literals()
 
     def _conflict_literals(self) -> Optional[list[int]]:
         if self._conflict is None:
@@ -307,26 +340,25 @@ class EufSolver(TheorySolver):
     def _undo_to(self, length: int):
         trail = self._trail
         rep, members, uses, dq_of = self.rep, self._members, self._uses, self._dq_of
-        while len(trail) > length:
-            entry = trail.pop()
+        sig, pairs, fparent, flabel = self._sig, self._dq_pair, self._fparent, self._flabel
+        for entry in reversed(trail[length:]):
             tag = entry[0]
-            if tag == _MERGE:
-                _, ra, rb, n_members, n_uses, n_dq = entry
+            if tag == _SIG:
+                del sig[entry[1]]
+            elif tag == _MERGE:
+                _, ra, rb, n_members, n_uses, n_dq, a, b = entry
                 into = members[rb]
                 for m in into[n_members:]:
                     rep[m] = ra
                 del into[n_members:]
                 del uses[rb][n_uses:]
                 del dq_of[rb][n_dq:]
-            elif tag == _SIG:
-                del self._sig[entry[1]]
-            elif tag == _LINK:
-                _, a, old_root = entry
-                self._fparent[a] = -1
-                self._flabel[a] = None
-                self._reroot(old_root)
+                if fparent[a] != b:         # a later link turned the edge round
+                    a = b
+                fparent[a] = -1
+                flabel[a] = None
             elif tag == _PAIR:
-                del self._dq_pair[entry[1]]
+                del pairs[entry[1]], pairs[entry[2]]
             elif tag == _DISEQ:
                 _, ra, rb = entry
                 self._diseqs.pop()
@@ -335,6 +367,7 @@ class EufSolver(TheorySolver):
                     dq_of[rb].pop()
             else:
                 self._conflict = None
+        del trail[length:]
 
     def check_full(self) -> Optional[list[int]]:
         return self._conflict_literals()
@@ -347,18 +380,18 @@ class EufSolver(TheorySolver):
         in two classes a disequality separates (negative), as its lemma
         clause."""
         out = []
-        rep, asserted, pairs = self.rep, self._asserted_atoms, self._dq_pair
+        rep, asserted, pairs, n = self.rep, self._asserted_atoms, self._dq_pair, self._n
         for atom_id, a, b in self._atoms:
             if atom_id in asserted:
                 continue
-            ra, rb = rep[a], rep[b]
+            ra = rep[a]
+            rb = rep[b]
             if ra == rb:
                 out.append((*[-lit for lit in self._explain([(a, b)], set())], atom_id))
                 continue
-            d = pairs.get((ra, rb) if ra < rb else (rb, ra))
-            if d is None:
+            if ra * n + rb not in pairs:
                 continue
-            u, v, dlit = self._diseqs[d]
+            u, v, dlit = self._diseqs[pairs[ra * n + rb]]
             if rep[u] != ra:
                 u, v = v, u
             out.append((*[-lit for lit in self._explain([(u, a), (v, b)], {dlit})], -atom_id))

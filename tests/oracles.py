@@ -407,3 +407,18 @@ def marco_muses(formula: Formula) -> set[frozenset[int]]:
                     seed.discard(i)
             muses.add(frozenset(seed))
             blocks.append(tuple(i + 1 for i in sorted(seed)))
+
+
+# ---------------------------------------------------------------------------
+# The shape of converted clauses
+# ---------------------------------------------------------------------------
+
+def unnormalized_clauses(formula: Formula) -> list[tuple]:
+    """The clauses of `formula` that are not tuples of distinct literals over
+    its atom table, without a literal beside its complement: what
+    `cnf_convert` must never emit, since it builds its Formula without
+    normalizing the clauses again."""
+    size = len(formula.atoms)
+    return [clause for clause in formula.clauses
+            if type(clause) is not tuple or len(set(clause)) != len(clause)
+            or any(not 1 <= abs(lit) <= size or -lit in clause for lit in clause)]

@@ -22,6 +22,12 @@ def test_arguments_and_defaults():
     assert (args.seed, args.rounds) == (7, 2)
 
 
+def test_the_change_is_the_working_tree_unless_named():
+    assert ab.parse_args(["--parent", "HEAD~1", "--workload", "lra-core"]).change is None
+    args = ab.parse_args(["--parent", "3609a69", "--change", "a556235", "--workload", "euf-core"])
+    assert (args.parent, args.change, args.workload) == ("3609a69", "a556235", "euf-core")
+
+
 @pytest.mark.parametrize("argv", [
     ["--workload", "lra-core"],                                   # no parent
     ["--parent", "HEAD"],                                         # no workload
@@ -42,6 +48,13 @@ def test_an_unknown_revision_is_a_clean_error(capsys):
     argv = ["--parent", "no-such-revision", "--workload", "lra-core"]
     assert ab.main(argv) == 2
     assert "no-such-revision" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_an_unknown_change_revision_is_a_clean_error(capsys):
+    argv = ["--parent", "HEAD", "--change", "no-such-change", "--workload", "lra-core"]
+    assert ab.main(argv) == 2
+    assert "no-such-change" in capsys.readouterr().err
 
 
 def test_summary_of_a_uniform_speed_up():

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from oracles import cnf_truth_table_sat
+from oracles import cnf_truth_table_sat, unnormalized_clauses
 from smtcore import cnf
 from smtcore.cnf import CnfError, cnf_convert
 from smtcore.parser import AssertionSet, parse
@@ -186,6 +186,32 @@ def test_conversion_preserves_satisfiability(max_distribute, monkeypatch):
         cnf_sat = cnf_truth_table_sat(formula.clauses, len(formula.atoms))
         assert cnf_sat == source_sat, [text for text, _ in drawn]
     assert checked > 150
+
+
+@pytest.mark.parametrize("max_distribute", [8, 0])
+def test_every_path_emits_normalized_clauses(max_distribute, monkeypatch):
+    """Clause-shaped assertions, distribution and the definitional
+    translation each emit distinct literals over the table, never a
+    literal beside its complement, on the random formulas above and on
+    the trees past the distribution guard."""
+    monkeypatch.setattr(cnf, "MAX_DISTRIBUTE", max_distribute)
+    rng = random.Random(5)
+    texts = ["".join(f"(assert {_random_formula(rng, rng.randint(1, 3))[0]})"
+                     for _ in range(rng.randint(1, 3))) for _ in range(300)]
+    texts += ["(assert (or a a b (not c) b))", "(assert (and (or a a) (or b (not b) c)))",
+              "(assert (or (and a b) (and a (not b)) (and a c)))"]
+    converted = 0
+    for text in texts:
+        try:
+            formula = convert(text)
+        except CnfError:
+            continue
+        converted += 1
+        assert unnormalized_clauses(formula) == [], text
+    for tree in (_or_of_pairs("", 13), ("and", [_or_of_pairs("", 12), _or_of_pairs("c", 12)])):
+        decls = "".join(f"(declare-fun {name} () Bool)" for name in _leaves(tree))
+        assert unnormalized_clauses(cnf_convert(parse(decls + f"(assert {_sexpr(tree)})"))) == []
+    assert converted > 200
 
 
 def test_traceability_covers_every_assertion():

@@ -458,7 +458,7 @@ class TestSeededMinimization:
         same equality."""
         formula = diamond_chain_formula(random.Random(5), 5, 6)
         route, kind = METHODS["lift-proof"]
-        core, _proof, store = route(formula, ExtractorConfig(kind), None)
+        core, _proof, _leaves, store = route(formula, ExtractorConfig(kind), None)
         assert any(lemma.defs for lemma in store)
         added = []
         add_clause = smt.SmtSolver.add_clause

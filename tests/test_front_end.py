@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import gen
+from oracles import unnormalized_clauses
 from smtcore.cnf import CnfError, cnf_convert
 from smtcore.parser import ParseError, parse, render_instance
 from smtcore.terms import REAL, Declarations, SortError
@@ -216,3 +217,22 @@ RANDOM_DIGESTS = {
 def test_random_arithmetic_and_structure(kind):
     texts = _random_texts(17, 400, 0.0 if kind == "well-formed" else 0.04)
     assert digest(texts) == RANDOM_DIGESTS[kind]
+
+
+def test_converted_clauses_are_normalized():
+    """`cnf_convert` builds its Formula without normalizing the clauses
+    again, so it must emit them normalized: on the random texts above, the
+    rendered `tests/gen.py` formulas and the benchmark's corpora."""
+    texts = _random_texts(17, 400, 0.0) + _random_texts(17, 400, 0.04)
+    texts += [t for seed in range(25) for t in _gen_texts(seed)]
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        texts += [inst.text for inst in workloads.build_corpus(workload, 1, 5 / workload.per_second)]
+    converted = 0
+    for text in texts:
+        try:
+            formula = cnf_convert(parse(text))
+        except (ParseError, CnfError, SortError):
+            continue
+        converted += 1
+        assert unnormalized_clauses(formula) == [], text
+    assert converted > 500

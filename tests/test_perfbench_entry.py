@@ -40,9 +40,9 @@ _BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
 COUNT_METRICS = sorted(m["name"] for m in _BENCHMARK["end_to_end"] + _BENCHMARK["per_layer"]
                        if m["unit"] == "count")
 COUNT_DIGESTS = {
-    "euf-core": "0ba3cbac0565f5e3c1ac159b9f051bab2074908f6d720b2e7e2b83a909683432",
+    "euf-core": "e33bbddc1b0c9b2bbad25d7d89a2aa976b86eb5c38c8ef1dce9bf52c0e55a644",
     "lra-core": "749631c0abdf6e1eb710b6b2a8e251b7abb0cdc7c6cb92edd542a0a599983b4e",
-    "mus-enum": "2229727da8410076227c7af9628eaf320e190474557bb1adf984d6b36a0c6fea",
+    "mus-enum": "690d28568293d47031e12746392579361142df72022eb946d6ee60a21f534f41",
     "prop-core": "05bf0f6af84307cd14d5b0c02fe1af08f88b8f1da79cb21dcfb60ab3ecbd364f",
 }
 

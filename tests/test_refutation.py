@@ -44,7 +44,7 @@ def core_and_proof(formula, method="lift-proof", fixpoint=False):
     """The raw core of a proof route and the refutation it logged."""
     route, kind = METHODS[method]
     config = ExtractorConfig(kind, fixpoint=fixpoint) if kind else None
-    core, proof, _store = route(formula, config, None)
+    core, proof, _leaves, _store = route(formula, config, None)
     assert isinstance(proof, ProofLog)
     return sorted(core), proof
 
@@ -88,8 +88,8 @@ class TestRejections:
         route, kind = METHODS["lift-proof"]
 
         def dropping_route(formula, config, budget):
-            core, proof, store = route(formula, config, budget)
-            return core[1:], proof, store
+            core, proof, leaves, store = route(formula, config, budget)
+            return core[1:], proof, leaves, store
 
         monkeypatch.setitem(cores.METHODS, "lift-proof", (dropping_route, kind))
         with pytest.raises(ExtractionError, match="core failed verification: refutation leaf"):
@@ -112,10 +112,10 @@ class TestRejections:
         for formula in (nine_clauses, abstraction_gap):
             for forge, message in ((False, lost), (True, forged)):
                 def dropping_route(formula, config, budget, forge=forge):
-                    core, proof, store = route(formula, config, budget)
+                    core, proof, leaves, store = route(formula, config, budget)
                     dropped, *kept = sorted(core)
                     lemma = TLemma(formula.clauses[dropped], "theory-conflict")
-                    return kept, proof, store + [lemma] * forge
+                    return kept, proof, leaves, store + [lemma] * forge
 
                 monkeypatch.setitem(cores.METHODS, method, (dropping_route, kind))
                 with pytest.raises(ExtractionError,
@@ -253,8 +253,8 @@ class TestRejections:
         route, kind = METHODS["smt-proof"]
 
         def dropping_route(formula, config, budget):
-            core, proof, store = route(formula, config, budget)
-            return sorted(core)[:-1], proof, store
+            core, proof, leaves, store = route(formula, config, budget)
+            return sorted(core)[:-1], proof, leaves, store
 
         monkeypatch.setitem(cores.METHODS, "smt-proof", (dropping_route, kind))
         with pytest.raises(ExtractionError, match="core failed verification"):
@@ -412,7 +412,7 @@ class TestEufLeaves:
         rejected = kept = 0
         for seed in range(8):
             formula = diamond_chain_formula(random.Random(seed), 3 + seed % 3, 8)
-            core, proof, store = route(formula, ExtractorConfig(kind), None)
+            core, proof, _leaves, store = route(formula, ExtractorConfig(kind), None)
             defs = {var: atom for lemma in store for var, atom in lemma.defs}
             assert check_refutation(formula, core, proof, defs) is None
             inputs = {frozenset(formula.clauses[i]) for i in core}
@@ -441,7 +441,7 @@ class TestEufLeaves:
     def test_check_refutation_calls_no_euf_solver_method(self, monkeypatch):
         formula = diamond_chain_formula(random.Random(3), 5, 5)
         route, kind = METHODS["lift-proof"]
-        core, proof, store = route(formula, ExtractorConfig(kind), None)
+        core, proof, _leaves, store = route(formula, ExtractorConfig(kind), None)
         defs = {var: atom for lemma in store for var, atom in lemma.defs}
 
         def forbidden(*args, **kwargs):
@@ -480,8 +480,8 @@ class TestAgreement:
     def test_both_checks_pass_on_every_proof_route(self, monkeypatch):
         seen = []
 
-        def spy(formula, core, proof, defs):
-            problem = check_refutation(formula, core, proof, defs)
+        def spy(formula, core, proof, defs, leaves):
+            problem = check_refutation(formula, core, proof, defs, leaves)
             seen.append(problem)
             return problem
 
@@ -575,9 +575,9 @@ class TestAgreement:
         monkeypatch.setattr(cores, "boolean_core", recording)
         monkeypatch.setattr(cores, "_minimize", lambda f, core, store, budget: alive.append(
             ("minimize", proofs[-1]() is not None)) or minimize(f, core, store, budget))
-        monkeypatch.setattr(cores, "check_refutation", lambda f, core, proof, defs: alive.append(
-            ("check_refutation", proofs[-1]() is not None)) or check_refutation(
-                f, core, proof, defs))
+        monkeypatch.setattr(cores, "check_refutation", lambda f, core, proof, defs, leaves:
+                            alive.append(("check_refutation", proofs[-1]() is not None))
+                            or check_refutation(f, core, proof, defs, leaves))
         for formula in (nine_clauses, abstraction_gap):
             # without verify nothing reads the refutation past the route
             extract_core(formula, "lift-proof", minimize=True)
@@ -603,12 +603,12 @@ class TestAgreement:
         route, kind = METHODS[method]
 
         def corrupting_route(formula, config, budget):
-            core, proof, store = route(formula, config, budget)
+            core, proof, leaves, store = route(formula, config, budget)
             i = proof.final
             _, first, steps, lits = proof.nodes[i]
             wrong = len(formula.atoms) + 1
             proof.nodes[i] = ("chain", first, steps[:-1] + ((wrong, steps[-1][1]),), lits)
-            return core, proof, store
+            return core, proof, leaves, store
 
         monkeypatch.setitem(cores.METHODS, method, (corrupting_route, kind))
         with pytest.raises(ExtractionError,

@@ -617,6 +617,9 @@ class TestIntake:
             fast.add_inputs(iter([iter(cl) for cl in inputs]))
             generic.add_inputs(inputs)
             assert intake_state(fast) == intake_state(generic)
+            units = [k for k, cl in enumerate(inputs) if len(set(cl)) == 1]
+            if units:
+                tally["input after a unit"] += sum(len(set(cl)) > 1 for cl in inputs[units[0]:])
             # while the two states agree, both hooks draw the same clauses
             hook_seed = rng.random()
             fast.theory_hook = RandomLemmas(fast, random.Random(hook_seed), nvars, Counter())
@@ -643,7 +646,7 @@ class TestIntake:
                     assert intake_state(fast) == intake_state(generic)
                 nvars = fast.nvars
         least = {"empty trail": 100, "on a trail": 100, "learned": 100,
-                 "one literal above level 0": 10}
+                 "one literal above level 0": 10, "input after a unit": 1000}
         assert all(tally[path] >= n for path, n in least.items()), tally
 
     def test_pigeonhole_search_is_unchanged(self):

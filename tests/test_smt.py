@@ -385,7 +385,7 @@ class TestEngineDefinedAtoms:
     def test_check_refutation_reads_the_definitions(self):
         formula = diamond_chain_formula(random.Random(7), 7, 0)
         route, kind = METHODS["lift-proof"]
-        core, proof, store = route(formula, ExtractorConfig(kind), None)
+        core, proof, _leaves, store = route(formula, ExtractorConfig(kind), None)
         defs = {var: atom for lemma in store for var, atom in lemma.defs}
         assert defs and check_refutation(formula, core, proof, defs) is None
         # a leaf over an engine variable that nothing defines
@@ -513,7 +513,7 @@ class TestLemmaStoreViolations:
             "(declare-fun p () Bool)(declare-fun q () Bool)"
             "(assert (or p q))(assert (not p))(assert (not q))"))
         route, kind = METHODS["lift-proof"]
-        core, proof, store = route(formula, ExtractorConfig(kind), None)
+        core, proof, _leaves, store = route(formula, ExtractorConfig(kind), None)
         var = len(formula.atoms) + 1
         rejected = (f"definition of variable {var} is rejected: "
                     "only an EUF formula defines atoms past its table")

@@ -1,12 +1,13 @@
 """Paired in-process A/B of the benchmark's per-instance operation.
 
-    python3 tools/ab.py --parent REV --workload lra-core [--seed 2025] [--rounds 4]
+    python3 tools/ab.py --parent REV [--change REV] --workload lra-core [--seed 2025] [--rounds 4]
 
-Run from the repository root.  The `src/` of commit REV is taken from the
-local git history with `git archive` into a temporary directory, and both
-it and the working tree's `src/` are imported into this process side by
-side, under two package names (the package imports itself only by
-relative imports).  Every instance of the seeded perfbench corpus then
+Run from the repository root.  The `src/` of the parent commit is taken
+from the local git history with `git archive` into a temporary directory,
+and so is that of the change commit when `--change` names one; without
+it, the change is the working tree's `src/`.  Both trees are imported into
+this process side by side, under two package names (the package imports
+itself only by relative imports).  Every instance of the seeded perfbench corpus then
 runs through `perfbench/run.py`'s `run_one` on both trees, `--rounds`
 times, with the side that runs first alternating by instance and round.
 Each run is timed in process CPU time, and both trees must give equal
@@ -124,7 +125,8 @@ def summary(parent: list, change: list, resamples: int = RESAMPLES, seed: int = 
 
 def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True, help="the commit to compare the working tree with")
+    ap.add_argument("--parent", required=True, help="the commit to compare the change with")
+    ap.add_argument("--change", help="the commit to compare with the parent (default: the working tree)")
     ap.add_argument("--workload", required=True, choices=sorted(perfbench_run().WORKLOADS))
     ap.add_argument("--seed", type=int, default=2025)
     ap.add_argument("--rounds", type=_positive, default=4,
@@ -147,17 +149,19 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     corpus = run.build_corpus(workload, args.seed, seconds)
     with tempfile.TemporaryDirectory() as tmp:
-        try:
-            parent_src = archive_src(args.parent, Path(tmp))
-        except subprocess.CalledProcessError:
-            print(f"cannot take src/ of {args.parent!r} from git", file=sys.stderr)
-            return 2
-        parent = load_tree(parent_src, "ab_parent_smtcore")
-        change = load_tree(ROOT / "src", "ab_change_smtcore")
-        times = compare(parent, change, workload, corpus, args.rounds)
+        trees = {}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            try:
+                src = ROOT / "src" if rev is None else archive_src(rev, Path(tmp) / side)
+            except subprocess.CalledProcessError:
+                print(f"cannot take src/ of {rev!r} from git", file=sys.stderr)
+                return 2
+            trees[side] = load_tree(src, f"ab_{side}_smtcore")
+        times = compare(trees["parent"], trees["change"], workload, corpus, args.rounds)
     s = summary(*times)
     print(f"{args.workload} seed {args.seed}, {s['instances']} instances, "
-          f"{args.rounds} rounds, signatures equal")
+          f"{args.rounds} rounds, parent {args.parent}, change {args.change or 'working tree'}, "
+          f"signatures equal")
     print(f"parent {s['parent_ms']:.3f} ms, change {s['change_ms']:.3f} ms an instance")
     print(f"total-CPU ratio {s['ratio']:.3f}, 95 % interval "
           f"[{s['low']:.3f}, {s['high']:.3f}], median per-instance ratio "
