@@ -86,12 +86,12 @@ def cmd_core(args) -> int:
     if report.verdict == "sat":
         print("sat")
         return EXIT_SAT
+    if args.out:  # first, so that a failed write prints no answer
+        Path(args.out).write_text(render_instance(formula, report.core),
+                                  encoding="utf-8")
     print("unsat")
     print("core-clauses:", " ".join(str(i + 1) for i in report.core))
     print("core-assertions:", " ".join(str(a + 1) for a in report.assertions))
-    if args.out:
-        Path(args.out).write_text(render_instance(formula, report.core),
-                                  encoding="utf-8")
     return EXIT_UNSAT
 
 

@@ -134,13 +134,15 @@ class SmtSolver:
         A theory pass (`check_full`, then `deductions` in `hook_fixpoint`)
         runs only on a `changed` state.  An unchanged one passed that check,
         and every deduction it gave is a clause of the SAT database, so
-        running the theory again could add nothing.  Every assert of LRA
-        counts as a change, and so does every backtrack, since its simplex
-        basis then differs.  EUF counts only a merge, a pair of classes
-        newly separated and a conflict, and a backjump leaves it unchanged:
-        the SAT engine decides only after the fixpoint pass of its level,
-        so a backjump lands on a state that pass checked and deduced, which
-        the exact undo restores."""
+        running the theory again could add nothing.  The engine only
+        clears the flag, after a pass; the theory sets it, on an assert
+        and in the undo of a backjump.  Every assert of LRA counts as a
+        change, and so does every backtrack, since its simplex basis then
+        differs.  EUF counts only a merge, a pair of classes newly
+        separated and a conflict, and its undo clears the flag: the SAT
+        engine decides only after the fixpoint pass of its level, so a
+        backjump lands on a state that pass checked and deduced, which the
+        exact undo restores."""
         if self._sync():
             return True
         theory = self.theory
@@ -172,10 +174,8 @@ class SmtSolver:
         synced = self._synced_positions
         if synced and synced[-1] >= trail_len:
             keep = bisect_left(synced, trail_len)
-            theory = self.theory
-            theory.backtrack(keep)
+            self.theory.backtrack(keep)
             del synced[keep:]
-            theory.changed = not theory.exact_undo
 
     # -- solving ----------------------------------------------------------------
 

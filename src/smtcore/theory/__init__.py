@@ -7,7 +7,7 @@ from __future__ import annotations
 import copy
 from typing import Iterable, Optional
 
-from ..terms import LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, Atom, AtomTable, EufAtom, FunApp
+from ..terms import LOGIC_EUF, LOGIC_LRA, LOGIC_PROP, Atom, AtomTable, EufAtom, FunApp, LinAtom
 from .base import TheorySolver
 from .euf import EufSolver
 from .lra import LraSolver
@@ -187,7 +187,7 @@ class _LraValidity(_Validity):
 
     def _refutes(self, lits: frozenset[int]) -> bool:
         solver = self.solver
-        owned = [lit for lit in sorted(lits, key=abs) if solver.owns_atom(self.atom(abs(lit)))]
+        owned = [lit for lit in sorted(lits, key=abs) if isinstance(self.atom(abs(lit)), LinAtom)]
         refuted = any(solver.assert_literal(-lit) is not None for lit in owned) \
             or solver.check_full() is not None
         solver.backtrack(0)

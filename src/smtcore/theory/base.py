@@ -14,18 +14,21 @@ The engine receives what a solver infers as lemma clauses, the shape in
 which it stores them: `conflict_clauses` states a conflict, and
 `deductions` gives each entailed literal with its explanation negated.
 
-Every change a solver makes to its state is pushed on one undo trail,
-`_trail`, whose entries only the concrete solver reads.  The base class
-records the trail's length before each asserted literal in `_marks`, and
-`backtrack` hands the length at the mark to the solver's `_undo_to`, which
-pops entries until the trail is that long again.  A solver may also undo
-to a length it took itself, as a check that probes the state does.
+Each solver's `assert_literal` is one call that keeps the shared records:
+the literal in `_asserted`, its atom in `_asserted_atoms`, and the undo
+trail's length before it in `_marks`.  Every change a solver makes to its
+state is pushed on that trail, `_trail`, whose entries only the concrete
+solver reads.  `backtrack` hands the length at a mark to the solver's
+`_undo_to`, which pops entries until the trail is that long again.  A
+solver may also undo to a length it took itself, as a check that probes
+the state does.
 
 `changed` tells the engine when `check_full` and `deductions` may answer
-otherwise than at its last pass, which cleared it: the base sets it on
-every assert, and a solver may set it only when its state changes in a way
-they read.  `exact_undo` says that `backtrack` restores a state on which
-both answer as they did when it was first reached.
+otherwise than at its last pass, which cleared it.  Each solver owns the
+flag: it sets it when an assert changes what they read, and `_undo_to`
+sets it too, False when the undo is exact (EUF: the restored state is one
+that a pass already read) and True when it is not (LRA: the simplex basis
+stays as the undone steps left it).
 """
 from __future__ import annotations
 
@@ -35,10 +38,7 @@ from ..terms import Atom, AtomTable
 
 
 class TheorySolver:
-    """Base class; concrete solvers implement the underscored primitives."""
-
-    theory: str = "?"
-    exact_undo: bool = False
+    """Base class; concrete solvers implement the methods that raise."""
 
     def __init__(self, table: AtomTable):
         self.table = table
@@ -62,17 +62,6 @@ class TheorySolver:
         del self._marks[mark:]
         self._undo_to(length)
 
-    def assert_literal(self, lit: int) -> Optional[list[int]]:
-        var = abs(lit)
-        atom = self.defined.get(var) or self.table.atom(var)
-        if not self.owns_atom(atom):
-            raise ValueError(f"literal over {type(atom).__name__} does not belong to {self.theory}")
-        self._asserted.append(lit)
-        self._asserted_atoms.add(var)
-        self._marks.append(len(self._trail))
-        self.changed = True
-        return self._assert(lit, atom)
-
     def conflict_clauses(self, conflict: list[int],
                          new_var: Callable[[], int]) -> list[tuple[int, ...]]:
         """Theory-valid clauses to add, in order, for the conflict that
@@ -85,14 +74,19 @@ class TheorySolver:
 
     # -- to implement ---------------------------------------------------------
 
-    def owns_atom(self, atom) -> bool:
-        raise NotImplementedError
-
-    def _assert(self, lit: int, atom) -> Optional[list[int]]:
+    def assert_literal(self, lit: int) -> Optional[list[int]]:
+        """Assert `lit` and return a conflict, or None.  A literal over an
+        atom of another theory is a ValueError saying that it does not
+        belong to this one, and leaves the solver as it was.  Otherwise
+        the literal is appended to `_asserted`, its variable added to
+        `_asserted_atoms` and the trail's length before its changes to
+        `_marks`, and `changed` is set if `check_full` or `deductions`
+        may now answer otherwise."""
         raise NotImplementedError
 
     def _undo_to(self, length: int):
-        """Pop undo entries until `_trail` has `length` entries."""
+        """Pop undo entries until `_trail` has `length` entries, and set
+        `changed` (see the module docstring)."""
         raise NotImplementedError
 
     def check_full(self) -> Optional[list[int]]:

@@ -30,12 +30,14 @@ answers they had, so the engine runs neither for it.
 Every change to these structures is pushed on the base class's undo
 trail, and backtracking pops the trail back to the length it had when the
 mark's literal was asserted; nothing is rebuilt from the asserted prefix.
-The undo is exact (`exact_undo`): after `backtrack(n)` the classes,
-signatures and disequalities are those the first n literals gave, and the
-proof forest has the same edges with the same labels.  An undone link
-cuts its edge without turning the tree back, so an edge may point the
-other way than before; a path between two terms of one tree is unique,
-so every explanation and lemma reads the same edges in the same order.
+The undo is exact: after `backtrack(n)` the classes, signatures and
+disequalities are those the first n literals gave, and the proof forest
+has the same edges with the same labels.  An undone link cuts its edge
+without turning the tree back, so an edge may point the other way than
+before; a path between two terms of one tree is unique, so every
+explanation and lemma reads the same edges in the same order.  So
+`_undo_to` clears `changed`: the engine decides only after the theory
+pass of its level, and a backjump lands on a state that pass has read.
 
 A conflict reaches the engine as a chain of short lemmas rather than one
 clause (`conflict_clauses`), after the proof-forest path between the two
@@ -64,9 +66,6 @@ _MERGE, _SIG, _DISEQ, _PAIR, _CONFLICT = range(5)
 
 
 class EufSolver(TheorySolver):
-    theory = "EUF"
-    exact_undo = True
-
     def __init__(self, table):
         super().__init__(table)
         self.terms: list[Term] = []
@@ -110,9 +109,6 @@ class EufSolver(TheorySolver):
         # stored under both orders
         self._dq_pair: dict[int, int] = {}
         self._conflict: Optional[int] = None     # a disequality whose sides are merged
-
-    def owns_atom(self, atom) -> bool:
-        return isinstance(atom, EufAtom)
 
     def _register(self, t: Term, symbols: dict) -> int:
         """The id of `t`, registering it and its subterms, arguments first."""
@@ -303,13 +299,12 @@ class EufSolver(TheorySolver):
     # -- assert / undo / check ----------------------------------------------------
 
     def assert_literal(self, lit: int) -> Optional[list[int]]:
-        """The base class's assert with its `_assert` in one call, which
-        sets `changed` only when the closure changes."""
+        """Sets `changed` only when the closure changes."""
         var = lit if lit > 0 else -lit
         ends = self._ends.get(var)
         if ends is None:
-            atom = self.defined.get(var) or self.table.atom(var)
-            raise ValueError(f"literal over {type(atom).__name__} does not belong to {self.theory}")
+            atom = self.table.atom(var)     # every defined variable has ends
+            raise ValueError(f"literal over {type(atom).__name__} does not belong to EUF")
         self._asserted.append(lit)
         self._asserted_atoms.add(var)
         trail = self._trail
@@ -368,6 +363,7 @@ class EufSolver(TheorySolver):
             else:
                 self._conflict = None
         del trail[length:]
+        self.changed = False
 
     def check_full(self) -> Optional[list[int]]:
         return self._conflict_literals()

@@ -15,13 +15,26 @@ strict inequalities are exact.  A delta-rational is a plain
 `(real, delta)` tuple standing for real + delta * eps with eps > 0
 infinitesimal, so Python's tuple order is the order of the values.  Each
 literal's slack and bound tuples are worked out once, on its first
-assertion.  The check keeps a set holding every basic variable outside
-its bounds and repairs the smallest first, which is Bland's rule (first
-eligible by fixed variable order) and guarantees termination.  A bound
-asserted past the opposite bound is a conflict at once and stays one
-until it is undone.  Conflicts are the Farkas row of the failing bound:
-the bound-introducing literals with nonzero coefficient in the
-infeasibility certificate; they are sound but not necessarily minimal.
+assertion.  A nonbasic variable moves by one routine, `_update_nonbasic`,
+which moves each basic variable whose row holds it: a bound asserted on
+it moves it into the bound, and `_pivot_and_update` moves the entering
+column by the step that brings the leaving variable to its bound, then
+pivots.  The check keeps a set holding every basic variable outside its
+bounds and repairs the smallest first, which is Bland's rule (first
+eligible by fixed variable order) and guarantees termination.  One rule
+repairs either side, up to sign: a variable below its lower bound must
+rise and one above its upper bound must fall, so the first column that
+can move it that way enters, and when none can, the violated bound and
+the bounds blocking the row's columns are the conflict.  A bound asserted
+past the opposite bound is a conflict at once and stays one until it is
+undone.  Conflicts are the Farkas row of the failing bound: the
+bound-introducing literals with nonzero coefficient in the infeasibility
+certificate; they are sound but not necessarily minimal.
+
+`assert_literal` works out a literal's plan the first time it is seen,
+and rejects a literal that is not over a `LinAtom`.  Every assert and
+every undo sets `changed`: an undo restores the bounds but not the basis,
+so a check may pivot otherwise than it did before.
 
 Negated equalities are held aside as disequalities and settled inside
 check_full by probing both strict sides; when both sides fail the conflict
@@ -148,8 +161,6 @@ class _Propagation:
 
 
 class LraSolver(TheorySolver):
-    theory = "LRA"
-
     def __init__(self, table):
         super().__init__(table)
         self.columns: dict[Var, int] = {}
@@ -169,9 +180,6 @@ class LraSolver(TheorySolver):
         self._synced = 0                     # trail length the base bounds are current at
         self._reported: list[int] = []       # tests the last call reported
         self._seen: set[int] = set()         # atoms asserted at the last call
-
-    def owns_atom(self, atom) -> bool:
-        return isinstance(atom, LinAtom)
 
     # -- tableau ---------------------------------------------------------------
 
@@ -236,35 +244,29 @@ class LraSolver(TheorySolver):
         if up is not None and value > up[0]:
             self._out_of_bounds.add(var)
 
-    def _update_nonbasic(self, xj: int, v: tuple):
+    def _update_nonbasic(self, xj: int, dr: Rational, dd: Rational):
+        """Move every basic variable whose row holds column xj as xj moves
+        by dr + dd * eps; the caller sets xj's own value."""
         values = self.values
-        cur = values[xj]
-        dr, dd = v[0] - cur[0], v[1] - cur[1]
         for xi, row in self.rows.items():
             a = row.get(xj)
             if a:
                 r, d = values[xi]
                 values[xi] = nv = (r + dr * a, d + dd * a)
                 self._track(xi, nv)
-        values[xj] = v
 
     def _pivot_and_update(self, xi: int, xj: int, v: tuple):
+        """Move basic xi to v by moving column xj, then pivot: xj becomes
+        basic and xi nonbasic at v."""
         values = self.values
         row = self.rows[xi]
         aij = row[xj]
         r, d = values[xi]
         tr, td = _div(v[0] - r, aij), _div(v[1] - d, aij)
-        values[xi] = v
         r, d = values[xj]
         values[xj] = (r + tr, d + td)
-        for xk, rk in self.rows.items():
-            if xk != xi:
-                a = rk.get(xj)
-                if a:
-                    r, d = values[xk]
-                    values[xk] = nv = (r + tr * a, d + td * a)
-                    self._track(xk, nv)
-        # pivot: xj leaves the nonbasic set, xi enters it at its bound
+        self._update_nonbasic(xj, tr, td)
+        values[xi] = v                  # exact as given: no int turns into a Fraction
         self._out_of_bounds.discard(xi)
         self._track(xj, values[xj])
         del self.rows[xi]
@@ -305,7 +307,8 @@ class LraSolver(TheorySolver):
             if var in self.rows:
                 self._out_of_bounds.add(var)
             else:  # nonbasic: move inside the bound
-                self._update_nonbasic(var, value)
+                self._update_nonbasic(var, value[0] - current[0], value[1] - current[1])
+                self.values[var] = value
         return None
 
     # -- assert / undo ------------------------------------------------------------
@@ -330,10 +333,18 @@ class LraSolver(TheorySolver):
         strict = (atom.rel == "<") == (lit > 0)
         return _BOUNDS, sid, ((is_lower, (c, (1 if is_lower else -1) if strict else 0)),)
 
-    def _assert(self, lit: int, atom: LinAtom) -> Optional[list[int]]:
+    def assert_literal(self, lit: int) -> Optional[list[int]]:
+        """Works out the literal's plan the first time it is asserted."""
         plan = self._lit_plans.get(lit)
         if plan is None:
+            atom = self.table.atom(abs(lit))
+            if not isinstance(atom, LinAtom):
+                raise ValueError(f"literal over {type(atom).__name__} does not belong to LRA")
             plan = self._lit_plans[lit] = self._literal_plan(lit, atom)
+        self._asserted.append(lit)
+        self._asserted_atoms.add(abs(lit))
+        self._marks.append(len(self._trail))
+        self.changed = True
         kind, sid, data = plan
         if kind == _BOUNDS:
             for is_lower, value in data:
@@ -373,6 +384,7 @@ class LraSolver(TheorySolver):
                 self._synced = entry[1]
             else:  # _CROSSED
                 self._crossed = entry[1]
+        self.changed = True  # the basis stays as the undone steps left it
 
     # -- feasibility --------------------------------------------------------------
 
@@ -384,39 +396,35 @@ class LraSolver(TheorySolver):
         rows, values, lower, upper = self.rows, self.values, self.lower, self.upper
         out = self._out_of_bounds
         while out:
-            xi = min(out)
-            row = rows.get(xi)
+            xi = min(out)  # basic: a variable leaves the set as it leaves the basis
+            row = rows[xi]
+            # the violated bound, and whether xi must rise to it
             low, up = lower.get(xi), upper.get(xi)
-            if row is not None and low is not None and values[xi] < low[0]:
-                kind = "low"
-            elif row is not None and up is not None and values[xi] > up[0]:
-                kind = "up"
+            if low is not None and values[xi] < low[0]:
+                bound, rising = low, True
+            elif up is not None and values[xi] > up[0]:
+                bound, rising = up, False
             else:
                 out.discard(xi)
                 continue
-            pivot = None
+            # the first column, in index order, that can move the way that
+            # moves xi towards the bound (xi's way when its coefficient is
+            # positive) before its own bound blocks it; if none can, the
+            # violated bound and the blocking ones are the Farkas row
+            reasons = [bound[1]]
             for xj in sorted(row):
-                a = row[xj]
-                if kind == "low":
-                    ok = (a > 0 and (xj not in upper or values[xj] < upper[xj][0])) or \
-                         (a < 0 and (xj not in lower or values[xj] > lower[xj][0]))
+                if (row[xj] > 0) == rising:
+                    block = upper.get(xj)
+                    if block is None or values[xj] < block[0]:
+                        break
                 else:
-                    ok = (a < 0 and (xj not in upper or values[xj] < upper[xj][0])) or \
-                         (a > 0 and (xj not in lower or values[xj] > lower[xj][0]))
-                if ok:
-                    pivot = xj
-                    break
-            if pivot is None:
-                if kind == "low":
-                    reasons = [low[1]]
-                    for xj in sorted(row):
-                        reasons.append(upper[xj][1] if row[xj] > 0 else lower[xj][1])
-                else:
-                    reasons = [up[1]]
-                    for xj in sorted(row):
-                        reasons.append(lower[xj][1] if row[xj] > 0 else upper[xj][1])
+                    block = lower.get(xj)
+                    if block is None or values[xj] > block[0]:
+                        break
+                reasons.append(block[1])
+            else:
                 return reasons
-            self._pivot_and_update(xi, pivot, low[0] if kind == "low" else up[0])
+            self._pivot_and_update(xi, xj, bound[0])
         return None
 
     # -- disequality splitting ------------------------------------------------------

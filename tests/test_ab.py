@@ -2,7 +2,9 @@
 arguments, its statistics, and a null comparison of the working tree
 with a copy of itself, whose interval must contain 1."""
 import importlib.util
+import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,11 +71,14 @@ def test_summary_of_a_uniform_speed_up():
 
 @pytest.fixture
 def two_copies(tmp_path):
-    """The working tree's package and a copy of it, imported side by side."""
+    """The working tree's package and a copy of it, imported side by side,
+    each with the working tree's `run_one`."""
     shutil.copytree(ROOT / "src" / "smtcore", tmp_path / "src" / "smtcore",
                     ignore=shutil.ignore_patterns("__pycache__"))
     names = ("ab_null_copy", "ab_null_tree")
-    yield ab.load_tree(tmp_path / "src", names[0]), ab.load_tree(ROOT / "src", names[1])
+    run_one = ab.perfbench_run().run_one
+    yield ((ab.load_tree(tmp_path / "src", names[0]), run_one),
+           (ab.load_tree(ROOT / "src", names[1]), run_one))
     for name in [m for m in sys.modules if m.split(".")[0] in names]:
         del sys.modules[name]
 
@@ -85,3 +90,34 @@ def test_null_comparison_interval_contains_one(two_copies):
     s = ab.summary(*ab.compare(*two_copies, workload, corpus, 4))
     assert s["instances"] == len(corpus) == 6
     assert s["low"] <= 1.0 <= s["high"], s
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_each_revision_runs_its_own_run_one(tmp_path, monkeypatch, capsys):
+    """A commit whose `perfbench/run.py` has a `run_one` that fails every
+    instance: as the parent it fails against the working tree, and as both
+    sides it agrees with itself."""
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src" / "smtcore", repo / "src" / "smtcore",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", repo / "perfbench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    run_py = repo / "perfbench" / "run.py"
+    text = run_py.read_text()
+    marker = 'def run_one(sm, workload, inst):\n    """The measured per-instance operation."""\n'
+    assert text.count(marker) == 1
+    run_py.write_text(text.replace(marker, marker + '    raise RuntimeError("archived")\n'))
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
+    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "archived run_one"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    monkeypatch.setattr(ab, "ROOT", repo)
+    argv = ["--parent", "HEAD", "--workload", "lra-core", "--rounds", "1"]
+    archived_fails = r"parent gives \['error', 'RuntimeError'\], change gives \['(sat|unsat)'"
+    with pytest.raises(AssertionError, match=archived_fails):
+        ab.main(argv)
+    assert ab.main(argv + ["--change", "HEAD"]) == 0
+    assert "signatures equal" in capsys.readouterr().out
+    for name in [m for m in sys.modules if m.split(".")[0].startswith("ab_")]:
+        del sys.modules[name]

@@ -142,6 +142,14 @@ class TestCore:
         code2, out2, _ = run_cli("solve", str(dest), capsys=capsys)
         assert code2 == 20 and out2.strip() == "unsat"
 
+    def test_out_that_cannot_be_written_prints_no_answer(self, data_dir, tmp_path, capsys):
+        dest = tmp_path / "missing" / "core.smt2"
+        code, out, err = run_cli("core", str(data_dir / NINE_CLAUSES), "--out", str(dest),
+                                 capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(dest) in err
+        assert not dest.exists()
+
     def test_out_writes_the_auxiliaries_under_fresh_names(self, tmp_path, capsys):
         """A core with CNF auxiliaries is written with each under the first
         `aux!N` that no declared symbol takes, since SMT-LIB reserves the

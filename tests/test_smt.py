@@ -330,6 +330,34 @@ class TestTheoryGuard:
         engine.hook_fixpoint()
         assert calls == ["check_full", "deductions"]
 
+    def test_a_backjump_that_retracts_an_euf_literal_waits_for_a_merge(self):
+        # the EUF undo is exact and lands on a state a pass has read, so
+        # EUF checks again only after a new merge or separation, even when
+        # the retracted literal made a conflict
+        formula = cnf_convert(parse(
+            "(set-logic QF_UF)(declare-sort U 0)(declare-fun f (U) U)"
+            "(declare-fun a () U)(declare-fun b () U)(declare-fun c () U)"
+            "(assert (or (= a b) (= b c)))"
+            "(assert (or (not (= (f a) (f b))) (= a c)))"))
+        iab, ifab = 1, 3                # a = b and f(a) = f(b), in table order
+        engine, calls = self.counted_engine(formula)
+        assert isinstance(engine.theory, EufSolver) and engine.sat.trail == []
+        self.decide(engine, -ifab)      # a separation: a pass
+        self.settle(engine)
+        assert calls[:2] == ["check_full", "deductions"]
+        calls.clear()
+        self.decide(engine, iab)        # a merge whose congruence conflicts
+        assert engine.hook_fixpoint() and engine.theory.changed
+        engine.sat._backjump(1)
+        assert engine.theory._asserted == [-ifab] and not engine.theory.changed
+        assert not engine.hook_fixpoint() and not engine.hook_final()
+        engine.sat._backjump(0)
+        assert not engine.hook_fixpoint() and not engine.hook_final()
+        assert calls == []
+        self.decide(engine, self.unassigned_theory_atom(engine))
+        engine.hook_fixpoint()
+        assert calls == ["check_full", "deductions"]
+
 
 def _diamond_formulas():
     """Diamond chains with and without noise: their refutations store

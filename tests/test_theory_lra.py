@@ -10,7 +10,9 @@ from smtcore.cnf import cnf_convert
 from smtcore.cores import minimize_core
 from smtcore.parser import parse
 from smtcore.smt import evaluate_clause, smt_solve
-from smtcore.terms import REAL, AtomTable, LinComb, Var, canonical_lin_atom, eval_lin_atom
+from smtcore.terms import (
+    REAL, AtomTable, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom, eval_lin_atom,
+)
 from smtcore.theory import LraSolver, validity_check
 
 X = Var("x", REAL, 0)
@@ -409,6 +411,35 @@ class TestValidity:
         table, (ieq,) = table_with(lin({X: 1}, 0, "="))
         # (x=0 or x=0) is not valid; (x=0 or not x=0) is
         assert _lra_verdicts(table, [(ieq, ieq), (ieq, -ieq)]) == [False, True]
+
+    def test_a_propositional_literal_counts_for_nothing(self):
+        table, (ip, ile0, ile1) = table_with(
+            PropAtom("p"), lin({X: 1}, 0, "<="), lin({X: 1}, -1, "<="))
+        # x <= 0 implies x <= 1, whatever p is
+        clauses = [(ip, -ile0, ile1), (-ip, -ile0, ile1), (ip, ile0), (ip, -ip)]
+        assert _lra_verdicts(table, clauses) == [True, True, False, True]
+
+
+class TestForeignLiterals:
+    """Only a literal over a `LinAtom` belongs to LRA; another is rejected
+    and leaves the solver as it was."""
+
+    @pytest.mark.parametrize("foreign", [
+        euf_atom(Var("a", "U", 2), Var("b", "U", 3)),
+        PropAtom("p"),
+    ], ids=["euf", "prop"])
+    def test_a_foreign_literal_is_rejected_and_changes_nothing(self, foreign):
+        table, (ile0, ibad) = table_with(lin({X: 1}, 0, "<="), foreign)
+        s = LraSolver(table)
+        assert s.assert_literal(ile0) is None
+        state = (list(s._asserted), set(s._asserted_atoms), list(s._marks), list(s._trail))
+        for lit in (ibad, -ibad):
+            with pytest.raises(ValueError, match="does not belong to LRA"):
+                s.assert_literal(lit)
+            assert (s._asserted, s._asserted_atoms, s._marks, s._trail) == state
+        assert s.check_full() is None
+        s.backtrack(0)
+        assert (s._asserted, s._marks) == ([], [])
 
 
 class PivotWatch(LraSolver):

@@ -2,16 +2,17 @@
 
     python3 tools/ab.py --parent REV [--change REV] --workload lra-core [--seed 2025] [--rounds 4]
 
-Run from the repository root.  The `src/` of the parent commit is taken
-from the local git history with `git archive` into a temporary directory,
-and so is that of the change commit when `--change` names one; without
-it, the change is the working tree's `src/`.  Both trees are imported into
-this process side by side, under two package names (the package imports
-itself only by relative imports).  Every instance of the seeded perfbench corpus then
-runs through `perfbench/run.py`'s `run_one` on both trees, `--rounds`
+Run from the repository root.  The `src/` and `perfbench/` of the parent
+commit are taken from the local git history with `git archive` into a
+temporary directory, and so are those of the change commit when
+`--change` names one; without it, the change is the working tree's.
+Both packages are imported into this process side by side, under two
+package names (the package imports itself only by relative imports).
+Every instance of the seeded perfbench corpus then runs on both sides,
+each through the `run_one` of its own `perfbench/run.py`, `--rounds`
 times, with the side that runs first alternating by instance and round.
-Each run is timed in process CPU time, and both trees must give equal
-`run.signature`s.
+The corpus and `run.signature` are the working tree's.  Each run is timed
+in process CPU time, and both sides must give equal signatures.
 
 Printed: the ratio change/parent of the total CPU time of all runs, a
 bootstrap 95 % interval of that ratio, and the median over instances of
@@ -53,13 +54,14 @@ def perfbench_run():
     return module
 
 
-def archive_src(rev: str, dest: Path) -> Path:
-    """Extract `src/` of commit `rev` under `dest`; returns the `src` path."""
-    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+def archive_tree(rev: str, dest: Path) -> Path:
+    """Extract `src/` and `perfbench/` of commit `rev` under `dest`;
+    returns `dest`."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src", "perfbench"], cwd=ROOT,
                          stdout=subprocess.PIPE, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
-    return dest / "src"
+    return dest
 
 
 def load_tree(src: Path, name: str):
@@ -72,31 +74,49 @@ def load_tree(src: Path, name: str):
     return module
 
 
+def load_run_one(path: Path, name: str):
+    """The `run_one` of the `perfbench/run.py` at `path`, loaded as the
+    module `name`.  That file imports `workloads`, `spans` and `speed` by
+    name and so finds the working tree's, which `perfbench_run` loads
+    first; the entry it puts on `sys.path` is taken off again."""
+    perfbench_run()
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module.run_one
+
+
 def compare(parent, change, workload, corpus, rounds: int) -> tuple[list, list]:
-    """Per instance and round, the CPU seconds of `run_one` on each tree;
-    raises AssertionError when the two trees' outcomes have different
-    signatures."""
-    run = perfbench_run()
-    times = {parent: [[] for _ in corpus], change: [[] for _ in corpus]}
+    """Per instance and round, the CPU seconds of each side's run, a side
+    being a pair (package, its `run_one`); raises AssertionError when the
+    two sides' outcomes have different signatures."""
+    signature = perfbench_run().signature
+    sides = {"parent": parent, "change": change}
+    times = {side: [[] for _ in corpus] for side in sides}
     for r in range(rounds):
         gc.collect()
         for k, inst in enumerate(corpus):
-            order = (parent, change) if (k + r) % 2 == 0 else (change, parent)
+            order = ("parent", "change") if (k + r) % 2 == 0 else ("change", "parent")
             signatures = {}
-            for sm in order:
+            for side in order:
+                sm, run_one = sides[side]
                 start = time.process_time()
                 try:
-                    outcome = run.run_one(sm, workload, inst)
+                    outcome = run_one(sm, workload, inst)
                 except Exception as exc:  # compared by signature, as run.py does
                     outcome = exc
                 elapsed = time.process_time() - start
-                signatures[sm] = run.signature(outcome)
+                signatures[side] = signature(outcome)
                 outcome = None
-                times[sm][k].append(elapsed)
-            if signatures[parent] != signatures[change]:
-                raise AssertionError(f"{inst.name}: parent gives {signatures[parent]}, "
-                                     f"change gives {signatures[change]}")
-    return times[parent], times[change]
+                times[side][k].append(elapsed)
+            if signatures["parent"] != signatures["change"]:
+                raise AssertionError(f"{inst.name}: parent gives {signatures['parent']}, "
+                                     f"change gives {signatures['change']}")
+    return times["parent"], times["change"]
 
 
 def summary(parent: list, change: list, resamples: int = RESAMPLES, seed: int = 0) -> dict:
@@ -149,15 +169,20 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     corpus = run.build_corpus(workload, args.seed, seconds)
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
+        sides = {}
         for side, rev in (("parent", args.parent), ("change", args.change)):
+            name = f"ab_{side}_smtcore"
+            if rev is None:
+                sides[side] = load_tree(ROOT / "src", name), run.run_one
+                continue
             try:
-                src = ROOT / "src" if rev is None else archive_src(rev, Path(tmp) / side)
+                root = archive_tree(rev, Path(tmp) / side)
             except subprocess.CalledProcessError:
-                print(f"cannot take src/ of {rev!r} from git", file=sys.stderr)
+                print(f"cannot take src/ and perfbench/ of {rev!r} from git", file=sys.stderr)
                 return 2
-            trees[side] = load_tree(src, f"ab_{side}_smtcore")
-        times = compare(trees["parent"], trees["change"], workload, corpus, args.rounds)
+            sides[side] = (load_tree(root / "src", name),
+                           load_run_one(root / "perfbench" / "run.py", f"ab_{side}_run"))
+        times = compare(sides["parent"], sides["change"], workload, corpus, args.rounds)
     s = summary(*times)
     print(f"{args.workload} seed {args.seed}, {s['instances']} instances, "
           f"{args.rounds} rounds, parent {args.parent}, change {args.change or 'working tree'}, "
