@@ -90,12 +90,12 @@ class SmtSolver:
             self.store.append(TLemma(clause, kind, defs))
         return status
 
-    def _conflict_lemma(self, conflict: list[int]) -> bool:
-        """Add the lemmas that refute a theory conflict, in order, until one
-        is false: the SAT engine's pending conflict.  Each one before it is
-        unit or satisfied when added, so its last literal holds for the
-        next."""
-        for clause in self.theory.conflict_clauses(conflict, self._new_theory_var):
+    def _conflict_lemma(self) -> bool:
+        """Add the lemmas that state the theory conflict just reported, as
+        `conflict_clauses` gives them, in order, until one is false: the
+        SAT engine's pending conflict.  Each one before it is unit or
+        satisfied when added, so its last literal holds for the next."""
+        for clause in self.theory.conflict_clauses(self._new_theory_var):
             if self._add_lemma(clause, "theory-conflict") == "conflict":
                 return True
         raise RuntimeError("the lemmas of a theory conflict end in a clause that is not false")
@@ -118,18 +118,18 @@ class SmtSolver:
         for pos in range(start, end):
             lit = trail[pos]
             if lit in assertable:
-                conflict = assert_literal(lit)
+                inconsistent = assert_literal(lit)
                 synced.append(pos)
-                if conflict is not None:
+                if inconsistent:
                     self._scan_pos = pos + 1
-                    return self._conflict_lemma(conflict)
+                    return self._conflict_lemma()
         self._scan_pos = end
         return False
 
     def _check(self) -> bool:
         """Sync, then check the asserted literals if the theory reports them
         `changed` since the last fixpoint pass; True on a theory conflict,
-        whose lemma is stored.
+        whose lemmas (`_conflict_lemma`) are stored.
 
         A theory pass (`check_full`, then `deductions` in `hook_fixpoint`)
         runs only on a `changed` state.  An unchanged one passed that check,
@@ -148,8 +148,7 @@ class SmtSolver:
         theory = self.theory
         if not theory.changed:
             return False
-        conflict = theory.check_full()
-        return conflict is not None and self._conflict_lemma(conflict)
+        return theory.check_full() and self._conflict_lemma()
 
     def hook_fixpoint(self) -> bool:
         if self._check():

@@ -111,11 +111,6 @@ class LinComb:
     terms: tuple[tuple[Var, Rational], ...]
     offset: Rational
 
-    @staticmethod
-    def build(coeffs: dict[Var, Rational], offset: Rational) -> "LinComb":
-        return LinComb(tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0),
-                                    key=lambda it: it[0].index)), offset)
-
 
 Term = Union[Var, FunApp, LinComb]
 

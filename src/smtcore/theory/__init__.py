@@ -188,7 +188,6 @@ class _LraValidity(_Validity):
     def _refutes(self, lits: frozenset[int]) -> bool:
         solver = self.solver
         owned = [lit for lit in sorted(lits, key=abs) if isinstance(self.atom(abs(lit)), LinAtom)]
-        refuted = any(solver.assert_literal(-lit) is not None for lit in owned) \
-            or solver.check_full() is not None
+        refuted = any(solver.assert_literal(-lit) for lit in owned) or solver.check_full()
         solver.backtrack(0)
         return refuted

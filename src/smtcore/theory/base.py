@@ -5,14 +5,13 @@ A solver owns the atoms of exactly one theory.  A literal is the SAT
 solver's: a signed atom id of the table, positive for the atom and negative
 for its negation, or a signed variable past the table that names an atom
 in `defined` (the engine's own atoms: the table never grows), which only
-`EufSolver.define` fills.  Asserting a literal either extends the state
-or returns a conflict: a subset of the currently asserted literals whose
-conjunction is theory-unsatisfiable.  The full check answers the same
-way, with such a conflict or None.  `backtrack(n)` restores exactly the
-state in which the first n of the asserted literals were asserted.
-The engine receives what a solver infers as lemma clauses, the shape in
-which it stores them: `conflict_clauses` states a conflict, and
-`deductions` gives each entailed literal with its explanation negated.
+`EufSolver.define` fills.  Asserting a literal answers whether the
+asserted literals are now inconsistent, and so does the full check.
+`backtrack(n)` restores exactly the state in which the first n of the
+asserted literals were asserted.  The engine receives what a solver infers
+as lemma clauses, the shape in which it stores them: `conflict_clauses`
+states the conflict that the last True answer reported, and `deductions`
+gives each entailed literal with its explanation negated.
 
 Each solver's `assert_literal` is one call that keeps the shared records:
 the literal in `_asserted`, its atom in `_asserted_atoms`, and the undo
@@ -32,7 +31,7 @@ stays as the undone steps left it).
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..terms import Atom, AtomTable
 
@@ -62,20 +61,11 @@ class TheorySolver:
         del self._marks[mark:]
         self._undo_to(length)
 
-    def conflict_clauses(self, conflict: list[int],
-                         new_var: Callable[[], int]) -> list[tuple[int, ...]]:
-        """Theory-valid clauses to add, in order, for the conflict that
-        `assert_literal` or `check_full` just returned as `conflict`.
-        Under the asserted literals and the clauses before it, each clause
-        has at most one literal that is not false, and the last has none.
-        Here, the one clause negating `conflict`; a solver may instead
-        state them over atoms it defines on variables from `new_var`."""
-        return [tuple(-lit for lit in conflict)]
-
     # -- to implement ---------------------------------------------------------
 
-    def assert_literal(self, lit: int) -> Optional[list[int]]:
-        """Assert `lit` and return a conflict, or None.  A literal over an
+    def assert_literal(self, lit: int) -> bool:
+        """Assert `lit`; whether the asserted literals are now
+        inconsistent (see `conflict_clauses`).  A literal over an
         atom of another theory is a ValueError saying that it does not
         belong to this one, and leaves the solver as it was.  Otherwise
         the literal is appended to `_asserted`, its variable added to
@@ -89,14 +79,25 @@ class TheorySolver:
         `changed` (see the module docstring)."""
         raise NotImplementedError
 
-    def check_full(self) -> Optional[list[int]]:
-        """A conflict among the asserted literals, in the form
-        `assert_literal` returns one, or None when they are consistent."""
+    def check_full(self) -> bool:
+        """Whether the asserted literals are inconsistent, as
+        `assert_literal` answers (see `conflict_clauses`)."""
+        raise NotImplementedError
+
+    def conflict_clauses(self, new_var: Callable[[], int]) -> list[tuple[int, ...]]:
+        """Theory-valid clauses to add, in order, that state the conflict
+        the last True answer of `assert_literal` or `check_full` reported;
+        valid only right after that answer.  Under the asserted literals
+        and the clauses before it, each clause has at most one literal that
+        is not false, up to the first that has none, where the engine stops.
+        The last has none, unless one before it has (an EUF chain may pass
+        an equality that a second violated disequality negates).  A solver
+        may state them over atoms it defines on variables from `new_var`."""
         raise NotImplementedError
 
     def witness(self):
         """Theory model of the asserted literals; valid only right after
-        check_full returned None.  Built on demand: the search never reads
+        check_full answered False.  Built on demand: the search never reads
         one, and only `smt_solve` asks for it (the model of a satisfiable
         answer)."""
         raise NotImplementedError

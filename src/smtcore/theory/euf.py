@@ -39,9 +39,13 @@ explanation and lemma reads the same edges in the same order.  So
 `_undo_to` clears `changed`: the engine decides only after the theory
 pass of its level, and a backjump lands on a state that pass has read.
 
-A conflict reaches the engine as a chain of short lemmas rather than one
-clause (`conflict_clauses`), after the proof-forest path between the two
-sides a, b of the violated disequality: each asserted edge u - v adds
+A conflict is a disequality whose two sides share a class; `assert_literal`
+and `check_full` only answer whether one holds.  It reaches the engine as
+`conflict_clauses` builds it from the proof forest, a chain of short
+lemmas rather than one clause, so no flat explanation of it is made.  The
+chain follows the path between the two sides a, b of the violated
+disequality (a reflexive one, a != a, has none and is the one clause
+a = a): each asserted edge u - v adds
 (not a=u) or (not u=v) or a=v, each congruence edge between f(s..) and
 f(t..) adds (not s1=t1) or ... or f(s..)=f(t..), whose argument
 equalities are broken up the same way, and the last lemma concludes the
@@ -285,11 +289,10 @@ class EufSolver(TheorySolver):
                 held = conclusion
         return held
 
-    def conflict_clauses(self, conflict: list[int],
-                         new_var: Callable[[], int]) -> list[tuple[int, ...]]:
+    def conflict_clauses(self, new_var: Callable[[], int]) -> list[tuple[int, ...]]:
         a, b, lit = self._diseqs[self._conflict]
         if a == b:                      # a reflexive atom: no path, the one clause
-            return super().conflict_clauses(conflict, new_var)
+            return [(-lit,)]
         out: list[tuple[int, ...]] = []
         held = self._chain(a, b, out, new_var)
         if held != -lit:                # the table has two atoms over a, b
@@ -298,7 +301,7 @@ class EufSolver(TheorySolver):
 
     # -- assert / undo / check ----------------------------------------------------
 
-    def assert_literal(self, lit: int) -> Optional[list[int]]:
+    def assert_literal(self, lit: int) -> bool:
         """Sets `changed` only when the closure changes."""
         var = lit if lit > 0 else -lit
         ends = self._ends.get(var)
@@ -324,13 +327,7 @@ class EufSolver(TheorySolver):
                 dq_of[rb].append(d)
             trail.append((_DISEQ, ra, rb))
             self._index_diseq(d, ra, rb)
-        return None if self._conflict is None else self._conflict_literals()
-
-    def _conflict_literals(self) -> Optional[list[int]]:
-        if self._conflict is None:
-            return None
-        a, b, lit = self._diseqs[self._conflict]
-        return list(self._explain([(a, b)], {lit}))
+        return self._conflict is not None
 
     def _undo_to(self, length: int):
         trail = self._trail
@@ -365,8 +362,8 @@ class EufSolver(TheorySolver):
         del trail[length:]
         self.changed = False
 
-    def check_full(self) -> Optional[list[int]]:
-        return self._conflict_literals()
+    def check_full(self) -> bool:
+        return self._conflict is not None
 
     def witness(self):
         return {t: self.rep[i] for i, t in enumerate(self.terms)}

@@ -39,8 +39,11 @@ so a check may pivot otherwise than it did before.
 Negated equalities are held aside as disequalities and settled inside
 check_full by probing both strict sides; when both sides fail the conflict
 is the union of the two certificates plus the disequality literal.
-check_full returns the conflict only; `witness` turns the delta-valued
-assignment into a rational model on demand.
+`assert_literal` and check_full answer only whether there is a conflict.
+The solver keeps the reasons of the one it found, each once, and
+`conflict_clauses` states it as the one clause that negates them;
+`witness` turns the delta-valued assignment into a rational model on
+demand.
 
 Theory propagation (`deductions`) reads the bounds and never pivots, after
 Dutertre & de Moura, "A Fast Linear-Arithmetic Solver for DPLL(T)" (CAV
@@ -65,7 +68,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
 from ..terms import LinAtom, Rational, Var, eval_lin_atom
 from .base import TheorySolver
@@ -175,6 +178,7 @@ class LraSolver(TheorySolver):
         self.diseqs: list[tuple[int, Rational, int]] = []
         self._out_of_bounds: set[int] = set()    # holds every basic variable outside its bounds
         self._crossed: Optional[list] = None     # reasons of a bound asserted past its opposite
+        self._conflict: list[int] = []           # reasons of the last conflict found, each once
         self._lit_plans: dict[int, tuple] = {}   # literal -> _literal_plan
         self._prop: Optional[_Propagation] = None  # built on the first deductions call
         self._synced = 0                     # trail length the base bounds are current at
@@ -333,7 +337,7 @@ class LraSolver(TheorySolver):
         strict = (atom.rel == "<") == (lit > 0)
         return _BOUNDS, sid, ((is_lower, (c, (1 if is_lower else -1) if strict else 0)),)
 
-    def assert_literal(self, lit: int) -> Optional[list[int]]:
+    def assert_literal(self, lit: int) -> bool:
         """Works out the literal's plan the first time it is asserted."""
         plan = self._lit_plans.get(lit)
         if plan is None:
@@ -350,19 +354,26 @@ class LraSolver(TheorySolver):
             for is_lower, value in data:
                 conf = self._assert_bound(sid, is_lower, value, lit)
                 if conf is not None:
-                    return self._sanitize(conf)
-            return None
+                    return self._found(conf)
+            return False
         if kind == _CONST:
-            return None if data else [lit]
+            return not data and self._found([lit])
         self._trail.append((_DISEQ,))
         self.diseqs.append((sid, data, lit))
         low, up = self.lower.get(sid), self.upper.get(sid)
         if low is not None and up is not None and low[0] == up[0] == (data, 0):
-            return self._sanitize([low[1], up[1], lit])
-        return None
+            return self._found([low[1], up[1], lit])
+        return False
 
-    def _sanitize(self, reasons) -> list[int]:
-        return list(dict.fromkeys(reasons))
+    def _found(self, reasons) -> bool:
+        """Keep `reasons`, a raw reason list that may repeat a literal, as
+        the conflict just found, each literal once; True."""
+        self._conflict = list(dict.fromkeys(reasons))
+        return True
+
+    def conflict_clauses(self, new_var: Callable[[], int]) -> list[tuple[int, ...]]:
+        """The one clause negating the reasons of the last conflict."""
+        return [tuple([-lit for lit in self._conflict])]
 
     def _undo_to(self, length: int):
         trail = self._trail
@@ -462,13 +473,13 @@ class LraSolver(TheorySolver):
 
     # -- public checks -----------------------------------------------------------------
 
-    def check_full(self) -> Optional[list[int]]:
+    def check_full(self) -> bool:
         start = len(self._trail)
         conf = self._check()
         if conf is None:
             conf = self._settle_diseqs(frozenset())
         self._undo_to(start)
-        return None if conf is None else self._sanitize(conf)
+        return conf is not None and self._found(conf)
 
     def witness(self) -> dict[Var, Rational]:
         """The simplex assignment with the infinitesimal made concrete: the

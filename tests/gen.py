@@ -32,6 +32,13 @@ def prop_formula(clauses) -> Formula:
                                  for cl in clauses], table)
 
 
+def lin_comb(coeffs: dict, offset) -> LinComb:
+    """The `LinComb` of {variable: coefficient} plus `offset`: its terms
+    sorted by declaration index, with no zero coefficient."""
+    return LinComb(tuple(sorted(((v, c) for v, c in coeffs.items() if c != 0),
+                                key=lambda it: it[0].index)), offset)
+
+
 LRA_VARS = [Var("x", REAL, 0), Var("y", REAL, 1), Var("z", REAL, 2)]
 
 _U = "U"
@@ -60,7 +67,7 @@ def random_lra_atoms(rng: random.Random, n_atoms: int, n_vars: int = 3):
             coeffs[v] = Fraction(c)
         offset = Fraction(rng.randint(-4, 4))
         rel = rng.choice(["<=", "<", "="])
-        atom = canonical_lin_atom(LinComb.build(coeffs, offset), rel)
+        atom = canonical_lin_atom(lin_comb(coeffs, offset), rel)
         if atom not in seen:
             seen.add(atom)
             atoms.append(atom)
@@ -122,7 +129,7 @@ def random_difference_formula(rng: random.Random, n_reals: int = 6,
             else:
                 i, j = rng.sample(reals, 2)
                 coeffs = {i: Fraction(1), j: Fraction(-1)}
-            comb = LinComb.build(coeffs, Fraction(-rng.randint(-4, 1)))
+            comb = lin_comb(coeffs, Fraction(-rng.randint(-4, 1)))
             atom_id = table.intern(canonical_lin_atom(comb, rng.choice(["<=", "<"])))
             lits.setdefault(atom_id, rng.random() < 0.8)
         clauses.append(tuple(a if pos else -a for a, pos in lits.items()))

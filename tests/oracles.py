@@ -10,7 +10,8 @@ total truth assignments and filtering through the theory oracle.  The
 theory oracle is also the validity oracle (`clause_valid`): a clause is
 theory-valid when the negations of its literals are unsatisfiable, which
 `theory.validity_check`, the check of stored lemmas and refutation
-leaves, must agree with.  The
+leaves, must agree with; the contract of a theory conflict's lemmas
+(`conflict_lemma_problem`) asks both that each clause be valid.  The
 all-MUS oracle, MARCO, decides its subsets with the package's own one-shot
 `smt_solve`, but shares nothing with `smtcore.mus`: no selector engine,
 no cardinality counter and no hitting sets.
@@ -19,12 +20,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
 import numpy as np
 
 from smtcore.sat import SatSolver
 from smtcore.smt import evaluate_clause, smt_solve
 from smtcore.terms import EufAtom, Formula, FunApp, LinAtom, Term
+from smtcore.theory import validity_check
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +320,36 @@ def clause_valid(clause, atom_of) -> bool:
     propositional literals count for nothing."""
     return any(-lit in clause for lit in clause) or not theory_literals_sat(
         [(atom_of(abs(lit)), lit < 0) for lit in clause])
+
+
+def conflict_lemma_problem(solver, logic: str, clauses) -> Optional[str]:
+    """What breaks, in the clauses `solver.conflict_clauses` just gave, the
+    contract `SmtSolver._conflict_lemma` relies on, or None when nothing
+    does.  Each clause is theory-valid, both by `validity_check` under the
+    solver's definitions and by `clause_valid`.  Under the asserted
+    literals and the clauses before it, each clause has at most one
+    literal that is not false, up to the first that has none, where the
+    engine stops.  There must be one.  It is the last, unless an EUF chain
+    passes an equality that a second violated disequality negates."""
+    check = validity_check(logic, solver.table).under(solver.defined.items())
+    true = set(solver._asserted)
+    false_at = None
+    for i, clause in enumerate(clauses):
+        if not (check.known(clause) and check.valid(frozenset(clause))):
+            return f"clause {i} {clause} is not theory-valid"
+        if not clause_valid(clause, check.atom):
+            return f"clause {i} {clause} is not valid by the oracle"
+        if false_at is not None:
+            continue
+        open_lits = [lit for lit in clause if -lit not in true]
+        if len(open_lits) > 1:
+            return f"clause {i} {clause} has {len(open_lits)} literals that are not false"
+        if not open_lits:
+            false_at = i
+        true.update(open_lits)
+    if false_at is None:
+        return "no clause is false"
+    return None
 
 
 def brute_force_smt_sat(formula: Formula) -> bool:

@@ -52,10 +52,38 @@ def test_an_unknown_revision_is_a_clean_error(capsys):
     assert "no-such-revision" in capsys.readouterr().err
 
 
+def commit_copy(repo: Path, edit=None) -> Path:
+    """A new git repository at `repo` with one commit: a copy of the
+    working tree's `src/smtcore` and `perfbench`, changed by `edit(repo)`
+    when given, and a BENCHMARK.json of one-second runs; returns `repo`."""
+    for part in (("src", "smtcore"), ("perfbench",)):
+        shutil.copytree(ROOT.joinpath(*part), repo.joinpath(*part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    if edit is not None:
+        edit(repo)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
+    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid",
+           "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "copy"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    return repo
+
+
+def forget_archived_modules():
+    for name in [m for m in sys.modules if m.split(".")[0].startswith("ab_")]:
+        del sys.modules[name]
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_an_unknown_change_revision_is_a_clean_error(capsys):
+def test_an_unknown_change_revision_is_a_clean_error(tmp_path, monkeypatch, capsys):
+    # in a repository of its own, where HEAD can be archived whether or not
+    # the working tree is a git checkout
+    monkeypatch.setattr(ab, "ROOT", commit_copy(tmp_path / "repo"))
     argv = ["--parent", "HEAD", "--change", "no-such-change", "--workload", "lra-core"]
-    assert ab.main(argv) == 2
+    try:
+        assert ab.main(argv) == 2
+    finally:
+        forget_archived_modules()
     assert "no-such-change" in capsys.readouterr().err
 
 
@@ -97,27 +125,18 @@ def test_each_revision_runs_its_own_run_one(tmp_path, monkeypatch, capsys):
     """A commit whose `perfbench/run.py` has a `run_one` that fails every
     instance: as the parent it fails against the working tree, and as both
     sides it agrees with itself."""
-    repo = tmp_path / "repo"
-    shutil.copytree(ROOT / "src" / "smtcore", repo / "src" / "smtcore",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(ROOT / "perfbench", repo / "perfbench",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    run_py = repo / "perfbench" / "run.py"
-    text = run_py.read_text()
-    marker = 'def run_one(sm, workload, inst):\n    """The measured per-instance operation."""\n'
-    assert text.count(marker) == 1
-    run_py.write_text(text.replace(marker, marker + '    raise RuntimeError("archived")\n'))
-    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
-    git = ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.invalid",
-           "-c", "commit.gpgsign=false"]
-    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "archived run_one"]):
-        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
-    monkeypatch.setattr(ab, "ROOT", repo)
+    def failing_run_one(repo):
+        run_py = repo / "perfbench" / "run.py"
+        text = run_py.read_text()
+        marker = 'def run_one(sm, workload, inst):\n    """The measured per-instance operation."""\n'
+        assert text.count(marker) == 1
+        run_py.write_text(text.replace(marker, marker + '    raise RuntimeError("archived")\n'))
+
+    monkeypatch.setattr(ab, "ROOT", commit_copy(tmp_path / "repo", failing_run_one))
     argv = ["--parent", "HEAD", "--workload", "lra-core", "--rounds", "1"]
     archived_fails = r"parent gives \['error', 'RuntimeError'\], change gives \['(sat|unsat)'"
     with pytest.raises(AssertionError, match=archived_fails):
         ab.main(argv)
     assert ab.main(argv + ["--change", "HEAD"]) == 0
     assert "signatures equal" in capsys.readouterr().out
-    for name in [m for m in sys.modules if m.split(".")[0].startswith("ab_")]:
-        del sys.modules[name]
+    forget_archived_modules()

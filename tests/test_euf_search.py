@@ -119,7 +119,7 @@ class CheckedSkips(smt.SmtSolver):
             return True
         self.events += synced != len(self._synced_positions)
         if not self.theory.changed:
-            assert self.theory.check_full() is None
+            assert not self.theory.check_full()
             assert self.theory.deductions() == []
             self.tally["skipped"] += self.events != self.events_seen
         self.events_seen = self.events

@@ -15,7 +15,7 @@ from smtcore.parser import (
     MAX_NESTING, ParseError, _locate, _read_sexprs, parse, render_instance,
 )
 from smtcore.smt import smt_solve
-from smtcore.terms import REAL, AtomTable, LinAtom, LinComb, Var, canonical_lin_atom
+from smtcore.terms import REAL, AtomTable, LinAtom, Var, canonical_lin_atom
 
 DATA = Path(__file__).parent / "data"
 PINNED_PARSE_OUTCOMES = "464d980759d6cb939760009c02a06fb5f600cde5ddea9aab56189003f3171511"
@@ -482,12 +482,12 @@ def test_spellings_of_one_bound_intern_to_one_atom():
     formula = cnf_convert(parse(text))
     assert {c[0] for c in formula.clauses} == {1}
     x = formula.declarations.vars["x"]
-    built = [canonical_lin_atom(LinComb.build({x: Fraction(1)}, Fraction(-2)), "<="),
-             canonical_lin_atom(LinComb.build({x: Fraction(1, 2)}, Fraction(-1)), "<="),
-             canonical_lin_atom(LinComb.build({x: 3}, -6), "<=")]
+    built = [canonical_lin_atom(gen.lin_comb({x: Fraction(1)}, Fraction(-2)), "<="),
+             canonical_lin_atom(gen.lin_comb({x: Fraction(1, 2)}, Fraction(-1)), "<="),
+             canonical_lin_atom(gen.lin_comb({x: 3}, -6), "<=")]
     assert all(formula.atoms.intern(a) == 1 for a in built)
     assert len(formula.atoms) == 1
     table = AtomTable()
     y = Var("y", REAL, 1)
-    assert table.intern(canonical_lin_atom(LinComb.build({y: Fraction(-4)}, Fraction(2)), "=")) \
-        == table.intern(canonical_lin_atom(LinComb.build({y: 2}, -1), "="))
+    assert table.intern(canonical_lin_atom(gen.lin_comb({y: Fraction(-4)}, Fraction(2)), "=")) \
+        == table.intern(canonical_lin_atom(gen.lin_comb({y: 2}, -1), "="))

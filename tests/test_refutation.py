@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from gen import (
-    diamond_chain_formula, labeled_corpus, pigeonhole_cnf, prop_formula,
+    diamond_chain_formula, labeled_corpus, lin_comb, pigeonhole_cnf, prop_formula,
     random_difference_formula, random_uf_formula,
 )
 from oracles import brute_force_smt_sat, clause_valid
@@ -31,7 +31,7 @@ from smtcore.parser import parse
 from smtcore.sat import ProofLog, SatVerdict, sat_solve
 from smtcore.smt import TLemma
 from smtcore.terms import (
-    REAL, AtomTable, FunApp, FunSymbol, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom,
+    REAL, AtomTable, FunApp, FunSymbol, PropAtom, Var, canonical_lin_atom, euf_atom,
 )
 from smtcore.theory import EufSolver, TheorySolver, validity_check
 
@@ -324,7 +324,7 @@ def _agrees_with_the_oracle(check, clause) -> bool:
 
 
 def _lin(coeffs, offset, rel):
-    return canonical_lin_atom(LinComb.build(coeffs, Fraction(offset)), rel)
+    return canonical_lin_atom(lin_comb(coeffs, Fraction(offset)), rel)
 
 
 GENERATORS = {

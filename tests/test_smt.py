@@ -1,13 +1,15 @@
+import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from gen import (
-    diamond_chain_formula, formula_from_clauses, labeled_corpus, random_difference_formula, random_formula,
-    random_uf_formula,
+    diamond_chain_formula, formula_from_clauses, labeled_corpus, lin_comb, random_difference_formula,
+    random_euf_atoms, random_formula, random_lra_atoms, random_uf_formula,
 )
-from oracles import brute_force_smt_sat, clause_valid
+from oracles import brute_force_smt_sat, clause_valid, conflict_lemma_problem
 from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS, ExtractorConfig, check_refutation, extract_core
 from smtcore.mus import all_minimal_cores
@@ -16,10 +18,10 @@ from smtcore.smt import (
     SelectorEngine, SmtSolver, TLemma, evaluate_clause, lemma_store_violations, smt_solve,
 )
 from smtcore.terms import (
-    REAL, AtomTable, EufAtom, LinComb, PropAtom, Var, atom_theory, canonical_lin_atom, euf_atom,
+    REAL, AtomTable, EufAtom, PropAtom, Var, atom_theory, canonical_lin_atom, euf_atom,
     term_sort,
 )
-from smtcore.theory import EufSolver, LraSolver, TheorySolver
+from smtcore.theory import EufSolver, LraSolver, TheorySolver, solver_for_logic
 
 
 def test_nine_clause_instance_unsat_with_facts(nine_clauses):
@@ -158,7 +160,7 @@ def test_selector_engine_matches_fresh_solves(theory):
                     reference, None, formula.logic))
                 assert again.status == "unsat"
         if theory == "LRA":
-            new_atom = canonical_lin_atom(LinComb.build({Var("fresh", REAL, 90): 1}, 0), "<=")
+            new_atom = canonical_lin_atom(lin_comb({Var("fresh", REAL, 90): 1}, 0), "<=")
         else:
             new_atom = euf_atom(Var("fresh_a", "U", 90), Var("fresh_b", "U", 91))
         new_id = formula.atoms.intern(new_atom)
@@ -357,6 +359,60 @@ class TestTheoryGuard:
         self.decide(engine, self.unassigned_theory_atom(engine))
         engine.hook_fixpoint()
         assert calls == ["check_full", "deductions"]
+
+    def test_conflict_lemmas_that_end_in_a_clause_not_false_are_an_error(self, nine_clauses):
+        # every check reports a conflict, stated by a clause over a
+        # variable that no clause names, so the search can still satisfy it
+        engine = SmtSolver(nine_clauses)
+        free = engine.new_var()
+        engine.theory.check_full = lambda: True
+        engine.theory.conflict_clauses = lambda new_var: [(free,)]
+        with pytest.raises(RuntimeError, match="the lemmas of a theory conflict end in a "
+                                               "clause that is not false"):
+            engine.solve()
+
+
+class TestConflictLemmas:
+    """Every conflict a theory reports, from an assert or a full check, is
+    stated by lemmas that keep the contract `SmtSolver._conflict_lemma`
+    relies on (`oracles.conflict_lemma_problem`)."""
+
+    # the fewest conflicts each walk must find, by where they were found, about
+    # half of what it found when written: an EUF conflict is found as its
+    # last literal is asserted, and the walk then backtracks past it
+    @pytest.mark.parametrize("logic, make_atoms, floor", [
+        ("EUF", random_euf_atoms, {"assert": 150}),
+        ("LRA", random_lra_atoms, {"assert": 180, "check": 130}),
+    ], ids=["EUF", "LRA"])
+    def test_random_walk(self, logic, make_atoms, floor):
+        # assert, check and backtrack at random; after a conflict, backtrack
+        # past the last literal, as a backjump does.  EUF also asserts the
+        # positive literal of an atom it defined, as the engine does
+        rng = random.Random(41)
+        found = Counter()
+        for _ in range(600):
+            table = AtomTable()
+            ids = sorted({table.intern(atom) for atom in make_atoms(rng, rng.randint(3, 8))})
+            s = solver_for_logic(logic, table)
+            new_var = itertools.count(len(table) + 1).__next__
+            for _step in range(30):
+                taken = {abs(lit) for lit in s._asserted}
+                free = [i * rng.choice((1, -1)) for i in ids if i not in taken]
+                free += [var for var in s.defined if var not in taken]
+                op = rng.random()
+                if op < 0.6 and free:
+                    source, inconsistent = "assert", s.assert_literal(rng.choice(free))
+                elif op < 0.85:
+                    source, inconsistent = "check", s.check_full()
+                else:
+                    s.backtrack(rng.randint(0, len(s._asserted)))
+                    continue
+                if inconsistent:
+                    problem = conflict_lemma_problem(s, logic, s.conflict_clauses(new_var))
+                    assert problem is None, (source, s._asserted, problem)
+                    found[source] += 1
+                    s.backtrack(rng.randrange(len(s._asserted)))
+        assert all(found[source] >= n for source, n in floor.items()), found
 
 
 def _diamond_formulas():

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import formula_from_clauses
+from gen import formula_from_clauses, lin_comb
 from oracles import lra_literals_sat
 from smtcore.terms import (
-    LOGIC_PROP, REAL, AtomTable, EufAtom, Formula, FunApp, FunSymbol, LinAtom, LinComb, PropAtom,
+    LOGIC_PROP, REAL, AtomTable, EufAtom, Formula, FunApp, FunSymbol, LinAtom, PropAtom,
     SortError, Var, canonical_lin_atom, euf_atom,
 )
 
@@ -23,7 +23,7 @@ Y = Var("y", REAL, 1)
 
 
 def lin(coeffs, offset, rel):
-    return canonical_lin_atom(LinComb.build(coeffs, Fraction(offset)), rel)
+    return canonical_lin_atom(lin_comb(coeffs, Fraction(offset)), rel)
 
 
 def general_canonical(comb, rel):
@@ -100,7 +100,7 @@ class TestCanonicalization:
             coeffs = [int(c) for c in coeffs]
             offset = int(offset)
         variables = [X, Y, Var("z", REAL, 2), Var("w", REAL, 3)]
-        comb = LinComb.build(dict(zip(variables, coeffs)), offset)
+        comb = lin_comb(dict(zip(variables, coeffs)), offset)
         atom = canonical_lin_atom(comb, rel)
         assert repr(atom) == repr(general_canonical(comb, rel))
         assert all(type(c) is int for _, c in atom.coeffs) and type(atom.offset) is int

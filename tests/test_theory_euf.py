@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from gen import random_euf_atoms
-from oracles import clause_valid, euf_literals_sat
+from oracles import clause_valid, conflict_lemma_problem, euf_literals_sat
 from smtcore.terms import AtomTable, FunApp, FunSymbol, PropAtom, Var, euf_atom
 from smtcore.theory import EufSolver, validity_check
 
@@ -29,14 +30,24 @@ def _facts(table, lits):
     return [(table.atom(abs(l)), l > 0) for l in lits]
 
 
+def _conflict_lemmas(s):
+    """The lemmas of the conflict `s` just reported, which must keep the
+    contract the engine relies on, and the asserted literals they negate."""
+    clauses = s.conflict_clauses(itertools.count(max([len(s.table), *s.defined]) + 1).__next__)
+    assert conflict_lemma_problem(s, "EUF", clauses) is None
+    asserted = set(s._asserted)
+    return clauses, {-lit for clause in clauses for lit in clause if -lit in asserted}
+
+
 def test_transitivity_conflict():
     table, (iab, ibc, iac) = setup_atoms(euf_atom(a, b), euf_atom(b, c), euf_atom(a, c))
     s = EufSolver(table)
-    assert s.assert_literal(iab) is None
-    assert s.assert_literal(ibc) is None
-    conflict = s.assert_literal(-iac)
-    assert conflict is not None
-    assert set(conflict) == {iab, ibc, -iac}
+    assert not s.assert_literal(iab)
+    assert not s.assert_literal(ibc)
+    assert s.assert_literal(-iac)
+    clauses, premises = _conflict_lemmas(s)
+    assert clauses == [(-iab, -ibc, iac)]
+    assert premises == {iab, ibc, -iac}
 
 
 def test_congruence_conflict():
@@ -44,17 +55,21 @@ def test_congruence_conflict():
     ffa = FunApp(f, (fa,))
     table, (i1, i2) = setup_atoms(euf_atom(fa, a), euf_atom(ffa, a))
     s = EufSolver(table)
-    assert s.assert_literal(i1) is None
-    conflict = s.assert_literal(-i2)
-    assert conflict is not None
-    assert set(conflict) == {i1, -i2}
+    assert not s.assert_literal(i1)
+    assert s.assert_literal(-i2)
+    clauses, premises = _conflict_lemmas(s)
+    # f(a) = a gives f(f(a)) = f(a) by congruence, on a variable the
+    # solver defines, and then f(f(a)) = a
+    assert s.defined == {3: euf_atom(fa, ffa)}
+    assert clauses == [(-i1, 3), (-i1, -3, i2)]
+    assert premises == {i1, -i2}
 
 
 def test_single_assert_is_fine():
     table, (iab,) = setup_atoms(euf_atom(a, b))
     s = EufSolver(table)
-    assert s.assert_literal(iab) is None
-    assert s.check_full() is None
+    assert not s.assert_literal(iab)
+    assert not s.check_full()
 
 
 def test_witness_is_a_partition():
@@ -62,7 +77,7 @@ def test_witness_is_a_partition():
     s = EufSolver(table)
     s.assert_literal(iab)
     s.assert_literal(-iac)
-    assert s.check_full() is None
+    assert not s.check_full()
     witness = s.witness()
     assert witness[a] == witness[b]
     assert witness[a] != witness[c]
@@ -102,7 +117,7 @@ def test_backtrack_replay_equivalence():
     s.assert_literal(ibc)
     s.backtrack(mark)
     after = s.check_full()
-    assert before is after is None
+    assert not before and not after
     assert before_witness == s.witness()
     assert s._asserted == [iab]
 
@@ -114,7 +129,7 @@ def test_backtrack_to_initial_mark_empties_everything():
     s.assert_literal(iab)
     s.backtrack(base)
     assert s._asserted == []
-    assert s.check_full() is None
+    assert not s.check_full()
 
 
 def test_lifo_marks_restore_snapshots():
@@ -162,8 +177,10 @@ def test_only_an_equality_over_the_solver_terms_is_defined_past_the_table():
         s.define(3, euf_atom(a, Var("d", U, 3)))
     assert s.defined == {}
     s.define(3, euf_atom(a, c))
-    assert s.assert_literal(3) is None and s.assert_literal(iab) is None
-    assert set(s.assert_literal(-ibc)) == {3, iab, -ibc}
+    assert not s.assert_literal(3) and not s.assert_literal(iab)
+    assert s.assert_literal(-ibc)
+    _clauses, premises = _conflict_lemmas(s)
+    assert premises == {3, iab, -ibc}
 
 
 def test_valid_lemma_examples():
@@ -184,21 +201,11 @@ class TestAgainstNaiveClosure:
             ids = [table.intern(x) for x in atoms]
             lits = [i if rng.random() < 0.5 else -i for i in ids]
             s = EufSolver(table)
-            conflict = None
-            for lit in lits:
-                conflict = s.assert_literal(lit)
-                if conflict is not None:
-                    break
-            if conflict is None:
-                conflict = s.check_full()
-                got_sat = conflict is None
-            else:
-                got_sat = False
-            if conflict is not None:
-                # the conflict subset must be oracle-unsat and drawn from the
-                # asserted literals
-                assert not euf_literals_sat(_facts(table, conflict))
-                assert set(conflict) <= set(s._asserted)
+            got_sat = not (any(s.assert_literal(lit) for lit in lits) or s.check_full())
+            if not got_sat:
+                # the asserted literals the lemmas negate must be oracle-unsat
+                _clauses, premises = _conflict_lemmas(s)
+                assert not euf_literals_sat(_facts(table, premises))
             want_sat = euf_literals_sat(_facts(table, lits))
             if got_sat != want_sat:
                 disagreements += 1
@@ -216,7 +223,7 @@ def _partition(solver):
 
 
 def _observed(solver):
-    return (solver.check_full() is None, _partition(solver),
+    return (not solver.check_full(), _partition(solver),
             {clause[-1] for clause in solver.deductions()})
 
 
@@ -263,10 +270,9 @@ class TestDeductions:
             ids = [table.intern(x) for x in atoms]
             s = EufSolver(table)
             picked = rng.sample(ids, rng.randint(1, len(ids)))
-            if any(s.assert_literal(i if rng.random() < 0.7 else -i) is not None
-                   for i in picked):
+            if any(s.assert_literal(i if rng.random() < 0.7 else -i) for i in picked):
                 continue
-            if s.check_full() is not None:
+            if s.check_full():
                 continue
             asserted = list(s._asserted)
             facts = _facts(table, asserted)

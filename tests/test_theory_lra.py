@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from gen import random_difference_formula, random_lra_atoms
+from gen import lin_comb, random_difference_formula, random_lra_atoms
 from oracles import clause_valid, lra_literals_sat, reference_lra_deductions
 from smtcore.cnf import cnf_convert
 from smtcore.cores import minimize_core
 from smtcore.parser import parse
 from smtcore.smt import evaluate_clause, smt_solve
 from smtcore.terms import (
-    REAL, AtomTable, LinComb, PropAtom, Var, canonical_lin_atom, euf_atom, eval_lin_atom,
+    REAL, AtomTable, PropAtom, Var, canonical_lin_atom, euf_atom, eval_lin_atom,
 )
 from smtcore.theory import LraSolver, validity_check
 
@@ -20,7 +20,7 @@ Y = Var("y", REAL, 1)
 
 
 def lin(coeffs, offset, rel):
-    return canonical_lin_atom(LinComb.build(coeffs, Fraction(offset)), rel)
+    return canonical_lin_atom(lin_comb(coeffs, Fraction(offset)), rel)
 
 
 def table_with(*atoms):
@@ -31,6 +31,16 @@ def table_with(*atoms):
 def _facts(table, lits):
     """(atom, polarity) pairs of signed atom ids, as the oracle takes them."""
     return [(table.atom(abs(l)), l > 0) for l in lits]
+
+
+def _no_new_var():
+    raise AssertionError("LRA defines no atom")
+
+
+def conflict_clause(s):
+    """The one clause of the conflict `s` just reported."""
+    (clause,) = s.conflict_clauses(_no_new_var)
+    return clause
 
 
 class TestBoundOrder:
@@ -44,9 +54,9 @@ class TestBoundOrder:
             s = LraSolver(table)
             seen = []
             for lit in lits:
-                assert s.assert_literal(lit) is None
+                assert not s.assert_literal(lit)
                 seen.append(s.upper[s.slack_of[((X.index, 1),)]])
-            assert s.check_full() is None
+            assert not s.check_full()
             return seen
 
         # x < 1 tightens x <= 1, and x <= 1 does not loosen x < 1
@@ -60,16 +70,15 @@ class TestAssertAndConflict:
     def test_bound_pair_conflict(self):
         table, (ilt, ieq) = table_with(lin({Y: 1}, 0, "<"), lin({Y: 1}, -1, "="))
         s = LraSolver(table)
-        assert s.assert_literal(ilt) is None
-        conflict = s.assert_literal(ieq)
-        assert conflict is not None
-        assert set(conflict) == {ilt, ieq}
+        assert not s.assert_literal(ilt)
+        assert s.assert_literal(ieq)
+        assert set(conflict_clause(s)) == {-ilt, -ieq}
 
     def test_single_bound_ok(self):
         table, (ieq,) = table_with(lin({X: 1}, 0, "="))
         s = LraSolver(table)
-        assert s.assert_literal(ieq) is None
-        assert s.check_full() is None
+        assert not s.assert_literal(ieq)
+        assert not s.check_full()
 
     def test_row_conflict_found_by_check(self):
         # x <= 0, y <= 0, x + y >= 1
@@ -78,10 +87,9 @@ class TestAssertAndConflict:
             lin({X: -1, Y: -1}, 1, "<="))
         s = LraSolver(table)
         for i in (iux, iuy, isum):
-            assert s.assert_literal(i) is None
-        conflict = s.check_full()
-        assert conflict is not None
-        assert set(conflict) == {iux, iuy, isum}
+            assert not s.assert_literal(i)
+        assert s.check_full()
+        assert set(conflict_clause(s)) == {-iux, -iuy, -isum}
 
     def test_witness_satisfies_every_literal_exactly(self):
         table, ids = table_with(
@@ -91,8 +99,8 @@ class TestAssertAndConflict:
         s = LraSolver(table)
         lits = [ids[0], ids[1], -ids[2]]
         for lit in lits:
-            assert s.assert_literal(lit) is None
-        assert s.check_full() is None
+            assert not s.assert_literal(lit)
+        assert not s.check_full()
         for lit in lits:
             assert eval_lin_atom(table.atom(abs(lit)), s.witness()) == (lit > 0)
 
@@ -100,9 +108,9 @@ class TestAssertAndConflict:
         # x < 1 and x >= 1 - delta impossible; x < 1 and x > 0 fine
         table, (ilt, igt) = table_with(lin({X: 1}, -1, "<"), lin({X: -1}, 0, "<"))
         s = LraSolver(table)
-        assert s.assert_literal(ilt) is None
-        assert s.assert_literal(igt) is None
-        assert s.check_full() is None
+        assert not s.assert_literal(ilt)
+        assert not s.assert_literal(igt)
+        assert not s.check_full()
         assert 0 < s.witness()[X] < 1
 
     def test_equality_negation_splits(self):
@@ -110,13 +118,11 @@ class TestAssertAndConflict:
         table, (ige, ile, ieq) = table_with(
             lin({X: -1}, 0, "<="), lin({X: 1}, 0, "<="), lin({X: 1}, 0, "="))
         s = LraSolver(table)
-        assert s.assert_literal(ige) is None
-        assert s.assert_literal(ile) is None
-        conflict = s.assert_literal(-ieq)
-        if conflict is None:
-            conflict = s.check_full()
-            assert conflict is not None
-        assert -ieq in conflict
+        assert not s.assert_literal(ige)
+        assert not s.assert_literal(ile)
+        if not s.assert_literal(-ieq):
+            assert s.check_full()
+        assert ieq in conflict_clause(s)
 
     def test_a_conflict_independent_of_a_split_leaves_its_disequality_out(self):
         # x0 != x2 is split first; on its first probed side the two bounds
@@ -128,17 +134,18 @@ class TestAssertAndConflict:
             lin({x0: 1, x1: -1}, 0, "<="), lin({x1: 1, x0: -1}, 0, "<="))
         s = LraSolver(table)
         for lit in (-ieq02, -ieq01, ile01, ile10):
-            assert s.assert_literal(lit) is None
-        conflict = s.check_full()
-        assert conflict is not None and -ieq02 not in conflict
-        assert sorted(conflict) == sorted([ile10, ile01, -ieq01])
-        assert clause_valid([-lit for lit in conflict], table.atom)
+            assert not s.assert_literal(lit)
+        assert s.check_full()
+        clause = conflict_clause(s)
+        assert ieq02 not in clause
+        assert sorted(clause) == sorted([-ile10, -ile01, ieq01])
+        assert clause_valid(clause, table.atom)
 
     def test_constant_atom_conflict(self):
         table, (ic,) = table_with(lin({}, 1, "<"))  # 1 < 0: false
         s = LraSolver(table)
-        conflict = s.assert_literal(ic)
-        assert conflict == [ic]
+        assert s.assert_literal(ic)
+        assert s.conflict_clauses(_no_new_var) == [(-ic,)]
 
     def test_constant_atoms_are_deduced_with_no_explanation(self):
         formula = cnf_convert(parse(
@@ -155,9 +162,10 @@ class TestAssertAndConflict:
         table, (ile, ilt, ieq) = table_with(
             lin({X: 1}, -3, "<="), lin({X: 1}, -3, "<"), lin({X: 1}, -3, "="))
         s = LraSolver(table)
-        assert s.assert_literal(ile) is None       # x <= 3
-        assert s.assert_literal(-ilt) is None      # x >= 3
-        assert s.assert_literal(-ieq) == [-ilt, ile, -ieq]
+        assert not s.assert_literal(ile)           # x <= 3
+        assert not s.assert_literal(-ilt)          # x >= 3
+        assert s.assert_literal(-ieq)
+        assert s.conflict_clauses(_no_new_var) == [(ilt, -ile, ieq)]
 
 
 class TestTwinSlacks:
@@ -168,18 +176,20 @@ class TestTwinSlacks:
         table, (ige, ile, ieq) = table_with(
             lin({X: -1}, 0, "<="), lin({X: 1}, 0, "<="), lin({X: 1}, 0, "="))
         s = LraSolver(table)
-        assert s.assert_literal(ige) is None       # -x <= 0
-        assert s.assert_literal(ile) is None       # x <= 0
-        assert s.assert_literal(-ieq) == [ige, ile, -ieq]
+        assert not s.assert_literal(ige)           # -x <= 0
+        assert not s.assert_literal(ile)           # x <= 0
+        assert s.assert_literal(-ieq)
+        assert s.conflict_clauses(_no_new_var) == [(-ige, -ile, ieq)]
 
     def test_a_difference_and_its_reverse_share_one_row(self):
         table, (ixy, iyx, ieq) = table_with(
             lin({X: 1, Y: -1}, -2, "<="), lin({Y: 1, X: -1}, 2, "<="),
             lin({X: 1, Y: -1}, -2, "="))
         s = LraSolver(table)
-        assert s.assert_literal(ixy) is None       # x - y <= 2
-        assert s.assert_literal(iyx) is None       # y - x <= -2
-        assert s.assert_literal(-ieq) == [iyx, ixy, -ieq]
+        assert not s.assert_literal(ixy)           # x - y <= 2
+        assert not s.assert_literal(iyx)           # y - x <= -2
+        assert s.assert_literal(-ieq)
+        assert s.conflict_clauses(_no_new_var) == [(-iyx, -ixy, ieq)]
         assert len(s.rows) == 1
 
     def test_a_formula_over_twin_atoms_and_a_disequality_is_solved(self):
@@ -203,9 +213,9 @@ class TestBacktracking:
         mark = len(s._asserted)
         before = s.check_full()
         s.assert_literal(ieq)
-        assert s.check_full() is not None
+        assert s.check_full()
         s.backtrack(mark)
-        assert s.check_full() is before is None
+        assert not before and not s.check_full()
 
     def test_stale_mark(self):
         table, (ilt,) = table_with(lin({Y: 1}, 0, "<"))
@@ -245,8 +255,8 @@ class TestDeductions:
             lin({X: 1, Y: 1}, -2, "<="), lin({X: 2, Y: -1}, 0, "="))
         s = LraSolver(table)
         for i in ids[:2]:
-            assert s.assert_literal(i) is None
-        assert s.check_full() is None
+            assert not s.assert_literal(i)
+        assert not s.check_full()
         state = copy.deepcopy((s.rows, s.values, s.lower, s.upper, s.slack_of))
         assert s.deductions()
         assert (s.rows, s.values, s.lower, s.upper, s.slack_of) == state
@@ -303,10 +313,10 @@ class TestDeductions:
             ok = True
             picked = rng.sample(ids, rng.randint(1, len(ids)))
             for i in picked:
-                if s.assert_literal(i if rng.random() < 0.7 else -i) is not None:
+                if s.assert_literal(i if rng.random() < 0.7 else -i):
                     ok = False
                     break
-            if not ok or s.check_full() is not None:
+            if not ok or s.check_full():
                 continue
             for clause in s.deductions():
                 # its negation, the explanation plus the negated literal,
@@ -373,16 +383,16 @@ class TestDeductionsAgainstReference:
                 asserted = {abs(lit) for lit in s._asserted}
                 free = [i for i in ids if i not in asserted]
                 if op < 0.4 and free:
-                    if s.assert_literal(rng.choice(free) * rng.choice((1, -1))) is not None:
+                    if s.assert_literal(rng.choice(free) * rng.choice((1, -1))):
                         undo_some()
                 elif op < 0.55:
-                    if s.check_full() is not None:
+                    if s.check_full():
                         undo_some()
                 elif op < 0.85:
                     deduced = s.deductions()
                     if rng.random() < 0.8:
                         for clause in deduced:
-                            if s.assert_literal(clause[-1]) is not None:
+                            if s.assert_literal(clause[-1]):
                                 undo_some()
                                 break
                 else:
@@ -431,13 +441,13 @@ class TestForeignLiterals:
     def test_a_foreign_literal_is_rejected_and_changes_nothing(self, foreign):
         table, (ile0, ibad) = table_with(lin({X: 1}, 0, "<="), foreign)
         s = LraSolver(table)
-        assert s.assert_literal(ile0) is None
+        assert not s.assert_literal(ile0)
         state = (list(s._asserted), set(s._asserted_atoms), list(s._marks), list(s._trail))
         for lit in (ibad, -ibad):
             with pytest.raises(ValueError, match="does not belong to LRA"):
                 s.assert_literal(lit)
             assert (s._asserted, s._asserted_atoms, s._marks, s._trail) == state
-        assert s.check_full() is None
+        assert not s.check_full()
         s.backtrack(0)
         assert (s._asserted, s._marks) == ([], [])
 
@@ -476,23 +486,15 @@ class TestCompletenessAgainstFourierMotzkin:
                     seen.add(i)
                     filtered.append(i if positive else -i)
             s = PivotWatch(table)
-            conflict = None
-            for lit in filtered:
-                conflict = s.assert_literal(lit)
-                if conflict is not None:
-                    break
-            if conflict is None:
-                conflict = s.check_full()
-                got_sat = conflict is None
-            else:
-                got_sat = False
+            got_sat = not (any(s.assert_literal(lit) for lit in filtered) or s.check_full())
             fractional_pivots += s.fractional_pivots
             want_sat = lra_literals_sat(_facts(table, filtered))
             assert got_sat == want_sat, f"trial {trial}"
-            if conflict is not None:
-                assert not lra_literals_sat(_facts(table, conflict)), \
+            if not got_sat:
+                reasons = [-lit for lit in conflict_clause(s)]
+                assert not lra_literals_sat(_facts(table, reasons)), \
                     f"trial {trial}: unsound conflict"
-                assert set(conflict) <= set(filtered)
+                assert set(reasons) <= set(filtered)
         # coefficients up to 3 make pivots divide by 2 or 3, so the verdicts
         # above include tableaux with Fraction coefficients
         assert fractional_pivots > 0
