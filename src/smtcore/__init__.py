@@ -14,7 +14,7 @@ from .cores import (METHODS, BridgeError, CoreReport, ExtractionError, Extractor
 from .dimacs import DimacsDocument, DimacsError, parse_dimacs, read_core
 from .mus import McsSet, MusSet, all_minimal_cores, enumerate_mcs, minimal_hitting_sets
 from .parser import AssertionSet, ParseError, parse, parse_file, render_instance
-from .sat import ProofLog, SatSolver, SatVerdict, check_proof, proof_core, sat_solve, solve_with_selectors
+from .sat import ProofLog, SatSolver, SatVerdict, check_proof, sat_solve, solve_with_selectors
 from .smt import SmtSolver, TLemma, evaluate_clause, lemma_store_violations, smt_solve
 from .terms import (Atom, AtomTable, Declarations, EufAtom, Formula, LinAtom, LinComb,
                     PropAtom, SortError, Var, canonical_lin_atom)

@@ -36,12 +36,12 @@ class DimacsDocument:
         return len(self.clauses)
 
 
-def document_for(clauses: Iterable[Iterable[int]], nvars: int = 0) -> DimacsDocument:
-    """The document of `clauses` over at least `nvars` variables: more when
-    a clause names a later one, as a lemma over an engine-defined atom
-    names one past the atom table."""
+def document_for(clauses: Iterable[Iterable[int]]) -> DimacsDocument:
+    """The document of `clauses` over as many variables as the largest one
+    a clause names, which for a lemma over an engine-defined atom lies past
+    the atom table."""
     rows = [list(cl) for cl in clauses]
-    nvars = max(nvars, max((abs(l) for cl in rows for l in cl), default=0))
+    nvars = max((abs(l) for cl in rows for l in cl), default=0)
     return DimacsDocument(nvars, rows)
 
 

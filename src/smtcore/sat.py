@@ -131,11 +131,6 @@ def proof_leaves(proof: ProofLog) -> list[tuple]:
     return out
 
 
-def proof_core(proof: ProofLog) -> set[int]:
-    """The clause ids of all distinct leaves reachable from the final node."""
-    return {leaf[1] for leaf in proof_leaves(proof)}
-
-
 def check_proof(proof: ProofLog,
                 input_clauses: Optional[list[list[int]]] = None) -> Optional[str]:
     """Re-verify every node; None when the proof correctly derives the empty

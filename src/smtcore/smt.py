@@ -229,8 +229,9 @@ class SmtSolver:
 def smt_solve(formula: Formula) -> tuple[SatVerdict, list[TLemma]]:
     """Solve a formula; returns the verdict together with every theory lemma
     stored during the run, in discovery order.  A satisfiable verdict
-    carries the theory's model in `theory_model` (None without theory
-    atoms), so `evaluate_clause` can check it.  No lemma repeats and none
+    always carries the theory's model in `theory_model` (None without
+    theory atoms; for LRA however small the infinitesimal must be), so
+    `evaluate_clause` can check it.  No lemma repeats and none
     equals an input clause: a clause the SAT database holds already is not
     stored again."""
     engine = SmtSolver(formula)

@@ -97,9 +97,10 @@ class TheorySolver:
 
     def witness(self):
         """Theory model of the asserted literals; valid only right after
-        check_full answered False.  Built on demand: the search never reads
-        one, and only `smt_solve` asks for it (the model of a satisfiable
-        answer)."""
+        check_full answered False, and that answer is what makes one exist
+        (LRA's search for a concrete infinitesimal ends because of it).
+        Built on demand: the search never reads one, and only `smt_solve`
+        asks for it (the model of a satisfiable answer)."""
         raise NotImplementedError
 
     def deductions(self) -> list[tuple[int, ...]]:

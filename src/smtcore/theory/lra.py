@@ -43,7 +43,8 @@ is the union of the two certificates plus the disequality literal.
 The solver keeps the reasons of the one it found, each once, and
 `conflict_clauses` states it as the one clause that negates them;
 `witness` turns the delta-valued assignment into a rational model on
-demand.
+demand: the assignment under the first eps = 2**-k for which every
+asserted literal holds, by the atoms' own `eval_lin_atom`.
 
 Theory propagation (`deductions`) reads the bounds and never pivots, after
 Dutertre & de Moura, "A Fast Linear-Arithmetic Solver for DPLL(T)" (CAV
@@ -67,6 +68,7 @@ reported.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Callable, Optional
 
@@ -78,9 +80,6 @@ _BOUND, _DISEQ, _CROSSED, _SLOT, _SYNCED = range(5)
 
 # how a literal acts on its slack (_literal_plan)
 _CONST, _BOUNDS, _NOT_EQUAL = range(3)
-
-# the smallest 2**-k that witness tries for the infinitesimal is 2**-(_EPS_STEPS - 1)
-_EPS_STEPS = 220
 
 
 class _Propagation:
@@ -482,50 +481,24 @@ class LraSolver(TheorySolver):
         return conf is not None and self._found(conf)
 
     def witness(self) -> dict[Var, Rational]:
-        """The simplex assignment with the infinitesimal made concrete: the
-        largest eps = 2**-k under which every asserted literal holds.  The
-        disequality probes of check_full are undone but the values they
-        moved stay, so this is a model right after a check_full that found
-        no conflict.
+        """The simplex assignment with the infinitesimal made concrete: for
+        the first eps = 2**-k (k = 0, 1, ...) under which every asserted
+        literal holds, each column's r + d * eps.  At k = 0 eps is the int
+        1, so an integral assignment stays integral.  The disequality probes
+        of check_full are undone but the values they moved stay, so this is
+        a model right after a check_full that found no conflict.
 
-        A slack's value is r + d * eps, and the delta-valued assignment
-        meets each asserted bound for every small enough eps > 0.  So the
-        valid eps form an interval (0, E], or (0, E) when its tightest
-        bound is strict, less the one root of each disequality."""
+        The loop ends: right after such a check the delta-valued assignment
+        meets every asserted bound and disequality for every small enough
+        eps > 0, so the eps that work form an interval (0, E) less at most
+        one root per disequality."""
         values = self.values
-        limit, strict, roots = None, False, set()
-        for lit in self._asserted:
-            kind, sid, data = self._lit_plans[lit]
-            if kind == _CONST:
-                continue
-            r, d = values[sid]
-            if not d:
-                continue
-            if kind == _NOT_EQUAL:
-                roots.add(_div(data - r, d))
-                continue
-            for is_lower, (c, delta) in data:
-                if (d < 0) == is_lower:  # r + d * eps stays within c up to (c - r) / d
-                    bound = _div(c - r, d)
-                    if limit is None or bound < limit or (bound == limit and delta):
-                        limit, strict = bound, delta != 0
-        k = 0
-        if limit is not None:
-            if limit <= 0:
-                raise RuntimeError("could not concretize the infinitesimal")
-            p, q = limit.numerator, limit.denominator
-            # the least k with 2**-k < p/q, or <= p/q when not strict
-            k = (q // p if strict else -(-q // p) - 1).bit_length()
-        eps = 1 if k == 0 else Fraction(1, 1 << k)
-        while eps in roots:
-            k += 1
-            eps = Fraction(1, 1 << k)
-        if k < _EPS_STEPS:
+        for k in count():
+            eps = 1 if k == 0 else Fraction(1, 1 << k)
             vals = {v: values[vid][0] + values[vid][1] * eps for v, vid in self.columns.items()}
             if all(eval_lin_atom(self.table.atom(abs(lit)), vals) == (lit > 0)
                    for lit in self._asserted):
                 return vals
-        raise RuntimeError("could not concretize the infinitesimal")
 
     # -- deductions ------------------------------------------------------------------
 

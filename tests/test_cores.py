@@ -19,7 +19,7 @@ from smtcore.cores import (
 )
 from smtcore.mus import enumerate_mcs
 from smtcore.parser import parse
-from smtcore.sat import proof_core, sat_solve
+from smtcore.sat import proof_leaves, sat_solve
 from smtcore.smt import SmtSolver, smt_solve
 
 CORE_A = (0, 1, 2, 3, 4, 5)
@@ -68,7 +68,8 @@ class TestBooleanCore:
         first = {}
         for i, clause in enumerate(formula.clauses):
             first.setdefault(frozenset(clause), i)
-        leaves = proof_core(sat_solve(formula.clauses, log_proof=True).proof)
+        proof = sat_solve(formula.clauses, log_proof=True).proof
+        leaves = {leaf[1] for leaf in proof_leaves(proof)}
         later = {i for i in leaves if first[frozenset(formula.clauses[i])] != i}
         assert later
         core = extract_core(formula, "lift-proof", verify=True).core

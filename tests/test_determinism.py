@@ -18,7 +18,7 @@ DATA = Path(__file__).parent / "data"
 def _pipeline(path):
     formula = cnf_convert(parse_file(str(path)))
     verdict, store = smt_solve(formula)
-    dim = render(document_for(lifted_clauses(formula, store), len(formula.atoms)))
+    dim = render(document_for(lifted_clauses(formula, store)))
     report = extract_core(formula, "lift-proof", minimize=True)
     return dim, report.core
 
@@ -40,7 +40,7 @@ from smtcore.smt import lifted_clauses, smt_solve
 
 formula = cnf_convert(parse_file(sys.argv[1]))
 verdict, store = smt_solve(formula)
-print(render(document_for(lifted_clauses(formula, store), len(formula.atoms))))
+print(render(document_for(lifted_clauses(formula, store))))
 report = extract_core(formula, "lift-proof", minimize=True)
 print(report.core)
 print([sorted(m) for m in all_minimal_cores(formula)[1].muses])

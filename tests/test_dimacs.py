@@ -12,7 +12,8 @@ def test_lifted_document_header_counts(nine_clauses):
     from smtcore.smt import lifted_clauses, smt_solve
     verdict, store = smt_solve(nine_clauses)
     assert verdict.status == "unsat"
-    doc = document_for(lifted_clauses(nine_clauses, store), len(nine_clauses.atoms))
+    doc = DimacsDocument(len(nine_clauses.atoms),
+                         [list(cl) for cl in lifted_clauses(nine_clauses, store)])
     text = render(doc)
     assert text.splitlines()[0] == f"p cnf 10 {9 + len(store)}"
     # the canonical run stores exactly the three pairwise-conflict lemmas
@@ -21,7 +22,7 @@ def test_lifted_document_header_counts(nine_clauses):
 
 
 def test_empty_document():
-    assert render(document_for([], nvars=0)) == "p cnf 0 0\n"
+    assert render(document_for([])) == "p cnf 0 0\n"
 
 
 def test_single_unit_clause_row():
@@ -89,7 +90,7 @@ def test_round_trip_choose_then_read(data):
         st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]),
                  min_size=1, max_size=3),
         min_size=1, max_size=6))
-    original = document_for(rng_clauses, nvars=4)
+    original = DimacsDocument(4, rng_clauses)
     chosen = data.draw(st.sets(st.integers(0, len(rng_clauses) - 1)))
     # an index list
     text = render_core_indices(chosen)

@@ -16,15 +16,31 @@ on the commit before it, with
 
     PYTHONPATH=src:tests python -c "import test_lra_search as t; \\
         print({shape: t.digest(t.corpus(shape)) for shape in t.CORPORA})"
+
+`test_models_are_pinned` pins the theory models of the satisfiable answers
+of a second corpus the same way.  Its digest was computed on the
+closed-form `LraSolver.witness` that the search for eps replaced; a
+mismatch means a model changed.  Recompute it with
+
+    PYTHONPATH=src:tests python -c "import test_lra_search as t; \\
+        print(t.model_digest(t.model_corpus()))"
 """
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from gen import random_difference_formula
+from gen import random_difference_formula, random_formula
+from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS, extract_core, minimize_core
-from smtcore.smt import SmtSolver
+from smtcore.parser import parse
+from smtcore.smt import SmtSolver, smt_solve
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def outcome(formula) -> str:
@@ -83,3 +99,36 @@ def corpus(shape):
 @pytest.mark.parametrize("shape", sorted(CORPORA))
 def test_search_is_pinned(shape):
     assert digest(corpus(shape)) == DIGESTS[shape]
+
+
+def model_corpus():
+    """200 random LRA formulas, difference formulas of two shapes and the
+    benchmark's `lra-core` corpus at seed 5 (twenty instances)."""
+    rng = random.Random(42)
+    formulas = [random_formula(rng, "LRA") for _ in range(200)]
+    formulas += [random_difference_formula(random.Random(seed), 6, 24, 3) for seed in range(40)]
+    formulas += [random_difference_formula(random.Random(seed), 12, 60, 2) for seed in range(12)]
+    workload = workloads.WORKLOADS["lra-core"]
+    formulas += [cnf_convert(parse(inst.text))
+                 for inst in workloads.build_corpus(workload, 5, 20 / workload.per_second)]
+    return formulas
+
+
+def model_digest(formulas) -> str:
+    """One digest over the theory model of each satisfiable answer: its
+    sorted (variable name, value type name, value) triples."""
+    h = hashlib.sha256()
+    for formula in formulas:
+        verdict, _store = smt_solve(formula)
+        if verdict.status == "sat":
+            triples = sorted((v.name, type(value).__name__, str(value))
+                             for v, value in verdict.theory_model.items())
+            h.update(hashlib.sha256(repr(triples).encode()).digest())
+    return h.hexdigest()
+
+
+MODEL_DIGEST = "a9294732ef259139fcf8189f717b9ce582bc5d81ce3742c84d73620d1a707eda"
+
+
+def test_models_are_pinned():
+    assert model_digest(model_corpus()) == MODEL_DIGEST

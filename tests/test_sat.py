@@ -8,7 +8,7 @@ from gen import pigeonhole_cnf, random_cnf, random_difference_formula
 from oracles import cnf_models, cnf_truth_table_sat
 from smtcore import smt
 from smtcore.sat import (
-    ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, check_proof, proof_core, sat_solve,
+    ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, check_proof, proof_leaves, sat_solve,
     solve_with_selectors,
 )
 
@@ -22,7 +22,7 @@ class TestBasics:
     def test_contradictory_units(self):
         v = sat_solve([[1], [-1]], log_proof=True)
         assert v.status == "unsat"
-        assert proof_core(v.proof) == {0, 1}
+        assert {leaf[1] for leaf in proof_leaves(v.proof)} == {0, 1}
         # one chain node of exactly one resolution step, on the single variable
         chains = [n for n in v.proof.nodes if n[0] == "chain"]
         assert len(chains) == 1
@@ -42,7 +42,7 @@ class TestBasics:
     def test_empty_input_clause(self):
         v = sat_solve([[1], []], log_proof=True)
         assert v.status == "unsat"
-        assert proof_core(v.proof) == {1}
+        assert {leaf[1] for leaf in proof_leaves(v.proof)} == {1}
 
     def test_tautology_from_one_shot_iterable_keeps_every_literal(self):
         s = SatSolver()
@@ -77,14 +77,14 @@ class TestProofCore:
     def test_irrelevant_clause_not_in_core(self):
         v = sat_solve([[1], [-1], [2]], log_proof=True)
         assert v.status == "unsat"
-        assert proof_core(v.proof) == {0, 1}
+        assert {leaf[1] for leaf in proof_leaves(v.proof)} == {0, 1}
 
     def test_core_is_unsat_subset(self, nine_clauses):
         from smtcore.smt import lifted_clauses, smt_solve
         _, store = smt_solve(nine_clauses)
         clauses = lifted_clauses(nine_clauses, store)
         v = sat_solve(clauses, log_proof=True)
-        core = sorted(proof_core(v.proof))
+        core = sorted({leaf[1] for leaf in proof_leaves(v.proof)})
         assert set(core) <= set(range(len(clauses)))
         assert sat_solve([clauses[i] for i in core]).status == "unsat"
 
@@ -133,7 +133,7 @@ class TestCheckProof:
         n1 = proof.chain(l0, [(1, l1)], [2])
         proof.final = proof.chain(n1, [(2, l2)], [])
         assert check_proof(proof, clauses) is None
-        assert proof_core(proof) == {0, 1, 2}
+        assert {leaf[1] for leaf in proof_leaves(proof)} == {0, 1, 2}
         # the same refutation as one chain of two steps
         proof.final = proof.chain(l0, [(1, l1), (2, l2)], [])
         assert check_proof(proof, clauses) is None
@@ -242,7 +242,7 @@ class TestSoundnessAgainstTruthTables:
                 assert_model_satisfies(v.model, clauses)
             else:
                 assert check_proof(v.proof, clauses) is None
-                core = sorted(proof_core(v.proof))
+                core = sorted({leaf[1] for leaf in proof_leaves(v.proof)})
                 assert not cnf_truth_table_sat([clauses[i] for i in core], nvars)
             agree += 1
         assert agree == 1000

@@ -25,7 +25,7 @@ import pytest
 from gen import diamond_chain_formula, pigeonhole_cnf, random_difference_formula, random_uf_formula
 from smtcore.cores import check_core, extract_core
 from smtcore.mus import enumerate_mcs, minimal_hitting_sets
-from smtcore.sat import check_proof, proof_core, sat_solve, solve_with_selectors
+from smtcore.sat import check_proof, proof_leaves, sat_solve, solve_with_selectors
 from smtcore.smt import SmtSolver, evaluate_clause, lemma_store_violations, smt_solve
 
 
@@ -98,7 +98,7 @@ def test_pigeonhole_cores():
     verdict = sat_solve(clauses, log_proof=True)
     assert verdict.status == "unsat"
     assert check_proof(verdict.proof, clauses) is None
-    assert proof_core(verdict.proof) == php
+    assert {leaf[1] for leaf in proof_leaves(verdict.proof)} == php
     verdict, core = solve_with_selectors(clauses)
     assert verdict.status == "unsat-assumptions"
     assert set(core) == php

@@ -113,6 +113,22 @@ class TestAssertAndConflict:
         assert not s.check_full()
         assert 0 < s.witness()[X] < 1
 
+    def test_an_infinitesimal_below_two_to_the_minus_230_is_concretized(self):
+        formula = cnf_convert(parse(
+            f"(declare-fun x () Real)(assert (> x 0))(assert (< x (/ 1 {2 ** 230})))"))
+        verdict, _store = smt_solve(formula)
+        assert verdict.status == "sat"
+        assert all(evaluate_clause(c, formula.atoms, verdict) for c in formula.clauses)
+
+    def test_the_witness_skips_a_disequality_root(self):
+        # eps = 1 breaks x < 1 and eps = 1/2 meets x = 1/2, so eps = 1/4
+        formula = cnf_convert(parse(
+            "(declare-fun x () Real)(assert (> x 0))(assert (< x 1))"
+            "(assert (not (= x (/ 1 2))))"))
+        verdict, _store = smt_solve(formula)
+        assert verdict.status == "sat"
+        assert list(verdict.theory_model.values()) == [Fraction(1, 4)]
+
     def test_equality_negation_splits(self):
         # x >= 0, x <= 0, x != 0 must conflict with all three cited
         table, (ige, ile, ieq) = table_with(
