@@ -42,6 +42,14 @@ added again, a clause learned again, a one-literal clause, and at the
 start of `solve` a clause added above level 0): its unit literal is
 enqueued, or, if it is false, it is the pending conflict.
 
+A conflict whose every literal is at level 0 refutes the clauses, and the
+one conflict analysis derives the empty clause from it: it walks the trail
+back as for any conflict, without a backjump, and resolves every literal
+against its level-0 reason; the chain is the proof's final node.  An empty
+clause is such a conflict with no literal to resolve.  The conflict budget
+bounds search, not a refutation that needs none: a conflict met with no
+decision on the trail is analysed whatever the budget.
+
 There is one search for every caller.  It never restarts: the trail is
 cut back only by conflict analysis and by a new `solve` call.  Proof
 logging only records: with `log_proof` on or off, the solver makes the same
@@ -259,8 +267,9 @@ class SatSolver:
         # they enqueued a literal or left a conflict in pending_conflict;
         # hook_backjump(trail_len) follows every backjump
         self.theory_hook = None
-        # set once the clauses are refuted without assumptions: every later
-        # solve answers unsat, whatever it assumes
+        # set once the clauses are refuted without assumptions, by a level-0
+        # conflict or an empty clause: every later solve answers unsat,
+        # whatever it assumes
         self.refuted = False
         # a false clause, taken by the next propagation before it propagates
         self.pending_conflict: Optional[int] = None
@@ -316,7 +325,9 @@ class SatSolver:
         to one the database holds gets that clause's id.  The status ("ok",
         "unit", "satisfied" or "conflict") is the clause's under the current
         assignment: a unit clause is enqueued, a false one is the pending
-        conflict."""
+        conflict.  An empty clause refutes the clauses when it is added, as
+        the proof's final node, and is the pending conflict, which ends a
+        search it is added in as unsat."""
         # duplicates go; a tautology is kept but can never propagate
         norm = list(dict.fromkeys(lits))
         if 0 in norm:
@@ -366,6 +377,7 @@ class SatSolver:
             self._by_key[key] = cid
         if not norm:
             self.refuted = True
+            self.pending_conflict = cid
             if self.proof:
                 self.proof.final = self._node(cid)
             return cid, "conflict"
@@ -560,45 +572,21 @@ class SatSolver:
         if self.theory_hook is not None:
             self.theory_hook.hook_backjump(cut)
 
-    def _derive_empty(self, confl: int):
-        """Level-0 conflict: resolve against reasons in reverse trail order
-        down to the empty clause; record it as the proof's final node."""
-        clauses, reason, trail, proof = self.clauses, self._reason, self.trail, self.proof
-        seen = {abs(l) for l in clauses[confl]}
-        pending = len(seen)
-        first = self._node(confl) if proof else None
-        steps = []
-        i = len(trail)
-        while pending:
-            i -= 1
-            v = abs(trail[i])
-            if v not in seen:
-                continue
-            pending -= 1
-            rid = reason[v]
-            assert rid is not None, "unassigned or decision literal in a level-0 conflict"
-            if proof:
-                steps.append((v, self._node(rid)))
-            for q in clauses[rid]:
-                u = abs(q)
-                if u not in seen:
-                    seen.add(u)
-                    pending += 1
-        if proof:
-            proof.final = proof.chain(first, steps, ())
-
     def _analyze(self, confl: int):
         """1st-UIP analysis.  Returns (learned literal list with the
-        asserting literal first, backjump level, derivation) or None when the
-        conflict proves global unsatisfiability.  With proof logging, the
-        derivation is (conflict node, [(pivot, reason node), ...]); the
-        learned clause is exactly its resolvent.
+        asserting literal first, backjump level, derivation), or None when
+        the conflict is at level 0 and so refutes the clauses.  With proof
+        logging, the derivation is (conflict node, [(pivot, reason node),
+        ...]); the learned clause is exactly its resolvent.
 
         Walks the trail backwards from its end, resolving every marked
-        current-level literal against its reason until one such literal is
-        left open: the resolution order is decreasing trail position.  The
-        literals below the conflict level are collected as trail positions,
-        so that they sort as plain integers."""
+        conflict-level literal against its reason until one such literal
+        is left open: the resolution order is decreasing trail position.
+        The literals below the conflict level are collected as trail
+        positions, so that they sort as plain integers.  A level-0
+        conflict takes no backjump, so the decisions stay on the trail:
+        the walk resolves every literal, down to the empty clause, which
+        is the proof's final node."""
         clauses, level = self.clauses, self._level
         clause = clauses[confl]
         lvl = 0
@@ -606,10 +594,8 @@ class SatSolver:
             lv = level[l if l > 0 else -l]
             if lv > lvl:
                 lvl = lv
-        if lvl == 0:
-            self._derive_empty(confl)
-            return None
-        self._backjump(lvl)
+        if lvl:
+            self._backjump(lvl)
         act, inc, reason, trail_pos = self._activity, self.var_inc, self._reason, self._trail_pos
         proof, node_of = self.proof, self._node_of
         first = self._node(confl) if proof else None
@@ -627,14 +613,14 @@ class SatSolver:
                 rest.append(trail_pos[v])
         trail = self.trail
         i = len(trail)
-        while True:
+        while open_:
             i -= 1
             v = trail[i]
             if v < 0:
                 v = -v
             if v not in seen:
                 continue
-            if open_ == 1:
+            if open_ == 1 and lvl:
                 break
             open_ -= 1
             rid = reason[v]
@@ -651,6 +637,10 @@ class SatSolver:
                     else:
                         rest.append(trail_pos[u])
             act[v] += inc
+        else:
+            if proof:
+                proof.final = proof.chain(first, steps, ())
+            return None
         # Each literal below the conflict level is false: the negation of
         # the trail literal at its position.  Levels never decrease along
         # the trail, so they go in the order of decreasing (level, position).
@@ -732,10 +722,14 @@ class SatSolver:
         other assumptions and after more clauses were added, at level 0 or
         on the trail the last call left (the call starts from level 0, where
         it re-checks those clauses); learned clauses carry over, since they
-        follow from the clauses.
+        follow from the clauses.  An assumption literal 0 is a ValueError.
         `conflict_budget` bounds the conflicts of each call, while
-        `conflicts` counts them over the solver's life."""
+        `conflicts` counts them over the solver's life: a conflict past the
+        budget answers unknown, unless it is met with no decision on the
+        trail, where analysis refutes the clauses with no search."""
         assumptions = list(assumptions)
+        if 0 in assumptions:
+            raise ValueError("literal 0 is not allowed")
         for a in assumptions:
             self.ensure_vars(abs(a))
         # the previous call left its decisions on the trail; assumptions are
@@ -760,7 +754,7 @@ class SatSolver:
                     continue
             else:
                 self.conflicts += 1
-                if budget_end is not None and self.conflicts > budget_end:
+                if budget_end is not None and self.conflicts > budget_end and trail_lim:
                     return SatVerdict("unknown")
                 res = self._analyze(confl)
                 if res is None:

@@ -5,7 +5,8 @@ A solver owns the atoms of exactly one theory.  A literal is the SAT
 solver's: a signed atom id of the table, positive for the atom and negative
 for its negation, or a signed variable past the table that names an atom
 in `defined` (the engine's own atoms: the table never grows), which only
-`EufSolver.define` fills.  Asserting a literal answers whether the
+`EufSolver` fills, with each equality a conflict chain needs and the table
+has no atom for.  Asserting a literal answers whether the
 asserted literals are now inconsistent, and so does the full check.
 `backtrack(n)` restores exactly the state in which the first n of the
 asserted literals were asserted.  The engine receives what a solver infers

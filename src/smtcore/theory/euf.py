@@ -50,7 +50,7 @@ a = a): each asserted edge u - v adds
 f(t..) adds (not s1=t1) or ... or f(s..)=f(t..), whose argument
 equalities are broken up the same way, and the last lemma concludes the
 disequality's own atom a=b.  An equality the table has no atom for gets
-a variable of its own (`define`, the only theory atoms past the table),
+a variable of its own (`_eq_var`, the only theory atoms past the table),
 which is asserted and backtracked like a table atom (the engine asserts
 only its positive literal) but left out of `deductions`: its own lemmas
 propagate it.
@@ -130,31 +130,23 @@ class EufSolver(TheorySolver):
         self._args.append(args)
         return tid
 
-    def define(self, var: int, atom: EufAtom) -> None:
-        """Let `var`, a variable past the table that names nothing yet,
-        name `atom`, an equality over the solver's terms; a ValueError if
-        it cannot."""
-        if var <= len(self.table):
-            raise ValueError(f"variable {var} is an atom of the table")
-        if not isinstance(atom, EufAtom):
-            raise ValueError(f"{type(atom).__name__} does not belong to EUF")
-        ends = (self._ids.get(atom.lhs), self._ids.get(atom.rhs))
-        if None in ends:
-            raise ValueError(f"{atom} is not over the solver's terms")
-        self._ends[var] = ends
-        self._eq.setdefault(tuple(sorted(ends)), var)
-        self.defined[var] = atom
-
     def atom_var(self, atom: EufAtom, new_var: Callable[[], int]) -> int:
         """The variable naming `atom`, an equality over the solver's terms:
         the table's or a defined one, else one from `new_var` defined now."""
         return self._eq_var(self._ids[atom.lhs], self._ids[atom.rhs], new_var)
 
     def _eq_var(self, a: int, b: int, new_var: Callable[[], int]) -> int:
-        var = self._eq.get((a, b) if a < b else (b, a))
+        """The variable naming a = b: the table's or a defined one, else
+        one from `new_var`, past the table, that names a = b from now on.
+        Its ends are ordered as `euf_atom` orders the atom's sides."""
+        key = (a, b) if a < b else (b, a)
+        var = self._eq.get(key)
         if var is None:
             var = new_var()
-            self.define(var, euf_atom(self.terms[a], self.terms[b]))
+            atom = euf_atom(self.terms[a], self.terms[b])
+            self._ends[var] = (self._ids[atom.lhs], self._ids[atom.rhs])
+            self._eq[key] = var
+            self.defined[var] = atom
         return var
 
     # -- merging ------------------------------------------------------------------

@@ -59,6 +59,12 @@ class TestSolve:
         code, out, err = run_cli("solve", str(path), "--budget", "0", capsys=capsys)
         assert (code, out, err) == (1, "unknown\n", "")
 
+    def test_budget_does_not_cut_a_refutation_that_needs_no_search(self, tmp_path, capsys):
+        path = tmp_path / "units.smt2"
+        path.write_text("(declare-fun p () Bool)(assert p)(assert (not p))", encoding="utf-8")
+        code, out, err = run_cli("solve", str(path), "--budget", "0", capsys=capsys)
+        assert (code, out, err) == (20, "unsat\n", "")
+
     def test_proof_out(self, data_dir, tmp_path, capsys):
         trace = tmp_path / "proof.txt"
         code, _, _ = run_cli("solve", str(data_dir / NINE_CLAUSES),

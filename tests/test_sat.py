@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -53,12 +54,29 @@ class TestBasics:
         assert v.status == "sat" and v.model[2] is False
 
     def test_budget_gives_unknown(self):
+        """The budget bounds search: a formula refuted by a conflict met
+        with no decision on the trail (here its four unit clauses) is unsat
+        under budget 0, and one that needs a decision is unknown."""
         rng = random.Random(5)
         clauses, nvars = random_cnf(rng, max_vars=12)
         while cnf_truth_table_sat(clauses, nvars):
             clauses, nvars = random_cnf(rng, max_vars=12)
-        v = sat_solve(clauses, conflict_budget=0)
+        assert sat_solve(clauses, conflict_budget=0).status == "unsat"
+        v = sat_solve([[1, 2], [-1, 2], [1, -2], [-1, -2]], conflict_budget=0)
         assert v.status == "unknown"
+
+    def test_a_level_0_conflict_is_never_cut_by_the_budget(self):
+        """A conflict met at level 0 is analysed whatever the budget, so no
+        later solve of the same solver can answer sat."""
+        s = SatSolver(conflict_budget=0)
+        s.add_inputs([[1], [-1]])
+        assert [s.solve().status for _ in range(3)] == ["unsat"] * 3
+        # a lemma false at level 0, added above level 0: that solve runs
+        # out, and the next meets the lemma at level 0
+        s = SatSolver(conflict_budget=0)
+        s.add_inputs([[1], [2, 3], [-2, 4]])
+        s.theory_hook = OnceAboveLevelZero(s, lambda s: [-1])
+        assert [s.solve().status for _ in range(3)] == ["unknown", "unsat", "unsat"]
 
     def test_budget_bounds_each_solve_not_the_solver_life(self):
         clauses, _ = pigeonhole_cnf(random.Random(0), 4, 0, 0)  # PHP 5/4, 20 variables
@@ -459,6 +477,7 @@ class GenericIntake(SatSolver):
             self._by_key[key] = cid
         if not norm:
             self.refuted = True
+            self.pending_conflict = cid
             if self.proof:
                 self.proof.final = self._node(cid)
             return cid, "conflict"
@@ -631,6 +650,8 @@ class TestIntake:
                 learned = generic.origins.count(("learned",))
                 v1, v2 = fast.solve(assumptions), generic.solve(assumptions)
                 assert (v1.status, v1.model, v1.conflict) == (v2.status, v2.model, v2.conflict)
+                if v1.status == "sat":
+                    assert_model_satisfies(v1.model, fast.clauses + [[a] for a in assumptions])
                 assert intake_state(fast) == intake_state(generic)
                 tally["learned"] += generic.origins.count(("learned",)) - learned
                 # clauses added between solves, at level 0 or on the trail
@@ -712,9 +733,17 @@ class TestIntake:
                 break
 
     def test_literal_zero_is_refused(self):
-        for add in (lambda s: s.add_clause([1, 0]), lambda s: s.add_inputs([[1, 2], [0]])):
-            with pytest.raises(ValueError, match="literal 0"):
-                add(SatSolver())
+        """A clause, a load of input clauses or assumptions with literal 0
+        is a ValueError, raised before the solver's state is touched."""
+        for call in (lambda s: s.add_clause([1, 0]), lambda s: s.add_inputs([[1, 2], [0]]),
+                     lambda s: s.solve([1, 0])):
+            s = SatSolver()
+            s.add_inputs([[1, 2], [-1, 3]])
+            assert s.solve([2]).status == "sat"
+            state = intake_state(s)
+            with pytest.raises(ValueError, match="literal 0 is not allowed"):
+                call(s)
+            assert intake_state(s) == state
 
 
 def test_a_held_clause_is_settled_as_a_new_one():
@@ -770,6 +799,113 @@ def test_a_clause_a_budget_exit_left_unit_at_level_0_is_propagated():
     verdict = s.solve()
     assert (verdict.status, s.conflicts) == ("sat", 1)
     assert verdict.model == {1: True, 2: True, 3: False}
+
+
+class OnceAboveLevelZero:
+    """A hook that adds to `solver`, once, at the first fixpoint above level
+    0, the clause `lemma(solver)` gives.  It records the argument of every
+    `hook_backjump` call."""
+
+    def __init__(self, solver, lemma):
+        self.solver, self.lemma = solver, lemma
+        self.added = False
+        self.backjumps = []
+
+    def hook_fixpoint(self):
+        s = self.solver
+        if self.added or not s.trail_lim:
+            return False
+        self.added = True
+        return s.add_clause(self.lemma(s), ("tlemma", 0))[1] in ("unit", "conflict")
+
+    def hook_final(self):
+        return False
+
+    def hook_backjump(self, trail_len):
+        self.backjumps.append(trail_len)
+
+
+@pytest.mark.parametrize("log_proof", [False, True])
+def test_an_empty_clause_added_mid_search_refutes_that_search(log_proof):
+    s = SatSolver(log_proof=log_proof)
+    s.add_inputs([[1, 2], [-1, 3], [2, 3]])
+    s.theory_hook = OnceAboveLevelZero(s, lambda s: [])
+    v = s.solve()
+    assert v.status == "unsat" and s.trail_lim
+    if log_proof:
+        assert check_proof(v.proof, s.clauses) is None
+        assert proof_leaves(v.proof) == [("leaf", 3, frozenset())]
+    assert s.solve().status == "unsat"
+
+
+def negated_level_zero_literals(rng, s):
+    """The clause that negates one to three literals of the level-0 trail,
+    which a unit input clause keeps from being empty."""
+    level0 = s.trail[:s.trail_lim[0]]
+    return [-l for l in rng.sample(level0, min(len(level0), rng.randint(1, 3)))]
+
+
+def level_zero_runs():
+    """300 solves of seeded 3-CNFs, each with one to three unit clauses,
+    with proof logging on even seeds and no budget.  A hook adds the clause
+    that negates one to three literals of the level-0 trail: a conflict at
+    level 0, met with decisions on the trail.  Yields (solver, verdict,
+    hook) for each."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        nvars = rng.randint(6, 24)
+        clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 3)]
+                   for _ in range(rng.randint(2 * nvars, 4 * nvars))]
+        for _ in range(rng.randint(1, 3)):
+            clauses.insert(rng.randrange(len(clauses) + 1),
+                           [rng.choice((1, -1)) * rng.randint(1, nvars)])
+        s = SatSolver(log_proof=seed % 2 == 0)
+        s.add_inputs(clauses)
+        s.theory_hook = hook = OnceAboveLevelZero(s, partial(negated_level_zero_literals, rng))
+        yield s, s.solve(), hook
+
+
+def level_zero_record(s, v, hook) -> bytes:
+    """The SHA-256 of one run: verdict, conflict count, trail, trail
+    limits, the hook's backjump calls, proof nodes and final node."""
+    run = (v.status, sorted(v.model.items()) if v.model else None, s.conflicts,
+           s.trail, s.trail_lim, hook.backjumps,
+           s.proof.nodes if s.proof else None, s.proof.final if s.proof else None)
+    return hashlib.sha256(repr(run).encode()).digest()
+
+
+def level_zero_digest() -> str:
+    h = hashlib.sha256()
+    for run in level_zero_runs():
+        h.update(level_zero_record(*run))
+    return h.hexdigest()
+
+
+LEVEL_ZERO_DIGEST = "319a4fddafef8531356d7d943f935dee2ef74307b165b8392d928e7e9554919a"
+
+
+def test_level_0_refutations_are_pinned():
+    """A conflict whose every literal is at level 0 refutes the clauses
+    where it is met: analysis resolves it down to the empty clause without
+    a backjump, so the decisions stay on the trail and no theory is
+    backtracked.  Each run is pinned by `level_zero_record`, and the
+    corpus by a digest computed on the kernel that derived the empty
+    clause in a walk of its own; recompute it with
+
+        PYTHONPATH=src:tests python -c "import test_sat as t; print(t.level_zero_digest())"
+
+    Every logged refutation must also pass `check_proof`, and most runs
+    must refute above level 0 (245 of the 300 do)."""
+    h = hashlib.sha256()
+    above = 0
+    for s, v, hook in level_zero_runs():
+        h.update(level_zero_record(s, v, hook))
+        if v.status == "unsat" and s.trail_lim:
+            above += 1
+        if v.status == "unsat" and s.proof:
+            assert check_proof(s.proof, s.clauses) is None
+    assert above >= 200
+    assert h.hexdigest() == LEVEL_ZERO_DIGEST
 
 
 # ---------------------------------------------------------------------------

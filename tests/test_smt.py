@@ -76,6 +76,14 @@ def test_budget_returns_unknown_with_partial_store(nine_clauses):
     assert verdict.status != "sat"
 
 
+def test_a_level_0_conflict_is_never_cut_by_the_budget():
+    """A refutation that needs no decision is found under budget 0, by this
+    solve and every later one."""
+    f = cnf_convert(parse("(declare-fun p () Bool)(assert p)(assert (not p))"))
+    engine = SmtSolver(f, conflict_budget=0)
+    assert [engine.solve().status for _ in range(3)] == ["unsat"] * 3
+
+
 def test_propositional_only_formula():
     f = cnf_convert(parse(
         "(declare-fun p () Bool)(declare-fun q () Bool)"
@@ -584,7 +592,8 @@ class TestLemmaStoreViolations:
         for defs, named, problem in [
                 (((table_var, table_atom),) + store[i].defs, table_var,
                  f"variable {table_var} is an atom of the table"),
-                (((var, stranger), *rest), var, f"{stranger} is not over the solver's terms")]:
+                (((var, stranger), *rest), var, f"{stranger} is not over the solver's terms"),
+                (((var, PropAtom("p")), *rest), var, "PropAtom does not belong to EUF")]:
             forged = store[:i] + [replace(store[i], defs=tuple(defs))] + store[i + 1:]
             assert lemma_store_violations(formula, forged, unsat=True) == [
                 f"lemma {i}: definition of variable {named} is rejected: {problem}"]

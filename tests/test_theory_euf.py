@@ -5,7 +5,7 @@ import pytest
 
 from gen import random_euf_atoms
 from oracles import clause_valid, conflict_lemma_problem, euf_literals_sat
-from smtcore.terms import AtomTable, FunApp, FunSymbol, PropAtom, Var, euf_atom
+from smtcore.terms import AtomTable, FunApp, FunSymbol, Var, euf_atom
 from smtcore.theory import EufSolver, validity_check
 
 U = "U"
@@ -169,14 +169,11 @@ def test_wrong_theory_literal_rejected():
 def test_only_an_equality_over_the_solver_terms_is_defined_past_the_table():
     table, (iab, ibc) = setup_atoms(euf_atom(a, b), euf_atom(b, c))
     s = EufSolver(table)
-    with pytest.raises(ValueError, match="variable 2 is an atom of the table"):
-        s.define(ibc, euf_atom(a, c))
-    with pytest.raises(ValueError, match="PropAtom does not belong to EUF"):
-        s.define(3, PropAtom("p"))
-    with pytest.raises(ValueError, match="is not over the solver's terms"):
-        s.define(3, euf_atom(a, Var("d", U, 3)))
+    assert s.atom_var(euf_atom(b, c), lambda: 4) == ibc
     assert s.defined == {}
-    s.define(3, euf_atom(a, c))
+    assert s.atom_var(euf_atom(a, c), lambda: 3) == 3
+    assert s.defined == {3: euf_atom(a, c)}
+    assert s.atom_var(euf_atom(c, a), lambda: 4) == 3
     assert not s.assert_literal(3) and not s.assert_literal(iab)
     assert s.assert_literal(-ibc)
     _clauses, premises = _conflict_lemmas(s)
