@@ -136,21 +136,16 @@ def cmd_bench(args) -> int:
     directory = Path(args.dir)
     if not directory.is_dir():
         problem = "is not a directory" if directory.exists() else "does not exist"
-        print(f"error: {args.dir} {problem}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"{args.dir} {problem}")
     paths = sorted(directory.glob("*.smt2"))
     if not paths:
-        print(f"error: {args.dir} holds no *.smt2 file", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"{args.dir} holds no *.smt2 file")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError(f"unknown method {m!r}")
     if args.baseline not in methods:
-        print(f"error: baseline {args.baseline!r} is not among the methods",
-              file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"baseline {args.baseline!r} is not among the methods")
     records = bench_mod.run_bench(paths, methods, budget=args.budget,
                                   extractor_cmd=args.extractor_cmd)
     csv_text = bench_mod.records_to_csv(records)

@@ -382,13 +382,15 @@ def _minimize(formula: Formula, core: Iterable[int], store: list[TLemma],
     lemma store of a route's run, unguarded, each engine variable renamed
     to the minimization engine's own (`SmtSolver.add_lemma`).  A stored
     lemma is theory-valid, so it changes no trial's verdict, only the
-    search that reaches it, and the result is the same core.  The core is
-    solved first only with `confirm`: a route's core needs no such solve,
-    since the route refuted it together with theory-valid lemmas.  Returns
-    the core and the engine's lemmas in its own numbering, the renamed
-    store and then its own: the core plus them is propositionally unsat,
-    since the engine's learned clauses keep the negated selectors of the
-    clauses outside the core."""
+    search that reaches it, and the result is the same core.  The engine
+    gets no other clause: a clause is out of a trial only by its selector
+    not being assumed, and a dropped clause is never assumed again.  The
+    core is solved first only with `confirm`: a route's core needs no
+    such solve, since the route refuted it together with theory-valid
+    lemmas.  Returns the core and the engine's lemmas in its own
+    numbering, the renamed store and then its own: the core plus them is
+    propositionally unsat, since the engine's learned clauses keep the
+    negated selectors of the clauses they came from."""
     current = sorted(set(core))
     if problem := _out_of_range(formula, current):
         raise ValueError(f"core {problem}")
@@ -396,18 +398,10 @@ def _minimize(formula: Formula, core: Iterable[int], store: list[TLemma],
     seeded = [engine.solver.add_lemma(lemma) for lemma in store]
     if confirm and not _refuted(engine.solve(current)):
         raise ValueError("minimize_core requires a theory-unsatisfiable core")
-
-    def retire(i: int):
-        # a clause outside the working set never returns to it
-        engine.solver.add_clause((-engine.selectors[i],))
-
-    for i in sorted(set(range(len(formula.clauses))) - set(current)):
-        retire(i)
     for candidate in sorted(current, reverse=True):
         trial = [i for i in current if i != candidate]
         if _refuted(engine.solve(trial)):
             current = trial
-            retire(candidate)
     return current, seeded + engine.solver.store
 
 

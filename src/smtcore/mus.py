@@ -21,6 +21,7 @@ be unsatisfiable, so phase two runs only on a complete one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterable, Optional
 
 from .smt import SelectorEngine
@@ -125,7 +126,7 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
     # one cardinality encoding over the dropped clauses serves every k
     dropped = _Totalizer([-s for s in selectors], engine.solver.new_var, add)
     found: list[frozenset[int]] = []
-    for k in range(1, n + 1):
+    for k in count(1):
         at_most_k = dropped.at_most(k)
         while True:
             verdict = engine.solve((), *at_most_k)
@@ -143,7 +144,6 @@ def enumerate_mcs(formula: Formula, cap: int = DEFAULT_CAP,
         status = engine.solve(()).status
         if status != "sat":
             return McsSet(found, complete=status != "unknown")
-    return McsSet(found, complete=True)
 
 
 def minimal_hitting_sets(mcses: Iterable[frozenset[int]],

@@ -292,6 +292,15 @@ class TestMalformedInput:
         assert code == 20
         assert out.splitlines()[2] == "core-assertions: 1 2 3"
 
+    def test_mixed_euf_and_lra_atoms_exit_1(self, tmp_path, capsys):
+        mixed = tmp_path / "mixed.smt2"
+        mixed.write_text("(declare-sort U 0)(declare-fun a () U)(declare-fun b () U)"
+                         "(declare-fun x () Real)(assert (= a b))(assert (< x 0))",
+                         encoding="utf-8")
+        code, out, err = run_cli("core", str(mixed), capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: formula mixes EUF and LRA atoms; theory combination is unsupported\n"
+
     @pytest.mark.parametrize("argv", [[], ["core"], ["core", "f.smt2", "--method", "magic"],
                                       ["solve", "f.smt2", "--budget", "many"],
                                       ["solve", "f.smt2", "--budget", "-1"],

@@ -376,6 +376,19 @@ class TestBridge:
         with pytest.raises(BridgeError, match="status 3"):
             external_bridge([[1], [-1]], cmd)
 
+    def test_an_extractor_that_cannot_start_keeps_files(self, tmp_path):
+        with pytest.raises(BridgeError, match="could not run extractor '/nonexistent/tool'"):
+            external_bridge([[1], [-1]], "/nonexistent/tool {in} {out}")
+        kept, = tmp_path.glob("smtcore-bridge-*")
+        assert (kept / "problem.cnf").exists()
+
+    def test_an_extractor_that_writes_nothing_keeps_files(self, tmp_path):
+        cmd = f"{_python()} -c \"pass\" {{in}} {{out}}"
+        with pytest.raises(BridgeError, match="produced no output file"):
+            external_bridge([[1], [-1]], cmd)
+        kept, = tmp_path.glob("smtcore-bridge-*")
+        assert (kept / "problem.cnf").exists()
+
     def test_satisfiable_core_rejected(self):
         cmd = f"{_python()} -c \"import sys; open(sys.argv[2],'w').write('3\\n')\" {{in}} {{out}}"
         with pytest.raises(BridgeError, match="satisfiable"):

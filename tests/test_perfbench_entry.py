@@ -12,10 +12,11 @@ reduced to one SHA-256 digest per workload, which must equal
 `COUNT_DIGESTS`.  A search-preserving change keeps them.  A change that
 alters the search, a workload's corpus or the set of count metrics
 re-pins them, and so does a verification change that stops calling a
-wrapped theory method, whose calls are counts too.  To re-pin, run
-`count_digest` on the last line of
-`python perfbench/run.py --workload <name> --seed 5 --seconds 0.5 --trace 1`
-for each workload, and say in the change's notes why the counts moved.
+wrapped theory method, whose calls are counts too.  To re-pin, say in
+the change's notes why the counts moved, and recompute every digest with
+
+    PYTHONPATH=src:tests python -c "import tempfile, test_perfbench_entry as t; \\
+        print({n: t.count_digest(t.traced_run(n, tempfile.mkdtemp())) for n in t.COUNT_DIGESTS})"
 """
 import hashlib
 import importlib.util
@@ -42,7 +43,7 @@ COUNT_METRICS = sorted(m["name"] for m in _BENCHMARK["end_to_end"] + _BENCHMARK[
 COUNT_DIGESTS = {
     "euf-core": "e33bbddc1b0c9b2bbad25d7d89a2aa976b86eb5c38c8ef1dce9bf52c0e55a644",
     "lra-core": "749631c0abdf6e1eb710b6b2a8e251b7abb0cdc7c6cb92edd542a0a599983b4e",
-    "mus-enum": "690d28568293d47031e12746392579361142df72022eb946d6ee60a21f534f41",
+    "mus-enum": "4087aa768bd239841a04674c408399bf7dfee2b07c6d7a89aba12d4c33dea20f",
     "prop-core": "05bf0f6af84307cd14d5b0c02fe1af08f88b8f1da79cb21dcfb60ab3ecbd364f",
 }
 
@@ -69,14 +70,19 @@ def count_digest(result: dict) -> str:
     return hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_traced_run_is_correct(name, tmp_path):
-    # a traced run writes its span table under the working directory
+def traced_run(name: str, cwd) -> dict:
+    """The result line of a short traced run of one workload; the run
+    writes its span table under `cwd`."""
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", name, "--seed", str(SEED),
          "--seconds", "0.5", "--trace", "1"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        cwd=cwd, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert (result["correct"], result["failed"]) == (True, 0), proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_run_is_correct(name, tmp_path):
+    result = traced_run(name, tmp_path)
+    assert (result["correct"], result["failed"]) == (True, 0)
     assert count_digest(result) == COUNT_DIGESTS[name]

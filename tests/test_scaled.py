@@ -7,6 +7,9 @@ lemma-store facts and two verified cores.
 - difference constraints at 12/60 and 24/120, each core verified from a
   refutation, and at 12/60 minimized and checked one-deletion minimal
   (minimizing at 24/120 takes seconds to half a minute an instance);
+- the minimized cores of four methods on the 5-10x corpus of difference
+  logic 12/60, random UF 10/60 and diamond chains 8/30, pinned by one
+  digest;
 - EUF: 8 to 15 constants and their images under one unary function,
   five clauses of at most two literals per constant, three of the eight
   unsat;
@@ -18,6 +21,7 @@ lemma-store facts and two verified cores.
   close to a thousand conflicts and backjumps over many levels;
 - the 15,288 minimal hitting sets of the 300 MCSes of an EUF instance
   with 40 clauses."""
+import hashlib
 import random
 
 import pytest
@@ -117,3 +121,39 @@ def test_all_minimal_hitting_sets_at_scale():
         # minimal: every clause alone hits some MCS, so none can go
         assert sum({h for h in hit if h & (h - 1) == 0}) == bits
     assert minimal_hitting_sets(mcses[::-1], cap=20_000).muses == result.muses
+
+
+# methods that extract in-process; lift-external starts a process each time
+MINIMIZED_METHODS = ("lift-proof", "lift-selectors", "smt-proof", "smt-selectors")
+MINIMIZED_DIGEST = "735a2d428a91338fb239159d6009de32994b6dacbbc419fd546e9b4f9df8422e"
+
+
+def minimized_corpus():
+    """Difference logic 12/60 width 2 and random UF 10/60, seeds 0-11 each,
+    and diamond chains of 8 diamonds among 30 noise clauses, seeds 0-5."""
+    return ([random_difference_formula(random.Random(s), 12, 60, 2) for s in range(12)]
+            + [random_uf_formula(random.Random(s), 10, 60, 2) for s in range(12)]
+            + [diamond_chain_formula(random.Random(s), 8, 30) for s in range(6)])
+
+
+def minimized_digest() -> str:
+    """SHA-256 over each method's verdict and verified minimized core."""
+    h = hashlib.sha256()
+    for formula in minimized_corpus():
+        for method in MINIMIZED_METHODS:
+            report = extract_core(formula, method, minimize=True, verify=True)
+            h.update(f"{method} {report.verdict} {report.core}\n".encode())
+    return h.hexdigest()
+
+
+def test_minimized_cores_are_pinned():
+    """`extract_core(minimize=True)` minimizes on an engine seeded with the
+    route's lemma store, and its lemmas feed the verifying refutation; a
+    deletion minimization's core depends only on its trials' verdicts, so
+    a change to the search inside minimization keeps this digest.  It was
+    computed on the minimization that fixed each selector outside the
+    working set false with a unit clause; recompute it with
+
+        PYTHONPATH=src:tests python -c "import test_scaled as t; print(t.minimized_digest())"
+    """
+    assert minimized_digest() == MINIMIZED_DIGEST
