@@ -11,10 +11,12 @@ them through the one method table `METHODS`, and its conflict budget bounds
 every solve of the route and of minimization (running out is an
 `ExtractionError`).  Deletion-based minimization and two independent,
 unbudgeted checks round things out.  The selector route and minimization
-each run on one incremental `SelectorEngine`.  Every route hands on the
-lemmas its engine stored, and `extract_core`'s minimization starts from
-them: they are theory-valid, so they shorten the search of each trial
-without changing its verdict.
+each run on one incremental `SelectorEngine`.  Both selector extractors,
+that route and the internal selector-based one, guard their clauses with
+the one `SatSolver.guard` and read a core with `sat.assumption_core`.
+Every route hands on the lemmas its engine stored, and `extract_core`'s
+minimization starts from them: they are theory-valid, so they shorten
+the search of each trial without changing its verdict.
 
 A formula with no theory atoms (`LOGIC_PROP`) can store no lemma, so
 `lift-proof` and `lift-selectors` run no SMT search on it: the internal
@@ -64,7 +66,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import dimacs
-from .sat import ProofLog, check_proof, proof_leaves, sat_solve, solve_with_selectors
+from .sat import ProofLog, SatSolver, assumption_core, check_proof, proof_leaves, sat_solve
 from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses, lifted_refutation
 from .terms import LOGIC_PROP, Atom, Formula
 from .theory import validity_check
@@ -141,10 +143,12 @@ def _extract_once(clauses: list[list[int]], config: ExtractorConfig, budget: Opt
         ids = {leaf[1] for leaf in leaves}
         return sorted(_leaf_indices(clauses, ids)), verdict.proof, leaves
     if config.kind == "internal-selectors":
-        verdict, core = solve_with_selectors(clauses, conflict_budget=budget)
+        solver = SatSolver(conflict_budget=budget)
+        selectors = solver.guard(clauses)
+        verdict = solver.solve(selectors)
         if not _refuted(verdict):
             raise _Satisfiable("input is satisfiable; there is no core to extract")
-        return core, None, None
+        return assumption_core(verdict, selectors), None, None
     return external_bridge(clauses, config.command), None, None
 
 
@@ -274,9 +278,7 @@ def _selector_route(formula: Formula, _config, budget: Optional[int]):
     verdict = engine.solve(range(len(formula.clauses)))
     if not _refuted(verdict):
         return None, None, None, []
-    assert verdict.status == "unsat-assumptions", \
-        "guarded clauses cannot refute without their selectors"
-    return engine.conflict_clauses(verdict), None, None, engine.solver.store
+    return assumption_core(verdict, engine.selectors), None, None, engine.solver.store
 
 
 # core method -> (route, Boolean extractor kind of a lifted route).  The

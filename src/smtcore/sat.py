@@ -2,8 +2,9 @@
 
 A literal is a nonzero signed integer over 1-based variables.  The solver
 supports solving under assumptions (the unsatisfiable answer is then a
-conflict clause over negated assumptions), selector-variable core
-extraction, and an optional theory hook used by the lazy SMT engine.
+conflict clause over negated assumptions), selector-guarded clauses for
+core extraction (`SatSolver.guard`, read back by `assumption_core`), and
+an optional theory hook used by the lazy SMT engine.
 
 Learned clauses are exact resolvents of their reason clauses.  The proof
 log holds one node per learned clause: the chain of (pivot, reason) steps
@@ -362,6 +363,21 @@ class SatSolver:
             by_key.setdefault(frozenset(norm), cid)
             watches[norm[0]].append(cid)
             watches[norm[1]].append(cid)
+
+    def guard(self, clauses: Iterable[Iterable[int]]) -> list[int]:
+        """Add clause i as the input clause (-s_i) or clause_i, through
+        `add_inputs`, and return the selectors s_0, s_1, ...: fresh
+        variables numbered in order past every variable the solver holds
+        and every variable the clauses name, so no selector aliases a
+        variable the clauses or the solver give a meaning.  Solving under
+        the assumption of some selectors decides the conjunction of their
+        clauses (Eén & Sörensson, SAT 2003), and `assumption_core` reads
+        which of them a refutation blames."""
+        clauses = [tuple(lits) for lits in clauses]
+        base = max(self.nvars, max((abs(l) for cl in clauses for l in cl), default=0))
+        selectors = list(range(base + 1, base + 1 + len(clauses)))
+        self.add_inputs((-sel, *cl) for sel, cl in zip(selectors, clauses))
+        return selectors
 
     def _insert(self, norm: list[int], origin: tuple) -> tuple[int, str]:
         """`add_clause` for a clause without repeated literals whose
@@ -799,20 +815,12 @@ def sat_solve(clauses: list[list[int]], log_proof: bool = False,
     return s.solve()
 
 
-def solve_with_selectors(clauses: list[list[int]], conflict_budget: Optional[int] = None):
-    """Guard every clause with a fresh selector variable assumed true; on
-    unsat the core is the set of clauses whose selectors appear negated in
-    the final conflict clause.  Returns (verdict, core indices or None);
-    a search that runs out of `conflict_budget` is an "unknown" verdict
-    with no core."""
-    base = max((abs(l) for cl in clauses for l in cl), default=0)
-    s = SatSolver(conflict_budget=conflict_budget)
-    s.add_inputs([-(base + 1 + i), *cl] for i, cl in enumerate(clauses))
-    selector = {-(base + 1 + i): i for i in range(len(clauses))}
-    verdict = s.solve(assumptions=[base + 1 + i for i in range(len(clauses))])
-    if verdict.status in ("sat", "unknown"):
-        return verdict, None
+def assumption_core(verdict: SatVerdict, selectors: list[int]) -> list[int]:
+    """Ascending positions of the clauses, guarded by `selectors` as
+    `SatSolver.guard` returned them, whose selectors the final conflict of
+    an unsat-assumptions verdict negates: the clauses its refutation
+    blames."""
     assert verdict.status == "unsat-assumptions", \
-        "selector-guarded clauses cannot conflict without assumptions"
-    core = sorted(selector[l] for l in verdict.conflict if l in selector)
-    return verdict, core
+        "selector-guarded clauses cannot be refuted without their selectors"
+    negated = set(verdict.conflict)
+    return [i for i, sel in enumerate(selectors) if -sel in negated]

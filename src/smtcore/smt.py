@@ -5,11 +5,12 @@ Every literal is the SAT solver's signed variable, from the input formula
 down: the engine loads the formula's clauses as they are, and the theory
 solver, the lemma list and the SAT database all read the same ints.
 Variables numbered past the formula's atom table come from `new_var`,
-and are of two kinds.  Most name no atom, so no user symbol can alias
-them, and stay propositional.  The others are the engine's own theory
-atoms: an EUF conflict is stated as a chain of lemmas over equalities
-the table may lack, and each such equality gets one variable, which the
-theory solver defines and the engine asserts when it is assigned true.
+or from `SatSolver.guard` for a selector engine's selectors, and are of
+two kinds.  Most name no atom, so no user symbol can alias them, and
+stay propositional.  The others are the engine's own theory atoms: an
+EUF conflict is stated as a chain of lemmas over equalities the table
+may lack, and each such equality gets one variable, which the theory
+solver defines and the engine asserts when it is assigned true.
 The table never grows.  Every theory literal is asserted incrementally as it gets
 assigned, and a theory pass, a full theory check and then a deduction
 pass, runs at each propagation fixpoint where the theory reports its state
@@ -180,7 +181,8 @@ class SmtSolver:
 
     def new_var(self) -> int:
         """A fresh propositional variable, numbered past the atom table and
-        every variable before it; it names no atom."""
+        every variable before it, selectors of `SatSolver.guard`
+        included; it names no atom."""
         var = self.sat.nvars + 1
         self.sat.ensure_vars(var)
         return var
@@ -199,10 +201,12 @@ class SmtSolver:
         return var
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause between solves, over the table's atom ids and the
-        variables of `new_var`.  The table must not have grown since the
-        engine was built, a ValueError otherwise: an atom interned later
-        would take the number of one of the engine's variables."""
+        """Add a clause between solves, over the table's atom ids, the
+        variables of `new_var` and the selectors of `SatSolver.guard`,
+        which are numbered past every variable, so none names an atom.
+        The table must not have grown since the engine was built, a
+        ValueError otherwise: an atom interned later would take the number
+        of one of the engine's variables."""
         if len(self.table) != self._table_size:
             raise ValueError("the atom table grew after the engine was built")
         self.sat._backjump(0)
@@ -244,33 +248,25 @@ def smt_solve(formula: Formula) -> tuple[SatVerdict, list[TLemma]]:
 class SelectorEngine:
     """One incremental SmtSolver that decides subsets of a formula's
     clauses.  The engine starts from none of the clauses, over the
-    formula's own atom table; clause i is added as (not sel_i) or clause_i
-    for a selector variable sel_i from `new_var`, and a subset is solved
-    under the assumption of its selectors.  Learned clauses and stored
-    lemmas follow from the guarded clauses alone, so they carry over from
-    one subset to the next.  A clause added through `solver.add_clause`
-    stays for every later solve.  `conflict_budget` bounds each solve, as
-    it does an SmtSolver's."""
+    formula's own atom table; `SatSolver.guard` adds clause i as (not
+    sel_i) or clause_i, with the selectors numbered from the table's size
+    + 1, and a subset is solved under the assumption of its selectors.
+    `sat.assumption_core` reads which clauses an unsat-assumptions
+    verdict blames.  Learned clauses and stored lemmas follow from the
+    guarded clauses alone, so they carry over from one subset to the
+    next.  A clause added through `solver.add_clause` stays for every
+    later solve.  `conflict_budget` bounds each solve, as it does an
+    SmtSolver's."""
 
     def __init__(self, formula: Formula, *, conflict_budget: Optional[int] = None):
         self.solver = SmtSolver(formula.restrict(()), conflict_budget=conflict_budget)
-        self.selectors = []
-        for clause in formula.clauses:
-            sel = self.solver.new_var()
-            self.solver.add_clause((-sel,) + clause)
-            self.selectors.append(sel)
+        self.selectors = self.solver.sat.guard(formula.clauses)
 
     def solve(self, subset: Iterable[int], *extra: int) -> SatVerdict:
         """Solve the clauses of `subset` plus every added clause, assuming
         their selectors in the given order and then the signed literals
         `extra`."""
         return self.solver.solve(tuple(self.selectors[i] for i in subset) + extra)
-
-    def conflict_clauses(self, verdict: SatVerdict) -> list[int]:
-        """Ascending indices of the clauses whose selectors an
-        unsat-assumptions verdict blames."""
-        negated = set(verdict.conflict)
-        return [i for i, sel in enumerate(self.selectors) if -sel in negated]
 
 
 def lifted_clauses(formula: Formula, store: list[TLemma]) -> list[tuple[int, ...]]:

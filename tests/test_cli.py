@@ -481,11 +481,15 @@ class TestBench:
 
 
 class TestBooleanCoreCommand:
-    def test_extractor_surface(self, tmp_path, capsys):
+    # the second header declares more variables than its clauses name
+    @pytest.mark.parametrize("header", ["p cnf 2 3", "p cnf 9 3"], ids=["exact", "wide"])
+    @pytest.mark.parametrize("method", ["proof", "selectors"])
+    def test_extractor_surface(self, tmp_path, capsys, method, header):
         cnf = tmp_path / "in.cnf"
-        cnf.write_text("p cnf 2 3\n1 0\n-1 0\n2 0\n", encoding="utf-8")
+        cnf.write_text(f"{header}\n1 0\n-1 0\n2 0\n", encoding="utf-8")
         out_path = tmp_path / "core.txt"
-        code, _, _ = run_cli("boolean-core", str(cnf), str(out_path), capsys=capsys)
+        code, _, _ = run_cli("boolean-core", str(cnf), str(out_path), "--method", method,
+                             capsys=capsys)
         assert code == 0
         assert out_path.read_text().split() == ["1", "2"]
 
@@ -520,11 +524,12 @@ class TestBooleanCoreCommand:
         assert proc.returncode == 0
         assert out_path.read_text().split() == ["1", "2"]
 
-    def test_satisfiable_dimacs_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["proof", "selectors"])
+    def test_satisfiable_dimacs_fails(self, tmp_path, capsys, method):
         cnf = tmp_path / "in.cnf"
         cnf.write_text("p cnf 2 1\n1 2 0\n", encoding="utf-8")
         code, _, err = run_cli("boolean-core", str(cnf), str(tmp_path / "o"),
-                               capsys=capsys)
+                               "--method", method, capsys=capsys)
         assert code == 1 and "satisfiable" in err
 
 

@@ -485,9 +485,8 @@ class TestSeededMinimization:
         monkeypatch.setattr(smt.SmtSolver, "add_clause", recording)
         result, lemmas = cores._minimize(formula, core, store, None)
         monkeypatch.undo()
-        guarded = len(formula.clauses)
         engine = added[0][0]
-        imported = [lits for _engine, lits in added[guarded:guarded + len(store)]]
+        imported = [lits for _engine, lits in added[:len(store)]]
         size, renamed = len(formula.atoms), 0
         for lemma, lits in zip(store, imported):
             defs = dict(lemma.defs)

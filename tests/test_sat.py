@@ -5,12 +5,12 @@ from functools import partial
 
 import pytest
 
-from gen import pigeonhole_cnf, random_cnf, random_difference_formula
+from gen import diamond_chain_formula, pigeonhole_cnf, random_cnf, random_difference_formula
 from oracles import cnf_models, cnf_truth_table_sat
 from smtcore import smt
 from smtcore.sat import (
-    ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, check_proof, proof_leaves, sat_solve,
-    solve_with_selectors,
+    ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, assumption_core, check_proof, proof_leaves,
+    sat_solve,
 )
 
 
@@ -116,29 +116,57 @@ class TestProofCore:
         assert sat_solve(picked).status == "unsat"
 
 
+def guarded_solve(clauses):
+    """A fresh solver's verdict on `clauses`, each guarded by a selector
+    that is assumed, and the selectors."""
+    s = SatSolver()
+    selectors = s.guard(clauses)
+    return s.solve(selectors), selectors
+
+
 class TestSelectors:
     def test_contradictory_pair(self):
-        v, core = solve_with_selectors([[1], [-1]])
+        v, selectors = guarded_solve([[1], [-1]])
         assert v.status == "unsat-assumptions"
-        assert core == [0, 1]
+        assert assumption_core(v, selectors) == [0, 1]
 
     def test_satisfiable_input(self):
-        v, core = solve_with_selectors([[1, 2], [-1]])
-        assert v.status == "sat" and core is None
+        v, selectors = guarded_solve([[1, 2], [-1]])
+        assert v.status == "sat"
+        with pytest.raises(AssertionError):
+            assumption_core(v, selectors)
 
     def test_empty_clause_list_is_sat(self):
-        v, core = solve_with_selectors([])
-        assert v.status == "sat" and v.model == {} and core is None
+        v, selectors = guarded_solve([])
+        assert v.status == "sat" and v.model == {} and selectors == []
 
     def test_conflict_clause_contains_only_negated_selectors(self, nine_clauses):
         from smtcore.smt import lifted_clauses, smt_solve
         _, store = smt_solve(nine_clauses)
         clauses = lifted_clauses(nine_clauses, store)
-        v, core = solve_with_selectors(clauses)
+        v, selectors = guarded_solve(clauses)
         assert v.status == "unsat-assumptions"
         assert all(l < 0 for l in v.conflict)
         assert all(abs(l) > len(nine_clauses.atoms) for l in v.conflict)
+        core = assumption_core(v, selectors)
         assert sat_solve([clauses[i] for i in core]).status == "unsat"
+
+    def test_selectors_are_numbered_past_every_variable(self):
+        """A selector is numbered past the variables the clauses name, not
+        only past those the solver holds: a lifted clause may name an
+        equality atom an engine defined past the atom table, and a selector
+        that took its number would guard the wrong clause."""
+        s = SatSolver()
+        assert s.guard([[1, -30], [2, 3]]) == [31, 32]
+        assert s.clauses == [[-31, 1, -30], [-32, 2, 3]]
+        assert s.origins == [("input", 0), ("input", 1)]
+        s = SatSolver()
+        s.ensure_vars(40)
+        assert s.guard([[1, -2], [3, 4, 5], [-5]]) == [41, 42, 43]
+        formula = diamond_chain_formula(random.Random(3), 4, 6)
+        selectors = smt.SelectorEngine(formula).selectors
+        first = len(formula.atoms) + 1
+        assert selectors == list(range(first, first + len(formula.clauses)))
 
 
 class TestCheckProof:

@@ -29,7 +29,7 @@ import pytest
 from gen import diamond_chain_formula, pigeonhole_cnf, random_difference_formula, random_uf_formula
 from smtcore.cores import check_core, extract_core
 from smtcore.mus import enumerate_mcs, minimal_hitting_sets
-from smtcore.sat import check_proof, proof_leaves, sat_solve, solve_with_selectors
+from smtcore.sat import SatSolver, assumption_core, check_proof, proof_leaves, sat_solve
 from smtcore.smt import SmtSolver, evaluate_clause, lemma_store_violations, smt_solve
 
 
@@ -103,9 +103,11 @@ def test_pigeonhole_cores():
     assert verdict.status == "unsat"
     assert check_proof(verdict.proof, clauses) is None
     assert {leaf[1] for leaf in proof_leaves(verdict.proof)} == php
-    verdict, core = solve_with_selectors(clauses)
+    solver = SatSolver()
+    selectors = solver.guard(clauses)
+    verdict = solver.solve(selectors)
     assert verdict.status == "unsat-assumptions"
-    assert set(core) == php
+    assert set(assumption_core(verdict, selectors)) == php
 
 
 def test_all_minimal_hitting_sets_at_scale():

@@ -14,6 +14,7 @@ from smtcore.cnf import cnf_convert
 from smtcore.cores import METHODS, ExtractorConfig, check_refutation, extract_core
 from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse
+from smtcore.sat import assumption_core
 from smtcore.smt import (
     SelectorEngine, SmtSolver, TLemma, evaluate_clause, lemma_store_violations, smt_solve,
 )
@@ -161,7 +162,7 @@ def test_selector_engine_matches_fresh_solves(theory):
                            for c in [formula.clauses[i] for i in subset]
                            + added)
             elif verdict.status == "unsat-assumptions":
-                blamed = engine.conflict_clauses(verdict)
+                blamed = assumption_core(verdict, engine.selectors)
                 assert set(blamed) <= set(subset)
                 again, _ = smt_solve(formula_from_clauses(
                     [formula.clauses[i] for i in blamed] + added,
