@@ -25,34 +25,27 @@ route's budget, and a satisfiable one is reported as "sat".
 `lift-external` keeps its SMT run, because an external extractor cannot
 answer "sat".
 
-Every final core is verified by `check_refutation`, with a resolution
-refutation of the core's clauses plus theory-valid lemmas.  A route that
-ends in a refutation (`lift-proof`, with or without the fixpoint, and
-`smt-proof`) hands it on with its core, and that refutation is checked
-whenever the final core is the one it refutes: unminimized, or one that
-minimization kept whole.  For any other core, `smt.lifted_refutation`
-builds one, by one proof-logging SAT search over the core's clauses plus
-the lemmas of the last engine that refuted it, the paper's lifting step
-once more: the minimization engine's lemmas when minimization shrank the
-core, else the route's store.  A selector engine's learned clauses keep
-the negated selectors of the clauses outside the core, and the external
-bridge checked that a subset of the core plus the lemmas is unsat, so
-these refute every sound core; when they are satisfiable the core fails.
-Every chain of the proof must re-derive step by step, and every leaf it
-resolves on must be a core clause or theory-valid.  An EUF leaf is
-decided by a congruence closure over its own terms, which shares no code
-with the `EufSolver` that made the lemmas, an LRA leaf by one fresh
-`LraSolver`: `theory.validity_check`, which decides stored lemmas too.  A
-leaf may name an equality atom the run's EUF engine defined past the atom
-table, so `check_refutation` reads the definitions of the engine whose
-lemmas it checks (each lemma records those of its clause), and accepts
-only definitions that give each such variable one equality over the
-formula's terms.  It trusts no part of the CDCL search that logged the
-proof.  `check_core`, which re-solves the induced clause set with a fresh
-engine, is the independent check of `smtcore verify`.  No engine here,
-the fresh one of `check_core` included, builds a theory model: every
-caller reads a verdict's status, assumption conflict or proof, never a
-model.
+Every final core is verified by the trusted checker's
+`check.check_refutation`, with a resolution refutation of the core's
+clauses plus theory-valid lemmas.  A route that ends in a refutation
+(`lift-proof`, with or without the fixpoint, and `smt-proof`) hands it on
+with its core, and that refutation is checked whenever the final core is
+the one it refutes: unminimized, or one that minimization kept whole.  For
+any other core, `smt.lifted_refutation` builds one, by one proof-logging
+SAT search over the core's clauses plus the lemmas of the last engine that
+refuted it, the paper's lifting step once more: the minimization engine's
+lemmas when minimization shrank the core, else the route's store.  A
+selector engine's learned clauses keep the negated selectors of the
+clauses outside the core, and the external bridge checked that a subset
+of the core plus the lemmas is unsat, so these refute every sound core;
+when they are satisfiable the core fails.  `check_refutation` reads the
+definitions of engine variables that the lemmas record, and trusts no
+part of the CDCL search that logged the proof (see `check`).
+`check_core`, which re-solves the induced clause set with a fresh engine,
+is the search's own check and the independent check of `smtcore verify`.
+No engine here, the fresh one of `check_core` included, builds a theory
+model: every caller reads a verdict's status, assumption conflict or
+proof, never a model.
 """
 from __future__ import annotations
 
@@ -66,10 +59,10 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import dimacs
-from .sat import ProofLog, SatSolver, assumption_core, check_proof, proof_leaves, sat_solve
+from .check import _out_of_range, check_refutation, proof_leaves
+from .sat import ProofLog, SatSolver, assumption_core, sat_solve
 from .smt import SelectorEngine, SmtSolver, TLemma, lifted_clauses, lifted_refutation
-from .terms import LOGIC_PROP, Atom, Formula
-from .theory import validity_check
+from .terms import LOGIC_PROP, Formula
 
 
 # Wall-clock seconds an external extractor may run before it is stopped.
@@ -120,7 +113,7 @@ class BooleanCore(list):
     """Ascending clause indices of a Boolean core.  `proof` is a resolution
     refutation of those clauses when the extractor logged one (the
     internal proof extractor does), else None, and `leaves` its leaf nodes
-    reachable from the final one (`sat.proof_leaves`)."""
+    reachable from the final one (`check.proof_leaves`)."""
     proof: Optional[ProofLog] = None
     leaves: Optional[list[tuple]] = None
 
@@ -363,12 +356,6 @@ def lemma_lift_core(formula: Formula, config: ExtractorConfig, *, verify: bool =
 # Minimization and checking
 # ---------------------------------------------------------------------------
 
-def _out_of_range(formula: Formula, core: list[int]) -> Optional[str]:
-    """A description of the first index of `core` outside `formula`, or None."""
-    bad = [i for i in core if not 0 <= i < len(formula.clauses)]
-    return f"index {bad[0]} out of range 0..{len(formula.clauses) - 1}" if bad else None
-
-
 def minimize_core(formula: Formula, core: Iterable[int], budget: Optional[int] = None) -> list[int]:
     """Deletion-based minimization: drop clauses one at a time (descending
     index) while the rest stays theory-unsatisfiable.  The result is
@@ -416,50 +403,4 @@ def check_core(formula: Formula, core: Iterable[int]) -> Optional[str]:
     status = SmtSolver(formula.restrict(core)).solve().status
     if status != "unsat":
         return f"induced clause set is {status}, not unsat"
-    return None
-
-
-def check_refutation(formula: Formula, core: Iterable[int], proof: ProofLog,
-                     defs: Optional[dict[int, Atom]] = None,
-                     leaves: Optional[list[tuple]] = None) -> Optional[str]:
-    """Verification without a search: None when the indices are in range,
-    every chain of `proof` re-derives step by step (`check_proof`), its
-    final node is the empty clause, and every leaf it resolves on is
-    either a clause of `core` (as a set) or theory-valid; else a
-    description.  A leaf variable is an atom of the formula's table, or
-    one past it that `defs` maps to an equality over the formula's terms;
-    any other definition is rejected.  That is sound: a model of the core
-    extends to those variables by evaluating their equalities, and then
-    satisfies every theory-valid leaf, so the refutation refutes the core.
-    A leaf is theory-valid when it is a tautology or its negated theory
-    literals are inconsistent, as `theory.validity_check` decides it: for
-    EUF by a congruence closure over the leaf's own terms (no
-    `EufSolver`), for LRA by one fresh `LraSolver`, which is backtracked
-    to empty after each leaf.  Only `formula`, `proof` and `defs` are
-    read: no lemma store, clause numbering or engine of the run that
-    logged the proof.  `leaves`, when given, must be `sat.proof_leaves` of
-    `proof`, from a caller that walked it already."""
-    core = sorted(set(core))
-    if problem := _out_of_range(formula, core):
-        return problem
-    problem = check_proof(proof)
-    if problem is not None:
-        return f"refutation: {problem}"
-    inputs = {frozenset(formula.clauses[i]) for i in core}
-    if leaves is None:
-        leaves = proof_leaves(proof)
-    leaves = [lits for _, _cid, lits in leaves if lits not in inputs]
-    if not leaves:
-        return None
-    try:
-        check = validity_check(formula.logic, formula.atoms).under(
-            sorted((defs or {}).items()))
-    except ValueError as exc:
-        return str(exc)
-    for lits in leaves:
-        if not check.known(lits):
-            return f"refutation leaf {sorted(lits, key=abs)} names an unknown atom"
-        if not check.valid(lits):
-            return (f"refutation leaf {sorted(lits, key=abs)} is neither a core "
-                    f"clause nor theory-valid")
     return None

@@ -11,7 +11,7 @@ log holds one node per learned clause: the chain of (pivot, reason) steps
 conflict analysis took from the conflict clause, and the clause derived,
 after Zhang & Malik, "Validating SAT solvers using an independent
 resolution-based checker" (DATE 2003).  No intermediate resolvent is built
-while searching; `check_proof` replays each chain step by step.
+while searching; `check.check_proof` replays each chain step by step.
 Level-zero-false literals are kept in learned clauses instead of being
 elided, so every chain is plain binary resolution and needs no other rule.
 
@@ -94,7 +94,7 @@ class ProofLog:
         return node
 
     def chain(self, first: int, steps: Iterable[tuple[int, int]], lits: Iterable[int]) -> int:
-        """Record a derivation as given; `check_proof` replays it."""
+        """Record a derivation as given; `check.check_proof` replays it."""
         node = len(self.nodes)
         self.nodes.append(("chain", first, tuple(steps), frozenset(lits)))
         return node
@@ -109,88 +109,6 @@ class ProofLog:
             else:
                 lines.append(" ".join(["C", str(n[1]), *(f"{p} {a}" for p, a in n[2])]))
         return "\n".join(lines) + "\n"
-
-
-def proof_leaves(proof: ProofLog) -> list[tuple]:
-    """The distinct leaf nodes reachable from the final node."""
-    if proof.final is None:
-        raise ValueError("proof does not derive the empty clause")
-    if proof.lits(proof.final):
-        raise ValueError("final node is not the empty clause")
-    nodes = proof.nodes
-    seen = bytearray(len(nodes))
-    out = []
-    stack = [proof.final]
-    push = stack.append
-    while stack:
-        n = stack.pop()
-        if seen[n]:
-            continue
-        seen[n] = 1
-        node = nodes[n]
-        if node[0] == "leaf":
-            out.append(node)
-            continue
-        # a node seen by now would be skipped when popped: leave it off
-        if not seen[node[1]]:
-            push(node[1])
-        for _, a in node[2]:
-            if not seen[a]:
-                push(a)
-    return out
-
-
-def check_proof(proof: ProofLog,
-                input_clauses: Optional[list[list[int]]] = None) -> Optional[str]:
-    """Re-verify every node; None when the proof correctly derives the empty
-    clause, else a description of the first violation.  A chain is replayed
-    step by step on one clause: each step must resolve on a pivot that
-    occurs with opposite polarities in the running clause and the
-    antecedent, giving (C - {p}) | (D - {-p}), and the last clause must
-    equal the stored one.  With `input_clauses`, every leaf must equal the
-    input clause it names; without, leaves are taken as given and the
-    caller checks them."""
-    nodes = proof.nodes
-    for i, node in enumerate(nodes):
-        if node[0] == "leaf":
-            if input_clauses is None:
-                continue
-            _, cid, lits = node
-            if not 0 <= cid < len(input_clauses):
-                return f"node {i}: leaf references unknown clause {cid}"
-            if frozenset(input_clauses[cid]) != lits:
-                return f"node {i}: leaf literals differ from input clause {cid}"
-            continue
-        _, first, steps, lits = node
-        if not 0 <= first < i:
-            return f"node {i}: chain starts at a node that is not earlier"
-        clause = set(nodes[first][-1])
-        for k, (pivot, ante) in enumerate(steps):
-            if not 0 <= ante < i:
-                return f"node {i}: step {k} names a node that is not earlier"
-            other = nodes[ante][-1]
-            if pivot in clause and -pivot in other:
-                lit = pivot
-            elif -pivot in clause and pivot in other:
-                lit = -pivot
-            else:
-                return f"node {i}: step {k}: pivot {pivot} not opposite in the clauses"
-            # (C - {lit}) | (D - {-lit}) in place: -lit stays only if C held
-            # it, and lit only if D holds it (either may be a tautology)
-            had = -lit in clause
-            clause.discard(lit)
-            clause |= other
-            if not had:
-                clause.discard(-lit)
-        if clause != lits:
-            return f"node {i}: stored clause differs from the replayed chain"
-    if proof.final is None:
-        return "no final node"
-    if not 0 <= proof.final < len(nodes):
-        return "final node out of range"
-    if proof.lits(proof.final):
-        return "final node is not the empty clause"
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .check import validity_check
 from .sat import ProofLog, SatSolver, SatVerdict, sat_solve
 from .terms import AtomTable, EufAtom, Formula, LinAtom, eval_lin_atom
-from .theory import TheorySolver, solver_for_logic, validity_check
+from .theory import TheorySolver, solver_for_logic
 
 
 @dataclass
@@ -281,7 +282,7 @@ def lifted_refutation(formula: Formula, core: Iterable[int],
     one proof-logging SAT search over them, or None when they are
     propositionally satisfiable.  The lemmas of an engine that refuted the
     core are theory-valid, so this is the paper's lifting step run once
-    more: `cores.check_refutation` then verifies the core from it."""
+    more: `check.check_refutation` then verifies the core from it."""
     return sat_solve(lifted_clauses(formula.restrict(core), lemmas), log_proof=True).proof
 
 
@@ -296,8 +297,10 @@ def lemma_store_violations(formula: Formula, store: list[TLemma],
     every variable of the clause past the atom table, each as an equality
     over the formula's terms; and (after an unsat run) the abstraction of
     the inputs plus the lemmas is propositionally unsatisfiable by an
-    independent SAT run.  Validity is decided by `theory.validity_check`,
-    as `cores.check_refutation` decides it for a refutation's leaves."""
+    independent SAT run.  Validity is decided by the trusted checker's
+    `check.validity_check`, as `check.check_refutation` decides it for a
+    refutation's leaves; the second fact needs a SAT search, so this
+    stays beside the engine."""
     problems = []
     shared = validity_check(formula.logic, formula.atoms)
     for i, lemma in enumerate(store):

@@ -9,7 +9,7 @@ by vectorized truth-table enumeration, and SMT formulas by enumerating all
 total truth assignments and filtering through the theory oracle.  The
 theory oracle is also the validity oracle (`clause_valid`): a clause is
 theory-valid when the negations of its literals are unsatisfiable, which
-`theory.validity_check`, the check of stored lemmas and refutation
+`check.validity_check`, the trusted check of stored lemmas and refutation
 leaves, must agree with; the contract of a theory conflict's lemmas
 (`conflict_lemma_problem`) asks both that each clause be valid.  The
 all-MUS oracle, MARCO, decides its subsets with the package's own one-shot
@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
+from smtcore.check import validity_check
 from smtcore.sat import SatSolver
 from smtcore.smt import evaluate_clause, smt_solve
 from smtcore.terms import EufAtom, Formula, FunApp, LinAtom, Term
-from smtcore.theory import validity_check
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from gen import (
 )
 from oracles import brute_force_smt_sat, marco_muses
 from smtcore import cores, smt
+from smtcore.check import proof_leaves
 from smtcore.cnf import cnf_convert
 from smtcore.cores import (
     METHODS, BridgeError, ExtractorConfig, ExtractionError, boolean_core, check_core,
@@ -19,7 +20,7 @@ from smtcore.cores import (
 )
 from smtcore.mus import enumerate_mcs
 from smtcore.parser import parse
-from smtcore.sat import proof_leaves, sat_solve
+from smtcore.sat import sat_solve
 from smtcore.smt import SmtSolver, smt_solve
 
 CORE_A = (0, 1, 2, 3, 4, 5)

@@ -4,16 +4,19 @@ Every core `extract_core` verifies is checked by `check_refutation`, with
 no theory search: a `lift-proof` or `smt-proof` core that minimization did
 not shrink against the refutation its route logged, every other core
 against the one `smt.lifted_refutation` builds from the core and the
-lemmas of the last engine that refuted it.  The rejection tests corrupt
-one part of a refutation, its core or the run that produced it, and each
-must fail verification with a clean description (`ExtractionError`
-through `extract_core`).  The agreement tests run `check_refutation` and
-`check_core`'s fresh solve on the cores of every route, with and without
-minimization, on the property suites' generators and on instances several
-times their size."""
+lemmas of the last engine that refuted it.  The checker is the module
+`smtcore.check`, whose imports from the package are fenced to the trusted
+base.  The rejection tests corrupt one part of a refutation, its core or
+the run that produced it, and each must fail verification with a clean
+description (`ExtractionError` through `extract_core`).  The agreement
+tests run `check_refutation` and `check_core`'s fresh solve on the cores
+of every route, with and without minimization, on the property suites'
+generators and on instances several times their size."""
+import ast
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,18 +25,17 @@ from gen import (
     random_difference_formula, random_uf_formula,
 )
 from oracles import brute_force_smt_sat, clause_valid
-from smtcore import cores, smt
-from smtcore.cores import (
-    METHODS, ExtractionError, ExtractorConfig, check_core, check_refutation, extract_core,
-)
+from smtcore import check, cores, smt
+from smtcore.check import check_proof, check_refutation, proof_leaves, validity_check
 from smtcore.cnf import cnf_convert
+from smtcore.cores import METHODS, ExtractionError, ExtractorConfig, check_core, extract_core
 from smtcore.parser import parse
 from smtcore.sat import ProofLog, SatVerdict, sat_solve
 from smtcore.smt import TLemma
 from smtcore.terms import (
     REAL, AtomTable, FunApp, FunSymbol, PropAtom, Var, canonical_lin_atom, euf_atom,
 )
-from smtcore.theory import EufSolver, TheorySolver, validity_check
+from smtcore.theory import EufSolver, TheorySolver
 
 PROOF_ROUTES = [("lift-proof", False), ("lift-proof", True), ("smt-proof", False)]
 INTERNAL_ROUTES = PROOF_ROUTES + [("lift-selectors", False), ("smt-selectors", False)]
@@ -279,6 +281,96 @@ class TestRejections:
         assert "names an unknown atom" in check_refutation(nine_clauses, [0], proof)
 
 
+# The modules of the package that the trusted checker may import: the
+# terms it reads and, until LRA leaves carry certificates, the solver that
+# decides them.
+TRUSTED = {"smtcore.terms", "smtcore.theory.lra"}
+
+
+def smtcore_imports(source):
+    """The `smtcore` modules that the imports of `source` name, relative or
+    absolute, for a module at the package's top level.  An import from a
+    package names that package's submodule of each name it imports, and a
+    relative import that leaves the package names `..`."""
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "smtcore"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level > 1:
+                named.append("..")
+                continue
+            base = ".".join(["smtcore"] * node.level + [node.module or ""]).strip(".")
+            if base.split(".")[0] != "smtcore":
+                continue
+            if base in ("smtcore", "smtcore.theory"):
+                named += [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                named.append(base)
+    return named
+
+
+def php_3_2_refutation():
+    """Three pigeons in two holes, as a formula, and its logged refutation."""
+    clauses, _ = pigeonhole_cnf(random.Random(0), holes=2, noise_vars=0, noise_clauses=0)
+    proof = sat_solve(clauses, log_proof=True).proof
+    assert check_proof(proof, clauses) is None
+    return prop_formula(clauses), proof
+
+
+class TestTrustedChecker:
+    """`smtcore.check`: what it may import, and the rejections of a
+    mutated real refutation that the route tests never reach."""
+
+    def test_imports_only_the_trusted_base(self):
+        assert set(smtcore_imports(Path(check.__file__).read_text(encoding="utf-8"))) <= TRUSTED
+
+    @pytest.mark.parametrize("line", [
+        "from .sat import sat_solve", "from . import cores", "from .theory import EufSolver",
+        "from .theory.euf import EufSolver", "from smtcore.smt import smt_solve",
+        "from smtcore import sat", "import smtcore.sat", "import smtcore",
+        "from ..smtcore import sat",
+        "def f():\n    from .sat import ProofLog",
+    ])
+    def test_the_fence_catches_another_import(self, line):
+        source = Path(check.__file__).read_text(encoding="utf-8") + "\n" + line + "\n"
+        assert not set(smtcore_imports(source)) <= TRUSTED
+
+    def test_a_leaf_naming_no_input_clause(self):
+        formula, proof = php_3_2_refutation()
+        j, (_, cid, lits) = next((j, node) for j, node in enumerate(proof.nodes)
+                                 if node[0] == "leaf")
+        for unknown in (len(formula.clauses), -1):
+            proof.nodes[j] = ("leaf", unknown, lits)
+            assert check_proof(proof, formula.clauses) == (
+                f"node {j}: leaf references unknown clause {unknown}")
+        other = (cid + 1) % len(formula.clauses)
+        proof.nodes[j] = ("leaf", other, lits)
+        assert check_proof(proof, formula.clauses) == (
+            f"node {j}: leaf literals differ from input clause {other}")
+
+    def test_final_node_out_of_range(self):
+        formula, proof = php_3_2_refutation()
+        everything = range(len(formula.clauses))
+        for final in (len(proof.nodes), -1):
+            proof.final = final
+            assert check_proof(proof, formula.clauses) == "final node out of range"
+            assert check_refutation(formula, everything, proof) == (
+                "refutation: final node out of range")
+
+    def test_leaves_of_a_proof_without_the_empty_clause(self):
+        _, proof = php_3_2_refutation()
+        proof.final = None
+        with pytest.raises(ValueError) as info:
+            proof_leaves(proof)
+        assert str(info.value) == "proof does not derive the empty clause"
+        proof.final = next(j for j, node in enumerate(proof.nodes) if node[0] == "leaf")
+        with pytest.raises(ValueError) as info:
+            proof_leaves(proof)
+        assert str(info.value) == "final node is not the empty clause"
+
+
 U = "U"
 _CONSTS = [Var(name, U, k) for k, name in enumerate("abc")]
 _F = FunSymbol("f", (U,), U)
@@ -335,7 +427,7 @@ GENERATORS = {
 
 
 class TestTheoryValidity:
-    """`theory.validity_check`, which decides stored lemmas and refutation
+    """`check.validity_check`, which decides stored lemmas and refutation
     leaves alike, agrees with the oracle (`oracles.clause_valid`: Fourier-
     Motzkin for LRA, a naive congruence closure for EUF)."""
 
@@ -399,7 +491,7 @@ class TestTheoryValidity:
 
 class TestEufLeaves:
     """`check_refutation` decides an EUF leaf by the congruence closure of
-    `theory.validity_check`, not with an `EufSolver`."""
+    `check.validity_check`, not with an `EufSolver`."""
 
     def test_a_weakened_leaf_of_a_real_refutation_fails(self, monkeypatch):
         """Leaves of euf-core-like refutations, each with one premise
@@ -407,7 +499,7 @@ class TestEufLeaves:
         mutated leaf reaches the leaf check, which must reject it unless
         the oracle finds the mutation valid (an explanation need not be
         minimal, so a deduction can survive losing a premise)."""
-        monkeypatch.setattr(cores, "check_proof", lambda proof: None)
+        monkeypatch.setattr(check, "check_proof", lambda proof: None)
         route, kind = METHODS["lift-proof"]
         rejected = kept = 0
         for seed in range(8):

@@ -8,9 +8,9 @@ import pytest
 from gen import diamond_chain_formula, pigeonhole_cnf, random_cnf, random_difference_formula
 from oracles import cnf_models, cnf_truth_table_sat
 from smtcore import smt
+from smtcore.check import check_proof, proof_leaves
 from smtcore.sat import (
-    ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, assumption_core, check_proof, proof_leaves,
-    sat_solve,
+    ACTIVITY_DECAY, HEAP_SLACK, ProofLog, SatSolver, assumption_core, sat_solve,
 )
 
 

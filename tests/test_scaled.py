@@ -27,9 +27,10 @@ import random
 import pytest
 
 from gen import diamond_chain_formula, pigeonhole_cnf, random_difference_formula, random_uf_formula
+from smtcore.check import check_proof, proof_leaves
 from smtcore.cores import check_core, extract_core
 from smtcore.mus import enumerate_mcs, minimal_hitting_sets
-from smtcore.sat import SatSolver, assumption_core, check_proof, proof_leaves, sat_solve
+from smtcore.sat import SatSolver, assumption_core, sat_solve
 from smtcore.smt import SmtSolver, evaluate_clause, lemma_store_violations, smt_solve
 
 

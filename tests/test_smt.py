@@ -10,8 +10,9 @@ from gen import (
     random_euf_atoms, random_formula, random_lra_atoms, random_uf_formula,
 )
 from oracles import brute_force_smt_sat, clause_valid, conflict_lemma_problem
+from smtcore.check import check_refutation
 from smtcore.cnf import cnf_convert
-from smtcore.cores import METHODS, ExtractorConfig, check_refutation, extract_core
+from smtcore.cores import METHODS, ExtractorConfig, extract_core
 from smtcore.mus import all_minimal_cores
 from smtcore.parser import parse
 from smtcore.sat import assumption_core

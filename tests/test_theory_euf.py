@@ -5,8 +5,9 @@ import pytest
 
 from gen import random_euf_atoms
 from oracles import clause_valid, conflict_lemma_problem, euf_literals_sat
+from smtcore.check import validity_check
 from smtcore.terms import AtomTable, FunApp, FunSymbol, Var, euf_atom
-from smtcore.theory import EufSolver, validity_check
+from smtcore.theory import EufSolver
 
 U = "U"
 

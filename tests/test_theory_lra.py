@@ -6,6 +6,7 @@ import pytest
 
 from gen import lin_comb, random_difference_formula, random_lra_atoms
 from oracles import clause_valid, lra_literals_sat, reference_lra_deductions
+from smtcore.check import validity_check
 from smtcore.cnf import cnf_convert
 from smtcore.cores import minimize_core
 from smtcore.parser import parse
@@ -13,7 +14,7 @@ from smtcore.smt import evaluate_clause, smt_solve
 from smtcore.terms import (
     REAL, AtomTable, PropAtom, Var, canonical_lin_atom, euf_atom, eval_lin_atom,
 )
-from smtcore.theory import LraSolver, validity_check
+from smtcore.theory import LraSolver
 
 X = Var("x", REAL, 0)
 Y = Var("y", REAL, 1)

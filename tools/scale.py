@@ -19,8 +19,8 @@ answer's shape: a satisfiable answer's model satisfies every clause, a
 core is refuted by a fresh engine (`check_core`), a minimized core loses
 that when any one clause goes, each correction set leaves a satisfiable
 formula, each hitting set hits every correction set and a logged proof
-replays (`check_proof`).  A case whose check fails is reported, and the
-script exits with status 1.
+replays (`check.check_proof`).  A case whose check fails is reported, and
+the script exits with status 1.
 
 Printed: one line per case, with its CPU seconds, its seconds at nominal
 speed and what the call returned.  `--json` also writes the rows to a
@@ -126,13 +126,15 @@ def prepare(kind: str, args: tuple):
             return f"{len(found.muses)} MUSes{'' if found.complete else ' (capped)'}"
         return (lambda: mus.minimal_hitting_sets(mcses)), check
     if kind == "php":
+        # imported here, so that a `--src` tree without `check` runs the rest
+        from smtcore.check import check_proof
         holes, noise_vars, noise_clauses, seed, log_proof = args
         clauses, _ = gen.pigeonhole_cnf(Random(seed), holes, noise_vars, noise_clauses)
 
         def check(verdict):
             if verdict.status != "unsat":
                 raise CheckFailed(f"verdict {verdict.status}, not unsat")
-            if log_proof and (problem := sat.check_proof(verdict.proof, clauses)):
+            if log_proof and (problem := check_proof(verdict.proof, clauses)):
                 raise CheckFailed(problem)
             return "unsat" + (", proof checked" if log_proof else "")
         return (lambda: sat.sat_solve(clauses, log_proof=log_proof)), check
